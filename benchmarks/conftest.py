@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's reported results (see the
-experiment index in DESIGN.md) and prints a plain-text table with the same
+Every benchmark regenerates one of the paper's reported results (E1-E8, one
+``test_bench_e<N>_*.py`` each) and prints a plain-text table with the same
 rows/series the paper reports.  Absolute numbers differ from the paper's
 testbed measurements; the *shape* (who wins, by roughly what factor) is what
-EXPERIMENTS.md compares.
+to compare.
 
 Besides the human-readable tables, :func:`run_once` writes one machine-readable
 ``BENCH_<EXPERIMENT>.json`` summary per experiment under ``benchmarks/results/``

@@ -40,7 +40,7 @@ def _run_configuration(energy: bool, consolidation: bool) -> dict:
             min_powered_on_hosts=2,
         ),
         reconfiguration_interval=3600.0 if consolidation else None,
-        reconfiguration_algorithm="aco",
+        policies={"reconfiguration": {"name": "aco"}},
         energy_sample_interval=120.0,
     )
     system = SnoozeSystem(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
 from repro.metrics.report import ComparisonTable
-from repro.scheduling.thresholds import UtilizationThresholds
+from repro.policies import UtilizationThresholds
 from repro.workloads import BatchArrival, BurstyTrace, UniformDemandDistribution, WorkloadGenerator
 
 from benchmarks.conftest import run_once

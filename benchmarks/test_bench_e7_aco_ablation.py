@@ -1,6 +1,6 @@
 """E7 (ablation) -- ACO parameter sensitivity.
 
-DESIGN.md calls out the ACO design choices worth ablating: the number of ants,
+The ACO design choices worth ablating: the number of ants,
 the number of cycles, the evaporation rate rho and the alpha/beta weighting of
 pheromone vs heuristic information.  The benchmark sweeps each knob around the
 default configuration on a fixed instance and reports hosts used and runtime,

@@ -1,6 +1,6 @@
 """E8 (ablation) -- Hierarchy fan-out and heartbeat-interval sensitivity.
 
-DESIGN.md calls out two hierarchy design choices worth ablating:
+Two hierarchy design choices worth ablating:
 
 * **Group Manager fan-out**: how does the number of GMs over a fixed set of
   Local Controllers affect management-message overhead and Group-Leader

@@ -59,8 +59,8 @@ ROUNDS = 3
 
 def _obs_spec(pillars: dict) -> ScenarioSpec:
     # Keep the scale benchmark's spec (and name: workload streams are keyed by
-    # it) so the all-off run is literally the scale benchmark's new path.
-    base = _fleet_spec(LCS, telemetry="arrays", coalesce=True).to_dict()
+    # it) so the all-off run is literally the scale benchmark's timed run.
+    base = _fleet_spec(LCS).to_dict()
     base["config"] = dict(base["config"])
     base["config"]["observability"] = dict(pillars)
     return ScenarioSpec.from_dict(base)

@@ -60,7 +60,7 @@ def test_policy_sweep(benchmark):
             wall = time.perf_counter() - start
             rows.append(
                 {
-                    "placement_policy": placement,
+                    "placement": placement,
                     "mean_active_hosts": round(result.packing["mean_active_hosts"], 3),
                     "peak_active_hosts": result.packing["peak_active_hosts"],
                     "energy_kwh": round(result.energy["infrastructure_kwh"], 4),

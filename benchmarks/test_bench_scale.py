@@ -1,32 +1,19 @@
-"""Scale benchmark: the vectorized hot path vs the scalar reference path.
+"""Scale benchmark: the hierarchy hot path at 100 / 500 / 2000 Local Controllers.
 
-For fleets of 100 / 500 / 2000 Local Controllers the same churn scenario runs
-twice from one seed:
+Each fleet runs one fixed churn scenario on a deterministic network (so the
+coalesced tick groups, deadline tables and batched deliveries all engage) and
+reports **raw** numbers: wall clock, the simulator events the run processed,
+and their quotient.  The workload per cell is fixed, so wall clock is the
+figure to compare across commits; events/s is the same measurement divided
+into the run's own event count (a change that retires the same work in fewer
+events lowers it without being slower -- read it next to the wall clock).
 
-* **old path** -- ``telemetry="objects"``, ``coalesce_events=False``: per-VM
-  sample objects, one timer event per LC per interval, one Timeout per
-  heartbeat peer, one delivery event per message (the pre-optimization event
-  structure);
-* **new path** -- ``telemetry="arrays"``, ``coalesce_events=True`` (the
-  defaults): the shared TelemetryPlane, coalesced tick groups, deadline
-  tables and batched deliveries.
-
-Both paths must produce **byte-identical** ScenarioResults (asserted) -- the
-benchmark measures pure mechanical speed on identical simulated behaviour.
-
-Throughput is reported as *events per second*: simulator events of the
-reference path retired per wall-clock second.  The workload is fixed, so the
-reference path's event count measures it for both paths (the optimized path
-completes the same simulated work with fewer, cheaper events; crediting it
-with its own smaller count would reward doing the same work in fewer events
-with a *lower* score).  ``improvement`` is therefore exactly the wall-clock
-speedup.
-
-A third, untimed run per fleet repeats the new path with profiling enabled
-and folds the event-loop breakdown into the fleet entry: component and
-handler wall-clock shares plus per-kind policy decision latency, so the
-scale numbers say *where* the time goes, not just how much.  The profiled
-run must stay canonically identical to the timed ones (asserted).
+Timed runs execute in fresh interpreters, rounds interleaved across cells,
+minimum wall kept.  A further, untimed run per fleet repeats the scenario with
+profiling enabled and folds the event-loop breakdown into the fleet entry:
+component and handler wall-clock shares plus per-kind policy decision latency,
+so the scale numbers say *where* the time goes, not just how much.  The
+profiled run must stay canonically identical to the timed ones (asserted).
 
 Results land in ``benchmarks/results/BENCH_SCALE.json`` (per-fleet entries
 are merged across invocations).  The default run covers the 100-LC point so
@@ -93,7 +80,7 @@ def _configured_fleets() -> list:
     return fleets
 
 
-def _fleet_spec(lcs: int, telemetry: str, coalesce: bool) -> ScenarioSpec:
+def _fleet_spec(lcs: int) -> ScenarioSpec:
     sizing = FLEETS[lcs]
     return ScenarioSpec(
         name=f"bench-scale-{lcs}",
@@ -104,11 +91,9 @@ def _fleet_spec(lcs: int, telemetry: str, coalesce: bool) -> ScenarioSpec:
         nodes_per_rack=40,
         record_interval=60.0,
         config={
-            # Deterministic network: identical behaviour on both paths and the
-            # delivery-batching fast path is reachable on the new one.
+            # Deterministic network: the delivery-batching, deadline-sink and
+            # heartbeat-lease fast paths are all reachable.
             "network": {"base_latency": 0.001, "jitter": 0.0, "loss_probability": 0.0},
-            "telemetry": telemetry,
-            "coalesce_events": coalesce,
         },
         phases=[
             WorkloadPhase(
@@ -123,16 +108,9 @@ def _fleet_spec(lcs: int, telemetry: str, coalesce: bool) -> ScenarioSpec:
     )
 
 
-#: Timed repetitions per path; the fastest wall clock is kept (standard
+#: Timed repetitions per cell; the fastest wall clock is kept (standard
 #: benchmarking practice: the minimum is the least noise-contaminated sample).
 ROUNDS = int(os.environ.get("REPRO_BENCH_SCALE_ROUNDS", "2"))
-
-#: The two timed configurations: the seed's per-event/object path and the
-#: vectorized/coalesced path this benchmark exists to compare against it.
-PATHS = {
-    "old": {"telemetry": "objects", "coalesce": False},
-    "new": {"telemetry": "arrays", "coalesce": True},
-}
 
 
 #: Run one timed scenario in a *fresh interpreter* and report wall clock,
@@ -143,10 +121,10 @@ PATHS = {
 #: exists to make.
 _CHILD_SCRIPT = """
 import gc, hashlib, json, sys
-lcs, telemetry, coalesce = int(sys.argv[1]), sys.argv[2], sys.argv[3] == "1"
+lcs = int(sys.argv[1])
 from test_bench_scale import SEED, _fleet_spec
 from repro.scenarios import ScenarioRunner
-runner = ScenarioRunner(_fleet_spec(lcs, telemetry, coalesce), seed=SEED)
+runner = ScenarioRunner(_fleet_spec(lcs), seed=SEED)
 gc.collect()
 gc.disable()
 try:
@@ -165,47 +143,39 @@ def _canonical_digest(canonical_json: str) -> str:
     return hashlib.sha256(canonical_json.encode()).hexdigest()
 
 
-def _timed_run(lcs: int, telemetry: str, coalesce: bool) -> dict:
+def _timed_run(lcs: int) -> dict:
     here = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here), str(here.parent / "src"), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT, str(lcs), telemetry, "1" if coalesce else "0"],
+        [sys.executable, "-c", _CHILD_SCRIPT, str(lcs)],
         env=env,
         capture_output=True,
         text=True,
         check=False,
     )
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"benchmark child (lcs={lcs}, telemetry={telemetry}) failed:\n{proc.stderr}"
-        )
+        raise RuntimeError(f"benchmark child (lcs={lcs}) failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _interleaved_timings(cells: list) -> dict:
-    """Min-of-ROUNDS walls for every (cell, path) pair, rounds interleaved.
+    """Min-of-ROUNDS walls for every cell, rounds interleaved.
 
-    Each round sweeps all pairs once, so the cells being *compared* (the
+    Each round sweeps all cells once, so the cells being *compared* (the
     flat-scale criterion ranks events/sec across cells) are measured seconds
     -- not minutes -- apart and see the same host weather; the min over
-    rounds then discards transient noise per pair.  On a shared host,
-    measuring one cell's rounds back-to-back before the next cell's biases
-    whichever cell hits the noisier minutes.
+    rounds then discards transient noise per cell.  The sweep order rotates
+    so no cell always runs last.
     """
-    pairs = [(lcs, key) for lcs in cells for key in PATHS]
     timings: dict = {}
     for sweep in range(ROUNDS):
-        # Rotate the sweep order so no cell always runs last: allocator and
-        # cache state accumulated by earlier runs in the same process inflates
-        # later walls, and a fixed order turns that into a systematic bias
-        # against whichever cell sits at the end.
-        offset = (sweep * 2) % len(pairs) if pairs else 0
-        for lcs, key in pairs[offset:] + pairs[:offset]:
-            run = _timed_run(lcs, **PATHS[key])
-            slot = timings.setdefault((lcs, key), run)
+        offset = sweep % len(cells) if cells else 0
+        for lcs in cells[offset:] + cells[:offset]:
+            run = _timed_run(lcs)
+            slot = timings.setdefault(lcs, run)
             slot["wall"] = min(slot["wall"], run["wall"])
     return timings
 
@@ -231,8 +201,8 @@ def _decision_latency(observability: dict) -> dict:
 
 
 def _profile_fleet(lcs: int) -> dict:
-    """One profiled (untimed) new-path run: where does the wall clock go?"""
-    base = _fleet_spec(lcs, telemetry="arrays", coalesce=True).to_dict()
+    """One profiled (untimed) run: where does the wall clock go?"""
+    base = _fleet_spec(lcs).to_dict()
     base["config"] = dict(base["config"])
     base["config"]["observability"] = {"metrics": True, "tracing": False, "profiling": True}
     runner = ScenarioRunner(ScenarioSpec.from_dict(base), seed=SEED)
@@ -253,41 +223,20 @@ def _profile_fleet(lcs: int) -> dict:
     }
 
 
-def _path_summary(run: dict) -> dict:
-    wall = run["wall"]
-    return {
-        "wall_clock_seconds": round(wall, 4),
-        "processed_events": int(run["events"]),
-        "raw_events_per_second": round(run["events"] / wall, 1) if wall > 0 else 0.0,
-    }
-
-
-def _measure_fleet(lcs: int, timings: dict) -> dict:
+def _measure_fleet(lcs: int, run: dict) -> dict:
     sizing = FLEETS[lcs]
-    old, new = timings[(lcs, "old")], timings[(lcs, "new")]
-    identical = old["digest"] == new["digest"]
     profile = _profile_fleet(lcs)
-    profiled_identical = _canonical_digest(profile.pop("_canonical")) == new["digest"]
-    wall_old, wall_new = old["wall"], new["wall"]
-    reference_events = old["events"]
-    eps_old = reference_events / wall_old if wall_old > 0 else 0.0
-    eps_new = reference_events / wall_new if wall_new > 0 else 0.0
+    profiled_identical = _canonical_digest(profile.pop("_canonical")) == run["digest"]
+    wall = run["wall"]
     return {
         "local_controllers": lcs,
         "group_managers": sizing["group_managers"],
         "vms": sizing["vms"],
         "simulated_seconds": sizing["duration"],
         "seed": SEED,
-        "old": _path_summary(old),
-        "new": _path_summary(new),
-        "events_per_second": {"old": round(eps_old, 1), "new": round(eps_new, 1)},
-        "events_per_second_definition": (
-            "reference-path simulator events retired per wall-clock second; "
-            "the fixed workload is measured by the reference path's event "
-            "count, so improvement equals the wall-clock speedup"
-        ),
-        "improvement": round(eps_new / eps_old, 2) if eps_old > 0 else 0.0,
-        "results_identical": identical,
+        "wall_clock_seconds": round(wall, 4),
+        "processed_events": int(run["events"]),
+        "events_per_second": round(run["events"] / wall, 1) if wall > 0 else 0.0,
         "profiled_result_identical": profiled_identical,
         "profile": profile,
     }
@@ -308,21 +257,20 @@ def _merge_results(entries: dict, section: str = "fleets") -> None:
     write_results_json("BENCH_SCALE.json", summary)
 
 
-def test_scale_vectorized_vs_scalar_path(benchmark):
+def test_scale_hot_path(benchmark):
     entries = {}
-    table = ComparisonTable("Hot-path scale: scalar/per-event vs vectorized/coalesced")
+    table = ComparisonTable("Hot-path scale: raw wall clock and events/s per fleet")
 
     def run_all():
         cells = _configured_fleets()
         timings = _interleaved_timings(cells)
         for lcs in cells:
-            entries[lcs] = _measure_fleet(lcs, timings)
+            entries[lcs] = _measure_fleet(lcs, timings[lcs])
         return [
             {
                 "lcs": entry["local_controllers"],
-                "events_per_second_old": entry["events_per_second"]["old"],
-                "events_per_second_new": entry["events_per_second"]["new"],
-                "improvement": entry["improvement"],
+                "wall_clock_seconds": entry["wall_clock_seconds"],
+                "events_per_second": entry["events_per_second"],
             }
             for entry in entries.values()
         ]
@@ -331,27 +279,19 @@ def test_scale_vectorized_vs_scalar_path(benchmark):
     for entry in entries.values():
         table.add_row(
             lcs=entry["local_controllers"],
-            wall_old_s=entry["old"]["wall_clock_seconds"],
-            wall_new_s=entry["new"]["wall_clock_seconds"],
-            events_old=entry["old"]["processed_events"],
-            events_new=entry["new"]["processed_events"],
-            eps_old=entry["events_per_second"]["old"],
-            eps_new=entry["events_per_second"]["new"],
-            improvement=entry["improvement"],
-            identical=entry["results_identical"],
+            wall_s=entry["wall_clock_seconds"],
+            events=entry["processed_events"],
+            eps=entry["events_per_second"],
+            profiled_identical=entry["profiled_result_identical"],
         )
     table.print()
     _merge_results(entries)
 
-    # The optimization must be a pure refactor: byte-identical results.
     for entry in entries.values():
-        assert entry["results_identical"], (
-            f"old/new paths diverged at {entry['local_controllers']} LCs"
-        )
         assert entry["profiled_result_identical"], (
             f"profiling changed the result at {entry['local_controllers']} LCs"
         )
-        assert entry["improvement"] > 0
+        assert entry["events_per_second"] > 0
     assert rows
 
     # CI regression gate: the 100-LC point must stay within 2x of the
@@ -360,7 +300,7 @@ def test_scale_vectorized_vs_scalar_path(benchmark):
     if os.environ.get("REPRO_BENCH_STRICT") and 100 in entries:
         baseline = json.loads(BASELINE_PATH.read_text())
         floor = baseline["events_per_second"] / 2.0
-        measured = entries[100]["events_per_second"]["new"]
+        measured = entries[100]["events_per_second"]
         assert measured >= floor, (
             f"events/sec regression at 100 LCs: measured {measured:.0f}, "
             f"baseline {baseline['events_per_second']:.0f} (floor {floor:.0f}); "

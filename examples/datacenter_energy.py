@@ -10,7 +10,7 @@ load follows a day/night pattern, managed by Snooze with
 
 The script prints the energy consumed by each configuration over the same
 simulated day and the relative savings -- the qualitative content of the
-paper's Section III (energy experiments E5/E6 in DESIGN.md).
+paper's Section III (energy experiments E5/E6 under ``benchmarks/``).
 
 Run with:  python examples/datacenter_energy.py [--hours 6] [--lcs 24]
 """
@@ -43,7 +43,7 @@ def build_system(lcs: int, energy: bool, consolidation: bool, seed: int) -> Snoo
             min_powered_on_hosts=2,
         ),
         reconfiguration_interval=3600.0 if consolidation else None,
-        reconfiguration_algorithm="aco",
+        policies={"reconfiguration": {"name": "aco"}},
         energy_sample_interval=120.0,
     )
     return SnoozeSystem(

@@ -19,8 +19,8 @@ Quick start::
     ffd = FirstFitDecreasing().solve(demands, capacities)
     print(aco.hosts_used, "<=", ffd.hosts_used)
 
-See README.md for the architecture overview, DESIGN.md for the system
-inventory and EXPERIMENTS.md for the paper-vs-measured results.
+See README.md for the architecture map and how to run the paper's experiments
+(``benchmarks/``).
 """
 
 __version__ = "1.0.0"

@@ -2,7 +2,7 @@
 
 The paper obtains the optimal number of hosts with CPLEX on small instances
 and reports that the ACO algorithm lands within 1.1 % of it.  We substitute an
-exact branch-and-bound solver (DESIGN.md section 1): it explores assignments
+exact branch-and-bound solver: it explores assignments
 of VMs (largest first) to hosts, prunes with the per-dimension L1 lower bound
 and with symmetry breaking over identical empty hosts, and can be bounded by a
 node budget or wall-clock deadline so benchmarks stay laptop-friendly.

@@ -24,8 +24,9 @@ from repro.network.multicast import MulticastRegistry
 from repro.network.rpc import RpcChannel
 from repro.network.transport import Network
 from repro.obs import OBSERVABILITY_SERVICE
+from repro.simulation.batch import DeadlineHandle
 from repro.simulation.engine import Simulator
-from repro.simulation.timers import PeriodicTimer, Timeout
+from repro.simulation.timers import PeriodicTimer
 
 
 #: Per-simulation registry of heartbeat *leases*: ``(watcher, sender) ->
@@ -68,7 +69,8 @@ class Component:
         self.endpoint = network.register(name, self._on_message)
         self.rpc = RpcChannel(network, name)
         self._timers: List[PeriodicTimer] = []
-        self._timeouts: List[Timeout] = []
+        #: Live failure detectors armed through :meth:`add_deadline`.
+        self._timeouts: List[DeadlineHandle] = []
         #: The deployment's observability plane and tracer (None when the
         #: plane is not built / the tracing pillar is off), discovered once at
         #: construction so per-message paths pay a plain attribute read.
@@ -144,42 +146,32 @@ class Component:
         self._timers.append(timer)
         return timer
 
-    def add_timeout(self, duration: float, callback, *args, auto_start: bool = True) -> Timeout:
-        """Create a restartable timeout owned by this component."""
-        timeout = Timeout(self.sim, duration, callback, *args, auto_start=auto_start)
-        self._timeouts.append(timeout)
-        return timeout
+    def add_deadline(self, table, duration: float, callback, *args) -> DeadlineHandle:
+        """Arm a failure detector in a :class:`~repro.simulation.batch.DeadlineTable`.
 
-    def add_deadline(self, table, duration: float, callback, *args):
-        """Arm a deadline in a :class:`~repro.simulation.batch.DeadlineTable`.
-
-        The returned handle is owned by (and cancelled with) this component,
-        exactly like a dedicated :class:`Timeout` would be.
+        The returned handle is owned by (and released with) this component.
         """
         handle = table.arm(duration, callback, *args)
         self._timeouts.append(handle)
         return handle
 
-    @staticmethod
-    def discard_timeout(timeout) -> None:
-        """Permanently discard a failure detector.
+    def discard_timeout(self, handle: DeadlineHandle) -> None:
+        """Permanently discard a failure detector: release it and drop ownership.
 
-        Deadline-table handles are *released* (their entry returns to the
-        table's free pool); plain Timeouts are cancelled.  Use this -- not
+        The handle's entry returns to its table's free pool.  Use this -- not
         bare ``cancel()`` -- whenever the detector will never be restarted.
+        Handles already released by a crash (:meth:`fail`) are tolerated.
         """
-        release = getattr(timeout, "release", None)
-        if release is not None:
-            release()
-        else:
-            timeout.cancel()
+        handle.release()
+        if handle in self._timeouts:
+            self._timeouts.remove(handle)
 
     def _stop_all_timers(self) -> None:
         for timer in self._timers:
             timer.stop()
         self._timers.clear()
-        for timeout in self._timeouts:
-            self.discard_timeout(timeout)
+        for handle in self._timeouts:
+            handle.release()
         self._timeouts.clear()
 
     # --------------------------------------------------------------- services

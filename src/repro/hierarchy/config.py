@@ -14,23 +14,16 @@ from typing import Dict, Optional
 from repro.energy.power_manager import PowerManagerConfig
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
-from repro.policies import get_policy_spec
 from repro.policies.registry import validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 
-#: Policy kinds whose selection historically lived in a flat string field.
-#: The structured ``policies`` block and these legacy fields are kept in sync
-#: both ways: a ``policies`` entry wins and updates the string field; an
-#: absent entry is seeded from the string field.
-LEGACY_POLICY_FIELDS: Dict[str, str] = {
-    "dispatching": "dispatching_policy",
-    "placement": "placement_policy",
-    "assignment": "assignment_policy",
-    "reconfiguration": "reconfiguration_algorithm",
-}
-
-#: Kinds that never had a legacy string field, with their default selection.
+#: The policy every hierarchy decision point runs unless the ``policies``
+#: block selects another one.
 DEFAULT_POLICIES: Dict[str, str] = {
+    "dispatching": "first-fit",
+    "placement": "first-fit",
+    "assignment": "round-robin",
+    "reconfiguration": "aco",
     "overload-relocation": "greedy",
     "underload-relocation": "all-or-nothing",
 }
@@ -61,39 +54,21 @@ class HierarchyConfig:
     estimation_window: int = 12
     #: Demand estimator name: mean, max, ewma, percentile.
     estimator: str = "ewma"
-    #: Telemetry backend: "arrays" runs monitoring on the shared vectorized
-    #: :class:`~repro.monitoring.arrays.TelemetryPlane`; "objects" keeps the
-    #: scalar per-VM reference path (bit-identical, slower -- used as the
-    #: old-path baseline by the scale benchmark).
-    telemetry: str = "arrays"
-    #: Coalesce the per-LC hot path: monitoring/heartbeat ticks share one
-    #: simulator event per interval group, failure-detection deadlines live in
-    #: shared :class:`~repro.simulation.batch.DeadlineTable` arrays, and (on a
-    #: deterministic network) same-instant deliveries batch into one event.
-    #: Behaviour-identical either way; False reproduces the pre-optimization
-    #: event structure.
-    coalesce_events: bool = True
 
     # ------------------------------------------------------------ scheduling
-    #: Group Leader dispatching policy: round-robin, least-loaded, first-fit.
-    dispatching_policy: str = "first-fit"
-    #: Group Manager placement policy: first-fit, best-fit, worst-fit, round-robin.
-    placement_policy: str = "first-fit"
     #: Utilization thresholds for overload/underload detection.
     thresholds: UtilizationThresholds = field(default_factory=UtilizationThresholds)
     #: Enable overload/underload relocation (Section II.C event-based policies).
     relocation_enabled: bool = True
     #: Periodic reconfiguration (consolidation) interval in seconds; None disables it.
     reconfiguration_interval: Optional[float] = None
-    #: Consolidation algorithm for reconfiguration: "aco", "ffd", "bfd".
-    reconfiguration_algorithm: str = "aco"
     #: Cap on migrations per reconfiguration round (None = unlimited).
     max_migrations_per_round: Optional[int] = None
     #: Structured policy selection: ``{kind: {"name": ..., **params}}`` entries
     #: for the registered policy kinds (``placement``, ``dispatching``,
     #: ``assignment``, ``reconfiguration``, ``overload-relocation``,
-    #: ``underload-relocation``).  Kinds omitted here resolve lazily from the
-    #: legacy string fields above; entries given here win and update them.
+    #: ``underload-relocation``).  Kinds omitted here run their
+    #: :data:`DEFAULT_POLICIES` entry.
     policies: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     # ---------------------------------------------------------------- energy
@@ -115,8 +90,6 @@ class HierarchyConfig:
     # ----------------------------------------------------------------- sizing
     #: Number of Entry Point replicas.
     entry_points: int = 1
-    #: LC -> GM assignment policy at the GL: "round-robin" or "least-loaded".
-    assignment_policy: str = "round-robin"
 
     # ------------------------------------------------------------------ misc
     #: RPC timeout for commands (LC start/migrate, join, assignment).
@@ -149,10 +122,6 @@ class HierarchyConfig:
             raise ValueError("heartbeat_timeout must exceed every heartbeat interval")
         if self.estimation_window <= 0:
             raise ValueError("estimation_window must be positive")
-        if self.telemetry not in ("arrays", "objects"):
-            raise ValueError(
-                f"telemetry must be 'arrays' or 'objects', got {self.telemetry!r}"
-            )
         if self.entry_points <= 0:
             raise ValueError("entry_points must be positive")
         if self.reconfiguration_interval is not None and self.reconfiguration_interval <= 0:
@@ -163,53 +132,38 @@ class HierarchyConfig:
 
     # -------------------------------------------------------------- policies
     def _resolve_policies(self) -> None:
-        """Validate the authored ``policies`` block and the legacy string fields.
+        """Validate the authored ``policies`` block.
 
         ``self.policies`` keeps only the entries the caller actually wrote
         (so ``dataclasses.replace`` and serialization carry authored intent,
-        not derived state); selections for kinds without an entry are read
-        from the legacy string fields / defaults *lazily* at build time.
-        A block entry wins over its legacy field and updates the string so
-        direct reads stay coherent.  Unknown kinds, names and parameter names
-        raise :class:`ValueError` at construction (listing the alternatives).
+        not derived state); kinds without an entry read their default at
+        build time.  Unknown kinds, names and parameter names raise
+        :class:`ValueError` at construction (listing the alternatives).
         """
         policies: Dict[str, Dict[str, object]] = {}
         for kind, entry in (self.policies or {}).items():
             validate_policy_selection(str(kind), entry)  # bad shape/kind/name -> ValueError
             policies[str(kind)] = dict(entry)
         self.policies = policies
-        for kind, attr in LEGACY_POLICY_FIELDS.items():
-            if kind in policies:
-                setattr(self, attr, str(policies[kind]["name"]))
-            else:
-                get_policy_spec(kind, getattr(self, attr))  # unknown name -> ValueError
 
     def _policy_entry(self, kind: str) -> Dict[str, object]:
         """The effective ``{"name": ..., **params}`` selection for ``kind``.
 
-        Precedence: an authored ``policies`` entry, else the legacy string
-        field, else the built-in default.  Legacy fields and the block are
-        read live, so post-construction mutation of either is honored.
+        An authored ``policies`` entry, else the built-in default.  The block
+        is read live, so post-construction mutation is honored.
         """
         entry = self.policies.get(kind)
         if entry is not None:
-            if kind in LEGACY_POLICY_FIELDS:
-                # Keep the documented back-compat string coherent with the
-                # block even when the block was mutated after construction.
-                setattr(self, LEGACY_POLICY_FIELDS[kind], str(entry["name"]))
             return dict(entry)
-        if kind in LEGACY_POLICY_FIELDS:
-            return {"name": getattr(self, LEGACY_POLICY_FIELDS[kind])}
         if kind in DEFAULT_POLICIES:
             return {"name": DEFAULT_POLICIES[kind]}
         raise ValueError(
-            f"unknown policy kind {kind!r}; choose from "
-            f"{sorted(set(LEGACY_POLICY_FIELDS) | set(DEFAULT_POLICIES))}"
+            f"unknown policy kind {kind!r}; choose from {sorted(DEFAULT_POLICIES)}"
         )
 
     def resolved_policies(self) -> Dict[str, Dict[str, object]]:
         """The effective selection of every known policy kind."""
-        kinds = set(LEGACY_POLICY_FIELDS) | set(DEFAULT_POLICIES) | set(self.policies)
+        kinds = set(DEFAULT_POLICIES) | set(self.policies)
         return {kind: self._policy_entry(kind) for kind in sorted(kinds)}
 
     def policy_name(self, kind: str) -> str:
@@ -225,7 +179,7 @@ class HierarchyConfig:
         """
         entry = self._policy_entry(kind)
         # Re-validate here so invalid post-construction mutations of the
-        # legacy fields or the block fail with the alternatives listed.
+        # block fail with the alternatives listed.
         spec = validate_policy_selection(kind, entry)
         params = {key: value for key, value in entry.items() if key != "name"}
         accepted = set(spec.param_names())

@@ -46,9 +46,9 @@ from repro.network.message import Message, MessageType
 from repro.network.transport import Network
 from repro.policies import DecisionPlane
 from repro.policies.registry import instrument_policy
-from repro.simulation.batch import DeadlineTable
+from repro.simulation.batch import DeadlineHandle, DeadlineTable
 from repro.simulation.engine import Event, Simulator
-from repro.simulation.timers import PeriodicTimer, Timeout
+from repro.simulation.timers import PeriodicTimer
 
 
 class GroupManager(Component):
@@ -70,7 +70,7 @@ class GroupManager(Component):
         self._consolidation_rng = consolidation_rng
 
         # --- GM state: the Local Controllers this GM manages.
-        #: lc_name -> {"node": PhysicalNode, "summary_view": dict | None, "timeout": Timeout}
+        #: lc_name -> {"node": PhysicalNode, "summary_view": dict | None, "timeout": DeadlineHandle}
         #: where summary_view holds the latest monitoring report's capacity
         #: vectors pre-parsed to arrays (None until the first report arrives).
         self.local_controllers: Dict[str, dict] = {}
@@ -92,17 +92,9 @@ class GroupManager(Component):
         self.summary_rebuilds = 0
         # Coalesced failure detection: all of this GM's per-LC (and, as
         # leader, per-GM) heartbeat deadlines live in two deadline arrays with
-        # one pending simulator event each, instead of one Timeout per peer.
-        if self.config.coalesce_events:
-            self._lc_deadlines: Optional[DeadlineTable] = DeadlineTable(
-                sim, name=f"{name}:lc-heartbeats"
-            )
-            self._gm_deadlines: Optional[DeadlineTable] = DeadlineTable(
-                sim, name=f"{name}:gm-heartbeats"
-            )
-        else:
-            self._lc_deadlines = None
-            self._gm_deadlines = None
+        # one pending simulator event each.
+        self._lc_deadlines = DeadlineTable(sim, name=f"{name}:lc-heartbeats")
+        self._gm_deadlines = DeadlineTable(sim, name=f"{name}:gm-heartbeats")
         self.current_gl: Optional[str] = None
         # Every decision point is a registered policy, built through the one
         # registry path (HierarchyConfig.build_policy -> repro.policies).
@@ -137,7 +129,7 @@ class GroupManager(Component):
         #: arrives (thundering-herd imbalance).  Cleared per GM when the
         #: summary lands (the summary then carries the real count).
         self._pending_assignments: Dict[str, int] = {}
-        self._gm_timeouts: Dict[str, Timeout] = {}
+        self._gm_timeouts: Dict[str, DeadlineHandle] = {}
         self.dispatching_policy = self.config.build_policy("dispatching")
         self.assignment_policy = self.config.build_policy("assignment")
         self._gl_heartbeat_timer: Optional[PeriodicTimer] = None
@@ -301,12 +293,6 @@ class GroupManager(Component):
             self.name, MessageType.GL_HEARTBEAT, payload={"gl": self.name}
         )
 
-    def _arm_heartbeat_deadline(self, table: Optional[DeadlineTable], callback, peer: str):
-        """A heartbeat failure detector: a table entry when coalescing, else a Timeout."""
-        if table is not None:
-            return self.add_deadline(table, self.config.heartbeat_timeout, callback, peer)
-        return self.add_timeout(self.config.heartbeat_timeout, callback, peer)
-
     # --------------------------------------------------------------- messages
     def handle_message(self, message: Message) -> None:
         if message.msg_type is MessageType.LC_HEARTBEAT:
@@ -358,8 +344,8 @@ class GroupManager(Component):
         gm_name = message.payload.get("gm", message.sender)
         self.known_gms.add(gm_name)
         if gm_name not in self._gm_timeouts:
-            self._gm_timeouts[gm_name] = self._arm_heartbeat_deadline(
-                self._gm_deadlines, self._gm_failed, gm_name
+            self._gm_timeouts[gm_name] = self.add_deadline(
+                self._gm_deadlines, self.config.heartbeat_timeout, self._gm_failed, gm_name
             )
         else:
             self._gm_timeouts[gm_name].restart()
@@ -398,14 +384,15 @@ class GroupManager(Component):
         if lc_name in self.local_controllers:
             self.local_controllers[lc_name]["timeout"].restart()
             return {"joined": True, "gm": self.name}
-        timeout = self._arm_heartbeat_deadline(self._lc_deadlines, self._lc_failed, lc_name)
+        timeout = self.add_deadline(
+            self._lc_deadlines, self.config.heartbeat_timeout, self._lc_failed, lc_name
+        )
         self.local_controllers[lc_name] = {"node": node, "summary_view": None, "timeout": timeout}
         self._lc_restart[lc_name] = timeout.restart
-        if self._lc_deadlines is not None:
-            # Publish the detector handle as a heartbeat lease: on a
-            # deterministic network the LC re-arms it at delivery time
-            # instead of sending a message per heartbeat interval.
-            heartbeat_leases(self.sim)[(self.name, lc_name)] = timeout
+        # Publish the detector handle as a heartbeat lease: on a
+        # deterministic network the LC re-arms it at delivery time
+        # instead of sending a message per heartbeat interval.
+        heartbeat_leases(self.sim)[(self.name, lc_name)] = timeout
         self.plane.add(lc_name, node)
         self._summary_cache = None
         if self.power_manager is not None:

@@ -31,7 +31,6 @@ from repro.hierarchy.config import HierarchyConfig
 from repro.metrics.recorder import EventLog
 from repro.migration.model import MigrationExecutor
 from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane
-from repro.monitoring.collector import HostMonitor
 from repro.monitoring.estimators import make_estimator
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
@@ -66,27 +65,19 @@ class LocalController(Component):
         super().__init__(name, sim, network, event_log)
         self.node = node
         self.config = config or HierarchyConfig()
-        if self.config.telemetry == "arrays":
-            # Vectorized telemetry: sample windows and demand estimates live
-            # in the deployment-wide TelemetryPlane (bit-identical to the
-            # scalar HostMonitor, computed in fleet-sized numpy batches).
-            self.monitor = ArrayHostMonitor(
-                node,
-                TelemetryPlane.shared(
-                    sim,
-                    self.config.estimation_window,
-                    make_estimator(self.config.estimator),
-                ),
-            )
-        else:
-            self.monitor = HostMonitor(
-                node,
-                window=self.config.estimation_window,
-                estimator=make_estimator(self.config.estimator),
-            )
+        # Sample windows and demand estimates live in the deployment-wide
+        # TelemetryPlane, computed in fleet-sized numpy batches.
+        self.monitor = ArrayHostMonitor(
+            node,
+            TelemetryPlane.shared(
+                sim,
+                self.config.estimation_window,
+                make_estimator(self.config.estimator),
+            ),
+        )
         self.assigned_gm: Optional[str] = None
         self.current_gl: Optional[str] = None
-        #: GM heartbeat failure detector (a Timeout or a DeadlineTable handle).
+        #: GM heartbeat failure detector (a DeadlineTable handle).
         self._gm_timeout = None
         #: Heartbeat lease: ``(gm_endpoint, DeadlineHandle)`` of the assigned
         #: GM's detector for this LC -- when held, heartbeats re-arm it
@@ -111,32 +102,28 @@ class LocalController(Component):
         self.assigned_gm = None
         self._joining = False
         self.multicast.group(GL_HEARTBEAT_GROUP).subscribe(self.name)
-        if self.config.coalesce_events:
-            # One simulator event per interval group for the whole fleet: LCs
-            # registering at the same instant share a tick chain and fire in
-            # registration order -- the order dedicated timers would have.
-            # The monitoring tick is phased so every LC samples before any LC
-            # reports, which lets the telemetry plane estimate the entire
-            # fleet in one vectorized batch.
-            ticker = CoalescedTicker.shared(self.sim)
-            self._timers.append(
-                ticker.register(
-                    self.config.monitoring_interval,
-                    self._monitoring_prepare,
-                    self._monitoring_emit,
-                    name=f"{self.name}:monitoring",
-                )
+        # One simulator event per interval group for the whole fleet: LCs
+        # registering at the same instant share a tick chain and fire in
+        # registration order -- the order dedicated timers would have.
+        # The monitoring tick is phased so every LC samples before any LC
+        # reports, which lets the telemetry plane estimate the entire
+        # fleet in one vectorized batch.
+        ticker = CoalescedTicker.shared(self.sim)
+        self._timers.append(
+            ticker.register(
+                self.config.monitoring_interval,
+                self._monitoring_prepare,
+                self._monitoring_emit,
+                name=f"{self.name}:monitoring",
             )
-            self._timers.append(
-                ticker.register(
-                    self.config.lc_heartbeat_interval,
-                    self._send_heartbeat,
-                    name=f"{self.name}:heartbeat",
-                )
+        )
+        self._timers.append(
+            ticker.register(
+                self.config.lc_heartbeat_interval,
+                self._send_heartbeat,
+                name=f"{self.name}:heartbeat",
             )
-        else:
-            self.add_timer(self.config.monitoring_interval, self._monitoring_tick)
-            self.add_timer(self.config.lc_heartbeat_interval, self._send_heartbeat)
+        )
 
     def on_fail(self) -> None:
         """A crashed LC loses its VMs (paper: 'in the event of a LC failure, VMs are also terminated')."""
@@ -217,60 +204,47 @@ class LocalController(Component):
         self.assigned_gm = gm_name
         self._gm_lease = None
         self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
-        if self._deterministic_network():
+        deterministic = self.network.deterministic
+        latency = self.network.config.base_latency
+        timeout = self.config.heartbeat_timeout
+        if deterministic:
             # An assigned LC only consults the Group Leader channel while
             # rejoining, yet it is the GL heartbeat's biggest fan-out cost: at
             # fleet scale thousands of assigned LCs each pay the full delivery
             # chain every interval just to refresh a field nobody reads.
             # Pause the subscription (keeping the fan-out slot) and recover
-            # the exact missed value from the channel latch on GM loss.  Only
-            # on deterministic networks: with jitter or loss each delivery
-            # consumes random draws, so skipping deliveries would shift every
-            # subsequent sample in the run.
+            # the exact missed value from the channel latch on GM loss.
             self.multicast.group(GL_HEARTBEAT_GROUP).pause(self.name)
         if self._gm_timeout is not None:
             # The old detector is never restarted again: release its entry.
             self.discard_timeout(self._gm_timeout)
-        if self.config.coalesce_events:
-            # All LC-side GM failure detectors share one deadline array (and
-            # one pending simulator event) instead of one Timeout per LC.
-            self._gm_timeout = self.add_deadline(
-                DeadlineTable.shared(self.sim, "lc-gm-heartbeats"),
-                self.config.heartbeat_timeout,
-                self._gm_lost,
+        # All LC-side GM failure detectors share one deadline array (and one
+        # pending simulator event).
+        self._gm_timeout = self.add_deadline(
+            DeadlineTable.shared(self.sim, "lc-gm-heartbeats"), timeout, self._gm_lost
+        )
+        if deterministic and timeout > self.config.gm_heartbeat_interval + latency:
+            # The GM heartbeat handler does exactly one thing: restart this
+            # detector.  Register the detector as the channel's deadline sink
+            # and pause the subscription -- each GM publish then re-arms it
+            # (to delivery time + timeout, the very deadline the handler
+            # would have set) in one vectorized table write shared with every
+            # sibling LC, instead of a message, a delivery and a handler call
+            # per LC per interval.  Requires timeout > interval + latency so
+            # the detector can never expire between a publish and its
+            # delivery instant -- the one window where restart-at-publish and
+            # restart-at-delivery could disagree.
+            self.multicast.group(gm_heartbeat_group(gm_name)).pause(
+                self.name, deadline=self._gm_timeout
             )
-            if self._deterministic_network() and (
-                self.config.heartbeat_timeout
-                > self.config.gm_heartbeat_interval + self.network.config.base_latency
-            ):
-                # The GM heartbeat handler does exactly one thing: restart
-                # this detector.  Register the detector as the channel's
-                # deadline sink and pause the subscription -- each GM publish
-                # then re-arms it (to delivery time + timeout, the very
-                # deadline the handler would have set) in one vectorized
-                # table write shared with every sibling LC, instead of a
-                # message, a delivery and a handler call per LC per interval.
-                # Requires timeout > interval + latency so the detector can
-                # never expire between a publish and its delivery instant --
-                # the one window where restart-at-publish and
-                # restart-at-delivery could disagree.
-                self.multicast.group(gm_heartbeat_group(gm_name)).pause(
-                    self.name, deadline=self._gm_timeout
-                )
-            if (
-                self._deterministic_network()
-                and self.config.heartbeat_timeout
-                > self.config.lc_heartbeat_interval + self.network.config.base_latency
-            ):
-                # Symmetric fast path for the reverse direction: the GM
-                # published its detector for this LC as a heartbeat lease, so
-                # our periodic heartbeat can re-arm it at delivery time
-                # instead of sending a message (see ``_send_heartbeat``).
-                handle = heartbeat_leases(self.sim).get((gm_name, self.name))
-                if handle is not None:
-                    self._gm_lease = (self.network.endpoint(gm_name), handle)
-        else:
-            self._gm_timeout = self.add_timeout(self.config.heartbeat_timeout, self._gm_lost)
+        if deterministic and timeout > self.config.lc_heartbeat_interval + latency:
+            # Symmetric fast path for the reverse direction: the GM published
+            # its detector for this LC as a heartbeat lease, so our periodic
+            # heartbeat can re-arm it at delivery time instead of sending a
+            # message (see ``_send_heartbeat``).
+            handle = heartbeat_leases(self.sim).get((gm_name, self.name))
+            if handle is not None:
+                self._gm_lease = (self.network.endpoint(gm_name), handle)
         if self._rejoin_span is not None:
             self._rejoin_span.attrs["gm"] = gm_name
             self.tracer.end(self._rejoin_span)
@@ -279,14 +253,6 @@ class LocalController(Component):
 
     def _join_failed(self) -> None:
         self._joining = False
-
-    def _deterministic_network(self) -> bool:
-        config = self.network.config
-        return (
-            self.network.batch_delivery
-            and config.jitter == 0
-            and config.loss_probability == 0
-        )
 
     def _gm_lost(self) -> None:
         """The assigned GM's heartbeats stopped: rejoin the hierarchy (Section II.E)."""
@@ -349,11 +315,6 @@ class LocalController(Component):
         )
 
     # ------------------------------------------------------------- monitoring
-    def _monitoring_tick(self) -> None:
-        """Sample VMs, terminate the ones whose runtime elapsed, report to the GM."""
-        self._monitoring_prepare()
-        self._monitoring_emit()
-
     def _monitoring_prepare(self) -> None:
         """Tick phase 1: reap expired VMs and append fresh usage samples."""
         self._reap_finished_vms()

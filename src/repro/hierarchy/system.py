@@ -37,6 +37,7 @@ from repro.migration.model import MigrationCostModel, MigrationExecutor
 from repro.network.multicast import MulticastRegistry
 from repro.network.transport import Network
 from repro.obs import ObservabilityPlane
+from repro.policies.thresholds import UtilizationThresholds
 from repro.simulation.batch import CoalescedTicker
 from repro.simulation.engine import Simulator, schedule_series
 from repro.simulation.randomness import RandomRouter
@@ -88,14 +89,10 @@ class SnoozeSystem:
                 self.event_log.bind_metrics(self.obs.registry)
             if self.obs.profiler is not None:
                 self.sim.profiler = self.obs.profiler
-                if self.config.coalesce_events:
-                    CoalescedTicker.shared(self.sim).profiler = self.obs.profiler
+                CoalescedTicker.shared(self.sim).profiler = self.obs.profiler
 
         # --- network + multicast + coordination
         self.network = Network(self.sim, self.config.network, rng=self.random.stream("network"))
-        # Delivery batching rides the same switch as the other event
-        # coalescing (it only ever activates on a deterministic network).
-        self.network.batch_delivery = bool(self.config.coalesce_events)
         self.multicast = MulticastRegistry(self.network)
         self.coordination = CoordinationService(
             self.sim, default_session_timeout=self.config.session_timeout
@@ -318,8 +315,6 @@ class SnoozeSystem:
         Group Managers copy the object into their relocation/reconfiguration
         policies at construction, so those references are updated too.
         """
-        from repro.scheduling.thresholds import UtilizationThresholds
-
         thresholds = UtilizationThresholds(underload=underload, overload=overload)
         self.config.thresholds = thresholds
         for group_manager in self.group_managers.values():

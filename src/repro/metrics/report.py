@@ -3,8 +3,7 @@
 The benchmark harness prints the same rows/series the paper reports (hosts
 used, energy, deviation from optimal, submission time...).  ``ComparisonTable``
 collects rows of ``{column: value}`` dictionaries and renders them with
-aligned columns so the pytest-benchmark output remains readable in a terminal
-and in the EXPERIMENTS.md excerpts.
+aligned columns so the pytest-benchmark output remains readable in a terminal.
 """
 
 from __future__ import annotations

@@ -3,18 +3,21 @@
 Paper Section II.B: "Monitoring is mandatory to take proper scheduling
 decisions and is performed at all layers of the system."  Concretely:
 
-* Local Controllers sample the utilization of their VMs and periodically send
-  the samples to their Group Manager (:class:`~repro.monitoring.collector.VMMonitor`).
-* Group Managers run resource-demand **estimators** over the received history
-  (:mod:`repro.monitoring.estimators`: mean, max, exponential moving average,
-  percentile) and use the estimates for scheduling.
+* Local Controllers sample the utilization of their VMs into the
+  deployment-wide :class:`~repro.monitoring.arrays.TelemetryPlane` (one
+  vectorized sample/estimate step per monitoring tick for the whole fleet)
+  and periodically report to their Group Manager through their
+  :class:`~repro.monitoring.arrays.ArrayHostMonitor`.
+* Resource-demand **estimators** reduce the sample history to one demand
+  vector (:mod:`repro.monitoring.estimators`: mean, max, exponential moving
+  average, percentile); the estimates drive scheduling.
 * Group Managers periodically push an aggregated **summary** (used and total
   capacity) to the Group Leader
   (:class:`~repro.monitoring.summary.GroupManagerSummary`), which is all the
   GL knows when dispatching VM submissions.
 """
 
-from repro.monitoring.collector import MonitoringSample, VMMonitor, HostMonitor
+from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane
 from repro.monitoring.estimators import (
     DemandEstimator,
     EwmaEstimator,
@@ -26,9 +29,8 @@ from repro.monitoring.estimators import (
 from repro.monitoring.summary import GroupManagerSummary, aggregate_summaries
 
 __all__ = [
-    "MonitoringSample",
-    "VMMonitor",
-    "HostMonitor",
+    "TelemetryPlane",
+    "ArrayHostMonitor",
     "DemandEstimator",
     "MeanEstimator",
     "MaxEstimator",

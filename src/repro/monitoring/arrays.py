@@ -1,14 +1,14 @@
 """Array-backed telemetry plane: vectorized VM monitoring.
 
-The scalar reference path (:mod:`repro.monitoring.collector`) materializes one
-:class:`~repro.monitoring.collector.MonitoringSample` dataclass per VM per
-monitoring tick and re-runs the demand estimator from a fresh ``np.vstack`` of
-the sample window *three times* per report (once for ``used``, once for
-``utilization``, once for ``vm_usage``).  At fleet scale that object churn and
-the per-VM micro-kernels dominate the simulation's wall clock.
+A scalar monitor (kept as the test oracle ``tests/scalar_monitor.py``)
+materializes one sample object per VM per monitoring tick and re-runs the
+demand estimator from a fresh ``np.vstack`` of the sample window *three times*
+per report (once for ``used``, once for ``utilization``, once for
+``vm_usage``).  At fleet scale that object churn and the per-VM micro-kernels
+dominate the simulation's wall clock.
 
-This module replaces that with a single :class:`TelemetryPlane` shared by all
-Local Controllers of a deployment:
+This module instead keeps a single :class:`TelemetryPlane` shared by all Local
+Controllers of a deployment:
 
 * one ``(slots, window, dims)`` float64 ring buffer holds the sample windows
   of every VM in the fleet (a slot per VM, allocated on placement and
@@ -17,14 +17,13 @@ Local Controllers of a deployment:
   once** -- one numpy kernel per estimator per distinct window fill level --
   and cached per slot until its next sample write (a stale-slot set), so each
   report reads precomputed rows;
-* :class:`ArrayHostMonitor` is a drop-in replacement for
-  :class:`~repro.monitoring.collector.HostMonitor` built on the plane.
+* :class:`ArrayHostMonitor` is the per-host monitor built on the plane.
 
 Bit-identity contract
 ---------------------
 The plane is an *optimization*, not a behaviour change: every estimate it
-produces is **bit-identical** to the scalar reference (``VMMonitor`` /
-``HostMonitor``) for the same sample stream.  The vectorized kernels mirror
+produces is **bit-identical** to the scalar oracle (``VMMonitor`` /
+``HostMonitor`` in ``tests/scalar_monitor.py``) for the same sample stream.  The vectorized kernels mirror
 the scalar operation order exactly (elementwise float64 arithmetic is
 independent of batch shape; axis reductions over equal-length contiguous
 windows share numpy's pairwise tree), host-level aggregation accumulates VM
@@ -265,12 +264,12 @@ def _same_estimator(left: DemandEstimator, right: DemandEstimator) -> bool:
 
 
 class ArrayHostMonitor:
-    """Drop-in :class:`~repro.monitoring.collector.HostMonitor` on the plane.
+    """The Local Controller's monitor of one physical node, on the plane.
 
-    Same responsibilities -- track the VMs of one physical node, refresh their
-    usage each monitoring interval, produce the LC's report payload -- but all
-    sample state lives in the shared :class:`TelemetryPlane` and every
-    estimate is read from its vectorized cache.
+    Tracks the node's VMs, refreshes their usage each monitoring interval and
+    produces the LC's report payload; all sample state lives in the shared
+    :class:`TelemetryPlane` and every estimate is read from its vectorized
+    cache.
     """
 
     def __init__(self, node: PhysicalNode, plane: TelemetryPlane) -> None:

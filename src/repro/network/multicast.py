@@ -130,7 +130,7 @@ class MulticastGroup:
 
         On a deterministic network (no jitter/loss) the transport coalesces
         the whole fan-out into a single delivery event (see
-        :attr:`~repro.network.transport.Network.batch_delivery`), so a
+        :attr:`~repro.network.transport.Network.deterministic`), so a
         heartbeat to thousands of Local Controllers costs one simulator event
         instead of one per subscriber.
         """

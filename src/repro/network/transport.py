@@ -79,11 +79,10 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
-        #: Coalesce same-instant deliveries into one simulator event when the
-        #: network is deterministic (no jitter, no loss).  Behaviour-neutral:
-        #: batched messages arrive at the same simulated time, in the same
-        #: order, as individually scheduled ones -- only the event count drops.
-        self.batch_delivery = True
+        #: Same-instant deliveries of a :attr:`deterministic` network, coalesced
+        #: into one simulator event.  Behaviour-neutral: batched messages
+        #: arrive at the same simulated time, in the same order, as
+        #: individually scheduled ones -- only the event count drops.
         self._open_batch: Optional[List[Message]] = None
         self._open_batch_time = -1.0
         self._open_batch_event: Optional[Event] = None
@@ -94,6 +93,20 @@ class Network:
             sim.register_service(self.SERVICE_NAME, self)
         if sim.has_service("observability"):
             self.use_observability(sim.get_service("observability"))
+
+    @property
+    def deterministic(self) -> bool:
+        """True when the network has neither jitter nor loss.
+
+        Delivery time is then a pure function of send time and no delivery
+        consumes a random draw, which is what every fast path needs: batched
+        same-instant delivery here, the multicast pause / deadline sinks and
+        the heartbeat leases of the hierarchy.  With jitter or loss each
+        message needs its own draws, so skipping or merging deliveries would
+        shift every subsequent sample of the run.
+        """
+        config = self.config
+        return config.jitter == 0 and config.loss_probability == 0
 
     def use_observability(self, plane) -> None:
         """Attach an observability plane.
@@ -183,11 +196,9 @@ class Network:
             return False
         message.sent_at = self.sim.now
         latency = config.base_latency
-        if config.jitter > 0:
-            latency += float(self.rng.uniform(0.0, config.jitter))
-        elif self.batch_delivery and config.loss_probability == 0:
-            # Deterministic network: every message sent this instant arrives
-            # at the same time in send order, so one event can carry them all.
+        if self.deterministic:
+            # Every message sent this instant arrives at the same time in
+            # send order, so one event can carry them all.
             if (
                 self._open_batch is not None
                 and self._open_batch_time == self.sim.now
@@ -203,6 +214,8 @@ class Network:
                 latency, self._deliver_batch, batch, priority=Simulator.PRIORITY_HIGH
             )
             return True
+        if config.jitter > 0:
+            latency += float(self.rng.uniform(0.0, config.jitter))
         self.sim.schedule(latency, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
         return True
 
@@ -221,7 +234,7 @@ class Network:
         if n == 0:
             return 0
         config = self.config
-        if config.loss_probability > 0 or config.jitter > 0 or not self.batch_delivery:
+        if not self.deterministic:
             sent = 0
             for message in messages:
                 sent += 1 if self.send(message, size_bytes=size_bytes) else 0

@@ -61,7 +61,6 @@ from repro.policies.assignment import (
 )
 from repro.policies.relocation import (
     OverloadRelocationPolicy,
-    RelocationDecision,
     UnderloadRelocationPolicy,
 )
 from repro.policies.reconfiguration import ReconfigurationPolicy
@@ -101,7 +100,6 @@ __all__ = [
     "LeastLoadedAssignment",
     "OverloadRelocationPolicy",
     "UnderloadRelocationPolicy",
-    "RelocationDecision",
     "ReconfigurationPolicy",
     "ServiceSnapshot",
     "TargetUtilizationAutoscaling",

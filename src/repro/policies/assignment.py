@@ -1,9 +1,8 @@
 """Group Leader LC-to-GM assignment policies (kind ``assignment``).
 
 Paper Section II.D: a joining Local Controller asks the Group Leader which
-Group Manager to join.  This was the last decision point implemented as an
-inline string comparison (``assignment_policy == "least-loaded"`` in the
-Group Manager); it is now a registered policy kind like every other.
+Group Manager to join -- a registered policy kind like every other decision
+point.
 """
 
 from __future__ import annotations

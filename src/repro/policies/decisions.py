@@ -1,8 +1,6 @@
 """The common decision vocabulary every policy kind speaks.
 
-Before the unified policy API each policy kind returned its own ad-hoc shape
-(a bare node, an id list, a ``RelocationDecision``, a ``ReconfigurationPlan``).
-The hierarchy components now consume exactly three result types:
+The hierarchy components consume exactly three result types:
 
 * :class:`PlacementDecision` -- one VM, one chosen node (or a reason why not);
 * :class:`DispatchDecision` -- an ordered Group Manager candidate list;

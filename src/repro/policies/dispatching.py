@@ -40,12 +40,6 @@ class DispatchingPolicy(abc.ABC):
         empty, because summaries may be stale.
         """
 
-    def candidates(
-        self, demand: ResourceVector, summaries: Dict[str, GroupManagerSummary]
-    ) -> List[str]:
-        """Legacy entry point: the ordered candidate id list."""
-        return self.decide(demand, summaries).candidates
-
     def _plausible(
         self, demand: ResourceVector, summaries: Dict[str, GroupManagerSummary]
     ) -> List[str]:

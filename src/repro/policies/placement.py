@@ -9,19 +9,14 @@ A placement policy chooses one Local Controller host for one VM from a
 :class:`~repro.policies.decisions.PlacementDecision`.  The scoring math is
 vectorized over all nodes at once; the view is sorted by node id, so stable
 ``argmin``/``argmax`` reproduce the historical deterministic tie-breaks.
-
-The legacy ``select(vm, nodes) -> PhysicalNode | None`` entry point is kept as
-a convenience wrapper for existing call sites and tests.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.node import PhysicalNode
 from repro.cluster.vm import VirtualMachine
 from repro.policies.decisions import PlacementDecision
 from repro.policies.registry import register_policy
@@ -37,14 +32,6 @@ class PlacementPolicy(abc.ABC):
     @abc.abstractmethod
     def decide(self, vm: VirtualMachine, view: ClusterView) -> PlacementDecision:
         """Choose a node from the snapshot for ``vm`` (or explain why none fits)."""
-
-    def select(
-        self, vm: VirtualMachine, nodes: Sequence[PhysicalNode]
-    ) -> Optional[PhysicalNode]:
-        """Legacy entry point: snapshot ``nodes`` and return the chosen node object."""
-        view = ClusterView.from_nodes(nodes)
-        decision = self.decide(vm, view)
-        return view.node_by_id(decision.node_id) if decision.placed else None
 
     @staticmethod
     def _no_fit() -> PlacementDecision:

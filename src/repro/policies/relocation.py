@@ -31,10 +31,6 @@ from repro.policies.registry import register_policy
 from repro.policies.thresholds import UtilizationThresholds
 from repro.policies.view import ClusterView
 
-#: Back-compat alias: relocation policies historically returned a
-#: ``RelocationDecision``; the unified vocabulary calls it a MigrationPlan.
-RelocationDecision = MigrationPlan
-
 
 def _cpu_index(node: PhysicalNode) -> int:
     dims = node.capacity.dimensions

@@ -345,7 +345,7 @@ def _megafleet_steady() -> ScenarioSpec:
         config={
             # Zero jitter/loss so same-instant deliveries coalesce into one
             # simulator event (the batching fast path is only taken on a
-            # deterministic network; see Network.batch_delivery).
+            # deterministic network; see Network.deterministic).
             "network": {"base_latency": 0.001, "jitter": 0.0, "loss_probability": 0.0},
         },
         phases=[

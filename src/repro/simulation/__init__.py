@@ -13,7 +13,7 @@ This package provides the substrate on which the whole reproduction runs:
 
 The paper's evaluation was performed on a real testbed (Grid'5000); this
 kernel is the substitution that lets the same management-layer protocols run
-on a laptop (see DESIGN.md section 1).
+on a laptop.
 """
 
 from repro.simulation.engine import Event, EventCancelled, Simulator, SimulationError

@@ -28,9 +28,10 @@ This module replaces both patterns without changing observable behaviour:
     Deadline *extensions* are lazy: the pending event fires, finds nothing
     due, and re-arms at the new minimum.
 
-Both are drop-in life-cycle citizens: handles expose ``stop()`` /
-``cancel()`` / ``restart()`` so :class:`~repro.hierarchy.common.Component`
-teardown treats them like the timers they replace.
+Both are life-cycle citizens of :class:`~repro.hierarchy.common.Component`:
+tick handles expose ``stop()`` like the timers they replace, deadline handles
+``restart()`` / ``cancel()`` / ``release()``, and teardown stops or releases
+whatever the component registered.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Local Controller side monitoring: sampling VMs and hosts.
+"""Scalar per-VM monitoring: the oracle the array telemetry plane is tested against.
 
-Each Local Controller owns a :class:`VMMonitor` per hosted VM (bounded sample
-history) and one :class:`HostMonitor` summarizing the host.  The LC's
-monitoring loop (driven by a :class:`~repro.simulation.timers.PeriodicTimer`
-in :mod:`repro.hierarchy.local_controller`) refreshes the samples and ships
-them to the Group Manager.
+One :class:`VMMonitor` per hosted VM (bounded sample history) and one
+:class:`HostMonitor` summarizing the host -- the straightforward object
+implementation of LC-side monitoring.  ``repro.monitoring.arrays`` must stay
+bit-identical to it (``tests/test_properties_monitoring.py``); nothing in
+``src`` uses it.
 """
 
 from __future__ import annotations

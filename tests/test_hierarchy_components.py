@@ -201,7 +201,7 @@ class TestGroupManagerProtocol:
         with pytest.raises(ValueError):
             SnoozeSystem(
                 SystemSpec(local_controllers=2, group_managers=1),
-                config=HierarchyConfig(reconfiguration_algorithm="bogus"),
+                config=HierarchyConfig(policies={"reconfiguration": {"name": "bogus"}}),
             )
 
 

@@ -190,3 +190,35 @@ class TestCascadingFailures:
         loaded_system.run(60.0)
         assert loaded_system.event_log.count("failure_injected") == 1
         assert loaded_system.event_log.count("elected_group_leader") >= 2
+
+    def test_discarded_failure_detectors_are_not_retained(self, loaded_system):
+        """Regression: ``discard_timeout`` released a detector's table entry but
+        left the dead handle in the owner's ``_timeouts``, so every LC rejoin
+        and every GM-side LC/GM removal pinned one more handle until the
+        component stopped."""
+        system = loaded_system
+        for _ in range(3):
+            # A non-leader GM crash: its LCs rejoin elsewhere (LC-side discard)
+            # and the leader forgets it (GL-side discard).
+            victim = next(
+                name
+                for name, gm in system.group_managers.items()
+                if gm.is_running and not gm.is_leader
+            )
+            system.kill_group_manager(victim)
+            system.run(30.0)
+            assert system.run_until(lambda: system.assigned_lc_count() == 9, timeout=240.0)
+            system.recover_component(victim)
+            system.run(30.0)
+            # An LC crash: its GM invalidates it (GM-side discard); it rejoins.
+            system.kill_local_controller("lc-000")
+            system.run(30.0)
+            system.recover_component("lc-000")
+            assert system.run_until(lambda: system.assigned_lc_count() == 9, timeout=240.0)
+        assert system.event_log.count("gm_lost") >= 3
+        assert system.event_log.count("lc_removed") >= 3
+        assert system.event_log.count("gm_removed") == 3
+        for lc in system.local_controllers.values():
+            assert len(lc._timeouts) == 1  # its assigned GM's detector, nothing else
+        for gm in system.group_managers.values():
+            assert len(gm._timeouts) == len(gm.local_controllers) + len(gm._gm_timeouts)

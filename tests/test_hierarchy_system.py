@@ -177,8 +177,11 @@ class TestReconfiguration:
             monitoring_interval=10.0,
             relocation_enabled=False,
             reconfiguration_interval=200.0,
-            reconfiguration_algorithm="ffd",
-            placement_policy="round-robin",  # spread VMs so consolidation has work to do
+            policies={
+                "reconfiguration": {"name": "ffd"},
+                # spread VMs so consolidation has work to do
+                "placement": {"name": "round-robin"},
+            },
         )
         system = SnoozeSystem(
             SystemSpec(local_controllers=6, group_managers=1), config=config, seed=21

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.monitoring.collector import HostMonitor, VMMonitor
 from repro.monitoring.estimators import (
     EwmaEstimator,
     MaxEstimator,
@@ -18,6 +17,7 @@ from repro.monitoring.summary import GroupManagerSummary, aggregate_summaries
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
 from tests.conftest import make_node, make_vm
+from tests.scalar_monitor import HostMonitor, VMMonitor
 
 
 class TestEstimators:

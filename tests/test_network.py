@@ -93,6 +93,36 @@ class TestTransport:
         assert len(set(np.round(latencies, 9))) > 1
         assert all(lat >= 0.001 for lat in latencies)
 
+    def test_only_a_deterministic_network_batches_same_instant_deliveries(self, sim, network):
+        """Zero jitter *and* zero loss: one event carries every same-instant send;
+        either source of randomness keeps one delivery event (and draw) per message."""
+        received = []
+        network.register("bob", lambda m: received.append(m.payload))
+        assert network.deterministic
+        for index in range(5):
+            network.send(Message(MessageType.VM_SUBMIT, sender="x", recipient="bob", payload=index))
+        sim.run()
+        assert received == [0, 1, 2, 3, 4]
+        assert sim.processed_events == 1
+        for config in (
+            NetworkConfig(base_latency=0.001, jitter=0.01),
+            NetworkConfig(base_latency=0.001, jitter=0.0, loss_probability=0.2),
+        ):
+            other = type(sim)()
+            random_network = Network(other, config, rng=np.random.default_rng(3))
+            assert not random_network.deterministic
+            delivered = []
+            random_network.register("bob", lambda m, sink=delivered: sink.append(m.payload))
+            sent = sum(
+                random_network.send(
+                    Message(MessageType.VM_SUBMIT, sender="x", recipient="bob", payload=index)
+                )
+                for index in range(5)
+            )
+            other.run()
+            assert len(delivered) == sent
+            assert other.processed_events == sent
+
     def test_stats_counters(self, sim, network):
         network.register("bob", lambda m: None)
         network.send(Message(MessageType.VM_SUBMIT, sender="x", recipient="bob"), size_bytes=100)

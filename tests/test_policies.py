@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli.main import main
 from repro.cluster.node import NodeState
-from repro.hierarchy.config import HierarchyConfig
+from repro.hierarchy.config import DEFAULT_POLICIES, HierarchyConfig
 from repro.policies import (
     AssignmentPolicy,
     BestFitPlacement,
@@ -19,9 +19,11 @@ from repro.policies import (
     FirstFitPlacement,
     LeastLoadedAssignment,
     MigrationPlan,
+    OverloadRelocationPolicy,
     PlacementPolicy,
     ReconfigurationPolicy,
     RoundRobinAssignment,
+    UnderloadRelocationPolicy,
     WorstFitPlacement,
     get_policy_spec,
     iter_policy_specs,
@@ -32,12 +34,6 @@ from repro.policies import (
 )
 from repro.policies.registry import validate_policy_selection
 from repro.scenarios import ScenarioSpec, WorkloadPhase, run_scenario
-from repro.scheduling import (
-    RelocationDecision,
-    ReconfigurationPlan,
-    make_dispatching_policy,
-    make_placement_policy,
-)
 
 from tests.conftest import make_node, make_vm
 
@@ -91,11 +87,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="n_ants"):
             make_policy("reconfiguration", "aco", colony_size=3)
 
-    def test_legacy_factories_list_valid_names_on_unknown(self):
-        with pytest.raises(ValueError, match=r"round-robin.*worst-fit"):
-            make_placement_policy("nope")
-        with pytest.raises(ValueError, match=r"first-fit.*least-loaded.*round-robin"):
-            make_dispatching_policy("nope")
+    def test_unknown_name_lists_alternatives_for_every_kind(self):
+        for kind in policy_kinds():
+            with pytest.raises(ValueError) as excinfo:
+                make_policy(kind, "nope")
+            for name in policy_names(kind):
+                assert name in str(excinfo.value)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -204,11 +201,12 @@ class TestVectorizedPlacementParity:
             size = float(rng.uniform(0.05, 0.6))
             vm = make_vm(size, size, size)
             expected = _reference_select(policy_name, vm, nodes)
-            chosen = policy.select(vm, nodes)
+            view = ClusterView.from_nodes(nodes)
+            decision = policy.decide(vm, view)
             if expected is None:
-                assert chosen is None
+                assert not decision.placed
             else:
-                assert chosen is expected
+                assert view.node_by_id(decision.node_id) is expected
 
     def test_decision_object_carries_reason_when_nothing_fits(self):
         node = make_node("full")
@@ -221,8 +219,12 @@ class TestVectorizedPlacementParity:
 
 class TestDecisionVocabulary:
     def test_relocation_and_reconfiguration_share_migration_plan(self):
-        assert RelocationDecision is MigrationPlan
-        assert ReconfigurationPlan is MigrationPlan
+        nodes = [make_node("node-0"), make_node("node-1")]
+        nodes[0].place_vm(make_vm(0.2, 0.2, 0.2))
+        assert isinstance(OverloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
+        assert isinstance(UnderloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
+        reconfiguration = make_policy("reconfiguration", "ffd")
+        assert isinstance(reconfiguration.plan(nodes), MigrationPlan)
 
     def test_migration_plan_defaults(self):
         plan = MigrationPlan()
@@ -249,27 +251,34 @@ class TestAssignmentPolicies:
 
 
 class TestHierarchyConfigPolicies:
-    def test_legacy_string_fields_drive_resolved_selection(self):
-        config = HierarchyConfig(placement_policy="best-fit", assignment_policy="least-loaded")
+    def test_policy_block_drives_resolved_selection(self):
+        authored = {
+            "placement": {"name": "best-fit"},
+            "assignment": {"name": "least-loaded"},
+        }
+        config = HierarchyConfig(policies=authored)
         resolved = config.resolved_policies()
         assert resolved["placement"] == {"name": "best-fit"}
         assert resolved["assignment"] == {"name": "least-loaded"}
         assert resolved["reconfiguration"] == {"name": "aco"}
-        # The authored block stays as written (empty here), so replace()
-        # and serialization carry intent, not derived state.
-        assert config.policies == {}
+        # The authored block stays as written (no defaults folded in), so
+        # replace() and serialization carry intent, not derived state.
+        assert config.policies == authored
 
-    def test_policy_block_wins_and_syncs_legacy_fields(self):
-        config = HierarchyConfig(
-            placement_policy="first-fit",
-            policies={"placement": {"name": "worst-fit"}},
-        )
-        assert config.placement_policy == "worst-fit"
-        assert config.policy_name("placement") == "worst-fit"
+    def test_flat_policy_string_fields_are_gone(self):
+        for field_name in (
+            "dispatching_policy",
+            "placement_policy",
+            "assignment_policy",
+            "reconfiguration_algorithm",
+        ):
+            with pytest.raises(TypeError, match=field_name):
+                HierarchyConfig(**{field_name: "first-fit"})
+            assert not hasattr(HierarchyConfig(), field_name)
 
     def test_unknown_policy_name_rejected_at_construction(self):
         with pytest.raises(ValueError, match="choose from"):
-            HierarchyConfig(placement_policy="bogus")
+            HierarchyConfig(policies={"placement": {"name": "bogus"}})
         with pytest.raises(ValueError, match="choose from"):
             HierarchyConfig(policies={"reconfiguration": {"name": "simulated-annealing"}})
         with pytest.raises(ValueError, match="dictionary"):
@@ -298,35 +307,37 @@ class TestHierarchyConfigPolicies:
         assert policy.max_migrations == 2
         assert policy.algorithm.parameters.n_cycles == 3
 
-    def test_legacy_field_mutation_after_construction_is_honored(self):
+    def test_invalid_block_mutation_after_construction_fails_at_build(self):
         config = HierarchyConfig()
-        config.placement_policy = "best-fit"
-        assert config.policy_name("placement") == "best-fit"
-        assert isinstance(config.build_policy("placement"), BestFitPlacement)
-        config.placement_policy = "bogus"
+        config.policies["placement"] = {"name": "bogus"}
         with pytest.raises(ValueError, match="choose from"):
             config.build_policy("placement")
+        with pytest.raises(ValueError, match="unknown policy kind"):
+            config.policy_name("teleportation")
 
-    def test_dataclasses_replace_with_legacy_field_is_honored(self):
+    def test_dataclasses_replace_carries_the_policy_block(self):
         import dataclasses
 
-        replaced = dataclasses.replace(HierarchyConfig(), placement_policy="best-fit")
-        assert replaced.placement_policy == "best-fit"
+        replaced = dataclasses.replace(
+            HierarchyConfig(), policies={"placement": {"name": "best-fit"}}
+        )
         assert replaced.policy_name("placement") == "best-fit"
+        again = dataclasses.replace(replaced, estimator="max")
+        assert again.policies == {"placement": {"name": "best-fit"}}
 
     def test_policy_block_mutation_after_construction_is_honored(self):
         config = HierarchyConfig()
         config.policies["placement"] = {"name": "best-fit"}
         assert config.policy_name("placement") == "best-fit"
         assert isinstance(config.build_policy("placement"), BestFitPlacement)
-        # Reading through the policy API re-syncs the back-compat string.
-        assert config.placement_policy == "best-fit"
 
     def test_defaults_are_backward_compatible(self):
+        assert set(DEFAULT_POLICIES) == EXPECTED_KINDS
         config = HierarchyConfig()
         assert config.policy_name("placement") == "first-fit"
         assert config.policy_name("dispatching") == "first-fit"
         assert config.policy_name("assignment") == "round-robin"
+        assert config.policy_name("reconfiguration") == "aco"
         assert config.policy_name("overload-relocation") == "greedy"
         assert config.policy_name("underload-relocation") == "all-or-nothing"
 
@@ -406,7 +417,6 @@ class TestScenarioPolicies:
         config = _policy_spec().hierarchy_config(seed=5)
         assert config.policy_name("placement") == "best-fit"
         assert config.policy_name("reconfiguration") == "aco"
-        assert config.placement_policy == "best-fit"
 
     def test_same_seed_runs_with_policy_block_are_byte_identical(self):
         first = run_scenario(_policy_spec(), seed=11).canonical_json()
@@ -416,13 +426,12 @@ class TestScenarioPolicies:
         assert decoded["policies"]["placement"] == "best-fit"
         assert decoded["policies"]["reconfiguration"] == "aco"
 
-    def test_legacy_config_strings_still_work_in_scenarios(self):
-        spec = _policy_spec(
-            policies={},
-            config={"placement_policy": "worst-fit", "reconfiguration_interval": 300.0},
-        )
-        config = spec.hierarchy_config(seed=0)
-        assert config.policy_name("placement") == "worst-fit"
+    def test_scenario_without_policy_block_runs_the_defaults(self):
+        config = _policy_spec(policies={}).hierarchy_config(seed=0)
+        assert config.policies == {}
+        assert {
+            kind: entry["name"] for kind, entry in config.resolved_policies().items()
+        } == DEFAULT_POLICIES
 
 
 class TestPolicyCli:
@@ -534,7 +543,7 @@ class TestNoStringComparisonOutsidePolicies:
 
         system = SnoozeSystem(
             SystemSpec(local_controllers=2, group_managers=1),
-            config=HierarchyConfig(assignment_policy="least-loaded"),
+            config=HierarchyConfig(policies={"assignment": {"name": "least-loaded"}}),
         )
         gm = next(iter(system.group_managers.values()))
         assert isinstance(gm.assignment_policy, LeastLoadedAssignment)

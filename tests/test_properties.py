@@ -23,7 +23,7 @@ from repro.core.base import lower_bound_hosts
 from repro.core.ffd import BestFitDecreasing, FirstFit, FirstFitDecreasing, SortKey
 from repro.core.migration_plan import plan_migrations
 from repro.monitoring.estimators import EwmaEstimator, MaxEstimator, MeanEstimator, PercentileEstimator
-from repro.scheduling.thresholds import UtilizationThresholds
+from repro.policies.thresholds import UtilizationThresholds
 
 
 # --------------------------------------------------------------------- helpers

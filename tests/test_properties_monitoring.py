@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
 from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane, estimate_windows
-from repro.monitoring.collector import HostMonitor, MonitoringSample, VMMonitor
 from repro.monitoring.estimators import (
     EwmaEstimator,
     MaxEstimator,
@@ -26,6 +25,7 @@ from repro.monitoring.estimators import (
 from repro.workloads.traces import ConstantTrace
 
 from tests.conftest import make_node, make_vm
+from tests.scalar_monitor import HostMonitor, MonitoringSample, VMMonitor
 
 ESTIMATORS = [
     MeanEstimator(),

@@ -11,22 +11,22 @@ from repro.core.aco import ACOConsolidation, ACOParameters
 from repro.core.aco_vectorized import VectorizedACOConsolidation
 from repro.core.ffd import FirstFitDecreasing
 from repro.monitoring.summary import GroupManagerSummary
-from repro.scheduling.dispatching import (
-    FirstFitDispatching,
-    LeastLoadedDispatching,
-    RoundRobinDispatching,
-    make_dispatching_policy,
-)
-from repro.scheduling.placement import (
+from repro.policies import (
     BestFitPlacement,
+    ClusterView,
+    FirstFitDispatching,
     FirstFitPlacement,
+    LeastLoadedDispatching,
+    LoadBand,
+    OverloadRelocationPolicy,
+    ReconfigurationPolicy,
+    RoundRobinDispatching,
     RoundRobinPlacement,
+    UnderloadRelocationPolicy,
+    UtilizationThresholds,
     WorstFitPlacement,
-    make_placement_policy,
+    make_policy,
 )
-from repro.scheduling.reconfiguration import ReconfigurationPolicy
-from repro.scheduling.relocation import OverloadRelocationPolicy, UnderloadRelocationPolicy
-from repro.scheduling.thresholds import LoadBand, UtilizationThresholds
 from repro.workloads.traces import ConstantTrace
 
 from tests.conftest import make_node, make_vm
@@ -77,8 +77,8 @@ class TestDispatching:
     def test_round_robin_rotates(self):
         policy = RoundRobinDispatching()
         summaries = {f"gm-{i}": summary_for(f"gm-{i}", 0.2) for i in range(3)}
-        first = policy.candidates(self.DEMAND, summaries)
-        second = policy.candidates(self.DEMAND, summaries)
+        first = policy.decide(self.DEMAND, summaries).candidates
+        second = policy.decide(self.DEMAND, summaries).candidates
         assert first[0] != second[0]
         assert sorted(first) == sorted(second) == ["gm-0", "gm-1", "gm-2"]
 
@@ -89,7 +89,7 @@ class TestDispatching:
             "gm-1": summary_for("gm-1", 0.1),
             "gm-2": summary_for("gm-2", 0.4),
         }
-        assert policy.candidates(self.DEMAND, summaries)[0] == "gm-1"
+        assert policy.decide(self.DEMAND, summaries).candidates[0] == "gm-1"
 
     def test_first_fit_is_id_ordered(self):
         policy = FirstFitDispatching()
@@ -98,7 +98,7 @@ class TestDispatching:
             "gm-0": summary_for("gm-0", 0.6),
             "gm-1": summary_for("gm-1", 0.3),
         }
-        assert policy.candidates(self.DEMAND, summaries) == ["gm-0", "gm-1", "gm-2"]
+        assert policy.decide(self.DEMAND, summaries).candidates == ["gm-0", "gm-1", "gm-2"]
 
     def test_implausible_gms_filtered_but_fallback_to_all(self):
         policy = FirstFitDispatching()
@@ -108,16 +108,23 @@ class TestDispatching:
             "gm-1": summary_for("gm-1", 0.99),
         }
         big_demand = ResourceVector([0.9, 0.9, 0.9])
-        assert sorted(policy.candidates(big_demand, summaries)) == ["gm-0", "gm-1"]
+        assert sorted(policy.decide(big_demand, summaries).candidates) == ["gm-0", "gm-1"]
 
     def test_factory(self):
-        assert isinstance(make_dispatching_policy("round-robin"), RoundRobinDispatching)
-        assert isinstance(make_dispatching_policy("least-loaded"), LeastLoadedDispatching)
-        with pytest.raises(ValueError):
-            make_dispatching_policy("nope")
+        assert isinstance(make_policy("dispatching", "round-robin"), RoundRobinDispatching)
+        assert isinstance(make_policy("dispatching", "least-loaded"), LeastLoadedDispatching)
+        with pytest.raises(ValueError, match=r"first-fit.*least-loaded.*round-robin"):
+            make_policy("dispatching", "nope")
 
     def test_empty_summaries(self):
-        assert RoundRobinDispatching().candidates(self.DEMAND, {}) == []
+        decision = RoundRobinDispatching().decide(self.DEMAND, {})
+        assert decision.empty
+        assert decision.candidates == []
+
+
+def placed_on(policy, vm, nodes):
+    """The node id ``policy`` decides on for ``vm`` over a fresh snapshot of ``nodes``."""
+    return policy.decide(vm, ClusterView.from_nodes(nodes)).node_id
 
 
 class TestPlacementPolicies:
@@ -130,42 +137,63 @@ class TestPlacementPolicies:
 
     def test_first_fit_picks_lowest_id_that_fits(self):
         nodes = self.make_nodes()
-        chosen = FirstFitPlacement().select(make_vm(0.3, 0.3, 0.3), nodes)
-        assert chosen.node_id == "node-0"
+        assert placed_on(FirstFitPlacement(), make_vm(0.3, 0.3, 0.3), nodes) == "node-0"
 
     def test_best_fit_picks_fullest_feasible_node(self):
         nodes = self.make_nodes()
-        chosen = BestFitPlacement().select(make_vm(0.1, 0.1, 0.1), nodes)
-        assert chosen.node_id == "node-1"
+        assert placed_on(BestFitPlacement(), make_vm(0.1, 0.1, 0.1), nodes) == "node-1"
 
     def test_worst_fit_picks_emptiest_node(self):
         nodes = self.make_nodes()
-        chosen = WorstFitPlacement().select(make_vm(0.1, 0.1, 0.1), nodes)
-        assert chosen.node_id == "node-2"
+        assert placed_on(WorstFitPlacement(), make_vm(0.1, 0.1, 0.1), nodes) == "node-2"
 
     def test_round_robin_cycles_through_feasible_nodes(self):
         nodes = [make_node(f"node-{i}") for i in range(3)]
         policy = RoundRobinPlacement()
-        chosen = [policy.select(make_vm(0.1, 0.1, 0.1), nodes).node_id for _ in range(3)]
+        chosen = [placed_on(policy, make_vm(0.1, 0.1, 0.1), nodes) for _ in range(3)]
         assert len(set(chosen)) == 3
 
     def test_none_when_nothing_fits(self):
         nodes = [make_node("node-0")]
         nodes[0].place_vm(make_vm(0.9, 0.9, 0.9))
-        assert FirstFitPlacement().select(make_vm(0.5, 0.5, 0.5), nodes) is None
+        decision = FirstFitPlacement().decide(
+            make_vm(0.5, 0.5, 0.5), ClusterView.from_nodes(nodes)
+        )
+        assert not decision.placed
+        assert decision.node_id is None
 
     def test_suspended_nodes_excluded(self):
         from repro.cluster.node import NodeState
 
         nodes = [make_node("node-0"), make_node("node-1")]
         nodes[0].state = NodeState.SUSPENDED
-        chosen = FirstFitPlacement().select(make_vm(), nodes)
-        assert chosen.node_id == "node-1"
+        assert placed_on(FirstFitPlacement(), make_vm(), nodes) == "node-1"
+
+    def test_decide_breaks_ties_by_node_id_whatever_the_input_order(self):
+        """Equal candidates: first/best-fit take the smallest id, worst-fit the
+        largest, round-robin walks ids upward -- independent of list order."""
+        nodes = [make_node(f"node-{i}") for i in (2, 0, 3, 1)]
+        vm = make_vm(0.1, 0.1, 0.1)
+        assert placed_on(FirstFitPlacement(), vm, nodes) == "node-0"
+        assert placed_on(BestFitPlacement(), vm, nodes) == "node-0"
+        assert placed_on(WorstFitPlacement(), vm, nodes) == "node-3"
+        rotation = RoundRobinPlacement()
+        assert [placed_on(rotation, vm, nodes) for _ in range(5)] == [
+            "node-0",
+            "node-1",
+            "node-2",
+            "node-3",
+            "node-0",
+        ]
+        # The decision names a node of the snapshot it was taken over.
+        view = ClusterView.from_nodes(nodes)
+        chosen = view.node_by_id(WorstFitPlacement().decide(vm, view).node_id)
+        assert chosen is nodes[2]
 
     def test_factory(self):
-        assert isinstance(make_placement_policy("best-fit"), BestFitPlacement)
-        with pytest.raises(ValueError):
-            make_placement_policy("nope")
+        assert isinstance(make_policy("placement", "best-fit"), BestFitPlacement)
+        with pytest.raises(ValueError, match=r"round-robin.*worst-fit"):
+            make_policy("placement", "nope")
 
 
 class TestOverloadRelocation:
