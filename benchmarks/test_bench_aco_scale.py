@@ -1,42 +1,30 @@
-"""ACO scale benchmark: vectorized ant kernels vs the scalar reference.
+"""ACO scale benchmark: the colony kernel at 100 / 500 / 2000 VMs.
 
-For consolidation instances of 100 / 500 / 2000 VMs the same Max-Min ACO
-search runs twice from identically seeded generators:
+Each cell runs :class:`~repro.core.aco.ACOConsolidation` once on a fixed
+seeded instance and reports **raw** numbers: wall clock, ant placement
+decisions (``n_vms * n_ants * cycles_run`` -- early stopping is part of the
+algorithm, so the run's own cycle count is used) and their quotient,
+**decisions per second**.  The instances and the search effort per cell are
+fixed, so wall clock is the figure to compare across commits.
 
-* **scalar** -- :class:`~repro.core.aco.ACOConsolidation`, the paper-faithful
-  reference: one Python ``_choose_vm`` call per VM per ant per cycle;
-* **vectorized** -- :class:`~repro.core.aco_vectorized.VectorizedACOConsolidation`,
-  the batched lockstep kernels (ROADMAP item 5): all ants of a cycle advance
-  together, so the interpreter overhead is paid per *step*, not per ant-step.
+Packing quality is reported next to the speed: hosts used by ACO, by
+First-Fit Decreasing on the same instance, and ``lower_bound_hosts``.  ACO
+must use **no more hosts than FFD** in every cell (the paper's claim).
+Quality against the scalar per-ant loop is asserted where the oracle lives,
+in ``tests/test_core_aco_vectorized.py``.
 
-Throughput is reported as **decisions per second**: VM-placement decisions
-made per wall-clock second (``n_vms * n_ants * cycles_run / runtime`` for each
-path, from its own cycle count -- early stopping is part of the algorithm).
-``speedup`` is the vectorized/scalar decisions-per-second ratio.  Packing
-quality must not pay for the speed: each cell also records hosts used by both
-paths, and the vectorized path must be **no worse**.
-
-Results land in ``benchmarks/results/BENCH_ACO_SCALE.json`` (per-cell entries
-merged across invocations).  The default run covers the 100-VM cell so tier-1
-stays fast; set ``REPRO_BENCH_ACO_CELLS=100,500,2000`` for the full sweep.
-With ``REPRO_BENCH_STRICT=1`` the 500-VM cell (when selected) is gated: the
-vectorized path must deliver at least 3x the scalar decisions/sec and use no
-more hosts (CI's ``aco-scale`` job runs exactly this).
+Results land in ``benchmarks/results/BENCH_ACO_SCALE.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 
-from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.aco_vectorized import VectorizedACOConsolidation
+from repro.core import ACOConsolidation, ACOParameters, FirstFitDecreasing, lower_bound_hosts
 from repro.metrics.report import ComparisonTable
 from repro.workloads import UniformDemandDistribution, consolidation_instance
 
-from benchmarks.conftest import results_path, write_results_json
+from benchmarks.conftest import write_results_json
 
 #: Instance sizes and per-cell search effort (cycles shrink as instances grow
 #: so every point stays laptop-sized; throughput is per-second anyway).
@@ -48,134 +36,68 @@ CELLS = {
 
 SEED = 2012
 
-#: Strict-mode gate at the 500-VM cell: the vectorized kernels must deliver at
-#: least this multiple of the scalar decisions/sec (hosts-used must be no
-#: worse in every measured cell, strict or not).
-STRICT_MIN_SPEEDUP = 3.0
-STRICT_CELL = 500
 
-
-def _configured_cells() -> list:
-    raw = os.environ.get("REPRO_BENCH_ACO_CELLS", "100")
-    cells = sorted({int(token) for token in raw.split(",") if token.strip()})
-    unknown = [cell for cell in cells if cell not in CELLS]
-    if unknown:
-        raise ValueError(f"unknown cell size(s) {unknown}; choose from {sorted(CELLS)}")
-    return cells
-
-
-def _instance(n_vms: int):
-    rng = np.random.default_rng(SEED)
-    return consolidation_instance(
+def _measure_cell(n_vms: int) -> dict:
+    effort = CELLS[n_vms]
+    demands, capacities = consolidation_instance(
         n_vms,
-        rng,
+        np.random.default_rng(SEED),
         demand_distribution=UniformDemandDistribution(0.05, 0.3, dimensions=("cpu", "memory")),
         host_capacity=(1.0, 1.0),
     )
-
-
-def _run_path(algorithm, demands, n_ants: int) -> dict:
-    result = algorithm.solve(demands[0], demands[1])
-    decisions = demands[0].shape[0] * n_ants * max(result.iterations, 1)
+    result = ACOConsolidation(
+        ACOParameters(n_ants=effort["n_ants"], n_cycles=effort["n_cycles"]),
+        rng=np.random.default_rng(SEED),
+    ).solve(demands, capacities)
+    decisions = n_vms * effort["n_ants"] * max(result.iterations, 1)
     wall = result.runtime_seconds
     return {
-        "hosts_used": int(result.hosts_used),
+        "vms": n_vms,
+        "hosts": int(capacities.shape[0]),
+        "seed": SEED,
+        **effort,
         "cycles_run": int(result.iterations),
         "wall_clock_seconds": round(wall, 4),
         "decisions": int(decisions),
         "decisions_per_second": round(decisions / wall, 1) if wall > 0 else 0.0,
-        "_dps": decisions / wall if wall > 0 else 0.0,
+        "hosts_used": int(result.hosts_used),
+        "ffd_hosts": int(FirstFitDecreasing().solve(demands, capacities).hosts_used),
+        "lower_bound_hosts": int(lower_bound_hosts(demands, capacities)),
     }
 
 
-def _measure_cell(n_vms: int) -> dict:
-    effort = CELLS[n_vms]
-    params = ACOParameters(n_ants=effort["n_ants"], n_cycles=effort["n_cycles"])
-    instance = _instance(n_vms)
-    scalar = _run_path(ACOConsolidation(params, rng=np.random.default_rng(SEED)), instance,
-                       effort["n_ants"])
-    vectorized = _run_path(
-        VectorizedACOConsolidation(params, rng=np.random.default_rng(SEED)), instance,
-        effort["n_ants"],
+def test_aco_scale(benchmark):
+    entries = benchmark.pedantic(
+        lambda: [_measure_cell(n_vms) for n_vms in CELLS],
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
     )
-    dps_scalar, dps_vectorized = scalar.pop("_dps"), vectorized.pop("_dps")
-    return {
-        "vms": n_vms,
-        "hosts": int(instance[1].shape[0]),
-        "n_ants": effort["n_ants"],
-        "n_cycles": effort["n_cycles"],
-        "seed": SEED,
-        "scalar": scalar,
-        "vectorized": vectorized,
-        "decisions_per_second_definition": (
-            "VM-placement decisions per wall-clock second, "
-            "n_vms * n_ants * cycles_run / runtime, per path"
-        ),
-        "speedup": round(dps_vectorized / dps_scalar, 2) if dps_scalar > 0 else 0.0,
-        "hosts_no_worse": vectorized["hosts_used"] <= scalar["hosts_used"],
-    }
-
-
-def _merge_results(entries: dict) -> None:
-    path = results_path("BENCH_ACO_SCALE.json")
-    summary = {"benchmark": "aco-scale", "cells": {}}
-    if path is not None and path.exists():
-        try:
-            existing = json.loads(path.read_text())
-            if isinstance(existing.get("cells"), dict):
-                summary = existing
-        except (json.JSONDecodeError, OSError):
-            pass
-    summary["cells"].update({str(n_vms): entry for n_vms, entry in entries.items()})
-    write_results_json("BENCH_ACO_SCALE.json", summary)
-
-
-def test_aco_scale_vectorized_vs_scalar(benchmark):
-    entries = {}
-    table = ComparisonTable("ACO at scale: scalar reference vs batched ant kernels")
-
-    def run_all():
-        for n_vms in _configured_cells():
-            entries[n_vms] = _measure_cell(n_vms)
-        return [
-            {
-                "vms": entry["vms"],
-                "decisions_per_second_scalar": entry["scalar"]["decisions_per_second"],
-                "decisions_per_second_vectorized": entry["vectorized"]["decisions_per_second"],
-                "speedup": entry["speedup"],
-            }
-            for entry in entries.values()
-        ]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1, warmup_rounds=0)
-    for entry in entries.values():
+    table = ComparisonTable("ACO at scale: batched ant kernels vs FFD and the lower bound")
+    for entry in entries:
         table.add_row(
             vms=entry["vms"],
-            wall_scalar_s=entry["scalar"]["wall_clock_seconds"],
-            wall_vector_s=entry["vectorized"]["wall_clock_seconds"],
-            dps_scalar=entry["scalar"]["decisions_per_second"],
-            dps_vector=entry["vectorized"]["decisions_per_second"],
-            speedup=entry["speedup"],
-            hosts_scalar=entry["scalar"]["hosts_used"],
-            hosts_vector=entry["vectorized"]["hosts_used"],
+            wall_s=entry["wall_clock_seconds"],
+            decisions_per_s=entry["decisions_per_second"],
+            hosts_aco=entry["hosts_used"],
+            hosts_ffd=entry["ffd_hosts"],
+            lower_bound=entry["lower_bound_hosts"],
         )
     table.print()
-    _merge_results(entries)
+    write_results_json(
+        "BENCH_ACO_SCALE.json",
+        {
+            "benchmark": "aco-scale",
+            "decisions_per_second_definition": (
+                "ant VM-placement decisions per wall-clock second, "
+                "n_vms * n_ants * cycles_run / runtime"
+            ),
+            "cells": {str(entry["vms"]): entry for entry in entries},
+        },
+    )
 
-    # The speedup must be pure mechanics: packing quality never pays for it.
-    for entry in entries.values():
-        assert entry["hosts_no_worse"], (
-            f"vectorized ACO used more hosts at {entry['vms']} VMs "
-            f"({entry['vectorized']['hosts_used']} vs {entry['scalar']['hosts_used']})"
-        )
-        assert entry["speedup"] > 0
-    assert rows
-
-    # CI gate: the 500-VM cell must hold the headline speedup (only enforced
-    # in strict mode so cold laptops and busy runners do not flake tier-1).
-    if os.environ.get("REPRO_BENCH_STRICT") and STRICT_CELL in entries:
-        measured = entries[STRICT_CELL]["speedup"]
-        assert measured >= STRICT_MIN_SPEEDUP, (
-            f"vectorized ACO speedup at {STRICT_CELL} VMs is {measured:.2f}x, "
-            f"below the {STRICT_MIN_SPEEDUP:.1f}x gate"
+    for entry in entries:
+        assert entry["lower_bound_hosts"] <= entry["hosts_used"] <= entry["ffd_hosts"], (
+            f"ACO used {entry['hosts_used']} hosts at {entry['vms']} VMs "
+            f"(FFD {entry['ffd_hosts']}, lower bound {entry['lower_bound_hosts']})"
         )

@@ -10,7 +10,10 @@ an exact branch-and-bound solver here).  This package implements:
 * :mod:`repro.core.base` -- the :class:`ConsolidationAlgorithm` interface and
   the :class:`ConsolidationResult` record (hosts used, runtime, iterations).
 * :mod:`repro.core.aco` -- the ACO consolidation algorithm (pheromone matrix,
-  probabilistic decision rule, cycles of ants, evaporation/reinforcement).
+  probabilistic decision rule, cycles of batched ants, evaporation/
+  reinforcement, parallel colonies, warm start).
+* :mod:`repro.core.distributed_aco` -- the partitioned variant: one colony per
+  Group Manager plus a cross-partition exchange round.
 * :mod:`repro.core.ffd` -- greedy baselines: First-Fit, Best-Fit and the FFD
   variants (single-dimension, L1, L2, product presorting).
 * :mod:`repro.core.optimal` -- exact branch-and-bound vector bin packing with
@@ -26,8 +29,7 @@ from repro.core.base import (
     lower_bound_hosts,
     validate_instance,
 )
-from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.aco_vectorized import PheromoneSummary, VectorizedACOConsolidation
+from repro.core.aco import ACOConsolidation, ACOParameters, PheromoneSummary
 from repro.core.distributed_aco import DistributedACOConsolidation
 from repro.core.ffd import (
     BestFitDecreasing,
@@ -39,6 +41,10 @@ from repro.core.ffd import (
 from repro.core.optimal import BranchAndBoundOptimal, OptimalResult
 from repro.core.migration_plan import Migration, MigrationPlan, plan_migrations
 
+#: Old name of :class:`ACOConsolidation`, kept only because ``bench/workloads.py``
+#: imports it; goes with the next ``benchmark`` PR (ROADMAP item 2).
+VectorizedACOConsolidation = ACOConsolidation
+
 __all__ = [
     "Placement",
     "PlacementError",
@@ -49,7 +55,6 @@ __all__ = [
     "ACOConsolidation",
     "ACOParameters",
     "PheromoneSummary",
-    "VectorizedACOConsolidation",
     "DistributedACOConsolidation",
     "FirstFit",
     "FirstFitDecreasing",

@@ -19,14 +19,36 @@ in clouds").  The reproduction follows the description in the reproduced text:
   prematurely (stagnation), which is what lets the stochastic search "explore
   a large number of potential solutions".
 
-The hot path (feasibility mask, heuristic values, probability normalization)
-is fully vectorized over the candidate VM set, per the HPC coding guide.
+The construction is organised so the Python overhead is paid once per *step*,
+not once per *ant and step*, which is what makes periodic consolidation
+affordable at warehouse scale:
+
+* **Batched ants** -- all ants of a cycle advance in lockstep.  Each step
+  computes the feasibility mask, heuristic values and decision-rule scores as
+  one ``(n_ants, n_vms)`` numpy expression over the pheromone matrix and every
+  ant's residual capacity, then samples one VM per ant (greedy and roulette
+  choices in the same batch).  A cycle costs ``~n_vms`` array steps instead of
+  ``n_ants * n_vms`` interpreter round-trips.
+* **Parallel colonies** -- independent colonies (each a full cycle loop over
+  its own pheromone matrix) run across cores by reusing the sweeps
+  :class:`~repro.sweeps.executor.MultiprocessExecutor` with per-colony seeds
+  derived via the :mod:`repro.simulation.randomness` ``SeedSequence``
+  discipline.  Results are byte-identical for any ``jobs`` count: seeds are
+  derived before the fan-out and the best colony is picked by a deterministic
+  ``(hosts, -quality, colony)`` key.
+* **Warm start** -- an optional initial pheromone matrix (usually distilled
+  from the previous reconfiguration plan via :class:`PheromoneSummary`) seeds
+  the search at the incumbent placement instead of a uniform trail, so
+  per-cycle re-optimization converges in a fraction of the cycles.
+
+The straightforward one-``_choose_vm``-call-per-ant-and-VM loop lives in
+``tests/scalar_aco.py`` as the packing-quality oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +59,7 @@ from repro.core.base import (
     validate_instance,
 )
 from repro.core.placement import Placement, PlacementError
+from repro.simulation.randomness import spawn_seed_sequences
 
 
 @dataclass(frozen=True)
@@ -89,76 +112,154 @@ class ACOParameters:
             raise ValueError("stagnation_cycles must be positive or None")
 
 
-class ACOConsolidation(ConsolidationAlgorithm):
-    """ACO-based VM consolidation (vector bin packing)."""
+#: Feasibility tolerance of the fit test.
+FIT_TOLERANCE = 1e-9
 
-    name = "aco"
+
+@dataclass
+class PheromoneSummary:
+    """A size-independent distillation of one consolidation plan.
+
+    Maps VM ids to the host ids the last accepted plan assigned them to.  The
+    summary is what :class:`~repro.policies.reconfiguration.ReconfigurationPolicy`
+    persists between reconfiguration rounds: VM and host *ids* survive churn
+    (matrix indices do not), so the next round can rebuild an initial pheromone
+    matrix for whatever subset of VMs and hosts is still present.
+    """
+
+    #: ``vm_id -> host_id`` pairs of the plan being summarized (vm ids may be
+    #: any hashable -- the live cluster uses integers, offline instances use
+    #: row indices).
+    pairs: Dict[object, str] = field(default_factory=dict)
+    #: Warm-start intensity in [0, 1]: 0 keeps ``tau_initial`` everywhere,
+    #: 1 seeds remembered pairs at ``tau_max``.
+    strength: float = 0.6
+
+    def matrix(
+        self,
+        vm_ids: Sequence[str],
+        host_ids: Sequence[str],
+        parameters: ACOParameters,
+    ) -> Optional[np.ndarray]:
+        """Initial pheromone matrix for the instance ``vm_ids x host_ids``.
+
+        Returns ``None`` when no remembered pair survives in the instance (a
+        cold start performs better than an all-uniform "warm" matrix copy).
+        """
+        if not self.pairs or not vm_ids or not host_ids:
+            return None
+        host_index = {host_id: column for column, host_id in enumerate(host_ids)}
+        boosted = parameters.tau_initial + float(np.clip(self.strength, 0.0, 1.0)) * (
+            parameters.tau_max - parameters.tau_initial
+        )
+        matrix = np.full((len(vm_ids), len(host_ids)), parameters.tau_initial, dtype=float)
+        hits = 0
+        for row, vm_id in enumerate(vm_ids):
+            host_id = self.pairs.get(vm_id)
+            column = host_index.get(host_id) if host_id is not None else None
+            if column is not None:
+                matrix[row, column] = boosted
+                hits += 1
+        return matrix if hits else None
+
+
+def _colony_payload(
+    demands: np.ndarray,
+    capacities: np.ndarray,
+    parameters: ACOParameters,
+    seed: np.random.SeedSequence,
+    colony: int,
+    initial_pheromone: Optional[np.ndarray],
+) -> Dict[str, object]:
+    """Picklable description of one colony run (plain arrays + parameter dict)."""
+    return {
+        "demands": demands,
+        "capacities": capacities,
+        "parameters": asdict(parameters),
+        "seed_entropy": seed.entropy,
+        "seed_spawn_key": tuple(seed.spawn_key),
+        "colony": colony,
+        "initial_pheromone": initial_pheromone,
+    }
+
+
+def solve_colony(payload: Dict[str, object]) -> Dict[str, object]:
+    """Run one colony; module-level so the multiprocessing pool can pickle it."""
+    parameters = ACOParameters(**payload["parameters"])
+    seed = np.random.SeedSequence(
+        entropy=payload["seed_entropy"], spawn_key=tuple(payload["seed_spawn_key"])
+    )
+    colony = _Colony(
+        demands=np.asarray(payload["demands"], dtype=float),
+        capacities=np.asarray(payload["capacities"], dtype=float),
+        parameters=parameters,
+        rng=np.random.default_rng(seed),
+        initial_pheromone=payload.get("initial_pheromone"),
+    )
+    outcome = colony.run()
+    outcome["colony"] = payload["colony"]
+    return outcome
+
+
+class _Colony:
+    """One colony's cycle loop over its own pheromone matrix, ants batched."""
 
     def __init__(
         self,
-        parameters: Optional[ACOParameters] = None,
-        rng: Optional[np.random.Generator] = None,
+        demands: np.ndarray,
+        capacities: np.ndarray,
+        parameters: ACOParameters,
+        rng: np.random.Generator,
+        initial_pheromone: Optional[np.ndarray] = None,
     ) -> None:
-        self.parameters = parameters or ACOParameters()
-        self.rng = rng or np.random.default_rng(0)
+        self.demands = demands
+        self.capacities = capacities
+        self.params = parameters
+        self.rng = rng
+        n_vms, n_hosts = demands.shape[0], capacities.shape[0]
+        if initial_pheromone is not None:
+            pheromone = np.asarray(initial_pheromone, dtype=float)
+            if pheromone.shape != (n_vms, n_hosts):
+                raise PlacementError(
+                    f"initial pheromone shape {pheromone.shape} does not match "
+                    f"instance ({n_vms}, {n_hosts})"
+                )
+            self.pheromone = np.clip(pheromone, parameters.tau_min, parameters.tau_max)
+        else:
+            self.pheromone = np.full((n_vms, n_hosts), parameters.tau_initial, dtype=float)
+        #: Per-host heuristic normalizer (sum of that host's capacity vector).
+        self.normalizers = np.maximum(capacities.sum(axis=1), FIT_TOLERANCE)
+        #: Global best so far; None until some ant completes an assignment.
+        self.best_assignment: Optional[np.ndarray] = None
+        self.best_hosts, self.best_quality = np.inf, -np.inf
 
-    # ------------------------------------------------------------------ public
-    def solve(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
-        demands, capacities = validate_instance(demands, capacities)
-        return self._timed_solve(lambda: self._run(demands, capacities), demands, capacities)
+    # ------------------------------------------------------------------- run
+    def run(self) -> Dict[str, object]:
+        """The colony's cycle loop; ``assignment`` is None if no ant ever finished."""
+        params = self.params
+        bound = lower_bound_hosts(self.demands, self.capacities)
 
-    # ----------------------------------------------------------------- private
-    def _run(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
-        params = self.parameters
-        n_vms = demands.shape[0]
-        n_hosts = capacities.shape[0]
-        if n_vms == 0:
-            return ConsolidationResult(
-                placement=Placement(demands, capacities), algorithm=self.name
-            )
+        # Deterministic greedy anchor: one all-exploitation ant built from the
+        # initial trail.  When it finishes it bounds the colony's result from
+        # below (the search can only improve on it) and, warm-started,
+        # reproduces the incumbent plan's packing before any stochastic cycle
+        # runs.
+        self._adopt_better(self._construct(n_ants=1, greedy=True))
 
-        bound = lower_bound_hosts(demands, capacities)
-        # Pheromone on VM-host pairs (the matrix the paper describes).
-        pheromone = np.full((n_vms, n_hosts), params.tau_initial, dtype=float)
-
-        best_assignment: Optional[np.ndarray] = None
-        best_hosts = np.inf
-        best_quality = -np.inf
-        history: list[int] = []
+        history: List[int] = []
         cycles_run = 0
         cycles_without_improvement = 0
-
+        stagnated = params.stop_at_lower_bound and self.best_hosts <= bound
         for cycle in range(params.n_cycles):
+            if stagnated:
+                break
             cycles_run = cycle + 1
-            cycle_best_assignment = None
-            cycle_best_hosts = np.inf
-            cycle_best_quality = -np.inf
-
-            for _ in range(params.n_ants):
-                assignment = self._construct_solution(demands, capacities, pheromone)
-                hosts_used, quality = self._evaluate(assignment, demands, capacities)
-                if hosts_used < cycle_best_hosts or (
-                    hosts_used == cycle_best_hosts and quality > cycle_best_quality
-                ):
-                    cycle_best_assignment = assignment
-                    cycle_best_hosts = hosts_used
-                    cycle_best_quality = quality
-
-            improved = cycle_best_hosts < best_hosts or (
-                cycle_best_hosts == best_hosts and cycle_best_quality > best_quality
-            )
-            if improved:
-                best_assignment = cycle_best_assignment
-                best_hosts = cycle_best_hosts
-                best_quality = cycle_best_quality
-                cycles_without_improvement = 0
-            else:
-                cycles_without_improvement += 1
-
-            history.append(int(best_hosts))
-            self._update_pheromone(pheromone, best_assignment, best_quality, demands, capacities)
-
-            if params.stop_at_lower_bound and best_hosts <= bound:
+            improved = self._adopt_better(self._construct(params.n_ants, greedy=False))
+            cycles_without_improvement = 0 if improved else cycles_without_improvement + 1
+            if self.best_assignment is not None:
+                history.append(int(self.best_hosts))
+            self._update_pheromone()
+            if params.stop_at_lower_bound and self.best_hosts <= bound:
                 break
             if (
                 params.stagnation_cycles is not None
@@ -166,144 +267,288 @@ class ACOConsolidation(ConsolidationAlgorithm):
             ):
                 break
 
-        if best_assignment is None:  # pragma: no cover - defensive, ants always build something
-            raise PlacementError("ACO failed to construct any feasible solution")
+        return {
+            "assignment": self.best_assignment,
+            "hosts_used": None if self.best_assignment is None else self.best_hosts,
+            "quality": self.best_quality,
+            "cycles": cycles_run,
+            "history": history,
+            "lower_bound": bound,
+            "cycles_without_improvement": cycles_without_improvement,
+            "pheromone_mean": float(self.pheromone.mean()),
+            "pheromone_min": float(self.pheromone.min()),
+            "pheromone_max": float(self.pheromone.max()),
+        }
 
-        placement = Placement(demands, capacities, best_assignment)
-        return ConsolidationResult(
-            placement=placement,
-            algorithm=self.name,
-            iterations=cycles_run,
-            proved_optimal=bool(best_hosts <= bound),
-            history=history,
-            extra={
-                "lower_bound": bound,
-                "best_quality": float(best_quality),
-                "pheromone_mean": float(pheromone.mean()),
-                "pheromone_min": float(pheromone.min()),
-                "pheromone_max": float(pheromone.max()),
-                "cycles_without_improvement": cycles_without_improvement,
-            },
-        )
+    def _adopt_better(self, assignments: np.ndarray) -> bool:
+        """Make the best of ``assignments`` the global best if it beats it."""
+        improved = False
+        for assignment in assignments:
+            hosts_used, quality = self._evaluate(assignment)
+            if hosts_used < self.best_hosts or (
+                hosts_used == self.best_hosts and quality > self.best_quality
+            ):
+                self.best_assignment = assignment
+                self.best_hosts = hosts_used
+                self.best_quality = quality
+                improved = True
+        return improved
 
-    # ------------------------------------------------------- solution building
-    def _construct_solution(
-        self, demands: np.ndarray, capacities: np.ndarray, pheromone: np.ndarray
-    ) -> np.ndarray:
-        """One ant builds a complete assignment, filling hosts one at a time."""
-        n_vms = demands.shape[0]
-        n_hosts = capacities.shape[0]
-        assignment = np.full(n_vms, -1, dtype=np.int64)
-        unassigned = np.ones(n_vms, dtype=bool)
+    # ------------------------------------------------------------ construction
+    def _construct(self, n_ants: int, greedy: bool) -> np.ndarray:
+        """Build ``n_ants`` complete assignments in lockstep; ``(n_ants, n_vms)``.
 
-        host = 0
-        residual = capacities[host].copy()
-        while unassigned.any():
-            candidate_indices = np.flatnonzero(unassigned)
-            fits = np.all(demands[candidate_indices] <= residual + 1e-9, axis=1)
-            feasible = candidate_indices[fits]
-            if feasible.size == 0:
-                # Current host cannot take any remaining VM: move to the next host.
-                host += 1
-                if host >= n_hosts:
-                    raise PlacementError(
-                        "instance has too few hosts for the remaining VMs (ACO construction)"
+        Every ant places exactly one VM per iteration, so after ``n_vms``
+        iterations every ant's solution is complete -- the Python overhead of
+        a step is paid once for the whole batch instead of once per ant.  The
+        feasibility masks, heuristic values and decision-rule scores for all
+        ants are single 2-D numpy expressions, and both the greedy and the
+        roulette choices are drawn in one batch.  Ants whose current host fits
+        no remaining VM advance to their next host inside the same iteration;
+        an ant that runs out of hosts with VMs left is dropped from the batch,
+        so fewer than ``n_ants`` rows (possibly none) may come back.
+
+        Two identities keep the per-step expressions small:
+
+        * feasibility is checked per dimension with 2-D comparisons (no
+          ``(ants, vms, dims)`` temporary, no axis-2 reduction), and
+        * on every *feasible* pair the L1 fill gap collapses to
+          ``sum(residual) - sum(demand)`` (no per-dimension ``abs``), and
+          infeasible pairs are masked out of the scores anyway.
+        """
+        params = self.params
+        demands, capacities = self.demands, self.capacities
+        n_vms, n_hosts = demands.shape[0], capacities.shape[0]
+        n_dims = demands.shape[1]
+        ants = np.arange(n_ants)
+        assignment = np.full((n_ants, n_vms), -1, dtype=np.int64)
+        unassigned = np.ones((n_ants, n_vms), dtype=bool)
+        host = np.zeros(n_ants, dtype=np.int64)
+        residual = np.repeat(capacities[[0]], n_ants, axis=0)
+        residual_sums = residual.sum(axis=1)
+        # Row-contiguous per-host pheromone rows for the gather below.
+        tau_by_host = np.ascontiguousarray(self.pheromone.T)
+        demand_sums = demands.sum(axis=1)
+        alpha, beta, q0 = params.alpha, params.beta, params.q0
+
+        for _ in range(n_vms):
+            # (n_ants, n_vms): VM is unplaced and fits the ant's current host.
+            fits = unassigned.copy()
+            for dim in range(n_dims):
+                fits &= (
+                    demands[:, dim][np.newaxis, :]
+                    <= residual[:, dim][:, np.newaxis] + FIT_TOLERANCE
+                )
+            feasible_any = fits.any(axis=1)
+            # Ants stuck on a full host open their next host (repeat until
+            # every ant has a candidate; every VM fits an *empty* host by
+            # instance validation, so only running out of hosts ends an ant).
+            while not feasible_any.all():
+                stuck = ~feasible_any
+                host[stuck] += 1
+                alive = host < n_hosts
+                if not alive.all():
+                    # Out of hosts with VMs left: those ants packed too
+                    # loosely to finish and leave this cycle; the rest go on.
+                    assignment, unassigned, host, residual, residual_sums, fits, stuck = (
+                        state[alive]
+                        for state in (
+                            assignment, unassigned, host, residual, residual_sums, fits, stuck
+                        )
                     )
-                residual = capacities[host].copy()
-                continue
+                    ants = ants[: host.shape[0]]
+                    if not ants.size:
+                        return assignment
+                residual[stuck] = capacities[host[stuck]]
+                residual_sums[stuck] = residual[stuck].sum(axis=1)
+                refit = unassigned[stuck].copy()
+                for dim in range(n_dims):
+                    refit &= (
+                        demands[:, dim][np.newaxis, :]
+                        <= residual[stuck][:, dim][:, np.newaxis] + FIT_TOLERANCE
+                    )
+                fits[stuck] = refit
+                feasible_any = fits.any(axis=1)
 
-            chosen = self._choose_vm(feasible, host, residual, demands, pheromone, capacities)
-            assignment[chosen] = host
-            unassigned[chosen] = False
-            residual = residual - demands[chosen]
+            # Decision rule over the batch: tau^alpha * eta^beta, masked to
+            # the feasible candidates of each ant.
+            tau = tau_by_host[host]
+            gaps = residual_sums[:, np.newaxis] - demand_sums[np.newaxis, :]
+            np.maximum(gaps, 0.0, out=gaps)
+            gaps /= self.normalizers[host][:, np.newaxis]
+            gaps += 1.0
+            eta = np.reciprocal(gaps, out=gaps)
+            if beta == 2.0:
+                eta *= eta
+            elif beta != 1.0:
+                np.power(eta, beta, out=eta)
+            scores = tau * eta if alpha == 1.0 else np.power(tau, alpha) * eta
+            scores *= fits
+            totals = scores.sum(axis=1)
+            # Numerical-underflow guard: fall back to uniform over feasible.
+            if not totals.all():
+                degenerate = totals <= 0.0
+                scores[degenerate] = fits[degenerate]
+                totals = scores.sum(axis=1)
+
+            if greedy:
+                chosen = np.argmax(scores, axis=1)
+            else:
+                exploit = self.rng.random(ants.size) < q0
+                best_pick = np.argmax(scores, axis=1)
+                cdf = np.cumsum(scores, axis=1)
+                draws = self.rng.random(ants.size) * totals
+                roulette = np.minimum(
+                    (cdf <= draws[:, np.newaxis]).sum(axis=1), n_vms - 1
+                )
+                chosen = np.where(exploit, best_pick, roulette)
+
+            assignment[ants, chosen] = host
+            unassigned[ants, chosen] = False
+            residual -= demands[chosen]
+            residual_sums -= demand_sums[chosen]
         return assignment
 
-    def _choose_vm(
-        self,
-        feasible: np.ndarray,
-        host: int,
-        residual: np.ndarray,
-        demands: np.ndarray,
-        pheromone: np.ndarray,
-        capacities: np.ndarray,
-    ) -> int:
-        """Apply the probabilistic decision rule over the feasible VM set."""
-        params = self.parameters
-        tau = pheromone[feasible, host]
-        eta = self._heuristic(feasible, residual, demands, capacities[host])
-        scores = np.power(tau, params.alpha) * np.power(eta, params.beta)
-        # Guard against numerical underflow making every score zero.
-        if not np.any(scores > 0):
-            scores = np.ones_like(scores)
-
-        if self.rng.random() < params.q0:
-            # Exploitation: pick the best-scoring VM deterministically.
-            return int(feasible[int(np.argmax(scores))])
-        probabilities = scores / scores.sum()
-        return int(self.rng.choice(feasible, p=probabilities))
-
-    @staticmethod
-    def _heuristic(
-        feasible: np.ndarray, residual: np.ndarray, demands: np.ndarray, capacity: np.ndarray
-    ) -> np.ndarray:
-        """Heuristic information: how well each candidate VM fills the remaining capacity.
-
-        The value is the normalized L1 gap between the host's residual capacity
-        and the VM demand, inverted so that a near-perfect fill scores close to
-        1 and a tiny VM in an empty host scores low.  This is the "heuristic
-        information which guides the ants towards choosing VMs leading to
-        better overall host utilization" from the paper.
-        """
-        gaps = np.sum(np.abs(residual[np.newaxis, :] - demands[feasible]), axis=1)
-        normalizer = float(np.sum(capacity))
-        if normalizer <= 0:
-            return np.ones(feasible.shape[0])
-        return 1.0 / (1.0 + gaps / normalizer)
-
-    # ------------------------------------------------------------- evaluation
-    def _evaluate(
-        self, assignment: np.ndarray, demands: np.ndarray, capacities: np.ndarray
-    ) -> tuple[int, float]:
-        """Return ``(hosts_used, quality)`` for a complete assignment.
-
-        Quality is the Falkenauer-style packing measure: the mean of per-used-
-        host utilizations raised to ``quality_exponent``.  It rewards tightly
-        filled hosts and is used for tie-breaking among solutions with equal
-        host counts and for sizing the pheromone reinforcement.
-        """
-        loads = np.zeros_like(capacities)
-        np.add.at(loads, assignment, demands)
+    # -------------------------------------------------------------- evaluation
+    def _evaluate(self, assignment: np.ndarray) -> tuple:
+        loads = np.zeros_like(self.capacities)
+        np.add.at(loads, assignment, self.demands)
         used_mask = loads.sum(axis=1) > 0
         hosts_used = int(np.count_nonzero(used_mask))
         if hosts_used == 0:
             return 0, 0.0
-        utilization = loads[used_mask] / capacities[used_mask]
-        quality = float(np.mean(np.mean(utilization, axis=1) ** self.parameters.quality_exponent))
+        utilization = loads[used_mask] / self.capacities[used_mask]
+        quality = float(np.mean(np.mean(utilization, axis=1) ** self.params.quality_exponent))
         return hosts_used, quality
 
-    def _update_pheromone(
+    def _update_pheromone(self) -> None:
+        """Evaporate everywhere, then reinforce the global-best VM-host pairs.
+
+        The deposit is independent of instance size: quality is a per-host
+        mean in [0, 1], so the evaporation/deposit equilibrium ``delta / rho =
+        1 + quality`` stays strictly below ``tau_max`` instead of clipping
+        every reinforced pair to the ceiling on large instances (which
+        degenerates the Max-Min search into a frozen trail).
+        """
+        params = self.params
+        self.pheromone *= 1.0 - params.rho
+        best = self.best_assignment
+        if best is not None:
+            delta = params.rho * (1.0 + max(self.best_quality, 0.0))
+            self.pheromone[np.arange(best.shape[0]), best] += delta
+        np.clip(self.pheromone, params.tau_min, params.tau_max, out=self.pheromone)
+
+
+class ACOConsolidation(ConsolidationAlgorithm):
+    """ACO-based VM consolidation (vector bin packing).
+
+    Parameters
+    ----------
+    parameters:
+        The :class:`ACOParameters` every colony runs with.
+    rng:
+        Source of the single entropy draw that seeds all colonies (via
+        ``SeedSequence.spawn``), keeping the whole run deterministic in the
+        generator state and independent of ``jobs``.
+    n_colonies:
+        Independent colonies to run; the best result wins (ties broken by
+        quality, then colony index).
+    jobs:
+        Worker processes for the colony fan-out (1 = in-process).  Reuses the
+        sweeps executor; results are identical for any value.
+
+    ``solve`` raises :class:`~repro.core.placement.PlacementError` when no
+    ant of any colony completes an assignment (too few hosts for the search
+    to pack into).
+    """
+
+    name = "aco"
+
+    def __init__(
         self,
-        pheromone: np.ndarray,
-        best_assignment: Optional[np.ndarray],
-        best_quality: float,
+        parameters: Optional[ACOParameters] = None,
+        rng: Optional[np.random.Generator] = None,
+        n_colonies: int = 1,
+        jobs: int = 1,
+    ) -> None:
+        if n_colonies <= 0:
+            raise ValueError("n_colonies must be positive")
+        if jobs <= 0:
+            raise ValueError("jobs must be positive")
+        self.parameters = parameters or ACOParameters()
+        self.rng = rng or np.random.default_rng(0)
+        self.n_colonies = int(n_colonies)
+        self.jobs = int(jobs)
+
+    # ------------------------------------------------------------------ public
+    def solve(
+        self,
         demands: np.ndarray,
         capacities: np.ndarray,
-    ) -> None:
-        """Evaporate everywhere, then reinforce the global-best VM-host pairs."""
-        params = self.parameters
-        pheromone *= 1.0 - params.rho
-        if best_assignment is not None:
-            hosts_used = int(np.unique(best_assignment[best_assignment >= 0]).size)
-            if hosts_used > 0:
-                # Deposit proportional to solution quality so better (fuller)
-                # solutions leave stronger trails.  The deposit is independent
-                # of instance size: quality is already a per-host mean in
-                # [0, 1], so the evaporation/deposit equilibrium
-                # ``delta / rho = 1 + quality`` stays strictly below
-                # ``tau_max`` instead of clipping every reinforced pair to the
-                # ceiling on large instances (which degenerated the Max-Min
-                # search into a frozen trail).
-                delta = params.rho * (1.0 + max(best_quality, 0.0))
-                vm_indices = np.arange(best_assignment.shape[0])
-                pheromone[vm_indices, best_assignment] += delta
-        np.clip(pheromone, params.tau_min, params.tau_max, out=pheromone)
+        initial_pheromone: Optional[np.ndarray] = None,
+    ) -> ConsolidationResult:
+        demands, capacities = validate_instance(demands, capacities)
+        return self._timed_solve(
+            lambda: self._run_colonies(demands, capacities, initial_pheromone),
+            demands,
+            capacities,
+        )
+
+    def consolidate(
+        self, placement: Placement, initial_pheromone: Optional[np.ndarray] = None
+    ) -> ConsolidationResult:
+        return self.solve(placement.demands, placement.capacities, initial_pheromone)
+
+    # ----------------------------------------------------------------- private
+    def _run_colonies(
+        self,
+        demands: np.ndarray,
+        capacities: np.ndarray,
+        initial_pheromone: Optional[np.ndarray],
+    ) -> ConsolidationResult:
+        if demands.shape[0] == 0:
+            return ConsolidationResult(
+                placement=Placement(demands, capacities), algorithm=self.name
+            )
+        # One entropy draw, then SeedSequence children per colony: the result
+        # only depends on the generator state, never on the fan-out shape.
+        entropy = int(self.rng.integers(0, 2**63 - 1))
+        seeds = spawn_seed_sequences(entropy, self.n_colonies)
+        payloads = [
+            _colony_payload(demands, capacities, self.parameters, seed, colony, initial_pheromone)
+            for colony, seed in enumerate(seeds)
+        ]
+        if self.jobs > 1 and self.n_colonies > 1:
+            from repro.sweeps.executor import MultiprocessExecutor
+
+            outcomes = MultiprocessExecutor(self.jobs, fn=solve_colony).map(payloads)
+        else:
+            outcomes = [solve_colony(payload) for payload in payloads]
+
+        complete = [outcome for outcome in outcomes if outcome["assignment"] is not None]
+        if not complete:
+            raise PlacementError(
+                "no ant completed an assignment: too few hosts for the remaining VMs"
+            )
+        best = min(complete, key=lambda o: (o["hosts_used"], -o["quality"], o["colony"]))
+        placement = Placement(demands, capacities, best["assignment"])
+        return ConsolidationResult(
+            placement=placement,
+            algorithm=self.name,
+            iterations=int(sum(outcome["cycles"] for outcome in outcomes)),
+            proved_optimal=bool(best["hosts_used"] <= best["lower_bound"]),
+            history=list(best["history"]),
+            extra={
+                "lower_bound": best["lower_bound"],
+                "best_quality": best["quality"],
+                "best_colony": best["colony"],
+                "n_colonies": self.n_colonies,
+                "jobs": self.jobs,
+                "warm_started": initial_pheromone is not None,
+                "colony_hosts_used": [outcome["hosts_used"] for outcome in outcomes],
+                "pheromone_mean": best["pheromone_mean"],
+                "pheromone_min": best["pheromone_min"],
+                "pheromone_max": best["pheromone_max"],
+                "cycles_without_improvement": best["cycles_without_improvement"],
+            },
+        )

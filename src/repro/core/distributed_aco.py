@@ -17,9 +17,8 @@ quality for scalability:
 * no global pheromone matrix is required, which is what makes the approach
   feasible across Group Managers that only know their own Local Controllers.
 
-The ACO scale benchmark ``benchmarks/test_bench_aco_scale.py`` quantifies the
-trade-off (decisions/sec and hosts used vs the centralized scalar reference)
-and records it in ``benchmarks/results/BENCH_ACO_SCALE.json``.
+``tests/test_core_distributed_aco.py`` pins the trade-off: a single partition
+matches the centralized algorithm, and several stay within a few hosts of FFD.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.aco_vectorized import VectorizedACOConsolidation
 from repro.core.base import ConsolidationAlgorithm, ConsolidationResult, validate_instance
 from repro.core.placement import Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
@@ -58,8 +56,7 @@ def solve_partition(payload: Dict[str, object]) -> Dict[str, object]:
     seed = np.random.SeedSequence(
         entropy=payload["seed_entropy"], spawn_key=tuple(payload["seed_spawn_key"])
     )
-    algorithm_class = VectorizedACOConsolidation if payload["vectorized"] else ACOConsolidation
-    result = algorithm_class(parameters, rng=np.random.default_rng(seed)).solve(
+    result = ACOConsolidation(parameters, rng=np.random.default_rng(seed)).solve(
         np.asarray(payload["demands"], dtype=float),
         np.asarray(payload["capacities"], dtype=float),
     )
@@ -98,10 +95,6 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
         Worker processes for the partition fan-out (1 = in-process, the
         default).  Reuses the sweeps executor; in a real deployment each
         partition runs on its own Group Manager, which this models.
-    vectorized:
-        When True each partition runs the batched
-        :class:`~repro.core.aco_vectorized.VectorizedACOConsolidation` kernels
-        instead of the scalar reference colonies.
     """
 
     name = "distributed-aco"
@@ -113,7 +106,6 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
         exchange_round: bool = True,
         rng: Optional[np.random.Generator] = None,
         jobs: int = 1,
-        vectorized: bool = False,
     ) -> None:
         if n_partitions <= 0:
             raise ValueError("n_partitions must be positive")
@@ -124,7 +116,6 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
         self.exchange_round = bool(exchange_round)
         self.rng = rng or np.random.default_rng(0)
         self.jobs = int(jobs)
-        self.vectorized = bool(vectorized)
 
     # ------------------------------------------------------------------ solve
     def solve(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
@@ -163,7 +154,6 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
                     "parameters": asdict(self.parameters),
                     "seed_entropy": seeds[index].entropy,
                     "seed_spawn_key": tuple(seeds[index].spawn_key),
-                    "vectorized": self.vectorized,
                 }
             )
         if self.jobs > 1 and len(payloads) > 1:
@@ -209,7 +199,6 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
                 "partition_runtimes": [result.runtime_seconds for result in partition_results],
                 "exchange_migrations": exchanged,
                 "jobs": self.jobs,
-                "vectorized": self.vectorized,
             },
         )
 

@@ -18,17 +18,16 @@ The :class:`ReconfigurationPolicy` glues three pieces together:
    plan frees entirely (candidates for suspension).
 
 The **bridge** at the bottom registers every :mod:`repro.core` consolidation
-algorithm (ACO scalar and vectorized, distributed ACO, FFD, BFD, WFD) as a
-``reconfiguration`` policy, so scenarios can run e.g. ACO-driven periodic
-consolidation inside the live hierarchy by name -- not only offline through
-the benchmark harness.
+algorithm (ACO, distributed ACO, FFD, BFD, WFD) as a ``reconfiguration``
+policy, so scenarios can run e.g. ACO-driven periodic consolidation inside the
+live hierarchy by name -- not only offline through the benchmark harness.
 
-Two warehouse-scale modes ride on the vectorized algorithm (ROADMAP item 5):
+Two warehouse-scale modes:
 
-* **warm start** -- after every accepted plan the policy distills the
-  VM-to-host pairs into a persisted
-  :class:`~repro.core.aco_vectorized.PheromoneSummary`; the next round seeds
-  the pheromone matrix from it, so per-cycle re-optimization starts at the
+* **warm start** (ACO only) -- after every accepted plan the policy distills
+  the VM-to-host pairs into a persisted
+  :class:`~repro.core.aco.PheromoneSummary`; the next round seeds the
+  pheromone matrix from it, so per-cycle re-optimization starts at the
   incumbent placement instead of from scratch.
 * **incremental** -- only *dirty* hosts participate: nodes whose VM set or
   measured load changed since the previous plan (plus nodes never seen
@@ -44,13 +43,12 @@ import numpy as np
 
 from repro.cluster.node import PhysicalNode
 from repro.cluster.vm import VirtualMachine
-from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.aco_vectorized import PheromoneSummary, VectorizedACOConsolidation
+from repro.core.aco import ACOConsolidation, ACOParameters, PheromoneSummary
 from repro.core.base import ConsolidationAlgorithm
 from repro.core.distributed_aco import DistributedACOConsolidation
 from repro.core.ffd import BestFitDecreasing, FirstFitDecreasing, WorstFitDecreasing
 from repro.core.migration_plan import plan_migrations
-from repro.core.placement import placement_from_view
+from repro.core.placement import PlacementError, placement_from_view
 from repro.policies.decisions import MigrationPlan
 from repro.policies.registry import register_policy
 from repro.policies.thresholds import UtilizationThresholds
@@ -77,8 +75,8 @@ class ReconfigurationPolicy:
         self.max_migrations = max_migrations
         self.include_overloaded = include_overloaded
         #: Seed the next round's pheromone matrix from the previous plan
-        #: (only honoured by algorithms advertising ``supports_warm_start``).
-        self.warm_start = bool(warm_start)
+        #: (only :class:`ACOConsolidation` has a pheromone matrix to seed).
+        self.warm_start = bool(warm_start) and isinstance(self.algorithm, ACOConsolidation)
         #: Restrict each round to nodes whose VM set or load changed since
         #: the previous round.
         self.incremental = bool(incremental)
@@ -110,13 +108,19 @@ class ReconfigurationPolicy:
         current, vm_list, node_list = placement_from_view(view, vms, rows=rows)
         plan.hosts_before = current.hosts_used()
 
-        result = self._consolidate(current, vm_list, node_list)
+        # A consolidation that finds no placement, or one that cannot be
+        # executed, is discarded; the current placement remains in force
+        # (fail-safe behaviour).
+        try:
+            result = self._consolidate(current, vm_list, node_list)
+        except PlacementError:
+            plan.hosts_after = plan.hosts_before
+            plan.reason = "consolidation found no placement; keeping current placement"
+            return plan
         target = result.placement
         plan.consolidation_summary = result.summary()
 
         if not (target.fully_assigned and target.is_feasible()):
-            # A consolidation result that cannot be executed is discarded; the
-            # current placement remains in force (fail-safe behaviour).
             plan.hosts_after = plan.hosts_before
             plan.reason = "consolidation result infeasible; keeping current placement"
             return plan
@@ -131,7 +135,7 @@ class ReconfigurationPolicy:
                 )
             )
 
-        if self.warm_start and getattr(self.algorithm, "supports_warm_start", False):
+        if self.warm_start:
             # Persist the *target* pairs: the plan the search converged to is
             # what the next round should resume from, even if execution defers
             # some moves (deferred moves re-surface as dirty nodes).
@@ -187,7 +191,7 @@ class ReconfigurationPolicy:
     # ------------------------------------------------------------ warm start
     def _consolidate(self, current, vm_list, node_list):
         """Run the algorithm, warm-started from the persisted summary if possible."""
-        if self.warm_start and getattr(self.algorithm, "supports_warm_start", False):
+        if self.warm_start:
             initial = self._summary.matrix(
                 [vm.vm_id for vm in vm_list],
                 [node.node_id for node in node_list],
@@ -245,22 +249,6 @@ def _policy(
 def aco_reconfiguration(
     n_ants: int = 8,
     n_cycles: int = 30,
-    thresholds: Optional[UtilizationThresholds] = None,
-    max_migrations: Optional[int] = None,
-    include_overloaded: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> ReconfigurationPolicy:
-    """Ant Colony Optimization consolidation (the paper's core algorithm)."""
-    algorithm = ACOConsolidation(
-        ACOParameters(n_ants=int(n_ants), n_cycles=int(n_cycles)), rng=rng
-    )
-    return _policy(algorithm, thresholds, max_migrations, include_overloaded)
-
-
-@register_policy("reconfiguration", name="aco-vectorized")
-def vectorized_aco_reconfiguration(
-    n_ants: int = 8,
-    n_cycles: int = 30,
     n_colonies: int = 1,
     jobs: int = 1,
     warm_start: bool = True,
@@ -270,8 +258,8 @@ def vectorized_aco_reconfiguration(
     include_overloaded: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> ReconfigurationPolicy:
-    """Warehouse-scale ACO: batched ant kernels, warm start, dirty subsets."""
-    algorithm = VectorizedACOConsolidation(
+    """Ant Colony Optimization consolidation (the paper's core algorithm)."""
+    algorithm = ACOConsolidation(
         ACOParameters(n_ants=int(n_ants), n_cycles=int(n_cycles)),
         rng=rng,
         n_colonies=int(n_colonies),
@@ -294,7 +282,6 @@ def distributed_aco_reconfiguration(
     n_cycles: int = 30,
     exchange_round: bool = True,
     jobs: int = 1,
-    vectorized: bool = False,
     thresholds: Optional[UtilizationThresholds] = None,
     max_migrations: Optional[int] = None,
     include_overloaded: bool = False,
@@ -307,7 +294,6 @@ def distributed_aco_reconfiguration(
         exchange_round=bool(exchange_round),
         rng=rng,
         jobs=int(jobs),
-        vectorized=bool(vectorized),
     )
     return _policy(algorithm, thresholds, max_migrations, include_overloaded)
 

@@ -286,12 +286,12 @@ def _aco_consolidation_cycle() -> ScenarioSpec:
 
 @register_scenario
 def _consolidation_at_scale() -> ScenarioSpec:
-    """Warm-started incremental vectorized ACO consolidating a larger fleet."""
+    """Warm-started incremental ACO consolidating a larger fleet."""
     return ScenarioSpec(
         name="consolidation-at-scale",
         description=(
-            "Periodic consolidation on a 48-host fleet driven by the "
-            "vectorized ACO: batched ant kernels re-pack only the hosts "
+            "Periodic consolidation on a 48-host fleet driven by incremental "
+            "ACO: batched ant kernels re-pack only the hosts "
             "whose VM set or load changed since the last plan, warm-started "
             "from the previous plan's persisted pheromone summary."
         ),
@@ -307,7 +307,7 @@ def _consolidation_at_scale() -> ScenarioSpec:
         policies={
             "placement": {"name": "best-fit"},
             "reconfiguration": {
-                "name": "aco-vectorized",
+                "name": "aco",
                 "n_ants": 6,
                 "n_cycles": 10,
                 "warm_start": True,

@@ -18,7 +18,7 @@ on a laptop.
 
 from repro.simulation.engine import Event, EventCancelled, Simulator, SimulationError
 from repro.simulation.process import Process, ProcessKilled, sleep, wait
-from repro.simulation.timers import PeriodicTimer, Timeout
+from repro.simulation.timers import PeriodicTimer
 from repro.simulation.randomness import RandomRouter
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "sleep",
     "wait",
     "PeriodicTimer",
-    "Timeout",
     "RandomRouter",
 ]

@@ -6,9 +6,10 @@ patterns:
 * every Local Controller owns its own :class:`~repro.simulation.timers.PeriodicTimer`
   per periodic duty (monitoring tick, heartbeat send) -- thousands of heap
   events per interval that all fire at the same instants;
-* every heartbeat *restarts* a :class:`~repro.simulation.timers.Timeout`
-  (cancel + push), so a healthy fleet churns the heap at heartbeat rate for
-  deadlines that almost never expire.
+* a failure detector built as one heap event per deadline (the per-entry
+  ``Timeout`` kept as the oracle in ``tests/scalar_timeout.py``) is
+  *restarted* by every heartbeat (cancel + push), so a healthy fleet churns
+  the heap at heartbeat rate for deadlines that almost never expire.
 
 This module replaces both patterns without changing observable behaviour:
 
@@ -24,7 +25,7 @@ This module replaces both patterns without changing observable behaviour:
     a liveness bitmap plus a float64 deadline array with **one** pending
     simulator event at the earliest armed deadline.  Restarting a deadline is
     an O(1) array write; expiries fire at exactly the same simulated time a
-    per-entry :class:`Timeout` would have fired, tie-broken by restart order.
+    per-entry ``Timeout`` would have fired, tie-broken by restart order.
     Deadline *extensions* are lazy: the pending event fires, finds nothing
     due, and re-arms at the new minimum.
 
@@ -184,7 +185,7 @@ class CoalescedTicker:
 
 
 class DeadlineHandle:
-    """A restartable deadline inside a :class:`DeadlineTable` (quacks like Timeout)."""
+    """A restartable deadline inside a :class:`DeadlineTable` (quacks like the per-entry ``Timeout`` oracle)."""
 
     __slots__ = ("table", "index", "generation")
 

@@ -1,14 +1,11 @@
-"""Periodic timers and timeouts.
+"""Periodic timers.
 
-Heartbeats, monitoring intervals, reconfiguration periods and failure
-detection timeouts all reduce to two primitives:
-
-* :class:`PeriodicTimer` -- fire a callback every ``interval`` seconds until
-  stopped (optionally with random jitter so that thousands of Local
-  Controllers do not all send heartbeats in the same microsecond, which is
-  also what happens on a real cluster).
-* :class:`Timeout` -- a restartable one-shot deadline; restarting it models a
-  failure detector that is reset whenever a heartbeat arrives.
+Heartbeats, monitoring intervals and reconfiguration periods reduce to one
+primitive, :class:`PeriodicTimer`: fire a callback every ``interval`` seconds
+until stopped (optionally with random jitter so that thousands of Local
+Controllers do not all send heartbeats in the same microsecond, which is also
+what happens on a real cluster).  Restartable failure-detection deadlines live
+in :class:`~repro.simulation.batch.DeadlineTable`.
 """
 
 from __future__ import annotations
@@ -79,57 +76,3 @@ class PeriodicTimer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"
         return f"<PeriodicTimer {self.name} every {self.interval}s {state}>"
-
-
-class Timeout:
-    """A restartable deadline used for failure detection.
-
-    ``Timeout(sim, 5.0, on_expire)`` arms a 5 second deadline.  Calling
-    :meth:`restart` (e.g. whenever a heartbeat is received) pushes the
-    deadline back; if it is ever allowed to elapse, ``on_expire`` runs once.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        duration: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        auto_start: bool = True,
-    ) -> None:
-        if duration <= 0:
-            raise SimulationError(f"timeout duration must be positive, got {duration}")
-        self.sim = sim
-        self.duration = float(duration)
-        self.callback = callback
-        self.args = args
-        self.expired = False
-        self._pending: Optional[Event] = None
-        if auto_start:
-            self.restart()
-
-    @property
-    def armed(self) -> bool:
-        """True if the deadline is currently counting down."""
-        return self._pending is not None and self._pending.pending
-
-    def restart(self, duration: Optional[float] = None) -> None:
-        """(Re-)arm the deadline ``duration`` (default: original duration) from now."""
-        if duration is not None:
-            if duration <= 0:
-                raise SimulationError("timeout duration must be positive")
-            self.duration = float(duration)
-        self.cancel()
-        self.expired = False
-        self._pending = self.sim.schedule(self.duration, self._expire)
-
-    def cancel(self) -> None:
-        """Disarm without firing."""
-        if self._pending is not None and self._pending.pending:
-            self._pending.cancel()
-        self._pending = None
-
-    def _expire(self) -> None:
-        self.expired = True
-        self._pending = None
-        self.callback(*self.args)

@@ -101,7 +101,9 @@ def _policy_matrix() -> SweepSpec:
     """Every placement policy crossed with every reconfiguration policy."""
     # The matrix is built from the live registry, so newly registered policies
     # join the sweep automatically.  ACO-family cells get small colony sizes to
-    # keep each cell a sub-second run.
+    # keep each cell a sub-second run.  (One reconfiguration column fewer than
+    # before `aco-vectorized` folded into `aco`: reports are not comparable
+    # cell-for-cell across that change.)
     tuned_params: Dict[str, Dict[str, object]] = {
         "aco": {"n_ants": 4, "n_cycles": 8},
         "distributed-aco": {"n_partitions": 2, "n_ants": 4, "n_cycles": 8},

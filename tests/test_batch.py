@@ -10,7 +10,8 @@ import pytest
 
 from repro.simulation.batch import CoalescedTicker, DeadlineTable
 from repro.simulation.engine import SimulationError
-from repro.simulation.timers import PeriodicTimer, Timeout
+from repro.simulation.timers import PeriodicTimer
+from tests.scalar_timeout import Timeout
 
 
 class TestCoalescedTicker:

@@ -1,15 +1,20 @@
-"""Tests for the vectorized ACO: batched kernels, colonies, warm start, bounds."""
+"""Tests for the ACO colony kernel: batched ants, colonies, warm start, bounds.
+
+Packing quality is asserted against the scalar per-ant loop kept as the oracle
+in ``tests/scalar_aco.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import ACOConsolidation, PheromoneSummary, VectorizedACOConsolidation
+from repro.core import ACOConsolidation, PheromoneSummary
 from repro.core.aco import ACOParameters
 from repro.core.base import lower_bound_hosts
 from repro.core.placement import PlacementError
 from repro.workloads import UniformDemandDistribution, consolidation_instance
+from tests.scalar_aco import ScalarACOConsolidation
 
 
 def make_instance(n_vms=60, seed=0):
@@ -25,19 +30,19 @@ def make_instance(n_vms=60, seed=0):
 class TestVectorizedACO:
     def test_produces_feasible_complete_placement(self):
         demands, capacities = make_instance()
-        result = VectorizedACOConsolidation(rng=np.random.default_rng(0)).solve(
+        result = ACOConsolidation(rng=np.random.default_rng(0)).solve(
             demands, capacities
         )
         assert result.feasible
         assert result.placement.fully_assigned
-        assert result.algorithm == "aco-vectorized"
+        assert result.algorithm == "aco"
         assert result.hosts_used >= lower_bound_hosts(demands, capacities)
 
     def test_feasible_across_seeds_and_sizes(self):
         """Property sweep: every constructed plan respects every capacity."""
         for n_vms, seed in [(10, 0), (40, 1), (90, 2), (150, 3)]:
             demands, capacities = make_instance(n_vms, seed=seed)
-            result = VectorizedACOConsolidation(
+            result = ACOConsolidation(
                 ACOParameters(n_ants=4, n_cycles=6), rng=np.random.default_rng(seed)
             ).solve(demands, capacities)
             assert result.feasible
@@ -50,23 +55,23 @@ class TestVectorizedACO:
         params = ACOParameters(n_ants=6, n_cycles=15)
         for seed in range(5):
             demands, capacities = make_instance(50, seed=seed)
-            scalar = ACOConsolidation(params, rng=np.random.default_rng(seed)).solve(
+            scalar = ScalarACOConsolidation(params, rng=np.random.default_rng(seed)).solve(
                 demands, capacities
             )
-            vectorized = VectorizedACOConsolidation(
-                params, rng=np.random.default_rng(seed)
-            ).solve(demands, capacities)
-            assert vectorized.hosts_used <= scalar.hosts_used
+            batched = ACOConsolidation(params, rng=np.random.default_rng(seed)).solve(
+                demands, capacities
+            )
+            assert batched.hosts_used <= scalar.hosts_used
 
     def test_deterministic_given_rng(self):
         demands, capacities = make_instance(40, seed=4)
-        a = VectorizedACOConsolidation(rng=np.random.default_rng(7)).solve(demands, capacities)
-        b = VectorizedACOConsolidation(rng=np.random.default_rng(7)).solve(demands, capacities)
+        a = ACOConsolidation(rng=np.random.default_rng(7)).solve(demands, capacities)
+        b = ACOConsolidation(rng=np.random.default_rng(7)).solve(demands, capacities)
         assert np.array_equal(a.placement.assignment, b.placement.assignment)
 
     def test_history_is_monotone_non_increasing(self):
         demands, capacities = make_instance(40, seed=5)
-        result = VectorizedACOConsolidation(rng=np.random.default_rng(1)).solve(
+        result = ACOConsolidation(rng=np.random.default_rng(1)).solve(
             demands, capacities
         )
         assert result.history == sorted(result.history, reverse=True)
@@ -75,10 +80,10 @@ class TestVectorizedACO:
         """Seeds are spawned before the fan-out, so jobs=1 and jobs=2 agree."""
         demands, capacities = make_instance(40, seed=6)
         params = ACOParameters(n_ants=4, n_cycles=6)
-        serial = VectorizedACOConsolidation(
+        serial = ACOConsolidation(
             params, rng=np.random.default_rng(3), n_colonies=3, jobs=1
         ).solve(demands, capacities)
-        parallel = VectorizedACOConsolidation(
+        parallel = ACOConsolidation(
             params, rng=np.random.default_rng(3), n_colonies=3, jobs=2
         ).solve(demands, capacities)
         assert np.array_equal(serial.placement.assignment, parallel.placement.assignment)
@@ -87,7 +92,7 @@ class TestVectorizedACO:
 
     def test_multiple_colonies_never_worse_than_their_best(self):
         demands, capacities = make_instance(50, seed=7)
-        result = VectorizedACOConsolidation(
+        result = ACOConsolidation(
             ACOParameters(n_ants=4, n_cycles=8), rng=np.random.default_rng(9), n_colonies=4
         ).solve(demands, capacities)
         assert result.extra["n_colonies"] == 4
@@ -97,7 +102,7 @@ class TestVectorizedACO:
     def test_stops_at_lower_bound(self):
         demands = np.array([[0.5, 0.5], [0.5, 0.5]])
         capacities = np.tile([1.0, 1.0], (3, 1))
-        result = VectorizedACOConsolidation(
+        result = ACOConsolidation(
             ACOParameters(n_ants=4, n_cycles=50), rng=np.random.default_rng(0)
         ).solve(demands, capacities)
         assert result.hosts_used == 1
@@ -105,7 +110,7 @@ class TestVectorizedACO:
 
     def test_empty_instance(self):
         capacities = np.tile([1.0, 1.0], (2, 1))
-        result = VectorizedACOConsolidation(rng=np.random.default_rng(0)).solve(
+        result = ACOConsolidation(rng=np.random.default_rng(0)).solve(
             np.empty((0, 2)), capacities
         )
         assert result.hosts_used == 0
@@ -114,18 +119,18 @@ class TestVectorizedACO:
         demands = np.tile([0.9, 0.9], (3, 1))
         capacities = np.tile([1.0, 1.0], (2, 1))
         with pytest.raises(PlacementError):
-            VectorizedACOConsolidation(rng=np.random.default_rng(0)).solve(demands, capacities)
+            ACOConsolidation(rng=np.random.default_rng(0)).solve(demands, capacities)
 
     def test_invalid_colony_and_jobs_counts_rejected(self):
         with pytest.raises(ValueError):
-            VectorizedACOConsolidation(n_colonies=0)
+            ACOConsolidation(n_colonies=0)
         with pytest.raises(ValueError):
-            VectorizedACOConsolidation(jobs=0)
+            ACOConsolidation(jobs=0)
 
     def test_mismatched_initial_pheromone_shape_rejected(self):
         demands, capacities = make_instance(10, seed=8)
         with pytest.raises(PlacementError):
-            VectorizedACOConsolidation(rng=np.random.default_rng(0)).solve(
+            ACOConsolidation(rng=np.random.default_rng(0)).solve(
                 demands, capacities, initial_pheromone=np.ones((3, 3))
             )
 
@@ -156,7 +161,7 @@ class TestPheromoneBounds:
 
     def test_vectorized_pheromone_strictly_inside_band_at_500_vms(self):
         demands, capacities = self.large_instance()
-        result = VectorizedACOConsolidation(self.PARAMS, rng=np.random.default_rng(2)).solve(
+        result = ACOConsolidation(self.PARAMS, rng=np.random.default_rng(2)).solve(
             demands, capacities
         )
         assert result.extra["pheromone_max"] < self.PARAMS.tau_max
@@ -164,7 +169,7 @@ class TestPheromoneBounds:
 
     def test_scalar_pheromone_strictly_inside_band_at_500_vms(self):
         demands, capacities = self.large_instance()
-        result = ACOConsolidation(self.PARAMS, rng=np.random.default_rng(2)).solve(
+        result = ScalarACOConsolidation(self.PARAMS, rng=np.random.default_rng(2)).solve(
             demands, capacities
         )
         assert result.extra["pheromone_max"] < self.PARAMS.tau_max
@@ -193,7 +198,7 @@ class TestWarmStart:
         """A strongly-boosted trail makes the greedy anchor rebuild the plan."""
         demands, capacities = make_instance(40, seed=10)
         params = ACOParameters(n_ants=4, n_cycles=10)
-        cold = VectorizedACOConsolidation(params, rng=np.random.default_rng(5)).solve(
+        cold = ACOConsolidation(params, rng=np.random.default_rng(5)).solve(
             demands, capacities
         )
         summary = PheromoneSummary(
@@ -203,7 +208,7 @@ class TestWarmStart:
         initial = summary.matrix(
             list(range(demands.shape[0])), list(range(capacities.shape[0])), params
         )
-        warm = VectorizedACOConsolidation(params, rng=np.random.default_rng(6)).solve(
+        warm = ACOConsolidation(params, rng=np.random.default_rng(6)).solve(
             demands, capacities, initial_pheromone=initial
         )
         assert warm.extra["warm_started"]
@@ -215,7 +220,7 @@ class TestWarmStart:
         demands, capacities = make_instance(20, seed=11)
         params = ACOParameters(n_ants=2, n_cycles=1, stop_at_lower_bound=False)
         hot = np.full((demands.shape[0], capacities.shape[0]), 50.0)
-        result = VectorizedACOConsolidation(params, rng=np.random.default_rng(1)).solve(
+        result = ACOConsolidation(params, rng=np.random.default_rng(1)).solve(
             demands, capacities, initial_pheromone=hot
         )
         assert result.extra["pheromone_max"] <= params.tau_max + 1e-9

@@ -187,6 +187,31 @@ class TestACO:
         with pytest.raises(PlacementError):
             ACOConsolidation(rng=np.random.default_rng(0)).solve(demands, capacities)
 
+    def test_ants_that_run_out_of_hosts_are_dropped_not_fatal(self):
+        """Four 0.6s and four 0.4s fit four unit hosts only as 0.6+0.4 pairs:
+        an ant that opens a host with two 0.4s runs out of hosts.  It leaves
+        its cycle; the colony keeps the ants that finished."""
+        demands = np.array([[0.6, 0.6], [0.4, 0.4]] * 4)
+        capacities = np.tile([1.0, 1.0], (4, 1))
+        for stop_at_lower_bound in (True, False):  # False: the stochastic cycles run too
+            result = ACOConsolidation(
+                ACOParameters(stop_at_lower_bound=stop_at_lower_bound),
+                rng=np.random.default_rng(0),
+            ).solve(demands, capacities)
+            assert result.feasible and result.placement.fully_assigned
+            assert result.hosts_used == 4
+
+    def test_solves_with_exactly_the_hosts_ffd_needs(self):
+        """A feasible-but-tight instance (no spare host) is solved, not aborted."""
+        demands = UniformDemandDistribution(0.1, 0.5, dimensions=("cpu", "memory")).sample(
+            14, np.random.default_rng(4)
+        )
+        ffd_hosts = FirstFitDecreasing().solve(demands, np.tile([1.0, 1.0], (14, 1))).hosts_used
+        capacities = np.tile([1.0, 1.0], (ffd_hosts, 1))
+        result = ACOConsolidation(rng=np.random.default_rng(4)).solve(demands, capacities)
+        assert result.feasible and result.placement.fully_assigned
+        assert result.hosts_used <= ffd_hosts
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ACOParameters(n_ants=0)

@@ -122,16 +122,16 @@ class TestDistributedACO:
         assert serial.extra["partition_hosts_used"] == parallel.extra["partition_hosts_used"]
 
     def test_vectorized_partitions_feasible_and_deterministic(self):
+        """Every partition runs the batched colony kernel (there is no other)."""
         demands, capacities = make_instance(60, seed=14)
         params = ACOParameters(n_ants=4, n_cycles=6)
         a = DistributedACOConsolidation(
-            n_partitions=3, parameters=params, rng=np.random.default_rng(5), vectorized=True
+            n_partitions=3, parameters=params, rng=np.random.default_rng(5)
         ).solve(demands, capacities)
         b = DistributedACOConsolidation(
-            n_partitions=3, parameters=params, rng=np.random.default_rng(5), vectorized=True
+            n_partitions=3, parameters=params, rng=np.random.default_rng(5)
         ).solve(demands, capacities)
         assert a.feasible
-        assert a.extra["vectorized"] is True
         assert np.array_equal(a.placement.assignment, b.placement.assignment)
 
     def test_invalid_jobs_rejected(self):

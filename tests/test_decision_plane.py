@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import NodeState
-from repro.core.aco_vectorized import VectorizedACOConsolidation
-from repro.core.aco import ACOParameters
+from repro.core.aco import ACOConsolidation, ACOParameters
 from repro.core.placement import placement_from_nodes, placement_from_view
 from repro.policies.placement import (
     BestFitPlacement,
@@ -208,7 +207,7 @@ class TestPlacementFromView:
 
         def make_policy():
             return ReconfigurationPolicy(
-                algorithm=VectorizedACOConsolidation(
+                algorithm=ACOConsolidation(
                     ACOParameters(n_ants=4, n_cycles=6),
                     rng=np.random.default_rng(123),
                 )

@@ -13,6 +13,7 @@ from repro.energy.power_manager import PowerManagerConfig
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
 from repro.workloads import (
     BatchArrival,
+    ConstantTrace,
     PoissonArrival,
     SpikeTrace,
     UniformDemandDistribution,
@@ -198,6 +199,58 @@ class TestReconfiguration:
         assert system.migration_executor.stats.completed >= 1
         leader = system.leader()
         assert leader.reconfiguration_rounds >= 1
+
+
+    def test_tight_group_keeps_its_placement(self):
+        """Six full hosts that only re-pack as {.5,.5} + 5 x {.4,.3,.3}: the one
+        ant of the one cycle runs out of hosts (it pairs the .4s), so the round
+        ends with the fail-safe plan instead of PlacementError escaping the
+        Group Manager's reconfiguration timer and killing the run."""
+        config = HierarchyConfig(
+            seed=2,
+            monitoring_interval=10.0,
+            relocation_enabled=False,
+            reconfiguration_interval=100.0,
+            policies={
+                "placement": {"name": "first-fit"},
+                "reconfiguration": {
+                    "name": "aco",
+                    "n_ants": 1,
+                    "n_cycles": 1,
+                    "include_overloaded": True,
+                },
+            },
+        )
+        system = SnoozeSystem(
+            SystemSpec(local_controllers=6, group_managers=1), config=config, seed=2
+        )
+        system.start()
+        vms = []
+        for size in [0.5, 0.5] + [0.4, 0.3, 0.3] * 5:
+            vm = VirtualMachine(ResourceVector([size, size, size]), trace=ConstantTrace(1.0))
+            vms.append(vm)
+            system.client.submit(vm)
+            system.run(5.0)  # one at a time: first-fit fills the hosts in order
+        system.run(30.0)
+        before = {vm.vm_id: vm.host_id for vm in vms}
+        assert None not in before.values() and system.active_host_count() == 6
+
+        (manager,) = system.group_managers.values()
+        plans = []
+        plan = manager.reconfiguration_policy.plan
+
+        def recording_plan(nodes, view=None):
+            plans.append(plan(nodes, view=view))
+            return plans[-1]
+
+        manager.reconfiguration_policy.plan = recording_plan
+        system.run(400.0)
+        assert manager.reconfiguration_rounds >= 2
+        assert plans and all(
+            p.empty and p.reason.endswith("keeping current placement") for p in plans
+        )
+        assert {vm.vm_id: vm.host_id for vm in vms} == before
+        assert system.migration_executor.stats.completed == 0
 
 
 class TestEnergyManagement:

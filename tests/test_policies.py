@@ -68,7 +68,6 @@ class TestRegistry:
         }
         assert set(policy_names("reconfiguration")) == {
             "aco",
-            "aco-vectorized",
             "distributed-aco",
             "ffd",
             "bfd",
@@ -78,6 +77,11 @@ class TestRegistry:
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ValueError, match=r"best-fit.*first-fit"):
             make_policy("placement", "nope")
+        # Removed spellings fail like any other unknown name / parameter.
+        with pytest.raises(ValueError, match=r"aco.*distributed-aco"):
+            make_policy("reconfiguration", "aco-vectorized")
+        with pytest.raises(ValueError, match="n_partitions"):
+            make_policy("reconfiguration", "distributed-aco", vectorized=True)
 
     def test_unknown_kind_lists_kinds(self):
         with pytest.raises(ValueError, match="placement"):

@@ -8,8 +8,9 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.aco_vectorized import VectorizedACOConsolidation
+from repro.core.base import ConsolidationAlgorithm
 from repro.core.ffd import FirstFitDecreasing
+from repro.core.placement import PlacementError
 from repro.monitoring.summary import GroupManagerSummary
 from repro.policies import (
     BestFitPlacement,
@@ -322,6 +323,21 @@ class TestReconfiguration:
         plan = policy.plan(nodes)
         assert plan.hosts_after <= plan.hosts_before
 
+    def test_no_placement_found_keeps_the_current_one(self):
+        """A search that ends with no complete assignment is a fail-safe empty
+        plan, not an exception out of the caller's timer."""
+
+        class NoPlacement(ConsolidationAlgorithm):
+            name = "no-placement"
+
+            def solve(self, demands, capacities):
+                raise PlacementError("no ant completed an assignment")
+
+        plan = ReconfigurationPolicy(algorithm=NoPlacement()).plan(self.spread_out_cluster())
+        assert plan.empty and not plan.released_nodes
+        assert plan.hosts_after == plan.hosts_before == 4
+        assert plan.reason.endswith("keeping current placement")
+
     def test_max_migrations_cap(self):
         nodes = self.spread_out_cluster(vms_per_node=2)
         policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing(), max_migrations=1)
@@ -362,7 +378,7 @@ class TestWarmStartReconfiguration:
 
     def make_policy(self, **kwargs):
         return ReconfigurationPolicy(
-            algorithm=VectorizedACOConsolidation(
+            algorithm=ACOConsolidation(
                 ACOParameters(n_ants=4, n_cycles=8), rng=np.random.default_rng(0)
             ),
             **kwargs,
