@@ -1,1031 +1,44 @@
 """``repro-sim``: the command-line entry point.
 
-Sub-commands
-------------
-
-``repro-sim consolidate``
-    Run the consolidation algorithms (ACO / FFD / BFD / optional exact
-    optimum) on a synthetic instance and print the comparison table -- the CLI
-    version of experiment E1/E2.
-
-``repro-sim simulate``
-    Build a Snooze deployment, submit a batch of VMs, optionally inject a
-    Group Leader failure, and print the resulting statistics and hierarchy
-    organization -- the CLI version of the Section II evaluation.
-
-``repro-sim hierarchy``
-    Build and start a deployment, then print the hierarchy organization
-    (which GM leads, which LCs each GM manages), the CLI's equivalent of the
-    paper's "live visualizing and exporting of the hierarchy organization".
-
-``repro-sim scenario``
-    List, describe and run the declarative scenario catalog
-    (:mod:`repro.scenarios`): ``scenario list``, ``scenario describe <name>``,
-    ``scenario run <name> [--seed N] [--duration S] [--json]
-    [--policy kind=name ...] [--trace PATH] [--metrics-out PATH]``.
-
-``repro-sim policy``
-    Introspect the unified policy registry (:mod:`repro.policies`):
-    ``policy list`` enumerates every registered policy of every kind;
-    ``policy describe <kind> <name>`` prints one policy's parameter schema.
-
-``repro-sim obs``
-    Inspect observability exports: ``obs summarize <trace.json>`` aggregates a
-    Chrome trace-event file written by ``scenario run --trace`` into per-span
-    statistics.
-
-``repro-sim sweep``
-    List, describe, run, distribute and analyze declarative experiment grids
-    (:mod:`repro.sweeps`): ``sweep list``, ``sweep describe <name>``,
-    ``sweep run <name> [--jobs N | --runners N] [--json]
-    [--policy kind=name ...] [--duration S] [--output PATH] [--csv PATH]``,
-    ``sweep serve <name> [--host H] [--port P] [--port-file PATH]``,
-    ``sweep work --connect HOST:PORT``, and
-    ``sweep analyze <report.json> [--objectives a,b,c]`` for Pareto fronts.
-
-``repro-sim megafleet``
-    List and run the warehouse-scale fleet catalog (:mod:`repro.megafleet`)
-    on the sharded lockstep engine: ``megafleet list``, ``megafleet run
-    <name> [--seed N] [--shards K] [--jobs N] [--duration S] [--json]``
-    (byte-identical results for any shards/jobs count).
+One module per command, each exposing ``register(subparsers)``:
+:mod:`~repro.cli.deployment` (``consolidate`` / ``simulate`` / ``hierarchy``),
+:mod:`~repro.cli.scenario`, :mod:`~repro.cli.policy`, :mod:`~repro.cli.obs`,
+:mod:`~repro.cli.sweep` and :mod:`~repro.cli.megafleet`.  A multi-action
+command is one nested sub-parser per action, so a flag or positional exists
+only on the actions that take it -- argparse rejects it everywhere else, and
+``repro-sim <command> <action> --help`` lists exactly what applies.  What the
+handlers share lives in :mod:`repro.cli.common`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core import ACOConsolidation, BestFitDecreasing, BranchAndBoundOptimal, FirstFitDecreasing
-from repro.core.aco import ACOParameters
-from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
-from repro.megafleet import get_megafleet, megafleet_names, run_megafleet
-from repro.metrics.report import ComparisonTable
-from repro.policies import get_policy_spec, iter_policy_specs
-from repro.policies.registry import merge_policy_selections
-from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, iter_scenarios
-from repro.simulation.randomness import spawn_generator
-from repro.sweeps import SweepReport, SweepSpec, get_sweep, iter_sweeps, run_sweep
-from repro.workloads import (
-    BatchArrival,
-    UniformDemandDistribution,
-    WorkloadGenerator,
-    consolidation_instance,
-)
-from repro.workloads.distributions import make_distribution
+from repro.cli import deployment, megafleet, obs, policy, scenario, sweep
+from repro.cli.common import CliError
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sim",
         description="Snooze reproduction: energy-aware cloud management simulator",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    consolidate = subparsers.add_parser(
-        "consolidate", help="compare consolidation algorithms on a synthetic instance"
-    )
-    consolidate.add_argument("--vms", type=int, default=50, help="number of VMs to pack")
-    consolidate.add_argument("--seed", type=int, default=0, help="random seed")
-    consolidate.add_argument(
-        "--distribution",
-        default="uniform",
-        choices=["uniform", "normal", "correlated", "heavytail"],
-        help="VM demand distribution",
-    )
-    consolidate.add_argument(
-        "--optimal", action="store_true", help="also run the exact branch-and-bound solver"
-    )
-    consolidate.add_argument("--ants", type=int, default=8, help="ACO: ants per cycle")
-    consolidate.add_argument("--cycles", type=int, default=30, help="ACO: number of cycles")
-
-    simulate = subparsers.add_parser("simulate", help="run a Snooze deployment scenario")
-    simulate.add_argument("--lcs", type=int, default=16, help="number of local controllers")
-    simulate.add_argument("--gms", type=int, default=2, help="number of group managers")
-    simulate.add_argument("--vms", type=int, default=32, help="number of VMs to submit")
-    simulate.add_argument("--duration", type=float, default=600.0, help="simulated seconds to run")
-    simulate.add_argument("--seed", type=int, default=0, help="random seed")
-    simulate.add_argument(
-        "--energy", action="store_true", help="enable idle-host power management"
-    )
-    simulate.add_argument(
-        "--kill-leader",
-        action="store_true",
-        help="inject a Group Leader failure halfway through the run",
-    )
-
-    hierarchy = subparsers.add_parser("hierarchy", help="print the hierarchy organization")
-    hierarchy.add_argument("--lcs", type=int, default=8, help="number of local controllers")
-    hierarchy.add_argument("--gms", type=int, default=2, help="number of group managers")
-    hierarchy.add_argument("--seed", type=int, default=0, help="random seed")
-
-    scenario = subparsers.add_parser(
-        "scenario", help="list, describe and run declarative catalog scenarios"
-    )
-    scenario.add_argument("action", choices=["list", "describe", "run"], help="what to do")
-    scenario.add_argument("name", nargs="?", help="scenario name (for describe/run)")
-    scenario.add_argument("--seed", type=int, default=0, help="random seed")
-    scenario.add_argument(
-        "--duration", type=float, default=None, help="override the simulated duration (seconds)"
-    )
-    scenario.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON instead of tables"
-    )
-    scenario.add_argument(
-        "--policy",
-        action="append",
-        default=[],
-        metavar="KIND=NAME",
-        help=(
-            "override a policy selection for the run (repeatable), e.g. "
-            "--policy placement=best-fit --policy reconfiguration=aco"
-        ),
-    )
-    scenario.add_argument(
-        "--trace",
-        metavar="PATH",
-        help=(
-            "enable tracing and write the run's causal trace to PATH as "
-            "Chrome trace-event JSON (open in Perfetto / chrome://tracing)"
-        ),
-    )
-    scenario.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help=(
-            "enable metrics and write the run's metric dump to PATH "
-            "(Prometheus text when PATH ends in .prom, canonical JSON otherwise)"
-        ),
-    )
-
-    obs = subparsers.add_parser(
-        "obs", help="inspect observability exports (trace files)"
-    )
-    obs.add_argument("action", choices=["summarize"], help="what to do")
-    obs.add_argument("path", help="a Chrome trace-event JSON file written by scenario run --trace")
-    obs.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON instead of tables"
-    )
-
-    policy = subparsers.add_parser(
-        "policy", help="introspect the unified policy registry"
-    )
-    policy.add_argument("action", choices=["list", "describe"], help="what to do")
-    policy.add_argument(
-        "kind", nargs="?", help="policy kind (filter for list, required for describe)"
-    )
-    policy.add_argument("name", nargs="?", help="policy name (for describe)")
-    policy.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON instead of tables"
-    )
-
-    sweep = subparsers.add_parser(
-        "sweep", help="list, describe, run, distribute and analyze experiment grids"
-    )
-    sweep.add_argument(
-        "action",
-        choices=["list", "describe", "run", "serve", "work", "analyze"],
-        help=(
-            "list/describe/run the catalog; serve a grid to work-pulling "
-            "runners; work as a runner; analyze a report file (Pareto fronts)"
-        ),
-    )
-    sweep.add_argument(
-        "name",
-        nargs="?",
-        help="sweep name (describe/run/serve) or report JSON path (analyze)",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "parallel worker processes for sweep run "
-            "(default 1 = serial; the report is identical either way)"
-        ),
-    )
-    sweep.add_argument(
-        "--runners",
-        type=int,
-        default=None,
-        help=(
-            "for sweep run: execute on N loopback runner subprocesses via the "
-            "distributed coordinator (the report is identical to --jobs runs)"
-        ),
-    )
-    sweep.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="for sweep work: the coordinator address to pull cells from",
-    )
-    sweep.add_argument(
-        "--host",
-        default="0.0.0.0",
-        help="for sweep serve: bind address (default 0.0.0.0)",
-    )
-    sweep.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="for sweep serve: bind port (default 0 = pick a free port)",
-    )
-    sweep.add_argument(
-        "--port-file",
-        metavar="PATH",
-        help="for sweep serve: write the bound port to PATH once listening",
-    )
-    sweep.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help=(
-            "for sweep serve/run --runners: seconds a granted cell may go "
-            "without a heartbeat before it is reclaimed and retried"
-        ),
-    )
-    sweep.add_argument(
-        "--objectives",
-        metavar="A,B,C",
-        default=None,
-        help=(
-            "for sweep analyze: comma-separated metrics to minimize "
-            "(default energy_kwh,sla_violations,migrations)"
-        ),
-    )
-    sweep.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON instead of tables"
-    )
-    sweep.add_argument(
-        "--policy",
-        action="append",
-        default=[],
-        metavar="KIND=NAME",
-        help=(
-            "force a policy selection across every cell of the grid "
-            "(repeatable), e.g. --policy placement=best-fit"
-        ),
-    )
-    sweep.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="override the simulated duration of every run (seconds)",
-    )
-    sweep.add_argument("--output", metavar="PATH", help="also write the JSON report to PATH")
-    sweep.add_argument("--csv", metavar="PATH", help="also write the CSV report to PATH")
-
-    megafleet = subparsers.add_parser(
-        "megafleet", help="list and run warehouse-scale fleets (sharded lockstep engine)"
-    )
-    megafleet.add_argument("action", choices=["list", "run"], help="what to do")
-    megafleet.add_argument("name", nargs="?", help="fleet name (for run)")
-    megafleet.add_argument("--seed", type=int, default=0, help="random seed")
-    megafleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="lockstep shards (results are identical for any count)",
-    )
-    megafleet.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel worker processes advancing the shards (default 1 = serial)",
-    )
-    megafleet.add_argument(
-        "--duration", type=float, default=None, help="override the simulated duration (seconds)"
-    )
-    megafleet.add_argument(
-        "--json", action="store_true", help="emit the canonical JSON result instead of tables"
-    )
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for module in (deployment, scenario, policy, obs, sweep, megafleet):
+        module.register(subparsers)
     return parser
-
-
-# ---------------------------------------------------------------- consolidate
-def _run_consolidate(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    distribution = make_distribution(args.distribution, dimensions=("cpu", "memory"))
-    demands, capacities = consolidation_instance(
-        args.vms, rng, demand_distribution=distribution, host_capacity=(1.0, 1.0)
-    )
-    table = ComparisonTable(f"Consolidation comparison ({args.vms} VMs, seed {args.seed})")
-    algorithms = [
-        FirstFitDecreasing(),
-        BestFitDecreasing(),
-        ACOConsolidation(
-            ACOParameters(n_ants=args.ants, n_cycles=args.cycles),
-            # A spawned child of the workload seed: decorrelated from the
-            # instance stream without seed+1 arithmetic.
-            rng=spawn_generator(args.seed, 1),
-        ),
-    ]
-    if args.optimal:
-        algorithms.append(BranchAndBoundOptimal())
-    for algorithm in algorithms:
-        result = algorithm.solve(demands, capacities)
-        table.add_row(
-            algorithm=result.algorithm,
-            hosts_used=result.hosts_used,
-            utilization=round(result.placement.average_utilization(), 4),
-            runtime_s=round(result.runtime_seconds, 4),
-            optimal=result.proved_optimal,
-        )
-    table.print()
-    return 0
-
-
-# ------------------------------------------------------------------- simulate
-def _run_simulate(args: argparse.Namespace) -> int:
-    config = HierarchyConfig(seed=args.seed)
-    config.power_manager.enabled = args.energy
-    system = SnoozeSystem(
-        SystemSpec(local_controllers=args.lcs, group_managers=args.gms),
-        config=config,
-        seed=args.seed,
-    )
-    system.start()
-    generator = WorkloadGenerator(
-        UniformDemandDistribution(0.1, 0.4), BatchArrival(0.0)
-    )
-    requests = generator.generate(args.vms, np.random.default_rng(args.seed))
-    system.submit_requests(requests)
-    if args.kill_leader:
-        system.run(args.duration / 2)
-        killed = system.kill_group_leader()
-        print(f"[t={system.sim.now:.1f}s] injected Group Leader failure: {killed}")
-        system.run(args.duration / 2)
-    else:
-        system.run(args.duration)
-    stats = system.stats()
-    table = ComparisonTable("Deployment statistics")
-    for key, value in stats.items():
-        if key == "network":
-            continue
-        table.add_row(metric=key, value=value)
-    table.print()
-    report = system.energy_report()
-    print(
-        f"Energy: {report.total_energy_kwh:.3f} kWh over {report.horizon_seconds / 3600:.2f} h "
-        f"(avg {report.average_power_watts():.0f} W)"
-    )
-    return 0
-
-
-# ------------------------------------------------------------------ hierarchy
-def _render_hierarchy(system: SnoozeSystem) -> str:
-    snapshot = system.hierarchy_snapshot()
-    lines = [f"Group Leader: {snapshot['leader']}"]
-    for gm_name, info in sorted(snapshot["group_managers"].items()):
-        marker = " (leader)" if info.get("is_leader") else ""
-        lines.append(f"  GM {gm_name}{marker} [{info['state']}]")
-        for lc_name in info.get("local_controllers", []):
-            lc = system.local_controllers[lc_name]
-            lines.append(
-                f"    LC {lc_name} node={lc.node.node_id} vms={lc.node.vm_count} "
-                f"util={lc.node.utilization():.2f}"
-            )
-    return "\n".join(lines)
-
-
-def _run_hierarchy(args: argparse.Namespace) -> int:
-    system = SnoozeSystem(
-        SystemSpec(local_controllers=args.lcs, group_managers=args.gms), seed=args.seed
-    )
-    system.start()
-    print(_render_hierarchy(system))
-    return 0
-
-
-# --------------------------------------------------------------------- policy
-def _run_policy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.action == "list":
-        if args.name is not None:
-            parser.error("policy list takes at most a kind filter (did you mean describe?)")
-        try:
-            specs = list(iter_policy_specs(args.kind))
-        except ValueError as exc:  # unknown kind filter
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps([spec.describe() for spec in specs], indent=2))
-            return 0
-        title = f"Policy registry ({args.kind})" if args.kind else "Policy registry"
-        table = ComparisonTable(title)
-        for spec in specs:
-            table.add_row(
-                kind=spec.kind,
-                name=spec.name,
-                params=", ".join(spec.param_names()) or "-",
-                description=spec.description,
-            )
-        table.print()
-        return 0
-
-    # describe
-    if args.kind is None or args.name is None:
-        parser.error("policy describe requires a policy kind and a policy name")
-    try:
-        spec = get_policy_spec(args.kind, args.name)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(spec.describe(), indent=2, sort_keys=True))
-        return 0
-    print(f"{spec.kind} / {spec.name}\n  {spec.description}")
-    if not spec.params:
-        print("  (no parameters)")
-        return 0
-    table = ComparisonTable("parameters")
-    for param in spec.params:
-        info = param.describe()
-        table.add_row(
-            param=info["name"],
-            required=info["required"],
-            default="-" if info["required"] else repr(info.get("default")),
-            runtime=bool(info.get("runtime", False)),
-        )
-    table.print()
-    return 0
-
-
-def _parse_policy_overrides(overrides: List[str]) -> dict:
-    """Parse repeated ``--policy kind=name`` flags into a spec ``policies`` block."""
-    policies = {}
-    for override in overrides:
-        kind, separator, name = override.partition("=")
-        if not separator or not kind or not name:
-            raise ValueError(
-                f"--policy expects KIND=NAME (e.g. placement=best-fit), got {override!r}"
-            )
-        policies[kind.strip()] = {"name": name.strip()}
-    return policies
-
-
-def _apply_policy_overrides(spec, overrides: dict):
-    """A copy of ``spec`` with ``--policy`` overrides applied (validated)."""
-    if not overrides:
-        return spec
-    return ScenarioSpec.from_dict(
-        {**spec.to_dict(), "policies": merge_policy_selections(spec.policies, overrides)}
-    )
-
-
-# ---------------------------------------------------------------------- sweep
-def _sweep_with_overrides(spec: SweepSpec, overrides: dict, duration) -> SweepSpec:
-    """A copy of ``spec`` with ``--policy``/``--duration`` overrides applied.
-
-    A ``--policy kind=name`` override forces that selection in *every* policy
-    cell of the grid (cells already selecting that name keep their tuned
-    parameters).  The result is revalidated through ``SweepSpec.from_dict``.
-    """
-    if not overrides and duration is None:
-        return spec
-    data = spec.to_dict()
-    if overrides:
-        cells = [merge_policy_selections(cell, overrides) for cell in data["policies"]]
-        # Forcing one selection can collapse distinct cells into duplicates;
-        # keep the first of each so the grid never re-runs identical cells.
-        unique, seen = [], set()
-        for cell in cells:
-            key = json.dumps(cell, sort_keys=True)
-            if key not in seen:
-                seen.add(key)
-                unique.append(cell)
-        data["policies"] = unique
-    if duration is not None:
-        data["duration"] = duration
-    return SweepSpec.from_dict(data)
-
-
-def _emit_sweep_report(report, args: argparse.Namespace, backend: str) -> int:
-    """Shared tail of ``sweep run``/``sweep serve``: print, write files, exit code."""
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"Sweep: {report.spec.name} ({report.total_runs} runs, {backend})")
-        table = ComparisonTable("aggregates (mean over seeds)")
-        for group in report.aggregates():
-            metrics = group["metrics"]
-            table.add_row(
-                scenario=group["scenario"],
-                policies=group["policies"],
-                thresholds=group["thresholds"],
-                runs=group["runs"],
-                failed=group["failed"],
-                energy_kwh=round(metrics.get("energy_kwh", {}).get("mean", 0.0), 4),
-                migrations=round(metrics.get("migrations", {}).get("mean", 0.0), 2),
-                sla_violations=round(metrics.get("sla_violations", {}).get("mean", 0.0), 2),
-                mean_active_hosts=round(
-                    metrics.get("mean_active_hosts", {}).get("mean", 0.0), 3
-                ),
-            )
-        table.print()
-        total = report.timing.get("wall_seconds_total")
-        if total is not None:
-            print(f"Wall clock: {total:.2f}s ({backend})")
-    # File writes come after the report has been printed: an unwritable path
-    # must not discard a grid that just spent the wall-clock to compute.
-    write_error = False
-    for path, render in ((args.output, lambda: report.to_json() + "\n"), (args.csv, report.to_csv)):
-        if not path:
-            continue
-        try:
-            with open(path, "w") as handle:
-                handle.write(render())
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            write_error = True
-    if report.failed:
-        for failure in report.failures():
-            print(
-                f"error: run {failure['index']} ({failure['scenario']}, "
-                f"{failure['policies']}): {failure['error']}",
-                file=sys.stderr,
-            )
-        return 1
-    return 1 if write_error else 0
-
-
-def _run_sweep_serve(spec: SweepSpec, args: argparse.Namespace) -> int:
-    """Serve ``spec`` to work-pulling runners, then report like ``sweep run``."""
-    from repro.sweeps.distributed import SweepAborted, SweepCoordinator, collect_outcomes
-
-    payloads = [run.to_dict() for run in spec.expand()]
-    coordinator = SweepCoordinator(
-        payloads, host=args.host, port=args.port, lease_seconds=args.lease_seconds
-    )
-
-    def on_bound(address) -> None:
-        host, port = address
-        # Status goes to stderr so --json keeps machine-readable stdout.
-        print(
-            f"serving sweep {spec.name!r} ({len(payloads)} runs) on {host}:{port} -- "
-            f"connect runners with: repro-sim sweep work --connect {host}:{port}",
-            file=sys.stderr,
-        )
-        if args.port_file:
-            with open(args.port_file, "w") as handle:
-                handle.write(f"{port}\n")
-
-    start = time.perf_counter()
-    try:
-        outcomes = collect_outcomes(coordinator, on_bound=on_bound)
-    except SweepAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot serve on {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 1
-    report = SweepReport.from_outcomes(
-        spec, outcomes, jobs=0, wall_seconds=time.perf_counter() - start
-    )
-    return _emit_sweep_report(report, args, backend="runner fleet")
-
-
-def _run_sweep_work(args: argparse.Namespace) -> int:
-    """Join a coordinator as one work-pulling runner."""
-    from repro.sweeps.runner import SweepRunner, parse_address
-
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        runner = SweepRunner(host, port)
-        posted = runner.run()
-    except OSError as exc:
-        print(f"error: cannot reach coordinator at {args.connect}: {exc}", file=sys.stderr)
-        return 1
-    print(f"runner {runner.runner_id}: posted {posted} outcome(s)", file=sys.stderr)
-    return 0
-
-
-def _run_sweep_analyze(args: argparse.Namespace) -> int:
-    """Pareto-front analysis of a ``sweep run --output`` report file."""
-    from repro.sweeps.report import PARETO_OBJECTIVES, analyze_report, pareto_csv, pareto_json
-
-    try:
-        with open(args.name, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read report {args.name!r}: {exc}", file=sys.stderr)
-        return 1
-    objectives = (
-        tuple(part.strip() for part in args.objectives.split(",") if part.strip())
-        if args.objectives
-        else PARETO_OBJECTIVES
-    )
-    try:
-        analysis = analyze_report(report, objectives=objectives)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(pareto_json(analysis))
-    else:
-        print(f"Pareto analysis: {analysis['sweep']} (minimizing {', '.join(objectives)})")
-        for scenario in sorted(analysis["scenarios"]):
-            entry = analysis["scenarios"][scenario]
-            table = ComparisonTable(f"{scenario}: non-dominated fronts")
-            for cell in entry["cells"]:
-                table.add_row(
-                    rank="-" if cell["rank"] is None else cell["rank"],
-                    policies=cell["policies"],
-                    thresholds=cell["thresholds"],
-                    **{
-                        name: round(value, 4)
-                        for name, value in cell["objectives"].items()
-                    },
-                )
-            table.print()
-            front = ", ".join(
-                f"{cell['policies']} @ {cell['thresholds']}" for cell in entry["front"]
-            )
-            print(f"  front: {front}")
-    write_error = False
-    for path, render in (
-        (args.output, lambda: pareto_json(analysis) + "\n"),
-        (args.csv, lambda: pareto_csv(analysis)),
-    ):
-        if not path:
-            continue
-        try:
-            with open(path, "w") as handle:
-                handle.write(render())
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            write_error = True
-    return 1 if write_error else 0
-
-
-def _run_sweep_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Action-specific flags must not silently no-op elsewhere.
-    if args.action not in ("run", "serve", "analyze"):
-        if args.output:
-            parser.error("--output only applies to sweep run/serve/analyze")
-        if args.csv:
-            parser.error("--csv only applies to sweep run/serve/analyze")
-    if args.action != "run":
-        if args.jobs is not None:
-            parser.error("--jobs only applies to sweep run")
-        if args.runners is not None:
-            parser.error("--runners only applies to sweep run")
-    if args.action != "work" and args.connect:
-        parser.error("--connect only applies to sweep work")
-    if args.action != "serve" and args.port_file:
-        parser.error("--port-file only applies to sweep serve")
-    if args.action != "analyze" and args.objectives:
-        parser.error("--objectives only applies to sweep analyze")
-
-    if args.action == "work":
-        if args.connect is None:
-            parser.error("sweep work requires --connect HOST:PORT")
-        return _run_sweep_work(args)
-    if args.action == "analyze":
-        if args.name is None:
-            parser.error("sweep analyze requires a report JSON path")
-        return _run_sweep_analyze(args)
-
-    if args.action == "list":
-        if args.policy:
-            parser.error("--policy only applies to sweep run/serve/describe")
-        if args.duration is not None:
-            parser.error("--duration only applies to sweep run/serve/describe")
-        if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "name": spec.name,
-                            "description": spec.description,
-                            "scenarios": spec.scenarios,
-                            "runs": spec.total_runs(),
-                        }
-                        for spec in iter_sweeps()
-                    ],
-                    indent=2,
-                )
-            )
-            return 0
-        table = ComparisonTable("Sweep catalog")
-        for spec in iter_sweeps():
-            table.add_row(
-                name=spec.name,
-                scenarios=len(spec.scenarios),
-                policy_cells=len(spec.policies),
-                thresholds=len(spec.thresholds),
-                seeds=len(spec.resolved_seeds()),
-                runs=spec.total_runs(),
-                description=spec.description,
-            )
-        table.print()
-        return 0
-
-    if args.name is None:
-        parser.error(f"sweep {args.action} requires a sweep name")
-    jobs = 1 if args.jobs is None else args.jobs
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.runners is not None:
-        if args.runners < 1:
-            parser.error("--runners must be >= 1")
-        if args.jobs is not None:
-            parser.error("pass either --jobs or --runners, not both")
-    try:
-        spec = get_sweep(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    try:
-        spec = _sweep_with_overrides(
-            spec, _parse_policy_overrides(args.policy), args.duration
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.action == "describe":
-        description = dict(spec.to_dict())
-        description["runs"] = spec.total_runs()
-        print(json.dumps(description, indent=2, sort_keys=True))
-        return 0
-
-    if args.action == "serve":
-        return _run_sweep_serve(spec, args)
-
-    if args.runners is not None:
-        from repro.sweeps.distributed import DistributedExecutor, SweepAborted
-
-        executor = DistributedExecutor(
-            runners=args.runners, lease_seconds=args.lease_seconds
-        )
-        try:
-            report = run_sweep(spec, executor=executor)
-        except SweepAborted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return _emit_sweep_report(report, args, backend=f"runners={args.runners}")
-
-    report = run_sweep(spec, jobs=jobs)
-    return _emit_sweep_report(report, args, backend=f"jobs={report.timing.get('jobs', jobs)}")
-
-
-# ------------------------------------------------------------------- scenario
-def _force_observability(spec: ScenarioSpec, tracing: bool, metrics: bool) -> ScenarioSpec:
-    """Turn on the pillars the requested exports need (spec overrides kept)."""
-    if not tracing and not metrics:
-        return spec
-    current = spec.config.get("observability") or {}
-    if hasattr(current, "to_dict"):  # tolerate a pre-built ObservabilityConfig
-        current = current.to_dict()
-    overrides = dict(current)
-    if tracing:
-        overrides["tracing"] = True
-    if metrics:
-        overrides["metrics"] = True
-    data = spec.to_dict()
-    data["config"] = dict(data["config"])
-    data["config"]["observability"] = overrides
-    return ScenarioSpec.from_dict(data)
-
-
-def _write_observability_exports(system, trace: Optional[str], metrics_out: Optional[str]) -> None:
-    """Write the requested trace/metrics exports after a scenario run."""
-    if system is None or system.obs is None:
-        return
-    if trace:
-        with open(trace, "w", encoding="utf-8") as handle:
-            json.dump(system.obs.chrome_trace(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        # Status notes go to stderr so --json keeps machine-readable stdout.
-        print(f"trace written to {trace}", file=sys.stderr)
-    if metrics_out:
-        with open(metrics_out, "w", encoding="utf-8") as handle:
-            if metrics_out.endswith(".prom"):
-                handle.write(system.obs.metrics_text())
-            else:
-                json.dump(system.obs.metrics_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        print(f"metrics written to {metrics_out}", file=sys.stderr)
-
-
-def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Summarize a Chrome trace-event JSON file (``obs summarize <path>``)."""
-    try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            trace = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read trace {args.path!r}: {exc}", file=sys.stderr)
-        return 1
-    events = trace.get("traceEvents", []) if isinstance(trace, dict) else []
-    tracks = {}
-    spans = {}
-    for event in events:
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            tracks[event.get("tid")] = event.get("args", {}).get("name", "?")
-        elif event.get("ph") == "X":
-            entry = spans.setdefault(
-                event.get("name", "?"),
-                {"count": 0, "total_ms": 0.0, "max_ms": 0.0, "components": set()},
-            )
-            duration_ms = float(event.get("dur", 0)) / 1000.0
-            entry["count"] += 1
-            entry["total_ms"] += duration_ms
-            entry["max_ms"] = max(entry["max_ms"], duration_ms)
-            entry["components"].add(tracks.get(event.get("tid"), "?"))
-    summary = {
-        "events": sum(entry["count"] for entry in spans.values()),
-        "tracks": len(tracks),
-        "spans": {
-            name: {
-                "count": entry["count"],
-                "total_ms": round(entry["total_ms"], 3),
-                "max_ms": round(entry["max_ms"], 3),
-                "components": len(entry["components"]),
-            }
-            for name, entry in sorted(spans.items())
-        },
-    }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    print(f"Trace: {args.path}")
-    print(f"  {summary['events']} spans across {summary['tracks']} tracks")
-    table = ComparisonTable("spans (simulated milliseconds)")
-    for name, entry in summary["spans"].items():
-        table.add_row(
-            span=name,
-            count=entry["count"],
-            total_ms=entry["total_ms"],
-            max_ms=entry["max_ms"],
-            components=entry["components"],
-        )
-    table.print()
-    return 0
-
-
-def _run_scenario(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.action == "list" and args.policy:
-        parser.error("--policy only applies to scenario run/describe")
-    if args.action == "list":
-        if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "name": spec.name,
-                            "description": spec.description,
-                            "duration": spec.duration,
-                            "local_controllers": spec.local_controllers,
-                            "vms": spec.total_vms(),
-                            "timeline_events": len(spec.timeline),
-                        }
-                        for spec in iter_scenarios()
-                    ],
-                    indent=2,
-                )
-            )
-            return 0
-        table = ComparisonTable("Scenario catalog")
-        for spec in iter_scenarios():
-            table.add_row(
-                name=spec.name,
-                lcs=spec.local_controllers,
-                vms=spec.total_vms(),
-                duration_s=spec.duration,
-                events=len(spec.timeline),
-                description=spec.description,
-            )
-        table.print()
-        return 0
-
-    if args.name is None:
-        parser.error(f"scenario {args.action} requires a scenario name")
-    try:
-        spec = get_scenario(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-
-    if args.action == "describe":
-        try:
-            spec = _apply_policy_overrides(spec, _parse_policy_overrides(args.policy))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(spec.to_dict(), indent=2, sort_keys=args.json))
-        return 0
-
-    try:
-        spec = _apply_policy_overrides(spec, _parse_policy_overrides(args.policy))
-        spec = _force_observability(spec, tracing=bool(args.trace), metrics=bool(args.metrics_out))
-        runner = ScenarioRunner(spec, seed=args.seed, duration=args.duration)
-        result = runner.run()
-    except ValueError as exc:
-        # Bad overrides (non-positive duration, negative seed, unknown policy
-        # names, ...) are user errors, not crashes.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_observability_exports(runner.system, trace=args.trace, metrics_out=args.metrics_out)
-    if args.json:
-        print(result.to_json())
-        return 0
-    print(f"Scenario: {spec.name} (seed {args.seed})\n  {spec.description}")
-    for section in ("submissions", "churn", "packing", "energy", "availability"):
-        table = ComparisonTable(section)
-        for key, value in getattr(result, section).items():
-            table.add_row(metric=key, value=value)
-        table.print()
-    if result.traffic:
-        # The traffic summary nests per-service dicts; flatten the fleet view
-        # into one table and give each service its own.
-        table = ComparisonTable("traffic")
-        table.add_row(metric="ticks", value=result.traffic["ticks"])
-        for key, value in result.traffic["requests"].items():
-            table.add_row(metric=key, value=value)
-        for key, value in result.traffic["latency_seconds"].items():
-            table.add_row(metric=f"latency_{key}_seconds", value=value)
-        table.print()
-        for name, service in sorted(result.traffic["services"].items()):
-            table = ComparisonTable(f"traffic/{name}")
-            for key, value in service.items():
-                table.add_row(metric=key, value="-" if value is None else value)
-            table.print()
-    return 0
-
-
-def _run_megafleet_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.action == "list":
-        specs = [get_megafleet(name) for name in megafleet_names()]
-        if args.json:
-            print(json.dumps([spec.to_dict() for spec in specs], indent=2))
-            return 0
-        table = ComparisonTable("Megafleet catalog")
-        for spec in specs:
-            table.add_row(
-                name=spec.name,
-                lcs=spec.local_controllers,
-                gms=spec.group_managers,
-                duration_s=spec.duration,
-                epoch_s=spec.epoch,
-                description=spec.description,
-            )
-        table.print()
-        return 0
-
-    if args.name is None:
-        parser.error("megafleet run requires a fleet name")
-    try:
-        result = run_megafleet(
-            args.name,
-            seed=args.seed,
-            shards=args.shards,
-            jobs=args.jobs,
-            duration=args.duration,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(result.canonical_json(), end="")
-        return 0
-    table = ComparisonTable(f"Megafleet {args.name} (seed {args.seed})")
-    for key, value in result.totals.items():
-        table.add_row(metric=key, value=value)
-    table.add_row(metric="wall_seconds", value=round(result.wall_seconds, 3))
-    table.add_row(metric="events_per_second", value=round(result.events_per_second))
-    table.print()
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "consolidate":
-        return _run_consolidate(args)
-    if args.command == "simulate":
-        return _run_simulate(args)
-    if args.command == "hierarchy":
-        return _run_hierarchy(args)
-    if args.command == "scenario":
-        return _run_scenario(args, parser)
-    if args.command == "policy":
-        return _run_policy(args, parser)
-    if args.command == "obs":
-        return _run_obs(args, parser)
-    if args.command == "sweep":
-        return _run_sweep_command(args, parser)
-    if args.command == "megafleet":
-        return _run_megafleet_command(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,0 +1,81 @@
+"""``repro-sim megafleet``: the warehouse-scale fleet catalog (:mod:`repro.megafleet`).
+
+``megafleet run`` uses the sharded lockstep engine: results are byte-identical
+for any ``--shards`` / ``--jobs`` count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from repro.cli.common import JSON_FLAG, add_action, user_error
+from repro.megafleet import get_megafleet, megafleet_names, run_megafleet
+from repro.metrics.report import ComparisonTable
+
+
+def register(subparsers) -> None:
+    megafleet = subparsers.add_parser(
+        "megafleet", help="list and run warehouse-scale fleets (sharded lockstep engine)"
+    )
+    actions = megafleet.add_subparsers(dest="action", metavar="ACTION", required=True)
+
+    add_action(actions, "list", run_list, "print the catalog", [JSON_FLAG])
+    run = add_action(actions, "run", run_run, "run one fleet", [JSON_FLAG])
+    run.add_argument("name", help="fleet name")
+    run.add_argument("--seed", type=int, default=0, help="random seed")
+    run.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="lockstep shards (results are identical for any count)",
+    )
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel worker processes advancing the shards (default 1 = serial)",
+    )
+    run.add_argument(
+        "--duration", type=float, help="override the simulated duration (seconds)"
+    )
+
+
+def run_list(args: argparse.Namespace) -> int:
+    specs = [get_megafleet(name) for name in megafleet_names()]
+    if args.json:
+        print(json.dumps([spec.to_dict() for spec in specs], indent=2))
+        return 0
+    table = ComparisonTable("Megafleet catalog")
+    for spec in specs:
+        table.add_row(
+            name=spec.name,
+            lcs=spec.local_controllers,
+            gms=spec.group_managers,
+            duration_s=spec.duration,
+            epoch_s=spec.epoch,
+            description=spec.description,
+        )
+    table.print()
+    return 0
+
+
+def run_run(args: argparse.Namespace) -> int:
+    with user_error(KeyError, ValueError):
+        result = run_megafleet(
+            args.name,
+            seed=args.seed,
+            shards=args.shards,
+            jobs=args.jobs,
+            duration=args.duration,
+        )
+    if args.json:
+        print(result.canonical_json(), end="")
+        return 0
+    table = ComparisonTable(f"Megafleet {args.name} (seed {args.seed})")
+    for key, value in result.totals.items():
+        table.add_row(metric=key, value=value)
+    table.add_row(metric="wall_seconds", value=round(result.wall_seconds, 3))
+    table.add_row(metric="events_per_second", value=round(result.events_per_second))
+    table.print()
+    return 0

@@ -3,9 +3,9 @@
 This package provides the substrate on which the whole reproduction runs:
 
 * :class:`~repro.simulation.engine.Simulator` -- the event loop and clock.
-* :class:`~repro.simulation.engine.Event` -- a scheduled callback.
-* :class:`~repro.simulation.process.Process` -- generator-based cooperative
-  processes (``yield`` a delay to sleep, ``yield`` an event to wait on it).
+* :class:`~repro.simulation.engine.Event` -- a scheduled callback, or a
+  one-shot signal completed later (``sim.event()`` / ``sim.trigger()``) that
+  listeners subscribe to: RPC deferred replies and trace span ends use it.
 * :class:`~repro.simulation.timers.PeriodicTimer` -- repeating callbacks used
   for heartbeats, monitoring intervals and reconfiguration periods.
 * :class:`~repro.simulation.randomness.RandomRouter` -- named, reproducible
@@ -16,20 +16,14 @@ kernel is the substitution that lets the same management-layer protocols run
 on a laptop.
 """
 
-from repro.simulation.engine import Event, EventCancelled, Simulator, SimulationError
-from repro.simulation.process import Process, ProcessKilled, sleep, wait
+from repro.simulation.engine import Event, Simulator, SimulationError
 from repro.simulation.timers import PeriodicTimer
 from repro.simulation.randomness import RandomRouter
 
 __all__ = [
     "Event",
-    "EventCancelled",
     "Simulator",
     "SimulationError",
-    "Process",
-    "ProcessKilled",
-    "sleep",
-    "wait",
     "PeriodicTimer",
     "RandomRouter",
 ]

@@ -29,18 +29,13 @@ class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulator (e.g. scheduling in the past)."""
 
 
-class EventCancelled(RuntimeError):
-    """Raised when waiting on an event that has been cancelled."""
-
-
 @dataclass(order=False)
 class Event:
     """A callback scheduled at a point in simulated time.
 
-    Events support *listeners*: other parties (typically
-    :class:`~repro.simulation.process.Process` instances) may register a
-    callable invoked when the event fires or is cancelled.  This is what lets
-    processes ``yield`` an event and be resumed when it triggers.
+    Events support *listeners*: other parties (RPC deferred replies, trace
+    spans ending on an event) may register a callable invoked when the event
+    fires or is cancelled.
     """
 
     time: float
@@ -51,15 +46,15 @@ class Event:
     kwargs: dict = field(default_factory=dict)
     cancelled: bool = False
     fired: bool = False
-    #: Value produced by the callback (or set explicitly via :meth:`succeed`).
+    #: Value produced by the callback (or delivered by :meth:`Simulator.trigger`).
     value: Any = None
     _listeners: list = field(default_factory=list)
 
     def cancel(self) -> None:
         """Cancel the event.  A cancelled event never runs its callback.
 
-        Listeners are notified with ``ok=False`` so that waiting processes
-        receive an :class:`EventCancelled` error instead of hanging forever.
+        Listeners are notified with ``ok=False`` so that waiters learn of the
+        cancellation instead of hanging forever.
         """
         if self.fired:
             return
@@ -214,8 +209,8 @@ class Simulator:
     def event(self) -> Event:
         """Create an unscheduled event that fires only when :meth:`trigger` is called.
 
-        Used as a one-shot signal / future: processes can wait on it and any
-        code can later complete it with a value.
+        Used as a one-shot signal / future: listeners can subscribe to it and
+        any code can later complete it with a value.
         """
         return Event(
             time=math.inf,

@@ -110,7 +110,6 @@ class SweepCoordinator:
         lease_seconds: float = 30.0,
         max_attempts: int = 4,
         speculate: bool = True,
-        speculate_after_seconds: float = 0.0,
         expected_seconds: Optional[Sequence[float]] = None,
     ) -> None:
         if lease_seconds <= 0:
@@ -126,14 +125,12 @@ class SweepCoordinator:
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self.speculate = bool(speculate)
-        self.speculate_after_seconds = float(speculate_after_seconds)
 
         n = len(self._payloads)
         self._pending: Set[int] = set(range(n))
         self._outcomes: Dict[int, dict] = {}
         self._leases: Dict[str, _Lease] = {}
         self._active: Dict[int, Set[str]] = {}
-        self._granted_at: Dict[int, float] = {}
         self._reclaims: Dict[int, int] = {}
         self._scenario_walls: Dict[str, List[float]] = {}
         self._lease_seq = 0
@@ -256,7 +253,6 @@ class SweepCoordinator:
                 if position not in self._outcomes
                 and 0 < len(lease_ids) < MAX_LEASES_PER_CELL
                 and all(self._leases[lid].runner != runner for lid in lease_ids)
-                and now - self._granted_at.get(position, now) >= self.speculate_after_seconds
             }
             if not candidates:
                 return None
@@ -275,7 +271,6 @@ class SweepCoordinator:
         )
         self._leases[lease.lease_id] = lease
         self._active.setdefault(position, set()).add(lease.lease_id)
-        self._granted_at.setdefault(position, now)
         conn_leases.add(lease.lease_id)
         self.stats["leases_granted"] += 1
         if speculative:
@@ -319,7 +314,6 @@ class SweepCoordinator:
             )
         else:
             self.stats["retries"] += 1
-            self._granted_at.pop(position, None)
             self._pending.add(position)
 
     def _record_outcome(self, position: int, outcome: dict) -> bool:
@@ -557,7 +551,6 @@ class DistributedExecutor:
         lease_seconds: float = 30.0,
         max_attempts: int = 4,
         speculate: bool = True,
-        speculate_after_seconds: float = 0.0,
         expected_seconds: Optional[Sequence[float]] = None,
         runner_env: Optional[Sequence[Optional[dict]]] = None,
         timeout: Optional[float] = None,
@@ -572,7 +565,6 @@ class DistributedExecutor:
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self.speculate = bool(speculate)
-        self.speculate_after_seconds = float(speculate_after_seconds)
         self.expected_seconds = expected_seconds
         self.runner_env = list(runner_env) if runner_env is not None else None
         self.timeout = timeout
@@ -592,7 +584,6 @@ class DistributedExecutor:
             lease_seconds=self.lease_seconds,
             max_attempts=self.max_attempts,
             speculate=self.speculate,
-            speculate_after_seconds=self.speculate_after_seconds,
             expected_seconds=self.expected_seconds,
         )
         await coordinator.start()

@@ -28,7 +28,7 @@ import multiprocessing
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.scenarios.runner import ScenarioRunner
 from repro.sweeps.spec import RunSpec
@@ -105,36 +105,24 @@ class MultiprocessExecutor:
     ``multiprocessing.Pool.map`` preserves input order, so the outcome list is
     identical to the serial executor's regardless of completion order.  As with
     :class:`SerialExecutor`, ``fn`` may be any picklable module-level function
-    (the default runs sweep cells).
-
-    ``chunksize`` batches that many payloads per pool task: for sub-second
-    cells the per-cell IPC round-trip dominates, and chunking amortizes it.
-    The default stays 1 (finest-grained balancing); any value produces the
-    same outcome list (the tests assert byte-identical reports).
+    (the default runs sweep cells).  One payload per pool task keeps the
+    finest-grained load balancing.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        start_method: Optional[str] = None,
-        fn=execute_run,
-        chunksize: int = 1,
-    ) -> None:
+    def __init__(self, jobs: int, fn=execute_run) -> None:
         if jobs < 2:
             raise ValueError("MultiprocessExecutor needs jobs >= 2 (use SerialExecutor)")
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         self.jobs = int(jobs)
         self.fn = fn
-        self.chunksize = int(chunksize)
         # Prefer fork on Linux only: workers inherit the imported registries
         # instead of re-importing the package per process.  On macOS fork is
         # available but unsafe (the spawn default exists for a reason), so
         # everywhere else the platform default start method is kept.
-        if start_method is None and sys.platform == "linux":
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else None
-        self.start_method = start_method
+        self.start_method = (
+            "fork"
+            if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
 
     def map(self, payloads: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
         """Outcomes for ``payloads``, in order, computed by worker processes."""
@@ -144,7 +132,7 @@ class MultiprocessExecutor:
         context = multiprocessing.get_context(self.start_method)
         workers = min(self.jobs, len(payloads))
         with context.Pool(processes=workers) as pool:
-            return pool.map(self.fn, payloads, chunksize=self.chunksize)
+            return pool.map(self.fn, payloads, chunksize=1)
 
 
 def make_executor(jobs: int = 1, fn=execute_run):

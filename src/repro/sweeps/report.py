@@ -314,7 +314,7 @@ def analyze_report(
         raise ValueError(
             f"unknown objective(s) {unknown}; valid metrics: {sorted(METRIC_COLUMNS)}"
         )
-    aggregates = report.get("aggregates")
+    aggregates = report.get("aggregates") if isinstance(report, dict) else None
     if not isinstance(aggregates, list):
         raise ValueError("not a sweep report: missing 'aggregates' (use sweep run --output)")
 

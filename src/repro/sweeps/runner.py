@@ -39,6 +39,9 @@ FAULT_ENV = "REPRO_SWEEP_RUNNER_FAULT"
 #: Exit code of a ``die-after-pulls`` hard exit (distinct from normal failures).
 DIE_EXIT_CODE = 17
 
+#: Seconds to wait for the coordinator to accept the TCP connection.
+CONNECT_TIMEOUT_SECONDS = 10.0
+
 
 def _parse_fault(value: Optional[str]) -> Tuple[Optional[str], int]:
     """``("die"|"wedge"|None, pull_count)`` from a ``mode-after-pulls:N`` string."""
@@ -72,14 +75,12 @@ class SweepRunner:
         *,
         runner_id: Optional[str] = None,
         fn: Callable[[dict], dict] = execute_run,
-        connect_timeout: float = 10.0,
         fault: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.runner_id = runner_id or f"runner-{os.getpid()}"
         self.fn = fn
-        self.connect_timeout = float(connect_timeout)
         self._fault_mode, self._fault_pulls = _parse_fault(
             fault if fault is not None else os.environ.get(FAULT_ENV)
         )
@@ -134,7 +135,7 @@ class SweepRunner:
     # ----------------------------------------------------------------- main loop
     def run(self) -> int:
         """Pull/execute/post until the coordinator shuts the sweep down."""
-        self._sock = socket.create_connection((self.host, self.port), self.connect_timeout)
+        self._sock = socket.create_connection((self.host, self.port), CONNECT_TIMEOUT_SECONDS)
         heartbeat = threading.Thread(target=self._heartbeat_forever, daemon=True)
         pulls = 0
         try:
@@ -193,6 +194,27 @@ def parse_address(value: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def work(connect: str, runner_id: Optional[str] = None) -> int:
+    """Join the coordinator at ``HOST:PORT`` as one runner; returns the exit code.
+
+    The front end shared by ``python -m repro.sweeps.runner`` and ``repro-sim
+    sweep work``.
+    """
+    try:
+        host, port = parse_address(connect)
+        runner = SweepRunner(host, port, runner_id=runner_id)
+    except ValueError as exc:  # malformed address or fault-injection mode
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        posted = runner.run()
+    except OSError as exc:
+        print(f"error: cannot reach coordinator at {connect}: {exc}", file=sys.stderr)
+        return 1
+    print(f"runner {runner.runner_id}: posted {posted} outcome(s)", file=sys.stderr)
+    return 0
+
+
 def main(argv: Optional[list] = None) -> int:
     """Entry point of ``python -m repro.sweeps.runner``."""
     parser = argparse.ArgumentParser(
@@ -203,19 +225,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument("--id", default=None, help="runner id (defaults to runner-<pid>)")
     args = parser.parse_args(argv)
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        runner = SweepRunner(host, port, runner_id=args.id)
-        posted = runner.run()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"runner {runner.runner_id}: posted {posted} outcome(s)", file=sys.stderr)
-    return 0
+    return work(args.connect, args.id)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess spawns

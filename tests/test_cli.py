@@ -212,3 +212,117 @@ class TestSweepCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("index,scenario,policies")
         assert len(lines) == 5
+
+
+class TestScenarioRunExports:
+    def test_unwritable_trace_path_still_prints_result(self, tmp_path, capsys):
+        bad = tmp_path / "missing-dir" / "t.json"
+        good = tmp_path / "metrics.prom"
+        argv = ["scenario", "run", "steady-churn", "--duration", "60", "--json"]
+        assert main(argv + ["--trace", str(bad), "--metrics-out", str(good)]) == 1
+        captured = capsys.readouterr()
+        # The finished run reaches stdout even though one export failed ...
+        assert json.loads(captured.out)["scenario"] == "steady-churn"
+        assert f"error: cannot write {bad}" in captured.err
+        # ... and the writable export is still written.
+        assert "repro_" in good.read_text()
+
+
+#: The sweep flag x action matrix the parser tree now encodes structurally:
+#: flag -> (sample value, actions that take it).  Every other pair must exit 2.
+SWEEP_ACTIONS = {
+    "list": [],
+    "describe": ["smoke-2x2"],
+    "run": ["smoke-2x2"],
+    "serve": ["smoke-2x2"],
+    "work": ["--connect", "h:1"],
+    "analyze": ["report.json"],
+}
+SWEEP_FLAGS = {
+    "--jobs": ("2", {"run"}),
+    "--runners": ("2", {"run"}),
+    "--connect": ("h:1", {"work"}),
+    "--host": ("x", {"serve"}),
+    "--port": ("1", {"serve"}),
+    "--port-file": ("p", {"serve"}),
+    "--lease-seconds": ("5", {"run", "serve"}),
+    "--objectives": ("energy_kwh", {"analyze"}),
+    "--json": (None, {"list", "describe", "run", "serve", "analyze"}),
+    "--policy": ("placement=best-fit", {"describe", "run", "serve"}),
+    "--duration": ("100", {"describe", "run", "serve"}),
+    "--output": ("o.json", {"run", "serve", "analyze"}),
+    "--csv": ("o.csv", {"run", "serve", "analyze"}),
+}
+
+
+def _sweep_pairs(accepted: bool):
+    for action, base in SWEEP_ACTIONS.items():
+        for flag, (value, actions) in SWEEP_FLAGS.items():
+            if (action in actions) == accepted and flag not in base:
+                yield ["sweep", action, *base, flag, *([] if value is None else [value])]
+
+
+REJECTED_ARGVS = [
+    *_sweep_pairs(accepted=False),
+    # Missing positionals / required flags.
+    ["sweep", "describe"],
+    ["sweep", "run"],
+    ["sweep", "serve"],
+    ["sweep", "analyze"],
+    ["sweep", "work"],
+    ["scenario", "describe"],
+    ["scenario", "run"],
+    ["policy", "describe"],
+    ["policy", "describe", "placement"],
+    ["policy", "list", "placement", "best-fit"],
+    ["megafleet", "run"],
+    # Range and exclusivity checks.
+    ["sweep", "run", "smoke-2x2", "--jobs", "0"],
+    ["sweep", "run", "smoke-2x2", "--runners", "0"],
+    ["sweep", "run", "smoke-2x2", "--jobs", "2", "--runners", "2"],
+    # Run-only flags on the other scenario / megafleet / policy actions.
+    ["scenario", "list", "--policy", "placement=best-fit"],
+    ["scenario", "list", "--trace", "t.json"],
+    ["scenario", "list", "--seed", "1"],
+    ["scenario", "describe", "steady-churn", "--metrics-out", "m.prom"],
+    ["scenario", "describe", "steady-churn", "--duration", "60"],
+    ["megafleet", "list", "--shards", "4"],
+    ["megafleet", "list", "--jobs", "2"],
+    ["megafleet", "list", "megafleet-1k"],
+    ["obs", "summarize"],
+]
+
+
+class TestFlagsLiveOnTheirAction:
+    @pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=" ".join)
+    def test_flag_or_positional_outside_its_action_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage: repro-sim" in capsys.readouterr().err
+
+    def test_every_meaningful_sweep_pair_parses(self):
+        from repro.cli.main import build_parser
+
+        pairs = list(_sweep_pairs(accepted=True))
+        assert len(pairs) == 25  # 26 with `work --connect`, which is in its base argv
+        for argv in pairs:
+            assert callable(build_parser().parse_args(argv).handler)
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["sweep", "list"], set(SWEEP_FLAGS) - {"--json"}),
+            (["sweep", "work"], set(SWEEP_FLAGS) - {"--connect"}),
+            (["scenario", "list"], {"--policy", "--seed", "--duration", "--trace", "--metrics-out"}),
+            (["megafleet", "list"], {"--shards", "--jobs", "--seed", "--duration"}),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+    )
+    def test_action_help_lists_only_its_own_flags(self, argv, absent, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        assert f"usage: repro-sim {' '.join(argv)}" in text
+        assert not [flag for flag in sorted(absent) if flag in text]

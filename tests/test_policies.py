@@ -501,7 +501,7 @@ class TestPolicyCli:
         assert result["policies"]["placement"] == "worst-fit"
 
     def test_same_name_override_preserves_tuned_parameters(self):
-        from repro.cli.main import _apply_policy_overrides
+        from repro.cli.scenario import _apply_policy_overrides
         from repro.scenarios import get_scenario
 
         spec = get_scenario("aco-consolidation-cycle")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.simulation.engine import Simulator, SimulationError
-from repro.simulation.process import Process, ProcessKilled
 from repro.simulation.randomness import RandomRouter
 from repro.simulation.timers import PeriodicTimer
 from tests.scalar_timeout import Timeout
@@ -153,90 +152,6 @@ class TestServices:
     def test_missing_service_raises_keyerror(self, sim):
         with pytest.raises(KeyError):
             sim.get_service("nope")
-
-
-class TestProcess:
-    def test_process_sleeps_for_yielded_delay(self, sim):
-        trace = []
-
-        def body():
-            trace.append(sim.now)
-            yield 5.0
-            trace.append(sim.now)
-
-        Process(sim, body())
-        sim.run()
-        assert trace == [0.0, 5.0]
-
-    def test_process_waits_for_event_and_receives_value(self, sim):
-        event = sim.event()
-        results = []
-
-        def body():
-            value = yield event
-            results.append(value)
-
-        Process(sim, body())
-        sim.schedule(3.0, lambda: sim.trigger(event, "payload"))
-        sim.run()
-        assert results == ["payload"]
-
-    def test_process_return_value_recorded(self, sim):
-        def body():
-            yield 1.0
-            return "done"
-
-        process = Process(sim, body())
-        sim.run()
-        assert not process.alive
-        assert process.value == "done"
-
-    def test_process_waits_for_other_process(self, sim):
-        def child():
-            yield 2.0
-            return 99
-
-        results = []
-
-        def parent():
-            value = yield Process(sim, child(), name="child")
-            results.append((sim.now, value))
-
-        Process(sim, parent(), name="parent")
-        sim.run()
-        assert results == [(2.0, 99)]
-
-    def test_kill_terminates_process(self, sim):
-        progress = []
-
-        def body():
-            progress.append("start")
-            try:
-                yield 100.0
-            except ProcessKilled:
-                progress.append("killed")
-                raise
-
-        process = Process(sim, body())
-        sim.run(until=1.0)
-        process.kill()
-        assert not process.alive
-        assert progress == ["start", "killed"]
-
-    def test_non_generator_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Process(sim, lambda: None)  # type: ignore[arg-type]
-
-    def test_terminated_event_fires(self, sim):
-        def body():
-            yield 1.0
-            return 7
-
-        process = Process(sim, body())
-        seen = []
-        process.terminated.add_listener(lambda ev, ok: seen.append(ev.value))
-        sim.run()
-        assert seen == [7]
 
 
 class TestPeriodicTimer:
