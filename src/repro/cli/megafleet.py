@@ -34,7 +34,7 @@ def register(subparsers) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="parallel worker processes advancing the shards (default 1 = serial)",
+        help="worker processes the shards stay resident in (default 1 = in-process)",
     )
     run.add_argument(
         "--duration", type=float, help="override the simulated duration (seconds)"
@@ -77,5 +77,12 @@ def run_run(args: argparse.Namespace) -> int:
         table.add_row(metric=key, value=value)
     table.add_row(metric="wall_seconds", value=round(result.wall_seconds, 3))
     table.add_row(metric="events_per_second", value=round(result.events_per_second))
+    # Where the wall went (never under --json: host time is not deterministic).
+    for key, value in result.perf.items():
+        if key == "compute_s":  # one entry per shard
+            value = " ".join(f"{seconds:.3f}" for seconds in value)
+        elif isinstance(value, float):
+            value = round(value, 3)
+        table.add_row(metric=key, value=value)
     table.print()
     return 0

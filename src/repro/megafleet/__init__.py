@@ -10,7 +10,6 @@ boundaries and byte-identical results for any shard/jobs count.
 from repro.megafleet.engine import (
     MegafleetResult,
     ShardedFleetSimulator,
-    advance_shard,
     run_megafleet,
 )
 from repro.megafleet.spec import (
@@ -24,7 +23,6 @@ __all__ = [
     "MegafleetSpec",
     "MegafleetResult",
     "ShardedFleetSimulator",
-    "advance_shard",
     "run_megafleet",
     "register_megafleet",
     "get_megafleet",

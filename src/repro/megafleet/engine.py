@@ -12,33 +12,42 @@ fleet in **lockstep epochs**:
    own named stream and dispatches each to a group, least-loaded over the
    latest group summaries with a running pending-demand correction (the same
    thundering-herd fix the live Group Leader applies between summaries).
-2. Every *shard* (a contiguous slice of groups) advances its groups through
-   the epoch independently: departures free capacity, arrivals place
-   first-fit over the group's arrays, monitoring rows refresh vectorized.
-   Shards run across a multiprocessing pool via the generalized sweeps
-   executors (:func:`repro.sweeps.executor.make_executor`).
-3. Group summaries flow back to the coordinator -- the only inter-shard
-   messages, exchanged only at epoch boundaries.
+2. Every *shard* (a contiguous slice of groups, one :class:`ShardHost`)
+   advances its groups through the epoch independently: departures free
+   capacity, arrivals place first-fit over the group's arrays, monitoring rows
+   refresh vectorized.  Shard state is **resident**: a host builds its groups
+   from ``(spec, seed, group ids)`` in the process that advances them and
+   keeps them there for the whole run
+   (:class:`repro.sweeps.executor.ResidentWorkers`: in-process objects when
+   ``jobs == 1``, otherwise ``jobs`` worker processes started once per run,
+   worker *i* hosting shards *i, i + jobs, ...*).
+3. What crosses a shard boundary is what a Snooze Group Leader sees: per epoch
+   each shard receives its groups' arrivals (demand rows, lifetimes, a count
+   per group) and returns its group summaries; at the end it returns the
+   per-group counters the result is built from.  No LC or VM array is ever
+   shipped, so the exchange does not grow with the fleet
+   (``MegafleetResult.perf`` reports its bytes and waits).
 
-Determinism is the sweeps/colonies discipline: randomness is derived *before*
-the fan-out (one ``SeedSequence`` child per **group**, plus a coordinator
-stream; per-epoch generators are re-derived from ``(group child, epoch)``), a
-group's advance depends only on its own state, arrivals and stream, and shard
-outputs merge in group order.  Results are therefore byte-identical for any
-``shards`` and ``jobs`` count -- asserted by the canonical-JSON tests.
+Determinism is the sweeps/colonies discipline: every stream is a pure function
+of ``(seed, group id)`` -- one ``SeedSequence`` child per **group**, plus a
+coordinator stream; per-epoch generators are re-derived from ``(group child,
+epoch)`` -- a group's advance depends only on its own state, arrivals and
+stream, and replies are read in shard order.  Results are therefore
+byte-identical for any ``shards`` and ``jobs`` count -- asserted by the
+canonical-JSON tests.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.megafleet.spec import MegafleetSpec, get_megafleet
 from repro.simulation.randomness import spawn_generator, spawn_seed_sequences
-from repro.sweeps.executor import make_executor
+from repro.sweeps.executor import ResidentWorkers
 
 #: Feasibility tolerance, matching ``ClusterView``/``ResourceVector``.
 FIT_TOLERANCE = 1e-9
@@ -46,7 +55,7 @@ FIT_TOLERANCE = 1e-9
 
 # -------------------------------------------------------------- group state
 def _new_group(gid: int, n_lcs: int, spec: MegafleetSpec, seed: np.random.SeedSequence) -> dict:
-    """Fresh picklable state for one Group Manager's LC arrays."""
+    """Fresh state for one Group Manager's LC arrays."""
     d = len(spec.dimensions)
     capacity = np.tile(np.asarray(spec.node_capacity, dtype=float), (n_lcs, 1))
     return {
@@ -102,9 +111,10 @@ def _advance_group(
     placed_req: List[np.ndarray] = []
     placed_depart: List[float] = []
     rejections = 0
+    limit = capacities + FIT_TOLERANCE
     for row in range(arrivals_req.shape[0]):
         demand = arrivals_req[row]
-        fits = np.all(reserved + demand <= capacities + FIT_TOLERANCE, axis=1)
+        fits = (reserved + demand <= limit).all(axis=1)
         hit = int(np.argmax(fits)) if fits.any() else -1
         if hit < 0:
             rejections += 1
@@ -161,31 +171,62 @@ def _group_summary(group: dict) -> dict:
     }
 
 
-def advance_shard(payload: Dict[str, object]) -> Dict[str, object]:
-    """Advance every group of one shard through one epoch (executor worker).
+class ShardHost:
+    """One shard: a contiguous run of groups, resident where they advance.
 
-    Module-level and dict-in/dict-out, so it runs identically under the
-    serial executor and a multiprocessing pool (fork or spawn).
+    Built from ``(spec, seed, gids)`` inside the worker that hosts it (the
+    class is the picklable factory :class:`ResidentWorkers` ships), so the
+    groups' arrays never leave the process that mutates them.
     """
-    groups = payload["groups"]
-    arrivals = payload["arrivals"]
-    out_groups = []
-    summaries = []
-    for group in groups:
-        gid = group["gid"]
-        arrivals_req, arrivals_life = arrivals[gid]
-        group = _advance_group(
-            group,
-            np.asarray(arrivals_req, dtype=float),
-            np.asarray(arrivals_life, dtype=float),
-            payload["epoch_index"],
-            payload["epoch_start"],
-            payload["epoch_end"],
-            payload["spec_view"],
-        )
-        out_groups.append(group)
-        summaries.append(_group_summary(group))
-    return {"groups": out_groups, "summaries": summaries}
+
+    def __init__(self, spec: MegafleetSpec, seed: int, gids: Sequence[int]) -> None:
+        # One seed child per *group*, whatever shard holds it, so repacking
+        # groups into a different shard count cannot move any stream.
+        seeds = spawn_seed_sequences(seed, spec.group_managers)
+        sizes = spec.group_sizes()
+        self.groups = [_new_group(gid, sizes[gid], spec, seeds[gid]) for gid in gids]
+        self.spec_view = {
+            "monitoring_interval": spec.monitoring_interval,
+            "usage_low": spec.usage_low,
+            "usage_high": spec.usage_high,
+        }
+
+    def summaries(self) -> List[dict]:
+        """The epoch-boundary summaries of this shard's groups, in group order."""
+        return [_group_summary(group) for group in self.groups]
+
+    def advance(self, epoch: dict) -> List[dict]:
+        """Advance every group through one epoch; reply with the summaries.
+
+        ``epoch`` carries the shard's arrivals grouped by target group in
+        dispatch order: ``counts[i]`` consecutive rows of ``demands`` /
+        ``lifetimes`` belong to the shard's ``i``-th group.
+        """
+        stops = np.cumsum(epoch["counts"]).tolist()
+        for group, start, stop in zip(self.groups, [0] + stops, stops):
+            _advance_group(
+                group,
+                epoch["demands"][start:stop],
+                epoch["lifetimes"][start:stop],
+                epoch["epoch_index"],
+                epoch["epoch_start"],
+                epoch["epoch_end"],
+                self.spec_view,
+            )
+        return self.summaries()
+
+    def finish(self) -> List[dict]:
+        """Per-group finals: the last summary plus the run's counters."""
+        return [
+            {
+                **_group_summary(group),
+                "placements": group["placements"],
+                "rejections": group["rejections"],
+                "departures": group["departures"],
+                "events": group["events"],
+            }
+            for group in self.groups
+        ]
 
 
 # ------------------------------------------------------------------- results
@@ -199,6 +240,7 @@ class MegafleetResult:
         totals: dict,
         per_group: List[dict],
         wall_seconds: float,
+        perf: Optional[dict] = None,
     ) -> None:
         self.spec = spec
         self.seed = int(seed)
@@ -206,6 +248,12 @@ class MegafleetResult:
         self.per_group = per_group
         #: Wall-clock of the run; NOT part of the canonical serialization.
         self.wall_seconds = float(wall_seconds)
+        #: Where the wall went, like ``wall_seconds`` NOT serialized:
+        #: ``workers`` (1 = in the calling process), the coordinator's
+        #: ``dispatch_s`` and ``exchange_wait_s`` (blocked on the shards; with
+        #: one worker that is their compute), per-shard ``compute_s``, and the
+        #: pickled ``bytes_out`` / ``bytes_in`` that crossed process boundaries.
+        self.perf = dict(perf or {})
 
     def to_dict(self) -> dict:
         """The deterministic result payload (identical for any shards/jobs)."""
@@ -246,107 +294,105 @@ class ShardedFleetSimulator:
         spec = self.spec
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        shards = min(int(shards), spec.group_managers)
-        # Seeds are per *group*, spawned before any fan-out, so repacking
-        # groups into a different shard count cannot move any stream.
-        group_seeds = spawn_seed_sequences(self.seed, spec.group_managers)
-        groups = [
-            _new_group(gid, n_lcs, spec, group_seeds[gid])
-            for gid, n_lcs in enumerate(spec.group_sizes())
-        ]
+        n_groups = spec.group_managers
+        shards = min(int(shards), n_groups)
+        # Shards are contiguous group slices: shard s owns [edges[s], edges[s+1]).
+        shard_gids = [rows.tolist() for rows in np.array_split(np.arange(n_groups), shards)]
+        edges = np.cumsum([0] + [len(gids) for gids in shard_gids])
         # The coordinator's arrival stream is the next child after the groups.
-        arrival_rng = spawn_generator(self.seed, spec.group_managers)
-        spec_view = {
-            "monitoring_interval": spec.monitoring_interval,
-            "usage_low": spec.usage_low,
-            "usage_high": spec.usage_high,
-        }
-        summaries = {
-            group["gid"]: _group_summary(group) for group in groups
-        }
-        executor = make_executor(jobs, fn=advance_shard)
-        shard_slices = np.array_split(np.arange(spec.group_managers), shards)
+        arrival_rng = spawn_generator(self.seed, n_groups)
         d = len(spec.dimensions)
         node_capacity = np.asarray(spec.node_capacity, dtype=float)
         dispatch_rejections = 0
+        dispatch_s = exchange_wait_s = 0.0
         started = time.perf_counter()
 
-        for epoch_index in range(spec.n_epochs):
-            epoch_start = epoch_index * spec.epoch
-            epoch_end = epoch_start + spec.epoch
-
-            # --- coordinator: draw and dispatch this epoch's arrivals.
-            n_arrivals = int(arrival_rng.poisson(spec.arrivals_per_epoch))
-            demands = (
-                arrival_rng.uniform(spec.vm_demand_low, spec.vm_demand_high, (n_arrivals, d))
-                * node_capacity
-            )
-            lifetimes = arrival_rng.exponential(spec.vm_lifetime_mean, n_arrivals)
-            projected_free = np.asarray(
-                [summaries[gid]["free_cpu"] for gid in range(spec.group_managers)],
+        with ResidentWorkers(
+            jobs, ShardHost, [(spec, self.seed, gids) for gids in shard_gids]
+        ) as hosts:
+            # The latest summaries' free CPU, one slot per group.
+            free_cpu = np.asarray(
+                [s["free_cpu"] for reply in hosts.call("summaries") for s in reply],
                 dtype=float,
             )
-            arrivals: Dict[int, list] = {
-                gid: [[], []] for gid in range(spec.group_managers)
-            }
-            for row in range(n_arrivals):
-                cpu_demand = float(demands[row, 0])
-                target = int(np.argmax(projected_free))
-                if projected_free[target] < cpu_demand:
-                    dispatch_rejections += 1
-                    continue
-                projected_free[target] -= cpu_demand
-                arrivals[target][0].append(demands[row])
-                arrivals[target][1].append(float(lifetimes[row]))
+            for epoch_index in range(spec.n_epochs):
+                epoch_start = epoch_index * spec.epoch
+                epoch_end = epoch_start + spec.epoch
 
-            # --- shards advance in lockstep across the executor.
-            payloads = []
-            for rows in shard_slices:
-                gids = [int(gid) for gid in rows]
-                payloads.append(
-                    {
-                        "groups": [groups[gid] for gid in gids],
-                        "arrivals": {
-                            gid: (
-                                np.asarray(arrivals[gid][0], dtype=float).reshape(-1, d),
-                                np.asarray(arrivals[gid][1], dtype=float),
-                            )
-                            for gid in gids
-                        },
-                        "epoch_index": epoch_index,
-                        "epoch_start": epoch_start,
-                        "epoch_end": epoch_end,
-                        "spec_view": spec_view,
-                    }
+                # --- coordinator: draw and dispatch this epoch's arrivals.
+                tick = time.perf_counter()
+                n_arrivals = int(arrival_rng.poisson(spec.arrivals_per_epoch))
+                demands = (
+                    arrival_rng.uniform(spec.vm_demand_low, spec.vm_demand_high, (n_arrivals, d))
+                    * node_capacity
                 )
-            outcomes = executor.map(payloads)
+                lifetimes = arrival_rng.exponential(spec.vm_lifetime_mean, n_arrivals)
+                projected_free = free_cpu.copy()
+                targets = np.full(n_arrivals, -1, dtype=np.int64)
+                for row, cpu_demand in enumerate(demands[:, 0].tolist()):
+                    target = int(np.argmax(projected_free))
+                    if projected_free[target] < cpu_demand:
+                        continue
+                    projected_free[target] -= cpu_demand
+                    targets[row] = target
+                # One stable grouping by target keeps dispatch order inside a
+                # group; refused arrivals (-1) sort first and are cut off.
+                order = np.argsort(targets, kind="stable")
+                refused = int(np.count_nonzero(targets < 0))
+                dispatch_rejections += refused
+                order = order[refused:]
+                demands, lifetimes = demands[order], lifetimes[order]
+                counts = np.bincount(targets[order], minlength=n_groups)
+                starts = np.concatenate(([0], np.cumsum(counts)))
+                messages = []
+                for shard in range(shards):
+                    lo, hi = edges[shard], edges[shard + 1]
+                    rows = slice(starts[lo], starts[hi])
+                    messages.append(
+                        (
+                            {
+                                "epoch_index": epoch_index,
+                                "epoch_start": epoch_start,
+                                "epoch_end": epoch_end,
+                                "demands": demands[rows],
+                                "lifetimes": lifetimes[rows],
+                                "counts": counts[lo:hi],
+                            },
+                        )
+                    )
+                tock = time.perf_counter()
+                dispatch_s += tock - tick
 
-            # --- epoch boundary: merge group states and exchange summaries.
-            for outcome in outcomes:
-                for group, summary in zip(outcome["groups"], outcome["summaries"]):
-                    groups[group["gid"]] = group
-                    summaries[summary["gid"]] = summary
+                # --- shards advance in lockstep; only summaries come back.
+                replies = hosts.call("advance", messages)
+                exchange_wait_s += time.perf_counter() - tock
+                for reply in replies:
+                    for summary in reply:
+                        free_cpu[summary["gid"]] = summary["free_cpu"]
+
+            finals = [final for reply in hosts.call("finish") for final in reply]
 
         wall = time.perf_counter() - started
+        perf = {
+            "workers": hosts.workers,
+            "dispatch_s": dispatch_s,
+            "exchange_wait_s": exchange_wait_s,
+            "compute_s": list(hosts.compute_s),
+            "bytes_out": hosts.bytes_out,
+            "bytes_in": hosts.bytes_in,
+        }
+        # ``events`` is reported as a fleet total only, not per group.
+        events = sum(final.pop("events") for final in finals)
         totals = {
             "epochs": spec.n_epochs,
-            "events": int(sum(group["events"] for group in groups)),
-            "placements": int(sum(group["placements"] for group in groups)),
-            "rejections": int(sum(group["rejections"] for group in groups)),
+            "events": int(events),
+            "placements": int(sum(final["placements"] for final in finals)),
+            "rejections": int(sum(final["rejections"] for final in finals)),
             "dispatch_rejections": int(dispatch_rejections),
-            "departures": int(sum(group["departures"] for group in groups)),
-            "vms_running": int(sum(group["vm_req"].shape[0] for group in groups)),
+            "departures": int(sum(final["departures"] for final in finals)),
+            "vms_running": int(sum(final["vms"] for final in finals)),
         }
-        per_group = [
-            {
-                **_group_summary(group),
-                "placements": group["placements"],
-                "rejections": group["rejections"],
-                "departures": group["departures"],
-            }
-            for group in groups
-        ]
-        return MegafleetResult(spec, self.seed, totals, per_group, wall)
+        return MegafleetResult(spec, self.seed, totals, finals, wall, perf)
 
 
 def run_megafleet(

@@ -35,6 +35,7 @@ or::
 from repro.sweeps.spec import RunSpec, SweepSpec, policy_cell_label, thresholds_label
 from repro.sweeps.executor import (
     MultiprocessExecutor,
+    ResidentWorkers,
     SerialExecutor,
     execute_run,
     make_executor,
@@ -66,6 +67,7 @@ __all__ = [
     "thresholds_label",
     "SerialExecutor",
     "MultiprocessExecutor",
+    "ResidentWorkers",
     "execute_run",
     "make_executor",
     "SweepReport",

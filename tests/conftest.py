@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,22 @@ from repro.cluster.vm import VirtualMachine
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
 from repro.simulation.engine import Simulator
 from repro.workloads import UniformDemandDistribution, consolidation_instance
+
+
+@contextmanager
+def no_hang(seconds: float = 30.0):
+    """Fail (instead of hanging the suite) if the block outlives ``seconds``."""
+
+    def expired(signum, frame):
+        raise AssertionError(f"still blocked after {seconds:.0f} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

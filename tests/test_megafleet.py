@@ -9,7 +9,11 @@ inter-shard messages only flow at epoch boundaries.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 
 import pytest
 
@@ -17,10 +21,18 @@ from repro.cli.main import main
 from repro.megafleet import (
     MegafleetSpec,
     ShardedFleetSimulator,
+    engine,
     get_megafleet,
     megafleet_names,
     run_megafleet,
 )
+from repro.sweeps import executor
+
+from tests.conftest import no_hang
+
+#: sha256 of ``run_megafleet("megafleet-1k", seed=4).canonical_json()`` at the
+#: commit before shard state became resident (per-epoch pool, states pickled).
+PARENT_1K_SEED4_SHA256 = "65c8ad0a2584dcf54862ad74c24925deba65e8957840506741f9fc6a79dd4ca5"
 
 
 def tiny_spec(**overrides) -> MegafleetSpec:
@@ -83,6 +95,38 @@ class TestDeterminism:
         pooled = ShardedFleetSimulator(spec, seed=11).run(shards=4, jobs=2)
         assert pooled.canonical_json() == serial.canonical_json()
 
+    def test_byte_identical_over_the_shards_jobs_matrix(self):
+        # 6 groups: 4 shards do not divide them, 4 shards over 2 or 3 workers
+        # puts several shards in one worker, and jobs > shards clamps.
+        spec = tiny_spec()
+        reference = ShardedFleetSimulator(spec, seed=11).run(shards=1, jobs=1).canonical_json()
+        for shards in (1, 2, 3, 4):
+            for jobs in (1, 2, 3):
+                result = ShardedFleetSimulator(spec, seed=11).run(shards=shards, jobs=jobs)
+                assert result.canonical_json() == reference, (shards, jobs)
+                assert result.perf["workers"] == min(shards, jobs)
+                assert len(result.perf["compute_s"]) == shards
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("shards,jobs", [(1, 1), (3, 2)])
+    def test_output_unchanged_since_states_were_shipped(self, shards, jobs):
+        text = run_megafleet("megafleet-1k", seed=4, shards=shards, jobs=jobs).canonical_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == PARENT_1K_SEED4_SHA256
+
+    def test_byte_identical_under_spawn(self, monkeypatch):
+        # Spawned workers import the engine afresh and rebuild their shards
+        # from the pickled factory arguments alone.
+        spec = tiny_spec()
+        reference = ShardedFleetSimulator(spec, seed=11).run().canonical_json()
+        monkeypatch.setattr(executor, "_start_method", lambda: "spawn")
+        with no_hang():
+            spawned = ShardedFleetSimulator(spec, seed=11).run(shards=3, jobs=2)
+        assert spawned.canonical_json() == reference
+
+    def test_shard_factory_arguments_survive_pickling(self):
+        factory, args = pickle.loads(pickle.dumps((engine.ShardHost, (tiny_spec(), 11, [2, 3]))))
+        assert factory(*args).summaries() == engine.ShardHost(tiny_spec(), 11, [2, 3]).summaries()
+
     def test_seed_changes_the_run(self):
         spec = tiny_spec()
         a = ShardedFleetSimulator(spec, seed=1).run().canonical_json()
@@ -93,6 +137,60 @@ class TestDeterminism:
         result = ShardedFleetSimulator(tiny_spec(), seed=3).run()
         assert result.wall_seconds > 0
         assert "wall" not in result.canonical_json()
+        assert result.perf["exchange_wait_s"] > 0
+        assert "perf" not in result.to_dict()
+
+
+class TestResidentShards:
+    def test_exchange_does_not_grow_with_the_fleet(self):
+        # Protects the optimisation without timing anything: ten times the LCs
+        # is ten times the resident state, and the same bytes on the wire.
+        def exchanged(local_controllers: int) -> int:
+            spec = tiny_spec(local_controllers=local_controllers)
+            result = ShardedFleetSimulator(spec, seed=11).run(shards=2, jobs=2)
+            assert result.totals["dispatch_rejections"] == 0  # same arrivals shipped
+            return result.perf["bytes_out"] + result.perf["bytes_in"]
+
+        small, large = exchanged(120), exchanged(1200)
+        assert small > 0
+        assert abs(large - small) / small < 0.05
+        in_process = ShardedFleetSimulator(tiny_spec(), seed=11).run(shards=2, jobs=1)
+        assert in_process.perf["bytes_out"] == in_process.perf["bytes_in"] == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shard_exception_names_the_shard(self, monkeypatch, jobs):
+        advance_group = engine._advance_group
+
+        def failing(group, *args):
+            if group["gid"] == 4:
+                raise ArithmeticError("group 4 is broken")
+            return advance_group(group, *args)
+
+        monkeypatch.setattr(engine, "_advance_group", failing)  # forked workers inherit it
+        with no_hang(), pytest.raises(
+            RuntimeError, match=r"shard 2 failed:(?s:.*)ArithmeticError: group 4 is broken"
+        ):
+            ShardedFleetSimulator(tiny_spec(), seed=11).run(shards=3, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_the_run_instead_of_hanging_it(self, monkeypatch):
+        advance_group = engine._advance_group
+
+        def dying(group, arrivals_req, arrivals_life, epoch_index, *rest):
+            if epoch_index == 2 and multiprocessing.parent_process() is not None:
+                os._exit(9)
+            return advance_group(group, arrivals_req, arrivals_life, epoch_index, *rest)
+
+        monkeypatch.setattr(engine, "_advance_group", dying)
+        with no_hang(), pytest.raises(RuntimeError, match=r"shard\(s\) 0, 2 died \(exit code 9\)"):
+            ShardedFleetSimulator(tiny_spec(), seed=11).run(shards=3, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_bad_counts_keep_their_errors(self):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            ShardedFleetSimulator(tiny_spec()).run(shards=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ShardedFleetSimulator(tiny_spec()).run(jobs=0)
 
 
 class TestSemantics:
@@ -135,3 +233,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         direct = run_megafleet("megafleet-1k", seed=4, shards=1, duration=30.0)
         assert payload["totals"] == direct.totals
+        assert "perf" not in payload and "exchange_wait_s" not in payload
+
+    def test_megafleet_run_table_shows_where_the_wall_went(self, capsys):
+        args = ["megafleet", "run", "megafleet-1k", "--duration", "30", "--shards", "2"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        for row in ("workers", "dispatch_s", "exchange_wait_s", "compute_s", "bytes_out", "bytes_in"):
+            assert row in out

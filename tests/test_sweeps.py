@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.scenarios import get_scenario
 from repro.simulation.randomness import derive_run_seeds, spawn_generator
 from repro.sweeps import (
     MultiprocessExecutor,
+    ResidentWorkers,
     RunSpec,
     SerialExecutor,
     SweepReport,
@@ -23,6 +26,8 @@ from repro.sweeps import (
     sweep_names,
 )
 from repro.sweeps.report import KEY_COLUMNS, METRIC_COLUMNS
+
+from tests.conftest import no_hang
 
 
 def _tiny_sweep(**overrides) -> SweepSpec:
@@ -229,6 +234,82 @@ class TestExecutors:
         # Python version and filesystem layout, reports must not.
         assert "traceback" not in report.to_json()
         assert "Traceback" not in report.to_csv()
+
+
+# ----------------------------------------------------------- resident workers
+class Tally:
+    """A stateful shard: remembers what it was given, wherever it lives."""
+
+    def __init__(self, start: int) -> None:
+        if start < 0:
+            raise ValueError("negative start")
+        self.total = start
+        self.pid = os.getpid()
+
+    def add(self, amount: int) -> int:
+        self.total += amount
+        return self.total
+
+    def where(self) -> int:
+        return self.pid
+
+    def divide(self, by: int) -> float:
+        return self.total / by
+
+    def die(self) -> None:
+        if multiprocessing.parent_process() is not None:
+            os._exit(7)
+
+
+class TestResidentWorkers:
+    STARTS = [(0,), (10,), (20,), (30,), (40,)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_state_stays_resident_and_replies_keep_shard_order(self, jobs):
+        with no_hang(), ResidentWorkers(jobs, Tally, self.STARTS) as workers:
+            assert workers.workers == min(jobs, 5)  # jobs > shards clamps
+            assert workers.call("add", [(1,), (2,), (3,), (4,), (5,)]) == [1, 12, 23, 34, 45]
+            assert workers.call("add", [(1,)] * 5) == [2, 13, 24, 35, 46]
+            pids = workers.call("where")
+            # Worker i hosts shards i, i + workers, ...; one worker is this process.
+            assert [pids.index(pid) for pid in pids] == [k % workers.workers for k in range(5)]
+            assert (pids[0] == os.getpid()) == (workers.workers == 1)
+            assert (workers.bytes_out > 0) == (workers.bytes_in > 0) == (workers.workers > 1)
+            assert len(workers.compute_s) == 5 and min(workers.compute_s) > 0.0
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ResidentWorkers(0, Tally, self.STARTS)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shard_exception_surfaces_with_remote_traceback(self, jobs):
+        with no_hang(), ResidentWorkers(jobs, Tally, self.STARTS) as workers:
+            with pytest.raises(RuntimeError, match=r"shard 0 failed:(?s:.*)ZeroDivisionError"):
+                workers.call("divide", [(0,), (1,), (1,), (1,), (1,)])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_factory_exception_surfaces_and_leaves_no_worker(self, jobs):
+        with no_hang(), pytest.raises(RuntimeError, match=r"shard 1 failed:(?s:.*)negative start"):
+            ResidentWorkers(jobs, Tally, [(0,), (-1,)])
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_surfaces_instead_of_hanging(self):
+        with no_hang(), ResidentWorkers(2, Tally, self.STARTS) as workers:
+            with pytest.raises(RuntimeError, match=r"worker of shard\(s\) 0, 2, 4 died \(exit code 7\)"):
+                workers.call("die")
+            # ...and keeps surfacing: the next call finds the pipe closed.
+            with pytest.raises(RuntimeError, match="died"):
+                workers.call("where")
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_leaves_no_worker(self):
+        with no_hang(), pytest.raises(KeyboardInterrupt):
+            with ResidentWorkers(2, Tally, self.STARTS) as workers:
+                workers.call("add", [(1,)] * 5)
+                raise KeyboardInterrupt
+        assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------------------------- report
