@@ -47,6 +47,11 @@ class PhysicalNode:
         self.capacity = capacity or ResourceVector([1.0, 1.0, 1.0], DEFAULT_DIMENSIONS)
         if not self.capacity.is_nonnegative() or self.capacity.l1() == 0:
             raise ResourceError(f"node {node_id} capacity must be positive, got {self.capacity}")
+        dims = self.capacity.dimensions
+        #: Column of the CPU dimension (the utilization the thresholds and the
+        #: power model read) and its capacity.
+        self.cpu_index = dims.index("cpu") if "cpu" in dims else 0
+        self._cpu_capacity = float(self.capacity.values[self.cpu_index])
         self.power_model: PowerModel = power_model or LinearPowerModel()
         #: Name of the administrator-selected low power state (paper Section III).
         self.power_state_name = power_state_name
@@ -145,24 +150,32 @@ class PhysicalNode:
 
     def available(self) -> ResourceVector:
         """Remaining reservable capacity."""
-        return (self.capacity - self.reserved()).clamp_nonnegative()
+        return ResourceVector(
+            np.maximum(self.capacity.values - self.reserved_values(), 0.0),
+            self.capacity.dimensions,
+        )
 
     def utilization(self) -> float:
         """Scalar CPU utilization in [0, 1] based on current usage."""
-        dims = self.capacity.dimensions
-        cpu_index = dims.index("cpu") if "cpu" in dims else 0
-        cap = self.capacity.values[cpu_index]
+        cap = self._cpu_capacity
         if cap <= 0:
             return 0.0
-        return float(min(self.used().values[cpu_index] / cap, 1.0))
+        return float(min(self.used_values()[self.cpu_index] / cap, 1.0))
 
     def utilization_vector(self) -> ResourceVector:
         """Per-dimension utilization fractions (usage / capacity)."""
         return self.used() / self.capacity
 
     def fits(self, vm: VirtualMachine) -> bool:
-        """Reservation-based admission check."""
-        return (self.reserved() + vm.requested).fits_within(self.capacity)
+        """Reservation-based admission check (``ResourceVector.fits_within`` tolerance)."""
+        requested = vm.requested
+        if requested.dimensions != self.capacity.dimensions:
+            raise ResourceError(
+                f"dimension mismatch: {self.capacity.dimensions} vs {requested.dimensions}"
+            )
+        return bool(
+            np.all(self.reserved_values() + requested.values <= self.capacity.values + 1e-9)
+        )
 
     def place_vm(self, vm: VirtualMachine, now: float = 0.0) -> None:
         """Place a VM on this node, reserving its requested capacity.

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 
 class PowerModel(Protocol):
     """Anything mapping a utilization fraction in [0, 1] to Watts."""
@@ -53,7 +51,7 @@ class LinearPowerModel:
             raise ValueError("require 0 <= p_idle <= p_max")
 
     def power(self, utilization: float) -> float:
-        u = float(np.clip(utilization, 0.0, 1.0))
+        u = min(max(float(utilization), 0.0), 1.0)
         return self.p_idle + (self.p_max - self.p_idle) * u
 
     def idle_power(self) -> float:
@@ -80,7 +78,7 @@ class CubicPowerModel:
             raise ValueError("require 0 <= p_idle <= p_max")
 
     def power(self, utilization: float) -> float:
-        u = float(np.clip(utilization, 0.0, 1.0))
+        u = min(max(float(utilization), 0.0), 1.0)
         return self.p_idle + (self.p_max - self.p_idle) * u**3
 
     def idle_power(self) -> float:

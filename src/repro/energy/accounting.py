@@ -7,6 +7,12 @@ power at the *previous* sample times the elapsed time.  This matches how the
 consolidation literature (and the authors' GRID'11 evaluation) computes energy
 from utilization time series.
 
+Energy and power live in one float64 row per node: a sample integrates the
+whole cluster with one ``energy += power * elapsed`` and re-reads the power of
+only those nodes whose :meth:`~repro.cluster.node.PhysicalNode.watch` hook
+fired since the previous sample (everything ``current_power`` depends on --
+the VM set, any hosted VM's usage, the power state -- is watched).
+
 Two extra buckets exist beyond per-node energy:
 
 * **transition energy** -- the fixed Joules charged per suspend/wake-up,
@@ -22,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
+
+import numpy as np
 
 from repro.cluster.node import PhysicalNode
 from repro.simulation.engine import Simulator
@@ -79,10 +87,15 @@ class EnergyMeter:
         self.sleep_power = float(sleep_power)
         self.computation_power_watts = float(computation_power_watts)
         self.start_time = sim.now
-        self._energy: Dict[str, float] = {node.node_id: 0.0 for node in self.nodes}
-        self._last_power: Dict[str, float] = {
-            node.node_id: node.current_power(self.sleep_power) for node in self.nodes
-        }
+        self._row = {node: row for row, node in enumerate(self.nodes)}
+        #: Joules accumulated, and Watts drawn as of the last sample, per node.
+        self._energy = np.zeros(len(self.nodes))
+        self._power = np.zeros(len(self.nodes))
+        #: Nodes whose power may differ from ``_power`` (changed since the last sample).
+        self._dirty = set(self.nodes)
+        for node in self.nodes:
+            node.watch(self._dirty.add)
+        self._refresh_power()
         self._last_time = sim.now
         self.transition_energy = 0.0
         self.computation_energy = 0.0
@@ -101,11 +114,16 @@ class EnergyMeter:
         now = self.sim.now
         elapsed = now - self._last_time
         if elapsed > 0:
-            for node in self.nodes:
-                self._energy[node.node_id] += self._last_power[node.node_id] * elapsed
-        for node in self.nodes:
-            self._last_power[node.node_id] = node.current_power(self.sleep_power)
+            self._energy += self._power * elapsed
+        self._refresh_power()
         self._last_time = now
+
+    def _refresh_power(self) -> None:
+        # The scalar model call per *changed* node: the power models are
+        # arbitrary callables, and a node's utilization is a Python read.
+        for node in self._dirty:
+            self._power[self._row[node]] = node.current_power(self.sleep_power)
+        self._dirty.clear()
 
     def add_transition_energy(self, joules: float) -> None:
         """Charge a suspend/wake-up transition."""
@@ -133,7 +151,9 @@ class EnergyMeter:
         self.update()
         return EnergyReport(
             horizon_seconds=self.sim.now - self.start_time,
-            node_energy_joules=dict(self._energy),
+            node_energy_joules={
+                node.node_id: joules for node, joules in zip(self.nodes, self._energy.tolist())
+            },
             transition_energy_joules=self.transition_energy,
             computation_energy_joules=self.computation_energy,
         )

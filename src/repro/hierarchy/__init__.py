@@ -7,6 +7,8 @@ self-organizing, fault-tolerant, hierarchical VM management framework.
   (heartbeat intervals and timeouts, scheduling policies, energy settings).
 * :class:`~repro.hierarchy.local_controller.LocalController` -- controls one
   physical node: monitoring, anomaly detection, command enforcement.
+* :class:`~repro.hierarchy.fleet.LocalControllerFleet` -- steps the periodic
+  duties (monitoring tick, heartbeat) of every running LC as array rows.
 * :class:`~repro.hierarchy.group_manager.GroupManager` -- manages a subset of
   LCs: demand estimation, placement/relocation/reconfiguration scheduling,
   energy management; becomes the Group Leader when elected.
@@ -21,6 +23,7 @@ self-organizing, fault-tolerant, hierarchical VM management framework.
 
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.common import Component, ComponentState
+from repro.hierarchy.fleet import LocalControllerFleet
 from repro.hierarchy.local_controller import LocalController
 from repro.hierarchy.group_manager import GroupManager
 from repro.hierarchy.entry_point import EntryPoint
@@ -33,6 +36,7 @@ __all__ = [
     "Component",
     "ComponentState",
     "LocalController",
+    "LocalControllerFleet",
     "GroupManager",
     "EntryPoint",
     "SnoozeClient",

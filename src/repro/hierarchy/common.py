@@ -87,7 +87,7 @@ class Component:
         if self.state is ComponentState.RUNNING:
             return
         self.state = ComponentState.RUNNING
-        self.endpoint.connected = True
+        self.network.reconnect(self.name)
         self.on_start()
 
     def on_start(self) -> None:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.cluster.node import PhysicalNode
 from repro.cluster.vm import VirtualMachine
 from repro.coordination.election import LeaderElection
@@ -41,7 +39,7 @@ from repro.hierarchy.local_controller import (
     gm_heartbeat_group,
 )
 from repro.metrics.recorder import EventLog
-from repro.monitoring.summary import GroupManagerSummary
+from repro.monitoring.summary import GroupManagerSummary, GroupReports
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
 from repro.policies import DecisionPlane
@@ -70,10 +68,11 @@ class GroupManager(Component):
         self._consolidation_rng = consolidation_rng
 
         # --- GM state: the Local Controllers this GM manages.
-        #: lc_name -> {"node": PhysicalNode, "summary_view": dict | None, "timeout": DeadlineHandle}
-        #: where summary_view holds the latest monitoring report's capacity
-        #: vectors pre-parsed to arrays (None until the first report arrives).
+        #: lc_name -> {"node": PhysicalNode, "timeout": DeadlineHandle}, in join order.
         self.local_controllers: Dict[str, dict] = {}
+        #: The latest monitoring report of each of them, as resident array
+        #: rows the summary sums directly.
+        self._reports = GroupReports()
         #: lc_name -> bound ``restart`` of that LC's failure-detector handle.
         #: The heartbeat hot path is two orders of magnitude more frequent
         #: than any other GM message; this flat index spares it the record
@@ -207,6 +206,7 @@ class GroupManager(Component):
             leases.pop((self.name, lc_name), None)
         self.local_controllers.clear()
         self._lc_restart.clear()
+        self._reports.clear()
         self.plane.clear()
         self._summary_cache = None
         for timeout in self._gm_timeouts.values():
@@ -387,7 +387,8 @@ class GroupManager(Component):
         timeout = self.add_deadline(
             self._lc_deadlines, self.config.heartbeat_timeout, self._lc_failed, lc_name
         )
-        self.local_controllers[lc_name] = {"node": node, "summary_view": None, "timeout": timeout}
+        self.local_controllers[lc_name] = {"node": node, "timeout": timeout}
+        self._reports.add(lc_name, node)
         self._lc_restart[lc_name] = timeout.restart
         # Publish the detector handle as a heartbeat lease: on a
         # deterministic network the LC re-arms it at delivery time
@@ -407,6 +408,7 @@ class GroupManager(Component):
         heartbeat_leases(self.sim).pop((self.name, lc_name), None)
         if record is None:
             return
+        self._reports.remove(lc_name)
         self.plane.remove(lc_name)
         self._summary_cache = None
         self.discard_timeout(record["timeout"])
@@ -422,19 +424,10 @@ class GroupManager(Component):
             restart()
 
     def _on_lc_monitoring(self, message: Message) -> None:
-        record = self.local_controllers.get(message.sender)
-        if record is not None:
-            payload = message.payload
-            # Keep only the capacity vectors, pre-parsed to arrays at receive
-            # time; summary aggregation (every summary_interval) then sums
-            # arrays instead of re-parsing lists report after report, and the
-            # rest of the payload is not retained.
-            record["summary_view"] = {
-                "capacity": np.asarray(payload["capacity"], dtype=float),
-                "reserved": np.asarray(payload["reserved"], dtype=float),
-                "used": np.asarray(payload["used"], dtype=float),
-                "vm_count": payload.get("vm_count", 0),
-            }
+        # One message carries the report rows of one LC (jittery network) or
+        # of every LC of a tick group (a frame); senders this GM no longer
+        # manages are skipped.
+        self._reports.store(*message.payload)
 
     # ------------------------------------------------------------ GM: summary
     def managed_nodes(self) -> List[PhysicalNode]:
@@ -446,24 +439,7 @@ class GroupManager(Component):
         return self.plane.nodes_in_join_order()
 
     def _build_summary(self) -> GroupManagerSummary:
-        reports = []
-        for record in self.local_controllers.values():
-            node: PhysicalNode = record["node"]
-            if record["summary_view"] is not None:
-                # The pre-parsed array view of the last report (same values;
-                # np.asarray on an ndarray is a no-op in from_reports).
-                reports.append(record["summary_view"])
-            else:
-                # No monitoring data yet: report the node's static state.
-                reports.append(
-                    {
-                        "capacity": node.capacity.values.tolist(),
-                        "reserved": node.reserved().values.tolist(),
-                        "used": node.used().values.tolist(),
-                        "vm_count": node.vm_count,
-                    }
-                )
-        summary = GroupManagerSummary.from_reports(self.name, self.sim.now, reports)
+        summary = self._reports.summarize(self.name, self.sim.now)
         self.summary_rebuilds += 1
         self._summary_cache = summary
         return summary

@@ -18,6 +18,12 @@ Responsibilities implemented here:
 * **Command enforcement**: start/terminate VMs, execute live migrations.
 * **Failure semantics** (Section II.E): when the LC crashes its VMs are
   terminated; when it recovers it rejoins the hierarchy empty.
+
+The periodic duties (monitoring tick, heartbeat) of all running LCs are
+stepped together, as array rows, by the deployment's
+:class:`~repro.hierarchy.fleet.LocalControllerFleet`; this class keeps the
+per-LC handlers a row falls back to when something happened on it
+(:meth:`LocalController._depart_vm`, :meth:`LocalController._report_anomaly`).
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ from repro.cluster.node import NodeState, PhysicalNode
 from repro.cluster.vm import VirtualMachine, VMState
 from repro.hierarchy.common import Component, heartbeat_leases
 from repro.hierarchy.config import HierarchyConfig
+from repro.hierarchy.fleet import LocalControllerFleet
 from repro.metrics.recorder import EventLog
 from repro.migration.model import MigrationExecutor
 from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane
 from repro.monitoring.estimators import make_estimator
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import CoalescedTicker, DeadlineTable
+from repro.simulation.batch import DeadlineTable
 from repro.simulation.engine import Simulator
 
 #: Name of the shared node registry service (node_id -> PhysicalNode).
@@ -65,6 +72,8 @@ class LocalController(Component):
         super().__init__(name, sim, network, event_log)
         self.node = node
         self.config = config or HierarchyConfig()
+        #: The deployment-wide service that steps this LC's periodic duties.
+        self._fleet = LocalControllerFleet.shared(sim, network)
         # Sample windows and demand estimates live in the deployment-wide
         # TelemetryPlane, computed in fleet-sized numpy batches.
         self.monitor = ArrayHostMonitor(
@@ -80,15 +89,16 @@ class LocalController(Component):
         #: GM heartbeat failure detector (a DeadlineTable handle).
         self._gm_timeout = None
         #: Heartbeat lease: ``(gm_endpoint, DeadlineHandle)`` of the assigned
-        #: GM's detector for this LC -- when held, heartbeats re-arm it
-        #: directly at delivery time instead of sending a message.
+        #: GM's detector for this LC -- when held, the fleet's heartbeat tick
+        #: re-arms it directly at delivery time instead of sending a message.
         self._gm_lease = None
         self._joining = False
         self._last_overload_report = -float("inf")
         self._last_underload_report = -float("inf")
         #: Heartbeat payload (content is constant; reused across sends).
         self._heartbeat_payload = {"node_id": self.node.node_id}
-        #: Seconds between repeated anomaly reports for a persisting condition.
+        #: Seconds between repeated anomaly reports for a persisting condition
+        #: (read when the LC starts, joins or loses a GM).
         self.anomaly_cooldown = 3 * self.config.monitoring_interval
         #: Open "lc_rejoin" trace span (failure detected -> rejoined), if any.
         self._rejoin_span = None
@@ -102,28 +112,14 @@ class LocalController(Component):
         self.assigned_gm = None
         self._joining = False
         self.multicast.group(GL_HEARTBEAT_GROUP).subscribe(self.name)
-        # One simulator event per interval group for the whole fleet: LCs
-        # registering at the same instant share a tick chain and fire in
-        # registration order -- the order dedicated timers would have.
-        # The monitoring tick is phased so every LC samples before any LC
-        # reports, which lets the telemetry plane estimate the entire
-        # fleet in one vectorized batch.
-        ticker = CoalescedTicker.shared(self.sim)
-        self._timers.append(
-            ticker.register(
-                self.config.monitoring_interval,
-                self._monitoring_prepare,
-                self._monitoring_emit,
-                name=f"{self.name}:monitoring",
-            )
-        )
-        self._timers.append(
-            ticker.register(
-                self.config.lc_heartbeat_interval,
-                self._send_heartbeat,
-                name=f"{self.name}:heartbeat",
-            )
-        )
+        # One simulator event per interval for the whole fleet: LCs starting
+        # at the same instant share a tick and are stepped as array rows, in
+        # start order -- the order dedicated timers would have fired in.
+        self._fleet.enroll(self)
+
+    def _stop_all_timers(self) -> None:
+        super()._stop_all_timers()
+        self._fleet.withdraw(self)
 
     def on_fail(self) -> None:
         """A crashed LC loses its VMs (paper: 'in the event of a LC failure, VMs are also terminated')."""
@@ -203,6 +199,7 @@ class LocalController(Component):
         self._joining = False
         self.assigned_gm = gm_name
         self._gm_lease = None
+        self._fleet.epoch += 1
         self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
         deterministic = self.network.deterministic
         latency = self.network.config.base_latency
@@ -241,7 +238,7 @@ class LocalController(Component):
             # Symmetric fast path for the reverse direction: the GM published
             # its detector for this LC as a heartbeat lease, so our periodic
             # heartbeat can re-arm it at delivery time instead of sending a
-            # message (see ``_send_heartbeat``).
+            # message (see :class:`~repro.hierarchy.fleet.HeartbeatRows`).
             handle = heartbeat_leases(self.sim).get((gm_name, self.name))
             if handle is not None:
                 self._gm_lease = (self.network.endpoint(gm_name), handle)
@@ -257,6 +254,7 @@ class LocalController(Component):
     def _gm_lost(self) -> None:
         """The assigned GM's heartbeats stopped: rejoin the hierarchy (Section II.E)."""
         self._gm_lease = None
+        self._fleet.epoch += 1
         gl_group = self.multicast.group(GL_HEARTBEAT_GROUP)
         if gl_group.is_paused(self.name):
             # Catch up on the Group Leader heartbeats skipped while paused:
@@ -287,78 +285,17 @@ class LocalController(Component):
             if self._gm_timeout is not None:
                 self._gm_timeout.restart()
 
-    # ------------------------------------------------------------- heartbeats
-    def _send_heartbeat(self) -> None:
-        if self.assigned_gm is None:
-            return
-        lease = self._gm_lease
-        if lease is not None:
-            # Deterministic fast path: re-arm the GM's detector for this LC
-            # to delivery time + timeout -- the exact deadline its
-            # ``_on_lc_heartbeat`` would set on receipt -- and skip the
-            # message entirely.  Mirror the transport's drop rules: a
-            # disconnected sender's send, or a delivery to a disconnected
-            # GM, would never have restarted the detector.
-            gm_endpoint, handle = lease
-            if self.endpoint.connected and gm_endpoint is not None and gm_endpoint.connected:
-                handle.restart_later(self.sim.now + self.network.config.base_latency)
-            return
-        self.network.send(
-            Message(
-                msg_type=MessageType.LC_HEARTBEAT,
-                sender=self.name,
-                recipient=self.assigned_gm,
-                payload=self._heartbeat_payload,
-            ),
-            size_bytes=128,
-            sender=self.endpoint,
-        )
-
     # ------------------------------------------------------------- monitoring
-    def _monitoring_prepare(self) -> None:
-        """Tick phase 1: reap expired VMs and append fresh usage samples."""
-        self._reap_finished_vms()
-        self.monitor.refresh(self.sim.now)
-
-    def _monitoring_emit(self) -> None:
-        """Tick phase 2: build the report from current samples, send, detect anomalies."""
-        report = self.monitor.build_report(self.sim.now)
-        if self.assigned_gm is not None:
-            self.network.send(
-                Message(
-                    msg_type=MessageType.LC_MONITORING,
-                    sender=self.name,
-                    recipient=self.assigned_gm,
-                    payload=report,
-                ),
-                size_bytes=1024,
-                sender=self.endpoint,
-            )
-        self._detect_anomalies(report)
-
-    def _reap_finished_vms(self) -> None:
-        """Backstop sweep for expired VMs the departure timer missed.
-
-        The precise per-VM timer scheduled at start covers the common case;
-        this sweep catches VMs that migrated onto this node (their timer lives
-        on the source LC and no-ops there once the VM has left).
-        """
-        for vm in self.node.vms:
-            if (
-                vm.runtime is not None
-                and vm.start_time is not None
-                and self.sim.now - vm.start_time >= vm.runtime
-                and vm.state is VMState.RUNNING
-            ):
-                self._depart_vm(vm)
-
     def _depart_vm(self, vm: VirtualMachine) -> None:
         """Release a VM whose lifetime expired: free resources, emit the event.
 
-        Called by the exact-expiry timer set when the VM starts and by the
-        monitoring-tick backstop.  No-ops unless the VM is still running here
-        (it may have migrated away, been terminated, or been lost to an LC
-        failure in the meantime).
+        Called by the exact-expiry timer set when the VM starts and, as a
+        backstop, by the fleet's monitoring tick for every VM on a node that
+        tracks an expired one -- which catches VMs that migrated onto this
+        node (their timer lives on the source LC and no-ops there once the VM
+        has left).  No-ops unless the VM is still running here (it may have
+        migrated away, been terminated, or been lost to an LC failure in the
+        meantime) and its lifetime is over.
         """
         if not self.is_running or not self.node.hosts_vm(vm) or vm.state is not VMState.RUNNING:
             return
@@ -374,38 +311,24 @@ class LocalController(Component):
             lifetime=vm.runtime,
         )
 
-    def _detect_anomalies(self, report: dict) -> None:
-        if self.assigned_gm is None:
-            return
-        utilization = report["utilization"]
-        thresholds = self.config.thresholds
-        now = self.sim.now
-        if thresholds.is_overloaded(utilization) and now - self._last_overload_report >= self.anomaly_cooldown:
-            self._last_overload_report = now
-            self.network.send(
-                Message(
-                    msg_type=MessageType.OVERLOAD_EVENT,
-                    sender=self.name,
-                    recipient=self.assigned_gm,
-                    payload={"node_id": self.node.node_id, "utilization": utilization},
-                )
-            )
-            self.log_event("overload_detected", utilization=utilization)
-        elif (
-            self.node.vm_count > 0
-            and thresholds.is_underloaded(utilization)
-            and now - self._last_underload_report >= self.anomaly_cooldown
-        ):
-            self._last_underload_report = now
-            self.network.send(
-                Message(
-                    msg_type=MessageType.UNDERLOAD_EVENT,
-                    sender=self.name,
-                    recipient=self.assigned_gm,
-                    payload={"node_id": self.node.node_id, "utilization": utilization},
-                )
-            )
-            self.log_event("underload_detected", utilization=utilization)
+    def _report_anomaly(self, overloaded: bool, utilization: float) -> None:
+        """Tell the GM this host crossed a threshold (its cool-down has passed)."""
+        if overloaded:
+            self._last_overload_report = self.sim.now
+            msg_type, category = MessageType.OVERLOAD_EVENT, "overload_detected"
+        else:
+            self._last_underload_report = self.sim.now
+            msg_type, category = MessageType.UNDERLOAD_EVENT, "underload_detected"
+        self.network.send(
+            Message(
+                msg_type=msg_type,
+                sender=self.name,
+                recipient=self.assigned_gm,
+                payload={"node_id": self.node.node_id, "utilization": utilization},
+            ),
+            sender=self.endpoint,
+        )
+        self.log_event(category, utilization=utilization)
 
     # ----------------------------------------------------------- RPC commands
     def _op_start_vm(self, vm: VirtualMachine) -> dict:

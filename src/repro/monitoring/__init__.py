@@ -4,10 +4,11 @@ Paper Section II.B: "Monitoring is mandatory to take proper scheduling
 decisions and is performed at all layers of the system."  Concretely:
 
 * Local Controllers sample the utilization of their VMs into the
-  deployment-wide :class:`~repro.monitoring.arrays.TelemetryPlane` (one
-  vectorized sample/estimate step per monitoring tick for the whole fleet)
-  and periodically report to their Group Manager through their
-  :class:`~repro.monitoring.arrays.ArrayHostMonitor`.
+  deployment-wide :class:`~repro.monitoring.arrays.TelemetryPlane` and
+  periodically report to their Group Manager: one
+  :class:`~repro.monitoring.arrays.HostRows` step per monitoring tick for the
+  whole fleet, whose report rows the Group Manager keeps in a
+  :class:`~repro.monitoring.summary.GroupReports`.
 * Resource-demand **estimators** reduce the sample history to one demand
   vector (:mod:`repro.monitoring.estimators`: mean, max, exponential moving
   average, percentile); the estimates drive scheduling.

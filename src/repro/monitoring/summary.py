@@ -14,11 +14,13 @@ host a VM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
+from repro.monitoring.arrays import report_columns
 
 
 @dataclass
@@ -104,12 +106,33 @@ class GroupManagerSummary:
         largest free slot is the lexicographic maximum either way.
         """
         reports = list(lc_reports)
-        lc_count = len(reports)
-        vm_count = sum(int(report.get("vm_count", 0)) for report in reports)
-        if reports:
-            capacity_rows = np.asarray([report["capacity"] for report in reports], dtype=float)
-            reserved_rows = np.asarray([report["reserved"] for report in reports], dtype=float)
-            used_rows = np.asarray([report["used"] for report in reports], dtype=float)
+        if not reports:
+            empty = np.zeros((0, len(dimensions)))
+            return cls.from_rows(gm_id, timestamp, empty, empty, empty, 0, dimensions)
+        return cls.from_rows(
+            gm_id,
+            timestamp,
+            np.asarray([report["capacity"] for report in reports], dtype=float),
+            np.asarray([report["reserved"] for report in reports], dtype=float),
+            np.asarray([report["used"] for report in reports], dtype=float),
+            sum(int(report.get("vm_count", 0)) for report in reports),
+            dimensions,
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        gm_id: str,
+        timestamp: float,
+        capacity_rows: np.ndarray,
+        reserved_rows: np.ndarray,
+        used_rows: np.ndarray,
+        vm_count: int,
+        dimensions: Sequence[str] = DEFAULT_DIMENSIONS,
+    ) -> "GroupManagerSummary":
+        """:meth:`from_reports` on ``(n, d)`` report columns (one row per LC)."""
+        lc_count = capacity_rows.shape[0]
+        if lc_count:
             total = np.add.accumulate(capacity_rows, axis=0)[-1]
             reserved = np.add.accumulate(reserved_rows, axis=0)[-1]
             used = np.add.accumulate(used_rows, axis=0)[-1]
@@ -135,6 +158,112 @@ class GroupManagerSummary:
             local_controller_count=lc_count,
             active_vm_count=vm_count,
             largest_free_slot=ResourceVector(largest_slot, dimensions),
+        )
+
+
+class ReportRoute:
+    """Which rows of a tick's report table go to one Group Manager, from whom.
+
+    Built by the sending side (the Local Controller fleet) and reused tick
+    after tick for as long as membership holds, so the receiving
+    :class:`GroupReports` can keep what it resolved about the senders on it.
+    """
+
+    __slots__ = ("names", "rows", "_slots", "_known", "_epoch")
+
+    def __init__(self, names: Sequence[str], rows: Sequence[int]) -> None:
+        #: Reporting LC names, and their row in the report table, in send order.
+        self.names = list(names)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        # Receiver-side cache: resident rows of the known senders, as of ``_epoch``.
+        self._slots = self.rows
+        self._known = self.rows
+        self._epoch = -1
+
+
+class GroupReports:
+    """The latest monitoring report of each of a Group Manager's LCs, as array rows.
+
+    One resident ``[capacity | reserved | used | vm_count]`` row per LC in
+    join order -- the layout :class:`~repro.monitoring.arrays.HostRows`
+    produces -- so storing a tick's reports is one indexed write and the GM
+    summary sums the columns directly.
+    """
+
+    def __init__(self) -> None:
+        self._row: Dict[str, int] = {}
+        self._nodes: List[PhysicalNode] = []
+        self._rows = np.zeros((0, 0))
+        self._reported = np.zeros(0, dtype=bool)
+        #: Moves whenever an LC is added or removed (report routes cache on it).
+        self._epoch = 0
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def add(self, lc_name: str, node: PhysicalNode) -> None:
+        """Append a joined LC (no report yet: summaries read the node's static state)."""
+        n = len(self._nodes)
+        if n == self._reported.size:
+            width = 3 * len(node.capacity) + 1
+            rows = np.zeros((max(16, 2 * n), width))
+            if n:
+                rows[:n] = self._rows[:n]
+            self._rows = rows
+            self._reported = np.concatenate([self._reported, np.zeros(len(rows) - n, dtype=bool)])
+        self._row[lc_name] = n
+        self._nodes.append(node)
+        self._reported[n] = False
+        self._epoch += 1
+
+    def remove(self, lc_name: str) -> None:
+        """Drop a removed LC's row (later rows move up, keeping join order)."""
+        row = self._row.pop(lc_name, None)
+        if row is None:
+            return
+        n = len(self._nodes)
+        del self._nodes[row]
+        self._rows[row : n - 1] = self._rows[row + 1 : n]
+        self._reported[row : n - 1] = self._reported[row + 1 : n]
+        for name, index in self._row.items():
+            if index > row:
+                self._row[name] = index - 1
+        self._epoch += 1
+
+    def clear(self) -> None:
+        """Forget every LC (GM failure)."""
+        self._row.clear()
+        self._nodes.clear()
+        self._epoch += 1
+
+    def store(self, route: ReportRoute, table: np.ndarray) -> None:
+        """Keep the routed rows of a tick's report ``table``; unknown senders are skipped."""
+        if route._epoch != self._epoch:
+            slots = np.array([self._row.get(name, -1) for name in route.names], dtype=np.int64)
+            known = slots >= 0
+            route._slots, route._known = slots[known], route.rows[known]
+            route._epoch = self._epoch
+        if route._slots.size:
+            self._rows[route._slots] = table[route._known]
+            self._reported[route._slots] = True
+
+    def summarize(self, gm_id: str, timestamp: float) -> "GroupManagerSummary":
+        """The GM summary over the stored rows, in join order."""
+        n = len(self._nodes)
+        if n == 0:
+            return GroupManagerSummary.from_reports(gm_id, timestamp, [])
+        rows = self._rows[:n]
+        if not self._reported[:n].all():
+            rows = rows.copy()
+            for row in np.flatnonzero(~self._reported[:n]).tolist():
+                # No monitoring data yet: report the node's static state.
+                node = self._nodes[row]
+                rows[row] = np.concatenate(
+                    [node.capacity.values, node.reserved_values(), node.used_values(), [node.vm_count]]
+                )
+        capacity, reserved, used, vm_counts = report_columns(rows)
+        return GroupManagerSummary.from_rows(
+            gm_id, timestamp, capacity, reserved, used, int(vm_counts.sum())
         )
 
 

@@ -94,6 +94,10 @@ class Message:
     #: explicitly, e.g. by the RPC layer); the transport re-activates it
     #: around delivery so receiving handlers inherit the sender's causality.
     trace_ctx: Optional[tuple] = None
+    #: Number of same-instant unicast messages this one stands for: a *frame*
+    #: (see ``Network.send_frame``) carries many senders' payload rows to one
+    #: recipient and is accounted in every counter as that many messages.
+    count: int = 1
 
     def reply(self, msg_type: MessageType, payload: Any = None) -> "Message":
         """Build a response addressed back to the sender, preserving correlation."""

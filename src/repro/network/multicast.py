@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
+from repro.simulation.batch import rearm_arrays
 
 
 class MulticastGroup:
@@ -46,6 +47,12 @@ class MulticastGroup:
         #: failure detector: ``name -> (endpoint, deadline_handle)``.  Each
         #: publish re-arms them in one vectorized call instead of a delivery.
         self._deadline_sinks: Dict[str, Tuple[Any, Any]] = {}
+        #: Per-table ``(table, indices, generations)`` re-arm arrays of the
+        #: connected sinks, in subscriber order, with the
+        #: ``(sink membership, network connectivity)`` epochs they were built
+        #: under.
+        self._sink_epoch = 0
+        self._sink_plan: Tuple[Tuple[int, int], list] = ((-1, -1), [])
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, endpoint_name: str) -> None:
@@ -60,7 +67,8 @@ class MulticastGroup:
             self._subscriber_set.discard(endpoint_name)
             self._subscribers.remove(endpoint_name)
             self._paused.discard(endpoint_name)
-            self._deadline_sinks.pop(endpoint_name, None)
+            if self._deadline_sinks.pop(endpoint_name, None) is not None:
+                self._sink_epoch += 1
 
     # --------------------------------------------------------- paused members
     def pause(self, endpoint_name: str, deadline=None) -> None:
@@ -89,11 +97,13 @@ class MulticastGroup:
             if deadline is not None:
                 endpoint = self.network.endpoint(endpoint_name)
                 self._deadline_sinks[endpoint_name] = (endpoint, deadline)
+                self._sink_epoch += 1
 
     def resume(self, endpoint_name: str) -> None:
         """Resume deliveries to a paused member (idempotent)."""
         self._paused.discard(endpoint_name)
-        self._deadline_sinks.pop(endpoint_name, None)
+        if self._deadline_sinks.pop(endpoint_name, None) is not None:
+            self._sink_epoch += 1
 
     def is_paused(self, endpoint_name: str) -> bool:
         """True if the member is subscribed but currently paused."""
@@ -166,27 +176,28 @@ class MulticastGroup:
     def _restart_deadline_sinks(self) -> None:
         """Re-arm every connected sink's failure detector at delivery time.
 
-        Handles are collected in subscriber (fan-out) order, so the restart
+        Entries are collected in subscriber (fan-out) order, so the restart
         stamps -- the tie-break for simultaneous expiries -- match what the
-        per-delivery restarts of an unpaused fan-out would have produced.
+        per-delivery restarts of an unpaused fan-out would have produced.  The
+        per-table index arrays are rebuilt only when a sink joined or left or
+        an endpoint's connectivity moved; a sink whose handle was released in
+        between is skipped by the table's generation check.
         """
+        epochs = (self._sink_epoch, self.network.connectivity_epoch)
+        if self._sink_plan[0] != epochs:
+            sinks = (self._deadline_sinks.get(name) for name in self._subscribers)
+            self._sink_plan = (
+                epochs,
+                rearm_arrays(
+                    handle
+                    for endpoint, handle in filter(None, sinks)
+                    # A disconnected sink's delivery would have been dropped.
+                    if endpoint is not None and endpoint.connected
+                ),
+            )
         base = self.network.sim.now + self.network.config.base_latency
-        sinks = self._deadline_sinks
-        tables: Dict[int, Tuple[Any, List[Any]]] = {}
-        for name in self._subscribers:
-            sink = sinks.get(name)
-            if sink is None:
-                continue
-            endpoint, handle = sink
-            if endpoint is None or not endpoint.connected:
-                continue  # its delivery would have been dropped
-            entry = tables.get(id(handle.table))
-            if entry is None:
-                tables[id(handle.table)] = (handle.table, [handle])
-            else:
-                entry[1].append(handle)
-        for table, handles in tables.values():
-            table.restart_handles(handles, base)
+        for table, indices, generations in self._sink_plan[1]:
+            table.rearm(indices, generations, base)
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"

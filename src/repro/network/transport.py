@@ -10,7 +10,7 @@ II.E failure scenarios are all "heartbeats are lost").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class Endpoint:
         """Invoke the handler if the endpoint is still connected."""
         if not self.connected:
             return
-        self.received_count += 1
+        self.received_count += message.count
         self.handler(message)
 
     def __repr__(self) -> str:
@@ -74,6 +74,11 @@ class Network:
         self.config = config or NetworkConfig()
         self.rng = rng or np.random.default_rng(0)
         self._endpoints: Dict[str, Endpoint] = {}
+        #: Moves whenever an endpoint is registered, removed, disconnected or
+        #: reconnected.  Callers that cache per-endpoint connectivity (the LC
+        #: fleet's heartbeat plans, multicast deadline sinks) rebuild when it
+        #: differs from the value they cached under.
+        self.connectivity_epoch = 0
         #: Aggregate counters used by the management-overhead experiment (E3/E8).
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -130,11 +135,13 @@ class Network:
         """
         endpoint = Endpoint(name, handler)
         self._endpoints[name] = endpoint
+        self.connectivity_epoch += 1
         return endpoint
 
     def unregister(self, name: str) -> None:
         """Remove an endpoint entirely (component decommissioned)."""
         self._endpoints.pop(name, None)
+        self.connectivity_epoch += 1
 
     def endpoint(self, name: str) -> Optional[Endpoint]:
         """Look up an endpoint by name."""
@@ -151,12 +158,14 @@ class Network:
         endpoint = self._endpoints.get(name)
         if endpoint is not None:
             endpoint.connected = False
+            self.connectivity_epoch += 1
 
     def reconnect(self, name: str) -> None:
         """Restore a previously disconnected endpoint."""
         endpoint = self._endpoints.get(name)
         if endpoint is not None:
             endpoint.connected = True
+            self.connectivity_epoch += 1
 
     # ------------------------------------------------------------------ send
     def send(
@@ -195,25 +204,10 @@ class Network:
             self.messages_dropped += 1
             return False
         message.sent_at = self.sim.now
-        latency = config.base_latency
         if self.deterministic:
-            # Every message sent this instant arrives at the same time in
-            # send order, so one event can carry them all.
-            if (
-                self._open_batch is not None
-                and self._open_batch_time == self.sim.now
-                and self._open_batch_event is not None
-                and self._open_batch_event.pending
-            ):
-                self._open_batch.append(message)
-                return True
-            batch: List[Message] = [message]
-            self._open_batch = batch
-            self._open_batch_time = self.sim.now
-            self._open_batch_event = self.sim.schedule(
-                latency, self._deliver_batch, batch, priority=Simulator.PRIORITY_HIGH
-            )
+            self._enqueue((message,))
             return True
+        latency = config.base_latency
         if config.jitter > 0:
             latency += float(self.rng.uniform(0.0, config.jitter))
         self.sim.schedule(latency, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
@@ -233,7 +227,6 @@ class Network:
         n = len(messages)
         if n == 0:
             return 0
-        config = self.config
         if not self.deterministic:
             sent = 0
             for message in messages:
@@ -256,6 +249,44 @@ class Network:
         now = self.sim.now
         for message in messages:
             message.sent_at = now
+        self._enqueue(messages)
+        return n
+
+    def send_frame(
+        self, message: Message, senders: Sequence[Endpoint], size_bytes: int = 512
+    ) -> None:
+        """Send one *frame*: ``len(senders)`` same-instant messages to one recipient.
+
+        Only on a :attr:`deterministic` network, where those messages would
+        share a delivery batch anyway: ``message`` (its payload holding one
+        row per sender) is enqueued once and accounted -- in the transport and
+        in every sender's and the recipient's endpoint counters -- as one
+        ``size_bytes`` message per sender; a recipient that is down at
+        delivery drops the frame as a block.  Senders must be connected (a
+        disconnected sender's message goes through :meth:`send`, which drops
+        it).
+        """
+        if not self.deterministic:
+            raise ValueError("frames need a deterministic network; send per message instead")
+        n = len(senders)
+        message.count = n
+        self.messages_sent += n
+        self.bytes_sent += int(size_bytes) * n
+        for endpoint in senders:
+            endpoint.sent_count += 1
+        tracer = self._tracer
+        if tracer is not None and message.trace_ctx is None:
+            message.trace_ctx = tracer.current
+        message.sent_at = self.sim.now
+        self._enqueue((message,))
+
+    def _enqueue(self, messages: Sequence[Message]) -> None:
+        """Append to this instant's delivery batch (deterministic network).
+
+        Every message sent this instant arrives at the same time in send
+        order, so one event carries them all.
+        """
+        now = self.sim.now
         if (
             self._open_batch is not None
             and self._open_batch_time == now
@@ -263,14 +294,13 @@ class Network:
             and self._open_batch_event.pending
         ):
             self._open_batch.extend(messages)
-            return n
+            return
         batch: List[Message] = list(messages)
         self._open_batch = batch
         self._open_batch_time = now
         self._open_batch_event = self.sim.schedule(
-            config.base_latency, self._deliver_batch, batch, priority=Simulator.PRIORITY_HIGH
+            self.config.base_latency, self._deliver_batch, batch, priority=Simulator.PRIORITY_HIGH
         )
-        return n
 
     def _deliver_batch(self, batch: List[Message]) -> None:
         # Batch-local recipient memo: a same-instant batch at fleet scale
@@ -295,10 +325,10 @@ class Network:
         if recipient is None:
             recipient = self._endpoints.get(message.recipient)
         if recipient is None or not recipient.connected:
-            self.messages_dropped += 1
+            self.messages_dropped += message.count
             return
         message.delivered_at = self.sim.now
-        self.messages_delivered += 1
+        self.messages_delivered += message.count
         tracer = self._tracer
         if tracer is None:
             recipient.deliver(message)

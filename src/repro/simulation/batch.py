@@ -1,11 +1,11 @@
 """Batched periodic events and coalesced failure-detection deadlines.
 
-At fleet scale the simulator's event queue is dominated by two per-component
-patterns:
+At fleet scale the simulator's event queue would be dominated by two
+per-component patterns:
 
-* every Local Controller owns its own :class:`~repro.simulation.timers.PeriodicTimer`
-  per periodic duty (monitoring tick, heartbeat send) -- thousands of heap
-  events per interval that all fire at the same instants;
+* a :class:`~repro.simulation.timers.PeriodicTimer` per component per periodic
+  duty -- thousands of heap events per interval that all fire at the same
+  instants;
 * a failure detector built as one heap event per deadline (the per-entry
   ``Timeout`` kept as the oracle in ``tests/scalar_timeout.py``) is
   *restarted* by every heartbeat (cancel + push), so a healthy fleet churns
@@ -18,13 +18,17 @@ This module replaces both patterns without changing observable behaviour:
     grid into **one** self-rescheduling event per group.  Members fire in
     registration order -- exactly the order per-component timers created at
     the same instants would have fired -- and may register *phased* callback
-    tuples (all members run phase 0, then all run phase 1, ...) so fleet-wide
-    work such as monitoring can sample everything before reporting anything.
+    tuples (all members run phase 0, then all run phase 1, ...).  A member
+    need not be one component: the Local Controller fleet
+    (:mod:`repro.hierarchy.fleet`) registers one member per group of LCs and
+    steps the whole group as array rows inside it.
 
 :class:`DeadlineTable`
     a liveness bitmap plus a float64 deadline array with **one** pending
     simulator event at the earliest armed deadline.  Restarting a deadline is
-    an O(1) array write; expiries fire at exactly the same simulated time a
+    an O(1) array write -- and a whole batch of them one indexed write
+    (:meth:`DeadlineTable.rearm`, from index arrays the caller keeps while
+    membership holds); expiries fire at exactly the same simulated time a
     per-entry ``Timeout`` would have fired, tie-broken by restart order.
     Deadline *extensions* are lazy: the pending event fires, finds nothing
     due, and re-arms at the new minimum.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,18 +217,6 @@ class DeadlineHandle:
             raise SimulationError("deadline handle was released")
         self.table._restart(self.index, duration)
 
-    def restart_later(self, base: float) -> None:
-        """Re-arm to ``base + duration``, where ``base`` may lie in the future.
-
-        The unicast twin of :meth:`DeadlineTable.restart_handles`: a
-        heartbeat *sender* re-arms its peer's failure detector at delivery
-        time (send time + latency) without materializing the message.  A
-        released or recycled handle is skipped silently -- exactly as the
-        peer dropping the delivery of an already-forgotten sender would be.
-        """
-        if self._valid():
-            self.table._restart(self.index, None, base)
-
     def cancel(self) -> None:
         """Disarm without firing (idempotent; the entry stays claimable via restart)."""
         if self._valid():
@@ -238,6 +230,28 @@ class DeadlineHandle:
         not grow the deadline arrays monotonically.
         """
         self.table.release(self)
+
+
+def rearm_arrays(
+    handles: Iterable[DeadlineHandle],
+) -> List[Tuple["DeadlineTable", np.ndarray, np.ndarray]]:
+    """Per table, the ``(table, indices, generations)`` :meth:`DeadlineTable.rearm` takes.
+
+    Handles keep their iteration order within each table (it becomes the
+    restart-stamp order).  Callers re-arming the same members every interval
+    build this once and keep it while membership holds.
+    """
+    tables: Dict[int, Tuple[DeadlineTable, List[DeadlineHandle]]] = {}
+    for handle in handles:
+        tables.setdefault(id(handle.table), (handle.table, []))[1].append(handle)
+    return [
+        (
+            table,
+            np.array([h.index for h in members], dtype=np.int64),
+            np.array([h.generation for h in members], dtype=np.int64),
+        )
+        for table, members in tables.values()
+    ]
 
 
 class DeadlineTable:
@@ -336,46 +350,51 @@ class DeadlineTable:
 
     # ----------------------------------------------------------------- arming
     def restart_handles(self, handles: Sequence[DeadlineHandle], base: float) -> None:
-        """Re-arm a batch of entries to ``base + duration`` each, in sequence order.
-
-        The vectorized twin of calling ``handle.restart()`` on every handle
-        with the clock at ``base``: one numpy write re-arms the batch,
-        restart-order stamps are assigned in sequence order (the tie-break
-        per-entry restarts would have produced), and released or stale
-        handles are silently skipped -- exactly as the deliveries that would
-        have restarted them would have been dropped.  ``base`` may lie in the
-        future: a heartbeat publisher restarts its listeners' detectors at
-        *delivery* time (publish time + latency) without waiting for the
-        delivery event.
-        """
+        """:meth:`rearm` for a sequence of this table's handles (in sequence order)."""
         n = len(handles)
+        if n:
+            self.rearm(
+                np.fromiter((h.index for h in handles), dtype=np.int64, count=n),
+                np.fromiter((h.generation for h in handles), dtype=np.int64, count=n),
+                base,
+            )
+
+    def rearm(self, indices: np.ndarray, generations: np.ndarray, base: float) -> None:
+        """Re-arm the entries ``indices`` to ``base + duration`` each, in array order.
+
+        The vectorized twin of calling ``handle.restart()`` on every entry
+        with the clock at ``base``: one numpy write re-arms the batch,
+        restart-order stamps are assigned in array order (the tie-break
+        per-entry restarts would have produced), and entries whose generation
+        no longer matches ``generations`` (released or recycled since the
+        caller cached them) are silently skipped -- exactly as the deliveries
+        that would have restarted them would have been dropped.  ``base`` may
+        lie in the future: a heartbeat publisher restarts its listeners'
+        detectors at *delivery* time (publish time + latency) without waiting
+        for the delivery event.
+        """
+        valid = self._generations[indices] == generations
+        if not valid.all():
+            indices = indices[valid]
+        n = indices.size
         if n == 0:
             return
-        idx = np.fromiter((h.index for h in handles), dtype=np.int64, count=n)
-        gens = np.fromiter((h.generation for h in handles), dtype=np.int64, count=n)
-        valid = self._generations[idx] == gens
-        if not bool(valid.all()):
-            idx = idx[valid]
-            n = int(idx.size)
-            if n == 0:
-                return
-        deadlines = float(base) + self._durations[idx]
-        self._deadlines[idx] = deadlines
-        self._active[idx] = True
-        self._expired[idx] = False
-        self._order[idx] = np.arange(self._stamp + 1, self._stamp + n + 1, dtype=np.int64)
+        deadlines = float(base) + self._durations[indices]
+        self._deadlines[indices] = deadlines
+        self._active[indices] = True
+        self._expired[indices] = False
+        self._order[indices] = np.arange(self._stamp + 1, self._stamp + n + 1, dtype=np.int64)
         self._stamp += n
         earliest = float(deadlines.min())
         if earliest < self._pending_time:
             self._schedule(earliest)
 
-    def _restart(self, index: int, duration: Optional[float], base: Optional[float] = None) -> None:
+    def _restart(self, index: int, duration: Optional[float]) -> None:
         if duration is not None:
             if duration <= 0:
                 raise SimulationError("deadline duration must be positive")
             self._durations[index] = float(duration)
-        start = self.sim.now if base is None else float(base)
-        deadline = start + float(self._durations[index])
+        deadline = self.sim.now + float(self._durations[index])
         self._deadlines[index] = deadline
         self._active[index] = True
         self._expired[index] = False

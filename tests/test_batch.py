@@ -6,10 +6,11 @@ never the simulated times, the firing order, or the observable behaviour.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulation.batch import CoalescedTicker, DeadlineTable
-from repro.simulation.engine import SimulationError
+from repro.simulation.engine import SimulationError, Simulator
 from repro.simulation.timers import PeriodicTimer
 from tests.scalar_timeout import Timeout
 
@@ -256,18 +257,52 @@ class TestVectorizedRestarts:
         assert fired == [0, 2]
         assert recycled.armed
 
-    def test_restart_later_is_a_future_based_restart(self, sim):
-        table = DeadlineTable(sim)
-        fired = []
-        handle = table.arm(5.0, lambda: fired.append(sim.now))
-        sim.run(until=2.0)
-        handle.restart_later(3.0)  # delivery-time restart: fires at 8.0
-        sim.run(until=20.0)
-        assert fired == [8.0]
+    def test_rearm_by_index_arrays_equals_restart_handles(self):
+        """The cached-index kernel and its handle wrapper are one re-arm.
 
-    def test_restart_later_on_released_handle_is_a_noop(self, sim):
+        Two tables driven through the same arm / release / recycle history,
+        one re-armed with ``restart_handles`` and one with ``rearm`` on index
+        arrays cached *before* the releases (so they carry stale
+        generations): identical deadlines, restart stamps and expiry order.
+        """
+        rng = np.random.default_rng(3)
+        sims = [Simulator(), Simulator()]
+        tables = [DeadlineTable(s) for s in sims]
+        fired = [[], []]
+        durations = rng.integers(5, 9, 12).tolist()
+        handles = [
+            [table.arm(float(d), log.append, k) for k, d in enumerate(durations)]
+            for table, log in zip(tables, fired)
+        ]
+        order = rng.permutation(12)
+        cached = (
+            np.array([handles[1][k].index for k in order], dtype=np.int64),
+            np.array([handles[1][k].generation for k in order], dtype=np.int64),
+        )
+        for table, mine, log in zip(tables, handles, fired):
+            mine[3].release()
+            mine[7].release()
+            table.arm(6.0, log.append, "recycled")  # takes a released entry
+            mine[5].cancel()  # disarmed but still valid: re-armed below
+        for s in sims:
+            s.run(until=2.0)
+        tables[0].restart_handles([handles[0][k] for k in order], 2.5)
+        tables[1].rearm(*cached, 2.5)
+        for attr in ("_deadlines", "_active", "_expired", "_order", "_generations"):
+            assert (getattr(tables[0], attr) == getattr(tables[1], attr)).all(), attr
+        assert tables[0]._stamp == tables[1]._stamp
+        assert tables[0].next_deadline() == tables[1].next_deadline()
+        for s in sims:
+            s.run(until=30.0)
+        assert fired[0] == fired[1]
+        assert len(fired[0]) == 11  # ten live handles plus the recycled entry
+
+    def test_rearm_of_nothing_valid_is_a_noop(self, sim):
         table = DeadlineTable(sim)
         handle = table.arm(5.0, lambda: None)
+        indices = np.array([handle.index], dtype=np.int64)
+        generations = np.array([handle.generation], dtype=np.int64)
         handle.release()
-        handle.restart_later(1.0)  # must not raise, must not re-arm
+        table.rearm(indices, generations, 1.0)  # must not raise, must not re-arm
         assert not handle.armed
+        assert len(table) == 0

@@ -3,15 +3,105 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.node import NodeState
-from repro.cluster.power import PowerStateSpec
+from repro.cluster.node import NodeState, PhysicalNode
+from repro.cluster.power import CubicPowerModel, LinearPowerModel, PowerStateSpec
+from repro.cluster.resources import ResourceVector
 from repro.energy.accounting import EnergyMeter, static_placement_energy
 from repro.energy.power_manager import PowerManagerConfig, PowerStateManager
 from repro.migration.model import MigrationCostModel, MigrationExecutor
+from repro.simulation.engine import Simulator
+from repro.simulation.timers import PeriodicTimer
 from repro.workloads.traces import ConstantTrace
 
 from tests.conftest import make_node, make_vm
+
+
+class ScalarMeter:
+    """The per-node integrator ``EnergyMeter`` used to be, kept as its oracle."""
+
+    def __init__(self, sim, nodes, sample_interval, sleep_power=10.0):
+        self.sim = sim
+        self.nodes = list(nodes)
+        self.sleep_power = sleep_power
+        self.energy = {node.node_id: 0.0 for node in self.nodes}
+        self.last_power = {node.node_id: node.current_power(sleep_power) for node in self.nodes}
+        self.last_time = sim.now
+        PeriodicTimer(sim, sample_interval, self.update)
+
+    def update(self):
+        now = self.sim.now
+        elapsed = now - self.last_time
+        if elapsed > 0:
+            for node in self.nodes:
+                self.energy[node.node_id] += self.last_power[node.node_id] * elapsed
+        for node in self.nodes:
+            self.last_power[node.node_id] = node.current_power(self.sleep_power)
+        self.last_time = now
+
+
+#: One step: (seconds to advance first, action, node index, a fraction for the action).
+_meter_steps = st.lists(
+    st.tuples(
+        st.floats(0.0, 25.0),
+        st.sampled_from(
+            ["place", "remove", "usage", "suspend", "wake", "fail", "update", "report"]
+        ),
+        st.integers(0, 4),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestEnergyMeterAgainstScalarIntegrator:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_meter_steps)
+    def test_per_node_joules_are_bit_equal(self, steps):
+        """Dirty-node power refresh + one array integration == the per-node loops.
+
+        Random place / remove / usage-write / suspend / wake / fail sequences
+        with ``update()`` and ``report()`` at arbitrary points between the
+        periodic samples, linear and cubic power models mixed.
+        """
+        sim = Simulator()
+        models = [LinearPowerModel(), CubicPowerModel(), LinearPowerModel(90.0, 310.0)]
+        nodes = [
+            PhysicalNode(f"node-{index}", power_model=models[index % len(models)])
+            for index in range(5)
+        ]
+        meter = EnergyMeter(sim, nodes, sample_interval=10.0)
+        oracle = ScalarMeter(sim, nodes, sample_interval=10.0)
+        for advance, action, index, fraction in steps:
+            sim.run(until=sim.now + advance)
+            node = nodes[index]
+            if action == "place" and node.state is NodeState.ON:
+                vm = make_vm(cpu=0.05 + 0.2 * fraction)
+                if node.fits(vm):
+                    node.place_vm(vm, now=sim.now)
+            elif action == "remove" and node.vms:
+                node.remove_vm(node.vms[0], sim.now)
+            elif action == "usage" and node.vms:
+                vm = node.vms[-1]
+                vm.used = ResourceVector(vm.requested.values * fraction, vm.requested.dimensions)
+            elif action == "suspend" and node.state is NodeState.ON:
+                node.state = NodeState.SUSPENDING if fraction < 0.5 else NodeState.SUSPENDED
+            elif action == "wake" and node.state in (NodeState.SUSPENDING, NodeState.SUSPENDED):
+                node.state = NodeState.WAKING if fraction < 0.5 else NodeState.ON
+            elif action == "fail":
+                node.state = NodeState.FAILED
+                node.evict_all(sim.now)
+            elif action == "update":
+                meter.update()
+                oracle.update()
+            elif action == "report":
+                oracle.update()
+                assert meter.report().node_energy_joules == oracle.energy
+        oracle.update()
+        assert meter.report().node_energy_joules == oracle.energy
 
 
 class TestEnergyMeter:

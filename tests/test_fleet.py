@@ -1,0 +1,144 @@
+"""The Local Controller fleet's structural contracts.
+
+Behavioural equivalence with the per-LC tick is ``tests/test_fleet_oracle.py``;
+here: what shares a tick, what reaches a handler, and when cached index arrays
+are rebuilt.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
+from repro.hierarchy.fleet import HeartbeatRows, LocalControllerFleet, MonitoringRows
+from repro.hierarchy.group_manager import GroupManager
+from repro.network.transport import NetworkConfig
+from repro.simulation.batch import CoalescedTicker
+
+
+def build(network: NetworkConfig, lcs: int = 12, gms: int = 3, **config) -> SnoozeSystem:
+    system = SnoozeSystem(
+        SystemSpec(local_controllers=lcs, group_managers=gms, entry_points=1),
+        config=HierarchyConfig(seed=3, network=network, **config),
+        seed=3,
+    )
+    system.start()
+    return system
+
+
+@pytest.fixture
+def det_system() -> SnoozeSystem:
+    return build(NetworkConfig(base_latency=0.001, jitter=0.0))
+
+
+def spy_on_reports(monkeypatch):
+    """Record ``(gm, time, reporting LC names)`` of every monitoring delivery."""
+    seen = []
+    original = GroupManager._on_lc_monitoring
+
+    def spy(self, message):
+        seen.append((self.name, self.sim.now, tuple(message.payload[0].names)))
+        original(self, message)
+
+    monkeypatch.setattr(GroupManager, "_on_lc_monitoring", spy)
+    return seen
+
+
+class TestTickGroups:
+    def test_a_fleet_is_two_ticker_members_whatever_its_size(self, det_system):
+        # One monitoring and one heartbeat member for all twelve LCs.
+        assert CoalescedTicker.shared(det_system.sim).member_count() == 2
+
+    def test_a_recovered_lc_ticks_on_its_own_grid_and_an_emptied_group_stops(self, det_system):
+        ticker = CoalescedTicker.shared(det_system.sim)
+        det_system.run(3.0)
+        det_system.kill_local_controller("lc-004")
+        assert ticker.member_count() == 2
+        det_system.run(1.5)
+        det_system.recover_component("lc-004")
+        assert ticker.member_count() == 4
+        det_system.run(30.0)
+        det_system.kill_local_controller("lc-004")
+        assert ticker.member_count() == 2
+        fleet = LocalControllerFleet.shared(det_system.sim, det_system.network)
+        assert sorted(len(group.lcs) for group in fleet._groups.values()) == [11, 11]
+
+    def test_lcs_with_the_same_non_default_settings_share_one_plane(self):
+        system = build(NetworkConfig(), lcs=4, gms=2, estimation_window=5, estimator="max")
+        planes = {id(lc.monitor.plane) for lc in system.local_controllers.values()}
+        assert len(planes) == 1
+
+
+class TestDeliveryContract:
+    def test_deterministic_network_one_frame_per_gm_per_tick(self, det_system, monkeypatch):
+        # The fixture has settled (t=12); the next monitoring tick is at t=20.
+        seen = spy_on_reports(monkeypatch)
+        network = det_system.network
+        det_system.sim.run(until=19.9995)
+        before = network.stats()
+        det_system.sim.run(until=20.0005)  # the tick has run, nothing is delivered yet
+        ticked = network.stats()
+        det_system.sim.run(until=20.5)
+        # One handler call per GM carrying all of its LCs, in start order ...
+        assert [time for _, time, _ in seen] == [pytest.approx(20.001)] * 3
+        assert {gm: sorted(names) for gm, _, names in seen} == {
+            name: sorted(gm.local_controllers) for name, gm in det_system.group_managers.items()
+        }
+        assert all(list(names) == sorted(names) for _, _, names in seen)
+        # ... accounted as one 1024-byte message per LC, in one delivery event
+        # shared with whatever else was sent at t=20.
+        assert ticked["messages_sent"] - before["messages_sent"] >= 12
+        assert ticked["bytes_sent"] - before["bytes_sent"] >= 12 * 1024
+        assert network.stats()["messages_dropped"] == before["messages_dropped"]
+
+    def test_a_gm_down_at_delivery_drops_its_frame_as_a_block(self, det_system, monkeypatch):
+        seen = spy_on_reports(monkeypatch)
+        victim = next(
+            name for name, gm in det_system.group_managers.items() if not gm.is_leader
+        )
+        rows = len(det_system.group_managers[victim].local_controllers)
+        det_system.sim.run(until=20.0005)
+        dropped = det_system.network.messages_dropped
+        det_system.network.disconnect(victim)
+        det_system.sim.run(until=20.002)
+        assert det_system.network.messages_dropped - dropped >= rows
+        assert victim not in {gm for gm, _, _ in seen}
+
+    def test_jittery_network_one_send_per_report(self, monkeypatch):
+        system = build(NetworkConfig())
+        seen = spy_on_reports(monkeypatch)
+        system.sim.run(until=20.5)
+        assert len(seen) == 12
+        assert all(len(names) == 1 for _, _, names in seen)
+
+    def test_reports_reach_the_summary(self, det_system):
+        det_system.run(25.0)
+        for gm in det_system.group_managers.values():
+            assert gm._reports._reported[: len(gm.local_controllers)].all()
+            assert gm._build_summary().local_controller_count == len(gm.local_controllers)
+
+
+class TestCachedPlans:
+    def test_steady_state_rebuilds_nothing(self, det_system, monkeypatch):
+        plans = []
+        for kind in (HeartbeatRows, MonitoringRows):
+            original = kind._plan
+            monkeypatch.setattr(
+                kind, "_plan", lambda self, o=original: (plans.append(type(self)), o(self))
+            )
+        det_system.run(20.0)
+        plans.clear()
+        det_system.run(120.0)  # 60 heartbeat and 12 monitoring ticks
+        assert plans == []
+        det_system.network.disconnect("lc-003")
+        det_system.run(4.0)
+        assert set(plans) == {HeartbeatRows}  # two heartbeat ticks, one rebuild
+        assert len(plans) == 1
+
+    def test_partitioned_lc_stops_re_arming_its_lease(self, det_system):
+        lc = det_system.local_controllers["lc-003"]
+        gm = det_system.group_managers[lc.assigned_gm]
+        det_system.run(10.0)
+        det_system.network.disconnect("lc-003")
+        det_system.run(3 * det_system.config.heartbeat_timeout)
+        assert "lc-003" not in gm.local_controllers

@@ -13,7 +13,14 @@ from repro.monitoring.estimators import (
     PercentileEstimator,
     make_estimator,
 )
-from repro.monitoring.summary import GroupManagerSummary, aggregate_summaries
+from repro.monitoring.arrays import ArrayHostMonitor, HostRows, TelemetryPlane
+from repro.monitoring.summary import (
+    GroupManagerSummary,
+    GroupReports,
+    ReportRoute,
+    aggregate_summaries,
+)
+from repro.simulation.engine import Simulator
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
 from tests.conftest import make_node, make_vm
@@ -253,3 +260,94 @@ class TestGroupManagerSummary:
 
     def test_aggregate_empty_returns_none(self):
         assert aggregate_summaries([]) is None
+
+
+class TestSharedTelemetryPlane:
+    def test_one_plane_per_window_and_estimator_settings(self):
+        sim = Simulator()
+        default = TelemetryPlane.shared(sim, 12, make_estimator("ewma"))
+        p90 = TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=90.0))
+        assert TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=90.0)) is p90
+        assert TelemetryPlane.shared(sim, 12, make_estimator("ewma")) is default
+        distinct = {
+            id(plane)
+            for plane in (
+                default,
+                p90,
+                TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=95.0)),
+                TelemetryPlane.shared(sim, 6, make_estimator("percentile", percentile=90.0)),
+                TelemetryPlane.shared(sim, 12, make_estimator("ewma", alpha=0.5)),
+                TelemetryPlane.shared(Simulator(), 12, make_estimator("ewma")),
+            )
+        }
+        assert len(distinct) == 6
+
+
+class TestGroupReports:
+    def _rows(self, nodes):
+        """A report table over ``nodes`` as the fleet kernel lays it out."""
+        plane = TelemetryPlane(4, MeanEstimator())
+        hosts = HostRows(plane, [ArrayHostMonitor(node, plane) for node in nodes])
+        for monitor in hosts.monitors:
+            monitor.reconcile()
+        return hosts.sample(0.0)[0]
+
+    def _loaded_nodes(self, count):
+        nodes = [make_node(f"node-{index}") for index in range(count)]
+        for index, node in enumerate(nodes):
+            for _ in range(index % 3):
+                node.place_vm(make_vm(cpu=0.1 * (index + 1), trace=ConstantTrace(0.5)))
+        return nodes
+
+    def test_summary_equals_from_reports_over_the_same_rows(self):
+        nodes = self._loaded_nodes(5)
+        table = self._rows(nodes)
+        names = [f"lc-{index}" for index in range(5)]
+        reports = GroupReports()
+        for name, node in zip(names, nodes):
+            reports.add(name, node)
+        reports.store(ReportRoute(names, range(5)), table)
+        d = 3
+        expected = GroupManagerSummary.from_reports(
+            "gm",
+            7.0,
+            [
+                {
+                    "capacity": row[:d].tolist(),
+                    "reserved": row[d : 2 * d].tolist(),
+                    "used": row[2 * d : 3 * d].tolist(),
+                    "vm_count": int(row[-1]),
+                }
+                for row in table
+            ],
+        )
+        assert reports.summarize("gm", 7.0) == expected
+
+    def test_unknown_senders_are_skipped_and_removal_keeps_join_order(self):
+        nodes = self._loaded_nodes(4)
+        table = self._rows(nodes)
+        names = ["lc-0", "lc-1", "lc-2", "lc-3"]
+        reports = GroupReports()
+        for name, node in list(zip(names, nodes))[:3]:  # lc-3 never joined this GM
+            reports.add(name, node)
+        route = ReportRoute(names, range(4))
+        reports.store(route, table)
+        assert reports.summarize("gm", 0.0).active_vm_count == int(table[:3, -1].sum())
+        reports.remove("lc-1")
+        reports.store(route, table)  # the same route object, re-resolved after the removal
+        after = reports.summarize("gm", 0.0)
+        assert after.local_controller_count == 2
+        assert after.used == ResourceVector(table[0, 6:9] + table[2, 6:9])
+
+    def test_rows_without_a_report_read_the_node(self):
+        nodes = self._loaded_nodes(3)
+        reports = GroupReports()
+        for index, node in enumerate(nodes):
+            reports.add(f"lc-{index}", node)
+        summary = reports.summarize("gm", 0.0)
+        assert summary.active_vm_count == sum(node.vm_count for node in nodes)
+        assert summary.reserved == ResourceVector(
+            nodes[0].reserved_values() + nodes[1].reserved_values() + nodes[2].reserved_values()
+        )
+        reports.clear()
+        assert reports.summarize("gm", 0.0).local_controller_count == 0

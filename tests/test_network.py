@@ -123,6 +123,60 @@ class TestTransport:
             assert len(delivered) == sent
             assert other.processed_events == sent
 
+    def test_frame_is_accounted_as_one_message_per_sender(self, sim, network):
+        received = []
+        senders = [network.register(f"lc-{index}", lambda m: None) for index in range(3)]
+        gm = network.register("gm", received.append)
+        frame = Message(MessageType.LC_MONITORING, "fleet", "gm", payload="rows")
+        network.send_frame(frame, senders, size_bytes=1024)
+        assert network.messages_sent == 3 and network.bytes_sent == 3 * 1024
+        assert [endpoint.sent_count for endpoint in senders] == [1, 1, 1]
+        sim.run()
+        assert received == [frame]  # one handler call ...
+        assert network.messages_delivered == 3 and gm.received_count == 3  # ... three messages
+
+    def test_frame_to_a_down_recipient_is_dropped_as_a_block(self, sim, network):
+        senders = [network.register(f"lc-{index}", lambda m: None) for index in range(4)]
+        network.register("gm", lambda m: None)
+        network.send_frame(Message(MessageType.LC_MONITORING, "fleet", "gm"), senders)
+        network.disconnect("gm")  # goes down between send and delivery
+        sim.run()
+        assert network.messages_dropped == 4 and network.messages_delivered == 0
+
+    def test_frame_shares_the_instant_delivery_batch(self, sim, network):
+        order = []
+        network.register("a", lambda m: None)
+        network.register("gm", lambda m: order.append(m.payload))
+        network.send(Message(MessageType.LC_HEARTBEAT, "a", "gm", payload="before"))
+        network.send_frame(
+            Message(MessageType.LC_MONITORING, "fleet", "gm", payload="frame"),
+            [network.endpoint("a")],
+        )
+        network.send(Message(MessageType.LC_HEARTBEAT, "a", "gm", payload="after"))
+        assert len(sim) == 1  # one delivery event carries all three
+        sim.run()
+        assert order == ["before", "frame", "after"]
+
+    def test_frames_need_a_deterministic_network(self, sim):
+        jittery = Network(sim, NetworkConfig(), rng=np.random.default_rng(0))
+        sender = jittery.register("lc", lambda m: None)
+        with pytest.raises(ValueError):
+            jittery.send_frame(Message(MessageType.LC_MONITORING, "fleet", "gm"), [sender])
+
+    def test_connectivity_epoch_moves_with_every_connectivity_change(self, sim, network):
+        seen = [network.connectivity_epoch]
+        for change in (
+            lambda: network.register("a", lambda m: None),
+            lambda: network.disconnect("a"),
+            lambda: network.reconnect("a"),
+            lambda: network.unregister("a"),
+        ):
+            change()
+            seen.append(network.connectivity_epoch)
+        assert seen == sorted(set(seen))  # strictly increasing
+        network.disconnect("nobody")  # no endpoint: nothing changed
+        assert network.connectivity_epoch == seen[-1]
+
     def test_stats_counters(self, sim, network):
         network.register("bob", lambda m: None)
         network.send(Message(MessageType.VM_SUBMIT, sender="x", recipient="bob"), size_bytes=100)

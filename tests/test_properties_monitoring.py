@@ -161,17 +161,13 @@ class TestHostMonitorEquivalence:
     def test_untracks_departed_vms_like_scalar(self):
         estimator = MeanEstimator()
         scalar_monitor, array_monitor = self._twin_hosts(estimator, vms=2)
-        scalar_monitor.refresh(0.0)
-        array_monitor.refresh(0.0)
-        for node, monitor in (
-            (scalar_monitor.node, scalar_monitor),
-            (array_monitor.node, array_monitor),
-        ):
-            victim = node.vms[0]
-            node.remove_vm(victim)
-            monitor.refresh(10.0)
-        scalar_report = scalar_monitor.build_report(10.0)
-        array_report = array_monitor.build_report(10.0)
+        scalar_monitor.report(0.0)
+        array_monitor.report(0.0)
+        for monitor in (scalar_monitor, array_monitor):
+            monitor.node.remove_vm(monitor.node.vms[0])
+        scalar_report = scalar_monitor.report(10.0)
+        array_report = array_monitor.report(10.0)
+        assert len(array_monitor.tracked_vm_ids()) == 1
         assert scalar_report["vm_count"] == array_report["vm_count"] == 1
         assert scalar_report["used"] == array_report["used"]
 
