@@ -6,11 +6,12 @@ rows/series the paper reports.  Absolute numbers differ from the paper's
 testbed measurements; the *shape* (who wins, by roughly what factor) is what
 to compare.
 
-Besides the human-readable tables, :func:`run_once` writes one machine-readable
-``BENCH_<EXPERIMENT>.json`` summary per experiment under ``benchmarks/results/``
-(timing plus a headline metric extracted from the benchmark's return value),
-seeding the performance trajectory across PRs.  Set ``REPRO_BENCH_RESULTS`` to
-redirect the output directory, or to an empty string to disable writing.
+Besides the human-readable tables, :func:`run_once` can write one
+machine-readable ``BENCH_<EXPERIMENT>.json`` summary per experiment (timing plus
+a headline metric extracted from the benchmark's return value).  Nothing is
+written unless ``REPRO_BENCH_RESULTS`` names a directory, so a plain test run
+leaves the tree as it found it; the CI jobs that upload these files set it to
+``benchmarks/results``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from typing import Optional
 
 import numpy as np
 import pytest
-
-#: Default directory for BENCH_<experiment>.json summaries.
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 @pytest.fixture
@@ -70,14 +68,9 @@ def _headline_metric(result) -> Optional[dict]:
 
 
 def results_path(filename: str) -> Optional[Path]:
-    """Resolve a results file path, honoring the ``REPRO_BENCH_RESULTS`` override.
-
-    Returns ``None`` when result writing is disabled (override set to "").
-    """
+    """``filename`` under the ``REPRO_BENCH_RESULTS`` directory; ``None`` when unset."""
     results_dir = os.environ.get("REPRO_BENCH_RESULTS")
-    if results_dir == "":
-        return None
-    return (Path(results_dir) if results_dir else RESULTS_DIR) / filename
+    return Path(results_dir) / filename if results_dir else None
 
 
 def write_results_json(filename: str, payload: dict) -> None:

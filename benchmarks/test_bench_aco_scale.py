@@ -13,7 +13,7 @@ must use **no more hosts than FFD** in every cell (the paper's claim).
 Quality against the scalar per-ant loop is asserted where the oracle lives,
 in ``tests/test_core_aco_vectorized.py``.
 
-Results land in ``benchmarks/results/BENCH_ACO_SCALE.json``.
+Results land in ``$REPRO_BENCH_RESULTS/BENCH_ACO_SCALE.json``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ the PR-4 code path), and cross-machine absolute regressions are already
 gated by the scale benchmark's baseline floor -- which, with metrics on by
 default, now exercises the metrics-on hot path.
 
-Results land in ``benchmarks/results/BENCH_OBS_OVERHEAD.json``.
+Results land in ``$REPRO_BENCH_RESULTS/BENCH_OBS_OVERHEAD.json``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ component and handler wall-clock shares plus per-kind policy decision latency,
 so the scale numbers say *where* the time goes, not just how much.  The
 profiled run must stay canonically identical to the timed ones (asserted).
 
-Results land in ``benchmarks/results/BENCH_SCALE.json`` (per-fleet entries
+Results land in ``$REPRO_BENCH_RESULTS/BENCH_SCALE.json`` (per-fleet entries
 are merged across invocations).  The default run covers the 100-LC point so
 the tier-1 suite stays fast; set ``REPRO_BENCH_SCALE_FLEETS=100,500,2000``
 for the full sweep.  With ``REPRO_BENCH_STRICT=1`` the 100-LC point is gated

@@ -15,7 +15,7 @@ for both runs** (the traffic run adds replica VMs and tick events; crediting
 it with its own larger count would hide slowdown as extra events), so the
 ratio is exactly the wall-clock ratio.
 
-Results land in ``benchmarks/results/BENCH_TRAFFIC.json``.  With
+Results land in ``$REPRO_BENCH_RESULTS/BENCH_TRAFFIC.json``.  With
 ``REPRO_BENCH_STRICT=1`` (CI's ``traffic`` job) the run fails if enabling
 traffic costs more than 10% events/sec.
 """

@@ -20,12 +20,14 @@ Quick start::
     print(aco.hosts_used, "<=", ffd.hosts_used)
 
 See README.md for the architecture map and how to run the paper's experiments
-(``benchmarks/``).
+(``benchmarks/``, one ``test_bench_e<N>_*.py`` per reported result) and the
+performance yardstick that gates every change (``bench/``).
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
+    "workers",
     "simulation",
     "cluster",
     "workloads",
@@ -33,13 +35,15 @@ __all__ = [
     "coordination",
     "core",
     "monitoring",
-    "scheduling",
     "energy",
     "migration",
+    "traffic",
+    "obs",
     "hierarchy",
     "policies",
     "scenarios",
     "sweeps",
+    "megafleet",
     "metrics",
     "cli",
 ]

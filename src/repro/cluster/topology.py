@@ -2,9 +2,8 @@
 
 The paper's testbed was a 144-node Grid'5000 cluster.  This module builds the
 simulated equivalent: a set of homogeneous (or heterogeneous) physical nodes
-with a network graph connecting them (used by the migration cost model to look
-up bandwidth between hosts).  The graph is a :mod:`networkx` graph so examples
-and benchmarks can also reason about rack-level structure.
+grouped into racks (used by the migration cost model to look up bandwidth
+between hosts: intra-rack links are faster than inter-rack links).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.power import LinearPowerModel, PowerModel
@@ -103,13 +101,16 @@ class ClusterSpec:
 
 
 class ClusterTopology:
-    """A built cluster: nodes plus a rack-structured network graph."""
+    """A built cluster: nodes plus their rack membership."""
 
-    def __init__(self, spec: ClusterSpec, nodes: List[PhysicalNode], graph: nx.Graph) -> None:
+    def __init__(self, spec: ClusterSpec, nodes: List[PhysicalNode]) -> None:
         self.spec = spec
         self.nodes = nodes
-        self.graph = graph
         self._by_id: Dict[str, PhysicalNode] = {node.node_id: node for node in nodes}
+        # Racks fill in creation order, ``nodes_per_rack`` hosts each.
+        self._rack: Dict[str, int] = {
+            node.node_id: index // spec.nodes_per_rack for index, node in enumerate(nodes)
+        }
 
     # ----------------------------------------------------------------- access
     def node(self, node_id: str) -> PhysicalNode:
@@ -128,7 +129,7 @@ class ClusterTopology:
 
     def rack_of(self, node_id: str) -> int:
         """Rack index of a node."""
-        return int(self.graph.nodes[node_id]["rack"])
+        return self._rack[node_id]
 
     def bandwidth_mbps(self, src_id: str, dst_id: str) -> float:
         """Bandwidth between two hosts, used by the live-migration cost model."""
@@ -201,24 +202,4 @@ def build_cluster(spec: ClusterSpec, rng: Optional[np.random.Generator] = None) 
             node.node_class = class_name
         nodes.append(node)
 
-    graph = nx.Graph()
-    for index, node in enumerate(nodes):
-        graph.add_node(node.node_id, rack=index // spec.nodes_per_rack)
-    # Star topology per rack through a rack switch node, racks joined by a core
-    # switch; bandwidth lookups go through ClusterTopology.bandwidth_mbps so the
-    # graph mainly records rack membership and connectivity.
-    rack_count = (spec.node_count + spec.nodes_per_rack - 1) // spec.nodes_per_rack
-    for rack in range(rack_count):
-        switch = f"{spec.name}-rackswitch-{rack:02d}"
-        graph.add_node(switch, rack=rack, switch=True)
-        graph.add_edge(switch, f"{spec.name}-coreswitch", bandwidth=spec.inter_rack_bandwidth_mbps)
-    graph.nodes[f"{spec.name}-coreswitch"]["rack"] = -1
-    graph.nodes[f"{spec.name}-coreswitch"]["switch"] = True
-    for index, node in enumerate(nodes):
-        rack = index // spec.nodes_per_rack
-        graph.add_edge(
-            node.node_id,
-            f"{spec.name}-rackswitch-{rack:02d}",
-            bandwidth=spec.intra_rack_bandwidth_mbps,
-        )
-    return ClusterTopology(spec, nodes, graph)
+    return ClusterTopology(spec, nodes)

@@ -30,12 +30,12 @@ affordable at warehouse scale:
   choices in the same batch).  A cycle costs ``~n_vms`` array steps instead of
   ``n_ants * n_vms`` interpreter round-trips.
 * **Parallel colonies** -- independent colonies (each a full cycle loop over
-  its own pheromone matrix) run across cores by reusing the sweeps
-  :class:`~repro.sweeps.executor.MultiprocessExecutor` with per-colony seeds
-  derived via the :mod:`repro.simulation.randomness` ``SeedSequence``
-  discipline.  Results are byte-identical for any ``jobs`` count: seeds are
-  derived before the fan-out and the best colony is picked by a deterministic
-  ``(hosts, -quality, colony)`` key.
+  its own pheromone matrix) run across cores on
+  :meth:`repro.workers.Workers.map` with per-colony seeds derived via the
+  :mod:`repro.simulation.randomness` ``SeedSequence`` discipline.  Results are
+  byte-identical for any ``jobs`` count: seeds are derived before the fan-out
+  and the best colony is picked by a deterministic ``(hosts, -quality,
+  colony)`` key.
 * **Warm start** -- an optional initial pheromone matrix (usually distilled
   from the previous reconfiguration plan via :class:`PheromoneSummary`) seeds
   the search at the incumbent placement instead of a uniform trail, so
@@ -60,6 +60,7 @@ from repro.core.base import (
 )
 from repro.core.placement import Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
+from repro.workers import Workers
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def _colony_payload(
 
 
 def solve_colony(payload: Dict[str, object]) -> Dict[str, object]:
-    """Run one colony; module-level so the multiprocessing pool can pickle it."""
+    """Run one colony; module-level so worker processes can pickle it."""
     parameters = ACOParameters(**payload["parameters"])
     seed = np.random.SeedSequence(
         entropy=payload["seed_entropy"], spawn_key=tuple(payload["seed_spawn_key"])
@@ -454,8 +455,8 @@ class ACOConsolidation(ConsolidationAlgorithm):
         Independent colonies to run; the best result wins (ties broken by
         quality, then colony index).
     jobs:
-        Worker processes for the colony fan-out (1 = in-process).  Reuses the
-        sweeps executor; results are identical for any value.
+        Worker processes for the colony fan-out (1 = in-process); results
+        are identical for any value.
 
     ``solve`` raises :class:`~repro.core.placement.PlacementError` when no
     ant of any colony completes an assignment (too few hosts for the search
@@ -518,12 +519,8 @@ class ACOConsolidation(ConsolidationAlgorithm):
             _colony_payload(demands, capacities, self.parameters, seed, colony, initial_pheromone)
             for colony, seed in enumerate(seeds)
         ]
-        if self.jobs > 1 and self.n_colonies > 1:
-            from repro.sweeps.executor import MultiprocessExecutor
-
-            outcomes = MultiprocessExecutor(self.jobs, fn=solve_colony).map(payloads)
-        else:
-            outcomes = [solve_colony(payload) for payload in payloads]
+        with Workers(self.jobs) as workers:
+            outcomes = workers.map(solve_colony, payloads)
 
         complete = [outcome for outcome in outcomes if outcome["assignment"] is not None]
         if not complete:

@@ -32,6 +32,7 @@ from repro.core.aco import ACOConsolidation, ACOParameters
 from repro.core.base import ConsolidationAlgorithm, ConsolidationResult, validate_instance
 from repro.core.placement import Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
+from repro.workers import Workers
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class PartitionResult:
 
 
 def solve_partition(payload: Dict[str, object]) -> Dict[str, object]:
-    """Run one partition's local colony; module-level so pools can pickle it.
+    """Run one partition's local colony; module-level so workers can pickle it.
 
     The per-partition generator is rebuilt from the ``SeedSequence`` child
     identity carried in the payload (entropy + spawn key), so the outcome is
@@ -93,8 +94,8 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
         statistically independent, and the result does not depend on ``jobs``.
     jobs:
         Worker processes for the partition fan-out (1 = in-process, the
-        default).  Reuses the sweeps executor; in a real deployment each
-        partition runs on its own Group Manager, which this models.
+        default); in a real deployment each partition runs on its own Group
+        Manager, which this models.
     """
 
     name = "distributed-aco"
@@ -156,12 +157,8 @@ class DistributedACOConsolidation(ConsolidationAlgorithm):
                     "seed_spawn_key": tuple(seeds[index].spawn_key),
                 }
             )
-        if self.jobs > 1 and len(payloads) > 1:
-            from repro.sweeps.executor import MultiprocessExecutor
-
-            outcomes = MultiprocessExecutor(self.jobs, fn=solve_partition).map(payloads)
-        else:
-            outcomes = [solve_partition(payload) for payload in payloads]
+        with Workers(self.jobs) as workers:
+            outcomes = workers.map(solve_partition, payloads)
         outcome_by_index = dict(zip(occupied, outcomes))
 
         for index, (vm_indices, host_indices) in enumerate(zip(vm_parts, host_parts)):

@@ -191,40 +191,18 @@ class Placement:
         )
 
 
-def placement_from_nodes(nodes: Iterable, vms: Iterable) -> tuple[Placement, list, list]:
-    """Build a :class:`Placement` from live cluster objects.
+def placement_from_view(view, vms: Iterable, rows=None) -> tuple[Placement, list, list]:
+    """Build a :class:`Placement` directly off a ClusterView's resident arrays.
 
     Returns ``(placement, vm_list, node_list)`` where the lists give the row
     ordering used in the matrices, so callers can translate assignment indices
     back to objects (the reconfiguration scheduler does exactly this).
     VM *used* vectors are taken as demands, which is what consolidation should
     pack on (moderately loaded hosts are packed by actual usage, Section II.C).
-    """
-    node_list = list(nodes)
-    vm_list = list(vms)
-    if not node_list:
-        raise PlacementError("need at least one node to build a placement")
-    capacities = np.vstack([node.capacity.values for node in node_list]).astype(float)
-    if vm_list:
-        demands = np.vstack([vm.used.values for vm in vm_list]).astype(float)
-    else:
-        demands = np.empty((0, capacities.shape[1]))
-    node_index = {node.node_id: i for i, node in enumerate(node_list)}
-    assignment = np.full(len(vm_list), -1, dtype=np.int64)
-    for row, vm in enumerate(vm_list):
-        if vm.host_id is not None and vm.host_id in node_index:
-            assignment[row] = node_index[vm.host_id]
-    return Placement(demands, capacities, assignment), vm_list, node_list
-
-
-def placement_from_view(view, vms: Iterable, rows=None) -> tuple[Placement, list, list]:
-    """Build a :class:`Placement` directly off a ClusterView's resident arrays.
-
-    Same contract as :func:`placement_from_nodes`, but the capacity matrix is
-    taken from ``view.capacities`` (a row gather when ``rows`` restricts the
-    instance to a participant subset) instead of re-reading ``capacity.values``
-    node by node -- the consolidation kernels then run straight off the
-    resident decision-plane arrays (ROADMAP item 5 follow-up).  ``rows`` is a
+    The capacity matrix is taken from ``view.capacities`` (a row gather when
+    ``rows`` restricts the instance to a participant subset) instead of
+    re-reading ``capacity.values`` node by node, so the consolidation kernels
+    run straight off the resident decision-plane arrays.  ``rows`` is a
     sequence of view row indices; ``None`` means every node in view order.
     """
     if rows is None:

@@ -18,7 +18,7 @@ fleet in **lockstep epochs**:
    refresh vectorized.  Shard state is **resident**: a host builds its groups
    from ``(spec, seed, group ids)`` in the process that advances them and
    keeps them there for the whole run
-   (:class:`repro.sweeps.executor.ResidentWorkers`: in-process objects when
+   (:class:`repro.workers.Workers`: in-process objects when
    ``jobs == 1``, otherwise ``jobs`` worker processes started once per run,
    worker *i* hosting shards *i, i + jobs, ...*).
 3. What crosses a shard boundary is what a Snooze Group Leader sees: per epoch
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.megafleet.spec import MegafleetSpec, get_megafleet
 from repro.simulation.randomness import spawn_generator, spawn_seed_sequences
-from repro.sweeps.executor import ResidentWorkers
+from repro.workers import Workers
 
 #: Feasibility tolerance, matching ``ClusterView``/``ResourceVector``.
 FIT_TOLERANCE = 1e-9
@@ -175,7 +175,7 @@ class ShardHost:
     """One shard: a contiguous run of groups, resident where they advance.
 
     Built from ``(spec, seed, gids)`` inside the worker that hosts it (the
-    class is the picklable factory :class:`ResidentWorkers` ships), so the
+    class is the picklable factory :class:`~repro.workers.Workers` ships), so the
     groups' arrays never leave the process that mutates them.
     """
 
@@ -307,9 +307,7 @@ class ShardedFleetSimulator:
         dispatch_s = exchange_wait_s = 0.0
         started = time.perf_counter()
 
-        with ResidentWorkers(
-            jobs, ShardHost, [(spec, self.seed, gids) for gids in shard_gids]
-        ) as hosts:
+        with Workers(jobs, ShardHost, [(spec, self.seed, gids) for gids in shard_gids]) as hosts:
             # The latest summaries' free CPU, one slot per group.
             free_cpu = np.asarray(
                 [s["free_cpu"] for reply in hosts.call("summaries") for s in reply],

@@ -7,9 +7,9 @@ turned "an experiment" into data:
 * :class:`~repro.sweeps.spec.SweepSpec` declares the axes (scenario names,
   policy-override cells, threshold grids, seeds or spawn-derived replicates)
   and expands them into :class:`~repro.sweeps.spec.RunSpec` cells;
-* :mod:`repro.sweeps.executor` runs the cells serially or across a
-  ``multiprocessing`` pool, with per-run failure isolation and seeds derived
-  once via ``numpy.random.SeedSequence.spawn``;
+* :mod:`repro.sweeps.executor` runs one cell with failure isolation (seeds
+  are derived once via ``numpy.random.SeedSequence.spawn``), in the calling
+  process or across :class:`repro.workers.Workers` processes;
 * :mod:`repro.sweeps.distributed` scales past one machine: an asyncio socket
   coordinator serves cells to work-pulling runner clients
   (:mod:`repro.sweeps.runner`) over a length-prefixed JSON protocol, with
@@ -33,13 +33,7 @@ or::
 """
 
 from repro.sweeps.spec import RunSpec, SweepSpec, policy_cell_label, thresholds_label
-from repro.sweeps.executor import (
-    MultiprocessExecutor,
-    ResidentWorkers,
-    SerialExecutor,
-    execute_run,
-    make_executor,
-)
+from repro.sweeps.executor import execute_run
 from repro.sweeps.report import (
     PARETO_OBJECTIVES,
     SweepReport,
@@ -65,11 +59,7 @@ __all__ = [
     "RunSpec",
     "policy_cell_label",
     "thresholds_label",
-    "SerialExecutor",
-    "MultiprocessExecutor",
-    "ResidentWorkers",
     "execute_run",
-    "make_executor",
     "SweepReport",
     "PARETO_OBJECTIVES",
     "analyze_report",

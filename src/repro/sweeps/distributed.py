@@ -531,13 +531,10 @@ def spawn_loopback_runner(
 class DistributedExecutor:
     """Run sweep cells on a fleet of loopback runner subprocesses.
 
-    Satisfies the same ``map(payloads) -> outcomes`` contract as
-    :class:`~repro.sweeps.executor.SerialExecutor` /
-    :class:`~repro.sweeps.executor.MultiprocessExecutor`, so it plugs straight
-    into :func:`~repro.sweeps.engine.run_sweep`.  Outcomes come back in
-    payload order and the report built from them is byte-identical to the
-    serial executor's (the tests assert this, including under injected runner
-    kills).
+    ``map(payloads) -> outcomes`` is the ``executor`` contract of
+    :func:`~repro.sweeps.engine.run_sweep`.  Outcomes come back in payload
+    order and the report built from them is byte-identical to the ``jobs=1``
+    report (the tests assert this, including under injected runner kills).
 
     ``runner_env`` optionally carries one environment-override dict per runner
     (``None`` entries keep the default); the fault-injection tests use it to

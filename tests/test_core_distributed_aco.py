@@ -8,7 +8,11 @@ import pytest
 from repro.core import ACOConsolidation, DistributedACOConsolidation, FirstFitDecreasing
 from repro.core.aco import ACOParameters
 from repro.core.base import lower_bound_hosts
-from repro.workloads import UniformDemandDistribution, consolidation_instance
+from repro.core.placement import PlacementError
+from repro.policies.reconfiguration import ReconfigurationPolicy
+from repro.workloads import ConstantTrace, UniformDemandDistribution, consolidation_instance
+
+from tests.conftest import make_node, make_vm, no_hang
 
 
 def make_instance(n_vms=60, seed=0):
@@ -120,6 +124,32 @@ class TestDistributedACO:
         ).solve(demands, capacities)
         assert np.array_equal(serial.placement.assignment, parallel.placement.assignment)
         assert serial.extra["partition_hosts_used"] == parallel.extra["partition_hosts_used"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unpackable_partition_is_a_placement_error_for_any_jobs(self, jobs):
+        """Hosts are dealt round-robin, so partition 1 gets both small hosts and
+        a VM neither can hold; its ``PlacementError`` crosses the process
+        boundary as itself, which is what the fail-safe plan catches."""
+        nodes = [
+            make_node(f"node-{i}", cpu=size, memory=size, network=size)
+            for i, size in enumerate([4.0, 0.5, 4.0, 0.5])
+        ]
+        for node, count in ((nodes[0], 3), (nodes[2], 2)):
+            for _ in range(count):
+                vm = make_vm(cpu=0.6, memory=0.6, trace=ConstantTrace(1.0))
+                node.place_vm(vm)
+                vm.update_usage(0.0)
+        algorithm = DistributedACOConsolidation(
+            n_partitions=2, parameters=ACOParameters(n_ants=2, n_cycles=3), jobs=jobs
+        )
+        demands = np.vstack([vm.used.values for node in nodes for vm in node.vms])
+        capacities = np.vstack([node.capacity.values for node in nodes])
+        with no_hang(), pytest.raises(PlacementError, match="do not fit on any host"):
+            algorithm.solve(demands, capacities)
+        with no_hang():
+            plan = ReconfigurationPolicy(algorithm=algorithm).plan(nodes)
+        assert plan.empty and plan.hosts_after == plan.hosts_before == 2
+        assert plan.reason == "consolidation found no placement; keeping current placement"
 
     def test_vectorized_partitions_feasible_and_deterministic(self):
         """Every partition runs the batched colony kernel (there is no other)."""

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.base import lower_bound_hosts, validate_instance
 from repro.core.migration_plan import Migration, migration_churn, plan_migrations
-from repro.core.placement import Placement, PlacementError, placement_from_nodes
+from repro.core.placement import Placement, PlacementError, placement_from_view
+from repro.policies.view import ClusterView
 
 from tests.conftest import make_node, make_vm
 
@@ -106,7 +107,8 @@ class TestPlacement:
         vms = [make_vm(0.3, 0.3, 0.1), make_vm(0.2, 0.2, 0.1)]
         nodes[0].place_vm(vms[0])
         nodes[1].place_vm(vms[1])
-        placement, vm_list, node_list = placement_from_nodes(nodes, vms)
+        view = ClusterView.from_nodes(nodes, sort_by_id=False)
+        placement, vm_list, node_list = placement_from_view(view, vms)
         assert placement.fully_assigned
         assert placement.hosts_used() == 2
         assert vm_list == vms
@@ -114,7 +116,7 @@ class TestPlacement:
 
     def test_placement_from_nodes_requires_nodes(self):
         with pytest.raises(PlacementError):
-            placement_from_nodes([], [])
+            placement_from_view(ClusterView.from_nodes([], sort_by_id=False), [])
 
 
 class TestInstanceValidation:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.node import NodeState
 from repro.core.aco import ACOConsolidation, ACOParameters
-from repro.core.placement import placement_from_nodes, placement_from_view
+from repro.core.placement import placement_from_view
 from repro.policies.placement import (
     BestFitPlacement,
     FirstFitPlacement,
@@ -26,6 +26,7 @@ from repro.policies.reconfiguration import ReconfigurationPolicy
 from repro.policies.view import ClusterView
 
 from tests.conftest import make_node, make_vm
+from tests.per_node_placement import placement_from_nodes
 
 
 def build_plane(n=6):

@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+from repro import workers
 from repro.cli.main import main
 from repro.megafleet import (
     MegafleetSpec,
@@ -26,7 +27,6 @@ from repro.megafleet import (
     megafleet_names,
     run_megafleet,
 )
-from repro.sweeps import executor
 
 from tests.conftest import no_hang
 
@@ -118,7 +118,7 @@ class TestDeterminism:
         # from the pickled factory arguments alone.
         spec = tiny_spec()
         reference = ShardedFleetSimulator(spec, seed=11).run().canonical_json()
-        monkeypatch.setattr(executor, "_start_method", lambda: "spawn")
+        monkeypatch.setattr(workers, "_start_method", lambda: "spawn")
         with no_hang():
             spawned = ShardedFleetSimulator(spec, seed=11).run(shards=3, jobs=2)
         assert spawned.canonical_json() == reference

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -12,22 +10,16 @@ import pytest
 from repro.scenarios import get_scenario
 from repro.simulation.randomness import derive_run_seeds, spawn_generator
 from repro.sweeps import (
-    MultiprocessExecutor,
-    ResidentWorkers,
     RunSpec,
-    SerialExecutor,
     SweepReport,
     SweepSpec,
     execute_run,
     get_sweep,
     iter_sweeps,
-    make_executor,
     run_sweep,
     sweep_names,
 )
 from repro.sweeps.report import KEY_COLUMNS, METRIC_COLUMNS
-
-from tests.conftest import no_hang
 
 
 def _tiny_sweep(**overrides) -> SweepSpec:
@@ -185,17 +177,11 @@ class TestRunSeedDerivation:
 
 # ------------------------------------------------------------------ executors
 class TestExecutors:
-    def test_make_executor_selects_backend(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), MultiprocessExecutor)
-        with pytest.raises(ValueError):
-            make_executor(0)
-
     def test_failure_is_isolated_to_its_run(self):
         spec = _tiny_sweep()
         payloads = [run.to_dict() for run in spec.expand()[:2]]
         payloads[0] = {**payloads[0], "scenario": "does-not-exist"}
-        outcomes = SerialExecutor().map(payloads)
+        outcomes = [execute_run(payload) for payload in payloads]
         assert outcomes[0]["status"] == "failed"
         assert "does-not-exist" in outcomes[0]["error"]
         assert outcomes[1]["status"] == "ok"
@@ -214,7 +200,7 @@ class TestExecutors:
         assert serial.to_csv() == parallel.to_csv()
 
     def test_failed_outcome_carries_truncated_traceback(self):
-        from repro.sweeps.executor import TRACEBACK_LIMIT_CHARS
+        from repro.workers import TRACEBACK_LIMIT_CHARS
 
         outcome = execute_run({"index": 0})  # missing required keys
         assert outcome["status"] == "failed"
@@ -227,89 +213,13 @@ class TestExecutors:
         spec = _tiny_sweep()
         payloads = [run.to_dict() for run in spec.expand()]
         payloads[0] = {**payloads[0], "scenario": "does-not-exist"}
-        outcomes = SerialExecutor().map(payloads)
+        outcomes = [execute_run(payload) for payload in payloads]
         assert outcomes[0]["traceback"]  # present on the wire...
         report = SweepReport.from_outcomes(spec, outcomes)
         # ...but never in the canonical serializations: tracebacks vary by
         # Python version and filesystem layout, reports must not.
         assert "traceback" not in report.to_json()
         assert "Traceback" not in report.to_csv()
-
-
-# ----------------------------------------------------------- resident workers
-class Tally:
-    """A stateful shard: remembers what it was given, wherever it lives."""
-
-    def __init__(self, start: int) -> None:
-        if start < 0:
-            raise ValueError("negative start")
-        self.total = start
-        self.pid = os.getpid()
-
-    def add(self, amount: int) -> int:
-        self.total += amount
-        return self.total
-
-    def where(self) -> int:
-        return self.pid
-
-    def divide(self, by: int) -> float:
-        return self.total / by
-
-    def die(self) -> None:
-        if multiprocessing.parent_process() is not None:
-            os._exit(7)
-
-
-class TestResidentWorkers:
-    STARTS = [(0,), (10,), (20,), (30,), (40,)]
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
-    def test_state_stays_resident_and_replies_keep_shard_order(self, jobs):
-        with no_hang(), ResidentWorkers(jobs, Tally, self.STARTS) as workers:
-            assert workers.workers == min(jobs, 5)  # jobs > shards clamps
-            assert workers.call("add", [(1,), (2,), (3,), (4,), (5,)]) == [1, 12, 23, 34, 45]
-            assert workers.call("add", [(1,)] * 5) == [2, 13, 24, 35, 46]
-            pids = workers.call("where")
-            # Worker i hosts shards i, i + workers, ...; one worker is this process.
-            assert [pids.index(pid) for pid in pids] == [k % workers.workers for k in range(5)]
-            assert (pids[0] == os.getpid()) == (workers.workers == 1)
-            assert (workers.bytes_out > 0) == (workers.bytes_in > 0) == (workers.workers > 1)
-            assert len(workers.compute_s) == 5 and min(workers.compute_s) > 0.0
-        assert multiprocessing.active_children() == []
-
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            ResidentWorkers(0, Tally, self.STARTS)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_shard_exception_surfaces_with_remote_traceback(self, jobs):
-        with no_hang(), ResidentWorkers(jobs, Tally, self.STARTS) as workers:
-            with pytest.raises(RuntimeError, match=r"shard 0 failed:(?s:.*)ZeroDivisionError"):
-                workers.call("divide", [(0,), (1,), (1,), (1,), (1,)])
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_factory_exception_surfaces_and_leaves_no_worker(self, jobs):
-        with no_hang(), pytest.raises(RuntimeError, match=r"shard 1 failed:(?s:.*)negative start"):
-            ResidentWorkers(jobs, Tally, [(0,), (-1,)])
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_surfaces_instead_of_hanging(self):
-        with no_hang(), ResidentWorkers(2, Tally, self.STARTS) as workers:
-            with pytest.raises(RuntimeError, match=r"worker of shard\(s\) 0, 2, 4 died \(exit code 7\)"):
-                workers.call("die")
-            # ...and keeps surfacing: the next call finds the pipe closed.
-            with pytest.raises(RuntimeError, match="died"):
-                workers.call("where")
-        assert multiprocessing.active_children() == []
-
-    def test_interrupt_leaves_no_worker(self):
-        with no_hang(), pytest.raises(KeyboardInterrupt):
-            with ResidentWorkers(2, Tally, self.STARTS) as workers:
-                workers.call("add", [(1,)] * 5)
-                raise KeyboardInterrupt
-        assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------------------------- report
@@ -386,7 +296,7 @@ class TestSweepReport:
         spec = _tiny_sweep()
         payloads = [run.to_dict() for run in spec.expand()]
         payloads[1] = {**payloads[1], "scenario": "broken"}
-        outcomes = SerialExecutor().map(payloads)
+        outcomes = [execute_run(payload) for payload in payloads]
         report = SweepReport.from_outcomes(spec, outcomes)
         assert report.failed == 1
         assert report.failures()[0]["error"]
@@ -465,7 +375,7 @@ class TestParetoAnalysis:
         # Fail the second policy cell while keeping its scenario/policies
         # labels intact, so the failed group stays inside steady-churn.
         payloads[1] = {**payloads[1], "policies": {"placement": {"name": "bogus"}}}
-        report = SweepReport.from_outcomes(spec, SerialExecutor().map(payloads))
+        report = SweepReport.from_outcomes(spec, [execute_run(payload) for payload in payloads])
         analysis = analyze_report(report.to_dict())
         cells = analysis["scenarios"]["steady-churn"]["cells"]
         unranked = [c for c in cells if c["rank"] is None]
@@ -520,12 +430,12 @@ class TestParetoAnalysis:
         check()
 
     def test_truncated_traceback_helper_bounds_length(self):
-        from repro.sweeps.executor import TRACEBACK_LIMIT_CHARS, _truncated_traceback
+        from repro.workers import TRACEBACK_LIMIT_CHARS, truncated_traceback
 
         try:
             raise ValueError("x" * (3 * TRACEBACK_LIMIT_CHARS))
         except ValueError:
-            text = _truncated_traceback()
+            text = truncated_traceback()
         assert text.startswith("... [truncated] ...")
         assert len(text) <= TRACEBACK_LIMIT_CHARS + 32
         assert text.endswith("x" * 100 + "\n")
