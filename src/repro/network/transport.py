@@ -5,6 +5,14 @@ schedules delivery after a sampled latency; disconnected endpoints silently
 drop traffic, which is exactly how the failure-injection experiments model a
 crashed Group Leader / Group Manager / Local Controller (the paper's Section
 II.E failure scenarios are all "heartbeats are lost").
+
+Loss and jitter samples come from the generator the :class:`Network` was
+given, one uniform per decision (loss first, then jitter), in send order --
+but the network *owns* that generator and draws from it a block ahead.  A
+``Generator`` passed as ``Network(rng=...)`` must therefore not be shared
+with another consumer (``SnoozeSystem`` hands it the dedicated ``"network"``
+stream).  A delivery is one handle-less heap entry
+(:meth:`~repro.simulation.engine.Simulator.post`), not an ``Event``.
 """
 
 from __future__ import annotations
@@ -47,13 +55,6 @@ class Endpoint:
         self.sent_count = 0
         self.received_count = 0
 
-    def deliver(self, message: Message) -> None:
-        """Invoke the handler if the endpoint is still connected."""
-        if not self.connected:
-            return
-        self.received_count += message.count
-        self.handler(message)
-
     def __repr__(self) -> str:
         state = "up" if self.connected else "down"
         return f"<Endpoint {self.name} {state}>"
@@ -63,6 +64,8 @@ class Network:
     """The shared simulated network all hierarchy components attach to."""
 
     SERVICE_NAME = "network"
+    #: Uniform samples drawn from :attr:`rng` per refill.
+    DRAW_BLOCK = 1024
 
     def __init__(
         self,
@@ -72,7 +75,10 @@ class Network:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
+        #: Owned by the network (see the module header): read through :meth:`_draw`.
         self.rng = rng or np.random.default_rng(0)
+        self._draws: List[float] = []
+        self._draw_index = 0
         self._endpoints: Dict[str, Endpoint] = {}
         #: Moves whenever an endpoint is registered, removed, disconnected or
         #: reconnected.  Callers that cache per-endpoint connectivity (the LC
@@ -168,6 +174,15 @@ class Network:
             self.connectivity_epoch += 1
 
     # ------------------------------------------------------------------ send
+    def _draw(self) -> float:
+        """The next uniform [0, 1) sample of :attr:`rng`, drawn a block ahead."""
+        index = self._draw_index
+        if index == len(self._draws):
+            self._draws = self.rng.random(self.DRAW_BLOCK).tolist()
+            index = 0
+        self._draw_index = index + 1
+        return self._draws[index]
+
     def send(
         self,
         message: Message,
@@ -200,38 +215,34 @@ class Network:
                 self.messages_dropped += 1
                 return False
         config = self.config
-        if config.loss_probability > 0 and self.rng.random() < config.loss_probability:
+        loss, jitter = config.loss_probability, config.jitter
+        if loss > 0 and self._draw() < loss:
             self.messages_dropped += 1
             return False
-        message.sent_at = self.sim.now
-        if self.deterministic:
+        sim = self.sim
+        message.sent_at = sim.now
+        if jitter == 0 and loss == 0:
             self._enqueue((message,))
             return True
-        latency = config.base_latency
-        if config.jitter > 0:
-            latency += float(self.rng.uniform(0.0, config.jitter))
-        self.sim.schedule(latency, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
+        base = config.base_latency
+        latency = base + jitter * self._draw() if jitter > 0 else base
+        sim.post(latency, self._deliver, message, Simulator.PRIORITY_HIGH)
         return True
 
     def send_many(self, sender: str, messages: List[Message], size_bytes: int = 512) -> int:
         """Bulk unicast from one sender: the multicast fan-out fast path.
 
         Equivalent to calling :meth:`send` per message (same counters, same
-        stamps, same delivery batching and order), but the per-message sender
-        lookup, connectivity check and config reads are hoisted out of the
-        loop -- at fleet scale a Group Leader heartbeat fans out to thousands
-        of subscribers, and those dictionary probes dominated the publish.
-        Falls back to :meth:`send` on lossy/jittery networks, where each
-        message needs its own random draws.
+        stamps, same draws, same delivery batching and order), but the sender
+        lookup, connectivity check, tracer read and config reads are hoisted
+        out of the loop -- at fleet scale a Group Leader heartbeat fans out to
+        thousands of subscribers, and those dictionary probes dominated the
+        publish.  A deterministic network enqueues the whole fan-out as one
+        batch; otherwise each message gets its own draws and arrival time.
         """
         n = len(messages)
         if n == 0:
             return 0
-        if not self.deterministic:
-            sent = 0
-            for message in messages:
-                sent += 1 if self.send(message, size_bytes=size_bytes) else 0
-            return sent
         self.messages_sent += n
         self.bytes_sent += int(size_bytes) * n
         tracer = self._tracer
@@ -246,11 +257,26 @@ class Network:
             if not endpoint.connected:
                 self.messages_dropped += n
                 return 0
-        now = self.sim.now
+        config = self.config
+        loss, jitter, base = config.loss_probability, config.jitter, config.base_latency
+        sim = self.sim
+        now = sim.now
+        if jitter == 0 and loss == 0:
+            for message in messages:
+                message.sent_at = now
+            self._enqueue(messages)
+            return n
+        post, deliver, draw = sim.post, self._deliver, self._draw
+        sent = 0
         for message in messages:
+            if loss > 0 and draw() < loss:
+                self.messages_dropped += 1
+                continue
             message.sent_at = now
-        self._enqueue(messages)
-        return n
+            latency = base + jitter * draw() if jitter > 0 else base
+            post(latency, deliver, message, Simulator.PRIORITY_HIGH)
+            sent += 1
+        return sent
 
     def send_frame(
         self, message: Message, senders: Sequence[Endpoint], size_bytes: int = 512
@@ -328,17 +354,19 @@ class Network:
             self.messages_dropped += message.count
             return
         message.delivered_at = self.sim.now
-        self.messages_delivered += message.count
+        count = message.count
+        self.messages_delivered += count
+        recipient.received_count += count
         tracer = self._tracer
         if tracer is None:
-            recipient.deliver(message)
+            recipient.handler(message)
             return
         # Activate the sender's causal context for the handler and restore it
         # afterwards, so batched same-instant deliveries cannot leak context
         # from one message's handler into the next.
         previous = tracer.activate(message.trace_ctx)
         try:
-            recipient.deliver(message)
+            recipient.handler(message)
         finally:
             tracer.restore(previous)
 

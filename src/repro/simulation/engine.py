@@ -6,6 +6,12 @@ The engine is deliberately small and deterministic:
   increasing sequence number guarantees FIFO ordering among events scheduled
   for the same instant with the same priority, which keeps runs reproducible
   regardless of heap tie-breaking.
+* Heap entries are tuples ``(time, priority, seq, call, arg)``: ``heapq``
+  orders them in C and -- sequence numbers being unique -- never looks past
+  the key.  An :class:`Event` is the caller's handle (cancel, listeners,
+  value), not the sort key: it defines no ordering and rides in ``arg``, or
+  is absent altogether for a call nobody holds a handle to
+  (:meth:`Simulator.post`: every network delivery).
 * Callbacks run synchronously; anything they schedule is processed in the
   same :meth:`Simulator.run` loop.
 * Cancelling an event is O(1): the event is flagged and skipped when popped
@@ -17,10 +23,9 @@ hierarchy, energy accounting) are built on top of it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Iterator, Optional
 
@@ -29,7 +34,6 @@ class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulator (e.g. scheduling in the past)."""
 
 
-@dataclass(order=False)
 class Event:
     """A callback scheduled at a point in simulated time.
 
@@ -38,17 +42,41 @@ class Event:
     fires or is cancelled.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Optional[Callable[..., Any]]
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    cancelled: bool = False
-    fired: bool = False
-    #: Value produced by the callback (or delivered by :meth:`Simulator.trigger`).
-    value: Any = None
-    _listeners: list = field(default_factory=list)
+    __slots__ = (
+        "time",
+        "priority",
+        "seq",
+        "callback",
+        "args",
+        "kwargs",
+        "cancelled",
+        "fired",
+        "value",
+        "_listeners",
+    )
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        callback: Optional[Callable[..., Any]],
+        args: tuple = (),
+        kwargs: Optional[dict] = None,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        #: Keyword arguments of the callback; None when there are none.
+        self.kwargs = kwargs or None
+        self.cancelled = False
+        self.fired = False
+        #: Value produced by the callback (or delivered by :meth:`Simulator.trigger`).
+        self.value: Any = None
+        #: Allocated by the first :meth:`add_listener`; most events have none.
+        self._listeners: Optional[list] = None
 
     def cancel(self) -> None:
         """Cancel the event.  A cancelled event never runs its callback.
@@ -59,9 +87,7 @@ class Event:
         if self.fired:
             return
         self.cancelled = True
-        listeners, self._listeners = self._listeners, []
-        for listener in listeners:
-            listener(self, False)
+        self._notify(False)
 
     def add_listener(self, listener: Callable[["Event", bool], None]) -> None:
         """Register ``listener(event, ok)`` called on fire (ok=True) or cancel (ok=False)."""
@@ -69,6 +95,8 @@ class Event:
             listener(self, True)
         elif self.cancelled:
             listener(self, False)
+        elif self._listeners is None:
+            self._listeners = [listener]
         else:
             self._listeners.append(listener)
 
@@ -80,14 +108,28 @@ class Event:
     # Internal -------------------------------------------------------------
     def _fire(self) -> None:
         self.fired = True
-        if self.callback is not None:
-            self.value = self.callback(*self.args, **self.kwargs)
-        listeners, self._listeners = self._listeners, []
-        for listener in listeners:
-            listener(self, True)
+        callback = self.callback
+        if callback is not None:
+            kwargs = self.kwargs
+            self.value = callback(*self.args, **kwargs) if kwargs else callback(*self.args)
+        if self._listeners is not None:
+            self._notify(True)
 
-    def __lt__(self, other: "Event") -> bool:  # heap ordering
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
+    def _notify(self, ok: bool) -> None:
+        listeners, self._listeners = self._listeners, None
+        for listener in listeners or ():
+            listener(self, ok)
+
+
+#: A heap entry fires as ``call(arg)``: ``(_FIRE, event)`` for an
+#: :class:`Event` handle, the posted callback and its argument otherwise.
+_FIRE = Event._fire
+
+
+def _handle(entry: tuple) -> Event:
+    """The :class:`Event` of a heap entry (a stand-in for a posted call)."""
+    time, priority, seq, call, arg = entry
+    return arg if call is _FIRE else Event(time, priority, seq, call, (arg,))
 
 
 class Simulator:
@@ -116,7 +158,7 @@ class Simulator:
         #: Current simulated time -- a plain attribute (read on every hot-path
         #: operation; property dispatch is measurable at fleet scale).
         self.now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[tuple] = []
         self._seq = itertools.count()
         self._services: dict[str, Any] = {}
         self._running = False
@@ -142,9 +184,10 @@ class Simulator:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` ``delay`` seconds from now."""
-        if delay < 0 or math.isnan(delay):
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule with negative/NaN delay {delay!r}")
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority, **kwargs)
+        event = Event(float(self.now + delay), priority, next(self._seq), callback, args, kwargs)
+        return self._push(event)
 
     def schedule_at(
         self,
@@ -155,20 +198,29 @@ class Simulator:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule event in the past (t={time} < now={self.now})"
+                f"cannot schedule event in the past or at NaN time (t={time}, now={self.now})"
             )
-        event = Event(
-            time=float(time),
-            priority=priority,
-            seq=next(self._seq),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
-        )
-        heapq.heappush(self._queue, event)
-        return event
+        return self._push(Event(float(time), priority, next(self._seq), callback, args, kwargs))
+
+    def post(
+        self,
+        delay: float,
+        callback: Callable[[Any], Any],
+        arg: Any,
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """Schedule ``callback(arg)`` ``delay`` seconds from now, returning no handle.
+
+        For callers that never cancel, listen to or read the value of what
+        they schedule: the heap entry carries the call itself and no
+        :class:`Event` is built.  Ordering, sequence numbers,
+        ``processed_events`` and profiling are those of :meth:`schedule`.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule with negative/NaN delay {delay!r}")
+        heappush(self._queue, (float(self.now + delay), priority, next(self._seq), callback, arg))
 
     def create_at(
         self,
@@ -188,22 +240,18 @@ class Simulator:
         """
         if math.isnan(time):
             raise SimulationError("cannot create an event at NaN time")
-        return Event(
-            time=float(time),
-            priority=priority,
-            seq=next(self._seq),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
-        )
+        return Event(float(time), priority, next(self._seq), callback, args, kwargs)
 
     def enqueue(self, event: Event) -> Event:
         """Queue an event previously built with :meth:`create_at`."""
-        if event.time < self.now:
+        if not event.time >= self.now:
             raise SimulationError(
-                f"cannot enqueue event in the past (t={event.time} < now={self.now})"
+                f"cannot enqueue event in the past or at NaN time (t={event.time}, now={self.now})"
             )
-        heapq.heappush(self._queue, event)
+        return self._push(event)
+
+    def _push(self, event: Event) -> Event:
+        heappush(self._queue, (event.time, event.priority, event.seq, _FIRE, event))
         return event
 
     def event(self) -> Event:
@@ -212,12 +260,7 @@ class Simulator:
         Used as a one-shot signal / future: listeners can subscribe to it and
         any code can later complete it with a value.
         """
-        return Event(
-            time=math.inf,
-            priority=self.PRIORITY_NORMAL,
-            seq=next(self._seq),
-            callback=None,
-        )
+        return Event(math.inf, self.PRIORITY_NORMAL, next(self._seq), None)
 
     def trigger(self, event: Event, value: Any = None) -> None:
         """Complete an unscheduled event *now*, delivering ``value`` to waiters."""
@@ -226,9 +269,7 @@ class Simulator:
         event.time = self.now
         event.value = value
         event.fired = True
-        listeners, event._listeners = event._listeners, []
-        for listener in listeners:
-            listener(event, True)
+        event._notify(True)
 
     # ---------------------------------------------------------------- running
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -242,28 +283,28 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
-        processed_this_run = 0
         profiler = self.profiler  # hoisted: attach before the first run
+        queue = self._queue
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else self._processed + max_events
         try:
-            while self._queue:
-                event = self._queue[0]
-                if event.cancelled:
-                    heapq.heappop(self._queue)
+            while queue:
+                time, _, _, call, arg = queue[0]
+                if call is _FIRE and arg.cancelled:
+                    heappop(queue)
                     continue
-                if until is not None and event.time > until:
+                if time > horizon or self._processed >= limit:
                     break
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-                heapq.heappop(self._queue)
-                self.now = event.time
+                heappop(queue)
+                self.now = time
                 if profiler is None:
-                    event._fire()
+                    call(arg)
                 else:
                     begin = perf_counter()
-                    event._fire()
-                    profiler.record(event.callback, perf_counter() - begin)
+                    call(arg)
+                    elapsed = perf_counter() - begin
+                    profiler.record(arg.callback if call is _FIRE else call, elapsed)
                 self._processed += 1
-                processed_this_run += 1
         finally:
             self._running = False
         if until is not None and self.now < until:
@@ -272,30 +313,28 @@ class Simulator:
 
     def step(self) -> Optional[Event]:
         """Execute the single next pending event; return it (or None if queue empty)."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            if self.profiler is None:
-                event._fire()
-            else:
-                begin = perf_counter()
-                event._fire()
-                self.profiler.record(event.callback, perf_counter() - begin)
-            self._processed += 1
-            return event
-        return None
+        self.peek()  # drops cancelled heads
+        if not self._queue:
+            return None
+        event = _handle(heappop(self._queue))
+        self.now = event.time
+        begin = perf_counter()
+        event._fire()
+        if self.profiler is not None:
+            self.profiler.record(event.callback, perf_counter() - begin)
+        self._processed += 1
+        return event
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none are scheduled."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else math.inf
+        queue = self._queue
+        while queue and queue[0][3] is _FIRE and queue[0][4].cancelled:
+            heappop(queue)
+        return queue[0][0] if queue else math.inf
 
     def pending_events(self) -> Iterator[Event]:
         """Iterate over not-yet-cancelled queued events (diagnostics only)."""
-        return (event for event in self._queue if not event.cancelled)
+        return (event for event in map(_handle, self._queue) if not event.cancelled)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.pending_events())

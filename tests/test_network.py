@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.network.message import Message, MessageType
 from repro.network.multicast import MulticastGroup, MulticastRegistry
 from repro.network.rpc import RpcChannel, RpcError
 from repro.network.transport import Network, NetworkConfig
+from repro.obs.tracing import Tracer
+from repro.simulation.engine import Simulator
 
 
 @pytest.fixture
@@ -201,6 +205,107 @@ class TestTransport:
         assert reply.sender == "b"
         assert reply.recipient == "a"
         assert reply.correlation_id == 9
+
+
+class TestDrawSequence:
+    """Loss then jitter, one uniform each, in send order -- however they are drawn.
+
+    No catalog scenario has loss, so the goldens pin the jitter draws only.
+    Here a twin generator taking *scalar* ``random()`` / ``uniform(0, jitter)``
+    draws predicts every drop and every arrival time of a network that reads
+    its generator in blocks, across ``send`` and ``send_many`` interleaved.
+    """
+
+    CONFIG = NetworkConfig(base_latency=0.002, jitter=0.0007, loss_probability=0.2)
+    ROUNDS, FAN_OUT, SPACING = 60, 35, 0.0013  # spacing < latency: rounds overlap in flight
+
+    def _drive(self, net, prepare=lambda round_, messages: None, on_receive=lambda message: None):
+        """Each round: ``send``, ``send_many`` of FAN_OUT, ``send``; payloads count up.
+
+        Returns what each call returned (keyed by its first payload) and every
+        delivered payload's arrival time.
+        """
+        sim = net.sim
+        returned, arrivals = {}, {}
+
+        def receive(message):
+            arrivals[message.payload] = sim.now
+            on_receive(message)
+
+        source = net.register("source", lambda message: None)
+        net.register("sink", receive)
+        size = self.FAN_OUT + 2
+        for round_ in range(self.ROUNDS):
+            sim.run(until=round_ * self.SPACING)
+            messages = [
+                Message(MessageType.GL_HEARTBEAT, "source", "sink", payload=round_ * size + k)
+                for k in range(size)
+            ]
+            prepare(round_, messages)
+            returned[messages[0].payload] = net.send(messages[0])
+            returned[messages[1].payload] = net.send_many("source", messages[1:-1])
+            returned[messages[-1].payload] = net.send(messages[-1], sender=source)
+        sim.run()
+        return returned, arrivals
+
+    def test_scalar_twin_predicts_every_drop_and_arrival_time(self):
+        config = self.CONFIG
+        net = Network(Simulator(), config, rng=np.random.default_rng(11))
+        returned, arrivals = self._drive(net)
+
+        twin = np.random.default_rng(11)
+        draws = payload = 0
+        expected_returned, expected_arrivals = {}, {}
+        for round_ in range(self.ROUNDS):
+            now = round_ * self.SPACING
+            for burst in (1, self.FAN_OUT, 1):
+                kept = 0
+                for member in range(payload, payload + burst):
+                    draws += 1
+                    if twin.random() < config.loss_probability:
+                        continue
+                    draws += 1
+                    latency = config.base_latency + float(twin.uniform(0.0, config.jitter))
+                    expected_arrivals[member] = now + latency
+                    kept += 1
+                expected_returned[payload] = kept if burst > 1 else bool(kept)
+                payload += burst
+        assert draws > 3 * Network.DRAW_BLOCK, "the case must cross at least three refills"
+        assert returned == expected_returned
+        assert arrivals == expected_arrivals  # exact floats: jitter * u is uniform(0, jitter)
+        stats = net.stats()
+        assert stats["messages_sent"] == payload
+        assert stats["messages_delivered"] == len(arrivals)
+        assert stats["messages_dropped"] == payload - len(arrivals)
+
+    def test_tracer_stamps_and_activates_contexts_without_moving_a_draw(self):
+        untraced = self._drive(Network(Simulator(), self.CONFIG, rng=np.random.default_rng(5)))
+
+        sim = Simulator()
+        net = Network(sim, self.CONFIG, rng=np.random.default_rng(5))
+        tracer = Tracer(clock=lambda: sim.now)
+        net.use_observability(SimpleNamespace(tracer=tracer, registry=None))
+        expected_ctx, sent, active_at_delivery = {}, [], {}
+
+        def prepare(round_, messages):
+            # The chain executing at send time stamps every message that is
+            # not already stamped (every third one is, and keeps its context).
+            tracer.current = (round_ + 1, 1)
+            for message in messages:
+                if message.payload % 3 == 0:
+                    message.trace_ctx = (9000 + message.payload, 2)
+                expected_ctx[message.payload] = message.trace_ctx or tracer.current
+            sent.extend(messages)
+
+        def on_receive(message):
+            active_at_delivery[message.payload] = tracer.current
+
+        traced = self._drive(net, prepare, on_receive)
+        assert traced == untraced
+        assert {message.payload: message.trace_ctx for message in sent} == expected_ctx
+        arrived = traced[1]
+        assert active_at_delivery == {payload: expected_ctx[payload] for payload in arrived}
+        assert tracer.current == (self.ROUNDS, 1)  # restored after every delivery
 
 
 class TestMulticast:

@@ -154,7 +154,8 @@ class TestGoldenCatalogFixtures:
     contract builds on (a nondeterministic scenario could not match a fixed
     byte string) and the safety net for hot-path refactors: array-backed
     telemetry, coalesced events and any future optimization must leave every
-    fixture byte-identical.  Regenerate intentionally via
+    fixture byte-identical -- and every ``transport_counts.json`` entry equal.
+    Regenerate intentionally via
     ``PYTHONPATH=src python -m tests.golden.regenerate``.
     """
 
@@ -165,7 +166,17 @@ class TestGoldenCatalogFixtures:
             f"missing golden fixture {path}; run "
             "PYTHONPATH=src python -m tests.golden.regenerate"
         )
-        assert golden.golden_json(name) == path.read_text()
+        content, counts = golden.golden_run(name)
+        assert content == path.read_text()
+        # Same run, what no result field carries: events retired and messages
+        # sent / delivered / dropped.  A kernel or transport change that merged,
+        # skipped or re-ordered work would move these first.
+        if golden.has_transport_counts(name):
+            assert counts == golden.committed_transport_counts()[name]
+
+    def test_transport_counts_cover_exactly_the_non_megafleet_catalog(self):
+        expected = sorted(filter(golden.has_transport_counts, scenario_names()))
+        assert sorted(golden.committed_transport_counts()) == expected
 
     def test_perf_section_is_zeroed_in_goldens_but_measured_in_results(self):
         result = run_scenario(_small_churn_spec(), seed=0)

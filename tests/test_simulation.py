@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.simulation.engine import Simulator, SimulationError
+from repro.network import Message, MessageType, Network, NetworkConfig
+from repro.scenarios import get_scenario, run_scenario
+from repro.simulation.engine import Event, Simulator, SimulationError
 from repro.simulation.randomness import RandomRouter
 from repro.simulation.timers import PeriodicTimer
 from tests.scalar_timeout import Timeout
@@ -106,6 +110,192 @@ class TestSimulatorScheduling:
         events = [sim.schedule(1.0, lambda: None) for _ in range(4)]
         events[0].cancel()
         assert len(sim) == 3
+
+    def test_nan_time_rejected_at_every_entry_point(self, sim):
+        """``nan < now`` is False, so a ``<`` guard lets NaN in; it would fire
+        first and hand its callback ``sim.now = nan``."""
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.create_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.post(nan, lambda _: None, None)
+        event = sim.create_at(1.0, lambda: None)
+        event.time = nan
+        with pytest.raises(SimulationError):
+            sim.enqueue(event)
+        assert len(sim) == 0
+
+    def test_posted_call_is_an_event_to_step_and_diagnostics(self, sim):
+        """A handle-less entry looks like any other through the public surface."""
+        seen = []
+        sim.post(2.0, seen.append, "posted", Simulator.PRIORITY_HIGH)
+        sim.schedule(2.0, seen.append, "scheduled")
+        assert len(sim) == 2
+        assert [event.priority for event in sim.pending_events()] == [Simulator.PRIORITY_HIGH, 0]
+        stepped = sim.step()
+        assert seen == ["posted"] and stepped.fired and stepped.time == sim.now == 2.0
+        assert sim.processed_events == 1 and len(sim) == 1
+
+
+_BASE, _JITTER = 0.001, 0.0005
+_PRIORITIES = (Simulator.PRIORITY_HIGH, Simulator.PRIORITY_NORMAL, Simulator.PRIORITY_LOW)
+
+
+class _OracleEntry:
+    def __init__(self, time, priority, seq, action):
+        self.key = (time, priority, seq)
+        self.action = action
+        self.cancelled = self.fired = False
+
+    def cancel(self):
+        if not self.fired:
+            self.cancelled = True
+
+
+class _SortedListKernel:
+    """The oracle: an event loop that is a list re-sorted on ``(time, priority, seq)``."""
+
+    def __init__(self, twin):
+        self.now = 0.0
+        self.twin = twin
+        self.seq = itertools.count()
+        self.queue = []
+        self.handles = []
+        self.processed = 0
+
+    def add(self, kind, delay, priority, action):
+        entry = _OracleEntry(self.now + delay, priority, next(self.seq), action)
+        if kind != "post":
+            self.handles.append(entry)
+        if kind != "create":
+            self.queue.append(entry)
+        return entry
+
+    def enqueue(self, entry):
+        self.queue.append(entry)
+
+    def send(self, action):
+        latency = _BASE + float(self.twin.uniform(0.0, _JITTER))
+        self.add("post", latency, Simulator.PRIORITY_HIGH, action)
+
+    def run(self):
+        while self.queue:
+            self.queue.sort(key=lambda entry: entry.key)
+            entry = self.queue.pop(0)
+            if entry.cancelled:
+                continue
+            self.now = entry.key[0]
+            entry.fired = True
+            entry.action()
+            self.processed += 1
+
+
+class _RealKernel:
+    """The same four verbs on a :class:`Simulator` and a jittery :class:`Network`."""
+
+    def __init__(self, rng):
+        self.sim = Simulator()
+        self.net = Network(self.sim, NetworkConfig(_BASE, _JITTER), rng=rng)
+        self.net.register("sink", lambda message: message.payload())
+        self.handles = []
+
+    def add(self, kind, delay, priority, action):
+        sim = self.sim
+        if kind == "post":
+            return sim.post(delay, lambda _: action(), None, priority)
+        if kind == "schedule":
+            event = sim.schedule(delay, action, priority=priority)
+        elif kind == "schedule_at":
+            event = sim.schedule_at(sim.now + delay, action, priority=priority)
+        else:
+            event = sim.create_at(sim.now + delay, action, priority=priority)
+        self.handles.append(event)
+        return event
+
+    def enqueue(self, event):
+        self.sim.enqueue(event)
+
+    def send(self, action):
+        self.net.send(Message(MessageType.VM_SUBMIT, "source", "sink", payload=action))
+
+    def run(self):
+        self.sim.run()
+
+
+def _play(kernel, program, fired, labels):
+    """Apply one op list at the kernel's current instant; ``create`` ops enqueue last."""
+    created = []
+    for op in program:
+        if op[0] == "cancel":
+            if kernel.handles:
+                kernel.handles[op[1] % len(kernel.handles)].cancel()
+            continue
+        label = next(labels)
+        if op[0] == "send":
+            kernel.send(lambda label=label: fired.append(label))
+            continue
+        kind, delay, priority, children = op
+
+        def action(label=label, children=children):
+            fired.append(label)
+            _play(kernel, children, fired, labels)
+
+        handle = kernel.add(kind, delay, priority, action)
+        if kind == "create":
+            created.append(handle)
+    for handle in created:
+        kernel.enqueue(handle)
+
+
+def _programs():
+    """Op lists whose timed ops carry op lists to play when they fire.
+
+    Delays sit on a coarse grid and priorities on the kernel's three levels, so
+    same-instant ties -- between handles, posted calls and zero-delay children
+    of the event that is firing -- are the common case, not the rare one.
+    """
+
+    def ops(children):
+        timed = st.tuples(
+            st.sampled_from(["schedule", "schedule_at", "create", "post"]),
+            st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+            st.sampled_from(_PRIORITIES),
+            children,
+        )
+        cancel = st.tuples(st.just("cancel"), st.integers(0, 40))
+        return st.lists(st.one_of(timed, st.just(("send",)), cancel), max_size=6)
+
+    return st.recursive(st.just([]), ops, max_leaves=30)
+
+
+class TestKernelOrderOracle:
+    @given(program=_programs(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_every_mix_fires_in_sorted_list_order(self, program, seed):
+        real = _RealKernel(np.random.default_rng(seed))
+        oracle = _SortedListKernel(np.random.default_rng(seed))
+        fired = {real: [], oracle: []}
+        for kernel in (real, oracle):
+            _play(kernel, program, fired[kernel], itertools.count())
+            kernel.run()
+        assert fired[real] == fired[oracle]
+        assert real.sim.processed_events == oracle.processed == len(fired[oracle])
+        assert len(real.sim) == 0
+
+    def test_event_is_a_slotted_handle(self, sim):
+        assert not hasattr(sim.schedule(1.0, None), "__dict__")
+
+    def test_heap_never_compares_events(self, monkeypatch):
+        def compared(self, other):
+            raise AssertionError("the heap compared two Event objects")
+
+        monkeypatch.setattr(Event, "__lt__", compared, raising=False)
+        result = run_scenario(get_scenario("steady-churn"), seed=7, duration=120.0)
+        assert result.submissions["placed"] > 0
 
 
 class TestManualEvents:

@@ -410,7 +410,9 @@ class TestSweepDistributedCLI:
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         deadline = time.monotonic() + 10.0
-        while not port_file.exists() and time.monotonic() < deadline:
+        # The file exists (empty) from open() until the server closes it.
+        while not (port_file.exists() and port_file.read_text().strip()):
+            assert time.monotonic() < deadline, "coordinator never wrote its port"
             time.sleep(0.02)
         port = int(port_file.read_text().strip())
         assert main(["sweep", "work", "--connect", f"127.0.0.1:{port}"]) == 0
