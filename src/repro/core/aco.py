@@ -25,10 +25,10 @@ affordable at warehouse scale:
 
 * **Batched ants** -- all ants of a cycle advance in lockstep.  Each step
   computes the feasibility mask, heuristic values and decision-rule scores as
-  one ``(n_ants, n_vms)`` numpy expression over the pheromone matrix and every
-  ant's residual capacity, then samples one VM per ant (greedy and roulette
-  choices in the same batch).  A cycle costs ``~n_vms`` array steps instead of
-  ``n_ants * n_vms`` interpreter round-trips.
+  one ``(n_ants, candidates)`` numpy expression over every ant's unplaced VMs,
+  its host's pheromone row and its residual capacity, then samples one VM per
+  ant (greedy and roulette choices in the same batch).  A cycle costs
+  ``~n_vms`` array steps instead of ``n_ants * n_vms`` interpreter round-trips.
 * **Parallel colonies** -- independent colonies (each a full cycle loop over
   its own pheromone matrix) run across cores on
   :meth:`repro.workers.Workers.map` with per-colony seeds derived via the
@@ -42,7 +42,9 @@ affordable at warehouse scale:
   per-cycle re-optimization converges in a fraction of the cycles.
 
 The straightforward one-``_choose_vm``-call-per-ant-and-VM loop lives in
-``tests/scalar_aco.py`` as the packing-quality oracle.
+``tests/scalar_aco.py`` as the packing-quality oracle, and the lockstep
+construction that scores all ``n_vms`` columns on every step in
+``tests/fullwidth_aco.py`` as the draw-for-draw oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ class ACOParameters:
 
 #: Feasibility tolerance of the fit test.
 FIT_TOLERANCE = 1e-9
+
+#: Candidate columns are compacted once one in this many belongs to a placed VM.
+_COMPACTION_SHARE = 8
+
+#: Smallest positive normal double; row score totals at or below it are underflow.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -225,11 +233,18 @@ class _Colony:
                     f"initial pheromone shape {pheromone.shape} does not match "
                     f"instance ({n_vms}, {n_hosts})"
                 )
-            self.pheromone = np.clip(pheromone, parameters.tau_min, parameters.tau_max)
+            pheromone = np.clip(pheromone, parameters.tau_min, parameters.tau_max)
         else:
-            self.pheromone = np.full((n_vms, n_hosts), parameters.tau_initial, dtype=float)
+            pheromone = np.full((n_hosts, n_vms), parameters.tau_initial, dtype=float).T
+        #: ``(n_vms, n_hosts)``, stored host-major: a construction reads whole
+        #: per-host rows, and its transpose is then a view instead of a copy.
+        self.pheromone = np.asfortranarray(pheromone)
+        #: Per VM and per host: every dimension, then their sum, so one gather
+        #: and one subtraction move an ant's residual and its sum together.
+        self.demand_rows = np.column_stack((demands, demands.sum(axis=1)))
+        self.capacity_rows = np.column_stack((capacities, capacities.sum(axis=1)))
         #: Per-host heuristic normalizer (sum of that host's capacity vector).
-        self.normalizers = np.maximum(capacities.sum(axis=1), FIT_TOLERANCE)
+        self.normalizers = np.maximum(self.capacity_rows[:, -1], FIT_TOLERANCE)
         #: Global best so far; None until some ant completes an assignment.
         self.best_assignment: Optional[np.ndarray] = None
         self.best_hosts, self.best_quality = np.inf, -np.inf
@@ -309,74 +324,89 @@ class _Colony:
         an ant that runs out of hosts with VMs left is dropped from the batch,
         so fewer than ``n_ants`` rows (possibly none) may come back.
 
-        Two identities keep the per-step expressions small:
+        Three identities keep the per-step expressions small:
 
         * feasibility is checked per dimension with 2-D comparisons (no
-          ``(ants, vms, dims)`` temporary, no axis-2 reduction), and
+          ``(ants, vms, dims)`` temporary, no axis-2 reduction), and only
+          narrows while an ant stays on its host, so the mask persists;
         * on every *feasible* pair the L1 fill gap collapses to
           ``sum(residual) - sum(demand)`` (no per-dimension ``abs``), and
-          infeasible pairs are masked out of the scores anyway.
+          infeasible pairs are masked out of the scores anyway;
+        * a placed VM scores 0 from then on, and dropping a 0 column moves
+          neither the first maximum nor any later prefix sum (``x + 0.0 ==
+          x``), so each ant carries only its candidates -- unplaced VM ids in
+          ascending order with their demands and its host's pheromone.  Ants
+          being in lockstep, every row has lost as many columns, and one mask
+          gather shrinks all rows together.  The row total is the last prefix
+          sum, which a draw in ``[0, 1)`` scales to strictly less, so the
+          roulette pick is always a column with a positive score.
         """
         params = self.params
-        demands, capacities = self.demands, self.capacities
-        n_vms, n_hosts = demands.shape[0], capacities.shape[0]
-        n_dims = demands.shape[1]
+        demand_rows, capacity_rows = self.demand_rows, self.capacity_rows
+        n_vms, n_hosts = demand_rows.shape[0], capacity_rows.shape[0]
+        n_dims = demand_rows.shape[1] - 1
         ants = np.arange(n_ants)
         assignment = np.full((n_ants, n_vms), -1, dtype=np.int64)
-        unassigned = np.ones((n_ants, n_vms), dtype=bool)
         host = np.zeros(n_ants, dtype=np.int64)
-        residual = np.repeat(capacities[[0]], n_ants, axis=0)
-        residual_sums = residual.sum(axis=1)
-        # Row-contiguous per-host pheromone rows for the gather below.
-        tau_by_host = np.ascontiguousarray(self.pheromone.T)
-        demand_sums = demands.sum(axis=1)
+        residual = np.repeat(capacity_rows[[0]], n_ants, axis=0)
+        normalizer = np.repeat(self.normalizers[0], n_ants)
+        tau_by_host = self.pheromone.T  # contiguous per-host rows for the gathers below
         alpha, beta, q0 = params.alpha, params.beta, params.q0
 
+        # Candidate columns, all ``(n_ants, width)``: the VM id, whether the
+        # ant has yet to place it, and stacked in ``columns`` its demand per
+        # dimension, its demand sum and its pheromone on the ant's current host.
+        cand = np.tile(np.arange(n_vms), (n_ants, 1))
+        live = np.ones((n_ants, n_vms), dtype=bool)
+        columns = np.empty((n_dims + 2, n_ants, n_vms))
+        columns[:-1] = demand_rows.T[:, np.newaxis, :]
+        columns[-1] = tau_by_host[0]
+        fits = live.copy()
+        placed_since_compaction = 0
+
         for _ in range(n_vms):
-            # (n_ants, n_vms): VM is unplaced and fits the ant's current host.
-            fits = unassigned.copy()
+            # VM is unplaced and fits the ant's current host; the residual of
+            # an unchanged host only shrinks, so the mask only narrows.
+            limits = residual + FIT_TOLERANCE
             for dim in range(n_dims):
-                fits &= (
-                    demands[:, dim][np.newaxis, :]
-                    <= residual[:, dim][:, np.newaxis] + FIT_TOLERANCE
-                )
-            feasible_any = fits.any(axis=1)
+                fits &= columns[dim] <= limits[:, dim, np.newaxis]
             # Ants stuck on a full host open their next host (repeat until
             # every ant has a candidate; every VM fits an *empty* host by
             # instance validation, so only running out of hosts ends an ant).
-            while not feasible_any.all():
-                stuck = ~feasible_any
+            stuck = (~fits.any(axis=1)).nonzero()[0].tolist()
+            while stuck:
                 host[stuck] += 1
-                alive = host < n_hosts
-                if not alive.all():
+                if host.max() >= n_hosts:
                     # Out of hosts with VMs left: those ants packed too
                     # loosely to finish and leave this cycle; the rest go on.
-                    assignment, unassigned, host, residual, residual_sums, fits, stuck = (
+                    alive = host < n_hosts
+                    assignment, host, residual, normalizer, cand, live, fits = (
                         state[alive]
-                        for state in (
-                            assignment, unassigned, host, residual, residual_sums, fits, stuck
-                        )
+                        for state in (assignment, host, residual, normalizer, cand, live, fits)
                     )
+                    columns = columns[:, alive]
                     ants = ants[: host.shape[0]]
                     if not ants.size:
                         return assignment
-                residual[stuck] = capacities[host[stuck]]
-                residual_sums[stuck] = residual[stuck].sum(axis=1)
-                refit = unassigned[stuck].copy()
-                for dim in range(n_dims):
-                    refit &= (
-                        demands[:, dim][np.newaxis, :]
-                        <= residual[stuck][:, dim][:, np.newaxis] + FIT_TOLERANCE
-                    )
-                fits[stuck] = refit
-                feasible_any = fits.any(axis=1)
+                    stuck = (~fits.any(axis=1)).nonzero()[0].tolist()
+                for ant in stuck:
+                    opened = host[ant]
+                    residual[ant] = capacity_rows[opened]
+                    normalizer[ant] = self.normalizers[opened]
+                    tau_by_host[opened].take(cand[ant], out=columns[-1, ant])
+                    limit = residual[ant] + FIT_TOLERANCE
+                    refit = fits[ant]
+                    refit[:] = live[ant]
+                    for dim in range(n_dims):
+                        refit &= columns[dim, ant] <= limit[dim]
+                stuck = [ant for ant in stuck if not fits[ant].any()]
 
             # Decision rule over the batch: tau^alpha * eta^beta, masked to
             # the feasible candidates of each ant.
-            tau = tau_by_host[host]
-            gaps = residual_sums[:, np.newaxis] - demand_sums[np.newaxis, :]
+            tau = columns[-1]
+            gaps = residual[:, -1:] - columns[-2]
             np.maximum(gaps, 0.0, out=gaps)
-            gaps /= self.normalizers[host][:, np.newaxis]
+            gaps /= normalizer[:, np.newaxis]
             gaps += 1.0
             eta = np.reciprocal(gaps, out=gaps)
             if beta == 2.0:
@@ -385,29 +415,36 @@ class _Colony:
                 np.power(eta, beta, out=eta)
             scores = tau * eta if alpha == 1.0 else np.power(tau, alpha) * eta
             scores *= fits
-            totals = scores.sum(axis=1)
+            cdf = scores.cumsum(axis=1)
             # Numerical-underflow guard: fall back to uniform over feasible.
-            if not totals.all():
-                degenerate = totals <= 0.0
+            # A subnormal total counts as underflow -- a draw can scale only
+            # a normal total to strictly less than itself.
+            if cdf[:, -1].min() <= _SMALLEST_NORMAL:
+                degenerate = cdf[:, -1] <= _SMALLEST_NORMAL
                 scores[degenerate] = fits[degenerate]
-                totals = scores.sum(axis=1)
+                cdf = scores.cumsum(axis=1)
 
-            if greedy:
-                chosen = np.argmax(scores, axis=1)
-            else:
+            chosen = scores.argmax(axis=1)
+            if not greedy:
                 exploit = self.rng.random(ants.size) < q0
-                best_pick = np.argmax(scores, axis=1)
-                cdf = np.cumsum(scores, axis=1)
-                draws = self.rng.random(ants.size) * totals
-                roulette = np.minimum(
-                    (cdf <= draws[:, np.newaxis]).sum(axis=1), n_vms - 1
-                )
-                chosen = np.where(exploit, best_pick, roulette)
+                draws = (self.rng.random(ants.size) * cdf[:, -1]).tolist()
+                for ant in (~exploit).nonzero()[0].tolist():
+                    chosen[ant] = cdf[ant].searchsorted(draws[ant], side="right")
 
-            assignment[ants, chosen] = host
-            unassigned[ants, chosen] = False
-            residual -= demands[chosen]
-            residual_sums -= demand_sums[chosen]
+            vms = cand[ants, chosen]
+            assignment[ants, vms] = host
+            live[ants, chosen] = False
+            fits[ants, chosen] = False
+            residual -= demand_rows[vms]
+
+            placed_since_compaction += 1
+            if placed_since_compaction * _COMPACTION_SHARE >= cand.shape[1]:
+                # Same count of placed columns in every row: one gather each.
+                cand = cand[live].reshape(ants.size, -1)
+                fits = fits[live].reshape(ants.size, -1)
+                columns = columns[:, live].reshape(n_dims + 2, ants.size, -1)
+                live = np.ones(cand.shape, dtype=bool)
+                placed_since_compaction = 0
         return assignment
 
     # -------------------------------------------------------------- evaluation

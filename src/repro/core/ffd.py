@@ -81,35 +81,30 @@ class FirstFit(ConsolidationAlgorithm):
                 if self._order is not None
                 else np.arange(demands.shape[0], dtype=np.int64)
             )
-            opened: list[int] = []  # hosts already holding at least one VM, in open order
+            # Hosts already holding at least one VM, in open order, and as a mask.
+            opened = np.empty(capacities.shape[0], dtype=np.int64)
+            is_open = np.zeros(capacities.shape[0], dtype=bool)
+            n_open = 0
             for vm_index in order:
                 demand = demands[vm_index]
-                placed = False
                 # First try hosts already in use (vectorized feasibility test).
-                if opened:
-                    open_idx = np.asarray(opened, dtype=np.int64)
-                    fits = np.all(residual[open_idx] >= demand - 1e-9, axis=1)
-                    hits = np.flatnonzero(fits)
-                    if hits.size:
-                        host = int(open_idx[hits[0]])
-                        placement.assign(int(vm_index), host, check=False)
-                        residual[host] -= demand
-                        placed = True
-                if not placed:
+                open_idx = opened[:n_open]
+                hits = np.flatnonzero(np.all(residual[open_idx] >= demand - 1e-9, axis=1))
+                if hits.size:
+                    host = int(open_idx[hits[0]])
+                else:
                     # Open the first still-empty host that fits.
-                    for host in range(capacities.shape[0]):
-                        if host in opened:
-                            continue
-                        if np.all(residual[host] >= demand - 1e-9):
-                            placement.assign(int(vm_index), host, check=False)
-                            residual[host] -= demand
-                            opened.append(host)
-                            placed = True
-                            break
-                if not placed:
-                    raise PlacementError(
-                        f"first-fit could not place VM {int(vm_index)}: not enough hosts"
-                    )
+                    hits = np.flatnonzero(~is_open & np.all(residual >= demand - 1e-9, axis=1))
+                    if not hits.size:
+                        raise PlacementError(
+                            f"first-fit could not place VM {int(vm_index)}: not enough hosts"
+                        )
+                    host = int(hits[0])
+                    opened[n_open] = host
+                    is_open[host] = True
+                    n_open += 1
+                placement.assign(int(vm_index), host, check=False)
+                residual[host] -= demand
             return ConsolidationResult(
                 placement=placement,
                 algorithm=self.name,

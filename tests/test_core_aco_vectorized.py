@@ -1,19 +1,25 @@
 """Tests for the ACO colony kernel: batched ants, colonies, warm start, bounds.
 
 Packing quality is asserted against the scalar per-ant loop kept as the oracle
-in ``tests/scalar_aco.py``.
+in ``tests/scalar_aco.py``; the construction itself, draw for draw, against the
+full-width lockstep construction in ``tests/fullwidth_aco.py``.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ACOConsolidation, PheromoneSummary
-from repro.core.aco import ACOParameters
+from repro.core.aco import ACOParameters, _Colony
 from repro.core.base import lower_bound_hosts
-from repro.core.placement import PlacementError
+from repro.core.placement import Placement, PlacementError
 from repro.workloads import UniformDemandDistribution, consolidation_instance
+from tests.fullwidth_aco import FullWidthColony
+from tests.golden import regenerate as golden
 from tests.scalar_aco import ScalarACOConsolidation
 
 
@@ -133,6 +139,114 @@ class TestVectorizedACO:
             ACOConsolidation(rng=np.random.default_rng(0)).solve(
                 demands, capacities, initial_pheromone=np.ones((3, 3))
             )
+
+
+@st.composite
+def construction_cases(draw):
+    """``(demands, capacities, parameters, initial_pheromone, seed)`` for one colony.
+
+    Drawn through a seeded numpy generator (hypothesis shrinks the shape knobs
+    and the seed): 1-3 dimensions, sizes on both sides of the first candidate
+    compaction, heterogeneous hosts, host counts so tight that ants run out
+    and leave the batch, warm-start matrices outside the Max-Min band.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dims = draw(st.integers(1, 3))
+    n_vms = draw(st.integers(1, 40))
+    demands = rng.uniform(0.05, 0.6, (n_vms, n_dims))
+    host_capacity = rng.uniform(0.8, 1.5, n_dims)
+    # Hosts per unit of the lower bound; near 1 some or all ants run out.
+    slack = draw(st.sampled_from([1.05, 1.1, 1.15, 1.2, 3.0]))
+    n_hosts = max(1, int(np.ceil((demands.sum(axis=0) / host_capacity).max() * slack)))
+    capacities = np.tile(host_capacity, (n_hosts, 1))
+    if draw(st.booleans()):  # heterogeneous; some hosts may fit no remaining VM
+        capacities = capacities * rng.uniform(0.5, 1.6, (n_hosts, 1))
+    parameters = ACOParameters(
+        n_ants=draw(st.integers(1, 8)),
+        alpha=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        beta=draw(st.sampled_from([1.0, 2.0, 3.0])),
+        q0=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    initial = rng.uniform(0.01, 6.0, (n_vms, n_hosts)) if draw(st.booleans()) else None
+    return demands, capacities, parameters, initial, draw(st.integers(0, 2**32 - 1))
+
+
+def anchor_and_two_cycles(colony_class, demands, capacities, parameters, initial, seed):
+    """Every assignment batch a short run constructs, and the generator state after."""
+    colony = colony_class(demands, capacities, parameters, np.random.default_rng(seed), initial)
+    batches = [colony._construct(n_ants=1, greedy=True)]
+    colony._adopt_better(batches[0])
+    for _ in range(2):
+        batches.append(colony._construct(parameters.n_ants, greedy=False))
+        colony._adopt_better(batches[-1])
+        colony._update_pheromone()
+    return batches, colony.rng.bit_generator.state
+
+
+class TestConstructionOracle:
+    """The compacted-candidate construction against the full-width one.
+
+    Both mutations the compaction invites fail this class: dropping one live
+    column at a compaction, and keeping the previous host's pheromone row when
+    an ant opens a host.
+    """
+
+    @settings(max_examples=250, deadline=None)
+    @given(construction_cases())
+    def test_identical_assignments_and_generator_state(self, case):
+        expected, expected_state = anchor_and_two_cycles(FullWidthColony, *case)
+        actual, actual_state = anchor_and_two_cycles(_Colony, *case)
+        for want, got in zip(expected, actual):
+            assert got.shape == want.shape  # (alive ants, n_vms)
+            assert np.array_equal(got, want)
+        assert actual_state == expected_state
+
+    def test_pinned_solves_of_the_yardstick_instances(self):
+        """500 / 1000 / 2000-VM solves, fixture generated at the full-width commit.
+
+        The oracle shares the kernel's ``totals = cdf[:, -1]``; this is what
+        ties the kernel to the commit before it across that last-ulp change.
+        """
+        assert golden.aco_solves() == json.loads(golden.ACO_SOLVES_PATH.read_text())
+
+
+class AlmostOne:
+    """Generator stub whose every uniform draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+class TestRouletteNeverPicksPlacedOrInfeasible:
+    """A draw scales the row total to strictly less, so the roulette lands on a
+    positive-score column -- never past the last one, where a clamp used to
+    select the final VM column whatever its state."""
+
+    @staticmethod
+    def assert_complete_and_feasible(demands, capacities, parameters, initial=None):
+        colony = _Colony(demands, capacities, parameters, AlmostOne(), initial)
+        assignments = colony._construct(parameters.n_ants, greedy=False)
+        assert assignments.shape == (parameters.n_ants, demands.shape[0])
+        for assignment in assignments:
+            assert (assignment >= 0).all()
+            assert Placement(demands, capacities, assignment).is_feasible()
+
+    def test_homogeneous_instance(self):
+        demands, capacities = make_instance(60, seed=3)
+        self.assert_complete_and_feasible(demands, capacities, ACOParameters(n_ants=4))
+
+    def test_heterogeneous_instance(self):
+        demands, _ = make_instance(60, seed=4)
+        capacities = np.tile([[1.0, 1.0], [0.7, 1.3], [1.4, 0.8]], (20, 1))
+        self.assert_complete_and_feasible(demands, capacities, ACOParameters(n_ants=4, q0=0.0))
+
+    def test_subnormal_score_totals_count_as_underflow(self):
+        """``tau_min ** 240`` is subnormal, where ``draw * total == total``."""
+        demands, capacities = make_instance(30, seed=5)
+        parameters = ACOParameters(n_ants=3, alpha=240.0)
+        trail = np.full((demands.shape[0], capacities.shape[0]), parameters.tau_min)
+        assert 0.0 < parameters.tau_min**parameters.alpha < np.finfo(float).tiny
+        self.assert_complete_and_feasible(demands, capacities, parameters, trail)
 
 
 class TestPheromoneBounds:

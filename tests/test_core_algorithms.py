@@ -84,6 +84,23 @@ class TestFirstFitFamily:
         with pytest.raises(PlacementError):
             FirstFitDecreasing().solve(demands, capacities)
 
+    def test_first_fit_opens_first_empty_host_that_fits_not_lowest_index(self):
+        """Hosts 0 and 2 are too small for the big VMs; open order is 1, 0, 3."""
+        demands = np.array([[0.8, 0.8], [0.3, 0.3], [0.8, 0.8], [0.2, 0.2]])
+        capacities = np.array([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5], [1.0, 1.0]])
+        result = FirstFit().solve(demands, capacities)
+        # VM 0 skips empty host 0 (too small) for host 1; VM 1 no longer fits
+        # host 1 and opens host 0; VM 2 skips empty host 2 for host 3; VM 3
+        # fits hosts 1, 0 and 3 alike and takes the first in *open* order.
+        assert result.placement.assignment.tolist() == [1, 0, 3, 1]
+        assert result.feasible
+
+    def test_first_fit_raises_when_remaining_empty_hosts_are_too_small(self):
+        demands = np.tile([0.8, 0.8], (3, 1))
+        capacities = np.array([[1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(PlacementError, match="could not place VM 2"):
+            FirstFit().solve(demands, capacities)
+
     def test_runtime_is_recorded(self, small_instance):
         demands, capacities = small_instance
         result = FirstFitDecreasing().solve(demands, capacities)
