@@ -10,7 +10,7 @@ load follows a day/night pattern, managed by Snooze with
 
 The script prints the energy consumed by each configuration over the same
 simulated day and the relative savings -- the qualitative content of the
-paper's Section III (energy experiments E5/E6 under ``benchmarks/``).
+paper's Section III (experiments E5/E6 in ``tests/test_paper_claims.py``).
 
 Run with:  python examples/datacenter_energy.py [--hours 6] [--lcs 24]
 """

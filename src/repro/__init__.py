@@ -19,9 +19,9 @@ Quick start::
     ffd = FirstFitDecreasing().solve(demands, capacities)
     print(aco.hosts_used, "<=", ffd.hosts_used)
 
-See README.md for the architecture map and how to run the paper's experiments
-(``benchmarks/``, one ``test_bench_e<N>_*.py`` per reported result) and the
-performance yardstick that gates every change (``bench/``).
+See README.md for the architecture map, the paper's experiments (E1-E8, one
+test each in ``tests/test_paper_claims.py``) and the performance yardstick
+that gates every change (``bench/``).
 """
 
 __version__ = "0.1.0"

@@ -120,6 +120,10 @@ class HierarchyConfig:
             self.gl_heartbeat_interval, self.gm_heartbeat_interval, self.lc_heartbeat_interval
         ):
             raise ValueError("heartbeat_timeout must exceed every heartbeat interval")
+        # A GM's heartbeat tick keeps its coordination session alive; a session
+        # that expires first empties the election and no GM is ever promoted.
+        if self.session_timeout <= self.gm_heartbeat_interval:
+            raise ValueError("session_timeout must exceed gm_heartbeat_interval")
         if self.estimation_window <= 0:
             raise ValueError("estimation_window must be positive")
         if self.entry_points <= 0:

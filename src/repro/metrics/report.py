@@ -1,9 +1,8 @@
-"""Small plain-text comparison tables for benchmark output.
+"""Small plain-text comparison tables for the CLI and the examples.
 
-The benchmark harness prints the same rows/series the paper reports (hosts
-used, energy, deviation from optimal, submission time...).  ``ComparisonTable``
-collects rows of ``{column: value}`` dictionaries and renders them with
-aligned columns so the pytest-benchmark output remains readable in a terminal.
+``ComparisonTable`` collects rows of ``{column: value}`` dictionaries (hosts
+used, energy, deviation from optimal, submission time...) and renders them
+with aligned columns so they stay readable in a terminal.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ class ComparisonTable:
         return f"{self.title}\n{underline}\n{format_table(self.rows, self.columns)}"
 
     def print(self) -> None:
-        """Print the rendered table (benchmarks call this so results land in CI logs)."""
+        """Print the rendered table, framed by blank lines."""
         print("\n" + self.render() + "\n")
 
     def __len__(self) -> int:

@@ -565,7 +565,7 @@ class DistributedExecutor:
         self.expected_seconds = expected_seconds
         self.runner_env = list(runner_env) if runner_env is not None else None
         self.timeout = timeout
-        #: Coordinator counters of the last ``map`` call (for benchmarks/tests).
+        #: Coordinator counters of the last ``map`` call (read by ``bench/`` and tests).
         self.last_stats: Dict[str, int] = {}
 
     def map(self, payloads: Sequence[dict]) -> List[dict]:

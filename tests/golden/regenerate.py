@@ -108,17 +108,21 @@ def assignment_digest(assignment: np.ndarray) -> str:
     return hashlib.sha256(json.dumps(assignment.tolist()).encode("utf-8")).hexdigest()
 
 
+def aco_solve_instance(n_vms: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(demands, capacities)`` of one pinned cell, built the way ``bench/workloads.py`` does."""
+    return consolidation_instance(
+        n_vms,
+        np.random.default_rng([seed, n_vms]),
+        demand_distribution=UniformDemandDistribution(0.05, 0.3, dimensions=("cpu", "memory")),
+        host_capacity=(1.0, 1.0),
+    )
+
+
 def aco_solves() -> Dict[str, Dict[str, object]]:
     """Solve every ``ACO_SOLVE_CELLS`` instance the way ``bench/workloads.py`` does."""
-    demand = UniformDemandDistribution(0.05, 0.3, dimensions=("cpu", "memory"))
     solves = {}
     for n_vms, n_ants, n_cycles, seed in ACO_SOLVE_CELLS:
-        demands, capacities = consolidation_instance(
-            n_vms,
-            np.random.default_rng([seed, n_vms]),
-            demand_distribution=demand,
-            host_capacity=(1.0, 1.0),
-        )
+        demands, capacities = aco_solve_instance(n_vms, seed)
         parameters = ACOParameters(n_ants=n_ants, n_cycles=n_cycles)
         aco = ACOConsolidation(parameters, rng=np.random.default_rng([seed, n_vms, 1])).solve(
             demands, capacities

@@ -206,8 +206,14 @@ class TestConstructionOracle:
 
         The oracle shares the kernel's ``totals = cdf[:, -1]``; this is what
         ties the kernel to the commit before it across that last-ulp change.
+        The paper's claim rides along: ACO never uses more hosts than FFD.
         """
-        assert golden.aco_solves() == json.loads(golden.ACO_SOLVES_PATH.read_text())
+        solves = golden.aco_solves()
+        assert solves == json.loads(golden.ACO_SOLVES_PATH.read_text())
+        for n_vms, _, _, seed in golden.ACO_SOLVE_CELLS:
+            solve = solves[f"{n_vms}-seed{seed}"]
+            bound = lower_bound_hosts(*golden.aco_solve_instance(n_vms, seed))
+            assert bound <= solve["aco_hosts_used"] <= solve["ffd_hosts_used"], (n_vms, seed)
 
 
 class AlmostOne:

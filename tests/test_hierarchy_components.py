@@ -12,6 +12,7 @@ from repro.hierarchy.config import HierarchyConfig as ConfigClass
 from repro.network.message import Message, MessageType
 from repro.network.multicast import MulticastRegistry
 from repro.network.transport import Network
+from repro.scenarios import ScenarioSpec
 from repro.workloads import BatchArrival, UniformDemandDistribution, WorkloadGenerator
 
 from tests.conftest import make_vm
@@ -25,6 +26,21 @@ class TestHierarchyConfig:
     def test_heartbeat_timeout_must_exceed_intervals(self):
         with pytest.raises(ValueError):
             HierarchyConfig(gl_heartbeat_interval=5.0, heartbeat_timeout=4.0)
+
+    def test_session_timeout_must_exceed_gm_heartbeat_interval(self):
+        # A session that expires before the first keep-alive leaves the
+        # election empty: after a leader crash no GM is ever promoted.
+        for session_timeout in (1.5, 2.0):
+            with pytest.raises(ValueError, match="session_timeout must exceed"):
+                HierarchyConfig(session_timeout=session_timeout)
+        assert HierarchyConfig(session_timeout=2.5).session_timeout == 2.5
+
+    def test_scenario_config_override_with_short_session_is_rejected(self):
+        with pytest.raises(ValueError, match="session_timeout must exceed"):
+            ScenarioSpec(
+                name="short-session", local_controllers=6, group_managers=3,
+                config={"session_timeout": 1.5},
+            ).hierarchy_config(seed=1)
 
     def test_negative_intervals_rejected(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,14 @@ class TestDeterminism:
                 == reference
             )
 
+    def test_catalog_10k_fleet_is_byte_identical_across_shard_counts(self):
+        # The 10k-LC catalog fleet: 32 groups over 8 shards, four groups each.
+        spec = get_megafleet("megafleet-10k")
+        sharded = ShardedFleetSimulator(spec, seed=2012).run(shards=8)
+        single = ShardedFleetSimulator(spec, seed=2012).run(shards=1)
+        assert sharded.totals["placements"] > 0
+        assert sharded.canonical_json() == single.canonical_json()
+
     def test_byte_identical_across_jobs(self):
         spec = tiny_spec()
         serial = ShardedFleetSimulator(spec, seed=11).run(shards=4, jobs=1)

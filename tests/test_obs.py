@@ -20,6 +20,7 @@ from repro.obs import (
     deterministic_observability,
     handler_key,
 )
+from repro.obs.metrics import _INITIAL_SLOTS
 from repro.policies.registry import instrument_policy
 from repro.simulation.engine import Simulator
 
@@ -140,6 +141,60 @@ class TestExposition:
         registry.add_collector(lambda: handle.set(source["value"]))
         source["value"] = 42
         assert 'repro_mirrored_total 42' in registry.to_text()
+
+
+class TestGrowthPastTheInitialSlots:
+    """Every series is written right after its slot is claimed, so all but the
+    last ones were written before one or both doublings of storage."""
+
+    #: Label sets that force two doublings of a family's storage.
+    N = 2 * _INITIAL_SLOTS + 1
+
+    @pytest.mark.parametrize(
+        "kind,section,name,write,sign",
+        [
+            ("counter", "counters", "grown_total", "inc", 1),
+            ("gauge", "gauges", "grown_level", "set", -1),
+        ],
+    )
+    def test_value_family_keeps_every_series(self, kind, section, name, write, sign):
+        registry = MetricsRegistry()
+        family = getattr(registry, kind)(name)
+        for i in range(self.N):
+            getattr(family.labels(i=i), write)(sign * i)
+        assert len(family._values) == 4 * _INITIAL_SLOTS
+
+        for i in range(self.N):
+            assert family.labels(i=i).value == sign * i
+        dump = registry.to_dict()
+        assert dump[section][name] == {f'i="{i}"': float(sign * i) for i in range(self.N)}
+        lines = set(registry.to_text().splitlines())
+        for i in range(self.N):
+            assert f'repro_{name}{{i="{i}"}} {sign * i}' in lines
+
+    def test_histogram_keeps_every_series(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("grown_seconds", buckets=(0.1, 1.0))
+        for i in range(self.N):
+            histogram.labels(i=i).observe(0.05)
+            histogram.labels(i=i).observe(float(i))
+        assert len(histogram._sums) == 4 * _INITIAL_SLOTS
+
+        def buckets(i):
+            return [2, 0, 0] if i == 0 else [1, 1, 0] if i == 1 else [1, 0, 1]
+
+        for i in range(self.N):
+            handle = histogram.labels(i=i)
+            assert (handle.bucket_counts(), handle.sum, handle.count) == (buckets(i), 0.05 + i, 2)
+        dump = registry.to_dict()
+        assert {
+            labels: (entry["buckets"], entry["sum"], entry["count"])
+            for labels, entry in dump["histograms"]["grown_seconds"].items()
+        } == {f'i="{i}"': (buckets(i), 0.05 + i, 2) for i in range(self.N)}
+        lines = set(registry.to_text().splitlines())
+        for i in range(self.N):
+            assert f'repro_grown_seconds_bucket{{i="{i}",le="+Inf"}} 2' in lines
+            assert f'repro_grown_seconds_count{{i="{i}"}} 2' in lines
 
 
 class TestTracer:

@@ -70,6 +70,16 @@ class TestPerPillarIdentity:
         result = ScenarioRunner(spec, seed=11, duration=240.0).run()
         assert result.canonical_json() == baseline
 
+    def test_all_pillars_off_leaves_no_instrumentation(self):
+        spec = _spec_with_obs("steady-churn", **PILLARS["none"])
+        runner = ScenarioRunner(spec, seed=11, duration=60.0)
+        runner.run()
+        system = runner.system
+        assert system.obs is None
+        assert not system.sim.has_service("observability")
+        assert system.sim.profiler is None
+        assert system.network._tracer is None and system.network.obs is None
+
 
 class TestTraceContextPropagation:
     def _network(self):

@@ -33,7 +33,7 @@ from repro.policies import (
     register_policy,
 )
 from repro.policies.registry import validate_policy_selection
-from repro.scenarios import ScenarioSpec, WorkloadPhase, run_scenario
+from repro.scenarios import ScenarioSpec, WorkloadPhase, get_scenario, run_scenario
 
 from tests.conftest import make_node, make_vm
 
@@ -429,6 +429,25 @@ class TestScenarioPolicies:
         decoded = json.loads(first)
         assert decoded["policies"]["placement"] == "best-fit"
         assert decoded["policies"]["reconfiguration"] == "aco"
+
+    def test_every_placement_policy_serves_the_same_catalog_workload(self):
+        base = get_scenario("steady-churn")
+        results = [
+            run_scenario(
+                ScenarioSpec.from_dict(
+                    {
+                        **base.to_dict(),
+                        "duration": 600.0,
+                        "policies": {**base.policies, "placement": {"name": name}},
+                    }
+                ),
+                seed=2012,
+            )
+            for name in policy_names("placement")
+        ]
+        assert len(results) >= 4
+        assert len({result.submissions["placed"] for result in results}) == 1
+        assert all(result.packing["mean_active_hosts"] > 0 for result in results)
 
     def test_scenario_without_policy_block_runs_the_defaults(self):
         config = _policy_spec(policies={}).hierarchy_config(seed=0)

@@ -14,7 +14,7 @@ from repro.policies import (
     make_policy,
     policy_names,
 )
-from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
+from repro.scenarios import ScenarioSpec, WorkloadPhase, get_scenario, run_scenario
 from repro.traffic import (
     DEFAULT_LATENCY_BUCKETS,
     STABILITY_CAP,
@@ -253,9 +253,55 @@ class TestTrafficPlaneIntegration:
         traffic = result.traffic
         assert traffic["ticks"] == 60
         assert traffic["requests"]["offered"] == pytest.approx(300.0 * 600.0)
+        assert traffic["requests"]["served"] > 0
         web = traffic["services"]["web"]
         assert web["replicas_initial"] == web["replicas_final"] == 2
         assert web["autoscaling"] is None
+
+    def test_services_are_served_alongside_a_churning_fleet(self):
+        # 100 LCs under VM churn plus four diurnal services on a jitter-free
+        # network: the replicas join the churn through the same submission path.
+        services = [
+            {
+                "name": f"svc-{index}",
+                "profile": {
+                    "kind": "diurnal", "base": 0.2, "peak": 1.0, "period": 600.0,
+                    "peak_time": 300.0, "peak_rps": 150.0,
+                },
+                "initial_replicas": 2,
+                "service_rate": 100.0,
+            }
+            for index in range(4)
+        ]
+        spec = ScenarioSpec(
+            name="traffic-churn",
+            duration=600.0,
+            local_controllers=100,
+            group_managers=4,
+            nodes_per_rack=40,
+            record_interval=60.0,
+            config={"network": {"base_latency": 0.001, "jitter": 0.0, "loss_probability": 0.0}},
+            phases=[
+                WorkloadPhase(
+                    name="churn",
+                    vm_count=120,
+                    arrival={"kind": "poisson", "rate_per_hour": 360.0},
+                    demand={"kind": "uniform", "low": 0.1, "high": 0.3},
+                    trace={"kind": "constant", "level": 0.7},
+                    lifetime={"kind": "exponential", "mean": 200.0, "minimum": 30.0},
+                )
+            ],
+            traffic={"services": services, "interval": 10.0},
+        )
+        result = run_scenario(spec, seed=2012)
+        assert result.submissions["placed"] == result.submissions["submitted"] > 8
+        traffic = result.traffic
+        assert traffic["ticks"] == 60
+        # One full diurnal period: each service averages (0.2 + 1.0) / 2 of its peak.
+        assert traffic["requests"]["offered"] == pytest.approx(4 * 0.6 * 150.0 * 600.0)
+        assert traffic["requests"]["served"] > 0
+        for service in traffic["services"].values():
+            assert service["replicas_initial"] == service["replicas_final"] == 2
 
     def test_overloaded_service_drops_and_reports(self):
         # 300 rps against one replica at 100 rps: ~2/3 of traffic dropped.
