@@ -50,7 +50,7 @@ GOLDEN_DURATION_CAP = 1500.0
 #: Directory holding the committed fixtures.
 GOLDEN_DIR = Path(__file__).resolve().parent
 
-#: Event and message counts of every non-megafleet golden run.
+#: Event and message counts of every golden run.
 TRANSPORT_COUNTS_PATH = GOLDEN_DIR / "transport_counts.json"
 
 #: Pinned ACO / FFD solves; ``ACO_SOLVES`` is also the name that regenerates them.
@@ -91,11 +91,6 @@ def golden_run(name: str) -> Tuple[str, Dict[str, object]]:
         "network": runner.system.network.stats(),
     }
     return result.canonical_json() + "\n", counts
-
-
-def has_transport_counts(name: str) -> bool:
-    """Counts are kept for what ``catalog-mix`` runs: the catalog minus ``megafleet-*``."""
-    return not name.startswith("megafleet-")
 
 
 def committed_transport_counts() -> Dict[str, Dict[str, object]]:
@@ -150,8 +145,7 @@ def regenerate(names: Iterable[str]) -> List[Path]:
         path = fixture_path(name)
         path.write_text(content)
         written.append(path)
-        if has_transport_counts(name):
-            all_counts[name] = counts
+        all_counts[name] = counts
     TRANSPORT_COUNTS_PATH.write_text(json.dumps(all_counts, sort_keys=True, indent=2) + "\n")
     return written + [TRANSPORT_COUNTS_PATH]
 

@@ -171,12 +171,10 @@ class TestGoldenCatalogFixtures:
         # Same run, what no result field carries: events retired and messages
         # sent / delivered / dropped.  A kernel or transport change that merged,
         # skipped or re-ordered work would move these first.
-        if golden.has_transport_counts(name):
-            assert counts == golden.committed_transport_counts()[name]
+        assert counts == golden.committed_transport_counts()[name]
 
-    def test_transport_counts_cover_exactly_the_non_megafleet_catalog(self):
-        expected = sorted(filter(golden.has_transport_counts, scenario_names()))
-        assert sorted(golden.committed_transport_counts()) == expected
+    def test_transport_counts_cover_the_whole_catalog(self):
+        assert sorted(golden.committed_transport_counts()) == sorted(scenario_names())
 
     def test_perf_section_is_zeroed_in_goldens_but_measured_in_results(self):
         result = run_scenario(_small_churn_spec(), seed=0)
