@@ -11,12 +11,16 @@ failure-injection hooks used by the fault-tolerance experiments:
 * :meth:`Component.recover` -- restart it: reconnect and re-run its
   :meth:`Component.on_start` logic (components re-join the hierarchy through
   the normal self-organization protocol, nothing is restored magically).
+
+:class:`LeaseSet` is the one way a heartbeat is skipped on a deterministic
+network: the watcher leases its failure detector to the sender, whose
+heartbeat then re-arms it instead of sending a message.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.recorder import EventLog
 from repro.network.message import Message, MessageType
@@ -24,28 +28,88 @@ from repro.network.multicast import MulticastRegistry
 from repro.network.rpc import RpcChannel
 from repro.network.transport import Network
 from repro.obs import OBSERVABILITY_SERVICE
-from repro.simulation.batch import DeadlineHandle
+from repro.simulation.batch import DeadlineHandle, rearm_arrays
 from repro.simulation.engine import Simulator
 from repro.simulation.timers import PeriodicTimer
 
 
-#: Per-simulation registry of heartbeat *leases*: ``(watcher, sender) ->
-#: DeadlineHandle``.  A watcher that arms a failure detector for a peer may
-#: publish the detector's handle here; on a deterministic network the peer
-#: then re-arms it directly at delivery time (send time + base latency)
-#: instead of materializing a heartbeat message per interval -- the unicast
-#: twin of the multicast deadline sink.  Entries are dropped when the watcher
-#: forgets the peer, and a stale handle is inert (generation-checked).
-HEARTBEAT_LEASE_SERVICE = "heartbeat-leases"
+class LeaseSet:
+    """Heartbeat leases: ``(watcher, sender) ->`` the watcher's detector handle.
 
+    On a deterministic network a GM <-> LC heartbeat's whole effect is
+    restarting its watcher's failure detector at delivery time.  The watcher
+    grants the sender a lease on that detector, and the sender's heartbeat
+    re-arms it to send time + base latency + timeout instead of sending a
+    message: the GM's tick through :meth:`renew`, the LC fleet's heartbeat
+    tick through :meth:`plan` over its rows.  A lease is granted only when
+    ``timeout > interval + base latency`` (the detector cannot expire between
+    send and delivery), and a re-arm skips a lease with either end
+    disconnected, as the transport would drop the message.  An LC leaving its
+    GM revokes both of the pair's leases; a watcher forgetting a peer releases
+    the detector, which leaves its lease inert (generation-checked).
+    """
 
-def heartbeat_leases(sim: Simulator) -> dict:
-    """The shared lease registry (created on first use)."""
-    if sim.has_service(HEARTBEAT_LEASE_SERVICE):
-        return sim.get_service(HEARTBEAT_LEASE_SERVICE)
-    leases: dict = {}
-    sim.register_service(HEARTBEAT_LEASE_SERVICE, leases)
-    return leases
+    SERVICE_NAME = "heartbeat-leases"
+
+    def __init__(self, sim: Simulator, network: Network) -> None:
+        self.sim = sim
+        self.network = network
+        #: Moves on every grant and revoke: cached re-arm plans are rebuilt.
+        self.epoch = 0
+        #: ``sender -> {watcher: handle}``, in grant order.
+        self._by_sender: Dict[str, Dict[str, DeadlineHandle]] = {}
+        #: ``sender -> ((lease epoch, connectivity epoch), re-arm plan)``.
+        self._plans: Dict[str, tuple] = {}
+
+    @classmethod
+    def shared(cls, sim: Simulator, network: Network) -> "LeaseSet":
+        """The per-simulation lease set (created on first use)."""
+        if not sim.has_service(cls.SERVICE_NAME):
+            sim.register_service(cls.SERVICE_NAME, cls(sim, network))
+        return sim.get_service(cls.SERVICE_NAME)
+
+    def grant(
+        self, watcher: str, sender: str, handle: DeadlineHandle, timeout: float, interval: float
+    ) -> bool:
+        """Lease ``handle`` to ``sender`` if skipping its heartbeat is unobservable."""
+        network = self.network
+        if not network.deterministic or timeout <= interval + network.config.base_latency:
+            return False
+        self._by_sender.setdefault(sender, {})[watcher] = handle
+        self.epoch += 1
+        return True
+
+    def revoke(self, watcher: str, sender: str) -> None:
+        """End the lease (idempotent)."""
+        if self._by_sender.get(sender, {}).pop(watcher, None) is not None:
+            self.epoch += 1
+
+    def get(self, watcher: str, sender: str) -> Optional[DeadlineHandle]:
+        """The handle ``sender`` holds on ``watcher``'s detector, if any."""
+        return self._by_sender.get(sender, {}).get(watcher)
+
+    def plan(self, leases: Iterable[Tuple[str, str, DeadlineHandle]]) -> list:
+        """Re-arm arrays of the ``(watcher, sender, handle)`` leases with both ends connected.
+
+        Their order becomes the restart-stamp order (the expiry tie-break).
+        """
+        connected = self.network.is_connected
+        return rearm_arrays(h for w, s, h in leases if connected(w) and connected(s))
+
+    def rearm(self, plan: list) -> None:
+        """Re-arm a :meth:`plan` as a heartbeat sent now would on delivery."""
+        base = self.sim.now + self.network.config.base_latency
+        for table, indices, generations in plan:
+            table.rearm(indices, generations, base)
+
+    def renew(self, sender: str) -> None:
+        """``sender``'s heartbeat: re-arm every lease it holds, in grant order."""
+        epochs = (self.epoch, self.network.connectivity_epoch)
+        cached = self._plans.get(sender)
+        if cached is None or cached[0] != epochs:
+            leases = self._by_sender.get(sender, {}).items()
+            cached = self._plans[sender] = (epochs, self.plan((w, sender, h) for w, h in leases))
+        self.rearm(cached[1])
 
 
 class ComponentState(enum.Enum):
@@ -179,6 +243,11 @@ class Component:
     def multicast(self) -> MulticastRegistry:
         """The shared multicast registry service."""
         return self.sim.get_service(MulticastRegistry.SERVICE_NAME)
+
+    @property
+    def leases(self) -> LeaseSet:
+        """The shared heartbeat lease set."""
+        return LeaseSet.shared(self.sim, self.network)
 
     # --------------------------------------------------------------- messages
     def _on_message(self, message: Message) -> None:

@@ -9,10 +9,11 @@ owns those two periodic duties for every running LC: it registers **one**
 tick together and runs each tick as array steps over the group's rows.
 
 Heartbeat tick (:class:`HeartbeatRows`)
-    LCs holding a heartbeat lease re-arm their GM's failure detector with one
-    index-array :meth:`~repro.simulation.batch.DeadlineTable.rearm` per GM
-    table; only LCs without a lease (jittery or lossy networks, a timeout too
-    short to lease) send a message.
+    LCs holding a heartbeat lease on their GM's failure detector
+    (:class:`~repro.hierarchy.common.LeaseSet`) re-arm it with one index-array
+    :meth:`~repro.simulation.batch.DeadlineTable.rearm` per GM table; only
+    LCs without a lease (jittery or lossy networks, a timeout too short to
+    lease) send a message.
 
 Monitoring tick (:class:`MonitoringRows`)
     lifetime check -> bulk sample write -> estimate kernel -> per-host fold ->
@@ -31,8 +32,8 @@ tick's reports travel as one frame per Group Manager
 (:meth:`~repro.network.transport.Network.send_frame`); otherwise each LC's
 report is its own send, followed by that LC's anomaly message.  Cached index
 arrays are rebuilt only when :attr:`LocalControllerFleet.epoch` (an LC
-started, stopped, joined or lost its GM) or the network's
-``connectivity_epoch`` moved.
+started, stopped, joined or lost its GM), the lease set's ``epoch`` or the
+network's ``connectivity_epoch`` moved.
 
 LCs built with different :class:`~repro.hierarchy.config.HierarchyConfig`
 objects tick in separate groups (thresholds, telemetry plane and timeouts are
@@ -45,11 +46,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hierarchy.common import LeaseSet
 from repro.monitoring.arrays import HostRows, report_columns
 from repro.monitoring.summary import ReportRoute
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import CoalescedTicker, rearm_arrays
+from repro.simulation.batch import CoalescedTicker
 from repro.simulation.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,8 +67,8 @@ class _TickRows:
         self.network = fleet.network
         self.lcs: List["LocalController"] = []
         self.handle = CoalescedTicker.shared(self.sim).register(interval, self.step, name=name)
-        #: ``(fleet epoch, connectivity epoch)`` the cached plan was built under.
-        self._planned: Tuple[int, int] = (-1, -1)
+        #: ``(fleet, lease, connectivity)`` epochs the cached plan was built under.
+        self._planned: Tuple[int, int, int] = (-1, -1, -1)
 
     def add(self, lc: "LocalController") -> None:
         self.lcs.append(lc)
@@ -76,7 +78,7 @@ class _TickRows:
 
     def _stale(self) -> bool:
         """True (once) when the cached plan must be rebuilt."""
-        epochs = (self.fleet.epoch, self.network.connectivity_epoch)
+        epochs = (self.fleet.epoch, self.fleet.leases.epoch, self.network.connectivity_epoch)
         if epochs == self._planned:
             return False
         self._planned = epochs
@@ -91,40 +93,31 @@ class HeartbeatRows(_TickRows):
 
     def __init__(self, fleet: "LocalControllerFleet", interval: float, name: str) -> None:
         super().__init__(fleet, interval, name)
-        #: Per GM detector table: ``(table, indices, generations)`` of the
-        #: leases whose both ends are connected, in row order.
-        self._leases: List[tuple] = []
+        #: Re-arm plan of the rows' leases, in row order.
+        self._leases: list = []
         #: Assigned LCs without a lease, in row order.
         self._senders: List["LocalController"] = []
 
     def _plan(self) -> None:
+        leases = self.fleet.leases
         leased = []
         self._senders = []
         for lc in self.lcs:
-            if lc.assigned_gm is None:
+            gm = lc.assigned_gm
+            if gm is None:
                 continue
-            lease = lc._gm_lease
-            if lease is None:
+            handle = leases.get(gm, lc.name)
+            if handle is None:
                 self._senders.append(lc)
-                continue
-            # Mirror the transport's drop rules: a disconnected sender's send,
-            # or a delivery to a disconnected GM, would never have restarted
-            # the detector.
-            gm_endpoint, handle = lease
-            if lc.endpoint.connected and gm_endpoint is not None and gm_endpoint.connected:
-                leased.append(handle)
-        self._leases = rearm_arrays(leased)
+            else:
+                leased.append((gm, lc.name, handle))
+        self._leases = leases.plan(leased)
 
     def step(self) -> None:
         if self._stale():
             self._plan()
+        self.fleet.leases.rearm(self._leases)
         network = self.network
-        # A lease re-arms the GM's detector for the LC to delivery time +
-        # timeout -- the exact deadline ``_on_lc_heartbeat`` would set on
-        # receipt -- and skips the message entirely.
-        base = self.sim.now + network.config.base_latency
-        for table, indices, generations in self._leases:
-            table.rearm(indices, generations, base)
         for lc in self._senders:
             network.send(
                 Message(
@@ -268,6 +261,7 @@ class LocalControllerFleet:
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
+        self.leases = LeaseSet.shared(sim, network)
         #: Moves whenever an LC starts, stops, joins or loses its GM: every
         #: cached per-group index array is rebuilt at the next tick.
         self.epoch = 0

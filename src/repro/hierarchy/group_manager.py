@@ -31,7 +31,7 @@ from repro.coordination.election import LeaderElection
 from repro.coordination.znodes import CoordinationService
 from repro.energy.accounting import EnergyMeter
 from repro.energy.power_manager import PowerStateManager
-from repro.hierarchy.common import Component, heartbeat_leases
+from repro.hierarchy.common import Component
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.local_controller import (
     GL_HEARTBEAT_GROUP,
@@ -201,9 +201,6 @@ class GroupManager(Component):
             self.power_manager = None
         for record in self.local_controllers.values():
             self.discard_timeout(record["timeout"])
-        leases = heartbeat_leases(self.sim)
-        for lc_name in self.local_controllers:
-            leases.pop((self.name, lc_name), None)
         self.local_controllers.clear()
         self._lc_restart.clear()
         self._reports.clear()
@@ -269,7 +266,9 @@ class GroupManager(Component):
         """GM heartbeat: keep the election session alive, announce to LCs and the GL."""
         if self.election is not None:
             self.election.keep_alive()
-        # Heartbeat to this GM's Local Controllers.
+        # Heartbeat to this GM's Local Controllers: leased ones are re-armed
+        # directly, the rest hear the group.
+        self.leases.renew(self.name)
         self.multicast.group(gm_heartbeat_group(self.name)).publish(
             self.name, MessageType.GM_HEARTBEAT, payload={"gm": self.name}
         )
@@ -381,31 +380,32 @@ class GroupManager(Component):
         node = registry.get(node_id)
         if node is None:
             return {"joined": False, "reason": f"unknown node {node_id}"}
+        config = self.config
         if lc_name in self.local_controllers:
-            self.local_controllers[lc_name]["timeout"].restart()
-            return {"joined": True, "gm": self.name}
-        timeout = self.add_deadline(
-            self._lc_deadlines, self.config.heartbeat_timeout, self._lc_failed, lc_name
+            timeout = self.local_controllers[lc_name]["timeout"]
+            timeout.restart()
+        else:
+            timeout = self.add_deadline(
+                self._lc_deadlines, config.heartbeat_timeout, self._lc_failed, lc_name
+            )
+            self.local_controllers[lc_name] = {"node": node, "timeout": timeout}
+            self._reports.add(lc_name, node)
+            self._lc_restart[lc_name] = timeout.restart
+            self.plane.add(lc_name, node)
+            self._summary_cache = None
+            if self.power_manager is not None:
+                self.power_manager.nodes.append(node)
+            self.log_event("lc_joined_gm", lc=lc_name, node=node_id)
+        # The LC's heartbeats then re-arm this detector instead of arriving.
+        self.leases.grant(
+            self.name, lc_name, timeout, config.heartbeat_timeout, config.lc_heartbeat_interval
         )
-        self.local_controllers[lc_name] = {"node": node, "timeout": timeout}
-        self._reports.add(lc_name, node)
-        self._lc_restart[lc_name] = timeout.restart
-        # Publish the detector handle as a heartbeat lease: on a
-        # deterministic network the LC re-arms it at delivery time
-        # instead of sending a message per heartbeat interval.
-        heartbeat_leases(self.sim)[(self.name, lc_name)] = timeout
-        self.plane.add(lc_name, node)
-        self._summary_cache = None
-        if self.power_manager is not None:
-            self.power_manager.nodes.append(node)
-        self.log_event("lc_joined_gm", lc=lc_name, node=node_id)
         return {"joined": True, "gm": self.name}
 
     def _lc_failed(self, lc_name: str) -> None:
         """An LC stopped heart-beating: invalidate its contact information (Section II.E)."""
         record = self.local_controllers.pop(lc_name, None)
         self._lc_restart.pop(lc_name, None)
-        heartbeat_leases(self.sim).pop((self.name, lc_name), None)
         if record is None:
             return
         self._reports.remove(lc_name)
@@ -472,7 +472,7 @@ class GroupManager(Component):
             )
 
     # --------------------------------------------------- GL: LC assignment
-    def _op_assign_lc(self, lc_name: str, capacity=None) -> dict:  # noqa: ARG002 - capacity reserved for future policies
+    def _op_assign_lc(self, lc_name: str) -> dict:
         """Assign a joining LC to a GM via the registered ``assignment`` policy (Section II.D)."""
         if not self.is_leader:
             return {"gm": None, "reason": "not the group leader"}

@@ -32,7 +32,7 @@ from typing import Dict, Optional
 
 from repro.cluster.node import NodeState, PhysicalNode
 from repro.cluster.vm import VirtualMachine, VMState
-from repro.hierarchy.common import Component, heartbeat_leases
+from repro.hierarchy.common import Component
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.fleet import LocalControllerFleet
 from repro.metrics.recorder import EventLog
@@ -88,10 +88,6 @@ class LocalController(Component):
         self.current_gl: Optional[str] = None
         #: GM heartbeat failure detector (a DeadlineTable handle).
         self._gm_timeout = None
-        #: Heartbeat lease: ``(gm_endpoint, DeadlineHandle)`` of the assigned
-        #: GM's detector for this LC -- when held, the fleet's heartbeat tick
-        #: re-arms it directly at delivery time instead of sending a message.
-        self._gm_lease = None
         self._joining = False
         self._last_overload_report = -float("inf")
         self._last_underload_report = -float("inf")
@@ -133,9 +129,8 @@ class LocalController(Component):
             self.log_event("vm_failed", vm=vm.name, reason="lc_failure")
         self.multicast.group(GL_HEARTBEAT_GROUP).unsubscribe(self.name)
         if self.assigned_gm is not None:
-            self.multicast.group(gm_heartbeat_group(self.assigned_gm)).unsubscribe(self.name)
+            self._leave_gm()
         self.assigned_gm = None
-        self._gm_lease = None
 
     def recover(self) -> None:  # noqa: D102 - documented on Component
         self.node.state = NodeState.ON
@@ -173,7 +168,7 @@ class LocalController(Component):
         self.rpc.call(
             self.current_gl,
             "assign_lc",
-            kwargs={"lc_name": self.name, "capacity": self.node.capacity.values.tolist()},
+            kwargs={"lc_name": self.name},
             on_reply=self._on_assignment,
             on_error=lambda _err: self._join_failed(),
             on_timeout=self._join_failed,
@@ -198,13 +193,8 @@ class LocalController(Component):
     def _joined(self, gm_name: str) -> None:
         self._joining = False
         self.assigned_gm = gm_name
-        self._gm_lease = None
         self._fleet.epoch += 1
-        self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
-        deterministic = self.network.deterministic
-        latency = self.network.config.base_latency
-        timeout = self.config.heartbeat_timeout
-        if deterministic:
+        if self.network.deterministic:
             # An assigned LC only consults the Group Leader channel while
             # rejoining, yet it is the GL heartbeat's biggest fan-out cost: at
             # fleet scale thousands of assigned LCs each pay the full delivery
@@ -217,31 +207,17 @@ class LocalController(Component):
             self.discard_timeout(self._gm_timeout)
         # All LC-side GM failure detectors share one deadline array (and one
         # pending simulator event).
+        timeout = self.config.heartbeat_timeout
         self._gm_timeout = self.add_deadline(
             DeadlineTable.shared(self.sim, "lc-gm-heartbeats"), timeout, self._gm_lost
         )
-        if deterministic and timeout > self.config.gm_heartbeat_interval + latency:
-            # The GM heartbeat handler does exactly one thing: restart this
-            # detector.  Register the detector as the channel's deadline sink
-            # and pause the subscription -- each GM publish then re-arms it
-            # (to delivery time + timeout, the very deadline the handler
-            # would have set) in one vectorized table write shared with every
-            # sibling LC, instead of a message, a delivery and a handler call
-            # per LC per interval.  Requires timeout > interval + latency so
-            # the detector can never expire between a publish and its
-            # delivery instant -- the one window where restart-at-publish and
-            # restart-at-delivery could disagree.
-            self.multicast.group(gm_heartbeat_group(gm_name)).pause(
-                self.name, deadline=self._gm_timeout
-            )
-        if deterministic and timeout > self.config.lc_heartbeat_interval + latency:
-            # Symmetric fast path for the reverse direction: the GM published
-            # its detector for this LC as a heartbeat lease, so our periodic
-            # heartbeat can re-arm it at delivery time instead of sending a
-            # message (see :class:`~repro.hierarchy.fleet.HeartbeatRows`).
-            handle = heartbeat_leases(self.sim).get((gm_name, self.name))
-            if handle is not None:
-                self._gm_lease = (self.network.endpoint(gm_name), handle)
+        # The GM heartbeat handler does exactly one thing: restart this
+        # detector.  Leased, the GM's tick re-arms it instead, so the LC need
+        # not hear the GM's heartbeat group at all.
+        if not self.leases.grant(
+            self.name, gm_name, self._gm_timeout, timeout, self.config.gm_heartbeat_interval
+        ):
+            self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
         if self._rejoin_span is not None:
             self._rejoin_span.attrs["gm"] = gm_name
             self.tracer.end(self._rejoin_span)
@@ -251,9 +227,15 @@ class LocalController(Component):
     def _join_failed(self) -> None:
         self._joining = False
 
+    def _leave_gm(self) -> None:
+        """Stop heart-beating with the assigned GM, in both directions."""
+        gm = self.assigned_gm
+        self.leases.revoke(self.name, gm)
+        self.leases.revoke(gm, self.name)
+        self.multicast.group(gm_heartbeat_group(gm)).unsubscribe(self.name)
+
     def _gm_lost(self) -> None:
         """The assigned GM's heartbeats stopped: rejoin the hierarchy (Section II.E)."""
-        self._gm_lease = None
         self._fleet.epoch += 1
         gl_group = self.multicast.group(GL_HEARTBEAT_GROUP)
         if gl_group.is_paused(self.name):
@@ -274,7 +256,7 @@ class LocalController(Component):
                 self._rejoin_span = self.tracer.begin(
                     "lc_rejoin", self.name, root=True, lost_gm=self.assigned_gm
                 )
-            self.multicast.group(gm_heartbeat_group(self.assigned_gm)).unsubscribe(self.name)
+            self._leave_gm()
         self.assigned_gm = None
         if self.current_gl is not None and not self._joining:
             self._joining = True

@@ -137,14 +137,15 @@ def _advance_group(
             spawn_key=(*group["seed_spawn_key"], int(epoch_index)),
         )
     )
+    # One row per tick keeps the stream; only the last tick's usage survives.
+    shape = (ticks, vm_req.shape[0])
+    fractions = rng.uniform(spec_view["usage_low"], spec_view["usage_high"], shape)[-1]
     used = reserved.copy()
     cpu = 0
-    for _tick in range(ticks):
-        fractions = rng.uniform(spec_view["usage_low"], spec_view["usage_high"], vm_req.shape[0])
-        cpu_used = np.zeros(capacities.shape[0], dtype=float)
-        if vm_req.shape[0]:
-            np.add.at(cpu_used, vm_host, vm_req[:, cpu] * fractions)
-        used[:, cpu] = cpu_used
+    cpu_used = np.zeros(capacities.shape[0], dtype=float)
+    if vm_req.shape[0]:
+        np.add.at(cpu_used, vm_host, vm_req[:, cpu] * fractions)
+    used[:, cpu] = cpu_used
 
     group["reserved"] = reserved
     group["used"] = used

@@ -9,7 +9,10 @@ disconnection still apply (a crashed listener simply stops receiving).
 Snooze uses two well-known groups: the Group Leader heartbeat group (joined by
 Group Managers, Entry Points and unassigned Local Controllers waiting to
 discover the leader) and one heartbeat group per Group Manager (joined by its
-Local Controllers).
+Local Controllers).  On a deterministic network a GM heartbeat's only effect
+is restarting a failure detector, so leased LCs do not join their GM's group
+at all (see :class:`~repro.hierarchy.common.LeaseSet`); pausing here only
+spares assigned LCs the Group Leader fan-out they read while rejoining.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import rearm_arrays
 
 
 class MulticastGroup:
@@ -43,16 +45,6 @@ class MulticastGroup:
         #: Recent publishes ``(time, sender, payload)`` -- the latch a paused
         #: member reads to observe exactly what a delivery would have told it.
         self._latch: deque = deque(maxlen=8)
-        #: Paused members whose only interest in the channel is restarting a
-        #: failure detector: ``name -> (endpoint, deadline_handle)``.  Each
-        #: publish re-arms them in one vectorized call instead of a delivery.
-        self._deadline_sinks: Dict[str, Tuple[Any, Any]] = {}
-        #: Per-table ``(table, indices, generations)`` re-arm arrays of the
-        #: connected sinks, in subscriber order, with the
-        #: ``(sink membership, network connectivity)`` epochs they were built
-        #: under.
-        self._sink_epoch = 0
-        self._sink_plan: Tuple[Tuple[int, int], list] = ((-1, -1), [])
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, endpoint_name: str) -> None:
@@ -67,11 +59,9 @@ class MulticastGroup:
             self._subscriber_set.discard(endpoint_name)
             self._subscribers.remove(endpoint_name)
             self._paused.discard(endpoint_name)
-            if self._deadline_sinks.pop(endpoint_name, None) is not None:
-                self._sink_epoch += 1
 
     # --------------------------------------------------------- paused members
-    def pause(self, endpoint_name: str, deadline=None) -> None:
+    def pause(self, endpoint_name: str) -> None:
         """Stop delivering to a member without giving up its fan-out slot.
 
         A paused member stays in the subscriber list (so :meth:`resume`
@@ -82,28 +72,13 @@ class MulticastGroup:
         subscribed to a Group Leader channel they only consult while
         *rejoining* -- pausing them removes that entire fan-out from the per-
         heartbeat hot path without changing what any component ever reads.
-
-        ``deadline`` registers a *deadline sink*: a
-        :class:`~repro.simulation.batch.DeadlineHandle` whose entry each
-        publish re-arms to delivery time (publish time + base latency) plus
-        its duration -- the exact deadline the member's handler would have
-        set on receipt.  That turns a heartbeat fan-out whose every listener
-        only restarts a failure detector into one vectorized table write per
-        publish.  Members whose endpoint is disconnected at publish time are
-        skipped, mirroring their deliveries being dropped.
         """
         if endpoint_name in self._subscriber_set:
             self._paused.add(endpoint_name)
-            if deadline is not None:
-                endpoint = self.network.endpoint(endpoint_name)
-                self._deadline_sinks[endpoint_name] = (endpoint, deadline)
-                self._sink_epoch += 1
 
     def resume(self, endpoint_name: str) -> None:
         """Resume deliveries to a paused member (idempotent)."""
         self._paused.discard(endpoint_name)
-        if self._deadline_sinks.pop(endpoint_name, None) is not None:
-            self._sink_epoch += 1
 
     def is_paused(self, endpoint_name: str) -> bool:
         """True if the member is subscribed but currently paused."""
@@ -162,8 +137,6 @@ class MulticastGroup:
                 for subscriber in self._subscribers
                 if subscriber != sender and subscriber not in paused
             ]
-            if self._deadline_sinks and self.network.is_connected(sender):
-                self._restart_deadline_sinks()
         else:
             messages = [
                 Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
@@ -172,32 +145,6 @@ class MulticastGroup:
             ]
         self.network.send_many(sender, messages, size_bytes=size_bytes)
         return len(messages)
-
-    def _restart_deadline_sinks(self) -> None:
-        """Re-arm every connected sink's failure detector at delivery time.
-
-        Entries are collected in subscriber (fan-out) order, so the restart
-        stamps -- the tie-break for simultaneous expiries -- match what the
-        per-delivery restarts of an unpaused fan-out would have produced.  The
-        per-table index arrays are rebuilt only when a sink joined or left or
-        an endpoint's connectivity moved; a sink whose handle was released in
-        between is skipped by the table's generation check.
-        """
-        epochs = (self._sink_epoch, self.network.connectivity_epoch)
-        if self._sink_plan[0] != epochs:
-            sinks = (self._deadline_sinks.get(name) for name in self._subscribers)
-            self._sink_plan = (
-                epochs,
-                rearm_arrays(
-                    handle
-                    for endpoint, handle in filter(None, sinks)
-                    # A disconnected sink's delivery would have been dropped.
-                    if endpoint is not None and endpoint.connected
-                ),
-            )
-        base = self.network.sim.now + self.network.config.base_latency
-        for table, indices, generations in self._sink_plan[1]:
-            table.rearm(indices, generations, base)
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"

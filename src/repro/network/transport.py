@@ -82,7 +82,7 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         #: Moves whenever an endpoint is registered, removed, disconnected or
         #: reconnected.  Callers that cache per-endpoint connectivity (the LC
-        #: fleet's heartbeat plans, multicast deadline sinks) rebuild when it
+        #: fleet's report and heartbeat plans, the heartbeat lease set) rebuild when it
         #: differs from the value they cached under.
         self.connectivity_epoch = 0
         #: Aggregate counters used by the management-overhead experiment (E3/E8).
@@ -111,8 +111,8 @@ class Network:
 
         Delivery time is then a pure function of send time and no delivery
         consumes a random draw, which is what every fast path needs: batched
-        same-instant delivery here, the multicast pause / deadline sinks and
-        the heartbeat leases of the hierarchy.  With jitter or loss each
+        same-instant delivery here, the paused Group Leader channel and the
+        heartbeat leases of the hierarchy.  With jitter or loss each
         message needs its own draws, so skipping or merging deliveries would
         shift every subsequent sample of the run.
         """

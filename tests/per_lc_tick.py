@@ -11,9 +11,9 @@ event log, same network counters, same canonical result.
 Two adaptations to what changed around them: the report is handed to the
 Group Manager in the row layout ``GroupReports`` stores (the never-read
 ``vm_usage`` / ``node_id`` / ``timestamp`` fields have no column), and the
-lease heartbeat re-arms through ``DeadlineTable.restart_handles`` on a
-one-handle list (the per-handle ``restart_later`` it used is gone; same
-deadline, same stamp).
+lease heartbeat reads its handle from the deployment's ``LeaseSet`` and
+re-arms it through ``DeadlineTable.restart_handles`` on a one-handle list
+(same deadline, same stamp).
 """
 
 from __future__ import annotations
@@ -113,16 +113,15 @@ class PerLcTickController(LocalController):
     def _send_heartbeat(self) -> None:
         if self.assigned_gm is None:
             return
-        lease = self._gm_lease
-        if lease is not None:
+        handle = self.leases.get(self.assigned_gm, self.name)
+        if handle is not None:
             # Deterministic fast path: re-arm the GM's detector for this LC
             # to delivery time + timeout -- the exact deadline its
             # ``_on_lc_heartbeat`` would set on receipt -- and skip the
             # message entirely.  Mirror the transport's drop rules: a
             # disconnected sender's send, or a delivery to a disconnected
             # GM, would never have restarted the detector.
-            gm_endpoint, handle = lease
-            if self.endpoint.connected and gm_endpoint is not None and gm_endpoint.connected:
+            if self.network.is_connected(self.name) and self.network.is_connected(self.assigned_gm):
                 handle.table.restart_handles(
                     [handle], self.sim.now + self.network.config.base_latency
                 )

@@ -142,3 +142,32 @@ class TestCachedPlans:
         det_system.network.disconnect("lc-003")
         det_system.run(3 * det_system.config.heartbeat_timeout)
         assert "lc-003" not in gm.local_controllers
+
+    def test_partitioned_gm_starves_both_lease_directions(self, det_system):
+        det_system.run(10.0)
+        victim = next(
+            name
+            for name, gm in det_system.group_managers.items()
+            if not gm.is_leader and gm.local_controllers
+        )
+        gm = det_system.group_managers[victim]
+        managed = sorted(gm.local_controllers)
+        config = det_system.config
+        cut = det_system.sim.now
+        det_system.network.disconnect(victim)
+        det_system.run(config.heartbeat_timeout + config.gm_heartbeat_interval)
+        # The GM's tick stops re-arming its LCs' leases, and theirs stop
+        # re-arming its detectors: both sides notice within one timeout.
+        lost = {
+            record.details["component"]
+            for record in det_system.event_log.events("gm_lost")
+            if record.timestamp > cut and record.details["gm"] == victim
+        }
+        assert lost == set(managed)
+        assert gm.local_controllers == {}
+        det_system.network.reconnect(victim)
+        det_system.run(30.0)
+        for name in managed:
+            lc = det_system.local_controllers[name]
+            assert lc.assigned_gm is not None
+            assert name in det_system.group_managers[lc.assigned_gm].local_controllers

@@ -7,7 +7,7 @@ relocations and migrations happen), one LC crash + recovery (a second tick
 group, a rejoin) and one GM crash (lease loss, mass rejoin, possibly a new
 leader), and runs each under both: the event log sequence, the network
 counters and the canonical result must be identical -- on the deterministic
-network (frames, leases, deadline sinks) and on jittery and lossy ones (one
+network (frames, heartbeat leases) and on jittery and lossy ones (one
 send, hence one set of random draws, per report).
 """
 

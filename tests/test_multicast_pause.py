@@ -1,15 +1,20 @@
-"""Paused multicast members: the GL-heartbeat fan-out fix at fleet scale.
+"""Heartbeats that are not messages on a deterministic network.
 
 An assigned Local Controller only consults the Group Leader channel while
 rejoining, so on deterministic networks it *pauses* its subscription (keeping
 its fan-out slot) and recovers the missed heartbeat value from the channel
-latch when its GM fails.  These tests pin the mechanism's contract:
+latch when its GM fails.  GM <-> LC heartbeats, whose only effect is
+restarting a failure detector, are heartbeat leases
+(:class:`~repro.hierarchy.common.LeaseSet`).  These tests pin both contracts:
 
 * paused members receive nothing, and the latch replays exactly what the last
   delivered publish would have said;
 * resuming restores the member's original fan-out position, so same-instant
   delivery order is indistinguishable from an uninterrupted subscription;
-* the LC rejoin path survives a leader change that happened while paused.
+* the LC rejoin path survives a leader change that happened while paused;
+* a renewed lease re-arms to delivery time + timeout in grant order, skips a
+  disconnected end, is granted only where skipping the message cannot be
+  observed, and ends with the LC.
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ import pytest
 
 from repro.hierarchy import SnoozeSystem
 from repro.hierarchy.config import HierarchyConfig
-from repro.hierarchy.local_controller import GL_HEARTBEAT_GROUP
+from repro.hierarchy.common import LeaseSet
+from repro.hierarchy.group_manager import GroupManager
+from repro.hierarchy.local_controller import (
+    GL_HEARTBEAT_GROUP,
+    LocalController,
+    gm_heartbeat_group,
+)
 from repro.hierarchy.system import SystemSpec
 from repro.network.message import MessageType
 from repro.network.multicast import MulticastRegistry
 from repro.network.transport import Network, NetworkConfig
+from repro.simulation.batch import DeadlineTable
 from repro.simulation.engine import Simulator
 
 
@@ -157,68 +169,89 @@ class TestAssignedLcPausesGlChannel:
         assert lc.current_gl == system.current_leader()
 
 
-class TestDeadlineSinksAndLeases:
-    """Heartbeats as vectorized detector restarts (no per-member messages)."""
+class TestHeartbeatLeases:
+    """Heartbeats as vectorized detector restarts (no per-heartbeat messages)."""
 
-    def test_publish_rearms_sink_to_delivery_time_deadline(self):
+    def _leases(self, **network):
         sim = Simulator()
-        network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
-        registry = MulticastRegistry(network)
-        group = registry.group("hb")
-        from repro.simulation.batch import DeadlineTable
+        net = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0, **network))
+        for name in ("gm", "lc"):
+            net.register(name, lambda m: None)
+        return sim, net, LeaseSet(sim, net), DeadlineTable(sim)
 
-        table = DeadlineTable(sim)
+    def test_renew_rearms_to_delivery_time_deadline(self):
+        sim, _, leases, table = self._leases()
         fired = []
-        network.register("gm", lambda m: None)
-        network.register("lc", lambda m: fired.append("delivered"))
-        group.subscribe("lc")
-        handle = table.arm(8.0, lambda: fired.append(("expired", sim.now)))
-        group.pause("lc", deadline=handle)
+        handle = table.arm(8.0, lambda: fired.append(sim.now))
+        assert leases.grant("lc", "gm", handle, timeout=8.0, interval=2.0)
         sim.run(until=2.0)
-        group.publish("gm", MessageType.GM_HEARTBEAT, payload={"gm": "gm"})
+        leases.renew("gm")
         sim.run(until=9.9)
-        # No message was delivered; the detector was re-armed to
-        # publish (2.0) + latency (0.001) + timeout (8.0) = 10.001.
+        # Re-armed to renew (2.0) + latency (0.001) + timeout (8.0) = 10.001.
         assert fired == []
         sim.run(until=10.001)
-        assert fired == [("expired", 10.001)]
+        assert fired == [10.001]
 
-    def test_disconnected_sink_is_skipped_like_its_dropped_delivery(self):
-        sim = Simulator()
-        network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
-        registry = MulticastRegistry(network)
-        group = registry.group("hb")
-        from repro.simulation.batch import DeadlineTable
+    def test_disconnected_end_is_skipped_like_its_dropped_delivery(self):
+        for partitioned in ("lc", "gm"):
+            sim, network, leases, table = self._leases()
+            fired = []
+            handle = table.arm(8.0, lambda: fired.append(sim.now))
+            leases.grant("lc", "gm", handle, timeout=8.0, interval=2.0)
+            network.disconnect(partitioned)
+            sim.run(until=2.0)
+            leases.renew("gm")
+            sim.run(until=20.0)
+            # The original deadline (armed at 0.0) fired untouched at 8.0.
+            assert fired == [8.0]
 
-        table = DeadlineTable(sim)
+    def test_renew_keeps_grant_order_as_restart_order(self):
+        sim, network, leases, table = self._leases()
         fired = []
-        network.register("gm", lambda m: None)
-        network.register("lc", lambda m: None)
-        group.subscribe("lc")
-        handle = table.arm(8.0, lambda: fired.append(sim.now))
-        group.pause("lc", deadline=handle)
-        network.disconnect("lc")  # partitioned: deliveries would be dropped
-        sim.run(until=2.0)
-        group.publish("gm", MessageType.GM_HEARTBEAT, payload={"gm": "gm"})
+        network.register("lc2", lambda m: None)
+        first = table.arm(8.0, lambda: fired.append("lc2"))
+        second = table.arm(8.0, lambda: fired.append("lc"))
+        leases.grant("lc", "gm", second, timeout=8.0, interval=2.0)
+        leases.grant("lc2", "gm", first, timeout=8.0, interval=2.0)
+        leases.renew("gm")
         sim.run(until=20.0)
-        # The original deadline (armed at 0.0) fired untouched at 8.0.
-        assert fired == [8.0]
+        assert fired == ["lc", "lc2"]
 
-    def test_assigned_lc_holds_heartbeat_lease_and_sends_no_heartbeats(self, det_system):
+    @pytest.mark.parametrize(
+        "network, timeout",
+        [({"loss_probability": 0.01}, 8.0), ({}, 2.001)],
+    )
+    def test_no_lease_where_the_skip_could_be_observed(self, network, timeout):
+        _, _, leases, table = self._leases(**network)
+        handle = table.arm(timeout, lambda: None)
+        assert not leases.grant("lc", "gm", handle, timeout=timeout, interval=2.0)
+        assert leases.get("lc", "gm") is None
+
+    def test_assigned_lc_leases_both_directions_and_sends_no_heartbeats(
+        self, det_system, monkeypatch
+    ):
+        heard = []
+        monkeypatch.setattr(GroupManager, "_on_lc_heartbeat", lambda _s, m: heard.append(m))
+        monkeypatch.setattr(LocalController, "_on_gm_heartbeat", lambda _s, m: heard.append(m))
         lc = next(
             lc
             for lc in det_system.local_controllers.values()
             if lc.assigned_gm is not None
         )
-        assert lc._gm_lease is not None
+        leases = LeaseSet.shared(det_system.sim, det_system.network)
+        handle = leases.get(lc.assigned_gm, lc.name)
+        assert handle is not None
+        assert leases.get(lc.name, lc.assigned_gm) is lc._gm_timeout
+        # A leased LC does not hear its GM's heartbeat group at all.
+        assert lc.name not in det_system.multicast.group(gm_heartbeat_group(lc.assigned_gm))
         gm = det_system.group_managers[lc.assigned_gm]
-        # The GM's detector for this LC is re-armed by the lease: advance far
-        # beyond the heartbeat timeout and the LC must still be a member,
-        # with its leased detector armed the whole time.
+        # Advance far beyond the heartbeat timeout: both detectors are
+        # re-armed by leases, so the LC stays a member on both sides without
+        # a single GM <-> LC heartbeat reaching a handler.
         det_system.run(60.0)
         assert lc.name in gm.local_controllers
-        _gm_endpoint, handle = lc._gm_lease
-        assert handle.armed
+        assert handle.armed and lc._gm_timeout.armed
+        assert [m for m in heard if lc.name in (m.sender, m.recipient)] == []
 
     def test_lease_stops_with_the_lc_so_the_gm_detects_the_failure(self, det_system):
         lc = next(
@@ -228,6 +261,9 @@ class TestDeadlineSinksAndLeases:
         )
         gm_name = lc.assigned_gm
         det_system.kill_local_controller(lc.name)
+        leases = LeaseSet.shared(det_system.sim, det_system.network)
+        assert leases.get(gm_name, lc.name) is None
+        assert leases.get(lc.name, gm_name) is None
         det_system.run(3 * det_system.config.heartbeat_timeout)
         gm = det_system.group_managers[gm_name]
         assert lc.name not in gm.local_controllers  # failure detected
