@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 from repro.cli.common import (
@@ -94,9 +95,7 @@ def _apply_policy_overrides(spec: ScenarioSpec, overrides: dict) -> ScenarioSpec
     """A copy of ``spec`` with ``--policy`` overrides applied (validated)."""
     if not overrides:
         return spec
-    return ScenarioSpec.from_dict(
-        {**spec.to_dict(), "policies": merge_policy_selections(spec.policies, overrides)}
-    )
+    return dataclasses.replace(spec, policies=merge_policy_selections(spec.policies, overrides))
 
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
@@ -116,14 +115,12 @@ def _force_observability(spec: ScenarioSpec, tracing: bool, metrics: bool) -> Sc
     """Turn on the pillars the requested exports need (spec overrides kept)."""
     if not tracing and not metrics:
         return spec
-    data = spec.to_dict()
-    observability = dict(data["config"].get("observability") or {})
+    observability = dict(spec.config.get("observability") or {})
     if tracing:
         observability["tracing"] = True
     if metrics:
         observability["metrics"] = True
-    data["config"] = {**data["config"], "observability": observability}
-    return ScenarioSpec.from_dict(data)
+    return dataclasses.replace(spec, config={**spec.config, "observability": observability})
 
 
 def _dump(data) -> str:

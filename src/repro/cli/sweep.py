@@ -9,6 +9,7 @@ fronts of a saved report.  The report bytes are the same on every backend.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -167,13 +168,13 @@ def _sweep_with_overrides(spec: SweepSpec, overrides: dict, duration) -> SweepSp
 
     A ``--policy kind=name`` override forces that selection in *every* policy
     cell of the grid (cells already selecting that name keep their tuned
-    parameters).  The result is revalidated through ``SweepSpec.from_dict``.
+    parameters).  The result is revalidated by the ``SweepSpec`` constructor.
     """
     if not overrides and duration is None:
         return spec
-    data = spec.to_dict()
+    changes = {}
     if overrides:
-        cells = [merge_policy_selections(cell, overrides) for cell in data["policies"]]
+        cells = [merge_policy_selections(cell, overrides) for cell in spec.policies]
         # Forcing one selection can collapse distinct cells into duplicates;
         # keep the first of each so the grid never re-runs identical cells.
         unique, seen = [], set()
@@ -182,10 +183,10 @@ def _sweep_with_overrides(spec: SweepSpec, overrides: dict, duration) -> SweepSp
             if key not in seen:
                 seen.add(key)
                 unique.append(cell)
-        data["policies"] = unique
+        changes["policies"] = unique
     if duration is not None:
-        data["duration"] = duration
-    return SweepSpec.from_dict(data)
+        changes["duration"] = duration
+    return dataclasses.replace(spec, **changes)
 
 
 def _load_grid(args: argparse.Namespace) -> SweepSpec:

@@ -16,10 +16,11 @@ import numpy as np
 from repro.cluster.power import LinearPowerModel, PowerModel
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
 from repro.cluster.node import PhysicalNode
+from repro.plain import PlainData
 
 
 @dataclass
-class NodeClass:
+class NodeClass(PlainData):
     """A homogeneous slice of a heterogeneous fleet.
 
     Real clusters mix hardware generations: a class names one generation with

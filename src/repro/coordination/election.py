@@ -46,7 +46,7 @@ class LeaderElection:
         self.on_leader_changed = on_leader_changed
         self._my_path: Optional[str] = None
         self._withdrawn = False
-        self.is_leader = False
+        self._elected = False
 
     # ------------------------------------------------------------------ join
     def join(self) -> str:
@@ -67,7 +67,7 @@ class LeaderElection:
     def withdraw(self) -> None:
         """Leave the election voluntarily (component shutting down)."""
         self._withdrawn = True
-        self.is_leader = False
+        self._elected = False
         if self._my_path is not None and self.service.exists(self._my_path):
             self.service.delete(self._my_path)
         self._my_path = None
@@ -78,6 +78,16 @@ class LeaderElection:
             self.service.touch_session(self.session)
 
     # ------------------------------------------------------------- evaluation
+    @property
+    def is_leader(self) -> bool:
+        """Elected, and the candidate's ephemeral node still exists.
+
+        A closed or expired session deletes that node without notifying its
+        owner (the leader watches no predecessor), so this is a live check:
+        a flag cached at election time would keep a deposed leader in office.
+        """
+        return self._elected and self.service.exists(self._my_path)
+
     def current_leader(self) -> Optional[str]:
         """Identity of the current leader, or None if the election is empty."""
         ordered = self._ordered_candidates()
@@ -101,19 +111,19 @@ class LeaderElection:
             return
         if not self.service.exists(self._my_path):
             # Our session expired (we were partitioned); we are no longer a candidate.
-            self.is_leader = False
+            self._elected = False
             self._my_path = None
             return
         ordered = self._ordered_candidates()
         my_name = self._my_path.rsplit("/", 1)[1]
         position = ordered.index(my_name)
         if position == 0:
-            if not self.is_leader:
-                self.is_leader = True
+            if not self._elected:
+                self._elected = True
                 if self.on_elected is not None:
                     self.on_elected()
         else:
-            self.is_leader = False
+            self._elected = False
             predecessor = ordered[position - 1]
             self.service.watch_delete(f"{self.election_root}/{predecessor}", self._evaluate)
             if self.on_leader_changed is not None:

@@ -195,7 +195,9 @@ class Component:
         return self.state is ComponentState.RUNNING
 
     # ----------------------------------------------------------------- timers
-    def add_timer(self, interval: float, callback, *args, start_immediately: bool = False, jitter: float = 0.0, rng=None) -> PeriodicTimer:
+    def add_timer(
+        self, interval: float, callback, *args, start_immediately: bool = False
+    ) -> PeriodicTimer:
         """Create a periodic timer owned by (and stopped with) this component."""
         timer = PeriodicTimer(
             self.sim,
@@ -203,8 +205,6 @@ class Component:
             callback,
             *args,
             start_immediately=start_immediately,
-            jitter=jitter,
-            rng=rng,
             name=f"{self.name}:{getattr(callback, '__name__', 'timer')}",
         )
         self._timers.append(timer)

@@ -14,6 +14,7 @@ from typing import Dict, Optional
 from repro.energy.power_manager import PowerManagerConfig
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
+from repro.plain import PlainData
 from repro.policies.registry import validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 
@@ -30,7 +31,7 @@ DEFAULT_POLICIES: Dict[str, str] = {
 
 
 @dataclass
-class HierarchyConfig:
+class HierarchyConfig(PlainData):
     """All knobs of a Snooze deployment in one place."""
 
     # ------------------------------------------------------------ heartbeats
@@ -87,10 +88,6 @@ class HierarchyConfig:
     #: byte-identical with every pillar on.
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
 
-    # ----------------------------------------------------------------- sizing
-    #: Number of Entry Point replicas.
-    entry_points: int = 1
-
     # ------------------------------------------------------------------ misc
     #: RPC timeout for commands (LC start/migrate, join, assignment).
     rpc_timeout: float = 5.0
@@ -126,12 +123,8 @@ class HierarchyConfig:
             raise ValueError("session_timeout must exceed gm_heartbeat_interval")
         if self.estimation_window <= 0:
             raise ValueError("estimation_window must be positive")
-        if self.entry_points <= 0:
-            raise ValueError("entry_points must be positive")
         if self.reconfiguration_interval is not None and self.reconfiguration_interval <= 0:
             raise ValueError("reconfiguration_interval must be positive or None")
-        if isinstance(self.observability, dict):
-            self.observability = ObservabilityConfig(**self.observability)
         self._resolve_policies()
 
     # -------------------------------------------------------------- policies

@@ -19,12 +19,14 @@ the catalog registers the named fleets the CLI and benchmarks run:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
+
+from repro.plain import PlainData
 
 
 @dataclass(frozen=True)
-class MegafleetSpec:
+class MegafleetSpec(PlainData):
     """One warehouse-scale fleet: sizes, workload and lockstep cadence."""
 
     name: str
@@ -69,13 +71,6 @@ class MegafleetSpec:
         """LCs per group manager (even split, remainder to the first groups)."""
         base, extra = divmod(self.local_controllers, self.group_managers)
         return [base + (1 if gid < extra else 0) for gid in range(self.group_managers)]
-
-    def to_dict(self) -> dict:
-        """JSON-safe spec dictionary."""
-        payload = asdict(self)
-        payload["dimensions"] = list(self.dimensions)
-        payload["node_capacity"] = list(self.node_capacity)
-        return payload
 
 
 #: The named megafleet registry, insertion-ordered.

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import EventLoopProfiler
 from repro.obs.tracing import Tracer
+from repro.plain import PlainData
 
 #: Simulator service name the plane registers under.
 OBSERVABILITY_SERVICE = "observability"
@@ -36,7 +37,7 @@ def deterministic_observability(section: Dict[str, object]) -> Dict[str, object]
 
 
 @dataclass
-class ObservabilityConfig:
+class ObservabilityConfig(PlainData):
     """Which observability pillars a deployment enables.
 
     Metrics default on (counter mirroring is collector-based and free on the
@@ -52,9 +53,6 @@ class ObservabilityConfig:
     def enabled(self) -> bool:
         """True when any pillar is on."""
         return self.metrics or self.tracing or self.profiling
-
-    def to_dict(self) -> Dict[str, bool]:
-        return {"metrics": self.metrics, "tracing": self.tracing, "profiling": self.profiling}
 
 
 class ObservabilityPlane:

@@ -1,0 +1,88 @@
+"""Plain-data codec: the one ``to_dict`` / ``from_dict`` of every declarative spec.
+
+Scenario, sweep, traffic and megafleet specs are dataclasses that round-trip
+through JSON.  :class:`PlainData` derives both directions from the dataclass
+fields, so a field is declared once:
+
+* ``to_dict`` walks :func:`dataclasses.fields`: nested dataclasses become
+  dictionaries, tuples become lists, dictionaries and lists are copied.
+* ``from_dict`` coerces each key by its field's type hint -- ``int``,
+  ``float``, ``str``, ``Optional``, ``List`` / ``Tuple`` / ``Sequence``,
+  ``Dict`` (copied, values kept as given) and nested dataclasses.  Absent keys
+  take the dataclass default; unknown keys raise :class:`ValueError` naming
+  them, so a mistyped key cannot silently run the default.
+
+Stdlib imports only: like :mod:`repro.workers`, this module sits below every
+``repro`` package.
+"""
+
+from __future__ import annotations
+
+import collections.abc
+import dataclasses
+import functools
+import typing
+from typing import Any, Callable, Dict, Mapping
+
+
+def _encode(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _keep(value: Any) -> Any:
+    return value
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The coercion of one plain value to the type ``hint`` names."""
+    if hint in (int, float, str):
+        return hint
+    if dataclasses.is_dataclass(hint):
+        return lambda value: value if isinstance(value, hint) else _decode(hint, value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and type(None) in args:
+        inner = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if origin in (list, tuple, collections.abc.Sequence):
+        item = _decoder(args[0]) if args else _keep
+        container = tuple if origin is tuple else list
+        return lambda value: container(item(entry) for entry in value)
+    if origin is dict:
+        return dict
+    return _keep
+
+
+@functools.lru_cache(maxsize=None)
+def _field_decoders(cls: type) -> Dict[str, Callable[[Any], Any]]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+
+
+def _decode(cls: type, data: Mapping[str, Any]) -> Any:
+    """Build the dataclass ``cls`` from its plain-data form."""
+    decoders = _field_decoders(cls)
+    unknown = sorted(set(data) - set(decoders))
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} key(s) {unknown}; valid keys: {sorted(decoders)}"
+        )
+    return cls(**{name: decoders[name](value) for name, value in data.items()})
+
+
+class PlainData:
+    """Mixin giving a dataclass its field-driven ``to_dict`` / ``from_dict``."""
+
+    def to_dict(self) -> dict:
+        """Plain-data form (JSON-safe); ``type(self).from_dict(self.to_dict()) == self``."""
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Inverse of :meth:`to_dict` (accepts JSON-decoded dictionaries)."""
+        return _decode(cls, data)

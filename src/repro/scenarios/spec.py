@@ -35,13 +35,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.topology import ClusterSpec, NodeClass
-from repro.energy.power_manager import PowerManagerConfig
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.system import SystemSpec
-from repro.network.transport import NetworkConfig
-from repro.obs import ObservabilityConfig
+from repro.plain import PlainData
 from repro.policies.registry import validate_policy_selection
-from repro.policies.thresholds import UtilizationThresholds
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.distributions import make_distribution
 from repro.workloads.generator import WorkloadGenerator, make_arrival, make_lifetime
@@ -62,7 +59,7 @@ def _compile_kind(table_name: str, factory, params: Dict[str, object]):
 
 
 @dataclass
-class WorkloadPhase:
+class WorkloadPhase(PlainData):
     """One workload phase: who arrives when, how big, how busy, how long-lived.
 
     ``start`` offsets the whole phase relative to scenario time zero (after the
@@ -103,34 +100,9 @@ class WorkloadPhase:
             lifetime_distribution=_compile_kind("lifetime", make_lifetime, self.lifetime),
         )
 
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe)."""
-        return {
-            "name": self.name,
-            "vm_count": self.vm_count,
-            "start": self.start,
-            "arrival": dict(self.arrival),
-            "demand": dict(self.demand),
-            "trace": dict(self.trace),
-            "lifetime": dict(self.lifetime),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadPhase":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=str(data["name"]),
-            vm_count=int(data["vm_count"]),
-            start=float(data.get("start", 0.0)),
-            arrival=dict(data.get("arrival", {"kind": "batch", "at": 0.0})),
-            demand=dict(data.get("demand", {"kind": "uniform", "low": 0.1, "high": 0.4})),
-            trace=dict(data.get("trace", {"kind": "constant", "level": 1.0})),
-            lifetime=dict(data.get("lifetime", {"kind": "infinite"})),
-        )
-
 
 @dataclass
-class TimelineEvent:
+class TimelineEvent(PlainData):
     """A scripted action against the running deployment at simulated time ``at``.
 
     Actions and their parameters:
@@ -160,22 +132,9 @@ class TimelineEvent:
             if missing:
                 raise ValueError(f"set_thresholds needs parameters {sorted(missing)}")
 
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe)."""
-        return {"at": self.at, "action": self.action, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimelineEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            at=float(data["at"]),
-            action=str(data["action"]),
-            params=dict(data.get("params", {})),
-        )
-
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(PlainData):
     """A complete declarative scenario (cluster + config + workload + timeline)."""
 
     name: str
@@ -267,86 +226,11 @@ class ScenarioSpec:
 
     def hierarchy_config(self, seed: int) -> HierarchyConfig:
         """Materialize the configuration overrides into a fresh config."""
-        kwargs: Dict[str, object] = dict(self.config)
-        if "thresholds" in kwargs:
-            kwargs["thresholds"] = UtilizationThresholds(**kwargs["thresholds"])
-        if "power_manager" in kwargs:
-            kwargs["power_manager"] = PowerManagerConfig(**kwargs["power_manager"])
-        if "network" in kwargs:
-            kwargs["network"] = NetworkConfig(**kwargs["network"])
-        if "observability" in kwargs:
-            kwargs["observability"] = ObservabilityConfig(**kwargs["observability"])
+        overrides: Dict[str, object] = dict(self.config)
         if self.policies:
-            kwargs["policies"] = {kind: dict(entry) for kind, entry in self.policies.items()}
-        kwargs["seed"] = int(seed)
-        return HierarchyConfig(**kwargs)
-
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """Plain-data form; ``ScenarioSpec.from_dict(spec.to_dict()) == spec``."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "duration": self.duration,
-            "local_controllers": self.local_controllers,
-            "group_managers": self.group_managers,
-            "entry_points": self.entry_points,
-            "node_classes": [
-                {
-                    "name": nc.name,
-                    "count": nc.count,
-                    "capacity": list(nc.capacity),
-                    "p_idle": nc.p_idle,
-                    "p_max": nc.p_max,
-                }
-                for nc in self.node_classes
-            ],
-            "nodes_per_rack": self.nodes_per_rack,
-            "heterogeneity": self.heterogeneity,
-            "config": dict(self.config),
-            "policies": {kind: dict(entry) for kind, entry in self.policies.items()},
-            "phases": [phase.to_dict() for phase in self.phases],
-            "timeline": [event.to_dict() for event in self.timeline],
-            "traffic": self.traffic.to_dict() if self.traffic is not None else None,
-            "record_interval": self.record_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dictionaries)."""
-        return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            duration=float(data.get("duration", 3600.0)),
-            local_controllers=int(data.get("local_controllers", 16)),
-            group_managers=int(data.get("group_managers", 2)),
-            entry_points=int(data.get("entry_points", 1)),
-            node_classes=[
-                NodeClass(
-                    name=str(nc["name"]),
-                    count=int(nc["count"]),
-                    capacity=tuple(float(v) for v in nc.get("capacity", (1.0, 1.0, 1.0))),
-                    p_idle=float(nc.get("p_idle", 170.0)),
-                    p_max=float(nc.get("p_max", 250.0)),
-                )
-                for nc in data.get("node_classes", [])
-            ],
-            nodes_per_rack=int(data.get("nodes_per_rack", 24)),
-            heterogeneity=float(data.get("heterogeneity", 0.0)),
-            config=dict(data.get("config", {})),
-            policies={
-                str(kind): dict(entry)
-                for kind, entry in dict(data.get("policies", {})).items()
-            },
-            phases=[WorkloadPhase.from_dict(phase) for phase in data.get("phases", [])],
-            timeline=[TimelineEvent.from_dict(event) for event in data.get("timeline", [])],
-            traffic=(
-                TrafficSpec.from_dict(data["traffic"])
-                if data.get("traffic") is not None
-                else None
-            ),
-            record_interval=float(data.get("record_interval", 60.0)),
-        )
+            overrides["policies"] = {kind: dict(entry) for kind, entry in self.policies.items()}
+        overrides["seed"] = seed
+        return HierarchyConfig.from_dict(overrides)
 
     def total_vms(self) -> int:
         """Total VMs submitted across all phases."""

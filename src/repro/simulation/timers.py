@@ -2,10 +2,8 @@
 
 Heartbeats, monitoring intervals and reconfiguration periods reduce to one
 primitive, :class:`PeriodicTimer`: fire a callback every ``interval`` seconds
-until stopped (optionally with random jitter so that thousands of Local
-Controllers do not all send heartbeats in the same microsecond, which is also
-what happens on a real cluster).  Restartable failure-detection deadlines live
-in :class:`~repro.simulation.batch.DeadlineTable`.
+until stopped.  Restartable failure-detection deadlines live in
+:class:`~repro.simulation.batch.DeadlineTable`.
 """
 
 from __future__ import annotations
@@ -24,34 +22,21 @@ class PeriodicTimer:
         interval: float,
         callback: Callable[..., Any],
         *args: Any,
-        jitter: float = 0.0,
-        rng=None,
         start_immediately: bool = False,
         name: Optional[str] = None,
     ) -> None:
         if interval <= 0:
             raise SimulationError(f"timer interval must be positive, got {interval}")
-        if jitter < 0 or jitter >= interval:
-            raise SimulationError("jitter must satisfy 0 <= jitter < interval")
-        if jitter > 0 and rng is None:
-            raise SimulationError("jitter requires an rng")
         self.sim = sim
         self.interval = float(interval)
         self.callback = callback
         self.args = args
-        self.jitter = float(jitter)
-        self.rng = rng
         self.name = name or getattr(callback, "__name__", "timer")
         self.fired_count = 0
         self._running = True
-        self._pending: Optional[Event] = None
-        first_delay = 0.0 if start_immediately else self._next_delay()
-        self._pending = sim.schedule(first_delay, self._tick)
-
-    def _next_delay(self) -> float:
-        if self.jitter > 0:
-            return self.interval + float(self.rng.uniform(-self.jitter, self.jitter))
-        return self.interval
+        self._pending: Optional[Event] = sim.schedule(
+            0.0 if start_immediately else self.interval, self._tick
+        )
 
     def _tick(self) -> None:
         if not self._running:
@@ -59,7 +44,7 @@ class PeriodicTimer:
         self.fired_count += 1
         self.callback(*self.args)
         if self._running:
-            self._pending = self.sim.schedule(self._next_delay(), self._tick)
+            self._pending = self.sim.schedule(self.interval, self._tick)
 
     @property
     def running(self) -> bool:

@@ -27,8 +27,8 @@ Use ``repro-sim sweep list|describe|run --jobs N|--runners N``,
 ``sweep serve`` / ``sweep work --connect`` / ``sweep analyze`` from the CLI,
 or::
 
-    from repro.sweeps import get_sweep, run_sweep
-    report = run_sweep(get_sweep("smoke-2x2"), runners=4)
+    from repro.sweeps import DistributedExecutor, get_sweep, run_sweep
+    report = run_sweep(get_sweep("smoke-2x2"), executor=DistributedExecutor(runners=4))
     print(report.pareto())
 """
 

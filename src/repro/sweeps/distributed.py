@@ -28,7 +28,8 @@ but on wall-clock time):
 
 :class:`DistributedExecutor` packages all of this behind the ordinary
 ``executor.map(payloads)`` contract, spawning loopback runner subprocesses,
-so ``run_sweep(spec, runners=4)`` is a drop-in alternative to ``jobs=4``.
+so ``run_sweep(spec, executor=DistributedExecutor(runners=4))`` is a drop-in
+alternative to ``jobs=4``.
 """
 
 from __future__ import annotations

@@ -23,9 +23,11 @@ reports.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.plain import PlainData
 from repro.policies.registry import merge_policy_selections, validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 from repro.scenarios.catalog import get_scenario
@@ -85,7 +87,7 @@ def thresholds_label(thresholds: Optional[Dict[str, float]]) -> str:
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(PlainData):
     """One fully resolved cell of a sweep grid (picklable, JSON-safe)."""
 
     index: int
@@ -99,41 +101,6 @@ class RunSpec:
     record_interval: Optional[float] = None
     config: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """Plain-data form (shipped to executor workers)."""
-        return {
-            "index": self.index,
-            "scenario": self.scenario,
-            "policies": {kind: dict(entry) for kind, entry in self.policies.items()},
-            "thresholds": dict(self.thresholds) if self.thresholds is not None else None,
-            "base_seed": self.base_seed,
-            "seed": self.seed,
-            "duration": self.duration,
-            "record_interval": self.record_interval,
-            "config": dict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        """Inverse of :meth:`to_dict`."""
-        thresholds = data.get("thresholds")
-        duration = data.get("duration")
-        record_interval = data.get("record_interval")
-        return cls(
-            index=int(data["index"]),
-            scenario=str(data["scenario"]),
-            policies={
-                str(kind): dict(entry)
-                for kind, entry in dict(data.get("policies", {})).items()
-            },
-            thresholds=None if thresholds is None else dict(thresholds),
-            base_seed=int(data["base_seed"]),
-            seed=int(data["seed"]),
-            duration=None if duration is None else float(duration),
-            record_interval=None if record_interval is None else float(record_interval),
-            config=dict(data.get("config", {})),
-        )
-
     def build_scenario_spec(self) -> ScenarioSpec:
         """Materialize the catalog scenario with this cell's overrides applied."""
         base = get_scenario(self.scenario)
@@ -142,13 +109,11 @@ class RunSpec:
         merged_config.update(self.config)
         if self.thresholds is not None:
             merged_config["thresholds"] = dict(self.thresholds)
-        return ScenarioSpec.from_dict(
-            {**base.to_dict(), "policies": merged_policies, "config": merged_config}
-        )
+        return dataclasses.replace(base, policies=merged_policies, config=merged_config)
 
 
 @dataclass
-class SweepSpec:
+class SweepSpec(PlainData):
     """A declarative experiment grid over the scenario catalog."""
 
     name: str
@@ -284,50 +249,3 @@ class SweepSpec:
                         )
                         index += 1
         return runs
-
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """Plain-data form; ``SweepSpec.from_dict(spec.to_dict()) == spec``."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "scenarios": list(self.scenarios),
-            "policies": [
-                {kind: dict(entry) for kind, entry in cell.items()} for cell in self.policies
-            ],
-            "thresholds": [
-                None if cell is None else dict(cell) for cell in self.thresholds
-            ],
-            "seeds": list(self.seeds),
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "duration": self.duration,
-            "record_interval": self.record_interval,
-            "config": dict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dictionaries)."""
-        replicates = data.get("replicates")
-        duration = data.get("duration")
-        record_interval = data.get("record_interval")
-        return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            scenarios=[str(name) for name in data.get("scenarios", [])],
-            policies=[
-                {str(kind): dict(entry) for kind, entry in dict(cell).items()}
-                for cell in data.get("policies", [{}])
-            ],
-            thresholds=[
-                None if cell is None else dict(cell)
-                for cell in data.get("thresholds", [None])
-            ],
-            seeds=[int(seed) for seed in data.get("seeds", [0])],
-            replicates=None if replicates is None else int(replicates),
-            base_seed=int(data.get("base_seed", 0)),
-            duration=None if duration is None else float(duration),
-            record_interval=None if record_interval is None else float(record_interval),
-            config=dict(data.get("config", {})),
-        )

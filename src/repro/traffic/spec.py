@@ -19,12 +19,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.plain import PlainData
 from repro.policies.registry import validate_policy_selection
 from repro.traffic.profiles import compile_profile
 
 
 @dataclass
-class ServiceSpec:
+class ServiceSpec(PlainData):
     """One request-serving service: a replica group plus its offered traffic.
 
     ``service_rate`` is the requests/second one replica sustains at full CPU;
@@ -72,36 +73,9 @@ class ServiceSpec:
         if self.autoscaling is not None:
             validate_policy_selection("autoscaling", self.autoscaling)
 
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe)."""
-        data = {
-            "name": self.name,
-            "profile": dict(self.profile),
-            "initial_replicas": self.initial_replicas,
-            "service_rate": self.service_rate,
-            "replica": dict(self.replica),
-        }
-        if self.autoscaling is not None:
-            data["autoscaling"] = dict(self.autoscaling)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=str(data["name"]),
-            profile=dict(data.get("profile", {"kind": "constant", "level": 1.0, "peak_rps": 50.0})),
-            initial_replicas=int(data.get("initial_replicas", 1)),
-            service_rate=float(data.get("service_rate", 100.0)),
-            replica=dict(data.get("replica", {"cpu": 0.25, "memory": 0.25, "network": 0.1})),
-            autoscaling=(
-                dict(data["autoscaling"]) if data.get("autoscaling") is not None else None
-            ),
-        )
-
 
 @dataclass
-class TrafficSpec:
+class TrafficSpec(PlainData):
     """The request-traffic section of a scenario: services plus plane cadence."""
 
     services: List[ServiceSpec] = field(default_factory=list)
@@ -132,20 +106,3 @@ class TrafficSpec:
             for service in self.services
             if service.autoscaling is not None
         }
-
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe)."""
-        return {
-            "services": [service.to_dict() for service in self.services],
-            "interval": self.interval,
-            "autoscale_interval": self.autoscale_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficSpec":
-        """Inverse of :meth:`to_dict` (accepts JSON-decoded dictionaries)."""
-        return cls(
-            services=[ServiceSpec.from_dict(entry) for entry in data.get("services", [])],
-            interval=float(data.get("interval", 10.0)),
-            autoscale_interval=float(data.get("autoscale_interval", 60.0)),
-        )

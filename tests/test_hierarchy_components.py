@@ -47,8 +47,12 @@ class TestHierarchyConfig:
             HierarchyConfig(monitoring_interval=0.0)
         with pytest.raises(ValueError):
             HierarchyConfig(reconfiguration_interval=-1.0)
-        with pytest.raises(ValueError):
-            HierarchyConfig(entry_points=0)
+
+    def test_entry_points_is_not_a_config_override(self):
+        # Entry Points are deployment sizing (ScenarioSpec.entry_points); a
+        # config override used to be accepted and silently build one EP.
+        with pytest.raises(ValueError, match="entry_points"):
+            ScenarioSpec(name="eps", config={"entry_points": 3})
 
     def test_config_is_shared_not_copied(self):
         config = ConfigClass(seed=5)

@@ -43,6 +43,25 @@ class TestGroupLeaderFailure:
         assert healed
         assert loaded_system.current_leader() != old_leader
 
+    def test_leader_with_closed_session_steps_down(self):
+        """Regression: the GL read a leadership flag cached at election time,
+        so a leader whose election node vanished with its session stayed in
+        office beside the newly elected one (two GLs, no step-down)."""
+        config = HierarchyConfig(seed=3)
+        system = SnoozeSystem(
+            SystemSpec(local_controllers=4, group_managers=2), config=config, seed=3
+        )
+        system.start()
+        system.run(30.0)
+        old_leader = system.leader()
+        assert old_leader._gm_timeouts
+        system.coordination.close_session(old_leader.election.session)
+        system.run(config.gl_heartbeat_interval + config.network.base_latency)
+        leaders = [gm for gm in system.group_managers.values() if gm.is_running and gm.is_leader]
+        assert len(leaders) == 1 and leaders[0] is not old_leader
+        assert system.event_log.count("stepped_down_as_leader") == 1
+        assert not old_leader._gm_timeouts and not old_leader.gm_summaries
+
     def test_running_vms_unaffected_by_gl_failure(self, loaded_system):
         running_before = loaded_system.running_vm_count()
         loaded_system.kill_group_leader()

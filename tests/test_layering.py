@@ -51,6 +51,7 @@ def package_graph() -> dict[str, set[str]]:
 def test_package_import_graph_is_acyclic():
     graph = package_graph()
     assert "repro.workers" in graph and graph["repro.workers"] == set()
+    assert "repro.plain" in graph and graph["repro.plain"] == set()
     order: list[str] = []
     while graph:
         leaves = sorted(unit for unit, targets in graph.items() if not targets & graph.keys())

@@ -369,21 +369,6 @@ class TestPeriodicTimer:
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, 0.0, lambda: None)
 
-    def test_jitter_requires_rng(self, sim):
-        with pytest.raises(SimulationError):
-            PeriodicTimer(sim, 1.0, lambda: None, jitter=0.1)
-
-    def test_jitter_varies_intervals_but_keeps_firing(self, sim):
-        rng = np.random.default_rng(0)
-        hits = []
-        PeriodicTimer(sim, 2.0, lambda: hits.append(sim.now), jitter=0.5, rng=rng)
-        sim.run(until=20.0)
-        gaps = np.diff(hits)
-        assert len(hits) >= 8
-        assert np.all(gaps >= 1.5 - 1e-9)
-        assert np.all(gaps <= 2.5 + 1e-9)
-        assert len(set(np.round(gaps, 6))) > 1
-
     def test_fired_count_tracks_invocations(self, sim):
         timer = PeriodicTimer(sim, 1.0, lambda: None)
         sim.run(until=5.0)

@@ -316,7 +316,7 @@ class TestDistributedExecutor:
 
     @pytest.mark.parametrize("runners", [1, 2, 4])
     def test_report_is_byte_identical_to_serial(self, runners, serial_json):
-        report = run_sweep(_tiny_sweep(), runners=runners)
+        report = run_sweep(_tiny_sweep(), executor=DistributedExecutor(runners=runners))
         assert report.failed == 0
         assert report.to_json() == serial_json
         assert report.timing["jobs"] == runners
@@ -352,10 +352,6 @@ class TestDistributedExecutor:
         )
         with pytest.raises(SweepAborted, match="exit codes"):
             run_sweep(_tiny_sweep(), executor=executor)
-
-    def test_engine_rejects_jobs_and_runners_together(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(_tiny_sweep(), jobs=2, runners=2)
 
     def test_executor_validation(self):
         with pytest.raises(ValueError, match="runners"):
