@@ -1,9 +1,9 @@
 """``repro-sim sweep``: declarative experiment grids (:mod:`repro.sweeps`).
 
-``sweep run`` executes a grid locally (``--jobs``) or on loopback runner
-subprocesses (``--runners``); ``sweep serve`` hands it to work-pulling runners
-started elsewhere with ``sweep work``; ``sweep analyze`` computes the Pareto
-fronts of a saved report.  The report bytes are the same on every backend.
+``sweep run`` executes a grid locally (``--jobs``) or on loopback runners
+forked from this process (``--runners``); ``sweep serve`` hands it to
+work-pulling runners started elsewhere with ``sweep work``; ``sweep analyze``
+computes the Pareto fronts of a saved report.  The report bytes are the same on every backend.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def register(subparsers) -> None:
         "--runners",
         type=positive_int,
         help=(
-            "execute on N loopback runner subprocesses via the distributed "
-            "coordinator (the report is identical to --jobs runs)"
+            "execute on N loopback runners forked from this process, pulling cells "
+            "from the distributed coordinator (the report is identical to --jobs runs)"
         ),
     )
 

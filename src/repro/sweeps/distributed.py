@@ -27,7 +27,8 @@ but on wall-clock time):
   first posted result wins and duplicates are discarded by run position).
 
 :class:`DistributedExecutor` packages all of this behind the ordinary
-``executor.map(payloads)`` contract, spawning loopback runner subprocesses,
+``executor.map(payloads)`` contract, forking loopback runner processes from
+the already-imported coordinator process (:func:`repro.workers.start_process`),
 so ``run_sweep(spec, executor=DistributedExecutor(runners=4))`` is a drop-in
 alternative to ``jobs=4``.
 """
@@ -35,15 +36,17 @@ alternative to ``jobs=4``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
-import subprocess
+import signal
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.sweeps.runner import SweepRunner
 from repro.sweeps.wire import FrameError, read_frame, write_frame
+from repro.workers import start_process
 
 #: Protocol version stamped into hello/welcome frames.
 PROTOCOL_VERSION = 1
@@ -118,6 +121,8 @@ class SweepCoordinator:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self._payloads = [dict(payload) for payload in payloads]
+        #: Each payload as a runner decodes it: what a genuine outcome echoes as ``run``.
+        self._wire_payloads = json.loads(json.dumps(self._payloads))
         if expected_seconds is not None and len(expected_seconds) != len(self._payloads):
             raise ValueError("expected_seconds must align with payloads")
         self._hints = None if expected_seconds is None else [float(s) for s in expected_seconds]
@@ -147,6 +152,7 @@ class SweepCoordinator:
             "retries": 0,
             "duplicates_discarded": 0,
             "synthesized_failures": 0,
+            "rejected_outcomes": 0,
         }
 
         self._server: Optional[asyncio.AbstractServer] = None
@@ -155,6 +161,7 @@ class SweepCoordinator:
         self._writers: Set[asyncio.StreamWriter] = set()
         self._done = asyncio.Event()
         self._abort_reason: Optional[str] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         if not self._payloads:
             self._done.set()
 
@@ -180,6 +187,7 @@ class SweepCoordinator:
         """Bind the server and start the lease reaper; returns the address."""
         if self._server is not None:
             raise RuntimeError("coordinator already started")
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(self._handle, self._host, self._port)
         self._reaper = asyncio.create_task(self._reap_forever())
         return self.address
@@ -195,10 +203,13 @@ class SweepCoordinator:
         return [self._outcomes[position] for position in range(len(self._payloads))]
 
     def abort(self, reason: str) -> None:
-        """Fail :meth:`wait` callers; pulls are answered with ``shutdown``."""
+        """Fail :meth:`wait` callers; pulls are answered with ``shutdown``.  Thread-safe."""
         if not self._done.is_set():
             self._abort_reason = reason
-            self._done.set()
+            try:  # an Event set off the loop's thread would not wake the loop
+                self._loop.call_soon_threadsafe(self._done.set)
+            except (AttributeError, RuntimeError):  # not started yet, or already closed
+                self._done.set()
 
     async def stop(self) -> None:
         """Close the server, the reaper and every live runner connection."""
@@ -373,22 +384,31 @@ class SweepCoordinator:
             return {"type": "ack", "known": True}
         if kind == "outcome":
             lease_id = message.get("lease_id")
-            lease = self._release_lease(lease_id)
-            conn_leases.discard(lease_id)
+            lease = self._leases.get(lease_id)
             position = message.get("run_id", lease.position if lease else None)
             outcome = message.get("outcome")
-            if (
-                not isinstance(position, int)
-                or not 0 <= position < len(self._payloads)
-                or not isinstance(outcome, dict)
-            ):
+            if not self._well_formed(position, outcome):
+                # Rejected before the lease is touched: the cell stays covered.
+                self.stats["rejected_outcomes"] += 1
                 return {"type": "ack", "accepted": False}
+            self._release_lease(lease_id)
+            conn_leases.discard(lease_id)
             # Outcomes are accepted by position even when the lease was already
             # reclaimed: runs are deterministic, so a late result is as good as
             # a retried one and the wasted retry just loses the race.
             accepted = self._record_outcome(position, outcome)
             return {"type": "ack", "accepted": accepted}
         return {"type": "error", "error": f"unknown message type {kind!r}"}
+
+    def _well_formed(self, position, outcome) -> bool:
+        """An int position (``True`` is no cell), its payload echoed, an executor's status."""
+        if type(position) is not int or not 0 <= position < len(self._payloads):
+            return False
+        if not isinstance(outcome, dict) or outcome.get("run") != self._wire_payloads[position]:
+            return False
+        # ``null`` is the ``ok`` result of a custom cell function (the bench's no-op cell).
+        status, result = outcome.get("status"), outcome.get("result")
+        return status == "failed" or (status == "ok" and isinstance(result, (dict, type(None))))
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
@@ -497,17 +517,41 @@ class CoordinatorThread:
 
 
 # -------------------------------------------------------------- loopback runners
-def _loopback_env(extra: Optional[dict] = None) -> dict:
-    """A subprocess environment in which ``import repro`` resolves to this tree."""
-    import repro
+class RunnerProcess:
+    """One loopback runner process behind the ``subprocess.Popen`` subset callers use."""
 
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    if extra:
-        env.update({str(key): str(value) for key, value in extra.items()})
-    return env
+    def __init__(self, process) -> None:
+        self._process = process
+        self.terminate, self.kill = process.terminate, process.kill
+
+    @property
+    def returncode(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def poll(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """The exit code; raises ``TimeoutError`` if still running after ``timeout``."""
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise TimeoutError(f"runner process {self._process.pid} still running")
+        return self._process.exitcode
+
+
+def _runner_main(host: str, port: int, runner_id: Optional[str], env: Optional[dict]) -> None:
+    """Body of one loopback runner process: a silent :class:`SweepRunner`."""
+    os.environ.update({str(key): str(value) for key, value in (env or {}).items()})
+    # A forked child inherits asyncio.run's SIGINT handler, which pokes the parent's loop.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for fd in (1, 2):
+        os.dup2(devnull, fd)
+    sys.stdout = sys.stderr = open(devnull, "w")
+    try:
+        SweepRunner(host, port, runner_id=runner_id).run()
+    except KeyboardInterrupt:
+        return  # Ctrl-C reaches the whole process group; the caller reports it
 
 
 def spawn_loopback_runner(
@@ -515,22 +559,14 @@ def spawn_loopback_runner(
     *,
     runner_id: Optional[str] = None,
     env: Optional[dict] = None,
-) -> subprocess.Popen:
-    """Start one runner subprocess connected to ``address`` (stdio discarded)."""
+) -> RunnerProcess:
+    """Fork one silent runner connected to ``address`` (``env`` applied inside it)."""
     host, port = address
-    argv = [sys.executable, "-m", "repro.sweeps.runner", "--connect", f"{host}:{port}"]
-    if runner_id:
-        argv += ["--id", runner_id]
-    return subprocess.Popen(
-        argv,
-        env=_loopback_env(env),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    return RunnerProcess(start_process(_runner_main, host, port, runner_id, env))
 
 
 class DistributedExecutor:
-    """Run sweep cells on a fleet of loopback runner subprocesses.
+    """Run sweep cells on a fleet of loopback runner processes.
 
     ``map(payloads) -> outcomes`` is the ``executor`` contract of
     :func:`~repro.sweeps.engine.run_sweep`.  Outcomes come back in payload
@@ -540,6 +576,8 @@ class DistributedExecutor:
     ``runner_env`` optionally carries one environment-override dict per runner
     (``None`` entries keep the default); the fault-injection tests use it to
     make a runner die or wedge mid-lease via ``REPRO_SWEEP_RUNNER_FAULT``.
+    Runners fork from this process: every cell still travels over the socket
+    as a lease, but no runner pays an interpreter start-up.
     """
 
     def __init__(
@@ -585,7 +623,7 @@ class DistributedExecutor:
             expected_seconds=self.expected_seconds,
         )
         await coordinator.start()
-        procs: List[subprocess.Popen] = []
+        procs: List[RunnerProcess] = []
         watchdog: Optional[asyncio.Task] = None
         try:
             for index in range(self.runners):
@@ -605,7 +643,7 @@ class DistributedExecutor:
             self._terminate(procs)
 
     @staticmethod
-    async def _watch(procs: List[subprocess.Popen], coordinator: SweepCoordinator) -> None:
+    async def _watch(procs: List[RunnerProcess], coordinator: SweepCoordinator) -> None:
         """Abort instead of hanging forever when the whole fleet is gone."""
         while True:
             await asyncio.sleep(0.2)
@@ -619,7 +657,7 @@ class DistributedExecutor:
                 return
 
     @staticmethod
-    def _terminate(procs: List[subprocess.Popen]) -> None:
+    def _terminate(procs: List[RunnerProcess]) -> None:
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
@@ -628,6 +666,6 @@ class DistributedExecutor:
             remaining = max(0.1, deadline - time.monotonic())
             try:
                 proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            except TimeoutError:
                 proc.kill()
                 proc.wait(timeout=5.0)

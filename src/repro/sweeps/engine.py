@@ -17,7 +17,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, executor=None) -> SweepReport:
     calling process); an explicit ``executor`` (anything with a
     ``map(payloads)`` method, such as a
     :class:`~repro.sweeps.distributed.DistributedExecutor` fanning the cells
-    out to loopback runner subprocesses) overrides it.  The report's
+    out to loopback runners forked from this process) overrides it.  The report's
     deterministic content is independent of the backend; wall-clock timing
     is reported separately in ``report.timing``.
     """

@@ -1,10 +1,11 @@
 """The sweep runner client: pull work, execute locally, phone the results home.
 
-``python -m repro.sweeps.runner --connect HOST:PORT`` (or ``repro-sim sweep
-work --connect HOST:PORT``) joins a coordinator started with ``repro-sim
-sweep serve`` and loops pull -> execute -> post until the coordinator says
-``shutdown`` or disappears.  The runner only ever *initiates* connections, so
-a fleet can sit behind NAT or a firewall with no inbound access at all.
+``repro-sim sweep work --connect HOST:PORT`` joins a coordinator started
+with ``repro-sim sweep serve`` (a ``DistributedExecutor`` forks its loopback
+runners straight into :class:`SweepRunner`) and loops pull -> execute -> post
+until the coordinator says ``shutdown`` or disappears.  The runner only ever
+*initiates* connections, so a fleet can sit behind NAT or a firewall with no
+inbound access at all.
 
 While a cell executes, a daemon heartbeat thread extends the runner's lease
 so a long run is not mistaken for a dead runner; if the process dies anyway,
@@ -22,7 +23,6 @@ Fault injection (tests and chaos drills only) via the
 
 from __future__ import annotations
 
-import argparse
 import os
 import socket
 import sys
@@ -195,10 +195,9 @@ def parse_address(value: str) -> Tuple[str, int]:
 
 
 def work(connect: str, runner_id: Optional[str] = None) -> int:
-    """Join the coordinator at ``HOST:PORT`` as one runner; returns the exit code.
+    """Join the coordinator at ``HOST:PORT`` as one runner (``repro-sim sweep work``).
 
-    The front end shared by ``python -m repro.sweeps.runner`` and ``repro-sim
-    sweep work``.
+    Returns the exit code.
     """
     try:
         host, port = parse_address(connect)
@@ -214,19 +213,3 @@ def work(connect: str, runner_id: Optional[str] = None) -> int:
     print(f"runner {runner.runner_id}: posted {posted} outcome(s)", file=sys.stderr)
     return 0
 
-
-def main(argv: Optional[list] = None) -> int:
-    """Entry point of ``python -m repro.sweeps.runner``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-sweep-runner", description="work-pulling sweep runner client"
-    )
-    parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT", help="coordinator address"
-    )
-    parser.add_argument("--id", default=None, help="runner id (defaults to runner-<pid>)")
-    args = parser.parse_args(argv)
-    return work(args.connect, args.id)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess spawns
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""In-host process fan-out: the one module in ``src`` that starts worker processes.
+"""In-host process fan-out: the one module in ``src`` that starts processes.
 
 Sweep cells, ACO colonies and distributed-ACO partitions (:meth:`Workers.map`)
 and megafleet shards (:meth:`Workers.call`) all run on :class:`Workers`: one
@@ -7,6 +7,8 @@ until its pipe closes.  With one job everything runs in the calling process
 through the same :func:`_serve` function, so results cannot depend on ``jobs``.
 A worker that dies closes its pipe, which the caller reads as end-of-file and
 raises as a ``RuntimeError`` -- nothing here can block on a dead process.
+Every process in ``src`` -- these workers and the sweep fleet's loopback
+runners -- is started by :func:`start_process`.
 
 Stdlib imports only: this module sits below every ``repro`` package, so the
 packing kernels and the megafleet engine fan out without importing the
@@ -52,6 +54,15 @@ def _start_method() -> Optional[str]:
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return None
+
+
+def start_process(target: Callable, *args) -> multiprocessing.Process:
+    """Start ``target(*args)`` in a daemon process on :func:`_start_method`."""
+    process = multiprocessing.get_context(_start_method()).Process(
+        target=target, args=args, daemon=True
+    )
+    process.start()
+    return process
 
 
 def _serve(shards: dict, factory: Optional[Callable], method, batch) -> tuple:
@@ -225,12 +236,9 @@ class Workers:
     # -------------------------------------------------------------- processes
     def _start(self, count: int) -> None:
         """Start ``count`` more worker processes (none when ``count <= 0``)."""
-        context = multiprocessing.get_context(_start_method())
         for _ in range(count):
-            ours, theirs = context.Pipe()
-            proc = context.Process(target=_worker_main, args=(theirs, self._factory), daemon=True)
-            proc.start()
-            self._procs.append(proc)
+            ours, theirs = multiprocessing.Pipe()
+            self._procs.append(start_process(_worker_main, theirs, self._factory))
             self._conns.append(ours)
             # Only the worker may hold its end, or its death is no EOF here.
             theirs.close()

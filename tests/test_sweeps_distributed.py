@@ -9,6 +9,8 @@ connection mid-upload).
 from __future__ import annotations
 
 import json
+import multiprocessing
+import signal
 import socket
 import struct
 import threading
@@ -16,22 +18,26 @@ import time
 
 import pytest
 
+from repro import workers
 from repro.sweeps import (
     DistributedExecutor,
     SweepAborted,
     SweepCoordinator,
+    SweepReport,
     SweepRunner,
     SweepSpec,
     run_sweep,
+    spawn_loopback_runner,
 )
 from repro.sweeps.distributed import CoordinatorThread, synthesize_lease_failure
-from repro.sweeps.runner import parse_address
+from repro.sweeps.runner import FAULT_ENV, parse_address
 from repro.sweeps.wire import (
     FrameError,
     encode_frame,
     read_frame_sync,
     send_frame_sync,
 )
+from tests.conftest import no_hang
 
 
 def _tiny_sweep(**overrides) -> SweepSpec:
@@ -293,6 +299,17 @@ class TestCoordinator:
             with pytest.raises(SweepAborted, match="test abort"):
                 thread.result(timeout=10.0)
 
+    def test_abort_from_another_thread_wakes_the_loop(self):
+        # The default 30 s lease puts the reaper's next tick 7.5 s away.
+        coordinator = SweepCoordinator(_fake_payloads(1))
+        with CoordinatorThread(coordinator) as thread:
+            thread.address  # wait for bind
+            started = time.monotonic()
+            coordinator.abort("aborted from the test thread")
+            with pytest.raises(SweepAborted):
+                thread.result(timeout=5.0)
+        assert time.monotonic() - started < 2.0
+
     def test_empty_payload_list_is_immediately_done(self):
         coordinator = SweepCoordinator([])
         assert coordinator.done
@@ -442,3 +459,162 @@ class TestSweepDistributedCLI:
             main(["sweep", "run", "smoke-2x2", "--objectives", "energy_kwh"])
         with pytest.raises(SystemExit):
             main(["sweep", "run", "smoke-2x2", "--port-file", "p"])
+
+
+# ----------------------------------------------------------- malformed outcomes
+def _two_cell_sweep() -> SweepSpec:
+    """Two short real cells: enough for a fleet, cheap enough for many tests."""
+    return _tiny_sweep(scenarios=["steady-churn"], duration=120.0)
+
+
+class TestMalformedOutcomes:
+    def test_bogus_post_cannot_poison_the_report(self):
+        spec = _two_cell_sweep()
+        serial = run_sweep(spec, jobs=1).to_json()
+        coordinator = SweepCoordinator([run.to_dict() for run in spec.expand()])
+        with CoordinatorThread(coordinator, timeout=60.0) as thread:
+            with socket.create_connection(thread.address, timeout=5.0) as sock:
+                bogus = {"type": "outcome", "lease_id": "nope", "run_id": True, "outcome": {}}
+                assert _rpc(sock, bogus) == {"type": "ack", "accepted": False}
+            assert SweepRunner(*thread.address, runner_id="real").run() >= 1
+            outcomes = thread.result(timeout=30.0)
+        assert SweepReport.from_outcomes(spec, outcomes).to_json() == serial
+        assert coordinator.stats["rejected_outcomes"] == 1
+        assert coordinator.stats["duplicates_discarded"] == 0
+
+    @pytest.mark.parametrize(
+        "run_id, outcome",
+        [
+            (True, None),  # bool is not a run position
+            (2, None),  # out of range
+            ("0", None),
+            (0, []),  # not an object
+            (0, {"status": "done"}),  # not an executor status
+            (0, {"run": {"index": 1, "scenario": "s"}}),  # another cell's payload
+            (0, {"result": [1, 2]}),  # an ok result that is no dict
+        ],
+        ids=["bool-id", "out-of-range", "str-id", "list", "status", "run", "result"],
+    )
+    def test_rejected_post_leaves_the_lease_in_place(self, run_id, outcome):
+        payloads = _fake_payloads(2)
+        coordinator = SweepCoordinator(payloads, speculate=False)
+        with CoordinatorThread(coordinator) as thread:
+            with _connect(thread.address) as sock:
+                lease = _pull_lease(sock, "r")
+                assert lease["run_id"] == 0
+                if isinstance(outcome, dict):
+                    outcome = {**_fake_ok(lease["run"]), **outcome}
+                elif outcome is None:
+                    outcome = _fake_ok(lease["run"])
+                post = {"type": "outcome", "lease_id": lease["lease_id"], "run_id": run_id}
+                assert not _rpc(sock, {**post, "outcome": outcome})["accepted"]
+                beat = {"type": "heartbeat", "lease_id": lease["lease_id"]}
+                assert _rpc(sock, beat)["known"]
+                genuine = {**post, "run_id": 0, "outcome": _fake_ok(lease["run"])}
+                assert _rpc(sock, genuine)["accepted"]
+        assert coordinator.stats["rejected_outcomes"] == 1
+        assert coordinator.completed == 1
+
+
+# ------------------------------------------------------ loopback runner processes
+class TestLoopbackRunnerProcesses:
+    @pytest.fixture(scope="class")
+    def serial_json(self) -> str:
+        return run_sweep(_two_cell_sweep(), jobs=1).to_json()
+
+    def test_handle_keeps_the_popen_subset(self):
+        payload = _two_cell_sweep().expand()[0].to_dict()
+        coordinator = SweepCoordinator([payload], speculate=False)
+        with no_hang(), CoordinatorThread(coordinator, timeout=60.0) as thread:
+            proc = spawn_loopback_runner(thread.address, runner_id="spawn-probe")
+            while coordinator.stats["runners_seen"] < 1:
+                assert proc.poll() is None and proc.returncode is None
+                time.sleep(0.001)
+            assert thread.result(timeout=30.0)[0]["status"] == "ok"
+            proc.terminate()
+            assert proc.wait(timeout=10.0) in (0, -signal.SIGTERM)
+            assert proc.poll() == proc.returncode == proc.wait()
+
+    def test_wedged_runner_can_be_waited_on_and_killed(self):
+        coordinator = SweepCoordinator(_fake_payloads(1), speculate=False)
+        with no_hang(), CoordinatorThread(coordinator) as thread:
+            proc = spawn_loopback_runner(
+                thread.address, env={"REPRO_SWEEP_RUNNER_FAULT": "wedge-after-pulls:1"}
+            )
+            while coordinator.stats["leases_granted"] < 1:
+                time.sleep(0.001)
+            with pytest.raises(TimeoutError):
+                proc.wait(timeout=0.05)
+            assert proc.poll() is None
+            proc.kill()
+            assert proc.wait(timeout=10.0) == -signal.SIGKILL
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "fault", [None, "bogus-mode"], ids=["clean", "runners-raise"]
+    )
+    def test_fleet_writes_nothing_to_parent_stdio(self, capfd, fault):
+        executor = DistributedExecutor(
+            runners=2, runner_env=[{"REPRO_SWEEP_RUNNER_FAULT": fault} if fault else None] * 2
+        )
+        payloads = [run.to_dict() for run in _two_cell_sweep().expand()]
+        with no_hang():
+            if fault is None:
+                assert [o["status"] for o in executor.map(payloads)] == ["ok", "ok"]
+            else:  # every runner dies with a traceback nobody may see
+                with pytest.raises(SweepAborted, match=r"exit codes: \[1, 1\]"):
+                    executor.map(payloads)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"lease_seconds": 1.0, "runner_env": [{FAULT_ENV: "die-after-pulls:1"}, None]},
+            {
+                "lease_seconds": 0.5,
+                "speculate": False,
+                "runner_env": [{FAULT_ENV: "wedge-after-pulls:1"}, None],
+            },
+        ],
+        ids=["normal", "die", "wedge"],
+    )
+    def test_no_runner_outlives_map(self, options, serial_json):
+        executor = DistributedExecutor(runners=2, **options)
+        with no_hang():
+            report = run_sweep(_two_cell_sweep(), executor=executor)
+        assert report.to_json() == serial_json
+        assert multiprocessing.active_children() == []
+
+    def test_no_runner_outlives_an_aborted_map(self):
+        executor = DistributedExecutor(
+            runners=1, runner_env=[{FAULT_ENV: "die-after-pulls:1"}]
+        )
+        with no_hang(), pytest.raises(SweepAborted, match=r"exit codes: \[17\]"):
+            run_sweep(_two_cell_sweep(), executor=executor)
+        assert multiprocessing.active_children() == []
+
+
+class TestSpawnStartMethod:
+    """Runners started by ``spawn`` (the non-Linux default) behave like forked ones."""
+
+    @pytest.fixture(autouse=True)
+    def spawn(self, monkeypatch):
+        monkeypatch.setattr(workers, "_start_method", lambda: "spawn")
+
+    def test_report_is_byte_identical_to_serial(self):
+        serial = run_sweep(_two_cell_sweep(), jobs=1).to_json()
+        with no_hang(60.0):
+            report = run_sweep(_two_cell_sweep(), executor=DistributedExecutor(runners=2))
+        assert report.to_json() == serial
+
+    def test_runner_env_reaches_a_spawned_runner(self):
+        serial = run_sweep(_two_cell_sweep(), jobs=1).to_json()
+        executor = DistributedExecutor(
+            runners=2, lease_seconds=1.0, runner_env=[{FAULT_ENV: "die-after-pulls:1"}, None]
+        )
+        with no_hang(60.0):
+            report = run_sweep(_two_cell_sweep(), executor=executor)
+        assert report.to_json() == serial
+        assert executor.last_stats["reclaimed_disconnect"] >= 1
+        assert multiprocessing.active_children() == []
