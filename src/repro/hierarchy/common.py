@@ -12,15 +12,15 @@ failure-injection hooks used by the fault-tolerance experiments:
   :meth:`Component.on_start` logic (components re-join the hierarchy through
   the normal self-organization protocol, nothing is restored magically).
 
-:class:`LeaseSet` is the one way a heartbeat is skipped on a deterministic
-network: the watcher leases its failure detector to the sender, whose
-heartbeat then re-arms it instead of sending a message.
+:class:`LeaseSet` is the one way a heartbeat skips its delivery: the watcher
+leases its failure detector to the sender, whose heartbeat -- still drawn and
+counted like any message -- then re-arms it to the arrival time instead.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.metrics.recorder import EventLog
 from repro.network.message import Message, MessageType
@@ -33,20 +33,46 @@ from repro.simulation.engine import Simulator
 from repro.simulation.timers import PeriodicTimer
 
 
+class Lease:
+    """A sender's lease on one watcher's failure detector."""
+
+    __slots__ = ("handle", "watcher", "table", "index", "generation")
+
+    def __init__(self, handle: DeadlineHandle, watcher) -> None:
+        self.handle = handle
+        #: The watcher's :class:`~repro.network.transport.Endpoint`.
+        self.watcher = watcher
+        self.table, self.index, self.generation = handle.table, handle.index, handle.generation
+
+    def apply(self, arrival: float) -> bool:
+        """A leased heartbeat arriving at ``arrival``: re-arm the detector, or False to deliver it."""
+        return self.watcher.connected and self.table.rearm_at(self.index, self.generation, arrival)
+
+
 class LeaseSet:
     """Heartbeat leases: ``(watcher, sender) ->`` the watcher's detector handle.
 
-    On a deterministic network a GM <-> LC heartbeat's whole effect is
-    restarting its watcher's failure detector at delivery time.  The watcher
-    grants the sender a lease on that detector, and the sender's heartbeat
-    re-arms it to send time + base latency + timeout instead of sending a
-    message: the GM's tick through :meth:`renew`, the LC fleet's heartbeat
-    tick through :meth:`plan` over its rows.  A lease is granted only when
-    ``timeout > interval + base latency`` (the detector cannot expire between
-    send and delivery), and a re-arm skips a lease with either end
-    disconnected, as the transport would drop the message.  An LC leaving its
-    GM revokes both of the pair's leases; a watcher forgetting a peer releases
-    the detector, which leaves its lease inert (generation-checked).
+    A GM <-> LC heartbeat's whole effect is restarting its watcher's failure
+    detector at delivery time.  The watcher grants the sender a lease on that
+    detector.  The sender's heartbeat is still counted and still makes its
+    loss and jitter draws, in the order its message would have; then, if it
+    is not lost, it re-arms the detector to arrival + timeout
+    (:meth:`~repro.simulation.batch.DeadlineTable.rearm_at`) and the
+    transport absorbs the message instead of delivering it: the GM's tick
+    through its heartbeat group
+    (:meth:`~repro.network.multicast.MulticastGroup.publish`), the LC fleet's
+    heartbeat tick over its rows.  A lease that cannot apply -- the detector
+    falls due before the arrival (earlier heartbeats were lost), was released,
+    or its watcher is disconnected -- sends the message it already drew.
+
+    A lease is granted only when ``timeout > interval + base latency +
+    jitter``: a heartbeat then always arrives before the detector it follows
+    could expire.  An LC leaving its GM revokes both of the pair's leases; a
+    watcher forgetting a peer releases the detector, which leaves its lease
+    inert (generation-checked).  A crashed watcher's detectors are released
+    with it; only a watcher partitioned (disconnected, still running) while a
+    leased heartbeat to it is in flight keeps that heartbeat's re-arm, which
+    its dropped message would not have made.
     """
 
     SERVICE_NAME = "heartbeat-leases"
@@ -56,9 +82,9 @@ class LeaseSet:
         self.network = network
         #: Moves on every grant and revoke: cached re-arm plans are rebuilt.
         self.epoch = 0
-        #: ``sender -> {watcher: handle}``, in grant order.
-        self._by_sender: Dict[str, Dict[str, DeadlineHandle]] = {}
-        #: ``sender -> ((lease epoch, connectivity epoch), re-arm plan)``.
+        #: ``sender -> {watcher: lease}``, in grant order.
+        self._by_sender: Dict[str, Dict[str, Lease]] = {}
+        #: ``sender -> ((lease epoch, connectivity epoch), re-arm plan, watchers)``.
         self._plans: Dict[str, tuple] = {}
 
     @classmethod
@@ -71,11 +97,12 @@ class LeaseSet:
     def grant(
         self, watcher: str, sender: str, handle: DeadlineHandle, timeout: float, interval: float
     ) -> bool:
-        """Lease ``handle`` to ``sender`` if skipping its heartbeat is unobservable."""
-        network = self.network
-        if not network.deterministic or timeout <= interval + network.config.base_latency:
+        """Lease ``handle`` to ``sender`` if every heartbeat arrives before the detector expires."""
+        config = self.network.config
+        if timeout <= interval + config.base_latency + config.jitter:
             return False
-        self._by_sender.setdefault(sender, {})[watcher] = handle
+        lease = Lease(handle, self.network.endpoint(watcher))
+        self._by_sender.setdefault(sender, {})[watcher] = lease
         self.epoch += 1
         return True
 
@@ -84,32 +111,47 @@ class LeaseSet:
         if self._by_sender.get(sender, {}).pop(watcher, None) is not None:
             self.epoch += 1
 
-    def get(self, watcher: str, sender: str) -> Optional[DeadlineHandle]:
-        """The handle ``sender`` holds on ``watcher``'s detector, if any."""
+    def get(self, watcher: str, sender: str) -> Optional[Lease]:
+        """The lease ``sender`` holds on ``watcher``'s detector, if any."""
         return self._by_sender.get(sender, {}).get(watcher)
 
-    def plan(self, leases: Iterable[Tuple[str, str, DeadlineHandle]]) -> list:
-        """Re-arm arrays of the ``(watcher, sender, handle)`` leases with both ends connected.
+    def held_by(self, sender: str) -> Dict[str, Lease]:
+        """``watcher -> lease`` of every lease ``sender`` holds, in grant order."""
+        return self._by_sender.get(sender, {})
 
-        Their order becomes the restart-stamp order (the expiry tie-break).
+    def plan(self, leases: Iterable[Lease]) -> list:
+        """Re-arm arrays of ``leases``, in order (the restart-stamp order).
+
+        For a network whose messages all arrive one base latency after they
+        are sent, nothing lost: the callers pass leases with both ends
+        connected, whose heartbeats then all arrive together.
         """
-        connected = self.network.is_connected
-        return rearm_arrays(h for w, s, h in leases if connected(w) and connected(s))
+        return rearm_arrays(lease.handle for lease in leases)
 
     def rearm(self, plan: list) -> None:
-        """Re-arm a :meth:`plan` as a heartbeat sent now would on delivery."""
+        """Re-arm a :meth:`plan` as heartbeats sent now would on arrival."""
         base = self.sim.now + self.network.config.base_latency
         for table, indices, generations in plan:
             table.rearm(indices, generations, base)
 
-    def renew(self, sender: str) -> None:
-        """``sender``'s heartbeat: re-arm every lease it holds, in grant order."""
+    def renew(self, sender: str) -> List[str]:
+        """Re-arm every lease ``sender`` holds with both ends connected, in grant order.
+
+        The heartbeat of a network whose messages all arrive one base latency
+        after they are sent, nothing lost: returns the watchers re-armed.
+        """
         epochs = (self.epoch, self.network.connectivity_epoch)
         cached = self._plans.get(sender)
         if cached is None or cached[0] != epochs:
-            leases = self._by_sender.get(sender, {}).items()
-            cached = self._plans[sender] = (epochs, self.plan((w, sender, h) for w, h in leases))
+            connected = self.network.is_connected
+            leases = {
+                watcher: lease
+                for watcher, lease in self._by_sender.get(sender, {}).items()
+                if connected(watcher) and connected(sender)
+            }
+            cached = self._plans[sender] = (epochs, self.plan(leases.values()), list(leases))
         self.rearm(cached[1])
+        return cached[2]
 
 
 class ComponentState(enum.Enum):

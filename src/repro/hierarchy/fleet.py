@@ -9,11 +9,13 @@ owns those two periodic duties for every running LC: it registers **one**
 tick together and runs each tick as array steps over the group's rows.
 
 Heartbeat tick (:class:`HeartbeatRows`)
-    LCs holding a heartbeat lease on their GM's failure detector
-    (:class:`~repro.hierarchy.common.LeaseSet`) re-arm it with one index-array
-    :meth:`~repro.simulation.batch.DeadlineTable.rearm` per GM table; only
-    LCs without a lease (jittery or lossy networks, a timeout too short to
-    lease) send a message.
+    every assigned LC's heartbeat is counted and makes its loss and jitter
+    draws, in row order; one whose LC holds a lease on its GM's failure
+    detector (:class:`~repro.hierarchy.common.LeaseSet`) re-arms it to the
+    arrival instead of being delivered, unless the lease cannot apply.  On a
+    deterministic network every heartbeat of a tick arrives together, so the
+    leases with both ends connected re-arm with one index-array
+    :meth:`~repro.simulation.batch.DeadlineTable.rearm` per GM table.
 
 Monitoring tick (:class:`MonitoringRows`)
     lifetime check -> bulk sample write -> estimate kernel -> per-host fold ->
@@ -26,11 +28,12 @@ Monitoring tick (:class:`MonitoringRows`)
 Determinism rule: rows are the group's LCs in start order -- the order their
 own timers would have fired in -- and every side effect that is visible
 outside the step (event-log entries, sends and the random draws a jittery
-network makes per send, restart stamps of re-armed detectors) happens in row
-order.  The network decides only *delivery*: on a deterministic network a
-tick's reports travel as one frame per Group Manager
-(:meth:`~repro.network.transport.Network.send_frame`); otherwise each LC's
-report is its own send, followed by that LC's anomaly message.  Cached index
+network makes per message, leased heartbeats included, restart stamps of
+re-armed detectors) happens in row order.  The network decides only
+*delivery*: on a deterministic network a tick's reports travel as one frame
+per Group Manager (:meth:`~repro.network.transport.Network.send_frame`);
+otherwise each LC's report is its own send, followed by that LC's anomaly
+message.  Cached index
 arrays are rebuilt only when :attr:`LocalControllerFleet.epoch` (an LC
 started, stopped, joined or lost its GM), the lease set's ``epoch`` or the
 network's ``connectivity_epoch`` moved.
@@ -93,42 +96,94 @@ class HeartbeatRows(_TickRows):
 
     def __init__(self, fleet: "LocalControllerFleet", interval: float, name: str) -> None:
         super().__init__(fleet, interval, name)
-        #: Re-arm plan of the rows' leases, in row order.
+        #: ``(lc, lease or None)`` of every assigned LC, in row order.
+        self._rows: List[tuple] = []
+        #: Deterministic network: re-arm plan of the rows' leases with both
+        #: ends connected, their GMs, LCs and payloads, and every other
+        #: assigned LC (in row order).
         self._leases: list = []
-        #: Assigned LCs without a lease, in row order.
+        self._leased_gms: List[str] = []
+        self._leased_lcs: List[str] = []
+        self._leased_payloads: List[dict] = []
         self._senders: List["LocalController"] = []
 
     def _plan(self) -> None:
         leases = self.fleet.leases
+        connected = self.network.is_connected
         leased = []
-        self._senders = []
+        self._rows, self._senders = [], []
+        self._leased_gms, self._leased_lcs, self._leased_payloads = [], [], []
         for lc in self.lcs:
             gm = lc.assigned_gm
             if gm is None:
                 continue
-            handle = leases.get(gm, lc.name)
-            if handle is None:
-                self._senders.append(lc)
+            lease = leases.get(gm, lc.name)
+            self._rows.append((lc, lease))
+            if lease is not None and connected(gm) and connected(lc.name):
+                leased.append(lease)
+                self._leased_gms.append(gm)
+                self._leased_lcs.append(lc.name)
+                self._leased_payloads.append(lc._heartbeat_payload)
             else:
-                leased.append((gm, lc.name, handle))
+                self._senders.append(lc)
         self._leases = leases.plan(leased)
 
     def step(self) -> None:
         if self._stale():
             self._plan()
-        self.fleet.leases.rearm(self._leases)
         network = self.network
-        for lc in self._senders:
-            network.send(
-                Message(
-                    msg_type=MessageType.LC_HEARTBEAT,
-                    sender=lc.name,
-                    recipient=lc.assigned_gm,
-                    payload=lc._heartbeat_payload,
-                ),
-                size_bytes=128,
-                sender=lc.endpoint,
-            )
+        if network.deterministic:
+            # Every heartbeat of the tick arrives one base latency from now:
+            # the leased ones re-arm their detectors in one array write.
+            self.fleet.leases.rearm(self._leases)
+            leased = len(self._leased_gms)
+            if leased:
+                network.messages_sent += leased
+                network.bytes_sent += 128 * leased
+                network.absorb(
+                    list(self._leased_gms),
+                    self.sim.now + network.config.base_latency,
+                    MessageType.LC_HEARTBEAT,
+                    list(self._leased_lcs),
+                    list(self._leased_payloads),
+                )
+            for lc in self._senders:
+                network.send(self._heartbeat(lc), size_bytes=128, sender=lc.endpoint)
+            return
+        # Row order: each heartbeat is counted and drawn like the message it
+        # stands for, then re-arms its lease or goes out as that message.
+        rows = self._rows
+        network.messages_sent += len(rows)
+        network.bytes_sent += 128 * len(rows)
+        now = self.sim.now
+        draw_latency = network.draw_latency
+        gms, arrivals, lcs, payloads = [], [], [], []
+        for lc, lease in rows:
+            if not lc.endpoint.connected:
+                network.messages_dropped += 1
+                continue
+            latency = draw_latency()
+            if latency < 0:
+                continue
+            arrival = now + latency
+            if lease is not None and lease.apply(arrival):
+                gms.append(lc.assigned_gm)
+                arrivals.append(arrival)
+                lcs.append(lc.name)
+                payloads.append(lc._heartbeat_payload)
+            else:
+                network.dispatch(self._heartbeat(lc), latency)
+        if gms:
+            network.absorb(gms, arrivals, MessageType.LC_HEARTBEAT, lcs, payloads)
+
+    @staticmethod
+    def _heartbeat(lc: "LocalController") -> Message:
+        return Message(
+            msg_type=MessageType.LC_HEARTBEAT,
+            sender=lc.name,
+            recipient=lc.assigned_gm,
+            payload=lc._heartbeat_payload,
+        )
 
 
 class MonitoringRows(_TickRows):

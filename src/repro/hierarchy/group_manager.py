@@ -266,11 +266,10 @@ class GroupManager(Component):
         """GM heartbeat: keep the election session alive, announce to LCs and the GL."""
         if self.election is not None:
             self.election.keep_alive()
-        # Heartbeat to this GM's Local Controllers: leased ones are re-armed
-        # directly, the rest hear the group.
-        self.leases.renew(self.name)
+        # Heartbeat to this GM's Local Controllers: the leased ones have their
+        # detector re-armed to the arrival instead of a delivery.
         self.multicast.group(gm_heartbeat_group(self.name)).publish(
-            self.name, MessageType.GM_HEARTBEAT, payload={"gm": self.name}
+            self.name, MessageType.GM_HEARTBEAT, payload={"gm": self.name}, leases=self.leases
         )
         # Heartbeat to the Group Leader (unless we are the leader).
         if not self.is_leader and self.current_gl is not None:

@@ -194,14 +194,12 @@ class LocalController(Component):
         self._joining = False
         self.assigned_gm = gm_name
         self._fleet.epoch += 1
-        if self.network.deterministic:
-            # An assigned LC only consults the Group Leader channel while
-            # rejoining, yet it is the GL heartbeat's biggest fan-out cost: at
-            # fleet scale thousands of assigned LCs each pay the full delivery
-            # chain every interval just to refresh a field nobody reads.
-            # Pause the subscription (keeping the fan-out slot) and recover
-            # the exact missed value from the channel latch on GM loss.
-            self.multicast.group(GL_HEARTBEAT_GROUP).pause(self.name)
+        # An assigned LC only consults the Group Leader channel while
+        # rejoining, yet every interval its delivery would refresh a field
+        # nobody reads.  Pause the subscription (keeping the fan-out slot):
+        # the channel latches what it would have delivered, and the LC reads
+        # the latch when it loses its GM.
+        self.multicast.group(GL_HEARTBEAT_GROUP).pause(self.name)
         if self._gm_timeout is not None:
             # The old detector is never restarted again: release its entry.
             self.discard_timeout(self._gm_timeout)
@@ -212,12 +210,12 @@ class LocalController(Component):
             DeadlineTable.shared(self.sim, "lc-gm-heartbeats"), timeout, self._gm_lost
         )
         # The GM heartbeat handler does exactly one thing: restart this
-        # detector.  Leased, the GM's tick re-arms it instead, so the LC need
-        # not hear the GM's heartbeat group at all.
-        if not self.leases.grant(
+        # detector.  Leased, the GM's heartbeat to this member of its group
+        # re-arms it to the arrival time instead of being delivered.
+        self.leases.grant(
             self.name, gm_name, self._gm_timeout, timeout, self.config.gm_heartbeat_interval
-        ):
-            self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
+        )
+        self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
         if self._rejoin_span is not None:
             self._rejoin_span.attrs["gm"] = gm_name
             self.tracer.end(self._rejoin_span)
@@ -239,11 +237,12 @@ class LocalController(Component):
         self._fleet.epoch += 1
         gl_group = self.multicast.group(GL_HEARTBEAT_GROUP)
         if gl_group.is_paused(self.name):
-            # Catch up on the Group Leader heartbeats skipped while paused:
+            # Catch up on the Group Leader heartbeats latched while paused:
             # the latch yields exactly the (sender, payload) the last
             # delivered heartbeat would have carried, so ``current_gl`` is
             # byte-for-byte what an uninterrupted subscription would hold.
-            latched = gl_group.last_delivered(self.sim.now, self.network.config.base_latency)
+            # Resuming delivers the ones still in flight.
+            latched = gl_group.last_delivered(self.name, self.sim.now)
             if latched is not None:
                 sender, payload = latched
                 self.current_gl = payload.get("gl") if payload else sender

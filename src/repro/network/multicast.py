@@ -7,21 +7,31 @@ subscriber through the unicast transport, so per-subscriber latency, loss and
 disconnection still apply (a crashed listener simply stops receiving).
 
 Snooze uses two well-known groups: the Group Leader heartbeat group (joined by
-Group Managers, Entry Points and unassigned Local Controllers waiting to
-discover the leader) and one heartbeat group per Group Manager (joined by its
-Local Controllers).  On a deterministic network a GM heartbeat's only effect
-is restarting a failure detector, so leased LCs do not join their GM's group
-at all (see :class:`~repro.hierarchy.common.LeaseSet`); pausing here only
-spares assigned LCs the Group Leader fan-out they read while rejoining.
+Group Managers, Entry Points and Local Controllers, which read it while they
+look for a Group Manager) and one heartbeat group per Group Manager (joined by
+its Local Controllers).  Two kinds of member need not hear a heartbeat to
+observe it, yet keep their fan-out slot, so every member's message still makes
+its loss and jitter draws in subscriber order and is still counted:
+
+* a *paused* member (an assigned Local Controller on the Group Leader
+  channel) has its arrivals latched: it reads its latest one when it looks
+  for a Group Manager again (:meth:`MulticastGroup.last_delivered`), and
+  resuming delivers those still in flight;
+* a member whose failure detector the publisher holds a heartbeat lease on
+  (:class:`~repro.hierarchy.common.LeaseSet`) has it re-armed to the arrival
+  instead.
+
+Either way the transport absorbs the message
+(:meth:`~repro.network.transport.Network.absorb`); a lease that cannot apply
+(the detector falls due first) delivers the message it already drew.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.network.message import Message, MessageType
-from repro.network.transport import Network
+from repro.network.transport import Endpoint, Network
 
 
 class MulticastGroup:
@@ -30,21 +40,21 @@ class MulticastGroup:
     def __init__(self, network: Network, group_name: str) -> None:
         self.network = network
         self.group_name = group_name
-        #: Subscription order drives fan-out order (and therefore delivery
-        #: order among same-instant sends), so the list is authoritative; the
-        #: set exists purely for O(1) membership at fleet scale.
+        #: Subscription order drives fan-out order (and therefore draw and
+        #: delivery order), so the list is authoritative; the set exists
+        #: purely for O(1) membership at fleet scale.
         self._subscribers: List[str] = []
         self._subscriber_set: set = set()
         #: Number of publish calls (for overhead accounting).
         self.publish_count = 0
         self._publish_metric = None
-        #: Members with delivery paused (see :meth:`pause`); they keep their
-        #: slot in ``_subscribers`` so resuming restores the exact fan-out
-        #: order a continuously subscribed member would have had.
-        self._paused: set = set()
-        #: Recent publishes ``(time, sender, payload)`` -- the latch a paused
-        #: member reads to observe exactly what a delivery would have told it.
-        self._latch: deque = deque(maxlen=8)
+        #: Paused member -> its endpoint.
+        self._paused: Dict[str, Endpoint] = {}
+        #: The latch: absorbed records of paused members' publishes with a
+        #: message still in flight, in publish order, and per paused member
+        #: ``(arrival, sender, payload)`` of its latest arrival among the rest.
+        self._latched: List[tuple] = []
+        self._arrived: Dict[str, tuple] = {}
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, endpoint_name: str) -> None:
@@ -54,49 +64,72 @@ class MulticastGroup:
             self._subscribers.append(endpoint_name)
 
     def unsubscribe(self, endpoint_name: str) -> None:
-        """Remove an endpoint from the group (idempotent)."""
+        """Remove an endpoint from the group (idempotent); a paused one resumes first."""
         if endpoint_name in self._subscriber_set:
+            self.resume(endpoint_name)
             self._subscriber_set.discard(endpoint_name)
             self._subscribers.remove(endpoint_name)
-            self._paused.discard(endpoint_name)
 
     # --------------------------------------------------------- paused members
     def pause(self, endpoint_name: str) -> None:
-        """Stop delivering to a member without giving up its fan-out slot.
+        """Latch a member's publishes instead of delivering them, keeping its fan-out slot.
 
-        A paused member stays in the subscriber list (so :meth:`resume`
-        restores the exact same-instant delivery order an uninterrupted
-        subscription would have produced) but receives no messages; it can
-        observe missed publishes through :meth:`last_delivered`.  The steady
-        state of a fleet-scale deployment is thousands of Local Controllers
-        subscribed to a Group Leader channel they only consult while
-        *rejoining* -- pausing them removes that entire fan-out from the per-
-        heartbeat hot path without changing what any component ever reads.
+        The steady state of a deployment is Local Controllers subscribed to a
+        Group Leader channel they only consult while looking for a Group
+        Manager: pausing them removes the deliveries from the per-heartbeat
+        hot path without changing what any component ever reads.  The
+        member's messages are still drawn, in the order an uninterrupted
+        subscription would draw them, and counted.
         """
-        if endpoint_name in self._subscriber_set:
-            self._paused.add(endpoint_name)
+        endpoint = self.network.endpoint(endpoint_name)
+        if endpoint is not None and endpoint_name in self._subscriber_set:
+            self._paused.setdefault(endpoint_name, endpoint)
+            self._arrived.pop(endpoint_name, None)
 
     def resume(self, endpoint_name: str) -> None:
-        """Resume deliveries to a paused member (idempotent)."""
-        self._paused.discard(endpoint_name)
+        """Deliver to a paused member again (idempotent).
+
+        Latched publishes still in flight are delivered at their arrival
+        times, as they would have been.
+        """
+        if self._paused.pop(endpoint_name, None) is not None:
+            self._arrived.pop(endpoint_name, None)
+            for record in self._latched:
+                self.network.redeliver(record, endpoint_name)
 
     def is_paused(self, endpoint_name: str) -> bool:
         """True if the member is subscribed but currently paused."""
         return endpoint_name in self._paused
 
-    def last_delivered(self, now: float, latency: float) -> Optional[Tuple[str, Any]]:
-        """``(sender, payload)`` of the latest publish already delivered.
+    def last_delivered(self, endpoint_name: str, now: float) -> Optional[Tuple[str, Any]]:
+        """``(sender, payload)`` of the paused member's latest latched publish arrived by ``now``.
 
-        "Delivered" means ``publish_time + latency <= now`` -- on a
-        deterministic network that is precisely the publish whose message a
-        subscribed member would have processed last (same-instant deliveries
-        run at high priority, before any equal-time timer/deadline event).
-        Returns None when nothing qualifies.
+        That is the publish whose message the member would have processed
+        last (deliveries run at high priority, so one arriving exactly at
+        ``now`` precedes any timer or deadline event at ``now``).  Returns
+        None when nothing has arrived since the member paused.
         """
-        for time, sender, payload in reversed(self._latch):
-            if time + latency <= now:
-                return sender, payload
-        return None
+        self._fold(now)
+        best = self._arrived.get(endpoint_name)
+        for record in self._latched:
+            for arrival in _arrivals_of(record, endpoint_name):
+                if arrival <= now and (best is None or arrival >= best[0]):
+                    best = (arrival, record[4], record[5])
+        return None if best is None else best[1:]
+
+    def _fold(self, now: float) -> None:
+        """Move latched records whose messages have all arrived into ``_arrived``."""
+        latched, arrived = self._latched, self._arrived
+        while latched and latched[0][0] <= now:
+            last, recipients, arrivals, _, sender, payload = latched.pop(0)
+            if arrivals.__class__ is not list:
+                # One arrival for all, later than any folded before.
+                arrived.update(dict.fromkeys(recipients, (last, sender, payload)))
+                continue
+            for member, arrival in zip(recipients, arrivals):
+                latest = arrived.get(member)
+                if latest is None or arrival >= latest[0]:
+                    arrived[member] = (arrival, sender, payload)
 
     @property
     def subscribers(self) -> List[str]:
@@ -110,18 +143,29 @@ class MulticastGroup:
         return len(self._subscribers)
 
     # ---------------------------------------------------------------- publish
-    def publish(self, sender: str, msg_type: MessageType, payload=None, size_bytes: int = 256) -> int:
-        """Send ``payload`` to every subscriber except the sender; returns fan-out size.
+    def publish(
+        self,
+        sender: str,
+        msg_type: MessageType,
+        payload=None,
+        size_bytes: int = 256,
+        leases=None,
+    ) -> int:
+        """Send ``payload`` to every subscriber except the sender; returns the fan-out size.
 
-        On a deterministic network (no jitter/loss) the transport coalesces
-        the whole fan-out into a single delivery event (see
-        :attr:`~repro.network.transport.Network.deterministic`), so a
-        heartbeat to thousands of Local Controllers costs one simulator event
-        instead of one per subscriber.
+        Each member's message is counted, then makes its loss and jitter
+        draws, in subscriber order; then a paused member latches it, a member
+        ``leases`` lets ``sender`` re-arm (a
+        :class:`~repro.hierarchy.common.LeaseSet`) has its detector re-armed
+        to the arrival, and every other member gets the message.  On a
+        deterministic network every message arrives one base latency from
+        now: the leased detectors are re-armed in one array write and the
+        other messages share one delivery event.
         """
         self.publish_count += 1
+        network = self.network
         if self._publish_metric is None:
-            obs = self.network.obs
+            obs = network.obs
             if obs is not None and obs.registry is not None:
                 self._publish_metric = obs.registry.counter(
                     "multicast_publishes_total",
@@ -129,25 +173,77 @@ class MulticastGroup:
                 ).labels(group=self.group_name)
         if self._publish_metric is not None:
             self._publish_metric.inc()
-        self._latch.append((self.network.sim.now, sender, payload))
+        recipients = [member for member in self._subscribers if member != sender]
+        n = len(recipients)
+        if n == 0:
+            return 0
+        network.messages_sent += n
+        network.bytes_sent += int(size_bytes) * n
+        endpoint = network.endpoint(sender)
+        if endpoint is not None and not endpoint.connected:
+            network.messages_dropped += n
+            return n
+        now = network.sim.now
+        self._fold(now)
         paused = self._paused
-        if paused:
-            messages = [
-                Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
-                for subscriber in self._subscribers
-                if subscriber != sender and subscriber not in paused
-            ]
-        else:
-            messages = [
-                Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
-                for subscriber in self._subscribers
-                if subscriber != sender
-            ]
-        self.network.send_many(sender, messages, size_bytes=size_bytes)
-        return len(messages)
+        if network.deterministic:
+            base = network.config.base_latency
+            if leases is not None:
+                renewed = leases.renew(sender)
+                if renewed:
+                    network.absorb(list(renewed), now + base, msg_type, sender, payload)
+                    skip = set(renewed)
+                    recipients = [member for member in recipients if member not in skip]
+            latched, others = [], []
+            for member in recipients:
+                endpoint = paused.get(member)
+                (latched if endpoint is not None and endpoint.connected else others).append(member)
+            if latched:
+                self._latched.append(network.absorb(latched, now + base, msg_type, sender, payload))
+            for member in others:
+                network.dispatch(
+                    Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
+                    base,
+                )
+            return n
+        held = leases.held_by(sender) if leases is not None else {}
+        latched, latched_at, leased, leased_at = [], [], [], []
+        draw_latency, dispatch = network.draw_latency, network.dispatch
+        for member in recipients:
+            latency = draw_latency()
+            if latency < 0:
+                continue
+            arrival = now + latency
+            endpoint = paused.get(member)
+            if endpoint is not None and endpoint.connected:
+                latched.append(member)
+                latched_at.append(arrival)
+                continue
+            lease = held.get(member)
+            if lease is not None and lease.apply(arrival):
+                leased.append(member)
+                leased_at.append(arrival)
+                continue
+            dispatch(
+                Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
+                latency,
+            )
+        if latched:
+            self._latched.append(network.absorb(latched, latched_at, msg_type, sender, payload))
+        if leased:
+            network.absorb(leased, leased_at, msg_type, sender, payload)
+        return n
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"
+
+
+def _arrivals_of(record: tuple, member: str) -> List[float]:
+    """``member``'s arrivals in an absorbed record."""
+    _, recipients, arrivals, *_ = record
+    if arrivals.__class__ is not list:
+        return [arrivals] if member in recipients else []
+    return [arrival for name, arrival in zip(recipients, arrivals) if name == member]
 
 
 class MulticastRegistry:

@@ -13,12 +13,21 @@ but the network *owns* that generator and draws from it a block ahead.  A
 with another consumer (``SnoozeSystem`` hands it the dedicated ``"network"``
 stream).  A delivery is one handle-less heap entry
 (:meth:`~repro.simulation.engine.Simulator.post`), not an ``Event``.
+
+Every message takes its draws through :meth:`Network.draw_latency`, whatever
+happens to it next.  A publisher that knows a message's whole effect (a
+heartbeat re-arming a leased failure detector, a paused multicast member's
+latch) may then *absorb* it (:meth:`Network.absorb`) instead of delivering
+it: the message is counted sent, and delivered or dropped, exactly as its
+delivery would have been -- an absorbed message still in flight when its
+recipient disconnects is turned back into a real delivery.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +60,6 @@ class Endpoint:
         self.name = name
         self.handler = handler
         self.connected = True
-        #: Counters for the overhead experiments (messages in/out).
-        self.sent_count = 0
-        self.received_count = 0
 
     def __repr__(self) -> str:
         state = "up" if self.connected else "down"
@@ -66,6 +72,8 @@ class Network:
     SERVICE_NAME = "network"
     #: Uniform samples drawn from :attr:`rng` per refill.
     DRAW_BLOCK = 1024
+    #: Absorbed messages kept before the arrived ones are forgotten.
+    SETTLE_BACKLOG = 1024
 
     def __init__(
         self,
@@ -87,9 +95,13 @@ class Network:
         self.connectivity_epoch = 0
         #: Aggregate counters used by the management-overhead experiment (E3/E8).
         self.messages_sent = 0
-        self.messages_delivered = 0
+        self._delivered = 0
         self.messages_dropped = 0
         self.bytes_sent = 0
+        #: Absorbed records (:meth:`absorb`), roughly in arrival order, kept
+        #: until all their messages have arrived:
+        #: ``(last arrival, recipients, arrivals, msg_type, senders, payloads)``.
+        self._absorbed: deque = deque()
         #: Same-instant deliveries of a :attr:`deterministic` network, coalesced
         #: into one simulator event.  Behaviour-neutral: batched messages
         #: arrive at the same simulated time, in the same order, as
@@ -106,15 +118,21 @@ class Network:
             self.use_observability(sim.get_service("observability"))
 
     @property
+    def messages_delivered(self) -> int:
+        """Messages delivered so far, absorbed ones included once they have arrived."""
+        return self._delivered - self._in_flight()
+
+    @property
     def deterministic(self) -> bool:
         """True when the network has neither jitter nor loss.
 
-        Delivery time is then a pure function of send time and no delivery
-        consumes a random draw, which is what every fast path needs: batched
-        same-instant delivery here, the paused Group Leader channel and the
-        heartbeat leases of the hierarchy.  With jitter or loss each
-        message needs its own draws, so skipping or merging deliveries would
-        shift every subsequent sample of the run.
+        Delivery time is then a pure function of send time and no message
+        consumes a random draw, so every message sent in one instant arrives
+        together: they share one delivery event here (and a frame,
+        :meth:`send_frame`), and a heartbeat publisher re-arms all of its
+        leased detectors in one array write.  Heartbeat leases and paused
+        multicast members do not depend on it: with jitter or loss each
+        absorbed message still makes its own draws.
         """
         config = self.config
         return config.jitter == 0 and config.loss_probability == 0
@@ -148,6 +166,7 @@ class Network:
         """Remove an endpoint entirely (component decommissioned)."""
         self._endpoints.pop(name, None)
         self.connectivity_epoch += 1
+        self._release_absorbed(name)
 
     def endpoint(self, name: str) -> Optional[Endpoint]:
         """Look up an endpoint by name."""
@@ -165,6 +184,7 @@ class Network:
         if endpoint is not None:
             endpoint.connected = False
             self.connectivity_epoch += 1
+            self._release_absorbed(name)
 
     def reconnect(self, name: str) -> None:
         """Restore a previously disconnected endpoint."""
@@ -182,6 +202,39 @@ class Network:
             index = 0
         self._draw_index = index + 1
         return self._draws[index]
+
+    def draw_latency(self) -> float:
+        """One message's loss draw, then its jitter draw: its latency, or -1.0 if lost.
+
+        The one draw-and-count step of every message (the caller has counted
+        it sent): a lost message is counted dropped here.
+        """
+        config = self.config
+        loss, jitter = config.loss_probability, config.jitter
+        if loss > 0 and self._draw() < loss:
+            self.messages_dropped += 1
+            return -1.0
+        if jitter == 0:
+            return config.base_latency
+        index = self._draw_index  # _draw(), inlined: every jittery message takes one
+        if index == len(self._draws):
+            self._draws = self.rng.random(self.DRAW_BLOCK).tolist()
+            index = 0
+        self._draw_index = index + 1
+        return config.base_latency + jitter * self._draws[index]
+
+    def dispatch(self, message: Message, latency: float) -> None:
+        """Put a counted, drawn message on the wire, to arrive ``latency`` from now."""
+        tracer = self._tracer
+        if tracer is not None and message.trace_ctx is None:
+            message.trace_ctx = tracer.current
+        sim = self.sim
+        message.sent_at = sim.now
+        config = self.config
+        if config.jitter == 0 and config.loss_probability == 0:
+            self._enqueue((message,))
+        else:
+            sim.post(latency, self._deliver, message, Simulator.PRIORITY_HIGH)
 
     def send(
         self,
@@ -209,36 +262,20 @@ class Network:
             message.trace_ctx = tracer.current
         if sender is None:
             sender = self._endpoints.get(message.sender)
-        if sender is not None:
-            sender.sent_count += 1
-            if not sender.connected:
-                self.messages_dropped += 1
-                return False
-        config = self.config
-        loss, jitter = config.loss_probability, config.jitter
-        if loss > 0 and self._draw() < loss:
+        if sender is not None and not sender.connected:
             self.messages_dropped += 1
             return False
-        sim = self.sim
-        message.sent_at = sim.now
-        if jitter == 0 and loss == 0:
-            self._enqueue((message,))
-            return True
-        base = config.base_latency
-        latency = base + jitter * self._draw() if jitter > 0 else base
-        sim.post(latency, self._deliver, message, Simulator.PRIORITY_HIGH)
+        latency = self.draw_latency()
+        if latency < 0:
+            return False
+        self.dispatch(message, latency)
         return True
 
     def send_many(self, sender: str, messages: List[Message], size_bytes: int = 512) -> int:
-        """Bulk unicast from one sender: the multicast fan-out fast path.
+        """Bulk unicast from one sender: :meth:`send` per message, sender resolved once.
 
-        Equivalent to calling :meth:`send` per message (same counters, same
-        stamps, same draws, same delivery batching and order), but the sender
-        lookup, connectivity check, tracer read and config reads are hoisted
-        out of the loop -- at fleet scale a Group Leader heartbeat fans out to
-        thousands of subscribers, and those dictionary probes dominated the
-        publish.  A deterministic network enqueues the whole fan-out as one
-        batch; otherwise each message gets its own draws and arrival time.
+        Same counters, stamps, draws, delivery batching and order as a
+        :meth:`send` per message; returns how many were not dropped at once.
         """
         n = len(messages)
         if n == 0:
@@ -252,30 +289,16 @@ class Network:
                 if message.trace_ctx is None:
                     message.trace_ctx = ctx
         endpoint = self._endpoints.get(sender)
-        if endpoint is not None:
-            endpoint.sent_count += n
-            if not endpoint.connected:
-                self.messages_dropped += n
-                return 0
-        config = self.config
-        loss, jitter, base = config.loss_probability, config.jitter, config.base_latency
-        sim = self.sim
-        now = sim.now
-        if jitter == 0 and loss == 0:
-            for message in messages:
-                message.sent_at = now
-            self._enqueue(messages)
-            return n
-        post, deliver, draw = sim.post, self._deliver, self._draw
+        if endpoint is not None and not endpoint.connected:
+            self.messages_dropped += n
+            return 0
+        draw_latency, dispatch = self.draw_latency, self.dispatch
         sent = 0
         for message in messages:
-            if loss > 0 and draw() < loss:
-                self.messages_dropped += 1
-                continue
-            message.sent_at = now
-            latency = base + jitter * draw() if jitter > 0 else base
-            post(latency, deliver, message, Simulator.PRIORITY_HIGH)
-            sent += 1
+            latency = draw_latency()
+            if latency >= 0:
+                dispatch(message, latency)
+                sent += 1
         return sent
 
     def send_frame(
@@ -286,8 +309,7 @@ class Network:
         Only on a :attr:`deterministic` network, where those messages would
         share a delivery batch anyway: ``message`` (its payload holding one
         row per sender) is enqueued once and accounted -- in the transport and
-        in every sender's and the recipient's endpoint counters -- as one
-        ``size_bytes`` message per sender; a recipient that is down at
+        as one ``size_bytes`` message per sender; a recipient that is down at
         delivery drops the frame as a block.  Senders must be connected (a
         disconnected sender's message goes through :meth:`send`, which drops
         it).
@@ -298,8 +320,6 @@ class Network:
         message.count = n
         self.messages_sent += n
         self.bytes_sent += int(size_bytes) * n
-        for endpoint in senders:
-            endpoint.sent_count += 1
         tracer = self._tracer
         if tracer is not None and message.trace_ctx is None:
             message.trace_ctx = tracer.current
@@ -354,9 +374,7 @@ class Network:
             self.messages_dropped += message.count
             return
         message.delivered_at = self.sim.now
-        count = message.count
-        self.messages_delivered += count
-        recipient.received_count += count
+        self._delivered += message.count
         tracer = self._tracer
         if tracer is None:
             recipient.handler(message)
@@ -369,6 +387,87 @@ class Network:
             recipient.handler(message)
         finally:
             tracer.restore(previous)
+
+    # -------------------------------------------------------------- absorbed
+    def absorb(
+        self, recipients: List[str], arrivals: Any, msg_type, senders: Any, payloads: Any
+    ) -> tuple:
+        """Account counted, drawn messages whose effect their publisher applied itself.
+
+        One message per entry of ``recipients``; ``arrivals``, ``senders`` and
+        ``payloads`` are lists parallel to it, or one value for all.  A
+        message counts as delivered once its arrival has passed; if its
+        recipient disconnects before then, it becomes a real delivery at that
+        arrival (dropped unless the recipient is back by then).  Returns the
+        record :meth:`redeliver` takes; the record owns ``recipients`` (and
+        the parallel lists) from here on.
+        """
+        last = max(arrivals) if arrivals.__class__ is list else arrivals
+        record = (last, recipients, arrivals, msg_type, senders, payloads)
+        absorbed = self._absorbed
+        absorbed.append(record)
+        self._delivered += len(recipients)
+        if len(absorbed) > self.SETTLE_BACKLOG:
+            self._settle()
+        return record
+
+    def redeliver(self, record: tuple, recipient: str) -> None:
+        """Deliver ``recipient``'s absorbed messages of ``record`` after all, if still in flight."""
+        if record[0] > self.sim.now:
+            self._release(record, recipient)
+
+    def _release(self, record: tuple, name: str) -> None:
+        """Turn ``name``'s messages of ``record`` still in flight into real deliveries."""
+        now = self.sim.now
+        _, recipients, arrivals, msg_type, senders, payloads = record
+        indices = [
+            index
+            for index, recipient in enumerate(recipients)
+            if recipient == name
+            and (arrivals[index] if arrivals.__class__ is list else arrivals) > now
+        ]
+        for index in indices:
+            message = Message(
+                msg_type=msg_type,
+                sender=senders[index] if senders.__class__ is list else senders,
+                recipient=name,
+                payload=payloads[index] if payloads.__class__ is list else payloads,
+            )
+            message.sent_at = now
+            arrival = arrivals[index] if arrivals.__class__ is list else arrivals
+            self.sim.schedule_at(arrival, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
+        for index in reversed(indices):
+            for column in (recipients, arrivals, senders, payloads):
+                if column.__class__ is list:
+                    del column[index]
+        self._delivered -= len(indices)
+
+    def _settle(self) -> None:
+        """Forget the absorbed records whose messages have all arrived (counted delivered)."""
+        now = self.sim.now
+        absorbed = self._absorbed
+        while absorbed and absorbed[0][0] <= now:
+            absorbed.popleft()
+
+    def _in_flight(self) -> int:
+        """Absorbed messages not yet arrived (counted delivered ahead of time)."""
+        now = self.sim.now
+        pending = 0
+        for last, recipients, arrivals, *_ in self._absorbed:
+            if last > now:
+                if arrivals.__class__ is list:
+                    pending += sum(1 for arrival in arrivals if arrival > now)
+                else:
+                    pending += len(recipients)
+        return pending
+
+    def _release_absorbed(self, name: str) -> None:
+        """``name`` went away: its absorbed messages in flight become real deliveries."""
+        self._settle()
+        now = self.sim.now
+        for record in self._absorbed:
+            if record[0] > now and name in record[1]:
+                self._release(record, name)
 
     # ---------------------------------------------------------------- metrics
     def stats(self) -> dict:

@@ -11,9 +11,10 @@ event log, same network counters, same canonical result.
 Two adaptations to what changed around them: the report is handed to the
 Group Manager in the row layout ``GroupReports`` stores (the never-read
 ``vm_usage`` / ``node_id`` / ``timestamp`` fields have no column), and the
-lease heartbeat reads its handle from the deployment's ``LeaseSet`` and
-re-arms it through ``DeadlineTable.restart_handles`` on a one-handle list
-(same deadline, same stamp).
+lease heartbeat reads its lease from the deployment's ``LeaseSet``: on a
+deterministic network it re-arms through ``DeadlineTable.restart_handles`` on
+a one-handle list (same deadline, same stamp), on any other it makes the
+message's draws and applies the lease per heartbeat, as the fleet's rows do.
 """
 
 from __future__ import annotations
@@ -113,29 +114,49 @@ class PerLcTickController(LocalController):
     def _send_heartbeat(self) -> None:
         if self.assigned_gm is None:
             return
-        handle = self.leases.get(self.assigned_gm, self.name)
-        if handle is not None:
+        gm, network = self.assigned_gm, self.network
+        lease = self.leases.get(gm, self.name)
+        if network.deterministic and lease is not None:
             # Deterministic fast path: re-arm the GM's detector for this LC
             # to delivery time + timeout -- the exact deadline its
-            # ``_on_lc_heartbeat`` would set on receipt -- and skip the
-            # message entirely.  Mirror the transport's drop rules: a
-            # disconnected sender's send, or a delivery to a disconnected
-            # GM, would never have restarted the detector.
-            if self.network.is_connected(self.name) and self.network.is_connected(self.assigned_gm):
-                handle.table.restart_handles(
-                    [handle], self.sim.now + self.network.config.base_latency
+            # ``_on_lc_heartbeat`` would set on receipt -- and account the
+            # message as absorbed.  Mirror the transport's drop rules: a
+            # disconnected end sends the message, which is dropped.
+            if network.is_connected(self.name) and network.is_connected(gm):
+                arrival = self.sim.now + network.config.base_latency
+                lease.table.restart_handles([lease.handle], arrival)
+                network.messages_sent += 1
+                network.bytes_sent += 128
+                network.absorb(
+                    [gm], arrival, MessageType.LC_HEARTBEAT, self.name, self._heartbeat_payload
                 )
-            return
-        self.network.send(
-            Message(
-                msg_type=MessageType.LC_HEARTBEAT,
-                sender=self.name,
-                recipient=self.assigned_gm,
-                payload=self._heartbeat_payload,
-            ),
-            size_bytes=128,
-            sender=self.endpoint,
+                return
+        message = Message(
+            msg_type=MessageType.LC_HEARTBEAT,
+            sender=self.name,
+            recipient=gm,
+            payload=self._heartbeat_payload,
         )
+        if lease is None or network.deterministic:
+            network.send(message, size_bytes=128, sender=self.endpoint)
+            return
+        # The lease on another network: counted and drawn like the message,
+        # then re-arming the GM's detector to the arrival instead.
+        network.messages_sent += 1
+        network.bytes_sent += 128
+        if not self.endpoint.connected:
+            network.messages_dropped += 1
+            return
+        latency = network.draw_latency()
+        if latency < 0:
+            return
+        arrival = self.sim.now + latency
+        if lease.apply(arrival):
+            network.absorb(
+                [gm], arrival, MessageType.LC_HEARTBEAT, self.name, self._heartbeat_payload
+            )
+        else:
+            network.dispatch(message, latency)
 
     # ------------------------------------------------------------- monitoring
     def _monitoring_prepare(self) -> None:

@@ -9,6 +9,11 @@ leader), and runs each under both: the event log sequence, the network
 counters and the canonical result must be identical -- on the deterministic
 network (frames, heartbeat leases) and on jittery and lossy ones (one
 send, hence one set of random draws, per report).
+
+The same fleets check the heartbeat leases against the lease-off oracle
+(``tests/lease_off.py``: every heartbeat a message) on the jittery and lossy
+networks, where every leased heartbeat still makes its draws: identical
+results, event logs and network counters, in fewer simulator events.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from repro.cluster import vm as vm_module
 from repro.scenarios import ScenarioRunner, ScenarioSpec, TimelineEvent, WorkloadPhase
 
+from tests.lease_off import leases_off
 from tests.per_lc_tick import per_lc_ticks
 
 NETWORKS = {
@@ -83,24 +89,48 @@ def observe(spec: ScenarioSpec, seed: int):
         (event.timestamp, event.category, sorted(event.details.items()))
         for event in runner.system.event_log.events()
     ]
-    return events, runner.system.network.stats(), result.canonical_json()
+    system = runner.system
+    return events, system.network.stats(), result.canonical_json(), system.sim.processed_events
+
+
+def with_recovery(generated):
+    """The generated spec with its crashed LC recovering, and the run's seed."""
+    spec, recover_after, seed = generated
+    crash = spec.timeline[0]
+    spec.timeline.append(
+        TimelineEvent(crash.at + recover_after, "recover", {"name": crash.params["name"]})
+    )
+    return spec, seed
 
 
 @pytest.mark.parametrize("network", sorted(NETWORKS))
 @settings(max_examples=12, deadline=None)
 @given(generated=fleets())
 def test_fleet_step_matches_per_lc_ticks(network, generated):
-    spec, recover_after, seed = generated
-    crash = spec.timeline[0]
-    spec.timeline.append(
-        TimelineEvent(crash.at + recover_after, "recover", {"name": crash.params["name"]})
-    )
+    spec, seed = with_recovery(generated)
     spec.config = {"network": NETWORKS[network]}
     with per_lc_ticks():
-        oracle_events, oracle_stats, oracle_json = observe(spec, seed)
-    events, stats, canonical = observe(spec, seed)
+        oracle_events, oracle_stats, oracle_json, _ = observe(spec, seed)
+    events, stats, canonical, _ = observe(spec, seed)
     assert stats == oracle_stats
     assert events == oracle_events
     assert canonical == oracle_json
+    categories = {category for _, category, _ in events}
+    assert {"lc_joined", "component_failed", "component_recovered"} <= categories
+
+
+@pytest.mark.parametrize("network", ["jittery", "lossy"])
+@settings(max_examples=8, deadline=None)
+@given(generated=fleets())
+def test_heartbeat_leases_match_every_heartbeat_as_a_message(network, generated):
+    spec, seed = with_recovery(generated)
+    spec.config = {"network": NETWORKS[network]}
+    with leases_off():
+        oracle_events, oracle_stats, oracle_json, oracle_processed = observe(spec, seed)
+    events, stats, canonical, processed = observe(spec, seed)
+    assert canonical == oracle_json
+    assert events == oracle_events
+    assert stats == oracle_stats
+    assert processed < oracle_processed
     categories = {category for _, category, _ in events}
     assert {"lc_joined", "component_failed", "component_recovered"} <= categories

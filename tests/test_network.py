@@ -130,14 +130,13 @@ class TestTransport:
     def test_frame_is_accounted_as_one_message_per_sender(self, sim, network):
         received = []
         senders = [network.register(f"lc-{index}", lambda m: None) for index in range(3)]
-        gm = network.register("gm", received.append)
+        network.register("gm", received.append)
         frame = Message(MessageType.LC_MONITORING, "fleet", "gm", payload="rows")
         network.send_frame(frame, senders, size_bytes=1024)
         assert network.messages_sent == 3 and network.bytes_sent == 3 * 1024
-        assert [endpoint.sent_count for endpoint in senders] == [1, 1, 1]
         sim.run()
         assert received == [frame]  # one handler call ...
-        assert network.messages_delivered == 3 and gm.received_count == 3  # ... three messages
+        assert network.messages_delivered == 3  # ... three messages
 
     def test_frame_to_a_down_recipient_is_dropped_as_a_block(self, sim, network):
         senders = [network.register(f"lc-{index}", lambda m: None) for index in range(4)]
