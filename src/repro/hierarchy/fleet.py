@@ -33,10 +33,9 @@ re-armed detectors) happens in row order.  The network decides only
 *delivery*: on a deterministic network a tick's reports travel as one frame
 per Group Manager (:meth:`~repro.network.transport.Network.send_frame`);
 otherwise each LC's report is its own send, followed by that LC's anomaly
-message.  Cached index
-arrays are rebuilt only when :attr:`LocalControllerFleet.epoch` (an LC
-started, stopped, joined or lost its GM), the lease set's ``epoch`` or the
-network's ``connectivity_epoch`` moved.
+message.  Cached index arrays are rebuilt only when
+:attr:`LocalControllerFleet.epoch` (an LC started, stopped, joined or lost its
+GM), the lease set's ``epoch`` or the network's ``connectivity_epoch`` moved.
 
 LCs built with different :class:`~repro.hierarchy.config.HierarchyConfig`
 objects tick in separate groups (thresholds, telemetry plane and timeouts are

@@ -82,8 +82,12 @@ class MulticastGroup:
         subscription would draw them, and counted.
         """
         endpoint = self.network.endpoint(endpoint_name)
-        if endpoint is not None and endpoint_name in self._subscriber_set:
-            self._paused.setdefault(endpoint_name, endpoint)
+        if (
+            endpoint is not None
+            and endpoint_name in self._subscriber_set
+            and endpoint_name not in self._paused
+        ):
+            self._paused[endpoint_name] = endpoint
             self._arrived.pop(endpoint_name, None)
 
     def resume(self, endpoint_name: str) -> None:

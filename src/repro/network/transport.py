@@ -73,7 +73,7 @@ class Network:
     #: Uniform samples drawn from :attr:`rng` per refill.
     DRAW_BLOCK = 1024
     #: Absorbed messages kept before the arrived ones are forgotten.
-    SETTLE_BACKLOG = 1024
+    SETTLE_BACKLOG = 256
 
     def __init__(
         self,
