@@ -50,6 +50,11 @@ class MulticastGroup:
         self._publish_metric = None
         #: Paused member -> its endpoint.
         self._paused: Dict[str, Endpoint] = {}
+        #: Moves on every (un)subscribe, pause and resume; with the sender,
+        #: the network's connectivity and the lease epoch it keys
+        #: :attr:`_fan_out`, the cached ``(recipients, latched, others)`` split.
+        self._version = 0
+        self._fan_out: Tuple[tuple, tuple] = ((), ())
         #: The latch: absorbed records of paused members' publishes with a
         #: message still in flight, in publish order, and per paused member
         #: ``(arrival, sender, payload)`` of its latest arrival among the rest.
@@ -62,6 +67,7 @@ class MulticastGroup:
         if endpoint_name not in self._subscriber_set:
             self._subscriber_set.add(endpoint_name)
             self._subscribers.append(endpoint_name)
+            self._version += 1
 
     def unsubscribe(self, endpoint_name: str) -> None:
         """Remove an endpoint from the group (idempotent); a paused one resumes first."""
@@ -69,6 +75,7 @@ class MulticastGroup:
             self.resume(endpoint_name)
             self._subscriber_set.discard(endpoint_name)
             self._subscribers.remove(endpoint_name)
+            self._version += 1
 
     # --------------------------------------------------------- paused members
     def pause(self, endpoint_name: str) -> None:
@@ -89,6 +96,7 @@ class MulticastGroup:
         ):
             self._paused[endpoint_name] = endpoint
             self._arrived.pop(endpoint_name, None)
+            self._version += 1
 
     def resume(self, endpoint_name: str) -> None:
         """Deliver to a paused member again (idempotent).
@@ -97,6 +105,7 @@ class MulticastGroup:
         times, as they would have been.
         """
         if self._paused.pop(endpoint_name, None) is not None:
+            self._version += 1
             self._arrived.pop(endpoint_name, None)
             for record in self._latched:
                 self.network.redeliver(record, endpoint_name)
@@ -147,6 +156,34 @@ class MulticastGroup:
         return len(self._subscribers)
 
     # ---------------------------------------------------------------- publish
+    def _split(self, sender: str, renewed, leases) -> tuple:
+        """``(recipients, latched, others)`` of a publish by ``sender``, cached.
+
+        ``renewed`` -- the members whose leases a deterministic network's
+        publish re-armed, or None on any other network -- is left out of
+        ``latched`` (paused, connected members) and ``others`` (the rest).
+        """
+        network = self.network
+        key = (
+            sender,
+            self._version,
+            network.connectivity_epoch,
+            renewed is None,
+            None if leases is None else leases.epoch,
+        )
+        if self._fan_out[0] != key:
+            recipients = [member for member in self._subscribers if member != sender]
+            skip = set(renewed or ())
+            paused = self._paused
+            latched, others = [], []
+            for member in recipients:
+                if member not in skip:
+                    endpoint = paused.get(member)
+                    connected = endpoint is not None and endpoint.connected
+                    (latched if connected else others).append(member)
+            self._fan_out = (key, (recipients, latched, others))
+        return self._fan_out[1]
+
     def publish(
         self,
         sender: str,
@@ -177,7 +214,13 @@ class MulticastGroup:
                 ).labels(group=self.group_name)
         if self._publish_metric is not None:
             self._publish_metric.inc()
-        recipients = [member for member in self._subscribers if member != sender]
+        fixed = network.deterministic
+        renewed = None
+        if fixed:
+            # Every message arrives one base latency from now: the leased
+            # members' detectors re-arm in one array write.
+            renewed = leases.renew(sender) if leases is not None else []
+        recipients, latched, others = self._split(sender, renewed, leases)
         n = len(recipients)
         if n == 0:
             return 0
@@ -189,27 +232,21 @@ class MulticastGroup:
             return n
         now = network.sim.now
         self._fold(now)
-        paused = self._paused
-        if network.deterministic:
-            base = network.config.base_latency
-            if leases is not None:
-                renewed = leases.renew(sender)
-                if renewed:
-                    network.absorb(list(renewed), now + base, msg_type, sender, payload)
-                    skip = set(renewed)
-                    recipients = [member for member in recipients if member not in skip]
-            latched, others = [], []
-            for member in recipients:
-                endpoint = paused.get(member)
-                (latched if endpoint is not None and endpoint.connected else others).append(member)
+        if fixed:
+            arrival = now + network.config.base_latency
+            if renewed:
+                network.absorb(list(renewed), arrival, msg_type, sender, payload)
             if latched:
-                self._latched.append(network.absorb(latched, now + base, msg_type, sender, payload))
+                self._latched.append(
+                    network.absorb(list(latched), arrival, msg_type, sender, payload)
+                )
             for member in others:
                 network.dispatch(
                     Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
-                    base,
+                    network.config.base_latency,
                 )
             return n
+        paused = self._paused
         held = leases.held_by(sender) if leases is not None else {}
         latched, latched_at, leased, leased_at = [], [], [], []
         draw_latency, dispatch = network.draw_latency, network.dispatch

@@ -377,9 +377,10 @@ class DeadlineTable:
         ``generations`` (released or recycled since the caller cached them)
         are silently skipped -- exactly as the deliveries that would have
         restarted them would have had nothing to restart.  The caller
-        guarantees no entry is due before ``base``.
+        guarantees no entry is due before ``base`` or holds a later one
+        (every re-arm of these entries shares one latency).
         """
-        valid = (self._generations[indices] == generations) & (self._bases[indices] <= base)
+        valid = self._generations[indices] == generations
         if not valid.all():
             indices = indices[valid]
         n = indices.size

@@ -208,6 +208,55 @@ class TestDeadlineTable:
         assert len(sim) == 1
 
 
+class TestFutureRearm:
+    """``rearm_at``: a restart taken now for a future base (a heartbeat's arrival)."""
+
+    def test_equals_a_restart_at_the_base(self, sim):
+        table, mirror = DeadlineTable(sim), DeadlineTable(sim)
+        fired = []
+        handle = table.arm(5.0, lambda: fired.append(("leased", sim.now)))
+        twin = mirror.arm(5.0, lambda: fired.append(("restarted", sim.now)))
+        sim.run(until=2.0)
+        assert table.rearm_at(handle.index, handle.generation, 2.75)
+        sim.schedule_at(2.75, twin.restart)
+        sim.run(until=20.0)
+        assert sorted(fired) == [("leased", 7.75), ("restarted", 7.75)]
+
+    def test_a_restart_before_the_base_cannot_undercut_it(self, sim):
+        table = DeadlineTable(sim)
+        fired = []
+        handle = table.arm(5.0, lambda: fired.append(sim.now))
+        assert table.rearm_at(handle.index, handle.generation, 3.0)
+        sim.run(until=1.0)
+        handle.restart()  # now + 5 = 6.0 < 3.0 + 5: the later arrival wins
+        sim.run(until=3.5)
+        handle.restart()  # after the base: a plain restart again
+        sim.run(until=20.0)
+        assert fired == [8.5]
+
+    def test_reordered_bases_keep_the_latest(self, sim):
+        table = DeadlineTable(sim)
+        fired = []
+        handle = table.arm(5.0, lambda: fired.append(sim.now))
+        assert table.rearm_at(handle.index, handle.generation, 4.0)
+        assert table.rearm_at(handle.index, handle.generation, 3.0)
+        sim.run(until=20.0)
+        assert fired == [9.0]
+
+    def test_refuses_when_the_delivery_must_go(self, sim):
+        table = DeadlineTable(sim)
+        due = table.arm(2.0, lambda: None)
+        assert not table.rearm_at(due.index, due.generation, 2.5)  # expires first
+        assert table.rearm_at(due.index, due.generation, 2.0)  # delivery precedes expiry
+        released = table.arm(5.0, lambda: None)
+        generation = released.generation
+        released.release()
+        assert not table.rearm_at(released.index, generation, 1.0)
+        cancelled = table.arm(5.0, lambda: None)
+        cancelled.cancel()
+        assert not table.rearm_at(cancelled.index, cancelled.generation, 1.0)
+
+
 class TestVectorizedRestarts:
     """Publish-time batch restarts: the heartbeat fan-out / lease fast paths."""
 
