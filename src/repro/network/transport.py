@@ -72,8 +72,6 @@ class Network:
     SERVICE_NAME = "network"
     #: Uniform samples drawn from :attr:`rng` per refill.
     DRAW_BLOCK = 1024
-    #: Absorbed messages kept before the arrived ones are forgotten.
-    SETTLE_BACKLOG = 256
 
     def __init__(
         self,
@@ -402,13 +400,11 @@ class Network:
         record :meth:`redeliver` takes; the record owns ``recipients`` (and
         the parallel lists) from here on.
         """
+        self._settle()
         last = max(arrivals) if arrivals.__class__ is list else arrivals
         record = (last, recipients, arrivals, msg_type, senders, payloads)
-        absorbed = self._absorbed
-        absorbed.append(record)
+        self._absorbed.append(record)
         self._delivered += len(recipients)
-        if len(absorbed) > self.SETTLE_BACKLOG:
-            self._settle()
         return record
 
     def redeliver(self, record: tuple, recipient: str) -> None:
