@@ -32,8 +32,8 @@ This module replaces both patterns without changing observable behaviour:
     per-entry ``Timeout`` would have fired, tie-broken by restart order.
     A restart may be taken ahead of time, for a future base
     (:meth:`DeadlineTable.rearm_at`: a heartbeat re-arming its detector to
-    its arrival when it is sent); a plain restart before that base cannot
-    undercut it.  Deadline *extensions* are lazy: the pending event fires,
+    its arrival when it is sent); a plain restart before that base does not
+    move the deadline earlier.  Deadline *extensions* are lazy: the pending event fires,
     finds nothing due, and re-arms at the new minimum.
 
 Both are life-cycle citizens of :class:`~repro.hierarchy.common.Component`:
@@ -260,9 +260,8 @@ def rearm_arrays(
 class DeadlineTable:
     """Vectorized pool of failure-detection deadlines with one pending event.
 
-    State is columnar: a float64 deadline per entry, the time of the restart
-    that set it, a liveness bitmap, and a restart stamp for deterministic
-    tie-breaking.  The table keeps at most one
+    State is columnar: a float64 deadline per entry, a liveness bitmap, and a
+    restart stamp for deterministic tie-breaking.  The table keeps at most one
     scheduled simulator event -- at the earliest armed deadline -- and re-arms
     lazily, so the steady-state cost of a fleet of constantly-refreshed
     failure detectors is an array write per heartbeat instead of a heap
@@ -283,9 +282,6 @@ class DeadlineTable:
         self.sim = sim
         self.name = name
         self._deadlines = np.full(0, math.inf, dtype=float)
-        #: Time of the restart that set each deadline; it may lie in the
-        #: future (:meth:`rearm_at`), and a restart before it cannot undercut it.
-        self._bases = np.full(0, -math.inf, dtype=float)
         self._active = np.zeros(0, dtype=bool)
         self._expired = np.zeros(0, dtype=bool)
         self._order = np.zeros(0, dtype=np.int64)
@@ -307,7 +303,6 @@ class DeadlineTable:
         new = max(_INITIAL_DEADLINES, 2 * old)
         for attr, fill, dtype in (
             ("_deadlines", math.inf, float),
-            ("_bases", -math.inf, float),
             ("_active", False, bool),
             ("_expired", False, bool),
             ("_order", 0, np.int64),
@@ -377,8 +372,8 @@ class DeadlineTable:
         ``generations`` (released or recycled since the caller cached them)
         are silently skipped -- exactly as the deliveries that would have
         restarted them would have had nothing to restart.  The caller
-        guarantees no entry is due before ``base`` or holds a later one
-        (every re-arm of these entries shares one latency).
+        guarantees no entry is due before ``base`` or was re-armed for a later
+        one (every re-arm of these entries shares one latency).
         """
         valid = self._generations[indices] == generations
         if not valid.all():
@@ -387,7 +382,6 @@ class DeadlineTable:
         if n == 0:
             return
         deadlines = float(base) + self._durations[indices]
-        self._bases[indices] = base
         self._deadlines[indices] = deadlines
         self._active[indices] = True
         self._expired[indices] = False
@@ -405,19 +399,19 @@ class DeadlineTable:
         posting the delivery.  The deadline becomes ``base + duration`` and
         the restart stamp is taken now; an entry already re-armed for a later
         ``base`` keeps that one (arrivals may reorder), and a plain restart
-        before ``base`` cannot undercut it.  Returns False -- the caller must
-        deliver the message instead -- when the entry was released, is not
-        armed, or falls due before ``base`` (its expiry would precede the
-        arrival).
+        before ``base`` does not move it earlier.  Returns False -- the
+        caller must deliver the message instead -- when the entry was
+        released, is not armed, or falls due before ``base`` (its expiry
+        would precede the arrival).
         """
         if self._generations[index] != generation:
             return False
         deadline = self._deadlines[index]  # inf when not armed
         if deadline < base or deadline == math.inf:
             return False
-        if base >= self._bases[index]:
-            self._bases[index] = base
-            self._deadlines[index] = base + self._durations[index]
+        later = base + self._durations[index]
+        if later >= deadline:
+            self._deadlines[index] = later
             self._stamp += 1
             self._order[index] = self._stamp
         return True
@@ -427,27 +421,22 @@ class DeadlineTable:
             if duration <= 0:
                 raise SimulationError("deadline duration must be positive")
             self._durations[index] = float(duration)
-        now = self.sim.now
-        base = self._bases[index]
-        if base > now:
-            # A heartbeat re-armed this entry for its future arrival; that
+        deadline = self.sim.now + float(self._durations[index])
+        if duration is None and deadline < self._deadlines[index] < math.inf:
+            # A heartbeat re-armed this entry for a later arrival; that
             # delivery would restart it after this restart does.
-            deadline = float(base + self._durations[index])
-        else:
-            deadline = now + float(self._durations[index])
-            self._bases[index] = now
-            self._stamp += 1
-            self._order[index] = self._stamp
+            return
         self._deadlines[index] = deadline
         self._active[index] = True
         self._expired[index] = False
+        self._stamp += 1
+        self._order[index] = self._stamp
         if deadline < self._pending_time:
             self._schedule(deadline)
 
     def _deactivate(self, index: int) -> None:
         self._active[index] = False
         self._deadlines[index] = math.inf
-        self._bases[index] = -math.inf
 
     def _schedule(self, time: float) -> None:
         if self._pending is not None and self._pending.pending:
