@@ -45,7 +45,7 @@ class Lease:
         self.table, self.index, self.generation = handle.table, handle.index, handle.generation
 
     def apply(self, arrival: float) -> bool:
-        """A leased heartbeat arriving at ``arrival``: re-arm the detector, or False to deliver it."""
+        """A leased heartbeat arriving at ``arrival``: re-arm, or False to deliver it instead."""
         return self.watcher.connected and self.table.rearm_at(self.index, self.generation, arrival)
 
 

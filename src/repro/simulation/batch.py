@@ -33,8 +33,8 @@ This module replaces both patterns without changing observable behaviour:
     A restart may be taken ahead of time, for a future base
     (:meth:`DeadlineTable.rearm_at`: a heartbeat re-arming its detector to
     its arrival when it is sent); a plain restart before that base does not
-    move the deadline earlier.  Deadline *extensions* are lazy: the pending event fires,
-    finds nothing due, and re-arms at the new minimum.
+    move the deadline earlier.  Deadline *extensions* are lazy: the pending
+    event fires, finds nothing due, and re-arms at the new minimum.
 
 Both are life-cycle citizens of :class:`~repro.hierarchy.common.Component`:
 tick handles expose ``stop()`` like the timers they replace, deadline handles

@@ -163,7 +163,9 @@ class TestGroupPauseResume:
             group = MulticastRegistry(network).group("chan")
             arrivals = []
             network.register("gl", lambda m: None)
-            network.register("lc", lambda m, sim=sim, log=arrivals: log.append((sim.now, m.payload)))
+            network.register(
+                "lc", lambda m, sim=sim, log=arrivals: log.append((sim.now, m.payload))
+            )
             group.subscribe("lc")
             channels.append((sim, group, arrivals))
         (sim, paused, _), (twin, subscribed, arrivals) = channels
@@ -344,6 +346,10 @@ class TestHeartbeatLeases:
         assert lc.name not in gm.local_controllers  # failure detected
 
 
+def event_log(system):
+    return [(e.timestamp, e.category, sorted(e.details.items())) for e in system.event_log.events()]
+
+
 class Harness:
     """One sender heart-beating ``watchers`` through a group, each watcher's detector leased or not.
 
@@ -477,12 +483,8 @@ class TestLeaseEdges:
                 lc._gm_lost()  # ... when the LC loses its GM
                 assert not system.multicast.group(GL_HEARTBEAT_GROUP).is_paused(lc.name)
                 system.run(120.0)
-            late = [time for name, time in heard if name == lc.name and published < time < published + 0.01]
-            runs[leased] = (
-                late,
-                [(e.timestamp, e.category, sorted(e.details.items())) for e in system.event_log.events()],
-                system.network.stats(),
-            )
+            late = [t for name, t in heard if name == lc.name and published < t < published + 0.01]
+            runs[leased] = (late, event_log(system), system.network.stats())
         assert len(runs[True][0]) == 1
         assert runs[True] == runs[False]
 
@@ -506,11 +508,7 @@ def test_a_deployment_reports_the_same_stats_with_leases_on_and_off(network):
                 next(name for name, gm in system.group_managers.items() if not gm.is_leader)
             )
             system.run(150.0)
-        runs[leased] = (
-            system.network.stats(),
-            [(e.timestamp, e.category, sorted(e.details.items())) for e in system.event_log.events()],
-            system.sim.processed_events,
-        )
+        runs[leased] = (system.network.stats(), event_log(system), system.sim.processed_events)
     assert runs[True][0] == runs[False][0]
     if network != "deterministic":
         # On a deterministic network two detector tables expiring at the
