@@ -20,7 +20,7 @@ counted like any message -- then re-arms it to the arrival time instead.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.metrics.recorder import EventLog
 from repro.network.message import Message, MessageType
@@ -28,7 +28,7 @@ from repro.network.multicast import MulticastRegistry
 from repro.network.rpc import RpcChannel
 from repro.network.transport import Network
 from repro.obs import OBSERVABILITY_SERVICE
-from repro.simulation.batch import DeadlineHandle, rearm_arrays
+from repro.simulation.batch import DeadlineHandle
 from repro.simulation.engine import Simulator
 from repro.simulation.timers import PeriodicTimer
 
@@ -80,12 +80,10 @@ class LeaseSet:
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
-        #: Moves on every grant and revoke: cached re-arm plans are rebuilt.
+        #: Moves on every grant and revoke: callers caching leases rebuild.
         self.epoch = 0
         #: ``sender -> {watcher: lease}``, in grant order.
         self._by_sender: Dict[str, Dict[str, Lease]] = {}
-        #: ``sender -> ((lease epoch, connectivity epoch), re-arm plan, watchers)``.
-        self._plans: Dict[str, tuple] = {}
 
     @classmethod
     def shared(cls, sim: Simulator, network: Network) -> "LeaseSet":
@@ -118,40 +116,6 @@ class LeaseSet:
     def held_by(self, sender: str) -> Dict[str, Lease]:
         """``watcher -> lease`` of every lease ``sender`` holds, in grant order."""
         return self._by_sender.get(sender, {})
-
-    def plan(self, leases: Iterable[Lease]) -> list:
-        """Re-arm arrays of ``leases``, in order (the restart-stamp order).
-
-        For a network whose messages all arrive one base latency after they
-        are sent, nothing lost: the callers pass leases with both ends
-        connected, whose heartbeats then all arrive together.
-        """
-        return rearm_arrays(lease.handle for lease in leases)
-
-    def rearm(self, plan: list) -> None:
-        """Re-arm a :meth:`plan` as heartbeats sent now would on arrival."""
-        base = self.sim.now + self.network.config.base_latency
-        for table, indices, generations in plan:
-            table.rearm(indices, generations, base)
-
-    def renew(self, sender: str) -> List[str]:
-        """Re-arm every lease ``sender`` holds with both ends connected, in grant order.
-
-        The heartbeat of a network whose messages all arrive one base latency
-        after they are sent, nothing lost: returns the watchers re-armed.
-        """
-        epochs = (self.epoch, self.network.connectivity_epoch)
-        cached = self._plans.get(sender)
-        if cached is None or cached[0] != epochs:
-            connected = self.network.is_connected
-            leases = {
-                watcher: lease
-                for watcher, lease in self._by_sender.get(sender, {}).items()
-                if connected(watcher) and connected(sender)
-            }
-            cached = self._plans[sender] = (epochs, self.plan(leases.values()), list(leases))
-        self.rearm(cached[1])
-        return cached[2]
 
 
 class ComponentState(enum.Enum):

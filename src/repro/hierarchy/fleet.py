@@ -13,9 +13,10 @@ Heartbeat tick (:class:`HeartbeatRows`)
     draws, in row order; one whose LC holds a lease on its GM's failure
     detector (:class:`~repro.hierarchy.common.LeaseSet`) re-arms it to the
     arrival instead of being delivered, unless the lease cannot apply.  On a
-    deterministic network every heartbeat of a tick arrives together, so the
-    leases with both ends connected re-arm with one index-array
-    :meth:`~repro.simulation.batch.DeadlineTable.rearm` per GM table.
+    deterministic network every heartbeat of a tick arrives together and
+    draws nothing, so when all the leases with both ends connected can apply
+    they re-arm with one indexed write per GM table
+    (:func:`~repro.simulation.batch.rearm_all_at`).
 
 Monitoring tick (:class:`MonitoringRows`)
     lifetime check -> bulk sample write -> estimate kernel -> per-host fold ->
@@ -53,7 +54,7 @@ from repro.monitoring.arrays import HostRows, report_columns
 from repro.monitoring.summary import ReportRoute
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import CoalescedTicker
+from repro.simulation.batch import CoalescedTicker, rearm_all_at, rearm_arrays
 from repro.simulation.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,58 +98,50 @@ class HeartbeatRows(_TickRows):
         super().__init__(fleet, interval, name)
         #: ``(lc, lease or None)`` of every assigned LC, in row order.
         self._rows: List[tuple] = []
-        #: Deterministic network: re-arm plan of the rows' leases with both
-        #: ends connected, their GMs, LCs and payloads, and every other
-        #: assigned LC (in row order).
-        self._leases: list = []
-        self._leased_gms: List[str] = []
-        self._leased_lcs: List[str] = []
-        self._leased_payloads: List[dict] = []
+        #: For a deterministic network: the re-arm plan of the leases with
+        #: both ends connected, their heartbeats' ``(gms, lcs, payloads)``,
+        #: and every other assigned LC, in row order.
+        self._plan_arrays: list = []
+        self._leased: Tuple[list, list, list] = ([], [], [])
         self._senders: List["LocalController"] = []
 
     def _plan(self) -> None:
         leases = self.fleet.leases
-        connected = self.network.is_connected
-        leased = []
-        self._rows, self._senders = [], []
-        self._leased_gms, self._leased_lcs, self._leased_payloads = [], [], []
-        for lc in self.lcs:
-            gm = lc.assigned_gm
-            if gm is None:
-                continue
-            lease = leases.get(gm, lc.name)
-            self._rows.append((lc, lease))
-            if lease is not None and connected(gm) and connected(lc.name):
-                leased.append(lease)
-                self._leased_gms.append(gm)
-                self._leased_lcs.append(lc.name)
-                self._leased_payloads.append(lc._heartbeat_payload)
-            else:
-                self._senders.append(lc)
-        self._leases = leases.plan(leased)
+        self._rows = [
+            (lc, leases.get(lc.assigned_gm, lc.name))
+            for lc in self.lcs
+            if lc.assigned_gm is not None
+        ]
+        leased = [
+            (lc, lease)
+            for lc, lease in self._rows
+            if lease is not None and lease.watcher.connected and lc.endpoint.connected
+        ]
+        self._plan_arrays = rearm_arrays(lease.handle for _, lease in leased)
+        self._leased = (
+            [lc.assigned_gm for lc, _ in leased],
+            [lc.name for lc, _ in leased],
+            [lc._heartbeat_payload for lc, _ in leased],
+        )
+        planned = {id(lc) for lc, _ in leased}
+        self._senders = [lc for lc, _ in self._rows if id(lc) not in planned]
 
     def step(self) -> None:
         if self._stale():
             self._plan()
         network = self.network
         if network.deterministic:
-            # Every heartbeat of the tick arrives one base latency from now:
-            # the leased ones re-arm their detectors in one array write.
-            self.fleet.leases.rearm(self._leases)
-            leased = len(self._leased_gms)
-            if leased:
-                network.messages_sent += leased
-                network.bytes_sent += 128 * leased
-                network.absorb(
-                    list(self._leased_gms),
-                    self.sim.now + network.config.base_latency,
-                    MessageType.LC_HEARTBEAT,
-                    list(self._leased_lcs),
-                    list(self._leased_payloads),
-                )
-            for lc in self._senders:
-                network.send(self._heartbeat(lc), size_bytes=128, sender=lc.endpoint)
-            return
+            arrival = self.sim.now + network.config.base_latency
+            if rearm_all_at(self._plan_arrays, arrival):
+                gms, lcs, payloads = self._leased
+                if gms:
+                    network.messages_sent += len(gms)
+                    network.bytes_sent += 128 * len(gms)
+                    network.absorb(list(gms), [arrival] * len(gms), MessageType.LC_HEARTBEAT,
+                                   list(lcs), list(payloads))
+                for lc in self._senders:
+                    network.send(self._heartbeat(lc), size_bytes=128, sender=lc.endpoint)
+                return
         # Row order: each heartbeat is counted and drawn like the message it
         # stands for, then re-arms its lease or goes out as that message.
         rows = self._rows

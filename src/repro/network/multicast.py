@@ -28,10 +28,12 @@ Either way the transport absorbs the message
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.network.message import Message, MessageType
-from repro.network.transport import Endpoint, Network
+from repro.network.transport import Absorbed, Endpoint, Network
+from repro.simulation.batch import rearm_all_at, rearm_arrays
 
 
 class MulticastGroup:
@@ -58,8 +60,10 @@ class MulticastGroup:
         #: The latch: absorbed records of paused members' publishes with a
         #: message still in flight, in publish order, and per paused member
         #: ``(arrival, sender, payload)`` of its latest arrival among the rest.
-        self._latched: List[tuple] = []
+        self._latched: List[Absorbed] = []
         self._arrived: Dict[str, tuple] = {}
+        #: The latest arrival folded into ``_arrived`` so far.
+        self._folded_to = -math.inf
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, endpoint_name: str) -> None:
@@ -125,24 +129,29 @@ class MulticastGroup:
         self._fold(now)
         best = self._arrived.get(endpoint_name)
         for record in self._latched:
-            for arrival in _arrivals_of(record, endpoint_name):
-                if arrival <= now and (best is None or arrival >= best[0]):
-                    best = (arrival, record[4], record[5])
+            for member, arrival, sender, payload in record.messages():
+                if member == endpoint_name and arrival <= now:
+                    if best is None or arrival >= best[0]:
+                        best = (arrival, sender, payload)
         return None if best is None else best[1:]
 
     def _fold(self, now: float) -> None:
         """Move latched records whose messages have all arrived into ``_arrived``."""
         latched, arrived = self._latched, self._arrived
-        while latched and latched[0][0] <= now:
-            last, recipients, arrivals, _, sender, payload = latched.pop(0)
-            if arrivals.__class__ is not list:
-                # One arrival for all, later than any folded before.
-                arrived.update(dict.fromkeys(recipients, (last, sender, payload)))
-                continue
-            for member, arrival in zip(recipients, arrivals):
-                latest = arrived.get(member)
-                if latest is None or arrival >= latest[0]:
-                    arrived[member] = (arrival, sender, payload)
+        while latched and latched[0].last <= now:
+            record = latched.pop(0)
+            if record.arrivals and min(record.arrivals) >= self._folded_to:
+                # Later than everything folded before: every arrival is its
+                # member's latest.
+                arrived.update(
+                    zip(record.recipients, zip(record.arrivals, record.senders, record.payloads))
+                )
+            else:
+                for member, arrival, sender, payload in record.messages():
+                    latest = arrived.get(member)
+                    if latest is None or arrival >= latest[0]:
+                        arrived[member] = (arrival, sender, payload)
+            self._folded_to = max(self._folded_to, record.last)
 
     @property
     def subscribers(self) -> List[str]:
@@ -156,32 +165,38 @@ class MulticastGroup:
         return len(self._subscribers)
 
     # ---------------------------------------------------------------- publish
-    def _split(self, sender: str, renewed, leases) -> tuple:
-        """``(recipients, latched, others)`` of a publish by ``sender``, cached.
+    def _split(self, sender: str, leases) -> tuple:
+        """``(recipients, latched, leased, others, plan)`` of a publish by ``sender``, cached.
 
-        ``renewed`` -- the members whose leases a deterministic network's
-        publish re-armed, or None on any other network -- is left out of
-        ``latched`` (paused, connected members) and ``others`` (the rest).
+        ``recipients`` is every subscriber but ``sender``, in order.  The rest
+        serve a deterministic network's publish: ``latched`` holds the paused,
+        connected members, ``leased`` the connected ones whose detector
+        ``sender`` holds a lease on, ``plan`` their
+        :func:`~repro.simulation.batch.rearm_arrays`, and ``others`` the rest.
         """
         network = self.network
         key = (
             sender,
             self._version,
             network.connectivity_epoch,
-            renewed is None,
             None if leases is None else leases.epoch,
         )
         if self._fan_out[0] != key:
             recipients = [member for member in self._subscribers if member != sender]
-            skip = set(renewed or ())
+            held = leases.held_by(sender) if leases is not None else {}
             paused = self._paused
-            latched, others = [], []
+            latched, leased, others = [], [], []
             for member in recipients:
-                if member not in skip:
-                    endpoint = paused.get(member)
-                    connected = endpoint is not None and endpoint.connected
-                    (latched if connected else others).append(member)
-            self._fan_out = (key, (recipients, latched, others))
+                endpoint = paused.get(member)
+                lease = held.get(member)
+                if endpoint is not None and endpoint.connected:
+                    latched.append(member)
+                elif lease is not None and lease.watcher.connected:
+                    leased.append(member)
+                else:
+                    others.append(member)
+            plan = rearm_arrays(held[member].handle for member in leased)
+            self._fan_out = (key, (recipients, latched, leased, others, plan))
         return self._fan_out[1]
 
     def publish(
@@ -200,8 +215,8 @@ class MulticastGroup:
         :class:`~repro.hierarchy.common.LeaseSet`) has its detector re-armed
         to the arrival, and every other member gets the message.  On a
         deterministic network every message arrives one base latency from
-        now: the leased detectors are re-armed in one array write and the
-        other messages share one delivery event.
+        now and draws nothing, so when all of the leases can apply they
+        re-arm in one array write per table (:func:`rearm_all_at`).
         """
         self.publish_count += 1
         network = self.network
@@ -214,13 +229,7 @@ class MulticastGroup:
                 ).labels(group=self.group_name)
         if self._publish_metric is not None:
             self._publish_metric.inc()
-        fixed = network.deterministic
-        renewed = None
-        if fixed:
-            # Every message arrives one base latency from now: the leased
-            # members' detectors re-arm in one array write.
-            renewed = leases.renew(sender) if leases is not None else []
-        recipients, latched, others = self._split(sender, renewed, leases)
+        recipients, latched, leased, others, plan = self._split(sender, leases)
         n = len(recipients)
         if n == 0:
             return 0
@@ -232,20 +241,19 @@ class MulticastGroup:
             return n
         now = network.sim.now
         self._fold(now)
-        if fixed:
-            arrival = now + network.config.base_latency
-            if renewed:
-                network.absorb(list(renewed), arrival, msg_type, sender, payload)
-            if latched:
-                self._latched.append(
-                    network.absorb(list(latched), arrival, msg_type, sender, payload)
-                )
-            for member in others:
-                network.dispatch(
-                    Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
-                    network.config.base_latency,
-                )
-            return n
+        if network.deterministic:
+            latency = network.config.base_latency
+            arrival = now + latency
+            if rearm_all_at(plan, arrival):
+                self._absorb(list(leased), [arrival] * len(leased), msg_type, sender, payload)
+                self._absorb(list(latched), [arrival] * len(latched), msg_type, sender, payload,
+                             latch=True)
+                for member in others:
+                    message = Message(
+                        msg_type=msg_type, sender=sender, recipient=member, payload=payload
+                    )
+                    network.dispatch(message, latency)
+                return n
         paused = self._paused
         held = leases.held_by(sender) if leases is not None else {}
         latched, latched_at, leased, leased_at = [], [], [], []
@@ -269,22 +277,24 @@ class MulticastGroup:
                 Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
                 latency,
             )
-        if latched:
-            self._latched.append(network.absorb(latched, latched_at, msg_type, sender, payload))
-        if leased:
-            network.absorb(leased, leased_at, msg_type, sender, payload)
+        self._absorb(leased, leased_at, msg_type, sender, payload)
+        self._absorb(latched, latched_at, msg_type, sender, payload, latch=True)
         return n
+
+    def _absorb(
+        self, members: List[str], arrivals: List[float], msg_type, sender, payload, latch=False
+    ) -> None:
+        """Absorb one publish's messages to ``members``, into the latch if they are paused."""
+        if members:
+            k = len(members)
+            record = self.network.absorb(
+                members, arrivals, msg_type, [sender] * k, [payload] * k
+            )
+            if latch:
+                self._latched.append(record)
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"
-
-
-def _arrivals_of(record: tuple, member: str) -> List[float]:
-    """``member``'s arrivals in an absorbed record."""
-    _, recipients, arrivals, *_ = record
-    if arrivals.__class__ is not list:
-        return [arrivals] if member in recipients else []
-    return [arrival for name, arrival in zip(recipients, arrivals) if name == member]
 
 
 class MulticastRegistry:

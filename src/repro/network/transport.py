@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class Network:
         self.messages_dropped = 0
         self.bytes_sent = 0
         #: Absorbed records (:meth:`absorb`), roughly in arrival order, kept
-        #: until all their messages have arrived:
-        #: ``(last arrival, recipients, arrivals, msg_type, senders, payloads)``.
+        #: until all their messages have arrived.
         self._absorbed: deque = deque()
         #: Same-instant deliveries of a :attr:`deterministic` network, coalesced
         #: into one simulator event.  Behaviour-neutral: batched messages
@@ -127,10 +126,10 @@ class Network:
         Delivery time is then a pure function of send time and no message
         consumes a random draw, so every message sent in one instant arrives
         together: they share one delivery event here (and a frame,
-        :meth:`send_frame`), and a heartbeat publisher re-arms all of its
-        leased detectors in one array write.  Heartbeat leases and paused
-        multicast members do not depend on it: with jitter or loss each
-        absorbed message still makes its own draws.
+        :meth:`send_frame`), and a heartbeat publisher whose leases can all
+        apply re-arms their detectors in one array write.  Heartbeat leases
+        and paused multicast members do not depend on it: with jitter or loss
+        each absorbed message still makes its own draws.
         """
         config = self.config
         return config.jitter == 0 and config.loss_probability == 0
@@ -388,82 +387,57 @@ class Network:
 
     # -------------------------------------------------------------- absorbed
     def absorb(
-        self, recipients: List[str], arrivals: Any, msg_type, senders: Any, payloads: Any
-    ) -> tuple:
+        self, recipients: List[str], arrivals: List[float], msg_type, senders: list, payloads: list
+    ) -> "Absorbed":
         """Account counted, drawn messages whose effect their publisher applied itself.
 
-        One message per entry of ``recipients``; ``arrivals``, ``senders`` and
-        ``payloads`` are lists parallel to it, or one value for all.  A
-        message counts as delivered once its arrival has passed; if its
-        recipient disconnects before then, it becomes a real delivery at that
-        arrival (dropped unless the recipient is back by then).  Returns the
-        record :meth:`redeliver` takes; the record owns ``recipients`` (and
-        the parallel lists) from here on.
+        One message per entry of the parallel lists.  A message counts as
+        delivered once its arrival has passed; if its recipient disconnects
+        before then, it becomes a real delivery at that arrival (dropped
+        unless the recipient is back by then).  Returns the record
+        :meth:`redeliver` takes, which owns the lists from here on.
         """
         self._settle()
-        last = max(arrivals) if arrivals.__class__ is list else arrivals
-        record = (last, recipients, arrivals, msg_type, senders, payloads)
+        tracer = self._tracer
+        record = Absorbed(
+            recipients,
+            arrivals,
+            msg_type,
+            senders,
+            payloads,
+            self.sim.now,
+            None if tracer is None else tracer.current,
+        )
         self._absorbed.append(record)
         self._delivered += len(recipients)
         return record
 
-    def redeliver(self, record: tuple, recipient: str) -> None:
+    def redeliver(self, record: "Absorbed", recipient: str) -> None:
         """Deliver ``recipient``'s absorbed messages of ``record`` after all, if still in flight."""
-        if record[0] > self.sim.now:
-            self._release(record, recipient)
-
-    def _release(self, record: tuple, name: str) -> None:
-        """Turn ``name``'s messages of ``record`` still in flight into real deliveries."""
         now = self.sim.now
-        _, recipients, arrivals, msg_type, senders, payloads = record
-        indices = [
-            index
-            for index, recipient in enumerate(recipients)
-            if recipient == name
-            and (arrivals[index] if arrivals.__class__ is list else arrivals) > now
-        ]
-        for index in indices:
-            message = Message(
-                msg_type=msg_type,
-                sender=senders[index] if senders.__class__ is list else senders,
-                recipient=name,
-                payload=payloads[index] if payloads.__class__ is list else payloads,
-            )
-            message.sent_at = now
-            arrival = arrivals[index] if arrivals.__class__ is list else arrivals
+        if record.last <= now:
+            return
+        for message, arrival in record.release(recipient, now):
+            self._delivered -= 1
             self.sim.schedule_at(arrival, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
-        for index in reversed(indices):
-            for column in (recipients, arrivals, senders, payloads):
-                if column.__class__ is list:
-                    del column[index]
-        self._delivered -= len(indices)
 
     def _settle(self) -> None:
         """Forget the absorbed records whose messages have all arrived (counted delivered)."""
         now = self.sim.now
         absorbed = self._absorbed
-        while absorbed and absorbed[0][0] <= now:
+        while absorbed and absorbed[0].last <= now:
             absorbed.popleft()
 
     def _in_flight(self) -> int:
         """Absorbed messages not yet arrived (counted delivered ahead of time)."""
         now = self.sim.now
-        pending = 0
-        for last, recipients, arrivals, *_ in self._absorbed:
-            if last > now:
-                if arrivals.__class__ is list:
-                    pending += sum(1 for arrival in arrivals if arrival > now)
-                else:
-                    pending += len(recipients)
-        return pending
+        return sum(record.in_flight(now) for record in self._absorbed)
 
     def _release_absorbed(self, name: str) -> None:
         """``name`` went away: its absorbed messages in flight become real deliveries."""
         self._settle()
-        now = self.sim.now
         for record in self._absorbed:
-            if record[0] > now and name in record[1]:
-                self._release(record, name)
+            self.redeliver(record, name)
 
     # ---------------------------------------------------------------- metrics
     def stats(self) -> dict:
@@ -475,3 +449,66 @@ class Network:
             "bytes_sent": self.bytes_sent,
             "endpoints": len(self._endpoints),
         }
+
+
+class Absorbed:
+    """The absorbed messages of one publish (:meth:`Network.absorb`), one per recipient.
+
+    Parallel lists -- ``recipients``, ``arrivals``, ``senders``,
+    ``payloads`` -- plus what every message of the publish shares: its type,
+    send time and causal context.  A recipient may appear more than once
+    (the LC fleet's tick absorbs many heartbeats to one Group Manager).
+    """
+
+    __slots__ = ("recipients", "arrivals", "msg_type", "senders", "payloads", "sent_at",
+                 "trace_ctx", "last")
+
+    def __init__(self, recipients, arrivals, msg_type, senders, payloads, sent_at, trace_ctx):
+        self.recipients: List[str] = recipients
+        self.arrivals: List[float] = arrivals
+        self.msg_type = msg_type
+        self.senders: list = senders
+        self.payloads: list = payloads
+        self.sent_at: float = sent_at
+        self.trace_ctx = trace_ctx
+        #: The latest arrival: every message has arrived once it has passed.
+        self.last: float = max(arrivals)
+
+    def messages(self):
+        """``(recipient, arrival, sender, payload)`` of every message, in absorb order."""
+        return zip(self.recipients, self.arrivals, self.senders, self.payloads)
+
+    def in_flight(self, now: float) -> int:
+        """How many of the messages arrive after ``now``."""
+        if self.last <= now:
+            return 0
+        return sum(1 for arrival in self.arrivals if arrival > now)
+
+    def release(self, name: str, now: float) -> List[tuple]:
+        """Take ``name``'s messages arriving after ``now`` out of the record.
+
+        Returns each as ``(message, arrival)``: the message it stands for,
+        with its send time and causal context.
+        """
+        if name not in self.recipients:
+            return []
+        indices = [
+            index
+            for index, (recipient, arrival) in enumerate(zip(self.recipients, self.arrivals))
+            if recipient == name and arrival > now
+        ]
+        released = []
+        for index in indices:
+            message = Message(
+                msg_type=self.msg_type,
+                sender=self.senders[index],
+                recipient=name,
+                payload=self.payloads[index],
+                sent_at=self.sent_at,
+                trace_ctx=self.trace_ctx,
+            )
+            released.append((message, self.arrivals[index]))
+        for index in reversed(indices):
+            for column in (self.recipients, self.arrivals, self.senders, self.payloads):
+                del column[index]
+        return released

@@ -32,9 +32,11 @@ This module replaces both patterns without changing observable behaviour:
     per-entry ``Timeout`` would have fired, tie-broken by restart order.
     A restart may be taken ahead of time, for a future base
     (:meth:`DeadlineTable.rearm_at`: a heartbeat re-arming its detector to
-    its arrival when it is sent); a plain restart before that base does not
-    move the deadline earlier.  Deadline *extensions* are lazy: the pending
-    event fires, finds nothing due, and re-arms at the new minimum.
+    its arrival when it is sent), for one entry or -- all or nothing, when
+    every entry shares the base -- for a batch (:func:`rearm_all_at`); a
+    plain restart before that base does not move the deadline earlier.
+    Deadline *extensions* are lazy: the pending event fires, finds nothing
+    due, and re-arms at the new minimum.
 
 Both are life-cycle citizens of :class:`~repro.hierarchy.common.Component`:
 tick handles expose ``stop()`` like the timers they replace, deadline handles
@@ -257,6 +259,27 @@ def rearm_arrays(
     ]
 
 
+def rearm_all_at(
+    plan: List[Tuple["DeadlineTable", np.ndarray, np.ndarray]], base: float
+) -> bool:
+    """:meth:`DeadlineTable.rearm_at` at one ``base`` for every entry of a :func:`rearm_arrays` plan.
+
+    All or nothing: when every entry would be re-armed to ``base +
+    duration``, one indexed write per table does it (same deadlines, same
+    stamp order) and True is returned; otherwise nothing changes and the
+    caller re-arms entry by entry.
+    """
+    deadlines = []
+    for table, indices, generations in plan:
+        later = table.rearm_deadlines(indices, generations, base)
+        if later is None:
+            return False
+        deadlines.append(later)
+    for (table, indices, _), later in zip(plan, deadlines):
+        table._write_rearmed(indices, later)
+    return True
+
+
 class DeadlineTable:
     """Vectorized pool of failure-detection deadlines with one pending event.
 
@@ -390,6 +413,31 @@ class DeadlineTable:
         earliest = float(deadlines.min())
         if earliest < self._pending_time:
             self._schedule(earliest)
+
+    def rearm_deadlines(
+        self, indices: np.ndarray, generations: np.ndarray, base: float
+    ) -> Optional[np.ndarray]:
+        """``base + duration`` per entry if :meth:`rearm_at` would move every entry there.
+
+        That is: each is valid, armed, not due before ``base`` and not
+        re-armed for a later one.  None otherwise.
+        """
+        deadlines = self._deadlines[indices]
+        later = base + self._durations[indices]
+        valid = self._generations[indices] == generations
+        valid &= deadlines >= base
+        valid &= deadlines <= later
+        return later if valid.all() else None
+
+    def _write_rearmed(self, indices: np.ndarray, deadlines: np.ndarray) -> None:
+        """Store :meth:`rearm_deadlines` and stamp the entries in array order.
+
+        The entries are armed and only move later, so nothing is scheduled.
+        """
+        n = indices.size
+        self._deadlines[indices] = deadlines
+        self._order[indices] = np.arange(self._stamp + 1, self._stamp + n + 1, dtype=np.int64)
+        self._stamp += n
 
     def rearm_at(self, index: int, generation: int, base: float) -> bool:
         """Re-arm one entry now as a :meth:`~DeadlineHandle.restart` at ``base`` would.

@@ -11,9 +11,7 @@ event log, same network counters, same canonical result.
 Two adaptations to what changed around them: the report is handed to the
 Group Manager in the row layout ``GroupReports`` stores (the never-read
 ``vm_usage`` / ``node_id`` / ``timestamp`` fields have no column), and the
-lease heartbeat reads its lease from the deployment's ``LeaseSet``: on a
-deterministic network it re-arms through ``DeadlineTable.restart_handles`` on
-a one-handle list (same deadline, same stamp), on any other it makes the
+lease heartbeat reads its lease from the deployment's ``LeaseSet``, makes the
 message's draws and applies the lease per heartbeat, as the fleet's rows do.
 """
 
@@ -116,32 +114,17 @@ class PerLcTickController(LocalController):
             return
         gm, network = self.assigned_gm, self.network
         lease = self.leases.get(gm, self.name)
-        if network.deterministic and lease is not None:
-            # Deterministic fast path: re-arm the GM's detector for this LC
-            # to delivery time + timeout -- the exact deadline its
-            # ``_on_lc_heartbeat`` would set on receipt -- and account the
-            # message as absorbed.  Mirror the transport's drop rules: a
-            # disconnected end sends the message, which is dropped.
-            if network.is_connected(self.name) and network.is_connected(gm):
-                arrival = self.sim.now + network.config.base_latency
-                lease.table.restart_handles([lease.handle], arrival)
-                network.messages_sent += 1
-                network.bytes_sent += 128
-                network.absorb(
-                    [gm], arrival, MessageType.LC_HEARTBEAT, self.name, self._heartbeat_payload
-                )
-                return
         message = Message(
             msg_type=MessageType.LC_HEARTBEAT,
             sender=self.name,
             recipient=gm,
             payload=self._heartbeat_payload,
         )
-        if lease is None or network.deterministic:
+        if lease is None:
             network.send(message, size_bytes=128, sender=self.endpoint)
             return
-        # The lease on another network: counted and drawn like the message,
-        # then re-arming the GM's detector to the arrival instead.
+        # Leased: counted and drawn like the message, then re-arming the GM's
+        # detector to the arrival instead (the message goes out if it cannot).
         network.messages_sent += 1
         network.bytes_sent += 128
         if not self.endpoint.connected:
@@ -153,7 +136,7 @@ class PerLcTickController(LocalController):
         arrival = self.sim.now + latency
         if lease.apply(arrival):
             network.absorb(
-                [gm], arrival, MessageType.LC_HEARTBEAT, self.name, self._heartbeat_payload
+                [gm], [arrival], MessageType.LC_HEARTBEAT, [self.name], [self._heartbeat_payload]
             )
         else:
             network.dispatch(message, latency)

@@ -13,7 +13,7 @@ pin both contracts:
 * resuming restores the member's original fan-out position, so same-instant
   delivery order is indistinguishable from an uninterrupted subscription;
 * the LC rejoin path survives a leader change that happened while paused;
-* a renewed lease re-arms to delivery time + timeout in grant order, skips a
+* a leased heartbeat re-arms to arrival + timeout in fan-out order, skips a
   disconnected end, is granted only where every heartbeat arrives before the
   detector could expire, and ends with the LC;
 * every edge of the lease path matches the lease-off path (every heartbeat a
@@ -101,23 +101,34 @@ class TestGroupPauseResume:
         # "a" resumed into its original slot: it precedes "b" again.
         assert [n for n, _ in received] == ["b", "a", "b"]
 
-    def test_resume_delivers_a_latched_publish_still_in_flight(self):
+    @pytest.mark.parametrize("network", ["jittery", "deterministic"])
+    def test_resume_delivers_a_latched_publish_still_in_flight(self, network):
         received = {}
         for paused in (True, False):
             sim = Simulator()
-            network = Network(sim, NetworkConfig(), rng=np.random.default_rng(2))
-            group = MulticastRegistry(network).group("chan")
+            net = Network(sim, NETWORKS[network], rng=np.random.default_rng(2))
+            group = MulticastRegistry(net).group("chan")
             log = received[paused] = []
             for name in ("a", "b", "c"):
-                network.register(name, lambda m, n=name, log=log: log.append((n, sim.now)))
+                net.register(
+                    name,
+                    lambda m, n=name, log=log: log.append((n, m.payload, m.sent_at, sim.now)),
+                )
                 group.subscribe(name)
+            sim.run(until=0.25)
             if paused:
                 group.pause("a")
             group.publish("c", MessageType.GL_HEARTBEAT, payload=1)
+            sim.run(until=0.2502)
             group.resume("a")  # the publish is still in flight
             sim.run(1.0)
-            assert network.stats()["messages_delivered"] == 2
-        assert received[True] == received[False]
+            assert net.stats()["messages_delivered"] == 2
+        if network == "deterministic":
+            # Same arrival instant: the released message is delivered after
+            # the instant's batch, not at its subscriber position in it.
+            assert sorted(received[True]) == sorted(received[False])
+        else:
+            assert received[True] == received[False]
 
     def test_unsubscribe_clears_pause(self):
         _, group, _ = self._channel()
@@ -250,15 +261,23 @@ class TestHeartbeatLeases:
             net.register(name, lambda m: None)
         return sim, net, LeaseSet(sim, net), DeadlineTable(sim)
 
+    @staticmethod
+    def _heartbeat(network, leases, members=("lc",)):
+        """The GM's heartbeat to its group, leases applied."""
+        group = MulticastRegistry(network).group("gm-group")
+        for member in members:
+            group.subscribe(member)
+        group.publish("gm", MessageType.GM_HEARTBEAT, leases=leases)
+
     def test_renew_rearms_to_delivery_time_deadline(self):
-        sim, _, leases, table = self._leases()
+        sim, network, leases, table = self._leases()
         fired = []
         handle = table.arm(8.0, lambda: fired.append(sim.now))
         assert leases.grant("lc", "gm", handle, timeout=8.0, interval=2.0)
         sim.run(until=2.0)
-        leases.renew("gm")
+        self._heartbeat(network, leases)
         sim.run(until=9.9)
-        # Re-armed to renew (2.0) + latency (0.001) + timeout (8.0) = 10.001.
+        # Re-armed to publish (2.0) + latency (0.001) + timeout (8.0) = 10.001.
         assert fired == []
         sim.run(until=10.001)
         assert fired == [10.001]
@@ -271,20 +290,23 @@ class TestHeartbeatLeases:
             leases.grant("lc", "gm", handle, timeout=8.0, interval=2.0)
             network.disconnect(partitioned)
             sim.run(until=2.0)
-            leases.renew("gm")
+            self._heartbeat(network, leases)
             sim.run(until=20.0)
             # The original deadline (armed at 0.0) fired untouched at 8.0.
             assert fired == [8.0]
+            assert network.messages_dropped == 1
 
-    def test_renew_keeps_grant_order_as_restart_order(self):
+    def test_renew_keeps_fan_out_order_as_restart_order(self):
         sim, network, leases, table = self._leases()
         fired = []
         network.register("lc2", lambda m: None)
         first = table.arm(8.0, lambda: fired.append("lc2"))
         second = table.arm(8.0, lambda: fired.append("lc"))
-        leases.grant("lc", "gm", second, timeout=8.0, interval=2.0)
+        # Granted in the other order: the deliveries would restart in
+        # subscriber order, and so do the leases.
         leases.grant("lc2", "gm", first, timeout=8.0, interval=2.0)
-        leases.renew("gm")
+        leases.grant("lc", "gm", second, timeout=8.0, interval=2.0)
+        self._heartbeat(network, leases, members=("lc", "lc2"))
         sim.run(until=20.0)
         assert fired == ["lc", "lc2"]
 
@@ -414,8 +436,9 @@ class TestLeaseEdges:
         assert on.observed() == off.observed()
         return on, off
 
-    def test_a_detector_due_before_the_arrival_gets_the_real_message(self):
-        on, _ = self.both(NetworkConfig(), lambda h: h.publish_at(7.9995))
+    @pytest.mark.parametrize("network", ["jittery", "deterministic"])
+    def test_a_detector_due_before_the_arrival_gets_the_real_message(self, network):
+        on, _ = self.both(NETWORKS[network], lambda h: h.publish_at(7.9995))
         assert on.fired == [("lc-0", 8.0)]
         assert [name for name, _, _ in on.arrivals] == ["lc-0"]  # delivered after the expiry
         assert on.network.stats()["messages_delivered"] == 1
