@@ -3,7 +3,8 @@
 Declaring an action (:func:`add_action`), the flag groups more than one action
 takes (``parents=[JSON_FLAG, ...]``), reporting a user error
 (:class:`CliError` / :func:`user_error`), reading a JSON input
-(:func:`read_json`) and writing output files after the result has been printed
+(:func:`read_json`), resolving a spec file or catalog name (:func:`load_spec`)
+and writing output files after the result has been printed
 (:func:`write_outputs`).
 """
 
@@ -11,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.plain import Catalog
 
 
 def add_action(
@@ -73,14 +77,14 @@ class CliError(Exception):
 
 
 @contextmanager
-def user_error(*types: type) -> Iterator[None]:
+def user_error(*types: type, about: str = "") -> Iterator[None]:
     """Report the named exception types raised inside the block as user errors."""
     try:
         yield
     except types as exc:
         # str(KeyError) is the repr of its argument; the catalogs put the
         # message there.
-        raise CliError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
+        raise CliError(f"{about}{exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
 
 
 def read_json(path: str, what: str):
@@ -90,6 +94,23 @@ def read_json(path: str, what: str):
             return json.load(handle)
     except (OSError, ValueError) as exc:  # JSON and unicode errors are ValueErrors
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def load_spec(text: str, catalog: Catalog) -> Any:
+    """The spec ``text`` names: a spec file (an existing path or a ``.json`` name)
+    decoded with the catalog's spec class, otherwise a catalog entry.
+
+    A missing, malformed or invalid file and an unknown name are user errors.
+    """
+    if text.endswith(".json") or os.path.isfile(text):
+        data = read_json(text, f"{catalog.kind} spec")
+        with user_error(
+            AttributeError, KeyError, TypeError, ValueError,
+            about=f"invalid {catalog.kind} spec {text!r}: ",
+        ):
+            return catalog.spec_class.from_dict(data)
+    with user_error(KeyError):
+        return catalog.get(text)
 
 
 def write_outputs(

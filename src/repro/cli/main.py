@@ -1,9 +1,11 @@
 """``repro-sim``: the command-line entry point.
 
 One module per command, each exposing ``register(subparsers)``:
-:mod:`~repro.cli.deployment` (``consolidate`` / ``simulate`` / ``hierarchy``),
 :mod:`~repro.cli.scenario`, :mod:`~repro.cli.policy`, :mod:`~repro.cli.obs`,
-:mod:`~repro.cli.sweep` and :mod:`~repro.cli.megafleet`.  A multi-action
+:mod:`~repro.cli.sweep` and :mod:`~repro.cli.megafleet`.  Every run takes a
+spec: a catalog name or a spec file (``scenario describe --json`` and
+``sweep describe --json`` write one), resolved in one place
+(:func:`~repro.cli.common.load_spec`).  A multi-action
 command is one nested sub-parser per action, so a flag or positional exists
 only on the actions that take it -- argparse rejects it everywhere else, and
 ``repro-sim <command> <action> --help`` lists exactly what applies.  What the
@@ -16,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.cli import deployment, megafleet, obs, policy, scenario, sweep
+from repro.cli import megafleet, obs, policy, scenario, sweep
 from repro.cli.common import CliError
 
 
@@ -26,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Snooze reproduction: energy-aware cloud management simulator",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for module in (deployment, scenario, policy, obs, sweep, megafleet):
+    for module in (scenario, policy, obs, sweep, megafleet):
         module.register(subparsers)
     return parser
 

@@ -1,7 +1,8 @@
 """``repro-sim megafleet``: the warehouse-scale fleet catalog (:mod:`repro.megafleet`).
 
-``megafleet run`` uses the sharded lockstep engine: results are byte-identical
-for any ``--shards`` / ``--jobs`` count.
+``megafleet run`` takes a catalog name or a spec file (one entry of
+``megafleet list --json``) and uses the sharded lockstep engine: results are
+byte-identical for any ``--shards`` / ``--jobs`` count.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli.common import JSON_FLAG, add_action, user_error
-from repro.megafleet import get_megafleet, megafleet_names, run_megafleet
+from repro.cli.common import JSON_FLAG, add_action, load_spec, user_error
+from repro.megafleet import MEGAFLEETS, run_megafleet
 from repro.metrics.report import ComparisonTable
 
 
@@ -22,7 +23,7 @@ def register(subparsers) -> None:
 
     add_action(actions, "list", run_list, "print the catalog", [JSON_FLAG])
     run = add_action(actions, "run", run_run, "run one fleet", [JSON_FLAG])
-    run.add_argument("name", help="fleet name")
+    run.add_argument("name", help="fleet name or spec file")
     run.add_argument("--seed", type=int, default=0, help="random seed")
     run.add_argument(
         "--shards",
@@ -42,7 +43,7 @@ def register(subparsers) -> None:
 
 
 def run_list(args: argparse.Namespace) -> int:
-    specs = [get_megafleet(name) for name in megafleet_names()]
+    specs = list(MEGAFLEETS)
     if args.json:
         print(json.dumps([spec.to_dict() for spec in specs], indent=2))
         return 0
@@ -61,9 +62,10 @@ def run_list(args: argparse.Namespace) -> int:
 
 
 def run_run(args: argparse.Namespace) -> int:
-    with user_error(KeyError, ValueError):
+    spec = load_spec(args.name, MEGAFLEETS)
+    with user_error(ValueError):
         result = run_megafleet(
-            args.name,
+            spec,
             seed=args.seed,
             shards=args.shards,
             jobs=args.jobs,
@@ -72,7 +74,7 @@ def run_run(args: argparse.Namespace) -> int:
     if args.json:
         print(result.canonical_json(), end="")
         return 0
-    table = ComparisonTable(f"Megafleet {args.name} (seed {args.seed})")
+    table = ComparisonTable(f"Megafleet {spec.name} (seed {args.seed})")
     for key, value in result.totals.items():
         table.add_row(metric=key, value=value)
     table.add_row(metric="wall_seconds", value=round(result.wall_seconds, 3))

@@ -1,7 +1,9 @@
 """``repro-sim scenario``: the declarative scenario catalog (:mod:`repro.scenarios`).
 
-``scenario describe`` previews a spec with the ``--policy`` overrides applied;
-``scenario run`` can also export the run's causal trace and metric dump.
+``scenario describe`` previews a spec with the ``--policy`` overrides applied
+(its ``--json`` output is a spec file ``describe`` and ``run`` accept in place
+of a name); ``scenario run`` prints the results and the hierarchy organization
+the run ended in, and can also export the run's causal trace and metric dump.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from repro.cli.common import (
     JSON_FLAG,
     POLICY_FLAG,
     add_action,
+    load_spec,
     parse_policy_overrides,
     user_error,
     write_outputs,
 )
 from repro.metrics.report import ComparisonTable
 from repro.policies.registry import merge_policy_selections
-from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, iter_scenarios
+from repro.scenarios import SCENARIOS, ScenarioRunner, ScenarioSpec, iter_scenarios
 
 
 def register(subparsers) -> None:
@@ -29,7 +32,7 @@ def register(subparsers) -> None:
     )
     actions = scenario.add_subparsers(dest="action", metavar="ACTION", required=True)
     named = argparse.ArgumentParser(add_help=False, parents=[JSON_FLAG, POLICY_FLAG])
-    named.add_argument("name", help="scenario name")
+    named.add_argument("name", help="scenario name or spec file")
 
     add_action(actions, "list", run_list, "print the catalog", [JSON_FLAG])
     add_action(
@@ -99,11 +102,10 @@ def _apply_policy_overrides(spec: ScenarioSpec, overrides: dict) -> ScenarioSpec
 
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """The named catalog scenario with the ``--policy`` overrides applied."""
-    with user_error(KeyError, ValueError):
-        return _apply_policy_overrides(
-            get_scenario(args.name), parse_policy_overrides(args.policy)
-        )
+    """The named scenario or spec file with the ``--policy`` overrides applied."""
+    spec = load_spec(args.name, SCENARIOS)
+    with user_error(ValueError):
+        return _apply_policy_overrides(spec, parse_policy_overrides(args.policy))
 
 
 def run_describe(args: argparse.Namespace) -> int:
@@ -139,6 +141,7 @@ def run_run(args: argparse.Namespace) -> int:
         print(result.to_json())
     else:
         _print_result(spec, args.seed, result)
+        _hierarchy_table(runner.system).print()
     obs = runner.system.obs
 
     def metrics() -> str:
@@ -176,3 +179,18 @@ def _print_result(spec: ScenarioSpec, seed: int, result) -> None:
             for key, value in service.items():
                 table.add_row(metric=key, value="-" if value is None else value)
             table.print()
+
+
+def _hierarchy_table(system) -> ComparisonTable:
+    """One row per GM of the organization the run ended in (who leads, what each holds)."""
+    table = ComparisonTable("hierarchy")
+    for name, info in sorted(system.hierarchy_snapshot()["group_managers"].items()):
+        lcs = info.get("local_controllers", [])
+        table.add_row(
+            gm=name,
+            leader="*" if info.get("is_leader") else "",
+            state=info["state"],
+            lcs=len(lcs),
+            vms=sum(system.local_controllers[lc].node.vm_count for lc in lcs),
+        )
+    return table

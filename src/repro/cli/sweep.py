@@ -1,6 +1,7 @@
 """``repro-sim sweep``: declarative experiment grids (:mod:`repro.sweeps`).
 
-``sweep run`` executes a grid locally (``--jobs``) or on loopback runners
+Every grid is a catalog name or a spec file (``sweep describe --json`` writes
+one).  ``sweep run`` executes a grid locally (``--jobs``) or on loopback runners
 forked from this process (``--runners``); ``sweep serve`` hands it to
 work-pulling runners started elsewhere with ``sweep work``; ``sweep analyze``
 computes the Pareto fronts of a saved report.  The report bytes are the same on every backend.
@@ -19,6 +20,7 @@ from repro.cli.common import (
     POLICY_FLAG,
     CliError,
     add_action,
+    load_spec,
     parse_policy_overrides,
     positive_int,
     read_json,
@@ -29,6 +31,7 @@ from repro.metrics.report import ComparisonTable
 from repro.policies.registry import merge_policy_selections
 from repro.sweeps import (
     PARETO_OBJECTIVES,
+    SWEEPS,
     DistributedExecutor,
     SweepAborted,
     SweepCoordinator,
@@ -36,7 +39,6 @@ from repro.sweeps import (
     SweepSpec,
     analyze_report,
     collect_outcomes,
-    get_sweep,
     iter_sweeps,
     pareto_csv,
     pareto_json,
@@ -52,7 +54,7 @@ def register(subparsers) -> None:
     actions = sweep.add_subparsers(dest="action", metavar="ACTION", required=True)
 
     grid = argparse.ArgumentParser(add_help=False, parents=[JSON_FLAG, POLICY_FLAG])
-    grid.add_argument("name", help="sweep name")
+    grid.add_argument("name", help="sweep name or spec file")
     grid.add_argument(
         "--duration", type=float, help="override the simulated duration of every run (seconds)"
     )
@@ -190,16 +192,14 @@ def _sweep_with_overrides(spec: SweepSpec, overrides: dict, duration) -> SweepSp
 
 
 def _load_grid(args: argparse.Namespace) -> SweepSpec:
-    """The named catalog sweep with the ``--policy``/``--duration`` overrides applied."""
+    """The named sweep or spec file with the ``--policy``/``--duration`` overrides applied."""
+    spec = load_spec(args.name, SWEEPS)
     with user_error(KeyError, ValueError):
-        return _sweep_with_overrides(
-            get_sweep(args.name), parse_policy_overrides(args.policy), args.duration
-        )
+        return _sweep_with_overrides(spec, parse_policy_overrides(args.policy), args.duration)
 
 
 def run_describe(args: argparse.Namespace) -> int:
-    spec = _load_grid(args)
-    print(json.dumps({**spec.to_dict(), "runs": spec.total_runs()}, indent=2, sort_keys=True))
+    print(json.dumps(_load_grid(args).to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -249,7 +249,8 @@ def run_run(args: argparse.Namespace) -> int:
     if args.runners is None:
         report = run_sweep(spec, jobs=args.jobs)
         return _emit_report(report, args, f"jobs={report.timing.get('jobs', args.jobs)}")
-    executor = DistributedExecutor(runners=args.runners, lease_seconds=args.lease_seconds)
+    with user_error(ValueError):
+        executor = DistributedExecutor(runners=args.runners, lease_seconds=args.lease_seconds)
     with user_error(SweepAborted):
         report = run_sweep(spec, executor=executor)
     return _emit_report(report, args, f"runners={args.runners}")
@@ -259,9 +260,10 @@ def run_serve(args: argparse.Namespace) -> int:
     """Serve the grid to work-pulling runners, then report like ``sweep run``."""
     spec = _load_grid(args)
     payloads = [run.to_dict() for run in spec.expand()]
-    coordinator = SweepCoordinator(
-        payloads, host=args.host, port=args.port, lease_seconds=args.lease_seconds
-    )
+    with user_error(ValueError):
+        coordinator = SweepCoordinator(
+            payloads, host=args.host, port=args.port, lease_seconds=args.lease_seconds
+        )
 
     def on_bound(address) -> None:
         host, port = address

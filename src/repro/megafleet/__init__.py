@@ -13,6 +13,7 @@ from repro.megafleet.engine import (
     run_megafleet,
 )
 from repro.megafleet.spec import (
+    MEGAFLEETS,
     MegafleetSpec,
     get_megafleet,
     megafleet_names,
@@ -20,6 +21,7 @@ from repro.megafleet.spec import (
 )
 
 __all__ = [
+    "MEGAFLEETS",
     "MegafleetSpec",
     "MegafleetResult",
     "ShardedFleetSimulator",

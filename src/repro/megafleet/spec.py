@@ -10,7 +10,8 @@ resident arrays, advanced epoch by epoch with deterministic message exchange
 at epoch boundaries.
 
 Specs are plain frozen dataclasses (JSON-round-trippable via ``to_dict``), and
-the catalog registers the named fleets the CLI and benchmarks run:
+the catalog (a :class:`~repro.plain.Catalog`) registers the named fleets the
+CLI and benchmarks run:
 
 * ``megafleet-1k`` -- smoke-test size, used by the unit tests.
 * ``megafleet-10k`` -- the CI-sized cell of the scale gate.
@@ -20,9 +21,9 @@ the catalog registers the named fleets the CLI and benchmarks run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.plain import PlainData
+from repro.plain import Catalog, PlainData
 
 
 @dataclass(frozen=True)
@@ -73,34 +74,15 @@ class MegafleetSpec(PlainData):
         return [base + (1 if gid < extra else 0) for gid in range(self.group_managers)]
 
 
-#: The named megafleet registry, insertion-ordered.
-_CATALOG: Dict[str, MegafleetSpec] = {}
+MEGAFLEETS = Catalog("megafleet", MegafleetSpec)
+register_megafleet = MEGAFLEETS.register
+megafleet_names = MEGAFLEETS.names
+get_megafleet = MEGAFLEETS.get
 
 
-def register_megafleet(spec: MegafleetSpec) -> MegafleetSpec:
-    """Add a spec to the catalog (name must be unique)."""
-    if spec.name in _CATALOG:
-        raise ValueError(f"megafleet {spec.name!r} already registered")
-    _CATALOG[spec.name] = spec
-    return spec
-
-
-def megafleet_names() -> List[str]:
-    """Registered fleet names, in registration order."""
-    return list(_CATALOG)
-
-
-def get_megafleet(name: str) -> MegafleetSpec:
-    """Look up a registered fleet by name."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        known = ", ".join(megafleet_names())
-        raise KeyError(f"unknown megafleet {name!r} (known: {known})") from None
-
-
-register_megafleet(
-    MegafleetSpec(
+@register_megafleet
+def _megafleet_1k() -> MegafleetSpec:
+    return MegafleetSpec(
         name="megafleet-1k",
         description="Smoke-test fleet: 1k LCs over 16 groups, short horizon.",
         local_controllers=1_000,
@@ -110,10 +92,11 @@ register_megafleet(
         arrivals_per_epoch=40.0,
         vm_lifetime_mean=120.0,
     )
-)
 
-register_megafleet(
-    MegafleetSpec(
+
+@register_megafleet
+def _megafleet_10k() -> MegafleetSpec:
+    return MegafleetSpec(
         name="megafleet-10k",
         description="CI-sized cell of the scale gate: 10k LCs over 32 groups.",
         local_controllers=10_000,
@@ -123,10 +106,11 @@ register_megafleet(
         arrivals_per_epoch=400.0,
         vm_lifetime_mean=240.0,
     )
-)
 
-register_megafleet(
-    MegafleetSpec(
+
+@register_megafleet
+def _megafleet_100k() -> MegafleetSpec:
+    return MegafleetSpec(
         name="megafleet-100k",
         description="The ROADMAP item-2 target: 100k LCs over 256 groups.",
         local_controllers=100_000,
@@ -136,4 +120,3 @@ register_megafleet(
         arrivals_per_epoch=2_000.0,
         vm_lifetime_mean=300.0,
     )
-)

@@ -12,6 +12,9 @@ fields, so a field is declared once:
   take the dataclass default; unknown keys raise :class:`ValueError` naming
   them, so a mistyped key cannot silently run the default.
 
+:class:`Catalog` is the named registry every spec kind keeps its ready-made
+entries in (scenarios, sweeps, megafleets).
+
 Stdlib imports only: like :mod:`repro.workers`, this module sits below every
 ``repro`` package.
 """
@@ -22,7 +25,7 @@ import collections.abc
 import dataclasses
 import functools
 import typing
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Iterator, List, Mapping
 
 
 def _encode(value: Any) -> Any:
@@ -86,3 +89,46 @@ class PlainData:
     def from_dict(cls, data: Mapping[str, Any]) -> Any:
         """Inverse of :meth:`to_dict` (accepts JSON-decoded dictionaries)."""
         return _decode(cls, data)
+
+
+class Catalog:
+    """Named spec factories of one kind; each lookup returns a fresh spec.
+
+    ``spec_class`` is the :class:`PlainData` dataclass the entries produce, so
+    a spec file of this kind decodes with ``catalog.spec_class.from_dict``.
+    """
+
+    def __init__(self, kind: str, spec_class: type) -> None:
+        self.kind = kind
+        self.spec_class = spec_class
+        self._factories: Dict[str, Callable[[], Any]] = {}
+
+    def register(self, factory: Callable[[], Any]) -> Callable[[], Any]:
+        """Register a zero-argument factory under the name of the spec it returns.
+
+        Usable as a decorator.  The factory runs once here to validate its spec
+        and learn its name; duplicate names are rejected.
+        """
+        name = factory().name
+        if name in self._factories:
+            raise ValueError(f"{self.kind} {name!r} already registered")
+        self._factories[name] = factory
+        return factory
+
+    def names(self) -> List[str]:
+        """Sorted names of every registered entry."""
+        return sorted(self._factories)
+
+    def get(self, name: str) -> Any:
+        """A fresh spec for ``name``; raises ``KeyError`` listing the names if unknown."""
+        try:
+            factory = self._factories[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown {self.kind} {name!r}; available: {', '.join(self.names())}"
+            ) from None
+        return factory()
+
+    def __iter__(self) -> Iterator[Any]:
+        """Fresh specs for every entry, in name order."""
+        return (self.get(name) for name in self.names())

@@ -59,6 +59,7 @@ from repro.scenarios.spec import (
 )
 from repro.scenarios.runner import ScenarioResult, ScenarioRunner, run_scenario
 from repro.scenarios.catalog import (
+    SCENARIOS,
     get_scenario,
     iter_scenarios,
     register_scenario,
@@ -73,6 +74,7 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",
+    "SCENARIOS",
     "register_scenario",
     "scenario_names",
     "get_scenario",

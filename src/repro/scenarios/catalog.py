@@ -13,47 +13,15 @@ caller can dial any of them up via ``ScenarioSpec.from_dict`` overrides.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
-
 from repro.cluster.topology import NodeClass
+from repro.plain import Catalog
 from repro.scenarios.spec import ScenarioSpec, TimelineEvent, WorkloadPhase
 
-_REGISTRY: Dict[str, Callable[[], ScenarioSpec]] = {}
-
-
-def register_scenario(factory: Callable[[], ScenarioSpec]) -> Callable[[], ScenarioSpec]:
-    """Register a scenario factory under the name of the spec it produces.
-
-    Usable as a decorator.  The factory is invoked once at registration to
-    validate the spec and learn its name; duplicate names are rejected.
-    """
-    spec = factory()
-    if spec.name in _REGISTRY:
-        raise ValueError(f"scenario {spec.name!r} already registered")
-    _REGISTRY[spec.name] = factory
-    return factory
-
-
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    return sorted(_REGISTRY)
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """A fresh spec for ``name``; raises ``KeyError`` with suggestions if unknown."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
-        ) from None
-    return factory()
-
-
-def iter_scenarios() -> Iterator[ScenarioSpec]:
-    """Fresh specs for every catalog entry, in name order."""
-    for name in scenario_names():
-        yield get_scenario(name)
+SCENARIOS = Catalog("scenario", ScenarioSpec)
+register_scenario = SCENARIOS.register
+scenario_names = SCENARIOS.names
+get_scenario = SCENARIOS.get
+iter_scenarios = SCENARIOS.__iter__
 
 
 # --------------------------------------------------------------------- catalog

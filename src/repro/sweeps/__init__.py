@@ -52,7 +52,7 @@ from repro.sweeps.distributed import (
     spawn_loopback_runner,
 )
 from repro.sweeps.runner import SweepRunner
-from repro.sweeps.catalog import get_sweep, iter_sweeps, register_sweep, sweep_names
+from repro.sweeps.catalog import SWEEPS, get_sweep, iter_sweeps, register_sweep, sweep_names
 
 __all__ = [
     "SweepSpec",
@@ -74,6 +74,7 @@ __all__ = [
     "SweepRunner",
     "collect_outcomes",
     "spawn_loopback_runner",
+    "SWEEPS",
     "register_sweep",
     "sweep_names",
     "get_sweep",

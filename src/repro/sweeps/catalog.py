@@ -12,47 +12,17 @@ of them up through ``SweepSpec.from_dict`` overrides.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
+from typing import Dict
 
+from repro.plain import Catalog
 from repro.policies.registry import policy_names
 from repro.sweeps.spec import SweepSpec
 
-_REGISTRY: Dict[str, Callable[[], SweepSpec]] = {}
-
-
-def register_sweep(factory: Callable[[], SweepSpec]) -> Callable[[], SweepSpec]:
-    """Register a sweep factory under the name of the spec it produces.
-
-    Usable as a decorator.  The factory is invoked once at registration to
-    validate the spec and learn its name; duplicate names are rejected.
-    """
-    spec = factory()
-    if spec.name in _REGISTRY:
-        raise ValueError(f"sweep {spec.name!r} already registered")
-    _REGISTRY[spec.name] = factory
-    return factory
-
-
-def sweep_names() -> List[str]:
-    """Sorted names of every registered sweep."""
-    return sorted(_REGISTRY)
-
-
-def get_sweep(name: str) -> SweepSpec:
-    """A fresh spec for ``name``; raises ``KeyError`` with suggestions if unknown."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sweep {name!r}; available: {', '.join(sweep_names())}"
-        ) from None
-    return factory()
-
-
-def iter_sweeps() -> Iterator[SweepSpec]:
-    """Fresh specs for every catalog entry, in name order."""
-    for name in sweep_names():
-        yield get_sweep(name)
+SWEEPS = Catalog("sweep", SweepSpec)
+register_sweep = SWEEPS.register
+sweep_names = SWEEPS.names
+get_sweep = SWEEPS.get
+iter_sweeps = SWEEPS.__iter__
 
 
 # --------------------------------------------------------------------- catalog

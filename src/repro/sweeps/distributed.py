@@ -593,6 +593,8 @@ class DistributedExecutor:
     ) -> None:
         if runners < 1:
             raise ValueError("DistributedExecutor needs runners >= 1")
+        if lease_seconds <= 0:
+            raise ValueError("lease_seconds must be positive")
         if runner_env is not None and len(runner_env) != runners:
             raise ValueError("runner_env must carry one entry per runner")
         self.runners = int(runners)

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli.main import main
+from repro.scenarios import scenario_names
 from repro.scenarios.runner import NONDETERMINISTIC_SECTIONS
+from repro.sweeps import SweepSpec, get_sweep
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestScenarioRunPerfFields:
@@ -39,70 +47,119 @@ class TestScenarioRunPerfFields:
         assert first == second
 
 
-class TestConsolidateCommand:
-    def test_basic_run_prints_table(self, capsys):
-        assert main(["consolidate", "--vms", "15", "--seed", "1"]) == 0
-        output = capsys.readouterr().out
-        assert "ffd" in output
-        assert "aco" in output
-        assert "hosts_used" in output
-
-    def test_with_optimal_solver(self, capsys):
-        assert main(["consolidate", "--vms", "8", "--seed", "1", "--optimal"]) == 0
-        assert "optimal" in capsys.readouterr().out
-
-    def test_distribution_choice(self, capsys):
-        assert main(["consolidate", "--vms", "10", "--distribution", "correlated"]) == 0
-
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["consolidate", "--distribution", "bogus"])
-
-
-class TestSimulateCommand:
-    def test_basic_simulation(self, capsys):
-        assert main(["simulate", "--lcs", "4", "--gms", "1", "--vms", "6", "--duration", "120"]) == 0
-        output = capsys.readouterr().out
-        assert "Deployment statistics" in output
-        assert "Energy" in output
-
-    def test_with_leader_kill(self, capsys):
-        assert (
-            main(
-                [
-                    "simulate",
-                    "--lcs",
-                    "4",
-                    "--gms",
-                    "2",
-                    "--vms",
-                    "4",
-                    "--duration",
-                    "200",
-                    "--kill-leader",
-                ]
-            )
-            == 0
-        )
-        assert "injected Group Leader failure" in capsys.readouterr().out
-
-    def test_with_energy_management(self, capsys):
-        assert (
-            main(["simulate", "--lcs", "4", "--gms", "1", "--vms", "2", "--duration", "300", "--energy"])
-            == 0
-        )
-
-
-class TestHierarchyCommand:
-    def test_prints_hierarchy(self, capsys):
-        assert main(["hierarchy", "--lcs", "4", "--gms", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "Group Leader" in output
-        assert "LC lc-000" in output
-
+class TestEntryPoint:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["consolidate", "simulate", "hierarchy"])
+    def test_hand_built_deployment_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "usage: repro-sim" in proc.stdout
+        assert "Warning" not in proc.stderr, proc.stderr
+
+
+class TestScenarioRunHierarchy:
+    def test_text_output_ends_with_the_hierarchy_table(self, capsys):
+        assert main(["scenario", "run", "leader-crash-under-load"]) == 0
+        output = capsys.readouterr().out
+        table = output[output.rindex("hierarchy\n=========") :].splitlines()
+        assert table[2].split() == ["gm", "|", "leader", "|", "state", "|", "lcs", "|", "vms"]
+        rows = [[cell.strip() for cell in line.split("|")] for line in table[4:] if line.strip()]
+        assert [row[0] for row in rows] == ["gm-00", "gm-01", "gm-02"]
+        # The scripted leader crash leaves one failed GM and exactly one new leader.
+        assert [row[1] for row in rows].count("*") == 1
+        assert "failed" in [row[2] for row in rows]
+        assert sum(int(row[3]) for row in rows) == 12
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestSpecFiles:
+    """A spec file runs exactly like the catalog entry it was written from."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_file_runs_like_its_name(self, name, tmp_path, capsys):
+        assert main(["scenario", "describe", name, "--json"]) == 0
+        spec_file = _write(tmp_path, "spec.json", capsys.readouterr().out)
+        results = []
+        for target in (spec_file, name):
+            assert main(["scenario", "run", target, "--seed", "3", "--json"]) == 0
+            result = json.loads(capsys.readouterr().out)
+            for section in NONDETERMINISTIC_SECTIONS:
+                result.pop(section)
+            results.append(result)
+        assert results[0] == results[1]
+
+    def test_sweep_file_runs_like_its_name(self, tmp_path, capsys):
+        assert main(["sweep", "describe", "smoke-2x2", "--json"]) == 0
+        spec_file = _write(tmp_path, "smoke.json", capsys.readouterr().out)
+        reports = []
+        for target in (spec_file, "smoke-2x2"):
+            out = tmp_path / f"report-{len(reports)}.json"
+            assert main(["sweep", "run", target, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_overrides_apply_to_a_file_as_to_a_name(self, tmp_path, capsys):
+        assert main(["sweep", "describe", "smoke-2x2", "--json"]) == 0
+        spec_file = _write(tmp_path, "smoke.json", capsys.readouterr().out)
+        overrides = ["--policy", "placement=worst-fit", "--duration", "300", "--json"]
+        described = []
+        for target in (spec_file, "smoke-2x2"):
+            assert main(["sweep", "describe", target, *overrides]) == 0
+            described.append(capsys.readouterr().out)
+        assert described[0] == described[1]
+        assert json.loads(described[0])["duration"] == 300.0
+
+    def test_megafleet_file_runs_like_its_name(self, tmp_path, capsys):
+        assert main(["megafleet", "list", "--json"]) == 0
+        (entry,) = [e for e in json.loads(capsys.readouterr().out) if e["name"] == "megafleet-1k"]
+        spec_file = _write(tmp_path, "fleet.json", json.dumps(entry))
+        outputs = []
+        for target in (spec_file, "megafleet-1k"):
+            assert main(["megafleet", "run", target, "--seed", "4", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_megafleet_list_is_in_name_order(self, capsys):
+        assert main(["megafleet", "list", "--json"]) == 0
+        names = [entry["name"] for entry in json.loads(capsys.readouterr().out)]
+        assert names == sorted(names)
+
+    @pytest.mark.parametrize("command", ["scenario", "sweep", "megafleet"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read"), ("{not json", "cannot read"), ('{"bogus": 1}', "key(s) ['bogus']")],
+        ids=["missing", "not-json", "unknown-key"],
+    )
+    def test_malformed_file_is_a_user_error(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -123,12 +180,14 @@ class TestSweepCommand:
         assert "smoke-2x2" in names
         assert all(entry["runs"] > 0 for entry in entries)
 
-    def test_describe_emits_spec_and_run_count(self, capsys):
+    def test_describe_emits_the_spec_alone(self, capsys):
         assert main(["sweep", "describe", "smoke-2x2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["name"] == "smoke-2x2"
-        assert data["runs"] == 4
         assert data["scenarios"] == ["flash-crowd", "steady-churn"]
+        # A valid spec (``sweep list`` reports the run count).
+        assert "runs" not in data
+        assert SweepSpec.from_dict(data) == get_sweep("smoke-2x2")
 
     def test_describe_requires_a_name(self):
         with pytest.raises(SystemExit):
@@ -193,6 +252,18 @@ class TestSweepCommand:
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             main(["sweep", "run", "smoke-2x2", "--jobs", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "smoke-2x2", "--runners", "1", "--lease-seconds", "0"],
+            ["serve", "smoke-2x2", "--host", "127.0.0.1", "--lease-seconds", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_lease_seconds_is_a_user_error(self, argv, capsys):
+        assert main(["sweep", *argv]) == 1
+        assert capsys.readouterr().err == "error: lease_seconds must be positive\n"
 
     def test_unwritable_output_path_still_prints_report(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "report.json"
