@@ -20,8 +20,6 @@ from repro.cluster.resources import (
     DEFAULT_DIMENSIONS,
     ResourceError,
     ResourceVector,
-    demand_matrix,
-    capacity_matrix,
 )
 from repro.cluster.vm import VirtualMachine, VMState
 from repro.cluster.node import NodeState, PhysicalNode
@@ -38,15 +36,12 @@ from repro.cluster.topology import (
     ClusterTopology,
     NodeClass,
     build_cluster,
-    homogeneous_nodes,
 )
 
 __all__ = [
     "DEFAULT_DIMENSIONS",
     "ResourceError",
     "ResourceVector",
-    "demand_matrix",
-    "capacity_matrix",
     "VirtualMachine",
     "VMState",
     "NodeState",
@@ -61,5 +56,4 @@ __all__ = [
     "NodeClass",
     "ClusterTopology",
     "build_cluster",
-    "homogeneous_nodes",
 ]

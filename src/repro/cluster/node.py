@@ -12,13 +12,13 @@ state, and can answer the questions the management layer asks:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.power import LinearPowerModel, PowerModel
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceError, ResourceVector
-from repro.cluster.vm import VirtualMachine, VMState
+from repro.cluster.vm import VirtualMachine
 
 
 class NodeState(enum.Enum):
@@ -260,14 +260,3 @@ class PhysicalNode:
             f"<Node {self.node_id} state={self.state.value} vms={len(self._vms)} "
             f"util={self.utilization():.2f}>"
         )
-
-
-def release_finished_vms(nodes: Iterable[PhysicalNode], now: float) -> List[VirtualMachine]:
-    """Sweep helper removing VMs whose state is FINISHED/FAILED from their hosts."""
-    released: List[VirtualMachine] = []
-    for node in nodes:
-        for vm in node.vms:
-            if vm.state in (VMState.FINISHED, VMState.FAILED):
-                node.remove_vm(vm, now)
-                released.append(vm)
-    return released

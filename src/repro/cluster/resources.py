@@ -11,7 +11,7 @@ into dense numpy matrices for the vectorized algorithm kernels
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -189,30 +189,3 @@ class ResourceVector:
     def __repr__(self) -> str:
         parts = ", ".join(f"{d}={v:.4g}" for d, v in zip(self._dimensions, self._values))
         return f"ResourceVector({parts})"
-
-
-# --------------------------------------------------------------------- helpers
-def demand_matrix(vms: Iterable, attribute: str = "requested") -> np.ndarray:
-    """Stack VM demand vectors into an ``(n_vms, d)`` float matrix.
-
-    ``attribute`` selects which vector to read from each VM: ``"requested"``
-    (static reservation) or ``"used"`` (current estimated usage).
-    """
-    rows = []
-    for vm in vms:
-        vector = getattr(vm, attribute)
-        rows.append(np.asarray(vector.values if isinstance(vector, ResourceVector) else vector))
-    if not rows:
-        return np.empty((0, len(DEFAULT_DIMENSIONS)))
-    return np.vstack(rows).astype(float)
-
-
-def capacity_matrix(nodes: Iterable) -> np.ndarray:
-    """Stack node capacity vectors into an ``(n_nodes, d)`` float matrix."""
-    rows = []
-    for node in nodes:
-        vector = getattr(node, "capacity", node)
-        rows.append(np.asarray(vector.values if isinstance(vector, ResourceVector) else vector))
-    if not rows:
-        return np.empty((0, len(DEFAULT_DIMENSIONS)))
-    return np.vstack(rows).astype(float)

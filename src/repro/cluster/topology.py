@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.power import LinearPowerModel, PowerModel
+from repro.cluster.power import LinearPowerModel
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
 from repro.cluster.node import PhysicalNode
 from repro.plain import PlainData
@@ -155,22 +155,6 @@ class ClusterTopology:
     def active_node_count(self) -> int:
         """Number of nodes hosting at least one VM."""
         return sum(1 for node in self.nodes if node.vm_count > 0)
-
-
-def homogeneous_nodes(
-    count: int,
-    capacity: Sequence[float] = (1.0, 1.0, 1.0),
-    dimensions: Sequence[str] = DEFAULT_DIMENSIONS,
-    power_model: Optional[PowerModel] = None,
-    prefix: str = "node",
-) -> List[PhysicalNode]:
-    """Build ``count`` identical nodes named ``{prefix}-000`` ... ."""
-    model = power_model or LinearPowerModel()
-    vector = ResourceVector(list(capacity), tuple(dimensions))
-    return [
-        PhysicalNode(f"{prefix}-{index:03d}", capacity=vector, power_model=model)
-        for index in range(count)
-    ]
 
 
 def build_cluster(spec: ClusterSpec, rng: Optional[np.random.Generator] = None) -> ClusterTopology:

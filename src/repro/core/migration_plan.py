@@ -11,7 +11,7 @@ estimates its cost with the :mod:`repro.migration` model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class MigrationPlan:
     def count(self) -> int:
         """Number of migrations in the plan."""
         return len(self.migrations)
-
-    def moved_vms(self) -> List[int]:
-        """Indices of VMs that will move."""
-        return [migration.vm_index for migration in self.migrations]
 
     def __iter__(self):
         return iter(self.migrations)
@@ -123,15 +119,3 @@ def plan_migrations(
 
     plan.deferred = remaining
     return plan
-
-
-def migration_churn(plan: MigrationPlan, memory_mb: Sequence[float]) -> float:
-    """Total memory (MB) that will cross the network executing the plan.
-
-    A convenient scalar for reports: live migration transfers roughly the VM's
-    memory footprint (plus dirtying overhead handled by the cost model).
-    """
-    total = 0.0
-    for migration in plan.migrations:
-        total += float(memory_mb[migration.vm_index])
-    return total

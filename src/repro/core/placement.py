@@ -164,15 +164,6 @@ class Placement:
             return ratios.mean(axis=0)
         return float(ratios.mean())
 
-    def packing_quality(self) -> float:
-        """Hosts-used / lower-bound ratio (1.0 means provably optimal packing)."""
-        from repro.core.base import lower_bound_hosts  # local import to avoid cycle
-
-        bound = lower_bound_hosts(self.demands, self.capacities)
-        if bound == 0:
-            return 1.0
-        return self.hosts_used() / bound
-
     def describe(self) -> dict:
         """Summary dictionary used by reports and the CLI."""
         return {

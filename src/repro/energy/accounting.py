@@ -60,12 +60,6 @@ class EnergyReport:
         """Total energy in kilowatt-hours (the unit the paper's figures use)."""
         return self.total_energy_joules / 3.6e6
 
-    def average_power_watts(self) -> float:
-        """Mean cluster power over the metering horizon."""
-        if self.horizon_seconds <= 0:
-            return 0.0
-        return self.total_energy_joules / self.horizon_seconds
-
 
 class EnergyMeter:
     """Integrates the power draw of a set of nodes inside a simulation."""
@@ -130,12 +124,6 @@ class EnergyMeter:
         if joules < 0:
             raise ValueError("transition energy must be non-negative")
         self.transition_energy += float(joules)
-
-    def add_computation_energy(self, joules: float) -> None:
-        """Charge consolidation-algorithm computation directly in Joules."""
-        if joules < 0:
-            raise ValueError("computation energy must be non-negative")
-        self.computation_energy += float(joules)
 
     def charge_computation_runtime(self, runtime_seconds: float) -> float:
         """Charge algorithm runtime at ``computation_power_watts``; returns the Joules added."""

@@ -174,35 +174,9 @@ class PowerStateManager:
                 return self.wakeup(node, on_ready)
         return False
 
-    def ensure_capacity(
-        self, needed: int, on_ready: Optional[Callable[[PhysicalNode], None]] = None
-    ) -> int:
-        """Wake enough suspended hosts so at least ``needed`` are (or will be) ON.
-
-        Returns the number of wake-ups initiated.  Used by the Group Manager
-        when placement fails for lack of powered-on capacity (Section III).
-        """
-        available = sum(
-            1 for node in self.nodes if node.state in (NodeState.ON, NodeState.WAKING)
-        )
-        woken = 0
-        for node in self.nodes:
-            if available + woken >= needed:
-                break
-            if node.state is NodeState.SUSPENDED:
-                if self.wakeup(node, on_ready):
-                    woken += 1
-        return woken
-
     def powered_on_count(self) -> int:
         """Number of hosts currently ON."""
         return sum(1 for node in self.nodes if node.state is NodeState.ON)
-
-    def suspended_count(self) -> int:
-        """Number of hosts currently suspended (or suspending)."""
-        return sum(
-            1 for node in self.nodes if node.state in (NodeState.SUSPENDED, NodeState.SUSPENDING)
-        )
 
     def stop(self) -> None:
         """Stop the periodic idle scan (end of experiment)."""

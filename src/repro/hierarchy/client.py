@@ -99,14 +99,6 @@ class SnoozeClient:
         self._try_entry_point(vm, record, attempts_left=len(self.entry_points), on_complete=on_complete)
         return record
 
-    def submit_batch(
-        self,
-        vms: Sequence[VirtualMachine],
-        on_complete: Optional[Callable[[SubmissionRecord], None]] = None,
-    ) -> List[SubmissionRecord]:
-        """Submit several VMs at once (the CCGrid'12 submission-burst workload)."""
-        return [self.submit(vm, on_complete=on_complete) for vm in vms]
-
     def _try_entry_point(
         self,
         vm: VirtualMachine,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.energy.power_manager import PowerManagerConfig
+from repro.monitoring.estimators import make_estimator
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
 from repro.plain import PlainData
@@ -123,6 +124,7 @@ class HierarchyConfig(PlainData):
             raise ValueError("session_timeout must exceed gm_heartbeat_interval")
         if self.estimation_window <= 0:
             raise ValueError("estimation_window must be positive")
+        make_estimator(self.estimator)  # an unknown name raises, listing the known ones
         if self.reconfiguration_interval is not None and self.reconfiguration_interval <= 0:
             raise ValueError("reconfiguration_interval must be positive or None")
         self._resolve_policies()

@@ -23,7 +23,7 @@ it from dispatching).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cluster.node import PhysicalNode
 from repro.cluster.vm import VirtualMachine
@@ -73,12 +73,6 @@ class GroupManager(Component):
         #: The latest monitoring report of each of them, as resident array
         #: rows the summary sums directly.
         self._reports = GroupReports()
-        #: lc_name -> bound ``restart`` of that LC's failure-detector handle.
-        #: The heartbeat hot path is two orders of magnitude more frequent
-        #: than any other GM message; this flat index spares it the record
-        #: dict and handle dereferences (which fall out of cache at fleet
-        #: scale).  Maintained wherever ``record["timeout"]`` changes hands.
-        self._lc_restart: Dict[str, Callable[[], None]] = {}
         #: Resident decision arrays over this GM's LC nodes: placement views,
         #: the node->LC index and the join-ordered node list all come from
         #: here instead of per-event rebuilds (ROADMAP item 2).
@@ -202,7 +196,6 @@ class GroupManager(Component):
         for record in self.local_controllers.values():
             self.discard_timeout(record["timeout"])
         self.local_controllers.clear()
-        self._lc_restart.clear()
         self._reports.clear()
         self.plane.clear()
         self._summary_cache = None
@@ -389,7 +382,6 @@ class GroupManager(Component):
             )
             self.local_controllers[lc_name] = {"node": node, "timeout": timeout}
             self._reports.add(lc_name, node)
-            self._lc_restart[lc_name] = timeout.restart
             self.plane.add(lc_name, node)
             self._summary_cache = None
             if self.power_manager is not None:
@@ -404,7 +396,6 @@ class GroupManager(Component):
     def _lc_failed(self, lc_name: str) -> None:
         """An LC stopped heart-beating: invalidate its contact information (Section II.E)."""
         record = self.local_controllers.pop(lc_name, None)
-        self._lc_restart.pop(lc_name, None)
         if record is None:
             return
         self._reports.remove(lc_name)
@@ -418,9 +409,9 @@ class GroupManager(Component):
             self.tracer.instant("lc_failure_detected", self.name, lc=lc_name)
 
     def _on_lc_heartbeat(self, message: Message) -> None:
-        restart = self._lc_restart.get(message.sender)
-        if restart is not None:
-            restart()
+        record = self.local_controllers.get(message.sender)
+        if record is not None:
+            record["timeout"].restart()
 
     def _on_lc_monitoring(self, message: Message) -> None:
         # One message carries the report rows of one LC (jittery network) or
@@ -690,15 +681,13 @@ class GroupManager(Component):
         nodes = self.managed_nodes()
         if len(nodes) < 2:
             return
-        # The resident plane arrays, gathered into join order, replace the
-        # per-round ``from_nodes`` snapshot (parity-tested byte-identical).
         view = self.plane.join_order_view()
         tracer = self.tracer
         if tracer is None:
-            plan = self.reconfiguration_policy.plan(nodes, view=view)
+            plan = self.reconfiguration_policy.plan(view)
         else:
             with tracer.span("reconfiguration_plan", self.name, nodes=len(nodes)):
-                plan = self.reconfiguration_policy.plan(nodes, view=view)
+                plan = self.reconfiguration_policy.plan(view)
         self.reconfiguration_rounds += 1
         if self.sim.has_service(EnergyMeter.SERVICE_NAME):
             runtime = plan.consolidation_summary.get("runtime_seconds", 0.0)

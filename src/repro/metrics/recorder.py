@@ -143,14 +143,6 @@ class TimeSeries:
             return self.mean()
         return float(np.sum(values[:-1] * durations) / durations.sum())
 
-    def integral(self) -> float:
-        """Piecewise-constant integral of the series over its time span."""
-        if len(self._times) < 2:
-            return 0.0
-        times = np.asarray(self._times)
-        values = np.asarray(self._values)
-        return float(np.sum(values[:-1] * np.diff(times)))
-
 
 class TimeSeriesRecorder:
     """Samples a set of named probes periodically inside a simulation."""
@@ -181,10 +173,6 @@ class TimeSeriesRecorder:
     def series(self, name: str) -> TimeSeries:
         """Retrieve a series by name."""
         return self._series[name]
-
-    def all_series(self) -> Dict[str, TimeSeries]:
-        """All recorded series."""
-        return dict(self._series)
 
     def stop(self) -> None:
         """Stop periodic sampling."""

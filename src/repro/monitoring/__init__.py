@@ -27,7 +27,7 @@ from repro.monitoring.estimators import (
     PercentileEstimator,
     make_estimator,
 )
-from repro.monitoring.summary import GroupManagerSummary, aggregate_summaries
+from repro.monitoring.summary import GroupManagerSummary
 
 __all__ = [
     "TelemetryPlane",
@@ -39,5 +39,4 @@ __all__ = [
     "PercentileEstimator",
     "make_estimator",
     "GroupManagerSummary",
-    "aggregate_summaries",
 ]

@@ -19,8 +19,7 @@ deployment that uses the same ``(window, estimator)`` settings:
   side.  The Local Controller fleet (:mod:`repro.hierarchy.fleet`) runs it
   once per monitoring tick;
 * :class:`ArrayHostMonitor` is one host's handle on the plane (which VMs it
-  tracks, in which order); its :meth:`~ArrayHostMonitor.report` is the
-  one-host call of the same kernel.
+  tracks, in which order).
 
 What stays Python by design is the per-VM ``update_usage`` trace call inside
 the sample step: traces are arbitrary callables built on ``math``, and
@@ -50,46 +49,10 @@ import numpy as np
 from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import ResourceVector
 from repro.cluster.vm import VirtualMachine
-from repro.monitoring.estimators import (
-    DemandEstimator,
-    EwmaEstimator,
-    MaxEstimator,
-    MeanEstimator,
-    PercentileEstimator,
-)
+from repro.monitoring.estimators import DemandEstimator
 
 #: Initial slot capacity of a plane (grown geometrically on demand).
 _INITIAL_CAPACITY = 64
-
-
-def estimate_windows(
-    estimator: DemandEstimator, windows: np.ndarray
-) -> np.ndarray:
-    """Apply ``estimator`` to a ``(m, n, d)`` block of equal-length windows.
-
-    Returns the ``(m, d)`` estimates, bit-identical to calling
-    ``estimator.estimate`` on each ``(n, d)`` window separately.  The four
-    built-in estimators take vectorized fast paths; unknown estimator types
-    fall back to the per-window reference implementation.
-    """
-    windows = np.ascontiguousarray(windows, dtype=float)
-    if windows.ndim != 3 or windows.shape[1] == 0:
-        raise ValueError("windows must be a non-empty (m, n, d) block")
-    kind = type(estimator)
-    if kind is MeanEstimator:
-        return windows.mean(axis=1)
-    if kind is MaxEstimator:
-        return windows.max(axis=1)
-    if kind is EwmaEstimator:
-        alpha = estimator.alpha
-        estimate = windows[:, 0].copy()
-        for position in range(1, windows.shape[1]):
-            estimate = alpha * windows[:, position] + (1.0 - alpha) * estimate
-        return estimate
-    if kind is PercentileEstimator:
-        return np.percentile(windows, estimator.percentile, axis=1)
-    # Custom estimator subclass: exactness by construction, no vectorization.
-    return np.stack([estimator.estimate(window) for window in windows])
 
 
 def report_columns(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,10 +214,6 @@ class TelemetryPlane:
         self._free.append(slot)
         self.tracking_epoch += 1
 
-    def vm_at(self, slot: int) -> Optional[VirtualMachine]:
-        """The VM currently occupying ``slot`` (None if free)."""
-        return self._vms[slot]
-
     # ----------------------------------------------------------------- samples
     def record(self, slot: int, values: np.ndarray) -> None:
         """Append one usage sample to the slot's ring (evicting the oldest when full)."""
@@ -274,14 +233,6 @@ class TelemetryPlane:
     def count(self, slot: int) -> int:
         """Number of samples currently held for ``slot``."""
         return int(self._counts[slot])
-
-    def window_view(self, slot: int) -> np.ndarray:
-        """Chronological ``(count, d)`` copy of the slot's sample window."""
-        n = int(self._counts[slot])
-        if n < self.window:
-            return self._samples[slot, :n].copy()
-        pos = int(self._pos[slot])
-        return np.concatenate([self._samples[slot, pos:], self._samples[slot, :pos]])
 
     # --------------------------------------------------------------- estimates
     def estimates(self, slots: Sequence[int]) -> np.ndarray:
@@ -320,7 +271,7 @@ class TelemetryPlane:
             else:
                 order = (self._pos[index][:, None] + np.arange(self.window)[None, :]) % self.window
                 block = np.take_along_axis(self._samples[index], order[:, :, None], axis=1)
-            estimate = estimate_windows(self.estimator, block)
+            estimate = self.estimator.estimate_windows(block)
             # Never estimate above the reservation (scalar VMMonitor contract).
             self._estimates[index] = np.minimum(estimate, self._requested[index])
 
@@ -368,17 +319,6 @@ class ArrayHostMonitor:
             if self.touched is not None:
                 self.touched.add(self.node)
 
-    def tracked_vm_ids(self) -> List[int]:
-        """Currently tracked VM ids, in tracking order."""
-        return list(self._slots)
-
-    def estimate_demand(self, vm: VirtualMachine) -> ResourceVector:
-        """Estimated demand vector of one tracked VM (reservation fallback when empty)."""
-        slot = self._slots.get(vm.vm_id)
-        if slot is None:
-            return vm.requested
-        return ResourceVector(self.plane.estimate_row(slot).copy(), vm.requested.dimensions)
-
     # ------------------------------------------------------------------ sweep
     def reconcile(self) -> None:
         """Track every VM now on the node, untrack every VM that left it."""
@@ -390,29 +330,6 @@ class ArrayHostMonitor:
             for vm_id in list(self._slots):
                 if vm_id not in hosted_ids:
                     self.untrack_vm(self._tracked[vm_id])
-
-    def report(self, now: float) -> dict:
-        """Sample every hosted VM and build this host's report (scalar-API parity).
-
-        The one-host call of the :class:`HostRows` kernel the Local Controller
-        fleet runs over a whole tick group.
-        """
-        self.reconcile()
-        table, utilization = HostRows(self.plane, [self]).sample(now)
-        capacity, reserved, used, _ = report_columns(table[0])
-        rows = self.plane.estimates(list(self._slots.values()))
-        return {
-            "node_id": self.node.node_id,
-            "timestamp": now,
-            "capacity": capacity.tolist(),
-            "reserved": reserved.tolist(),
-            "used": used.tolist(),
-            "vm_count": self.node.vm_count,
-            "utilization": float(utilization[0]),
-            "vm_usage": {
-                vm_id: rows[index].tolist() for index, vm_id in enumerate(self._slots)
-            },
-        }
 
 
 class HostRows:

@@ -12,8 +12,10 @@ choice trades packing density against overload risk:
   sliding estimation window of the Snooze implementation),
 * :class:`PercentileEstimator` gives an explicit knob (e.g. p95).
 
-All estimators are vectorized: they consume an ``(n_samples, d)`` array and
-return a ``(d,)`` vector.
+Each estimator is one array kernel, :meth:`DemandEstimator.estimate_windows`:
+it reduces a ``(m, n, d)`` block of ``m`` equal-length sample windows to ``m``
+demand rows at once.  The scalar per-window forms live in
+``tests/scalar_monitor.py``, the oracle the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -23,21 +25,13 @@ import numpy as np
 
 
 class DemandEstimator(abc.ABC):
-    """Base class mapping a sample history to a demand estimate."""
+    """Base class mapping sample windows to demand estimates."""
 
     name: str = "base"
 
     @abc.abstractmethod
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        """Reduce ``(n_samples, d)`` utilization samples to a ``(d,)`` estimate."""
-
-    def _validate(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples.reshape(1, -1)
-        if samples.ndim != 2 or samples.shape[0] == 0:
-            raise ValueError("samples must be a non-empty (n, d) array")
-        return samples
+    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Reduce a ``(m, n, d)`` block of equal-length windows (``n >= 1``) to ``(m, d)``."""
 
 
 class MeanEstimator(DemandEstimator):
@@ -45,8 +39,8 @@ class MeanEstimator(DemandEstimator):
 
     name = "mean"
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        return self._validate(samples).mean(axis=0)
+    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        return windows.mean(axis=1)
 
 
 class MaxEstimator(DemandEstimator):
@@ -54,8 +48,8 @@ class MaxEstimator(DemandEstimator):
 
     name = "max"
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        return self._validate(samples).max(axis=0)
+    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        return windows.max(axis=1)
 
 
 class EwmaEstimator(DemandEstimator):
@@ -68,11 +62,11 @@ class EwmaEstimator(DemandEstimator):
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = float(alpha)
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        samples = self._validate(samples)
-        estimate = samples[0].astype(float).copy()
-        for row in samples[1:]:
-            estimate = self.alpha * row + (1.0 - self.alpha) * estimate
+    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        alpha = self.alpha
+        estimate = windows[:, 0].copy()
+        for position in range(1, windows.shape[1]):
+            estimate = alpha * windows[:, position] + (1.0 - alpha) * estimate
         return estimate
 
 
@@ -86,8 +80,8 @@ class PercentileEstimator(DemandEstimator):
             raise ValueError("percentile must be in (0, 100]")
         self.percentile = float(percentile)
 
-    def estimate(self, samples: np.ndarray) -> np.ndarray:
-        return np.percentile(self._validate(samples), self.percentile, axis=0)
+    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        return np.percentile(windows, self.percentile, axis=1)
 
 
 def make_estimator(name: str, **kwargs) -> DemandEstimator:

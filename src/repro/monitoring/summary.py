@@ -14,7 +14,7 @@ host a VM).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -266,29 +266,3 @@ class GroupReports:
             gm_id, timestamp, capacity, reserved, used, int(vm_counts.sum())
         )
 
-
-def aggregate_summaries(summaries: Iterable[GroupManagerSummary]) -> Optional[dict]:
-    """Cluster-wide totals across GM summaries (used by reports and the CLI)."""
-    summaries = list(summaries)
-    if not summaries:
-        return None
-    dimensions = summaries[0].total_capacity.dimensions
-    total = np.zeros(len(dimensions))
-    reserved = np.zeros(len(dimensions))
-    used = np.zeros(len(dimensions))
-    lcs = 0
-    vms = 0
-    for summary in summaries:
-        total += summary.total_capacity.values
-        reserved += summary.reserved.values
-        used += summary.used.values
-        lcs += summary.local_controller_count
-        vms += summary.active_vm_count
-    return {
-        "group_managers": len(summaries),
-        "local_controllers": lcs,
-        "active_vms": vms,
-        "total_capacity": ResourceVector(total, dimensions),
-        "reserved": ResourceVector(reserved, dimensions),
-        "used": ResourceVector(used, dimensions),
-    }

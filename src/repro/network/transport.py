@@ -268,36 +268,6 @@ class Network:
         self.dispatch(message, latency)
         return True
 
-    def send_many(self, sender: str, messages: List[Message], size_bytes: int = 512) -> int:
-        """Bulk unicast from one sender: :meth:`send` per message, sender resolved once.
-
-        Same counters, stamps, draws, delivery batching and order as a
-        :meth:`send` per message; returns how many were not dropped at once.
-        """
-        n = len(messages)
-        if n == 0:
-            return 0
-        self.messages_sent += n
-        self.bytes_sent += int(size_bytes) * n
-        tracer = self._tracer
-        if tracer is not None:
-            ctx = tracer.current
-            for message in messages:
-                if message.trace_ctx is None:
-                    message.trace_ctx = ctx
-        endpoint = self._endpoints.get(sender)
-        if endpoint is not None and not endpoint.connected:
-            self.messages_dropped += n
-            return 0
-        draw_latency, dispatch = self.draw_latency, self.dispatch
-        sent = 0
-        for message in messages:
-            latency = draw_latency()
-            if latency >= 0:
-                dispatch(message, latency)
-                sent += 1
-        return sent
-
     def send_frame(
         self, message: Message, senders: Sequence[Endpoint], size_bytes: int = 512
     ) -> None:

@@ -37,7 +37,7 @@ Two warehouse-scale modes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,19 +84,13 @@ class ReconfigurationPolicy:
         self._node_signatures: Dict[str, Tuple] = {}
 
     # ------------------------------------------------------------------ run
-    def plan(
-        self, nodes: Sequence[PhysicalNode], view: Optional[ClusterView] = None
-    ) -> MigrationPlan:
-        """Compute a reconfiguration plan over the given Local Controller hosts.
+    def plan(self, view: ClusterView) -> MigrationPlan:
+        """Compute a reconfiguration plan over the Local Controller hosts of ``view``.
 
-        ``view`` optionally supplies a pre-built snapshot of ``nodes`` *in the
-        same order* (the Group Manager passes its resident decision-plane
-        arrays): the eligibility screen and the consolidation instance are
-        then numpy gathers off those arrays instead of fresh per-node reads,
-        with byte-identical plans (parity-tested).
+        The Group Manager passes its resident decision-plane arrays in LC join
+        order: the eligibility screen and the consolidation instance are numpy
+        gathers off them.
         """
-        if view is None:
-            view = ClusterView.from_nodes(nodes, sort_by_id=False)
         eligible = self._eligible_nodes(view)
         plan = MigrationPlan()
         participants = self._participants(eligible)
@@ -202,19 +196,12 @@ class ReconfigurationPolicy:
         return self.algorithm.consolidate(current)
 
     # -------------------------------------------------------------- selection
-    def _eligible_nodes(self, nodes) -> List[PhysicalNode]:
-        """Powered-on hosts allowed to participate in this round.
+    def _eligible_nodes(self, view: ClusterView) -> List[PhysicalNode]:
+        """Powered-on hosts of ``view`` allowed to participate in this round.
 
-        Accepts either a node sequence (snapshotted here, order preserved) or
-        an already-built :class:`ClusterView`.  Overload screening is
-        vectorized over the snapshot: hosts above the overload threshold are
-        left to event-based relocation instead.
+        Overload screening is vectorized over the view: hosts above the
+        overload threshold are left to event-based relocation instead.
         """
-        view = (
-            nodes
-            if isinstance(nodes, ClusterView)
-            else ClusterView.from_nodes(nodes, sort_by_id=False)
-        )
         if len(view) == 0:
             return []
         keep = view.placeable.copy()

@@ -15,7 +15,7 @@ stable ``node_ids`` ordering.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,7 +188,3 @@ class ClusterView:
         capacity = self.cpu_capacity()
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(capacity > 0, self.cpu_used() / capacity, 0.0)
-
-    def placeable_nodes(self) -> List[PhysicalNode]:
-        """The nodes currently accepting placements, in view order."""
-        return [node for node, ok in zip(self.nodes, self.placeable) if ok]

@@ -38,7 +38,6 @@ from repro.cluster.topology import ClusterSpec, NodeClass
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.system import SystemSpec
 from repro.plain import PlainData
-from repro.policies.registry import validate_policy_selection
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.distributions import make_distribution
 from repro.workloads.generator import WorkloadGenerator, make_arrival, make_lifetime
@@ -199,8 +198,7 @@ class ScenarioSpec(PlainData):
                 "'policies' cannot be a config override: use the scenario's own "
                 "top-level 'policies' section instead"
             )
-        for kind, entry in self.policies.items():
-            validate_policy_selection(kind, entry)  # unknown kind/name/params -> ValueError
+        self.hierarchy_config(seed=0)  # bad override values and policies raise here
         if isinstance(self.traffic, dict):
             self.traffic = TrafficSpec.from_dict(self.traffic)
 
@@ -228,7 +226,7 @@ class ScenarioSpec(PlainData):
         """Materialize the configuration overrides into a fresh config."""
         overrides: Dict[str, object] = dict(self.config)
         if self.policies:
-            overrides["policies"] = {kind: dict(entry) for kind, entry in self.policies.items()}
+            overrides["policies"] = dict(self.policies)  # the config validates, then copies each entry
         overrides["seed"] = seed
         return HierarchyConfig.from_dict(overrides)
 

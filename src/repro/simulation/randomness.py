@@ -83,12 +83,6 @@ class RandomRouter:
         """Materialize several streams at once."""
         return {name: self.stream(name) for name in names}
 
-    def reseed(self, seed: int) -> None:
-        """Reset the router with a new base seed, discarding all existing streams."""
-        self.seed = int(seed)
-        self._base = np.random.SeedSequence(self.seed)
-        self._streams.clear()
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -43,13 +43,9 @@ from repro.workloads.generator import (
     UniformLifetime,
     VMRequest,
     WorkloadGenerator,
-    arrival_kinds,
     consolidation_instance,
-    lifetime_kinds,
     make_arrival,
     make_lifetime,
-    register_arrival,
-    register_lifetime,
 )
 
 __all__ = [
@@ -73,16 +69,12 @@ __all__ = [
     "PoissonArrival",
     "UniformArrival",
     "make_arrival",
-    "register_arrival",
-    "arrival_kinds",
     "LifetimeDistribution",
     "InfiniteLifetime",
     "FixedLifetime",
     "ExponentialLifetime",
     "UniformLifetime",
     "make_lifetime",
-    "register_lifetime",
-    "lifetime_kinds",
     "WorkloadGenerator",
     "consolidation_instance",
 ]

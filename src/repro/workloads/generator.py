@@ -94,36 +94,23 @@ class UniformArrival(ArrivalProcess):
         return np.sort(self.start + rng.uniform(0.0, self.window, size=count))
 
 
-#: Registered arrival processes, mirroring the policy registry: factories live
-#: in a module-level table, lookups are case-insensitive, and unknown kinds
-#: raise with the registered alternatives listed.
-_ARRIVAL_REGISTRY: dict = {
+#: Arrival processes by kind: lookups are case-insensitive, and unknown kinds
+#: raise with the alternatives listed.
+_ARRIVAL_KINDS: dict = {
     "batch": BatchArrival,
     "poisson": PoissonArrival,
     "uniform": UniformArrival,
 }
 
 
-def register_arrival(kind: str, factory) -> None:
-    """Register an arrival-process factory under ``kind`` (duplicate kinds are errors)."""
-    key = str(kind).lower()
-    if key in _ARRIVAL_REGISTRY:
-        raise ValueError(f"arrival kind {key!r} already registered")
-    _ARRIVAL_REGISTRY[key] = factory
-
-
-def arrival_kinds() -> List[str]:
-    """Sorted names of every registered arrival process."""
-    return sorted(_ARRIVAL_REGISTRY)
-
-
 def make_arrival(kind: str, **kwargs) -> ArrivalProcess:
     """Factory used by the scenario engine (``batch``, ``poisson``, ``uniform``)."""
     try:
-        cls = _ARRIVAL_REGISTRY[kind.lower()]
+        cls = _ARRIVAL_KINDS[kind.lower()]
     except KeyError as exc:
         raise ValueError(
-            f"unknown arrival process kind {kind!r}; available: {', '.join(arrival_kinds())}"
+            f"unknown arrival process kind {kind!r}; "
+            f"available: {', '.join(sorted(_ARRIVAL_KINDS))}"
         ) from exc
     return cls(**kwargs)
 
@@ -198,8 +185,8 @@ class UniformLifetime(LifetimeDistribution):
         return [float(draw) for draw in rng.uniform(self.low, self.high, size=count)]
 
 
-#: Registered lifetime distributions (same registry ergonomics as arrivals).
-_LIFETIME_REGISTRY: dict = {
+#: Lifetime distributions by kind (looked up like arrivals).
+_LIFETIME_KINDS: dict = {
     "infinite": InfiniteLifetime,
     "fixed": FixedLifetime,
     "exponential": ExponentialLifetime,
@@ -207,26 +194,14 @@ _LIFETIME_REGISTRY: dict = {
 }
 
 
-def register_lifetime(kind: str, factory) -> None:
-    """Register a lifetime-distribution factory under ``kind`` (duplicates are errors)."""
-    key = str(kind).lower()
-    if key in _LIFETIME_REGISTRY:
-        raise ValueError(f"lifetime kind {key!r} already registered")
-    _LIFETIME_REGISTRY[key] = factory
-
-
-def lifetime_kinds() -> List[str]:
-    """Sorted names of every registered lifetime distribution."""
-    return sorted(_LIFETIME_REGISTRY)
-
-
 def make_lifetime(kind: str, **kwargs) -> LifetimeDistribution:
     """Factory used by the scenario engine (``infinite``, ``fixed``, ``exponential``, ``uniform``)."""
     try:
-        cls = _LIFETIME_REGISTRY[kind.lower()]
+        cls = _LIFETIME_KINDS[kind.lower()]
     except KeyError as exc:
         raise ValueError(
-            f"unknown lifetime distribution kind {kind!r}; available: {', '.join(lifetime_kinds())}"
+            f"unknown lifetime distribution kind {kind!r}; "
+            f"available: {', '.join(sorted(_LIFETIME_KINDS))}"
         ) from exc
     return cls(**kwargs)
 

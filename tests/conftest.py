@@ -12,6 +12,7 @@ from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
 from repro.cluster.vm import VirtualMachine
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
+from repro.policies.view import ClusterView
 from repro.simulation.engine import Simulator
 from repro.workloads import UniformDemandDistribution, consolidation_instance
 
@@ -74,6 +75,11 @@ def make_vm(cpu=0.25, memory=0.25, network=0.1, **kwargs) -> VirtualMachine:
 def make_node(node_id="node-0", cpu=1.0, memory=1.0, network=1.0) -> PhysicalNode:
     """Helper constructing a unit-capacity physical node."""
     return PhysicalNode(node_id, capacity=ResourceVector([cpu, memory, network], DEFAULT_DIMENSIONS))
+
+
+def join_view(nodes) -> ClusterView:
+    """A view of ``nodes`` in the given order, as a GM passes its LCs' nodes in join order."""
+    return ClusterView.from_nodes(nodes, sort_by_id=False)
 
 
 @pytest.fixture

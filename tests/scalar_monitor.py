@@ -1,10 +1,12 @@
 """Scalar per-VM monitoring: the oracle the array telemetry plane is tested against.
 
-One :class:`VMMonitor` per hosted VM (bounded sample history) and one
-:class:`HostMonitor` summarizing the host -- the straightforward object
-implementation of LC-side monitoring.  ``repro.monitoring.arrays`` must stay
-bit-identical to it (``tests/test_properties_monitoring.py``); nothing in
-``src`` uses it.
+:func:`scalar_estimate` reduces one ``(n, d)`` sample window the way each
+built-in estimator is defined, a row or a column at a time and without calling
+any estimator kernel.  One :class:`VMMonitor` per hosted VM (bounded sample
+history) and one :class:`HostMonitor` summarizing the host are the
+straightforward object implementation of LC-side monitoring.  The estimator
+kernels and ``repro.monitoring.arrays`` must stay bit-identical to them
+(``tests/test_properties_monitoring.py``); nothing in ``src`` uses them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,30 @@ from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import ResourceVector
 from repro.cluster.vm import VirtualMachine
 from repro.monitoring.estimators import DemandEstimator, EwmaEstimator
+
+
+def scalar_estimate(estimator: DemandEstimator, samples: np.ndarray) -> np.ndarray:
+    """Reduce one non-empty ``(n, d)`` window to the ``(d,)`` estimate ``estimator`` defines.
+
+    Reads only the estimator's name and parameters: mean and max reduce the
+    window's rows, EWMA folds the rows oldest first, and the percentile is
+    taken per dimension.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] == 0:
+        raise ValueError("samples must be a non-empty (n, d) array")
+    if estimator.name == "mean":
+        return samples.mean(axis=0)
+    if estimator.name == "max":
+        return samples.max(axis=0)
+    if estimator.name == "ewma":
+        estimate = samples[0].copy()
+        for row in samples[1:]:
+            estimate = estimator.alpha * row + (1.0 - estimator.alpha) * estimate
+        return estimate
+    if estimator.name == "percentile":
+        return np.percentile(samples, estimator.percentile, axis=0)
+    raise ValueError(f"no scalar form for estimator {estimator.name!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +92,7 @@ class VMMonitor:
         if not self._samples:
             return self.vm.requested
         matrix = np.vstack([sample.as_array() for sample in self._samples])
-        estimate = self.estimator.estimate(matrix)
+        estimate = scalar_estimate(self.estimator, matrix)
         # Never estimate above the reservation: the reservation caps what the
         # hypervisor will give the VM.
         capped = np.minimum(estimate, self.vm.requested.values)

@@ -161,6 +161,17 @@ class TestSpecFiles:
         assert message in err
         assert "Traceback" not in err
 
+    def test_unknown_estimator_in_a_file_fails_describe(self, tmp_path, capsys):
+        assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        spec["config"]["estimator"] = "median"
+        path = _write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["scenario", "describe", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown estimator 'median'; choose from" in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     #: smoke-2x2 trimmed further so every CLI run stays sub-second.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.node import NodeState, PhysicalNode, release_finished_vms
+from repro.cluster.node import NodeState, PhysicalNode
 from repro.cluster.power import (
     ConstantPowerModel,
     CubicPowerModel,
@@ -16,10 +16,8 @@ from repro.cluster.power import (
 from repro.cluster.resources import (
     ResourceError,
     ResourceVector,
-    capacity_matrix,
-    demand_matrix,
 )
-from repro.cluster.topology import ClusterSpec, build_cluster, homogeneous_nodes
+from repro.cluster.topology import ClusterSpec, build_cluster
 from repro.cluster.vm import VMState
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
@@ -97,15 +95,6 @@ class TestResourceVector:
         vector = ResourceVector([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             vector.values[0] = 5.0
-
-    def test_demand_and_capacity_matrices(self):
-        vms = [make_vm(0.1, 0.2, 0.3), make_vm(0.4, 0.5, 0.6)]
-        nodes = [make_node("a"), make_node("b")]
-        demands = demand_matrix(vms)
-        capacities = capacity_matrix(nodes)
-        assert demands.shape == (2, 3)
-        assert capacities.shape == (2, 3)
-        assert demands[1, 0] == pytest.approx(0.4)
 
 
 class TestVirtualMachine:
@@ -280,27 +269,12 @@ class TestPhysicalNode:
         assert len(evicted) == 3
         assert node.vm_count == 0
 
-    def test_release_finished_vms_sweeper(self):
-        node = make_node()
-        vm = make_vm()
-        node.place_vm(vm)
-        vm.state = VMState.FINISHED
-        released = release_finished_vms([node], now=1.0)
-        assert released == [vm]
-        assert node.vm_count == 0
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ResourceError):
             PhysicalNode("bad", capacity=ResourceVector([0.0, 0.0, 0.0]))
 
 
 class TestClusterTopology:
-    def test_homogeneous_nodes_builder(self):
-        nodes = homogeneous_nodes(5, capacity=(2.0, 4.0, 1.0))
-        assert len(nodes) == 5
-        assert all(node.capacity["memory"] == 4.0 for node in nodes)
-        assert len({node.node_id for node in nodes}) == 5
-
     def test_build_cluster_counts_and_lookup(self):
         topology = build_cluster(ClusterSpec(node_count=10, nodes_per_rack=4))
         assert len(topology) == 10

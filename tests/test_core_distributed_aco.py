@@ -12,7 +12,7 @@ from repro.core.placement import PlacementError
 from repro.policies.reconfiguration import ReconfigurationPolicy
 from repro.workloads import ConstantTrace, UniformDemandDistribution, consolidation_instance
 
-from tests.conftest import make_node, make_vm, no_hang
+from tests.conftest import join_view, make_node, make_vm, no_hang
 
 
 def make_instance(n_vms=60, seed=0):
@@ -147,7 +147,7 @@ class TestDistributedACO:
         with no_hang(), pytest.raises(PlacementError, match="do not fit on any host"):
             algorithm.solve(demands, capacities)
         with no_hang():
-            plan = ReconfigurationPolicy(algorithm=algorithm).plan(nodes)
+            plan = ReconfigurationPolicy(algorithm=algorithm).plan(join_view(nodes))
         assert plan.empty and plan.hosts_after == plan.hosts_before == 2
         assert plan.reason == "consolidation found no placement; keeping current placement"
 

@@ -214,13 +214,12 @@ class TestPlacementFromView:
                 )
             )
 
-        copying = make_policy().plan(nodes)  # plan() only computes, never executes
+        # plan() only computes, never executes
+        copying = make_policy().plan(ClusterView.from_nodes(nodes, sort_by_id=False))
         plane = DecisionPlane()
         for i, node in enumerate(nodes):
             plane.add(f"lc-{i:02d}", node)
-        resident = make_policy().plan(
-            plane.nodes_in_join_order(), view=plane.join_order_view()
-        )
+        resident = make_policy().plan(plane.join_order_view())
         assert copying.hosts_before == resident.hosts_before
         assert copying.hosts_after == resident.hosts_after
         assert [

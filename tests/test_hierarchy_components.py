@@ -42,6 +42,10 @@ class TestHierarchyConfig:
                 config={"session_timeout": 1.5},
             ).hierarchy_config(seed=1)
 
+    def test_unknown_estimator_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"unknown estimator 'median'; choose from"):
+            HierarchyConfig(estimator="median")
+
     def test_negative_intervals_rejected(self):
         with pytest.raises(ValueError):
             HierarchyConfig(monitoring_interval=0.0)

@@ -239,8 +239,8 @@ class TestReconfiguration:
         plans = []
         plan = manager.reconfiguration_policy.plan
 
-        def recording_plan(nodes, view=None):
-            plans.append(plan(nodes, view=view))
+        def recording_plan(view):
+            plans.append(plan(view))
             return plans[-1]
 
         manager.reconfiguration_policy.plan = recording_plan

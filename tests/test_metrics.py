@@ -54,7 +54,6 @@ class TestTimeSeries:
         assert series.min() == 0.0
         assert series.max() == 0.0
         assert series.time_weighted_mean() == 0.0
-        assert series.integral() == 0.0
 
     def test_single_sample_statistics(self):
         series = TimeSeries("one")
@@ -62,14 +61,12 @@ class TestTimeSeries:
         assert series.latest() == 42.0
         assert series.mean() == 42.0
         assert series.time_weighted_mean() == 42.0  # no duration: plain mean
-        assert series.integral() == 0.0
 
     def test_constant_trace_time_weighted_mean_is_the_constant(self):
         series = TimeSeries("flat")
         for time in (0.0, 10.0, 25.0, 100.0):  # uneven spacing must not matter
             series.append(time, 7.5)
         assert series.time_weighted_mean() == pytest.approx(7.5)
-        assert series.integral() == pytest.approx(7.5 * 100.0)
 
     def test_equal_timestamps_are_allowed(self):
         series = TimeSeries("dense")
@@ -90,17 +87,10 @@ class TestTimeSeries:
         series.append(40.0, 0.0)  # 200 W held for 30 s
         assert series.time_weighted_mean() == pytest.approx((100 * 10 + 200 * 30) / 40)
 
-    def test_integral(self):
-        series = TimeSeries("power")
-        series.append(0.0, 100.0)
-        series.append(10.0, 100.0)
-        assert series.integral() == pytest.approx(1000.0)
-
     def test_empty_series_statistics(self):
         series = TimeSeries("empty")
         assert series.latest() is None
         assert series.mean() == 0.0
-        assert series.integral() == 0.0
 
 
 class TestTimeSeriesRecorder:
@@ -121,7 +111,6 @@ class TestTimeSeriesRecorder:
         recorder = TimeSeriesRecorder(sim, interval=10.0)
         recorder.sample_all()
         sim.run(until=30.0)
-        assert recorder.all_series() == {}
         with pytest.raises(KeyError):
             recorder.series("unknown")
 
@@ -138,12 +127,6 @@ class TestTimeSeriesRecorder:
         recorder.stop()
         sim.run(until=100.0)
         assert len(series) == 3
-
-    def test_all_series(self, sim):
-        recorder = TimeSeriesRecorder(sim, interval=5.0)
-        recorder.add_probe("a", lambda: 1.0)
-        recorder.add_probe("b", lambda: 2.0)
-        assert set(recorder.all_series()) == {"a", "b"}
 
 
 class TestReportTables:

@@ -18,7 +18,6 @@ from repro.monitoring.summary import (
     GroupManagerSummary,
     GroupReports,
     ReportRoute,
-    aggregate_summaries,
 )
 from repro.simulation.engine import Simulator
 from repro.workloads.traces import ConstantTrace, SpikeTrace
@@ -27,41 +26,38 @@ from tests.conftest import make_node, make_vm
 from tests.scalar_monitor import HostMonitor, VMMonitor
 
 
+def estimate_one(estimator, samples) -> np.ndarray:
+    """The estimator kernel applied to one ``(n, d)`` window."""
+    return estimator.estimate_windows(np.asarray(samples, dtype=float)[None])[0]
+
+
 class TestEstimators:
     SAMPLES = np.array([[0.2, 0.3, 0.1], [0.4, 0.3, 0.1], [0.6, 0.3, 0.1]])
 
     def test_mean(self):
-        estimate = MeanEstimator().estimate(self.SAMPLES)
+        estimate = estimate_one(MeanEstimator(), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.4)
         assert estimate[1] == pytest.approx(0.3)
 
     def test_max(self):
-        estimate = MaxEstimator().estimate(self.SAMPLES)
+        estimate = estimate_one(MaxEstimator(), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.6)
 
     def test_ewma_weighs_recent_samples_more(self):
-        estimate = EwmaEstimator(alpha=0.5).estimate(self.SAMPLES)
-        assert estimate[0] > MeanEstimator().estimate(self.SAMPLES)[0]
+        estimate = estimate_one(EwmaEstimator(alpha=0.5), self.SAMPLES)
+        assert estimate[0] > estimate_one(MeanEstimator(), self.SAMPLES)[0]
 
     def test_ewma_alpha_one_returns_latest(self):
-        estimate = EwmaEstimator(alpha=1.0).estimate(self.SAMPLES)
+        estimate = estimate_one(EwmaEstimator(alpha=1.0), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.6)
 
     def test_percentile(self):
-        estimate = PercentileEstimator(percentile=50.0).estimate(self.SAMPLES)
+        estimate = estimate_one(PercentileEstimator(percentile=50.0), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.4)
-
-    def test_single_sample_handled(self):
-        estimate = MeanEstimator().estimate(np.array([0.5, 0.5, 0.5]))
-        assert estimate.shape == (3,)
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            MeanEstimator().estimate(np.empty((0, 3)))
 
     def test_estimates_bounded_by_sample_range(self):
         for estimator in (MeanEstimator(), MaxEstimator(), EwmaEstimator(), PercentileEstimator()):
-            estimate = estimator.estimate(self.SAMPLES)
+            estimate = estimate_one(estimator, self.SAMPLES)
             assert np.all(estimate >= self.SAMPLES.min(axis=0) - 1e-12)
             assert np.all(estimate <= self.SAMPLES.max(axis=0) + 1e-12)
 
@@ -84,27 +80,17 @@ class TestEstimatorEdgeCases:
     def test_single_sample_is_returned_verbatim(self):
         sample = np.array([[0.37, 0.21, 0.09]])
         for estimator in self.ALL:
-            assert (estimator.estimate(sample) == sample[0]).all(), estimator.name
+            assert (estimate_one(estimator, sample) == sample[0]).all(), estimator.name
 
     def test_constant_window_estimates_the_constant(self):
         window = np.full((12, 3), 0.42)
         for estimator in self.ALL:
-            assert estimator.estimate(window) == pytest.approx([0.42] * 3), estimator.name
-
-    def test_one_dimensional_input_is_promoted_to_single_sample(self):
-        for estimator in self.ALL:
-            estimate = estimator.estimate(np.array([0.1, 0.2, 0.3]))
-            assert estimate == pytest.approx([0.1, 0.2, 0.3]), estimator.name
-
-    def test_empty_history_rejected_by_every_estimator(self):
-        for estimator in self.ALL:
-            with pytest.raises(ValueError):
-                estimator.estimate(np.empty((0, 3)))
+            assert estimate_one(estimator, window) == pytest.approx([0.42] * 3), estimator.name
 
     def test_zero_utilization_window(self):
         window = np.zeros((5, 3))
         for estimator in self.ALL:
-            assert (estimator.estimate(window) == 0.0).all(), estimator.name
+            assert (estimate_one(estimator, window) == 0.0).all(), estimator.name
 
     def test_out_of_order_sampling_keeps_append_order(self):
         """Monitors index the window by arrival, not timestamp: sampling at a
@@ -245,21 +231,6 @@ class TestGroupManagerSummary:
         summary = GroupManagerSummary.from_reports("gm-0", 0.0, [])
         assert summary.local_controller_count == 0
         assert summary.utilization() == 0.0
-
-    def test_aggregate_summaries(self):
-        summaries = [
-            GroupManagerSummary.from_reports(
-                f"gm-{i}", 0.0, [self._report([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.4, 0.4, 0.4])]
-            )
-            for i in range(3)
-        ]
-        totals = aggregate_summaries(summaries)
-        assert totals["group_managers"] == 3
-        assert totals["local_controllers"] == 3
-        assert totals["total_capacity"]["cpu"] == pytest.approx(3.0)
-
-    def test_aggregate_empty_returns_none(self):
-        assert aggregate_summaries([]) is None
 
 
 class TestSharedTelemetryPlane:

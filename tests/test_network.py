@@ -212,16 +212,16 @@ class TestDrawSequence:
     No catalog scenario has loss, so the goldens pin the jitter draws only.
     Here a twin generator taking *scalar* ``random()`` / ``uniform(0, jitter)``
     draws predicts every drop and every arrival time of a network that reads
-    its generator in blocks, across ``send`` and ``send_many`` interleaved.
+    its generator in blocks, with the sender resolved by name or passed in.
     """
 
     CONFIG = NetworkConfig(base_latency=0.002, jitter=0.0007, loss_probability=0.2)
     ROUNDS, FAN_OUT, SPACING = 60, 35, 0.0013  # spacing < latency: rounds overlap in flight
 
     def _drive(self, net, prepare=lambda round_, messages: None, on_receive=lambda message: None):
-        """Each round: ``send``, ``send_many`` of FAN_OUT, ``send``; payloads count up.
+        """Each round: FAN_OUT + 2 ``send`` calls; payloads count up.
 
-        Returns what each call returned (keyed by its first payload) and every
+        Returns what each call returned (keyed by its payload) and every
         delivered payload's arrival time.
         """
         sim = net.sim
@@ -241,9 +241,8 @@ class TestDrawSequence:
                 for k in range(size)
             ]
             prepare(round_, messages)
-            returned[messages[0].payload] = net.send(messages[0])
-            returned[messages[1].payload] = net.send_many("source", messages[1:-1])
-            returned[messages[-1].payload] = net.send(messages[-1], sender=source)
+            for k, message in enumerate(messages):
+                returned[message.payload] = net.send(message, sender=source if k % 2 else None)
         sim.run()
         return returned, arrivals
 
@@ -257,18 +256,15 @@ class TestDrawSequence:
         expected_returned, expected_arrivals = {}, {}
         for round_ in range(self.ROUNDS):
             now = round_ * self.SPACING
-            for burst in (1, self.FAN_OUT, 1):
-                kept = 0
-                for member in range(payload, payload + burst):
-                    draws += 1
-                    if twin.random() < config.loss_probability:
-                        continue
+            for member in range(payload, payload + self.FAN_OUT + 2):
+                draws += 1
+                kept = twin.random() >= config.loss_probability
+                expected_returned[member] = kept
+                if kept:
                     draws += 1
                     latency = config.base_latency + float(twin.uniform(0.0, config.jitter))
                     expected_arrivals[member] = now + latency
-                    kept += 1
-                expected_returned[payload] = kept if burst > 1 else bool(kept)
-                payload += burst
+            payload += self.FAN_OUT + 2
         assert draws > 3 * Network.DRAW_BLOCK, "the case must cross at least three refills"
         assert returned == expected_returned
         assert arrivals == expected_arrivals  # exact floats: jitter * u is uniform(0, jitter)

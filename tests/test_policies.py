@@ -35,7 +35,7 @@ from repro.policies import (
 from repro.policies.registry import validate_policy_selection
 from repro.scenarios import ScenarioSpec, WorkloadPhase, get_scenario, run_scenario
 
-from tests.conftest import make_node, make_vm
+from tests.conftest import join_view, make_node, make_vm
 
 EXPECTED_KINDS = {
     "assignment",
@@ -228,7 +228,7 @@ class TestDecisionVocabulary:
         assert isinstance(OverloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
         assert isinstance(UnderloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
         reconfiguration = make_policy("reconfiguration", "ffd")
-        assert isinstance(reconfiguration.plan(nodes), MigrationPlan)
+        assert isinstance(reconfiguration.plan(join_view(nodes)), MigrationPlan)
 
     def test_migration_plan_defaults(self):
         plan = MigrationPlan()

@@ -172,7 +172,7 @@ class TestEstimatorProperties:
     def test_estimates_within_sample_envelope(self, samples):
         matrix = np.asarray(samples)
         for estimator in (MeanEstimator(), MaxEstimator(), EwmaEstimator(), PercentileEstimator()):
-            estimate = estimator.estimate(matrix)
+            estimate = estimator.estimate_windows(matrix[None])[0]
             assert np.all(estimate >= matrix.min(axis=0) - 1e-9)
             assert np.all(estimate <= matrix.max(axis=0) + 1e-9)
 

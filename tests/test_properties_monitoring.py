@@ -1,10 +1,12 @@
-"""Property tests: the array-backed telemetry plane == the scalar reference.
+"""Property tests: the estimator kernels and the telemetry plane == the scalar oracle.
 
-The vectorized hot path (:mod:`repro.monitoring.arrays`) claims **bit
-identity** with the scalar ``VMMonitor`` / ``HostMonitor`` implementations --
-not approximate equality.  Hypothesis drives random sample streams (including
-empty windows, single samples, window overflow and wide magnitude spreads)
-through both and compares raw float64 bit patterns via ``==``.
+The estimator kernels and the vectorized hot path
+(:mod:`repro.monitoring.arrays`) claim **bit identity** with the scalar
+``scalar_estimate`` / ``VMMonitor`` / ``HostMonitor`` forms in
+``tests/scalar_monitor.py`` -- not approximate equality.  Hypothesis drives
+random sample streams (including empty windows, single samples, window
+overflow and wide magnitude spreads) through both and compares raw float64 bit
+patterns via ``==``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
-from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane, estimate_windows
+from repro.monitoring.arrays import ArrayHostMonitor, HostRows, TelemetryPlane, report_columns
 from repro.monitoring.estimators import (
     EwmaEstimator,
     MaxEstimator,
@@ -25,7 +27,7 @@ from repro.monitoring.estimators import (
 from repro.workloads.traces import ConstantTrace
 
 from tests.conftest import make_node, make_vm
-from tests.scalar_monitor import HostMonitor, MonitoringSample, VMMonitor
+from tests.scalar_monitor import HostMonitor, MonitoringSample, VMMonitor, scalar_estimate
 
 ESTIMATORS = [
     MeanEstimator(),
@@ -35,6 +37,7 @@ ESTIMATORS = [
     PercentileEstimator(percentile=95.0),
     PercentileEstimator(percentile=50.0),
 ]
+ESTIMATOR_IDS = ["mean", "max", "ewma-0.3", "ewma-1", "p95", "p50"]
 
 #: Utilization-ish floats plus wide magnitude spread to stress summation order.
 sample_values = st.floats(
@@ -60,14 +63,37 @@ class TestEstimatorKernels:
             block = np.asarray(
                 [stream for stream in streams if len(stream) == n], dtype=float
             )
-            batched = estimate_windows(estimator, block)
+            batched = estimator.estimate_windows(block)
             for row_index in range(block.shape[0]):
-                scalar = estimator.estimate(block[row_index])
+                scalar = scalar_estimate(estimator, block[row_index])
                 assert (batched[row_index] == scalar).all()
 
-    def test_estimate_windows_rejects_empty_block(self):
-        with pytest.raises(ValueError):
-            estimate_windows(MeanEstimator(), np.empty((2, 0, 3)))
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    @pytest.mark.parametrize("estimator", ESTIMATORS, ids=ESTIMATOR_IDS)
+    def test_every_fill_level_in_one_refresh(self, estimator, window):
+        """VM ``k`` holds ``k`` samples, for ``k`` from none to twice the window.
+
+        One refresh estimates every fill level (one kernel call per level,
+        full rings wrapped), and each row equals the scalar monitor's estimate.
+        """
+        rng = np.random.default_rng(window)
+        plane = TelemetryPlane(window, estimator)
+        slots, references = [], []
+        for k in range(2 * window + 1):
+            vm = make_vm(cpu=0.9, memory=0.9, network=0.9)
+            reference = VMMonitor(vm, window=window, estimator=estimator)
+            slot = plane.allocate(vm)
+            for timestamp in range(k):
+                values = rng.uniform(0.0, 1.0, 3)
+                plane.record(slot, values)
+                reference._samples.append(
+                    MonitoringSample(float(timestamp), ResourceVector(values, DEFAULT_DIMENSIONS))
+                )
+            slots.append(slot)
+            references.append(reference)
+        rows = plane.estimates(slots)
+        for row, reference in zip(rows, references):
+            assert (row == reference.estimate_demand().values).all()
 
 
 class TestPlaneVsVMMonitor:
@@ -99,11 +125,6 @@ class TestPlaneVsVMMonitor:
             assert (actual == expected.values).all()
             # Window bookkeeping matches the bounded deque.
             assert plane.count(slot) == len(reference.samples)
-            if stream:
-                chronological = np.vstack(
-                    [sample.as_array() for sample in reference.samples]
-                )
-                assert (plane.window_view(slot) == chronological).all()
 
     def test_empty_window_falls_back_to_reservation(self):
         plane = TelemetryPlane(4, MeanEstimator())
@@ -132,6 +153,22 @@ class TestPlaneVsVMMonitor:
         assert plane.estimates(slots).shape == (200, 3)
 
 
+def host_rows_report(monitor: ArrayHostMonitor, now: float) -> dict:
+    """Sample one host through a one-row :class:`HostRows`; the scalar report's fields."""
+    monitor.reconcile()
+    table, utilization = HostRows(monitor.plane, [monitor]).sample(now)
+    capacity, reserved, used, vm_count = report_columns(table[0])
+    rows = monitor.plane.estimates(list(monitor._slots.values()))
+    return {
+        "capacity": capacity.tolist(),
+        "reserved": reserved.tolist(),
+        "used": used.tolist(),
+        "vm_count": vm_count,
+        "utilization": float(utilization[0]),
+        "vm_usage": [row.tolist() for row in rows],
+    }
+
+
 class TestHostMonitorEquivalence:
     def _twin_hosts(self, estimator, window=5, vms=3, level=0.8):
         scalar_node, array_node = make_node("scalar-0"), make_node("array-0")
@@ -151,28 +188,20 @@ class TestHostMonitorEquivalence:
         for tick in range(8):
             now = 10.0 * tick
             scalar_report = scalar_monitor.report(now)
-            array_report = array_monitor.report(now)
+            array_report = host_rows_report(array_monitor, now)
             for key in ("capacity", "used", "reserved", "vm_count", "utilization"):
                 assert scalar_report[key] == array_report[key], key
-            assert list(scalar_report["vm_usage"].values()) == list(
-                array_report["vm_usage"].values()
-            )
+            assert list(scalar_report["vm_usage"].values()) == array_report["vm_usage"]
 
     def test_untracks_departed_vms_like_scalar(self):
         estimator = MeanEstimator()
         scalar_monitor, array_monitor = self._twin_hosts(estimator, vms=2)
         scalar_monitor.report(0.0)
-        array_monitor.report(0.0)
-        for monitor in (scalar_monitor, array_monitor):
-            monitor.node.remove_vm(monitor.node.vms[0])
+        host_rows_report(array_monitor, 0.0)
+        for node in (scalar_monitor.node, array_monitor.node):
+            node.remove_vm(node.vms[0])
         scalar_report = scalar_monitor.report(10.0)
-        array_report = array_monitor.report(10.0)
-        assert len(array_monitor.tracked_vm_ids()) == 1
+        array_report = host_rows_report(array_monitor, 10.0)
+        assert len(array_monitor._slots) == 1
         assert scalar_report["vm_count"] == array_report["vm_count"] == 1
         assert scalar_report["used"] == array_report["used"]
-
-    def test_estimate_demand_of_untracked_vm_is_reservation(self):
-        plane = TelemetryPlane(4, MeanEstimator())
-        monitor = ArrayHostMonitor(make_node(), plane)
-        vm = make_vm(cpu=0.4)
-        assert monitor.estimate_demand(vm) == vm.requested

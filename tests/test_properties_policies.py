@@ -34,6 +34,8 @@ from repro.policies import (
 )
 from repro.policies.view import FIT_TOLERANCE
 
+from tests.conftest import join_view
+
 DIMS = len(DEFAULT_DIMENSIONS)
 THRESHOLDS = UtilizationThresholds(underload=0.25, overload=0.8)
 
@@ -245,7 +247,7 @@ class TestRelocationMatchesScalar:
     @settings(max_examples=30, deadline=None)
     def test_reconfiguration_eligibility_matches_scalar_filter(self, nodes):
         policy = ReconfigurationPolicy(thresholds=THRESHOLDS)
-        eligible = {node.node_id for node in policy._eligible_nodes(nodes)}
+        eligible = {node.node_id for node in policy._eligible_nodes(join_view(nodes))}
         expected = {
             node.node_id
             for node in nodes
@@ -312,7 +314,7 @@ class TestNoRegisteredPolicyViolatesCapacity:
             "distributed-aco": {**small, "n_partitions": 2, "rng": np.random.default_rng(0)},
         }.get(name, {})
         policy = make_policy("reconfiguration", name, thresholds=THRESHOLDS, **params)
-        plan = policy.plan(nodes)
+        plan = policy.plan(join_view(nodes))
         # Consolidation packs by *used* vectors; execution re-checks the
         # reservation fit per move exactly like MigrationExecutor.migrate and
         # skips moves the destination cannot reserve.  Whatever subset applies,

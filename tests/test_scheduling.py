@@ -30,7 +30,7 @@ from repro.policies import (
 )
 from repro.workloads.traces import ConstantTrace
 
-from tests.conftest import make_node, make_vm
+from tests.conftest import join_view, make_node, make_vm
 
 
 class TestThresholds:
@@ -302,7 +302,7 @@ class TestReconfiguration:
     def test_consolidation_reduces_hosts(self):
         nodes = self.spread_out_cluster()
         policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing())
-        plan = policy.plan(nodes)
+        plan = policy.plan(join_view(nodes))
         assert plan.hosts_before == 4
         assert plan.hosts_after < plan.hosts_before
         assert plan.hosts_saved >= 1
@@ -310,7 +310,7 @@ class TestReconfiguration:
 
     def test_released_nodes_are_reported(self):
         nodes = self.spread_out_cluster()
-        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(nodes)
+        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(join_view(nodes))
         assert len(plan.released_nodes) >= 1
         for released in plan.released_nodes:
             assert released.vm_count > 0  # currently busy, would be emptied by the plan
@@ -320,7 +320,7 @@ class TestReconfiguration:
         policy = ReconfigurationPolicy(
             algorithm=ACOConsolidation(ACOParameters(n_ants=4, n_cycles=10), rng=np.random.default_rng(0))
         )
-        plan = policy.plan(nodes)
+        plan = policy.plan(join_view(nodes))
         assert plan.hosts_after <= plan.hosts_before
 
     def test_no_placement_found_keeps_the_current_one(self):
@@ -333,7 +333,8 @@ class TestReconfiguration:
             def solve(self, demands, capacities):
                 raise PlacementError("no ant completed an assignment")
 
-        plan = ReconfigurationPolicy(algorithm=NoPlacement()).plan(self.spread_out_cluster())
+        nodes = join_view(self.spread_out_cluster())
+        plan = ReconfigurationPolicy(algorithm=NoPlacement()).plan(nodes)
         assert plan.empty and not plan.released_nodes
         assert plan.hosts_after == plan.hosts_before == 4
         assert plan.reason.endswith("keeping current placement")
@@ -341,7 +342,7 @@ class TestReconfiguration:
     def test_max_migrations_cap(self):
         nodes = self.spread_out_cluster(vms_per_node=2)
         policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing(), max_migrations=1)
-        plan = policy.plan(nodes)
+        plan = policy.plan(join_view(nodes))
         assert len(plan.moves) <= 1
 
     def test_overloaded_hosts_excluded_by_default(self):
@@ -350,19 +351,19 @@ class TestReconfiguration:
         nodes[0].place_vm(hot_vm)
         hot_vm.update_usage(0.0)
         policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing())
-        eligible = policy._eligible_nodes(nodes)
+        eligible = policy._eligible_nodes(join_view(nodes))
         assert nodes[0] not in eligible
 
     def test_no_plan_for_fewer_than_two_nodes(self):
         node = make_node()
         vm = make_vm()
         node.place_vm(vm)
-        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan([node])
+        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(join_view([node]))
         assert plan.empty
 
     def test_consolidation_summary_recorded(self):
         nodes = self.spread_out_cluster()
-        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(nodes)
+        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(join_view(nodes))
         assert plan.consolidation_summary.get("algorithm") == "ffd"
         assert "runtime_seconds" in plan.consolidation_summary
 
@@ -387,7 +388,7 @@ class TestWarmStartReconfiguration:
     def test_warm_start_persists_target_pairs(self):
         nodes = self.busy_cluster()
         policy = self.make_policy(warm_start=True)
-        plan = policy.plan(nodes)
+        plan = policy.plan(join_view(nodes))
         assert plan.hosts_after <= plan.hosts_before
         # Every participating VM's target host is remembered by id.
         vm_ids = {vm.vm_id for node in nodes for vm in node.vms}
@@ -398,36 +399,36 @@ class TestWarmStartReconfiguration:
     def test_warm_started_round_plans_no_worse(self):
         nodes = self.busy_cluster()
         policy = self.make_policy(warm_start=True)
-        first = policy.plan(nodes)
+        first = policy.plan(join_view(nodes))
         # Same cluster state again: the warm trail reproduces (or improves on)
         # the previous target via the greedy anchor.
-        second = policy.plan(nodes)
+        second = policy.plan(join_view(nodes))
         assert second.hosts_after <= first.hosts_after
 
     def test_warm_start_ignored_by_algorithms_without_support(self):
         nodes = self.busy_cluster()
         policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing(), warm_start=True)
-        policy.plan(nodes)
+        policy.plan(join_view(nodes))
         assert policy._summary.pairs == {}
 
     def test_incremental_round_skips_clean_nodes(self):
         nodes = self.busy_cluster()
         policy = self.make_policy(incremental=True)
-        first = policy.plan(nodes)
+        first = policy.plan(join_view(nodes))
         assert not first.empty
         # Nothing changed since the snapshot: no node is dirty, so the next
         # round has fewer than two participants and produces no plan.
-        second = policy.plan(nodes)
+        second = policy.plan(join_view(nodes))
         assert second.empty
 
     def test_incremental_round_repacks_dirty_nodes(self):
         nodes = self.busy_cluster()
         policy = self.make_policy(incremental=True)
-        policy.plan(nodes)
+        policy.plan(join_view(nodes))
         # Touch two nodes: both become dirty and participate again.
         for node in nodes[:2]:
             vm = make_vm(cpu=0.2, memory=0.2, network=0.1, trace=ConstantTrace(1.0))
             node.place_vm(vm)
             vm.update_usage(0.0)
-        participants = policy._participants(policy._eligible_nodes(nodes))
+        participants = policy._participants(policy._eligible_nodes(join_view(nodes)))
         assert {node.node_id for node in participants} == {"node-0", "node-1"}

@@ -436,13 +436,6 @@ class TestRandomRouter:
         beta_only = second.stream("beta").random(4)
         assert np.allclose(alpha_then_beta, beta_only)
 
-    def test_reseed_resets_streams(self):
-        router = RandomRouter(1)
-        before = router.stream("s").random(3)
-        router.reseed(2)
-        after = router.stream("s").random(3)
-        assert not np.allclose(before, after)
-
     def test_contains(self):
         router = RandomRouter(0)
         assert "x" not in router
