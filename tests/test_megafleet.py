@@ -34,6 +34,12 @@ from tests.conftest import no_hang
 #: commit before shard state became resident (per-epoch pool, states pickled).
 PARENT_1K_SEED4_SHA256 = "65c8ad0a2584dcf54862ad74c24925deba65e8957840506741f9fc6a79dd4ca5"
 
+#: sha256 of the bench-scale runs' canonical JSON before placement became one
+#: kernel call per group and epoch: ``megafleet-10k`` at seed 7 over its full
+#: horizon, and ``megafleet-100k`` at seed 7 over 300 s (the bench item).
+PARENT_10K_SEED7_SHA256 = "481d254ed1706a04fccfeafcb3e330dbdf36e58d985e61b0b1cea9a75ee88af3"
+PARENT_100K_SEED7_300S_SHA256 = "ff29a0011053e56617daa53e5f5a12c55662c1a69f6ed62473a072e1704a6cc7"
+
 
 def tiny_spec(**overrides) -> MegafleetSpec:
     """A seconds-fast fleet derived from the smoke-test catalog entry."""
@@ -120,6 +126,17 @@ class TestDeterminism:
     def test_output_unchanged_since_states_were_shipped(self, shards, jobs):
         text = run_megafleet("megafleet-1k", seed=4, shards=shards, jobs=jobs).canonical_json()
         assert hashlib.sha256(text.encode()).hexdigest() == PARENT_1K_SEED4_SHA256
+
+    @pytest.mark.parametrize(
+        "name,duration,digest",
+        [
+            ("megafleet-10k", None, PARENT_10K_SEED7_SHA256),
+            ("megafleet-100k", 300.0, PARENT_100K_SEED7_300S_SHA256),
+        ],
+    )
+    def test_bench_scale_output_is_pinned(self, name, duration, digest):
+        text = run_megafleet(name, seed=7, duration=duration).canonical_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_byte_identical_under_spawn(self, monkeypatch):
         # Spawned workers import the engine afresh and rebuild their shards
