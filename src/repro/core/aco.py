@@ -60,7 +60,7 @@ from repro.core.base import (
     lower_bound_hosts,
     validate_instance,
 )
-from repro.core.placement import Placement, PlacementError
+from repro.core.placement import FIT_TOLERANCE, Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
 from repro.workers import Workers
 
@@ -114,9 +114,6 @@ class ACOParameters:
         if self.stagnation_cycles is not None and self.stagnation_cycles <= 0:
             raise ValueError("stagnation_cycles must be positive or None")
 
-
-#: Feasibility tolerance of the fit test.
-FIT_TOLERANCE = 1e-9
 
 #: Candidate columns are compacted once one in this many belongs to a placed VM.
 _COMPACTION_SHARE = 8

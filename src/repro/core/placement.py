@@ -5,6 +5,9 @@ capacity matrix) or to "unassigned" (-1).  All algorithms produce placements;
 all metrics (hosts used, utilization, energy) and the migration planner are
 computed from placements, so the comparison between ACO, FFD and the optimum
 is guaranteed to use identical accounting.
+
+:func:`first_fit` is the one first-fit placement kernel: the hierarchy's
+first-fit policy and the megafleet engine both place through it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+#: Feasibility tolerance of every fit test: a demand fits when
+#: ``reserved + demand <= capacity + FIT_TOLERANCE`` in every dimension.
+FIT_TOLERANCE = 1e-9
 
 
 class PlacementError(ValueError):
@@ -216,3 +223,65 @@ def placement_from_view(view, vms: Iterable, rows=None) -> tuple[Placement, list
         if vm.host_id is not None and vm.host_id in node_index:
             assignment[row] = node_index[vm.host_id]
     return Placement(demands, capacities, assignment), vm_list, node_list
+
+
+def first_fit(
+    demands: np.ndarray,
+    reserved: np.ndarray,
+    capacities: np.ndarray,
+    placeable: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Place ``(k, d)`` demand rows first-fit, in order, on ``(n, d)`` rows.
+
+    Demand ``i`` goes to the lowest row that is ``placeable`` (every row when
+    ``None``) and fits it on top of ``reserved`` plus the demands ``0 .. i-1``
+    placed there.  Returns the ``(k,)`` row per demand, ``-1`` when none
+    fits; ``reserved`` is not modified (``np.add.at(reserved, hits[ok],
+    demands[ok])`` applies the placements in the same order).
+
+    Demands must be non-negative, so a row's reservations only grow within a
+    batch and a row that did not fit demand ``i`` at the start cannot fit it
+    later.  The start fit mask is built once for the whole batch; each demand
+    then walks its fitting rows in order, taking the first row the batch has
+    not placed on and rechecking, in Python floats, the rows it has.  The
+    result is bit-for-bit the one-demand-at-a-time loop's.
+    """
+    demands = np.asarray(demands, dtype=float)
+    k, n = demands.shape[0], reserved.shape[0]
+    if k == 0 or n == 0:
+        return np.full(k, -1, dtype=np.int64)
+    # The (k, n) start fit mask, one dimension at a time: reducing a short
+    # last axis with ``all`` costs more than the arithmetic.
+    limit = capacities + FIT_TOLERANCE
+    load_by_dim = np.ascontiguousarray(reserved.T)
+    limit_by_dim = np.ascontiguousarray(limit.T)
+    need_by_dim = demands.T[:, :, np.newaxis]
+    total = load_by_dim[0] + need_by_dim[0]
+    fits = total <= limit_by_dim[0]
+    for dim in range(1, load_by_dim.shape[0]):
+        np.add(load_by_dim[dim], need_by_dim[dim], out=total)
+        fits &= total <= limit_by_dim[dim]
+    if placeable is not None:
+        fits &= placeable
+    mask = fits.tobytes()  # one byte per (demand, row), demand-major
+    hits = []
+    held: dict = {}  # row -> (its reservations after this batch, its limits)
+    for i, demand in enumerate(demands.tolist()):
+        base = i * n
+        at = mask.find(1, base, base + n)
+        while at >= 0:
+            row = at - base
+            if row not in held:
+                held[row] = (reserved[row].tolist(), limit[row].tolist())
+                break
+            now, limits = held[row]
+            if all(r + x <= c for r, x, c in zip(now, demand, limits)):
+                break
+            at = mask.find(1, at + 1, base + n)
+        if at < 0:
+            hits.append(-1)
+            continue
+        now = held[row][0]
+        now[:] = [r + x for r, x in zip(now, demand)]
+        hits.append(row)
+    return np.asarray(hits, dtype=np.int64)

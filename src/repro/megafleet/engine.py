@@ -11,11 +11,14 @@ fleet in **lockstep epochs**:
 1. At an epoch boundary the coordinator draws the epoch's VM arrivals from its
    own named stream and dispatches each to a group, least-loaded over the
    latest group summaries with a running pending-demand correction (the same
-   thundering-herd fix the live Group Leader applies between summaries).
+   thundering-herd fix the live Group Leader applies between summaries),
+   from a heap of the groups' projected free CPU (:func:`least_loaded`).
 2. Every *shard* (a contiguous slice of groups, one :class:`ShardHost`)
    advances its groups through the epoch independently: departures free
-   capacity, arrivals place first-fit over the group's arrays, monitoring rows
-   refresh vectorized.  Shard state is **resident**: a host builds its groups
+   capacity, the epoch's arrivals place first-fit in **one kernel call per
+   group and epoch** (:func:`repro.core.placement.first_fit`, the kernel the
+   hierarchy's first-fit policy uses), monitoring rows refresh vectorized.
+   Shard state is **resident**: a host builds its groups
    from ``(spec, seed, group ids)`` in the process that advances them and
    keeps them there for the whole run
    (:class:`repro.workers.Workers`: in-process objects when
@@ -39,18 +42,17 @@ canonical-JSON tests.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.placement import first_fit
 from repro.megafleet.spec import MegafleetSpec, get_megafleet
 from repro.simulation.randomness import spawn_generator, spawn_seed_sequences
 from repro.workers import Workers
-
-#: Feasibility tolerance, matching ``ClusterView``/``ResourceVector``.
-FIT_TOLERANCE = 1e-9
 
 
 # -------------------------------------------------------------- group state
@@ -105,28 +107,18 @@ def _advance_group(
         keep = ~departing
         vm_req, vm_host, vm_depart = vm_req[keep], vm_host[keep], vm_depart[keep]
 
-    # 2. Arrivals place first-fit (lowest LC row with room), like the
-    #    hierarchy's FirstFitPlacement over the group's resident view.
-    placed_rows: List[int] = []
-    placed_req: List[np.ndarray] = []
-    placed_depart: List[float] = []
-    rejections = 0
-    limit = capacities + FIT_TOLERANCE
-    for row in range(arrivals_req.shape[0]):
-        demand = arrivals_req[row]
-        fits = (reserved + demand <= limit).all(axis=1)
-        hit = int(np.argmax(fits)) if fits.any() else -1
-        if hit < 0:
-            rejections += 1
-            continue
-        reserved[hit] += demand
-        placed_rows.append(hit)
-        placed_req.append(demand)
-        placed_depart.append(epoch_end + float(arrivals_life[row]))
-    if placed_rows:
-        vm_req = np.concatenate([vm_req, np.asarray(placed_req, dtype=float)])
-        vm_host = np.concatenate([vm_host, np.asarray(placed_rows, dtype=np.int64)])
-        vm_depart = np.concatenate([vm_depart, np.asarray(placed_depart, dtype=float)])
+    # 2. Arrivals place first-fit (lowest LC row with room) in dispatch order,
+    #    one kernel call shared with the hierarchy's FirstFitPlacement.
+    hits = first_fit(arrivals_req, reserved, capacities)
+    placed = hits >= 0
+    n_placed = int(np.count_nonzero(placed))
+    rejections = hits.shape[0] - n_placed
+    if n_placed:
+        placed_rows, placed_req = hits[placed], arrivals_req[placed]
+        np.add.at(reserved, placed_rows, placed_req)
+        vm_req = np.concatenate([vm_req, placed_req])
+        vm_host = np.concatenate([vm_host, placed_rows])
+        vm_depart = np.concatenate([vm_depart, epoch_end + arrivals_life[placed]])
 
     # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
     #    vectorized over the whole group (the TelemetryPlane idiom).
@@ -150,13 +142,13 @@ def _advance_group(
     group["reserved"] = reserved
     group["used"] = used
     group["vm_req"], group["vm_host"], group["vm_depart"] = vm_req, vm_host, vm_depart
-    group["placements"] += len(placed_rows)
+    group["placements"] += n_placed
     group["rejections"] += rejections
     group["departures"] += n_departing
     # Processed state updates this epoch: VM lifecycle operations plus one
     # monitoring row per LC per tick plus the boundary summary message.
     group["events"] += (
-        n_departing + len(placed_rows) + rejections + capacities.shape[0] * ticks + 1
+        n_departing + n_placed + rejections + capacities.shape[0] * ticks + 1
     )
     return group
 
@@ -228,6 +220,33 @@ class ShardHost:
             }
             for group in self.groups
         ]
+
+
+def least_loaded(
+    free_cpu: Sequence[float], cpu_demands: Sequence[float]
+) -> Tuple[List[int], List[float]]:
+    """Dispatch CPU demands, in order, each to the group with the most free CPU.
+
+    Ties go to the lowest group id; a demand larger than the chosen group's
+    free CPU is refused (target ``-1``).  Each accepted demand is taken off
+    its group's projected free CPU before the next is dispatched (the live
+    Group Leader's pending-demand correction).  The groups sit in a heap
+    keyed ``(-free, gid)``, so a dispatch costs ``O(log groups)``.  Returns
+    ``(targets, projected_free)`` as lists.
+    """
+    projected = [float(free) for free in free_cpu]
+    heap = [(-free, gid) for gid, free in enumerate(projected)]
+    heapq.heapify(heap)
+    targets = []
+    for demand in cpu_demands:
+        target = heap[0][1]
+        if projected[target] < demand:
+            targets.append(-1)
+            continue
+        projected[target] -= demand
+        heapq.heapreplace(heap, (-projected[target], target))
+        targets.append(target)
+    return targets, projected
 
 
 # ------------------------------------------------------------------- results
@@ -310,10 +329,7 @@ class ShardedFleetSimulator:
 
         with Workers(jobs, ShardHost, [(spec, self.seed, gids) for gids in shard_gids]) as hosts:
             # The latest summaries' free CPU, one slot per group.
-            free_cpu = np.asarray(
-                [s["free_cpu"] for reply in hosts.call("summaries") for s in reply],
-                dtype=float,
-            )
+            free_cpu = [s["free_cpu"] for reply in hosts.call("summaries") for s in reply]
             for epoch_index in range(spec.n_epochs):
                 epoch_start = epoch_index * spec.epoch
                 epoch_end = epoch_start + spec.epoch
@@ -326,14 +342,8 @@ class ShardedFleetSimulator:
                     * node_capacity
                 )
                 lifetimes = arrival_rng.exponential(spec.vm_lifetime_mean, n_arrivals)
-                projected_free = free_cpu.copy()
-                targets = np.full(n_arrivals, -1, dtype=np.int64)
-                for row, cpu_demand in enumerate(demands[:, 0].tolist()):
-                    target = int(np.argmax(projected_free))
-                    if projected_free[target] < cpu_demand:
-                        continue
-                    projected_free[target] -= cpu_demand
-                    targets[row] = target
+                targets, _ = least_loaded(free_cpu, demands[:, 0].tolist())
+                targets = np.asarray(targets, dtype=np.int64)
                 # One stable grouping by target keeps dispatch order inside a
                 # group; refused arrivals (-1) sort first and are cut off.
                 order = np.argsort(targets, kind="stable")

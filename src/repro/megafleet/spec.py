@@ -62,6 +62,19 @@ class MegafleetSpec(PlainData):
             raise ValueError("duration must cover at least one positive epoch")
         if len(self.node_capacity) != len(self.dimensions):
             raise ValueError("node_capacity must match dimensions")
+        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
+        if not all(capacity > 0 for capacity in self.node_capacity):
+            raise ValueError("every node_capacity must be > 0")
+        if not self.monitoring_interval > 0:
+            raise ValueError("monitoring_interval must be > 0")
+        if not 0 <= self.usage_low <= self.usage_high:
+            raise ValueError("need 0 <= usage_low <= usage_high")
+        if not 0 <= self.vm_demand_low <= self.vm_demand_high:
+            raise ValueError("need 0 <= vm_demand_low <= vm_demand_high")
+        if not self.arrivals_per_epoch >= 0:
+            raise ValueError("arrivals_per_epoch must be >= 0")
+        if not self.vm_lifetime_mean > 0:
+            raise ValueError("vm_lifetime_mean must be > 0")
 
     @property
     def n_epochs(self) -> int:

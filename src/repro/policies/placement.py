@@ -18,6 +18,7 @@ import abc
 import numpy as np
 
 from repro.cluster.vm import VirtualMachine
+from repro.core.placement import first_fit
 from repro.policies.decisions import PlacementDecision
 from repro.policies.registry import register_policy
 from repro.policies.view import ClusterView
@@ -45,11 +46,13 @@ class FirstFitPlacement(PlacementPolicy):
     name = "first-fit"
 
     def decide(self, vm: VirtualMachine, view: ClusterView) -> PlacementDecision:
-        feasible = view.feasible_mask(vm.requested.values)
-        hits = np.flatnonzero(feasible)
-        if hits.size == 0:
+        # The megafleet engine's kernel, with one demand row.
+        (hit,) = first_fit(
+            vm.requested.values[np.newaxis], view.reserved, view.capacities, view.placeable
+        ).tolist()
+        if hit < 0:
             return self._no_fit()
-        return PlacementDecision(node_id=view.node_ids[int(hits[0])])
+        return PlacementDecision(node_id=view.node_ids[hit])
 
 
 @register_policy("placement")

@@ -20,9 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.node import PhysicalNode
-
-#: Feasibility tolerance, matching ``ResourceVector.fits_within``.
-FIT_TOLERANCE = 1e-9
+from repro.core.placement import FIT_TOLERANCE
 
 
 class ClusterView:

@@ -1,0 +1,146 @@
+"""The batched first-fit kernel and the heap dispatch equal their per-arrival loops.
+
+``repro.core.placement.first_fit`` places a whole batch of demands from one
+start fit mask, and ``repro.megafleet.engine.least_loaded`` dispatches from a
+heap; both must give bit-for-bit what the one-arrival-at-a-time loops in
+``tests/per_arrival_megafleet.py`` give: the same rows and targets, and the
+same reservations and projected free CPU, compared as bytes.  The draws are
+built to hit the edges: exact ties (zero included), demands that fit only
+within ``FIT_TOLERANCE``, several placements on one row, all-rejected and
+empty batches, and a ``placeable`` mask.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.placement import FIT_TOLERANCE, first_fit
+from repro.megafleet import engine, get_megafleet
+
+from tests.per_arrival_megafleet import dispatch_per_arrival, first_fit_per_arrival
+
+#: Values that make ties, exact fills and near-misses likely.
+EDGES = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]
+#: Offsets that land a demand just inside or just outside the tolerance.
+NUDGES = [0.0, 0.5 * FIT_TOLERANCE, -0.5 * FIT_TOLERANCE, 2 * FIT_TOLERANCE]
+
+values = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(min_value=0.0, max_value=1.2, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def batches(draw):
+    """``(demands, reserved, capacities, placeable)`` for one kernel call."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    d = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=0, max_value=14))
+    capacities = np.array(
+        [[draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(d)] for _ in range(n)]
+    )
+    reserved = np.array([[draw(values) for _ in range(d)] for _ in range(n)])
+    reserved = np.minimum(reserved, capacities)
+    demands = np.zeros((k, d))
+    for i in range(k):
+        if n and draw(st.booleans()):
+            # Fill a row exactly, give or take the tolerance.
+            row = draw(st.integers(min_value=0, max_value=n - 1))
+            demands[i] = np.maximum(
+                capacities[row] - reserved[row] + draw(st.sampled_from(NUDGES)), 0.0
+            )
+        else:
+            demands[i] = [draw(values) * 0.5 for _ in range(d)]
+    placeable = (
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if draw(st.booleans())
+        else None
+    )
+    return demands, reserved, capacities, placeable
+
+
+def _bytes(array) -> bytes:
+    return np.asarray(array, dtype=float).tobytes()
+
+
+class TestFirstFitKernel:
+    @given(batch=batches())
+    @settings(max_examples=300, deadline=None)
+    # Row 0 takes two demands, then the third no longer fits there and the
+    # first row it fitted at the start is the touched one.
+    @example(
+        batch=(
+            np.array([[0.4], [0.4], [0.4], [0.1]]),
+            np.zeros((3, 1)),
+            np.ones((3, 1)),
+            None,
+        )
+    )
+    def test_equals_the_per_arrival_loop(self, batch):
+        demands, reserved, capacities, placeable = batch
+        before = reserved.copy()
+        hits = first_fit(demands, reserved, capacities, placeable)
+        expected_hits, expected_reserved = first_fit_per_arrival(
+            demands, reserved, capacities, placeable
+        )
+        assert hits.dtype == np.int64
+        assert hits.tolist() == expected_hits
+        assert _bytes(reserved) == _bytes(before)  # the kernel is pure
+        placed = hits >= 0
+        np.add.at(reserved, hits[placed], demands[placed])
+        assert _bytes(reserved) == _bytes(expected_reserved)
+
+    def test_all_rejected_and_empty(self):
+        capacities = np.ones((4, 2))
+        reserved = np.zeros((4, 2))
+        assert first_fit(np.full((3, 2), 1.5), reserved, capacities).tolist() == [-1] * 3
+        assert first_fit(np.empty((0, 2)), reserved, capacities).tolist() == []
+        unplaceable = np.zeros(4, dtype=bool)
+        assert first_fit(np.ones((2, 2)), reserved, capacities, unplaceable).tolist() == [-1, -1]
+
+    @given(batch=batches())
+    @settings(max_examples=60, deadline=None)
+    def test_group_advance_applies_the_same_placements(self, batch):
+        demands, reserved, capacities, _ = batch
+        d = capacities.shape[1]
+        spec = dataclasses.replace(
+            get_megafleet("megafleet-1k"),
+            local_controllers=capacities.shape[0],
+            group_managers=1,
+            dimensions=tuple(f"r{i}" for i in range(d)),
+            node_capacity=(1.0,) * d,
+        )
+        group = engine._new_group(0, capacities.shape[0], spec, np.random.SeedSequence(3))
+        group["capacities"], group["reserved"] = capacities, reserved.copy()
+        view = {"monitoring_interval": 10.0, "usage_low": 0.35, "usage_high": 0.9}
+        engine._advance_group(group, demands, np.ones(demands.shape[0]), 0, 0.0, 10.0, view)
+        hits, expected_reserved = first_fit_per_arrival(demands, reserved, capacities)
+        assert group["vm_host"].tolist() == [hit for hit in hits if hit >= 0]
+        assert group["rejections"] == hits.count(-1)
+        assert _bytes(group["reserved"]) == _bytes(expected_reserved)
+
+
+free_values = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestLeastLoadedDispatch:
+    @given(
+        free_cpu=st.lists(free_values, min_size=1, max_size=12),
+        cpu_demands=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), free_values), max_size=40
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(free_cpu=[0.0, 0.0, 0.0], cpu_demands=[0.0, 0.0, 0.5])
+    @example(free_cpu=[1.0, 1.0, 0.5], cpu_demands=[0.5, 0.5, 0.5, 0.5, 1.0])
+    def test_equals_the_argmax_loop(self, free_cpu, cpu_demands):
+        targets, projected = engine.least_loaded(free_cpu, cpu_demands)
+        expected_targets, expected_projected = dispatch_per_arrival(free_cpu, cpu_demands)
+        assert targets == expected_targets.tolist()
+        assert _bytes(projected) == _bytes(expected_projected)

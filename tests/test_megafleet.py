@@ -73,6 +73,25 @@ class TestCatalog:
         with pytest.raises(ValueError, match="match dimensions"):
             tiny_spec(node_capacity=(1.0,))
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"monitoring_interval": 0.0}, "monitoring_interval must be > 0"),
+            ({"monitoring_interval": -10.0}, "monitoring_interval must be > 0"),
+            ({"usage_low": 0.9, "usage_high": 0.35}, "usage_low <= usage_high"),
+            ({"usage_low": -0.1}, "0 <= usage_low"),
+            ({"vm_demand_low": 0.5, "vm_demand_high": 0.1}, "vm_demand_low <= vm_demand_high"),
+            ({"vm_demand_low": -0.05}, "0 <= vm_demand_low"),
+            ({"arrivals_per_epoch": -1.0}, "arrivals_per_epoch must be >= 0"),
+            ({"vm_lifetime_mean": 0.0}, "vm_lifetime_mean must be > 0"),
+            ({"node_capacity": (1.0, 0.0, 1.0)}, "every node_capacity must be > 0"),
+            ({"monitoring_interval": float("nan")}, "monitoring_interval must be > 0"),
+        ],
+    )
+    def test_spec_rejects_fields_that_crash_or_mislead_a_run(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**overrides)
+
     def test_group_sizes_cover_fleet(self):
         spec = tiny_spec(local_controllers=121)
         sizes = spec.group_sizes()
@@ -259,6 +278,27 @@ class TestCli:
         direct = run_megafleet("megafleet-1k", seed=4, shards=1, duration=30.0)
         assert payload["totals"] == direct.totals
         assert "perf" not in payload and "exchange_wait_s" not in payload
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("monitoring_interval", 0),
+            ("monitoring_interval", -5),
+            ("usage_low", 0.95),
+            ("arrivals_per_epoch", -1),
+        ],
+    )
+    def test_bad_spec_file_is_a_user_error(self, field, value, tmp_path, capsys):
+        assert main(["megafleet", "list", "--json"]) == 0
+        (entry,) = [e for e in json.loads(capsys.readouterr().out) if e["name"] == "megafleet-1k"]
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps({**entry, field: value}))
+        assert main(["megafleet", "run", str(path), "--duration", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid megafleet spec {str(path)!r}: ")
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_megafleet_run_table_shows_where_the_wall_went(self, capsys):
         args = ["megafleet", "run", "megafleet-1k", "--duration", "30", "--shards", "2"]

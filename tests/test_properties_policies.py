@@ -207,6 +207,15 @@ class TestPlacementMatchesScalar:
 
     @given(nodes=clusters(), vm=demands())
     @settings(max_examples=40, deadline=None)
+    def test_first_fit_kernel_equals_the_view_mask(self, nodes, vm):
+        # decide goes through repro.core.placement.first_fit with one row.
+        view = ClusterView.from_nodes(nodes)
+        decision = make_policy("placement", "first-fit").decide(vm, view)
+        hits = np.flatnonzero(view.feasible_mask(vm.requested.values))
+        assert decision.node_id == (view.node_ids[int(hits[0])] if hits.size else None)
+
+    @given(nodes=clusters(), vm=demands())
+    @settings(max_examples=40, deadline=None)
     def test_best_fit_minimizes_residual(self, nodes, vm):
         decision = make_policy("placement", "best-fit").decide(
             vm, ClusterView.from_nodes(nodes)
