@@ -1,4 +1,4 @@
-"""One-arrival-at-a-time megafleet loops: the oracles the batched code is tested against.
+"""One-at-a-time megafleet loops: the oracles the batched code is tested against.
 
 ``first_fit_per_arrival`` is the group's placement loop as the engine ran it
 before placement became one :func:`repro.core.placement.first_fit` call per
@@ -6,8 +6,14 @@ group and epoch (six numpy calls per arrival); ``dispatch_per_arrival`` is the
 coordinator's least-loaded loop before it became a heap
 (:func:`repro.megafleet.engine.least_loaded`, one ``np.argmax`` over every
 group per arrival).  ``tests/test_first_fit_kernel.py`` requires the batched
-forms to give bit-for-bit the same answers; nothing in ``src`` uses this
-module.
+forms to give bit-for-bit the same answers.
+
+``new_group`` / ``advance_group`` / ``group_summary`` and :class:`PerGroupShard`
+are a shard as the engine ran it before its groups became stacked rows: one
+dict of small arrays per group, advanced one group at a time.
+``tests/test_megafleet.py`` requires :class:`repro.megafleet.engine.ShardHost`
+to hold bit-for-bit the same state after every epoch.  Nothing in ``src`` uses
+this module.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import FIT_TOLERANCE
+from repro.core.placement import FIT_TOLERANCE, first_fit
+from repro.megafleet.spec import MegafleetSpec
+from repro.simulation.randomness import spawn_seed_sequences
 
 
 def first_fit_per_arrival(
@@ -55,3 +63,167 @@ def dispatch_per_arrival(
         projected_free[target] -= cpu_demand
         targets[row] = target
     return targets, projected_free
+
+
+def new_group(gid: int, n_lcs: int, spec: MegafleetSpec, seed: np.random.SeedSequence) -> dict:
+    """Fresh state for one Group Manager's LC arrays."""
+    d = len(spec.dimensions)
+    capacity = np.tile(np.asarray(spec.node_capacity, dtype=float), (n_lcs, 1))
+    return {
+        "gid": int(gid),
+        "capacities": capacity,
+        "reserved": np.zeros((n_lcs, d), dtype=float),
+        "used": np.zeros((n_lcs, d), dtype=float),
+        "vm_req": np.empty((0, d), dtype=float),
+        "vm_host": np.empty(0, dtype=np.int64),
+        "vm_depart": np.empty(0, dtype=float),
+        "seed_entropy": seed.entropy,
+        "seed_spawn_key": tuple(int(k) for k in seed.spawn_key),
+        "placements": 0,
+        "rejections": 0,
+        "departures": 0,
+        "events": 0,
+    }
+
+
+def advance_group(
+    group: dict,
+    arrivals_req: np.ndarray,
+    arrivals_life: np.ndarray,
+    epoch_index: int,
+    epoch_start: float,
+    epoch_end: float,
+    spec_view: dict,
+) -> dict:
+    """Advance one group through one epoch (pure function of its inputs).
+
+    Event order inside the epoch is fixed: departures due this epoch free
+    capacity first, then arrivals place first-fit in dispatch order, then the
+    monitoring rows refresh.  The per-epoch generator is re-derived from the
+    group's seed child and the epoch index, so the stream consumed here is
+    independent of how groups are packed into shards.
+    """
+    reserved = group["reserved"]
+    capacities = group["capacities"]
+    vm_req, vm_host, vm_depart = group["vm_req"], group["vm_host"], group["vm_depart"]
+
+    # 1. Departures due by the end of this epoch release their reservations.
+    departing = vm_depart <= epoch_end
+    n_departing = int(np.count_nonzero(departing))
+    if n_departing:
+        np.add.at(reserved, vm_host[departing], -vm_req[departing])
+        np.clip(reserved, 0.0, None, out=reserved)
+        keep = ~departing
+        vm_req, vm_host, vm_depart = vm_req[keep], vm_host[keep], vm_depart[keep]
+
+    # 2. Arrivals place first-fit (lowest LC row with room) in dispatch order,
+    #    one kernel call shared with the hierarchy's FirstFitPlacement.
+    hits = first_fit(arrivals_req, reserved, capacities)
+    placed = hits >= 0
+    n_placed = int(np.count_nonzero(placed))
+    rejections = hits.shape[0] - n_placed
+    if n_placed:
+        placed_rows, placed_req = hits[placed], arrivals_req[placed]
+        np.add.at(reserved, placed_rows, placed_req)
+        vm_req = np.concatenate([vm_req, placed_req])
+        vm_host = np.concatenate([vm_host, placed_rows])
+        vm_depart = np.concatenate([vm_depart, epoch_end + arrivals_life[placed]])
+
+    # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
+    #    vectorized over the whole group (the TelemetryPlane idiom).
+    ticks = max(1, int(round((epoch_end - epoch_start) / spec_view["monitoring_interval"])))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=group["seed_entropy"],
+            spawn_key=(*group["seed_spawn_key"], int(epoch_index)),
+        )
+    )
+    # One row per tick keeps the stream; only the last tick's usage survives.
+    shape = (ticks, vm_req.shape[0])
+    fractions = rng.uniform(spec_view["usage_low"], spec_view["usage_high"], shape)[-1]
+    used = reserved.copy()
+    cpu = 0
+    cpu_used = np.zeros(capacities.shape[0], dtype=float)
+    if vm_req.shape[0]:
+        np.add.at(cpu_used, vm_host, vm_req[:, cpu] * fractions)
+    used[:, cpu] = cpu_used
+
+    group["reserved"] = reserved
+    group["used"] = used
+    group["vm_req"], group["vm_host"], group["vm_depart"] = vm_req, vm_host, vm_depart
+    group["placements"] += n_placed
+    group["rejections"] += rejections
+    group["departures"] += n_departing
+    # Processed state updates this epoch: VM lifecycle operations plus one
+    # monitoring row per LC per tick plus the boundary summary message.
+    group["events"] += (
+        n_departing + n_placed + rejections + capacities.shape[0] * ticks + 1
+    )
+    return group
+
+
+def group_summary(group: dict) -> dict:
+    """The epoch-boundary summary a group sends the coordinator."""
+    free = np.clip(group["capacities"] - group["reserved"], 0.0, None)
+    return {
+        "gid": group["gid"],
+        "lcs": int(group["capacities"].shape[0]),
+        "vms": int(group["vm_req"].shape[0]),
+        "free_cpu": float(free[:, 0].sum()),
+    }
+
+
+class PerGroupShard:
+    """One shard as a list of per-group dicts, stepped one group at a time.
+
+    Same constructor and methods as :class:`repro.megafleet.engine.ShardHost`.
+    """
+
+    def __init__(self, spec: MegafleetSpec, seed: int, gids: Sequence[int]) -> None:
+        # One seed child per *group*, whatever shard holds it, so repacking
+        # groups into a different shard count cannot move any stream.
+        seeds = spawn_seed_sequences(seed, spec.group_managers)
+        sizes = spec.group_sizes()
+        self.groups = [new_group(gid, sizes[gid], spec, seeds[gid]) for gid in gids]
+        self.spec_view = {
+            "monitoring_interval": spec.monitoring_interval,
+            "usage_low": spec.usage_low,
+            "usage_high": spec.usage_high,
+        }
+
+    def summaries(self) -> List[dict]:
+        """The epoch-boundary summaries of this shard's groups, in group order."""
+        return [group_summary(group) for group in self.groups]
+
+    def advance(self, epoch: dict) -> List[dict]:
+        """Advance every group through one epoch; reply with the summaries.
+
+        ``epoch`` carries the shard's arrivals grouped by target group in
+        dispatch order: ``counts[i]`` consecutive rows of ``demands`` /
+        ``lifetimes`` belong to the shard's ``i``-th group.
+        """
+        stops = np.cumsum(epoch["counts"]).tolist()
+        for group, start, stop in zip(self.groups, [0] + stops, stops):
+            advance_group(
+                group,
+                epoch["demands"][start:stop],
+                epoch["lifetimes"][start:stop],
+                epoch["epoch_index"],
+                epoch["epoch_start"],
+                epoch["epoch_end"],
+                self.spec_view,
+            )
+        return self.summaries()
+
+    def finish(self) -> List[dict]:
+        """Per-group finals: the last summary plus the run's counters."""
+        return [
+            {
+                **group_summary(group),
+                "placements": group["placements"],
+                "rejections": group["rejections"],
+                "departures": group["departures"],
+                "events": group["events"],
+            }
+            for group in self.groups
+        ]

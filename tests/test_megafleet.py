@@ -15,7 +15,9 @@ import multiprocessing
 import os
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import workers
 from repro.cli.main import main
@@ -29,6 +31,7 @@ from repro.megafleet import (
 )
 
 from tests.conftest import no_hang
+from tests.per_arrival_megafleet import PerGroupShard
 
 #: sha256 of ``run_megafleet("megafleet-1k", seed=4).canonical_json()`` at the
 #: commit before shard state became resident (per-epoch pool, states pickled).
@@ -262,6 +265,115 @@ class TestSemantics:
         result = run_megafleet("megafleet-1k", seed=1, shards=4, duration=30.0)
         assert result.totals["epochs"] == 3
         assert result.spec.name == "megafleet-1k"
+
+
+#: Demand fractions that make exact fills, ties and rejections likely.
+DEMANDS = [0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.2]
+#: Lifetimes: leave next epoch (0), in a later epoch, or never in the run.
+LIFETIMES = [0.0, 5.0, 10.0, 25.0, 1e9]
+
+
+@st.composite
+def shard_runs(draw):
+    """``(spec, seed, gids, epochs)``: one shard and the arrivals of every epoch."""
+    group_managers = draw(st.integers(min_value=1, max_value=5))
+    # LC counts that mostly do not divide evenly over the GMs.
+    local_controllers = draw(st.integers(min_value=group_managers, max_value=5 * group_managers))
+    d = draw(st.integers(min_value=1, max_value=3))
+    first = draw(st.integers(min_value=0, max_value=group_managers - 1))
+    last = draw(st.integers(min_value=first, max_value=group_managers - 1))
+    usage_low = draw(st.sampled_from([0.0, 0.35, 1.0]))
+    usage_high = usage_low + draw(st.sampled_from([0.0, 0.0, 0.55]))
+    n_epochs = draw(st.integers(min_value=1, max_value=5))
+    spec = tiny_spec(
+        local_controllers=local_controllers,
+        group_managers=group_managers,
+        dimensions=tuple(f"r{i}" for i in range(d)),
+        node_capacity=tuple(draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(d)),
+        duration=10.0 * n_epochs,
+        epoch=10.0,
+        monitoring_interval=draw(st.sampled_from([10.0, 5.0, 3.0])),
+        usage_low=usage_low,
+        usage_high=usage_high,
+    )
+    gids = list(range(first, last + 1))
+    epochs = []
+    for index in range(n_epochs):
+        counts = [draw(st.integers(min_value=0, max_value=6)) for _ in gids]
+        k = sum(counts)
+        demands = [[draw(st.sampled_from(DEMANDS)) for _ in range(d)] for _ in range(k)]
+        epochs.append(
+            {
+                "epoch_index": index,
+                "epoch_start": 10.0 * index,
+                "epoch_end": 10.0 * (index + 1),
+                "demands": np.array(demands, dtype=float).reshape(k, d),
+                "lifetimes": np.array([draw(st.sampled_from(LIFETIMES)) for _ in range(k)]),
+                "counts": np.array(counts, dtype=np.int64),
+            }
+        )
+    return spec, draw(st.integers(min_value=0, max_value=2**16)), gids, epochs
+
+
+def group_states(host) -> list:
+    """Each group's rows, VMs and counters as the per-group oracle keeps them."""
+    keys = ("reserved", "used", "vm_req", "vm_host", "vm_depart",
+            "placements", "rejections", "departures", "events")
+    return [{key: group[key] for key in keys} for group in host.groups]
+
+
+def _exact(value):
+    """A value with its bytes: arrays by dtype and content, floats by hex."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_exact(item) for item in value]
+    return (type(value).__name__, value)
+
+
+class TestStackedShard:
+    """A stacked ``ShardHost`` holds the per-group oracle's state after every epoch."""
+
+    @given(run=shard_runs())
+    @settings(max_examples=120, deadline=None)
+    # Two of three groups over 7 LCs (3, 2, 2), the slice starting at gid 1:
+    # a group with no arrivals, rejections, a VM leaving after one epoch while
+    # the next epoch has no departures, and flat usage.
+    @example(
+        run=(
+            tiny_spec(local_controllers=7, group_managers=3, duration=30.0,
+                      usage_low=0.5, usage_high=0.5),
+            5,
+            [1, 2],
+            [
+                {"epoch_index": 0, "epoch_start": 0.0, "epoch_end": 10.0,
+                 "demands": np.array([[0.5] * 3, [1.2] * 3, [0.7] * 3]),
+                 "lifetimes": np.array([0.0, 5.0, 1e9]),
+                 "counts": np.array([3, 0])},
+                {"epoch_index": 1, "epoch_start": 10.0, "epoch_end": 20.0,
+                 "demands": np.array([[0.25] * 3]),
+                 "lifetimes": np.array([1e9]),
+                 "counts": np.array([0, 1])},
+                {"epoch_index": 2, "epoch_start": 20.0, "epoch_end": 30.0,
+                 "demands": np.empty((0, 3)),
+                 "lifetimes": np.empty(0),
+                 "counts": np.array([0, 0])},
+            ],
+        )
+    )
+    def test_equals_the_per_group_oracle_after_every_epoch(self, run):
+        spec, seed, gids, epochs = run
+        host = engine.ShardHost(spec, seed, gids)
+        oracle = PerGroupShard(spec, seed, gids)
+        assert _exact(host.summaries()) == _exact(oracle.summaries())
+        for epoch in epochs:
+            assert _exact(host.advance(epoch)) == _exact(oracle.advance(epoch))
+            assert _exact(group_states(host)) == _exact(group_states(oracle))
+        assert _exact(host.finish()) == _exact(oracle.finish())
 
 
 class TestCli:
