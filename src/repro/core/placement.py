@@ -12,6 +12,7 @@ first-fit policy and the megafleet engine both place through it.
 
 from __future__ import annotations
 
+from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -275,13 +276,13 @@ def first_fit(
                 held[row] = (reserved[row].tolist(), limit[row].tolist())
                 break
             now, limits = held[row]
-            if all(r + x <= c for r, x, c in zip(now, demand, limits)):
+            if all(map(le, map(add, now, demand), limits)):
                 break
             at = mask.find(1, at + 1, base + n)
         if at < 0:
             hits.append(-1)
             continue
         now = held[row][0]
-        now[:] = [r + x for r, x in zip(now, demand)]
+        now[:] = map(add, now, demand)
         hits.append(row)
     return np.asarray(hits, dtype=np.int64)

@@ -4,7 +4,7 @@ The object-level simulator pays Python per event; at 100k Local Controllers
 even a flat per-event cost is billions of interpreter operations.  This engine
 keeps the Snooze *decision plane* semantics -- per-GM groups placing VMs
 locally, a Group-Leader coordinator dispatching arrivals from group summaries
--- but represents each group as resident numpy arrays (the same shape as the
+-- but represents each group as resident numpy rows (the same shape as the
 hierarchy's :class:`~repro.policies.plane.DecisionPlane`) and advances the
 fleet in **lockstep epochs**:
 
@@ -14,10 +14,13 @@ fleet in **lockstep epochs**:
    thundering-herd fix the live Group Leader applies between summaries),
    from a heap of the groups' projected free CPU (:func:`least_loaded`).
 2. Every *shard* (a contiguous slice of groups, one :class:`ShardHost`)
-   advances its groups through the epoch independently: departures free
-   capacity, the epoch's arrivals place first-fit in **one kernel call per
-   group and epoch** (:func:`repro.core.placement.first_fit`, the kernel the
-   hierarchy's first-fit policy uses), monitoring rows refresh vectorized.
+   advances its groups through the epoch independently.  A shard holds its
+   groups as **stacked rows** -- one block of LC rows and one VM table for
+   all of them -- so departures, placement writes, the monitoring rows,
+   counters and summaries are each one array step per shard and epoch;
+   only placement runs per group, first-fit in **one kernel call per group
+   and epoch** (:func:`repro.core.placement.first_fit`, the kernel the
+   hierarchy's first-fit policy uses).
    Shard state is **resident**: a host builds its groups
    from ``(spec, seed, group ids)`` in the process that advances them and
    keeps them there for the whole run
@@ -55,121 +58,21 @@ from repro.simulation.randomness import spawn_generator, spawn_seed_sequences
 from repro.workers import Workers
 
 
-# -------------------------------------------------------------- group state
-def _new_group(gid: int, n_lcs: int, spec: MegafleetSpec, seed: np.random.SeedSequence) -> dict:
-    """Fresh state for one Group Manager's LC arrays."""
-    d = len(spec.dimensions)
-    capacity = np.tile(np.asarray(spec.node_capacity, dtype=float), (n_lcs, 1))
-    return {
-        "gid": int(gid),
-        "capacities": capacity,
-        "reserved": np.zeros((n_lcs, d), dtype=float),
-        "used": np.zeros((n_lcs, d), dtype=float),
-        "vm_req": np.empty((0, d), dtype=float),
-        "vm_host": np.empty(0, dtype=np.int64),
-        "vm_depart": np.empty(0, dtype=float),
-        "seed_entropy": seed.entropy,
-        "seed_spawn_key": tuple(int(k) for k in seed.spawn_key),
-        "placements": 0,
-        "rejections": 0,
-        "departures": 0,
-        "events": 0,
-    }
-
-
-def _advance_group(
-    group: dict,
-    arrivals_req: np.ndarray,
-    arrivals_life: np.ndarray,
-    epoch_index: int,
-    epoch_start: float,
-    epoch_end: float,
-    spec_view: dict,
-) -> dict:
-    """Advance one group through one epoch (pure function of its inputs).
-
-    Event order inside the epoch is fixed: departures due this epoch free
-    capacity first, then arrivals place first-fit in dispatch order, then the
-    monitoring rows refresh.  The per-epoch generator is re-derived from the
-    group's seed child and the epoch index, so the stream consumed here is
-    independent of how groups are packed into shards.
-    """
-    reserved = group["reserved"]
-    capacities = group["capacities"]
-    vm_req, vm_host, vm_depart = group["vm_req"], group["vm_host"], group["vm_depart"]
-
-    # 1. Departures due by the end of this epoch release their reservations.
-    departing = vm_depart <= epoch_end
-    n_departing = int(np.count_nonzero(departing))
-    if n_departing:
-        np.add.at(reserved, vm_host[departing], -vm_req[departing])
-        np.clip(reserved, 0.0, None, out=reserved)
-        keep = ~departing
-        vm_req, vm_host, vm_depart = vm_req[keep], vm_host[keep], vm_depart[keep]
-
-    # 2. Arrivals place first-fit (lowest LC row with room) in dispatch order,
-    #    one kernel call shared with the hierarchy's FirstFitPlacement.
-    hits = first_fit(arrivals_req, reserved, capacities)
-    placed = hits >= 0
-    n_placed = int(np.count_nonzero(placed))
-    rejections = hits.shape[0] - n_placed
-    if n_placed:
-        placed_rows, placed_req = hits[placed], arrivals_req[placed]
-        np.add.at(reserved, placed_rows, placed_req)
-        vm_req = np.concatenate([vm_req, placed_req])
-        vm_host = np.concatenate([vm_host, placed_rows])
-        vm_depart = np.concatenate([vm_depart, epoch_end + arrivals_life[placed]])
-
-    # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
-    #    vectorized over the whole group (the TelemetryPlane idiom).
-    ticks = max(1, int(round((epoch_end - epoch_start) / spec_view["monitoring_interval"])))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=group["seed_entropy"],
-            spawn_key=(*group["seed_spawn_key"], int(epoch_index)),
-        )
-    )
-    # One row per tick keeps the stream; only the last tick's usage survives.
-    shape = (ticks, vm_req.shape[0])
-    fractions = rng.uniform(spec_view["usage_low"], spec_view["usage_high"], shape)[-1]
-    used = reserved.copy()
-    cpu = 0
-    cpu_used = np.zeros(capacities.shape[0], dtype=float)
-    if vm_req.shape[0]:
-        np.add.at(cpu_used, vm_host, vm_req[:, cpu] * fractions)
-    used[:, cpu] = cpu_used
-
-    group["reserved"] = reserved
-    group["used"] = used
-    group["vm_req"], group["vm_host"], group["vm_depart"] = vm_req, vm_host, vm_depart
-    group["placements"] += n_placed
-    group["rejections"] += rejections
-    group["departures"] += n_departing
-    # Processed state updates this epoch: VM lifecycle operations plus one
-    # monitoring row per LC per tick plus the boundary summary message.
-    group["events"] += (
-        n_departing + n_placed + rejections + capacities.shape[0] * ticks + 1
-    )
-    return group
-
-
-def _group_summary(group: dict) -> dict:
-    """The epoch-boundary summary a group sends the coordinator."""
-    free = np.clip(group["capacities"] - group["reserved"], 0.0, None)
-    return {
-        "gid": group["gid"],
-        "lcs": int(group["capacities"].shape[0]),
-        "vms": int(group["vm_req"].shape[0]),
-        "free_cpu": float(free[:, 0].sum()),
-    }
-
-
+# ------------------------------------------------------------------- shards
 class ShardHost:
     """One shard: a contiguous run of groups, resident where they advance.
 
     Built from ``(spec, seed, gids)`` inside the worker that hosts it (the
     class is the picklable factory :class:`~repro.workers.Workers` ships), so the
     groups' arrays never leave the process that mutates them.
+
+    The groups are **stacked rows**: the shard's LCs are one block of rows,
+    group ``i`` owning rows ``offsets[i]:offsets[i + 1]`` of the ``(rows, d)``
+    arrays ``capacities``, ``reserved`` and ``used``.  Its running VMs are one
+    table -- ``vm_req`` ``(vms, d)``, ``vm_row`` (shard row), ``vm_group``
+    (shard-local group index) and ``vm_depart`` -- sorted by group and, inside
+    a group, by placement order, so every ``np.add.at`` over it adds to a row
+    in the order the group placed its VMs.
     """
 
     def __init__(self, spec: MegafleetSpec, seed: int, gids: Sequence[int]) -> None:
@@ -177,16 +80,43 @@ class ShardHost:
         # groups into a different shard count cannot move any stream.
         seeds = spawn_seed_sequences(seed, spec.group_managers)
         sizes = spec.group_sizes()
-        self.groups = [_new_group(gid, sizes[gid], spec, seeds[gid]) for gid in gids]
-        self.spec_view = {
-            "monitoring_interval": spec.monitoring_interval,
-            "usage_low": spec.usage_low,
-            "usage_high": spec.usage_high,
-        }
+        self.gids = [int(gid) for gid in gids]
+        self.lcs = np.array([sizes[gid] for gid in self.gids], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(self.lcs)))
+        rows, d = int(self.offsets[-1]), len(spec.dimensions)
+        self.capacities = np.tile(np.asarray(spec.node_capacity, dtype=float), (rows, 1))
+        self.reserved = np.zeros((rows, d), dtype=float)
+        self.used = np.zeros((rows, d), dtype=float)
+        self.vm_req = np.empty((0, d), dtype=float)
+        self.vm_row = np.empty(0, dtype=np.int64)
+        self.vm_group = np.empty(0, dtype=np.int64)
+        self.vm_depart = np.empty(0, dtype=float)
+        self.seed_keys = [
+            (seeds[gid].entropy, tuple(int(k) for k in seeds[gid].spawn_key)) for gid in self.gids
+        ]
+        n = len(self.gids)
+        self.placements = np.zeros(n, dtype=np.int64)
+        self.rejections = np.zeros(n, dtype=np.int64)
+        self.departures = np.zeros(n, dtype=np.int64)
+        self.events = np.zeros(n, dtype=np.int64)
+        self.monitoring_interval = spec.monitoring_interval
+        self.usage = (spec.usage_low, spec.usage_high)
 
     def summaries(self) -> List[dict]:
         """The epoch-boundary summaries of this shard's groups, in group order."""
-        return [_group_summary(group) for group in self.groups]
+        free_cpu = self.capacities[:, 0] - self.reserved[:, 0]
+        np.clip(free_cpu, 0.0, None, out=free_cpu)
+        bounds = self.offsets.tolist()
+        vms = np.bincount(self.vm_group, minlength=len(self.gids)).tolist()
+        return [
+            {
+                "gid": gid,
+                "lcs": hi - lo,
+                "vms": n_vms,
+                "free_cpu": float(free_cpu[lo:hi].sum()),
+            }
+            for gid, lo, hi, n_vms in zip(self.gids, bounds, bounds[1:], vms)
+        ]
 
     def advance(self, epoch: dict) -> List[dict]:
         """Advance every group through one epoch; reply with the summaries.
@@ -194,31 +124,101 @@ class ShardHost:
         ``epoch`` carries the shard's arrivals grouped by target group in
         dispatch order: ``counts[i]`` consecutive rows of ``demands`` /
         ``lifetimes`` belong to the shard's ``i``-th group.
+
+        Event order inside the epoch is fixed: departures due this epoch free
+        capacity first, then arrivals place first-fit in dispatch order, then
+        the monitoring rows refresh.  Each phase is one whole-shard array step
+        except placement, one :func:`first_fit` call per group with arrivals.
         """
-        stops = np.cumsum(epoch["counts"]).tolist()
-        for group, start, stop in zip(self.groups, [0] + stops, stops):
-            _advance_group(
-                group,
-                epoch["demands"][start:stop],
-                epoch["lifetimes"][start:stop],
-                epoch["epoch_index"],
-                epoch["epoch_start"],
-                epoch["epoch_end"],
-                self.spec_view,
-            )
+        n = len(self.gids)
+        epoch_end = epoch["epoch_end"]
+        demands, counts = epoch["demands"], np.asarray(epoch["counts"], dtype=np.int64)
+        reserved, offsets = self.reserved, self.offsets
+
+        # 1. Departures due by the end of this epoch release their reservations.
+        #    Only a departure can leave a row negative, so clipping every row
+        #    leaves the rows of groups without departures as they were.
+        departing = self.vm_depart <= epoch_end
+        departed = np.bincount(self.vm_group[departing], minlength=n)
+        if departed.any():
+            np.add.at(reserved, self.vm_row[departing], -self.vm_req[departing])
+            np.clip(reserved, 0.0, None, out=reserved)
+            keep = ~departing
+            self.vm_req, self.vm_row = self.vm_req[keep], self.vm_row[keep]
+            self.vm_group, self.vm_depart = self.vm_group[keep], self.vm_depart[keep]
+
+        # 2. Arrivals place first-fit (lowest LC row with room) in dispatch
+        #    order, one kernel call per group shared with the hierarchy's
+        #    FirstFitPlacement; the rows it returns are group-local.
+        hits = np.full(demands.shape[0], -1, dtype=np.int64)
+        stops = np.cumsum(counts)
+        starts = stops - counts
+        bounds = offsets.tolist()
+        for i in np.flatnonzero(counts).tolist():
+            lo, hi = bounds[i], bounds[i + 1]
+            batch = slice(starts[i], stops[i])
+            hits[batch] = first_fit(demands[batch], reserved[lo:hi], self.capacities[lo:hi])
+        placed = hits >= 0
+        new_group = np.repeat(np.arange(n), counts)[placed]
+        new_row = hits[placed] + offsets[new_group]
+        new_req = demands[placed]
+        np.add.at(reserved, new_row, new_req)
+        placed_count = np.bincount(new_group, minlength=n)
+        # Each group's placements go after its running VMs, in dispatch order.
+        at = np.searchsorted(self.vm_group, new_group, side="right")
+        self.vm_req = np.insert(self.vm_req, at, new_req, axis=0)
+        self.vm_row = np.insert(self.vm_row, at, new_row)
+        self.vm_group = np.insert(self.vm_group, at, new_group)
+        self.vm_depart = np.insert(self.vm_depart, at, epoch_end + epoch["lifetimes"][placed])
+
+        # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
+        #    vectorized over the shard (the TelemetryPlane idiom).  Each
+        #    group's per-epoch generator is re-derived from its seed child
+        #    and the epoch index, so its draws do not depend on the packing;
+        #    one row per tick keeps the stream, only the last tick survives.
+        ticks = max(1, int(round((epoch_end - epoch["epoch_start"]) / self.monitoring_interval)))
+        low, high = self.usage
+        vms = np.bincount(self.vm_group, minlength=n).tolist()
+        fractions = [
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, epoch["epoch_index"]))
+            ).uniform(low, high, (ticks, n_vms))[-1]
+            for (entropy, spawn_key), n_vms in zip(self.seed_keys, vms)
+            if n_vms
+        ]
+        used = self.used
+        np.copyto(used, reserved)
+        used[:, 0] = 0.0
+        if fractions:
+            np.add.at(used[:, 0], self.vm_row, self.vm_req[:, 0] * np.concatenate(fractions))
+
+        self.placements += placed_count
+        self.rejections += counts - placed_count
+        self.departures += departed
+        # Processed state updates this epoch: VM lifecycle operations plus one
+        # monitoring row per LC per tick plus the boundary summary message.
+        self.events += departed + counts + self.lcs * ticks + 1
         return self.summaries()
 
     def finish(self) -> List[dict]:
         """Per-group finals: the last summary plus the run's counters."""
+        counters = zip(
+            self.placements.tolist(),
+            self.rejections.tolist(),
+            self.departures.tolist(),
+            self.events.tolist(),
+        )
         return [
             {
-                **_group_summary(group),
-                "placements": group["placements"],
-                "rejections": group["rejections"],
-                "departures": group["departures"],
-                "events": group["events"],
+                **summary,
+                "placements": placements,
+                "rejections": rejections,
+                "departures": departures,
+                "events": events,
             }
-            for group in self.groups
+            for summary, (placements, rejections, departures, events) in zip(
+                self.summaries(), counters
+            )
         ]
 
 

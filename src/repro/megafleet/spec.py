@@ -20,6 +20,7 @@ CLI and benchmarks run:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -58,11 +59,14 @@ class MegafleetSpec(PlainData):
     def __post_init__(self) -> None:
         if self.local_controllers < self.group_managers or self.group_managers < 1:
             raise ValueError("need at least one LC per group manager")
-        if self.epoch <= 0 or self.duration < self.epoch:
-            raise ValueError("duration must cover at least one positive epoch")
+        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
+        if not (0 < self.epoch <= self.duration and math.isfinite(self.duration)):
+            raise ValueError(
+                "duration must be finite and cover at least one positive epoch "
+                f"(epoch={self.epoch!r}, duration={self.duration!r})"
+            )
         if len(self.node_capacity) != len(self.dimensions):
             raise ValueError("node_capacity must match dimensions")
-        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
         if not all(capacity > 0 for capacity in self.node_capacity):
             raise ValueError("every node_capacity must be > 0")
         if not self.monitoring_interval > 0:

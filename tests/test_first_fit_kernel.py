@@ -113,14 +113,23 @@ class TestFirstFitKernel:
             dimensions=tuple(f"r{i}" for i in range(d)),
             node_capacity=(1.0,) * d,
         )
-        group = engine._new_group(0, capacities.shape[0], spec, np.random.SeedSequence(3))
-        group["capacities"], group["reserved"] = capacities, reserved.copy()
-        view = {"monitoring_interval": 10.0, "usage_low": 0.35, "usage_high": 0.9}
-        engine._advance_group(group, demands, np.ones(demands.shape[0]), 0, 0.0, 10.0, view)
+        host = engine.ShardHost(spec, 3, [0])
+        host.capacities, host.reserved = capacities, reserved.copy()
+        k = demands.shape[0]
+        host.advance(
+            {
+                "epoch_index": 0,
+                "epoch_start": 0.0,
+                "epoch_end": 10.0,
+                "demands": demands,
+                "lifetimes": np.ones(k),
+                "counts": np.array([k]),
+            }
+        )
         hits, expected_reserved = first_fit_per_arrival(demands, reserved, capacities)
-        assert group["vm_host"].tolist() == [hit for hit in hits if hit >= 0]
-        assert group["rejections"] == hits.count(-1)
-        assert _bytes(group["reserved"]) == _bytes(expected_reserved)
+        assert host.vm_row.tolist() == [hit for hit in hits if hit >= 0]
+        assert host.rejections.tolist() == [hits.count(-1)]
+        assert _bytes(host.reserved) == _bytes(expected_reserved)
 
 
 free_values = st.one_of(

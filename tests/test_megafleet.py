@@ -89,6 +89,10 @@ class TestCatalog:
             ({"vm_lifetime_mean": 0.0}, "vm_lifetime_mean must be > 0"),
             ({"node_capacity": (1.0, 0.0, 1.0)}, "every node_capacity must be > 0"),
             ({"monitoring_interval": float("nan")}, "monitoring_interval must be > 0"),
+            ({"epoch": float("nan")}, r"positive epoch \(epoch=nan, duration=60.0\)"),
+            ({"duration": float("nan")}, r"positive epoch \(epoch=10.0, duration=nan\)"),
+            ({"duration": float("inf")}, r"finite .* \(epoch=10.0, duration=inf\)"),
+            ({"epoch": float("inf"), "duration": float("inf")}, "duration must be finite"),
         ],
     )
     def test_spec_rejects_fields_that_crash_or_mislead_a_run(self, overrides, message):
@@ -206,14 +210,14 @@ class TestResidentShards:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shard_exception_names_the_shard(self, monkeypatch, jobs):
-        advance_group = engine._advance_group
+        advance = engine.ShardHost.advance
 
-        def failing(group, *args):
-            if group["gid"] == 4:
+        def failing(host, epoch):
+            if 4 in host.gids:
                 raise ArithmeticError("group 4 is broken")
-            return advance_group(group, *args)
+            return advance(host, epoch)
 
-        monkeypatch.setattr(engine, "_advance_group", failing)  # forked workers inherit it
+        monkeypatch.setattr(engine.ShardHost, "advance", failing)  # forked workers inherit it
         with no_hang(), pytest.raises(
             RuntimeError, match=r"shard 2 failed:(?s:.*)ArithmeticError: group 4 is broken"
         ):
@@ -221,14 +225,14 @@ class TestResidentShards:
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_fails_the_run_instead_of_hanging_it(self, monkeypatch):
-        advance_group = engine._advance_group
+        advance = engine.ShardHost.advance
 
-        def dying(group, arrivals_req, arrivals_life, epoch_index, *rest):
-            if epoch_index == 2 and multiprocessing.parent_process() is not None:
+        def dying(host, epoch):
+            if epoch["epoch_index"] == 2 and multiprocessing.parent_process() is not None:
                 os._exit(9)
-            return advance_group(group, arrivals_req, arrivals_life, epoch_index, *rest)
+            return advance(host, epoch)
 
-        monkeypatch.setattr(engine, "_advance_group", dying)
+        monkeypatch.setattr(engine.ShardHost, "advance", dying)
         with no_hang(), pytest.raises(RuntimeError, match=r"shard\(s\) 0, 2 died \(exit code 9\)"):
             ShardedFleetSimulator(tiny_spec(), seed=11).run(shards=3, jobs=2)
         assert multiprocessing.active_children() == []
@@ -277,8 +281,9 @@ LIFETIMES = [0.0, 5.0, 10.0, 25.0, 1e9]
 def shard_runs(draw):
     """``(spec, seed, gids, epochs)``: one shard and the arrivals of every epoch."""
     group_managers = draw(st.integers(min_value=1, max_value=5))
-    # LC counts that mostly do not divide evenly over the GMs.
-    local_controllers = draw(st.integers(min_value=group_managers, max_value=5 * group_managers))
+    # LC counts that mostly do not divide evenly over the GMs, and groups
+    # past the 8 rows where numpy's pairwise summation of free CPU begins.
+    local_controllers = draw(st.integers(min_value=group_managers, max_value=12 * group_managers))
     d = draw(st.integers(min_value=1, max_value=3))
     first = draw(st.integers(min_value=0, max_value=group_managers - 1))
     last = draw(st.integers(min_value=first, max_value=group_managers - 1))
@@ -315,11 +320,31 @@ def shard_runs(draw):
     return spec, draw(st.integers(min_value=0, max_value=2**16)), gids, epochs
 
 
-def group_states(host) -> list:
-    """Each group's rows, VMs and counters as the per-group oracle keeps them."""
-    keys = ("reserved", "used", "vm_req", "vm_host", "vm_depart",
-            "placements", "rejections", "departures", "events")
-    return [{key: group[key] for key in keys} for group in host.groups]
+#: A group's rows, VMs and counters, named as the per-group oracle keeps them.
+GROUP_STATE = ("reserved", "used", "vm_req", "vm_host", "vm_depart",
+               "placements", "rejections", "departures", "events")
+
+
+def group_states(host: engine.ShardHost) -> list:
+    """Each group's slice of a stacked shard, in the oracle's terms."""
+    states = []
+    bounds = host.offsets.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        mine = host.vm_group == i
+        states.append(
+            {
+                "reserved": host.reserved[lo:hi],
+                "used": host.used[lo:hi],
+                "vm_req": host.vm_req[mine],
+                "vm_host": host.vm_row[mine] - lo,
+                "vm_depart": host.vm_depart[mine],
+                "placements": int(host.placements[i]),
+                "rejections": int(host.rejections[i]),
+                "departures": int(host.departures[i]),
+                "events": int(host.events[i]),
+            }
+        )
+    return states
 
 
 def _exact(value):
@@ -365,6 +390,24 @@ class TestStackedShard:
             ],
         )
     )
+    # One group of 11 LCs whose free CPU sums differently in order (5.3) and
+    # pairwise (5.300000000000001): the summary must keep numpy's ``sum``.
+    @example(
+        run=(
+            tiny_spec(local_controllers=11, group_managers=1, duration=10.0,
+                      dimensions=("cpu",), node_capacity=(1.0,)),
+            0,
+            [0],
+            [
+                {"epoch_index": 0, "epoch_start": 0.0, "epoch_end": 10.0,
+                 "demands": np.array(
+                     [[0.5], [0.7], [1.2], [1.0], [0.7], [0.5], [0.5], [1.2], [0.1], [1.0], [0.7]]
+                 ),
+                 "lifetimes": np.full(11, 1e9),
+                 "counts": np.array([11])},
+            ],
+        )
+    )
     def test_equals_the_per_group_oracle_after_every_epoch(self, run):
         spec, seed, gids, epochs = run
         host = engine.ShardHost(spec, seed, gids)
@@ -372,7 +415,8 @@ class TestStackedShard:
         assert _exact(host.summaries()) == _exact(oracle.summaries())
         for epoch in epochs:
             assert _exact(host.advance(epoch)) == _exact(oracle.advance(epoch))
-            assert _exact(group_states(host)) == _exact(group_states(oracle))
+            expected = [{key: group[key] for key in GROUP_STATE} for group in oracle.groups]
+            assert _exact(group_states(host)) == _exact(expected)
         assert _exact(host.finish()) == _exact(oracle.finish())
 
 
@@ -398,6 +442,9 @@ class TestCli:
             ("monitoring_interval", -5),
             ("usage_low", 0.95),
             ("arrivals_per_epoch", -1),
+            ("epoch", float("nan")),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
         ],
     )
     def test_bad_spec_file_is_a_user_error(self, field, value, tmp_path, capsys):
