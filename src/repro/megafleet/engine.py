@@ -4,7 +4,7 @@ The object-level simulator pays Python per event; at 100k Local Controllers
 even a flat per-event cost is billions of interpreter operations.  This engine
 keeps the Snooze *decision plane* semantics -- per-GM groups placing VMs
 locally, a Group-Leader coordinator dispatching arrivals from group summaries
--- but represents each group as resident numpy rows (the same shape as the
+-- but represents each group as resident numpy arrays (the same shape as the
 hierarchy's :class:`~repro.policies.plane.DecisionPlane`) and advances the
 fleet in **lockstep epochs**:
 
@@ -202,12 +202,6 @@ class ShardHost:
 
     def finish(self) -> List[dict]:
         """Per-group finals: the last summary plus the run's counters."""
-        counters = zip(
-            self.placements.tolist(),
-            self.rejections.tolist(),
-            self.departures.tolist(),
-            self.events.tolist(),
-        )
         return [
             {
                 **summary,
@@ -216,8 +210,12 @@ class ShardHost:
                 "departures": departures,
                 "events": events,
             }
-            for summary, (placements, rejections, departures, events) in zip(
-                self.summaries(), counters
+            for summary, placements, rejections, departures, events in zip(
+                self.summaries(),
+                self.placements.tolist(),
+                self.rejections.tolist(),
+                self.departures.tolist(),
+                self.events.tolist(),
             )
         ]
 
