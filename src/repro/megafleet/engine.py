@@ -16,13 +16,13 @@ fleet in **lockstep epochs**:
 2. Every *shard* (a contiguous slice of groups, one :class:`ShardHost`)
    advances its groups through the epoch independently.  A shard holds its
    groups as **stacked rows** -- one block of LC rows and one VM table for
-   all of them -- so departures, placement writes, the monitoring rows,
-   counters and summaries are each one array step per shard and epoch;
+   all of them -- so departures, placement writes, counters and summaries
+   are each one array step per shard and epoch;
    only placement runs per group, first-fit in **one kernel call per group
    and epoch** (:func:`repro.core.placement.first_fit`, the kernel the
    hierarchy's first-fit policy uses).
    Shard state is **resident**: a host builds its groups
-   from ``(spec, seed, group ids)`` in the process that advances them and
+   from ``(spec, group ids)`` in the process that advances them and
    keeps them there for the whole run
    (:class:`repro.workers.Workers`: in-process objects when
    ``jobs == 1``, otherwise ``jobs`` worker processes started once per run,
@@ -34,13 +34,11 @@ fleet in **lockstep epochs**:
    shipped, so the exchange does not grow with the fleet
    (``MegafleetResult.perf`` reports its bytes and waits).
 
-Determinism is the sweeps/colonies discipline: every stream is a pure function
-of ``(seed, group id)`` -- one ``SeedSequence`` child per **group**, plus a
-coordinator stream; per-epoch generators are re-derived from ``(group child,
-epoch)`` -- a group's advance depends only on its own state, arrivals and
-stream, and replies are read in shard order.  Results are therefore
-byte-identical for any ``shards`` and ``jobs`` count -- asserted by the
-canonical-JSON tests.
+Determinism: the coordinator's arrival stream is the only random stream, and
+a shard's advance is a pure function of its state and its arrivals (a group's
+rows depend only on its own VMs); replies are read in shard order.  Results
+are therefore byte-identical for any ``shards`` and ``jobs`` count -- asserted
+by the canonical-JSON tests.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ import numpy as np
 
 from repro.core.placement import first_fit
 from repro.megafleet.spec import MegafleetSpec, get_megafleet
-from repro.simulation.randomness import spawn_generator, spawn_seed_sequences
+from repro.simulation.randomness import spawn_generator
 from repro.workers import Workers
 
 
@@ -62,45 +60,34 @@ from repro.workers import Workers
 class ShardHost:
     """One shard: a contiguous run of groups, resident where they advance.
 
-    Built from ``(spec, seed, gids)`` inside the worker that hosts it (the
+    Built from ``(spec, gids)`` inside the worker that hosts it (the
     class is the picklable factory :class:`~repro.workers.Workers` ships), so the
     groups' arrays never leave the process that mutates them.
 
     The groups are **stacked rows**: the shard's LCs are one block of rows,
     group ``i`` owning rows ``offsets[i]:offsets[i + 1]`` of the ``(rows, d)``
-    arrays ``capacities``, ``reserved`` and ``used``.  Its running VMs are one
+    arrays ``capacities`` and ``reserved``.  Its running VMs are one
     table -- ``vm_req`` ``(vms, d)``, ``vm_row`` (shard row), ``vm_group``
     (shard-local group index) and ``vm_depart`` -- sorted by group and, inside
     a group, by placement order, so every ``np.add.at`` over it adds to a row
     in the order the group placed its VMs.
     """
 
-    def __init__(self, spec: MegafleetSpec, seed: int, gids: Sequence[int]) -> None:
-        # One seed child per *group*, whatever shard holds it, so repacking
-        # groups into a different shard count cannot move any stream.
-        seeds = spawn_seed_sequences(seed, spec.group_managers)
+    def __init__(self, spec: MegafleetSpec, gids: Sequence[int]) -> None:
         sizes = spec.group_sizes()
         self.gids = [int(gid) for gid in gids]
-        self.lcs = np.array([sizes[gid] for gid in self.gids], dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(self.lcs)))
+        self.offsets = np.concatenate(([0], np.cumsum([sizes[gid] for gid in self.gids])))
         rows, d = int(self.offsets[-1]), len(spec.dimensions)
         self.capacities = np.tile(np.asarray(spec.node_capacity, dtype=float), (rows, 1))
         self.reserved = np.zeros((rows, d), dtype=float)
-        self.used = np.zeros((rows, d), dtype=float)
         self.vm_req = np.empty((0, d), dtype=float)
         self.vm_row = np.empty(0, dtype=np.int64)
         self.vm_group = np.empty(0, dtype=np.int64)
         self.vm_depart = np.empty(0, dtype=float)
-        self.seed_keys = [
-            (seeds[gid].entropy, tuple(int(k) for k in seeds[gid].spawn_key)) for gid in self.gids
-        ]
         n = len(self.gids)
         self.placements = np.zeros(n, dtype=np.int64)
         self.rejections = np.zeros(n, dtype=np.int64)
         self.departures = np.zeros(n, dtype=np.int64)
-        self.events = np.zeros(n, dtype=np.int64)
-        self.monitoring_interval = spec.monitoring_interval
-        self.usage = (spec.usage_low, spec.usage_high)
 
     def summaries(self) -> List[dict]:
         """The epoch-boundary summaries of this shard's groups, in group order."""
@@ -126,9 +113,9 @@ class ShardHost:
         ``lifetimes`` belong to the shard's ``i``-th group.
 
         Event order inside the epoch is fixed: departures due this epoch free
-        capacity first, then arrivals place first-fit in dispatch order, then
-        the monitoring rows refresh.  Each phase is one whole-shard array step
-        except placement, one :func:`first_fit` call per group with arrivals.
+        capacity first, then arrivals place first-fit in dispatch order.  Each
+        phase is one whole-shard array step except placement, one
+        :func:`first_fit` call per group with arrivals.
         """
         n = len(self.gids)
         epoch_end = epoch["epoch_end"]
@@ -171,33 +158,9 @@ class ShardHost:
         self.vm_group = np.insert(self.vm_group, at, new_group)
         self.vm_depart = np.insert(self.vm_depart, at, epoch_end + epoch["lifetimes"][placed])
 
-        # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
-        #    vectorized over the shard (the TelemetryPlane idiom).  Each
-        #    group's per-epoch generator is re-derived from its seed child
-        #    and the epoch index, so its draws do not depend on the packing;
-        #    one row per tick keeps the stream, only the last tick survives.
-        ticks = max(1, int(round((epoch_end - epoch["epoch_start"]) / self.monitoring_interval)))
-        low, high = self.usage
-        vms = np.bincount(self.vm_group, minlength=n).tolist()
-        fractions = [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=entropy, spawn_key=(*spawn_key, epoch["epoch_index"]))
-            ).uniform(low, high, (ticks, n_vms))[-1]
-            for (entropy, spawn_key), n_vms in zip(self.seed_keys, vms)
-            if n_vms
-        ]
-        used = self.used
-        np.copyto(used, reserved)
-        used[:, 0] = 0.0
-        if fractions:
-            np.add.at(used[:, 0], self.vm_row, self.vm_req[:, 0] * np.concatenate(fractions))
-
         self.placements += placed_count
         self.rejections += counts - placed_count
         self.departures += departed
-        # Processed state updates this epoch: VM lifecycle operations plus one
-        # monitoring row per LC per tick plus the boundary summary message.
-        self.events += departed + counts + self.lcs * ticks + 1
         return self.summaries()
 
     def finish(self) -> List[dict]:
@@ -208,14 +171,12 @@ class ShardHost:
                 "placements": placements,
                 "rejections": rejections,
                 "departures": departures,
-                "events": events,
             }
-            for summary, placements, rejections, departures, events in zip(
+            for summary, placements, rejections, departures in zip(
                 self.summaries(),
                 self.placements.tolist(),
                 self.rejections.tolist(),
                 self.departures.tolist(),
-                self.events.tolist(),
             )
         ]
 
@@ -288,7 +249,9 @@ class MegafleetResult:
 
     @property
     def events(self) -> int:
-        """Total processed state updates across the run."""
+        """Processed state updates across the run: every VM placement,
+        rejection (at a group) and departure, plus one summary per group and
+        epoch."""
         return int(self.totals["events"])
 
     @property
@@ -317,7 +280,8 @@ class ShardedFleetSimulator:
         # Shards are contiguous group slices: shard s owns [edges[s], edges[s+1]).
         shard_gids = [rows.tolist() for rows in np.array_split(np.arange(n_groups), shards)]
         edges = np.cumsum([0] + [len(gids) for gids in shard_gids])
-        # The coordinator's arrival stream is the next child after the groups.
+        # Child index ``n_groups``: where the arrival stream sat when each group
+        # had a seed child too, so arrival draws did not move when those went.
         arrival_rng = spawn_generator(self.seed, n_groups)
         d = len(spec.dimensions)
         node_capacity = np.asarray(spec.node_capacity, dtype=float)
@@ -325,7 +289,7 @@ class ShardedFleetSimulator:
         dispatch_s = exchange_wait_s = 0.0
         started = time.perf_counter()
 
-        with Workers(jobs, ShardHost, [(spec, self.seed, gids) for gids in shard_gids]) as hosts:
+        with Workers(jobs, ShardHost, [(spec, gids) for gids in shard_gids]) as hosts:
             # The latest summaries' free CPU, one slot per group.
             free_cpu = [s["free_cpu"] for reply in hosts.call("summaries") for s in reply]
             for epoch_index in range(spec.n_epochs):
@@ -388,17 +352,18 @@ class ShardedFleetSimulator:
             "bytes_out": hosts.bytes_out,
             "bytes_in": hosts.bytes_in,
         }
-        # ``events`` is reported as a fleet total only, not per group.
-        events = sum(final.pop("events") for final in finals)
         totals = {
             "epochs": spec.n_epochs,
-            "events": int(events),
             "placements": int(sum(final["placements"] for final in finals)),
             "rejections": int(sum(final["rejections"] for final in finals)),
             "dispatch_rejections": int(dispatch_rejections),
             "departures": int(sum(final["departures"] for final in finals)),
             "vms_running": int(sum(final["vms"] for final in finals)),
         }
+        totals["events"] = (
+            totals["placements"] + totals["rejections"] + totals["departures"]
+            + n_groups * spec.n_epochs
+        )
         return MegafleetResult(spec, self.seed, totals, finals, wall, perf)
 
 

@@ -50,11 +50,6 @@ class MegafleetSpec(PlainData):
     vm_demand_high: float = 0.35
     #: Mean VM lifetime in simulated seconds (exponential).
     vm_lifetime_mean: float = 300.0
-    #: Monitoring cadence modeled inside each epoch (per-LC row updates).
-    monitoring_interval: float = 10.0
-    #: Per-epoch VM CPU usage fraction band (monitoring model).
-    usage_low: float = 0.35
-    usage_high: float = 0.9
 
     def __post_init__(self) -> None:
         if self.local_controllers < self.group_managers or self.group_managers < 1:
@@ -69,10 +64,6 @@ class MegafleetSpec(PlainData):
             raise ValueError("node_capacity must match dimensions")
         if not all(capacity > 0 for capacity in self.node_capacity):
             raise ValueError("every node_capacity must be > 0")
-        if not self.monitoring_interval > 0:
-            raise ValueError("monitoring_interval must be > 0")
-        if not 0 <= self.usage_low <= self.usage_high:
-            raise ValueError("need 0 <= usage_low <= usage_high")
         if not 0 <= self.vm_demand_low <= self.vm_demand_high:
             raise ValueError("need 0 <= vm_demand_low <= vm_demand_high")
         if not self.arrivals_per_epoch >= 0:

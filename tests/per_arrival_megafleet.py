@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.placement import FIT_TOLERANCE, first_fit
 from repro.megafleet.spec import MegafleetSpec
-from repro.simulation.randomness import spawn_seed_sequences
 
 
 def first_fit_per_arrival(
@@ -65,7 +64,7 @@ def dispatch_per_arrival(
     return targets, projected_free
 
 
-def new_group(gid: int, n_lcs: int, spec: MegafleetSpec, seed: np.random.SeedSequence) -> dict:
+def new_group(gid: int, n_lcs: int, spec: MegafleetSpec) -> dict:
     """Fresh state for one Group Manager's LC arrays."""
     d = len(spec.dimensions)
     capacity = np.tile(np.asarray(spec.node_capacity, dtype=float), (n_lcs, 1))
@@ -73,16 +72,12 @@ def new_group(gid: int, n_lcs: int, spec: MegafleetSpec, seed: np.random.SeedSeq
         "gid": int(gid),
         "capacities": capacity,
         "reserved": np.zeros((n_lcs, d), dtype=float),
-        "used": np.zeros((n_lcs, d), dtype=float),
         "vm_req": np.empty((0, d), dtype=float),
         "vm_host": np.empty(0, dtype=np.int64),
         "vm_depart": np.empty(0, dtype=float),
-        "seed_entropy": seed.entropy,
-        "seed_spawn_key": tuple(int(k) for k in seed.spawn_key),
         "placements": 0,
         "rejections": 0,
         "departures": 0,
-        "events": 0,
     }
 
 
@@ -90,18 +85,12 @@ def advance_group(
     group: dict,
     arrivals_req: np.ndarray,
     arrivals_life: np.ndarray,
-    epoch_index: int,
-    epoch_start: float,
     epoch_end: float,
-    spec_view: dict,
 ) -> dict:
     """Advance one group through one epoch (pure function of its inputs).
 
     Event order inside the epoch is fixed: departures due this epoch free
-    capacity first, then arrivals place first-fit in dispatch order, then the
-    monitoring rows refresh.  The per-epoch generator is re-derived from the
-    group's seed child and the epoch index, so the stream consumed here is
-    independent of how groups are packed into shards.
+    capacity first, then arrivals place first-fit in dispatch order.
     """
     reserved = group["reserved"]
     capacities = group["capacities"]
@@ -129,36 +118,11 @@ def advance_group(
         vm_host = np.concatenate([vm_host, placed_rows])
         vm_depart = np.concatenate([vm_depart, epoch_end + arrivals_life[placed]])
 
-    # 3. Monitoring: per-LC usage rows refresh once per monitoring tick,
-    #    vectorized over the whole group (the TelemetryPlane idiom).
-    ticks = max(1, int(round((epoch_end - epoch_start) / spec_view["monitoring_interval"])))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=group["seed_entropy"],
-            spawn_key=(*group["seed_spawn_key"], int(epoch_index)),
-        )
-    )
-    # One row per tick keeps the stream; only the last tick's usage survives.
-    shape = (ticks, vm_req.shape[0])
-    fractions = rng.uniform(spec_view["usage_low"], spec_view["usage_high"], shape)[-1]
-    used = reserved.copy()
-    cpu = 0
-    cpu_used = np.zeros(capacities.shape[0], dtype=float)
-    if vm_req.shape[0]:
-        np.add.at(cpu_used, vm_host, vm_req[:, cpu] * fractions)
-    used[:, cpu] = cpu_used
-
     group["reserved"] = reserved
-    group["used"] = used
     group["vm_req"], group["vm_host"], group["vm_depart"] = vm_req, vm_host, vm_depart
     group["placements"] += n_placed
     group["rejections"] += rejections
     group["departures"] += n_departing
-    # Processed state updates this epoch: VM lifecycle operations plus one
-    # monitoring row per LC per tick plus the boundary summary message.
-    group["events"] += (
-        n_departing + n_placed + rejections + capacities.shape[0] * ticks + 1
-    )
     return group
 
 
@@ -179,17 +143,9 @@ class PerGroupShard:
     Same constructor and methods as :class:`repro.megafleet.engine.ShardHost`.
     """
 
-    def __init__(self, spec: MegafleetSpec, seed: int, gids: Sequence[int]) -> None:
-        # One seed child per *group*, whatever shard holds it, so repacking
-        # groups into a different shard count cannot move any stream.
-        seeds = spawn_seed_sequences(seed, spec.group_managers)
+    def __init__(self, spec: MegafleetSpec, gids: Sequence[int]) -> None:
         sizes = spec.group_sizes()
-        self.groups = [new_group(gid, sizes[gid], spec, seeds[gid]) for gid in gids]
-        self.spec_view = {
-            "monitoring_interval": spec.monitoring_interval,
-            "usage_low": spec.usage_low,
-            "usage_high": spec.usage_high,
-        }
+        self.groups = [new_group(gid, sizes[gid], spec) for gid in gids]
 
     def summaries(self) -> List[dict]:
         """The epoch-boundary summaries of this shard's groups, in group order."""
@@ -208,10 +164,7 @@ class PerGroupShard:
                 group,
                 epoch["demands"][start:stop],
                 epoch["lifetimes"][start:stop],
-                epoch["epoch_index"],
-                epoch["epoch_start"],
                 epoch["epoch_end"],
-                self.spec_view,
             )
         return self.summaries()
 
@@ -223,7 +176,6 @@ class PerGroupShard:
                 "placements": group["placements"],
                 "rejections": group["rejections"],
                 "departures": group["departures"],
-                "events": group["events"],
             }
             for group in self.groups
         ]

@@ -113,7 +113,7 @@ class TestFirstFitKernel:
             dimensions=tuple(f"r{i}" for i in range(d)),
             node_capacity=(1.0,) * d,
         )
-        host = engine.ShardHost(spec, 3, [0])
+        host = engine.ShardHost(spec, [0])
         host.capacities, host.reserved = capacities, reserved.copy()
         k = demands.shape[0]
         host.advance(

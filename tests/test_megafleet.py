@@ -2,8 +2,8 @@
 
 The load-bearing property is the sweeps/colonies determinism discipline at
 fleet scale: a run's canonical JSON must be byte-identical for ANY shard and
-jobs count, because randomness is spawned per group before the fan-out and
-inter-shard messages only flow at epoch boundaries.
+jobs count, because the coordinator draws every random number and inter-shard
+messages only flow at epoch boundaries.
 """
 
 from __future__ import annotations
@@ -33,15 +33,38 @@ from repro.megafleet import (
 from tests.conftest import no_hang
 from tests.per_arrival_megafleet import PerGroupShard
 
-#: sha256 of ``run_megafleet("megafleet-1k", seed=4).canonical_json()`` at the
-#: commit before shard state became resident (per-epoch pool, states pickled).
-PARENT_1K_SEED4_SHA256 = "65c8ad0a2584dcf54862ad74c24925deba65e8957840506741f9fc6a79dd4ca5"
+#: sha256 of ``run_megafleet("megafleet-1k", seed=4).canonical_json()``.
+PARENT_1K_SEED4_SHA256 = "657a558a145d5a3aa618192d199e8f960515f6e1573d9494aa48f75690c9dee7"
 
-#: sha256 of the bench-scale runs' canonical JSON before placement became one
-#: kernel call per group and epoch: ``megafleet-10k`` at seed 7 over its full
-#: horizon, and ``megafleet-100k`` at seed 7 over 300 s (the bench item).
-PARENT_10K_SEED7_SHA256 = "481d254ed1706a04fccfeafcb3e330dbdf36e58d985e61b0b1cea9a75ee88af3"
-PARENT_100K_SEED7_300S_SHA256 = "ff29a0011053e56617daa53e5f5a12c55662c1a69f6ed62473a072e1704a6cc7"
+#: sha256 of the bench-scale runs' canonical JSON: ``megafleet-10k`` at seed 7
+#: over its full horizon, and ``megafleet-100k`` at seed 7 over 300 s (the
+#: bench item).
+PARENT_10K_SEED7_SHA256 = "038df270f6be31349ba35f8b7443c8eccc08bd24ba0acde8f6ae397c7473d364"
+PARENT_100K_SEED7_300S_SHA256 = "fa6b969016eb97012f8ddcc96645657c9c8b3e7e852bbcb8a68628f4634b02ac"
+
+#: The same three digests while shards still modelled per-LC monitoring rows:
+#: pinned since shard state became resident (1k) and since placement became one
+#: kernel call per group and epoch (10k, 100k).
+MONITORED_1K_SEED4_SHA256 = "65c8ad0a2584dcf54862ad74c24925deba65e8957840506741f9fc6a79dd4ca5"
+MONITORED_10K_SEED7_SHA256 = "481d254ed1706a04fccfeafcb3e330dbdf36e58d985e61b0b1cea9a75ee88af3"
+MONITORED_100K_SEED7_300S_SHA256 = "ff29a0011053e56617daa53e5f5a12c55662c1a69f6ed62473a072e1704a6cc7"
+
+
+def with_monitoring_rows(result) -> str:
+    """``result``'s canonical JSON as the engine wrote it with monitoring rows.
+
+    That engine had three more spec keys (at their defaults in every catalog
+    fleet) and counted ``ticks = max(1, round(epoch / monitoring_interval))``
+    rows per LC and epoch into ``events``; nothing else it wrote depended on
+    the rows.
+    """
+    payload = result.to_dict()
+    payload["spec"].update(monitoring_interval=10.0, usage_low=0.35, usage_high=0.9)
+    spec = result.spec
+    payload["totals"]["events"] += (
+        spec.local_controllers * max(1, round(spec.epoch / 10.0)) * spec.n_epochs
+    )
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def tiny_spec(**overrides) -> MegafleetSpec:
@@ -79,16 +102,11 @@ class TestCatalog:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"monitoring_interval": 0.0}, "monitoring_interval must be > 0"),
-            ({"monitoring_interval": -10.0}, "monitoring_interval must be > 0"),
-            ({"usage_low": 0.9, "usage_high": 0.35}, "usage_low <= usage_high"),
-            ({"usage_low": -0.1}, "0 <= usage_low"),
             ({"vm_demand_low": 0.5, "vm_demand_high": 0.1}, "vm_demand_low <= vm_demand_high"),
             ({"vm_demand_low": -0.05}, "0 <= vm_demand_low"),
             ({"arrivals_per_epoch": -1.0}, "arrivals_per_epoch must be >= 0"),
             ({"vm_lifetime_mean": 0.0}, "vm_lifetime_mean must be > 0"),
             ({"node_capacity": (1.0, 0.0, 1.0)}, "every node_capacity must be > 0"),
-            ({"monitoring_interval": float("nan")}, "monitoring_interval must be > 0"),
             ({"epoch": float("nan")}, r"positive epoch \(epoch=nan, duration=60.0\)"),
             ({"duration": float("nan")}, r"positive epoch \(epoch=10.0, duration=nan\)"),
             ({"duration": float("inf")}, r"finite .* \(epoch=10.0, duration=inf\)"),
@@ -164,6 +182,20 @@ class TestDeterminism:
         text = run_megafleet(name, seed=7, duration=duration).canonical_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "name,seed,duration,digest",
+        [
+            ("megafleet-1k", 4, None, MONITORED_1K_SEED4_SHA256),
+            ("megafleet-10k", 7, None, MONITORED_10K_SEED7_SHA256),
+            ("megafleet-100k", 7, 300.0, MONITORED_100K_SEED7_300S_SHA256),
+        ],
+    )
+    def test_monitored_pins_rebuild_from_the_new_run(self, name, seed, duration, digest):
+        # Dropping the monitoring rows moved no byte but the three spec keys
+        # and the rows' share of ``events``.
+        text = with_monitoring_rows(run_megafleet(name, seed=seed, duration=duration))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_byte_identical_under_spawn(self, monkeypatch):
         # Spawned workers import the engine afresh and rebuild their shards
         # from the pickled factory arguments alone.
@@ -175,8 +207,8 @@ class TestDeterminism:
         assert spawned.canonical_json() == reference
 
     def test_shard_factory_arguments_survive_pickling(self):
-        factory, args = pickle.loads(pickle.dumps((engine.ShardHost, (tiny_spec(), 11, [2, 3]))))
-        assert factory(*args).summaries() == engine.ShardHost(tiny_spec(), 11, [2, 3]).summaries()
+        factory, args = pickle.loads(pickle.dumps((engine.ShardHost, (tiny_spec(), [2, 3]))))
+        assert factory(*args).summaries() == engine.ShardHost(tiny_spec(), [2, 3]).summaries()
 
     def test_seed_changes_the_run(self):
         spec = tiny_spec()
@@ -246,14 +278,20 @@ class TestResidentShards:
 
 class TestSemantics:
     def test_totals_are_consistent(self):
-        result = ShardedFleetSimulator(tiny_spec(), seed=5).run(shards=3)
-        totals = result.totals
-        assert totals["epochs"] == tiny_spec().n_epochs
-        assert totals["placements"] > 0
-        # Every placed VM either departed or is still running.
-        assert totals["vms_running"] == totals["placements"] - totals["departures"]
-        # Events count at least the per-LC monitoring rows of every epoch.
-        assert totals["events"] >= 120 * totals["epochs"]
+        spec = tiny_spec()
+        for shards in (1, 3, 6):
+            result = ShardedFleetSimulator(spec, seed=5).run(shards=shards)
+            totals = result.totals
+            assert totals["epochs"] == spec.n_epochs
+            assert totals["placements"] > 0
+            # Every placed VM either departed or is still running.
+            assert totals["vms_running"] == totals["placements"] - totals["departures"]
+            # Events are the VM lifecycle operations at the groups plus one
+            # summary per group and epoch.
+            assert result.events == (
+                totals["placements"] + totals["rejections"] + totals["departures"]
+                + spec.group_managers * totals["epochs"]
+            )
 
     def test_dispatch_spreads_over_groups(self):
         result = ShardedFleetSimulator(tiny_spec(), seed=5).run()
@@ -279,7 +317,7 @@ LIFETIMES = [0.0, 5.0, 10.0, 25.0, 1e9]
 
 @st.composite
 def shard_runs(draw):
-    """``(spec, seed, gids, epochs)``: one shard and the arrivals of every epoch."""
+    """``(spec, gids, epochs)``: one shard and the arrivals of every epoch."""
     group_managers = draw(st.integers(min_value=1, max_value=5))
     # LC counts that mostly do not divide evenly over the GMs, and groups
     # past the 8 rows where numpy's pairwise summation of free CPU begins.
@@ -287,8 +325,6 @@ def shard_runs(draw):
     d = draw(st.integers(min_value=1, max_value=3))
     first = draw(st.integers(min_value=0, max_value=group_managers - 1))
     last = draw(st.integers(min_value=first, max_value=group_managers - 1))
-    usage_low = draw(st.sampled_from([0.0, 0.35, 1.0]))
-    usage_high = usage_low + draw(st.sampled_from([0.0, 0.0, 0.55]))
     n_epochs = draw(st.integers(min_value=1, max_value=5))
     spec = tiny_spec(
         local_controllers=local_controllers,
@@ -297,9 +333,6 @@ def shard_runs(draw):
         node_capacity=tuple(draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(d)),
         duration=10.0 * n_epochs,
         epoch=10.0,
-        monitoring_interval=draw(st.sampled_from([10.0, 5.0, 3.0])),
-        usage_low=usage_low,
-        usage_high=usage_high,
     )
     gids = list(range(first, last + 1))
     epochs = []
@@ -317,12 +350,12 @@ def shard_runs(draw):
                 "counts": np.array(counts, dtype=np.int64),
             }
         )
-    return spec, draw(st.integers(min_value=0, max_value=2**16)), gids, epochs
+    return spec, gids, epochs
 
 
 #: A group's rows, VMs and counters, named as the per-group oracle keeps them.
-GROUP_STATE = ("reserved", "used", "vm_req", "vm_host", "vm_depart",
-               "placements", "rejections", "departures", "events")
+GROUP_STATE = ("reserved", "vm_req", "vm_host", "vm_depart",
+               "placements", "rejections", "departures")
 
 
 def group_states(host: engine.ShardHost) -> list:
@@ -334,14 +367,12 @@ def group_states(host: engine.ShardHost) -> list:
         states.append(
             {
                 "reserved": host.reserved[lo:hi],
-                "used": host.used[lo:hi],
                 "vm_req": host.vm_req[mine],
                 "vm_host": host.vm_row[mine] - lo,
                 "vm_depart": host.vm_depart[mine],
                 "placements": int(host.placements[i]),
                 "rejections": int(host.rejections[i]),
                 "departures": int(host.departures[i]),
-                "events": int(host.events[i]),
             }
         )
     return states
@@ -366,13 +397,11 @@ class TestStackedShard:
     @given(run=shard_runs())
     @settings(max_examples=120, deadline=None)
     # Two of three groups over 7 LCs (3, 2, 2), the slice starting at gid 1:
-    # a group with no arrivals, rejections, a VM leaving after one epoch while
-    # the next epoch has no departures, and flat usage.
+    # a group with no arrivals, rejections, and a VM leaving after one epoch
+    # while the next epoch has no departures.
     @example(
         run=(
-            tiny_spec(local_controllers=7, group_managers=3, duration=30.0,
-                      usage_low=0.5, usage_high=0.5),
-            5,
+            tiny_spec(local_controllers=7, group_managers=3, duration=30.0),
             [1, 2],
             [
                 {"epoch_index": 0, "epoch_start": 0.0, "epoch_end": 10.0,
@@ -396,7 +425,6 @@ class TestStackedShard:
         run=(
             tiny_spec(local_controllers=11, group_managers=1, duration=10.0,
                       dimensions=("cpu",), node_capacity=(1.0,)),
-            0,
             [0],
             [
                 {"epoch_index": 0, "epoch_start": 0.0, "epoch_end": 10.0,
@@ -409,9 +437,9 @@ class TestStackedShard:
         )
     )
     def test_equals_the_per_group_oracle_after_every_epoch(self, run):
-        spec, seed, gids, epochs = run
-        host = engine.ShardHost(spec, seed, gids)
-        oracle = PerGroupShard(spec, seed, gids)
+        spec, gids, epochs = run
+        host = engine.ShardHost(spec, gids)
+        oracle = PerGroupShard(spec, gids)
         assert _exact(host.summaries()) == _exact(oracle.summaries())
         for epoch in epochs:
             assert _exact(host.advance(epoch)) == _exact(oracle.advance(epoch))
@@ -441,6 +469,7 @@ class TestCli:
             ("monitoring_interval", 0),
             ("monitoring_interval", -5),
             ("usage_low", 0.95),
+            ("usage_high", 0.5),
             ("arrivals_per_epoch", -1),
             ("epoch", float("nan")),
             ("duration", float("nan")),
