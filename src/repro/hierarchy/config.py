@@ -8,6 +8,7 @@ interval and the energy-management settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -112,8 +113,10 @@ class HierarchyConfig(PlainData):
             "rpc_timeout",
             "placement_timeout",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite (got {value!r})")
         if self.heartbeat_timeout <= max(
             self.gl_heartbeat_interval, self.gm_heartbeat_interval, self.lc_heartbeat_interval
         ):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -118,8 +119,9 @@ class ScenarioRunner:
         duration: Optional[float] = None,
         record_interval: Optional[float] = None,
     ) -> None:
-        if duration is not None and duration <= 0:
-            raise ValueError("duration override must be positive")
+        for name, value in (("duration", duration), ("record_interval", record_interval)):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} override must be positive and finite (got {value!r})")
         if duration is not None:
             dropped = spec.timeline_events_after(duration)
             if dropped:

@@ -29,6 +29,7 @@ makes the catalog listable, diffable and replayable from the CLI.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -172,10 +173,11 @@ class ScenarioSpec(PlainData):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.record_interval <= 0:
-            raise ValueError("record_interval must be positive")
+        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
+        for name in ("duration", "record_interval"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite (got {value!r})")
         if self.node_classes:
             self.local_controllers = sum(nc.count for nc in self.node_classes)
         if self.local_controllers <= 0:

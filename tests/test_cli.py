@@ -15,6 +15,8 @@ from repro.scenarios import scenario_names
 from repro.scenarios.runner import NONDETERMINISTIC_SECTIONS
 from repro.sweeps import SweepSpec, get_sweep
 
+from tests.conftest import no_hang
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -160,6 +162,35 @@ class TestSpecFiles:
         assert err.startswith("error: ")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "path",
+        ["duration", "record_interval", "config.heartbeat_timeout", "config.monitoring_interval"],
+    )
+    def test_non_finite_timing_in_a_file_is_a_user_error(self, path, value, tmp_path, capsys):
+        assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        *parents, field = path.split(".")
+        target = spec
+        for parent in parents:
+            target = target[parent]
+        target[field] = value
+        spec_file = _write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["scenario", "describe", spec_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{field} must be positive and finite (got {value!r})" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_bad_duration_override_is_a_user_error(self, value, capsys):
+        with no_hang(10.0):
+            assert main(["scenario", "run", "steady-churn", f"--duration={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: duration override must be positive and finite (got {float(value)!r})\n"
+        )
 
     def test_unknown_estimator_in_a_file_fails_describe(self, tmp_path, capsys):
         assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
