@@ -73,6 +73,26 @@ class TestEntryPoint:
         assert "usage: repro-sim" in proc.stdout
         assert "Warning" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["scenario", "megafleet"])
+    def test_closed_stdout_ends_without_a_traceback(self, command, unbuffered):
+        # ``repro-sim scenario list | head -1``, with a reader that closes the
+        # pipe before the first write so every write meets a closed stdout.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli.main", command, "list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
+
 
 class TestScenarioRunHierarchy:
     def test_text_output_ends_with_the_hierarchy_table(self, capsys):
