@@ -8,7 +8,6 @@ interval and the energy-management settings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -16,7 +15,7 @@ from repro.energy.power_manager import PowerManagerConfig
 from repro.monitoring.estimators import make_estimator
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
-from repro.plain import PlainData
+from repro.plain import PlainData, require_positive_finite
 from repro.policies.registry import validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 
@@ -113,10 +112,7 @@ class HierarchyConfig(PlainData):
             "rpc_timeout",
             "placement_timeout",
         ):
-            value = getattr(self, name)
-            # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite (got {value!r})")
+            require_positive_finite(name, getattr(self, name))
         if self.heartbeat_timeout <= max(
             self.gl_heartbeat_interval, self.gm_heartbeat_interval, self.lc_heartbeat_interval
         ):

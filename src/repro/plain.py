@@ -13,7 +13,8 @@ fields, so a field is declared once:
   them, so a mistyped key cannot silently run the default.
 
 :class:`Catalog` is the named registry every spec kind keeps its ready-made
-entries in (scenarios, sweeps, megafleets).
+entries in (scenarios, sweeps, megafleets), and
+:func:`require_positive_finite` the NaN-proof check of their timings.
 
 Stdlib imports only: like :mod:`repro.workers`, this module sits below every
 ``repro`` package.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import math
 import typing
 from typing import Any, Callable, Dict, Iterator, List, Mapping
 
@@ -76,6 +78,15 @@ def _decode(cls: type, data: Mapping[str, Any]) -> Any:
             f"unknown {cls.__name__} key(s) {unknown}; valid keys: {sorted(decoders)}"
         )
     return cls(**{name: decoders[name](value) for name, value in data.items()})
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive, finite number.
+
+    Written as ``not (valid)`` so NaN, which JSON decoding accepts, fails too.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite (got {value!r})")
 
 
 class PlainData:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.hierarchy.system import SnoozeSystem
+from repro.plain import require_positive_finite
 from repro.scenarios.spec import ScenarioSpec, TimelineEvent
 from repro.simulation.engine import schedule_series
 from repro.traffic.plane import TrafficPlane
@@ -120,8 +120,8 @@ class ScenarioRunner:
         record_interval: Optional[float] = None,
     ) -> None:
         for name, value in (("duration", duration), ("record_interval", record_interval)):
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} override must be positive and finite (got {value!r})")
+            if value is not None:
+                require_positive_finite(f"{name} override", value)
         if duration is not None:
             dropped = spec.timeline_events_after(duration)
             if dropped:

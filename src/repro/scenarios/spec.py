@@ -29,7 +29,6 @@ makes the catalog listable, diffable and replayable from the CLI.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -38,7 +37,7 @@ import numpy as np
 from repro.cluster.topology import ClusterSpec, NodeClass
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.system import SystemSpec
-from repro.plain import PlainData
+from repro.plain import PlainData, require_positive_finite
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.distributions import make_distribution
 from repro.workloads.generator import WorkloadGenerator, make_arrival, make_lifetime
@@ -173,11 +172,8 @@ class ScenarioSpec(PlainData):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
-        for name in ("duration", "record_interval"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite (got {value!r})")
+        require_positive_finite("duration", self.duration)
+        require_positive_finite("record_interval", self.record_interval)
         if self.node_classes:
             self.local_controllers = sum(nc.count for nc in self.node_classes)
         if self.local_controllers <= 0:

@@ -27,7 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.plain import PlainData
+from repro.plain import PlainData, require_positive_finite
 from repro.policies.registry import merge_policy_selections, validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 from repro.scenarios.catalog import get_scenario
@@ -149,10 +149,9 @@ class SweepSpec(PlainData):
             raise ValueError("replicates must be positive")
         if self.replicates is None and not self.seeds:
             raise ValueError("sweep needs at least one seed (or set replicates)")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration override must be positive")
-        if self.record_interval is not None and self.record_interval <= 0:
-            raise ValueError("record_interval override must be positive")
+        for name in ("duration", "record_interval"):
+            if getattr(self, name) is not None:
+                require_positive_finite(f"{name} override", getattr(self, name))
         for cell in self.policies:
             for kind, entry in cell.items():
                 validate_policy_selection(kind, entry)

@@ -185,11 +185,20 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
-        "path",
-        ["duration", "record_interval", "config.heartbeat_timeout", "config.monitoring_interval"],
+        "command, name, path",
+        [
+            ("scenario", "steady-churn", "duration"),
+            ("scenario", "steady-churn", "record_interval"),
+            ("scenario", "steady-churn", "config.heartbeat_timeout"),
+            ("scenario", "steady-churn", "config.monitoring_interval"),
+            ("sweep", "smoke-2x2", "duration"),
+            ("sweep", "smoke-2x2", "record_interval"),
+        ],
     )
-    def test_non_finite_timing_in_a_file_is_a_user_error(self, path, value, tmp_path, capsys):
-        assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
+    def test_non_finite_timing_in_a_file_is_a_user_error(
+        self, command, name, path, value, tmp_path, capsys
+    ):
+        assert main([command, "describe", name, "--json"]) == 0
         spec = json.loads(capsys.readouterr().out)
         *parents, field = path.split(".")
         target = spec
@@ -197,10 +206,11 @@ class TestSpecFiles:
             target = target[parent]
         target[field] = value
         spec_file = _write(tmp_path, "bad.json", json.dumps(spec))
-        assert main(["scenario", "describe", spec_file]) == 1
+        assert main([command, "describe", spec_file]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert f"{field} must be positive and finite (got {value!r})" in err
+        assert field in err
+        assert f"must be positive and finite (got {value!r})" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
