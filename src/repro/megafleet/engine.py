@@ -249,9 +249,11 @@ class MegafleetResult:
 
     @property
     def events(self) -> int:
-        """Processed state updates across the run: every VM placement,
-        rejection (at a group) and departure, plus one summary per group and
-        epoch."""
+        """Processed state updates across the run.
+
+        Every VM placement, rejection at a group and departure, plus one
+        summary per group and epoch.
+        """
         return int(self.totals["events"])
 
     @property
@@ -280,8 +282,7 @@ class ShardedFleetSimulator:
         # Shards are contiguous group slices: shard s owns [edges[s], edges[s+1]).
         shard_gids = [rows.tolist() for rows in np.array_split(np.arange(n_groups), shards)]
         edges = np.cumsum([0] + [len(gids) for gids in shard_gids])
-        # Child index ``n_groups``: where the arrival stream sat when each group
-        # had a seed child too, so arrival draws did not move when those went.
+        # Child ``n_groups``, not 0: the arrival draws of every pinned run stay put.
         arrival_rng = spawn_generator(self.seed, n_groups)
         d = len(spec.dimensions)
         node_capacity = np.asarray(spec.node_capacity, dtype=float)

@@ -119,10 +119,8 @@ class ScenarioRunner:
         duration: Optional[float] = None,
         record_interval: Optional[float] = None,
     ) -> None:
-        for name, value in (("duration", duration), ("record_interval", record_interval)):
-            if value is not None:
-                require_positive_finite(f"{name} override", value)
         if duration is not None:
+            require_positive_finite("duration override", duration)
             dropped = spec.timeline_events_after(duration)
             if dropped:
                 raise ValueError(
