@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.plain import Catalog, PlainData
+from repro.plain import Catalog, PlainData, require_positive_finite
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,13 @@ class MegafleetSpec(PlainData):
             )
         if len(self.node_capacity) != len(self.dimensions):
             raise ValueError("node_capacity must match dimensions")
-        if not all(capacity > 0 for capacity in self.node_capacity):
-            raise ValueError("every node_capacity must be > 0")
-        if not 0 <= self.vm_demand_low <= self.vm_demand_high:
-            raise ValueError("need 0 <= vm_demand_low <= vm_demand_high")
-        if not self.arrivals_per_epoch >= 0:
-            raise ValueError("arrivals_per_epoch must be >= 0")
-        if not self.vm_lifetime_mean > 0:
-            raise ValueError("vm_lifetime_mean must be > 0")
+        for capacity in self.node_capacity:
+            require_positive_finite("node_capacity", capacity)
+        if not 0 <= self.vm_demand_low <= self.vm_demand_high < math.inf:
+            raise ValueError("need 0 <= vm_demand_low <= vm_demand_high < inf")
+        if not 0 <= self.arrivals_per_epoch < math.inf:
+            raise ValueError("arrivals_per_epoch must be >= 0 and finite")
+        require_positive_finite("vm_lifetime_mean", self.vm_lifetime_mean)
 
     @property
     def n_epochs(self) -> int:

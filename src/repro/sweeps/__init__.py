@@ -10,11 +10,12 @@ turned "an experiment" into data:
 * :mod:`repro.sweeps.executor` runs one cell with failure isolation (seeds
   are derived once via ``numpy.random.SeedSequence.spawn``), in the calling
   process or across :class:`repro.workers.Workers` processes;
-* :mod:`repro.sweeps.distributed` scales past one machine: an asyncio socket
-  coordinator serves cells to work-pulling runner clients
-  (:mod:`repro.sweeps.runner`) over a length-prefixed JSON protocol, with
-  per-lease deadlines, runner heartbeats, straggler-aware dispatch and
-  speculative re-dispatch -- and the same byte-identical-report guarantee;
+* :mod:`repro.sweeps.distributed` scales past one machine: a blocking-socket
+  coordinator (one thread per runner connection) serves cells to work-pulling
+  runner clients (:mod:`repro.sweeps.runner`) over a length-prefixed JSON
+  protocol, with per-lease deadlines, runner heartbeats, straggler-aware
+  dispatch and speculative re-dispatch -- and the same byte-identical-report
+  guarantee;
 * :class:`~repro.sweeps.report.SweepReport` aggregates per-run
   :class:`~repro.scenarios.runner.ScenarioResult` data into per-cell metrics
   (energy, migrations, SLA violations, packing) with JSON and CSV output whose

@@ -1,13 +1,14 @@
 """Distributed sweep execution: a work-pulling coordinator for runner fleets.
 
 The phone-home shape: runners *pull* :class:`~repro.sweeps.spec.RunSpec`
-payloads from a socket coordinator, execute them locally through the same
-:func:`~repro.sweeps.executor.execute_run` the in-process executors use, and
-post the outcomes back.  Workers never need inbound network access, a runner
-can join or die at any moment, and the coordinator reassembles outcomes in
-run-index order so the final :class:`~repro.sweeps.report.SweepReport` is
-byte-identical to the serial executor's for any runner count and any arrival
-order.
+payloads from a blocking-socket coordinator (an accept thread, one thread per
+runner connection, one lock over the lease table), execute them locally
+through the same :func:`~repro.sweeps.executor.execute_run` the in-process
+executors use, and post the outcomes back.  Workers never need inbound
+network access, a runner can join or die at any moment, and the coordinator
+reassembles outcomes in run-index order so the final
+:class:`~repro.sweeps.report.SweepReport` is byte-identical to the serial
+executor's for any runner count and any arrival order.
 
 Robustness vocabulary (mirroring the heartbeat/deadline machinery the
 simulated hierarchy uses, see :class:`repro.simulation.batch.DeadlineTable`,
@@ -35,17 +36,18 @@ alternative to ``jobs=4``.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import signal
+import socket
 import sys
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.plain import require_positive_finite
 from repro.sweeps.runner import SweepRunner
-from repro.sweeps.wire import FrameError, read_frame, write_frame
+from repro.sweeps.wire import read_frame_sync, send_frame_sync
 from repro.workers import start_process
 
 #: Protocol version stamped into hello/welcome frames.
@@ -99,10 +101,12 @@ class _Lease:
 class SweepCoordinator:
     """Serve sweep cells to pulling runners; collect outcomes in order.
 
-    Single-threaded inside one asyncio event loop: every state transition
-    (grant, heartbeat, reclaim, record) runs on the loop, so there is no
-    locking, and the ``stats`` counters can be read from other threads as a
-    consistent-enough snapshot for tests and progress displays.
+    Blocking sockets throughout, like the runner end: an accept thread, one
+    thread per runner connection (read a frame, dispatch it, send the reply)
+    and a reaper thread that reclaims expired leases.  One lock guards every
+    state transition (grant, heartbeat, reclaim, record, abort); the ``stats``
+    counters can be read without it as a consistent-enough snapshot for tests
+    and progress displays.
     """
 
     def __init__(
@@ -116,8 +120,7 @@ class SweepCoordinator:
         speculate: bool = True,
         expected_seconds: Optional[Sequence[float]] = None,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ValueError("lease_seconds must be positive")
+        require_positive_finite("lease_seconds", lease_seconds)
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self._payloads = [dict(payload) for payload in payloads]
@@ -155,13 +158,14 @@ class SweepCoordinator:
             "rejected_outcomes": 0,
         }
 
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._reaper: Optional[asyncio.Task] = None
-        self._handlers: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._done = asyncio.Event()
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        self._stopped = threading.Event()
         self._abort_reason: Optional[str] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[socket.socket] = None
+        self._address: Optional[Tuple[str, int]] = None
+        self._threads: List[threading.Thread] = []
+        self._conns: Set[socket.socket] = set()
         if not self._payloads:
             self._done.set()
 
@@ -169,9 +173,9 @@ class SweepCoordinator:
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``; valid after :meth:`start`."""
-        if self._server is None:
+        if self._address is None:
             raise RuntimeError("coordinator not started")
-        return self._server.sockets[0].getsockname()[:2]
+        return self._address
 
     @property
     def done(self) -> bool:
@@ -183,58 +187,52 @@ class SweepCoordinator:
         """Number of cells with a recorded outcome."""
         return len(self._outcomes)
 
-    async def start(self) -> Tuple[str, int]:
-        """Bind the server and start the lease reaper; returns the address."""
+    def start(self) -> Tuple[str, int]:
+        """Bind the server and start the accept and reaper threads; returns the address."""
         if self._server is not None:
             raise RuntimeError("coordinator already started")
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._handle, self._host, self._port)
-        self._reaper = asyncio.create_task(self._reap_forever())
-        return self.address
+        family = socket.getaddrinfo(self._host, self._port, type=socket.SOCK_STREAM)[0][0]
+        self._server = socket.create_server((self._host, self._port), family=family)
+        self._address = self._server.getsockname()[:2]
+        self._spawn(self._accept_forever)
+        self._spawn(self._reap_forever)
+        return self._address
 
-    async def wait(self, timeout: Optional[float] = None) -> List[dict]:
+    def wait(self, timeout: Optional[float] = None) -> List[dict]:
         """Block until every cell has an outcome; outcomes in payload order."""
-        if timeout is None:
-            await self._done.wait()
-        else:
-            await asyncio.wait_for(self._done.wait(), timeout)
+        if not self._done.wait(timeout):
+            raise TimeoutError(f"sweep still running after {timeout} s")
         if self._abort_reason is not None:
             raise SweepAborted(self._abort_reason)
         return [self._outcomes[position] for position in range(len(self._payloads))]
 
     def abort(self, reason: str) -> None:
         """Fail :meth:`wait` callers; pulls are answered with ``shutdown``.  Thread-safe."""
-        if not self._done.is_set():
-            self._abort_reason = reason
-            try:  # an Event set off the loop's thread would not wake the loop
-                self._loop.call_soon_threadsafe(self._done.set)
-            except (AttributeError, RuntimeError):  # not started yet, or already closed
+        with self._lock:
+            if not self._done.is_set():
+                self._abort_reason = reason
                 self._done.set()
 
-    async def stop(self) -> None:
-        """Close the server, the reaper and every live runner connection."""
-        if self._reaper is not None:
-            self._reaper.cancel()
-            try:
-                await self._reaper
-            except asyncio.CancelledError:
-                pass
-            self._reaper = None
+    def stop(self) -> None:
+        """Close the server and every live runner connection; join every thread."""
+        with self._lock:  # no connection is accepted past this point
+            self._stopped.set()
+            threads, conns = list(self._threads), list(self._conns)
+        for sock in [self._server, *conns]:
+            if sock is not None:
+                try:  # wakes the thread blocked in accept() or recv() on it
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already closed it
+        for thread in threads:
+            thread.join()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Cancel connection handlers before the loop closes: a handler parked
-        # in read_frame() would otherwise be destroyed pending and spray
-        # CancelledError noise at interpreter shutdown.
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._handlers.clear()
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+
+    def _spawn(self, target: Callable, *args) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        self._threads.append(thread)
+        thread.start()
 
     # ---------------------------------------------------------------- scheduling
     def _expected(self, position: int) -> float:
@@ -347,16 +345,16 @@ class SweepCoordinator:
             self._done.set()
         return True
 
-    async def _reap_forever(self) -> None:
-        interval = max(0.02, self.lease_seconds / 4.0)
-        while True:
-            await asyncio.sleep(interval)
+    def _reap_forever(self) -> None:
+        interval = min(max(0.02, self.lease_seconds / 4.0), threading.TIMEOUT_MAX)
+        while not self._stopped.wait(interval):
             now = time.monotonic()
-            expired = [
-                lease.lease_id for lease in self._leases.values() if lease.deadline < now
-            ]
-            for lease_id in expired:
-                self._reclaim(lease_id, "expired")
+            with self._lock:
+                expired = [
+                    lease.lease_id for lease in self._leases.values() if lease.deadline < now
+                ]
+                for lease_id in expired:
+                    self._reclaim(lease_id, "expired")
 
     # ------------------------------------------------------------------ protocol
     def _dispatch(self, message: dict, conn_leases: Set[str]) -> dict:
@@ -410,28 +408,42 @@ class SweepCoordinator:
         status, result = outcome.get("status"), outcome.get("result")
         return status == "failed" or (status == "ok" and isinstance(result, (dict, type(None))))
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._writers.add(writer)
+    def _accept_forever(self) -> None:
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:  # stop() shut the listener down, or a transient error
+                if self._stopped.wait(IDLE_RETRY_SECONDS):
+                    return
+                continue
+            # Replies go out at once, as small request/reply frames need.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                if self._stopped.is_set():
+                    conn.close()
+                    return
+                self._conns.add(conn)
+                self._spawn(self._serve, conn)
+
+    def _serve(self, conn: socket.socket) -> None:
         conn_leases: Set[str] = set()
         try:
             while True:
-                message = await read_frame(reader)
+                message = read_frame_sync(conn)
                 if message is None:
                     break
-                await write_frame(writer, self._dispatch(message, conn_leases))
-        except (FrameError, ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
+                with self._lock:
+                    reply = self._dispatch(message, conn_leases)
+                send_frame_sync(conn, reply)
+        except OSError:  # FrameError included
             pass  # dropped runner (or coordinator shutdown): leases reclaimed below
         finally:
-            for lease_id in list(conn_leases):
-                if lease_id in self._leases:
-                    self._reclaim(lease_id, "disconnect")
-            self._writers.discard(writer)
-            writer.close()
-            if task is not None:
-                self._handlers.discard(task)
+            with self._lock:
+                for lease_id in list(conn_leases):
+                    if lease_id in self._leases:
+                        self._reclaim(lease_id, "disconnect")
+                self._conns.discard(conn)
+            conn.close()
 
 
 # ------------------------------------------------------------------ blocking APIs
@@ -441,79 +453,45 @@ def collect_outcomes(
     timeout: Optional[float] = None,
     on_bound: Optional[Callable[[Tuple[str, int]], None]] = None,
 ) -> List[dict]:
-    """Run ``coordinator`` to completion on a fresh event loop (blocking).
+    """Run ``coordinator`` to completion (blocking), then stop it.
 
     ``on_bound`` is invoked with the bound ``(host, port)`` once the server is
     listening -- the CLI uses it to announce the address runners should
     ``sweep work --connect`` to.
     """
-
-    async def _main() -> List[dict]:
-        await coordinator.start()
+    address = coordinator.start()
+    try:
         if on_bound is not None:
-            on_bound(coordinator.address)
-        try:
-            return await coordinator.wait(timeout=timeout)
-        finally:
-            await coordinator.stop()
-
-    return asyncio.run(_main())
+            on_bound(address)
+        return coordinator.wait(timeout=timeout)
+    finally:
+        coordinator.stop()
 
 
 class CoordinatorThread:
-    """A coordinator running on a background thread (context manager).
+    """A started coordinator as a context manager.
 
-    Used by tests and anything else that needs to drive runner clients from
-    the calling thread while the coordinator serves.  ``address`` blocks until
-    the server is bound; :meth:`result` joins and returns the outcome list
-    (re-raising coordinator failures).
+    Used by tests and anything else that drives runner clients from the
+    calling thread while the coordinator serves on its own threads.
+    ``address`` is bound on entry; :meth:`result` waits for the outcome list
+    (``timeout`` is its default wait); leaving the block aborts and stops the
+    coordinator.
     """
 
     def __init__(self, coordinator: SweepCoordinator, *, timeout: Optional[float] = None) -> None:
         self.coordinator = coordinator
         self._timeout = timeout
-        self._bound = threading.Event()
-        self._address: Optional[Tuple[str, int]] = None
-        self._outcomes: Optional[List[dict]] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        try:
-            self._outcomes = collect_outcomes(
-                self.coordinator, timeout=self._timeout, on_bound=self._on_bound
-            )
-        except BaseException as exc:  # noqa: BLE001 - re-raised in result()
-            self._error = exc
-            self._bound.set()
-
-    def _on_bound(self, address: Tuple[str, int]) -> None:
-        self._address = address
-        self._bound.set()
 
     def __enter__(self) -> "CoordinatorThread":
-        self._thread.start()
+        self.address = self.coordinator.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.coordinator.abort("coordinator thread exited")
-        self._thread.join(timeout=10.0)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        self._bound.wait(timeout=10.0)
-        if self._address is None:
-            raise RuntimeError("coordinator failed to bind") from self._error
-        return self._address
+        self.coordinator.stop()
 
     def result(self, timeout: Optional[float] = None) -> List[dict]:
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("coordinator still running")
-        if self._error is not None:
-            raise self._error
-        assert self._outcomes is not None
-        return self._outcomes
+        return self.coordinator.wait(self._timeout if timeout is None else timeout)
 
 
 # -------------------------------------------------------------- loopback runners
@@ -542,7 +520,8 @@ class RunnerProcess:
 def _runner_main(host: str, port: int, runner_id: Optional[str], env: Optional[dict]) -> None:
     """Body of one loopback runner process: a silent :class:`SweepRunner`."""
     os.environ.update({str(key): str(value) for key, value in (env or {}).items()})
-    # A forked child inherits asyncio.run's SIGINT handler, which pokes the parent's loop.
+    # A forked child inherits whatever SIGINT handler its parent installed; Ctrl-C
+    # must end the runner through KeyboardInterrupt instead.
     signal.signal(signal.SIGINT, signal.default_int_handler)
     devnull = os.open(os.devnull, os.O_WRONLY)
     for fd in (1, 2):
@@ -593,8 +572,7 @@ class DistributedExecutor:
     ) -> None:
         if runners < 1:
             raise ValueError("DistributedExecutor needs runners >= 1")
-        if lease_seconds <= 0:
-            raise ValueError("lease_seconds must be positive")
+        require_positive_finite("lease_seconds", lease_seconds)
         if runner_env is not None and len(runner_env) != runners:
             raise ValueError("runner_env must carry one entry per runner")
         self.runners = int(runners)
@@ -614,9 +592,6 @@ class DistributedExecutor:
         payloads = list(payloads)
         if not payloads:
             return []
-        return asyncio.run(self._map_async(payloads))
-
-    async def _map_async(self, payloads: List[dict]) -> List[dict]:
         coordinator = SweepCoordinator(
             payloads,
             lease_seconds=self.lease_seconds,
@@ -624,33 +599,28 @@ class DistributedExecutor:
             speculate=self.speculate,
             expected_seconds=self.expected_seconds,
         )
-        await coordinator.start()
+        address = coordinator.start()
         procs: List[RunnerProcess] = []
-        watchdog: Optional[asyncio.Task] = None
+        watchdog = threading.Thread(target=self._watch, args=(procs, coordinator), daemon=True)
         try:
             for index in range(self.runners):
                 extra = self.runner_env[index] if self.runner_env else None
                 procs.append(
-                    spawn_loopback_runner(
-                        coordinator.address, runner_id=f"runner-{index}", env=extra
-                    )
+                    spawn_loopback_runner(address, runner_id=f"runner-{index}", env=extra)
                 )
-            watchdog = asyncio.create_task(self._watch(procs, coordinator))
-            return await coordinator.wait(timeout=self.timeout)
+            watchdog.start()
+            return coordinator.wait(timeout=self.timeout)
         finally:
-            if watchdog is not None:
-                watchdog.cancel()
             self.last_stats = dict(coordinator.stats)
-            await coordinator.stop()
+            coordinator.stop()
+            if watchdog.ident is not None:
+                watchdog.join()
             self._terminate(procs)
 
     @staticmethod
-    async def _watch(procs: List[RunnerProcess], coordinator: SweepCoordinator) -> None:
+    def _watch(procs: List[RunnerProcess], coordinator: SweepCoordinator) -> None:
         """Abort instead of hanging forever when the whole fleet is gone."""
-        while True:
-            await asyncio.sleep(0.2)
-            if coordinator.done:
-                return
+        while not coordinator._stopped.wait(0.2):
             if all(proc.poll() is not None for proc in procs):
                 coordinator.abort(
                     "all runner processes exited before the sweep completed "

@@ -107,8 +107,7 @@ class SweepRunner:
     def _heartbeat_forever(self) -> None:
         """Extend the current lease periodically while a cell executes."""
         last_sent = time.monotonic()
-        while not self._stop.is_set():
-            time.sleep(min(0.05, self._heartbeat_seconds / 2.0))
+        while not self._stop.wait(min(0.05, self._heartbeat_seconds / 2.0)):
             lease = self._current_lease
             if lease is None:
                 last_sent = time.monotonic()
@@ -183,6 +182,8 @@ class SweepRunner:
                 if self._sock is not None:
                     self._sock.close()
                     self._sock = None
+            if heartbeat.ident is not None:
+                heartbeat.join()
         return self.posted
 
 

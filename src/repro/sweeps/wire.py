@@ -1,10 +1,10 @@
 """Length-prefixed JSON framing for the distributed sweep protocol.
 
 One frame is a 4-byte big-endian unsigned length followed by that many bytes
-of UTF-8 JSON.  The same framing is used in both directions and by both
-transports: the coordinator reads frames through ``asyncio`` streams, the
-runner client through blocking sockets.  Keeping the codec in one tiny module
-means a protocol change cannot desynchronize the two sides.
+of UTF-8 JSON.  The same framing is used in both directions, and both ends --
+the coordinator's connection threads and the runner client -- read and write
+it through the same two blocking-socket calls here, so a protocol change
+cannot desynchronize the two sides.
 
 A *clean* close (EOF exactly on a frame boundary) reads as ``None``; EOF in
 the middle of a frame raises :class:`FrameError` -- the coordinator treats it
@@ -51,12 +51,6 @@ def decode_body(body: bytes) -> dict:
     return message
 
 
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame header announces {length} bytes (> MAX_FRAME_BYTES)")
-
-
-# ------------------------------------------------------------------- blocking
 def _recv_exactly(sock: socket.socket, count: int) -> Optional[bytes]:
     """Read exactly ``count`` bytes; ``None`` on immediate EOF, raises mid-read."""
     chunks: list[bytes] = []
@@ -78,7 +72,8 @@ def read_frame_sync(sock: socket.socket) -> Optional[dict]:
     if header is None:
         return None
     (length,) = HEADER.unpack(header)
-    _check_length(length)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame header announces {length} bytes (> MAX_FRAME_BYTES)")
     body = _recv_exactly(sock, length)
     if body is None:
         raise FrameError("connection closed between frame header and body")
@@ -88,29 +83,3 @@ def read_frame_sync(sock: socket.socket) -> Optional[dict]:
 def send_frame_sync(sock: socket.socket, message: dict) -> None:
     """Write one frame to a blocking socket."""
     sock.sendall(encode_frame(message))
-
-
-# -------------------------------------------------------------------- asyncio
-async def read_frame(reader) -> Optional[dict]:
-    """Read one frame from an :class:`asyncio.StreamReader` (``None`` on EOF)."""
-    import asyncio
-
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed inside a frame header") from None
-    (length,) = HEADER.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise FrameError("connection closed inside a frame body") from None
-    return decode_body(body)
-
-
-async def write_frame(writer, message: dict) -> None:
-    """Write one frame to an :class:`asyncio.StreamWriter` and drain."""
-    writer.write(encode_frame(message))
-    await writer.drain()

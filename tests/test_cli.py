@@ -330,12 +330,17 @@ class TestSweepCommand:
         [
             ["run", "smoke-2x2", "--runners", "1", "--lease-seconds", "0"],
             ["serve", "smoke-2x2", "--host", "127.0.0.1", "--lease-seconds", "-1"],
+            ["run", "smoke-2x2", "--runners", "1", "--lease-seconds", "nan"],
+            ["run", "smoke-2x2", "--runners", "1", "--lease-seconds", "inf"],
         ],
         ids=" ".join,
     )
     def test_non_positive_lease_seconds_is_a_user_error(self, argv, capsys):
         assert main(["sweep", *argv]) == 1
-        assert capsys.readouterr().err == "error: lease_seconds must be positive\n"
+        value = float(argv[-1])
+        assert capsys.readouterr().err == (
+            f"error: lease_seconds must be positive and finite (got {value!r})\n"
+        )
 
     def test_unwritable_output_path_still_prints_report(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "report.json"

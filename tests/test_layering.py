@@ -3,6 +3,8 @@
 ``repro.core`` (packing kernels) and ``repro.megafleet`` (pure-numpy engine)
 fan out through the leaf module ``repro.workers``; neither may pull in the
 simulator stack, ``asyncio`` or a second third-party dependency to do so.
+Every wire end in ``src``, the sweep coordinator included, is a blocking
+socket or pipe, so even the whole CLI imports without ``asyncio``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def test_package_import_graph_is_acyclic():
         ("repro.core", "repro.sweeps repro.scenarios repro.hierarchy asyncio networkx"),
         ("repro.megafleet", "repro.sweeps repro.scenarios repro.hierarchy asyncio networkx"),
         ("repro.scenarios", "networkx"),
+        ("repro.cli.main", "asyncio"),
     ],
 )
 def test_fresh_import_stays_below_its_layer(module, forbidden):

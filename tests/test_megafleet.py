@@ -105,12 +105,16 @@ class TestCatalog:
             ({"vm_demand_low": 0.5, "vm_demand_high": 0.1}, "vm_demand_low <= vm_demand_high"),
             ({"vm_demand_low": -0.05}, "0 <= vm_demand_low"),
             ({"arrivals_per_epoch": -1.0}, "arrivals_per_epoch must be >= 0"),
-            ({"vm_lifetime_mean": 0.0}, "vm_lifetime_mean must be > 0"),
-            ({"node_capacity": (1.0, 0.0, 1.0)}, "every node_capacity must be > 0"),
+            ({"vm_lifetime_mean": 0.0}, r"vm_lifetime_mean must be positive .* \(got 0.0\)"),
+            ({"node_capacity": (1.0, 0.0, 1.0)}, r"node_capacity must be positive .* \(got 0.0\)"),
             ({"epoch": float("nan")}, r"positive epoch \(epoch=nan, duration=60.0\)"),
             ({"duration": float("nan")}, r"positive epoch \(epoch=10.0, duration=nan\)"),
             ({"duration": float("inf")}, r"finite .* \(epoch=10.0, duration=inf\)"),
             ({"epoch": float("inf"), "duration": float("inf")}, "duration must be finite"),
+            ({"arrivals_per_epoch": float("inf")}, "arrivals_per_epoch must be >= 0 and finite"),
+            ({"vm_demand_high": float("inf")}, "vm_demand_high < inf"),
+            ({"vm_lifetime_mean": float("inf")}, r"vm_lifetime_mean .* \(got inf\)"),
+            ({"node_capacity": (float("inf"), 1.0, 1.0)}, r"node_capacity .* \(got inf\)"),
         ],
     )
     def test_spec_rejects_fields_that_crash_or_mislead_a_run(self, overrides, message):
@@ -474,6 +478,10 @@ class TestCli:
             ("epoch", float("nan")),
             ("duration", float("nan")),
             ("duration", float("inf")),
+            ("arrivals_per_epoch", float("inf")),
+            ("vm_demand_high", float("inf")),
+            ("vm_lifetime_mean", float("inf")),
+            ("node_capacity", [float("inf"), 1, 1]),
         ],
     )
     def test_bad_spec_file_is_a_user_error(self, field, value, tmp_path, capsys):

@@ -13,6 +13,7 @@ import multiprocessing
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -310,6 +311,37 @@ class TestCoordinator:
                 thread.result(timeout=5.0)
         assert time.monotonic() - started < 2.0
 
+    def test_runner_threads_never_share_a_cell(self):
+        # More connection threads than cores, switching as often as the
+        # interpreter allows: a grant or record racing outside the lock would
+        # hand one cell to two runners (a duplicate), lose a lease, or kill a
+        # connection thread mid-iteration.
+        payloads = _fake_payloads(120)
+        coordinator = SweepCoordinator(payloads, speculate=False)
+        switch, hook, crashes = sys.getswitchinterval(), threading.excepthook, []
+        sys.setswitchinterval(1e-6)
+        threading.excepthook = crashes.append
+        try:
+            with no_hang(), CoordinatorThread(coordinator) as thread:
+                runners = [
+                    SweepRunner(*thread.address, runner_id=f"r{i}", fn=_fake_ok) for i in range(4)
+                ]
+                workers = [threading.Thread(target=runner.run) for runner in runners]
+                for worker in workers:
+                    worker.start()
+                outcomes = thread.result(timeout=20.0)
+                for worker in workers:
+                    worker.join(timeout=10.0)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(switch)
+            threading.excepthook = hook
+        assert crashes == []
+        assert [o["run"]["index"] for o in outcomes] == list(range(120))
+        assert sum(runner.posted for runner in runners) == 120
+        assert coordinator.stats["leases_granted"] == 120
+        assert coordinator.stats["duplicates_discarded"] == 0
+
     def test_empty_payload_list_is_immediately_done(self):
         coordinator = SweepCoordinator([])
         assert coordinator.done
@@ -317,8 +349,9 @@ class TestCoordinator:
             assert thread.result(timeout=10.0) == []
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="lease_seconds"):
-            SweepCoordinator(_fake_payloads(1), lease_seconds=0.0)
+        for lease_seconds in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lease_seconds must be positive and finite"):
+                SweepCoordinator(_fake_payloads(1), lease_seconds=lease_seconds)
         with pytest.raises(ValueError, match="max_attempts"):
             SweepCoordinator(_fake_payloads(1), max_attempts=0)
         with pytest.raises(ValueError, match="expected_seconds"):
@@ -373,6 +406,9 @@ class TestDistributedExecutor:
     def test_executor_validation(self):
         with pytest.raises(ValueError, match="runners"):
             DistributedExecutor(runners=0)
+        for lease_seconds in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lease_seconds must be positive and finite"):
+                DistributedExecutor(runners=1, lease_seconds=lease_seconds)
         with pytest.raises(ValueError, match="runner_env"):
             DistributedExecutor(runners=2, runner_env=[None])
 
@@ -581,18 +617,22 @@ class TestLoopbackRunnerProcesses:
     )
     def test_no_runner_outlives_map(self, options, serial_json):
         executor = DistributedExecutor(runners=2, **options)
+        threads = threading.active_count()
         with no_hang():
             report = run_sweep(_two_cell_sweep(), executor=executor)
         assert report.to_json() == serial_json
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_no_runner_outlives_an_aborted_map(self):
         executor = DistributedExecutor(
             runners=1, runner_env=[{FAULT_ENV: "die-after-pulls:1"}]
         )
+        threads = threading.active_count()
         with no_hang(), pytest.raises(SweepAborted, match=r"exit codes: \[17\]"):
             run_sweep(_two_cell_sweep(), executor=executor)
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestSpawnStartMethod:
@@ -609,12 +649,27 @@ class TestSpawnStartMethod:
         assert report.to_json() == serial
 
     def test_runner_env_reaches_a_spawned_runner(self):
-        serial = run_sweep(_two_cell_sweep(), jobs=1).to_json()
-        executor = DistributedExecutor(
-            runners=2, lease_seconds=1.0, runner_env=[{FAULT_ENV: "die-after-pulls:1"}, None]
-        )
-        with no_hang(60.0):
-            report = run_sweep(_two_cell_sweep(), executor=executor)
-        assert report.to_json() == serial
-        assert executor.last_stats["reclaimed_disconnect"] >= 1
+        # One runner: only the injected fault's exit code can end this sweep.
+        executor = DistributedExecutor(runners=1, runner_env=[{FAULT_ENV: "die-after-pulls:1"}])
+        with no_hang(60.0), pytest.raises(SweepAborted, match=r"exit codes: \[17\]"):
+            run_sweep(_two_cell_sweep(), executor=executor)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_spawned_runner_is_reclaimed_and_report_identical(self):
+        # The faulty runner is alone until it has died holding a lease; only
+        # then does the healthy one join, so the disconnect reclaim is certain.
+        spec = _two_cell_sweep()
+        serial = run_sweep(spec, jobs=1).to_json()
+        coordinator = SweepCoordinator([run.to_dict() for run in spec.expand()])
+        with no_hang(60.0), CoordinatorThread(coordinator) as thread:
+            faulty = spawn_loopback_runner(thread.address, env={FAULT_ENV: "die-after-pulls:1"})
+            assert faulty.wait(timeout=30.0) == 17
+            while coordinator.stats["reclaimed_disconnect"] < 1:
+                time.sleep(0.001)
+            healthy = spawn_loopback_runner(thread.address)
+            outcomes = thread.result(timeout=30.0)
+            assert healthy.wait(timeout=10.0) == 0
+        assert SweepReport.from_outcomes(spec, outcomes).to_json() == serial
+        assert coordinator.stats["reclaimed_disconnect"] == 1
+        assert coordinator.stats["retries"] == 1
         assert multiprocessing.active_children() == []
