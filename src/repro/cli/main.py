@@ -44,6 +44,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # Ctrl-C: one line and the shell's exit code for SIGINT, not a traceback.
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # The reader closed stdout (``repro-sim scenario list | head -1``).
         # Point stdout at devnull so the flush at exit cannot raise again.

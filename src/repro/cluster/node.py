@@ -162,10 +162,6 @@ class PhysicalNode:
             return 0.0
         return float(min(self.used_values()[self.cpu_index] / cap, 1.0))
 
-    def utilization_vector(self) -> ResourceVector:
-        """Per-dimension utilization fractions (usage / capacity)."""
-        return self.used() / self.capacity
-
     def fits(self, vm: VirtualMachine) -> bool:
         """Reservation-based admission check (``ResourceVector.fits_within`` tolerance)."""
         requested = vm.requested

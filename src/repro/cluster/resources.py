@@ -182,10 +182,6 @@ class ResourceVector:
         """Return a copy with negative components snapped to zero."""
         return ResourceVector(np.maximum(self._values, 0.0), self._dimensions)
 
-    def scaled_by(self, factors: ArrayLike) -> "ResourceVector":
-        """Component-wise product, e.g. utilization fractions times capacity."""
-        return ResourceVector(self._values * self._coerce(factors), self._dimensions)
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{d}={v:.4g}" for d, v in zip(self._dimensions, self._values))
         return f"ResourceVector({parts})"

@@ -148,10 +148,6 @@ class ClusterTopology:
             total += node.capacity.values
         return ResourceVector(total, tuple(self.spec.dimensions))
 
-    def powered_on_nodes(self) -> List[PhysicalNode]:
-        """Nodes currently available for placement."""
-        return [node for node in self.nodes if node.is_available_for_placement]
-
     def active_node_count(self) -> int:
         """Number of nodes hosting at least one VM."""
         return sum(1 for node in self.nodes if node.vm_count > 0)

@@ -51,11 +51,6 @@ class ZNode:
     sequence: Optional[int] = None
     created_at: float = 0.0
 
-    @property
-    def is_ephemeral(self) -> bool:
-        """True if the node dies with its owning session."""
-        return self.ephemeral_owner is not None
-
 
 @dataclass
 class Session:

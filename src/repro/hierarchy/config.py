@@ -15,7 +15,7 @@ from repro.energy.power_manager import PowerManagerConfig
 from repro.monitoring.estimators import make_estimator
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
-from repro.plain import PlainData, require_positive_finite
+from repro.plain import PlainData
 from repro.policies.registry import validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 
@@ -112,7 +112,8 @@ class HierarchyConfig(PlainData):
             "rpc_timeout",
             "placement_timeout",
         ):
-            require_positive_finite(name, getattr(self, name))
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive (got {getattr(self, name)!r})")
         if self.heartbeat_timeout <= max(
             self.gl_heartbeat_interval, self.gm_heartbeat_interval, self.lc_heartbeat_interval
         ):

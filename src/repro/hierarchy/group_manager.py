@@ -105,10 +105,7 @@ class GroupManager(Component):
             rng=self._consolidation_rng,
         )
         self.power_manager: Optional[PowerStateManager] = None
-        #: Statistics for the experiments.
-        self.placements_performed = 0
-        self.placement_failures = 0
-        self.relocations_performed = 0
+        #: Reconfiguration rounds this Group Manager has run.
         self.reconfiguration_rounds = 0
 
         # --- GL state (only used while this GM is the elected leader).
@@ -151,7 +148,6 @@ class GroupManager(Component):
         self.rpc.register_operation("place_vm", self._op_place_vm)
         self.rpc.register_operation("assign_lc", self._op_assign_lc)
         self.rpc.register_operation("submit_vm", self._op_submit_vm)
-        self.rpc.register_operation("describe", self._op_describe)
 
     # ------------------------------------------------------------------ setup
     def on_start(self) -> None:
@@ -578,12 +574,10 @@ class GroupManager(Component):
                 )
                 if woken:
                     return
-            self.placement_failures += 1
             self.sim.trigger(reply, {"placed": False, "reason": "no local controller fits the VM"})
             return
         lc_name = self._lc_of_node(chosen)
         if lc_name is None:
-            self.placement_failures += 1
             self.sim.trigger(reply, {"placed": False, "reason": "chosen node has no local controller"})
             return
         self.rpc.call(
@@ -601,7 +595,6 @@ class GroupManager(Component):
         self, vm: VirtualMachine, lc_name: str, reply: Event, result, exclude: set, ctx=None
     ) -> None:
         if isinstance(result, dict) and result.get("accepted"):
-            self.placements_performed += 1
             self.sim.trigger(
                 reply,
                 {"placed": True, "gm": self.name, "lc": lc_name, "node_id": result.get("node_id")},
@@ -661,7 +654,6 @@ class GroupManager(Component):
             )
             executed += 1
         if executed:
-            self.relocations_performed += executed
             self.log_event("relocation", reason=reason, migrations=executed)
         return executed
 
@@ -705,15 +697,3 @@ class GroupManager(Component):
             hosts_before=plan.hosts_before,
             hosts_after=plan.hosts_after,
         )
-
-    # ------------------------------------------------------------ diagnostics
-    def _op_describe(self) -> dict:
-        """Diagnostic snapshot used by the CLI and tests."""
-        return {
-            "name": self.name,
-            "is_leader": self.is_leader,
-            "local_controllers": sorted(self.local_controllers),
-            "known_gms": sorted(self.gm_summaries) if self.is_leader else [],
-            "placements": self.placements_performed,
-            "relocations": self.relocations_performed,
-        }

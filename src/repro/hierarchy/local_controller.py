@@ -101,7 +101,6 @@ class LocalController(Component):
         self.rpc.register_operation("start_vm", self._op_start_vm)
         self.rpc.register_operation("terminate_vm", self._op_terminate_vm)
         self.rpc.register_operation("migrate_vm", self._op_migrate_vm)
-        self.rpc.register_operation("describe", self._op_describe)
 
     # ---------------------------------------------------------------- startup
     def on_start(self) -> None:
@@ -379,14 +378,3 @@ class LocalController(Component):
         if started:
             self.monitor.untrack_vm(vm)
         return {"started": started}
-
-    def _op_describe(self) -> dict:
-        """Diagnostic snapshot used by the CLI's hierarchy visualization."""
-        return {
-            "name": self.name,
-            "node_id": self.node.node_id,
-            "state": self.node.state.value,
-            "vm_count": self.node.vm_count,
-            "utilization": self.node.utilization(),
-            "assigned_gm": self.assigned_gm,
-        }

@@ -189,10 +189,6 @@ class SnoozeSystem:
             self.recorder.add_probe("active_hosts", lambda: float(self.active_host_count()))
             self.recorder.add_probe("powered_on_hosts", lambda: float(self.powered_on_count()))
             self.recorder.add_probe(
-                "cluster_power_watts",
-                lambda: float(sum(node.current_power() for node in self.topology)),
-            )
-            self.recorder.add_probe(
                 "running_vms",
                 lambda: float(sum(node.vm_count for node in self.topology)),
             )

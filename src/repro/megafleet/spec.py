@@ -20,11 +20,10 @@ CLI and benchmarks run:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.plain import Catalog, PlainData, require_positive_finite
+from repro.plain import Catalog, PlainData
 
 
 @dataclass(frozen=True)
@@ -54,21 +53,26 @@ class MegafleetSpec(PlainData):
     def __post_init__(self) -> None:
         if self.local_controllers < self.group_managers or self.group_managers < 1:
             raise ValueError("need at least one LC per group manager")
-        # Written as ``not (valid)`` so NaN (which JSON decoding accepts) fails too.
-        if not (0 < self.epoch <= self.duration and math.isfinite(self.duration)):
+        if self.epoch <= 0 or self.duration < self.epoch:
             raise ValueError(
-                "duration must be finite and cover at least one positive epoch "
+                "duration must cover at least one positive epoch "
                 f"(epoch={self.epoch!r}, duration={self.duration!r})"
             )
         if len(self.node_capacity) != len(self.dimensions):
             raise ValueError("node_capacity must match dimensions")
         for capacity in self.node_capacity:
-            require_positive_finite("node_capacity", capacity)
-        if not 0 <= self.vm_demand_low <= self.vm_demand_high < math.inf:
-            raise ValueError("need 0 <= vm_demand_low <= vm_demand_high < inf")
-        if not 0 <= self.arrivals_per_epoch < math.inf:
-            raise ValueError("arrivals_per_epoch must be >= 0 and finite")
-        require_positive_finite("vm_lifetime_mean", self.vm_lifetime_mean)
+            if capacity <= 0:
+                raise ValueError(
+                    f"node_capacity must be positive in every dimension (got {capacity!r})"
+                )
+        if self.vm_demand_low < 0 or self.vm_demand_high < self.vm_demand_low:
+            raise ValueError("need 0 <= vm_demand_low <= vm_demand_high")
+        if self.arrivals_per_epoch < 0:
+            raise ValueError("arrivals_per_epoch must be >= 0")
+        if self.vm_lifetime_mean <= 0:
+            raise ValueError(
+                f"vm_lifetime_mean must be positive seconds (got {self.vm_lifetime_mean!r})"
+            )
 
     @property
     def n_epochs(self) -> int:

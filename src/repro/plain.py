@@ -12,9 +12,17 @@ fields, so a field is declared once:
   take the dataclass default; unknown keys raise :class:`ValueError` naming
   them, so a mistyped key cannot silently run the default.
 
+One finiteness rule covers every spec number: building a ``PlainData`` spec
+rejects a NaN or infinite number anywhere in its fields, nested dictionaries,
+lists and tuples included, with ``ValueError("<Class>.<path> must be finite
+(got nan)")``.  ``from_dict`` checks the raw mapping before any coercion (so
+``int(inf)`` never runs), and construction before the class's own
+``__post_init__``, so per-class checks are plain range checks.
+
 :class:`Catalog` is the named registry every spec kind keeps its ready-made
 entries in (scenarios, sweeps, megafleets), and
-:func:`require_positive_finite` the NaN-proof check of their timings.
+:func:`require_positive_finite` the check of the few timings that are
+arguments rather than spec fields (a run's duration override, a lease).
 
 Stdlib imports only: like :mod:`repro.workers`, this module sits below every
 ``repro`` package.
@@ -77,20 +85,57 @@ def _decode(cls: type, data: Mapping[str, Any]) -> Any:
         raise ValueError(
             f"unknown {cls.__name__} key(s) {unknown}; valid keys: {sorted(decoders)}"
         )
+    _require_finite(cls.__name__, data)
     return cls(**{name: decoders[name](value) for name, value in data.items()})
+
+
+def _require_finite(path: str, value: Any) -> None:
+    """The finiteness rule: ``ValueError`` naming the first NaN or infinite number
+    in ``value``, itself named ``path``.  A nested :class:`PlainData` is skipped:
+    it checked its own fields when it was built."""
+    if isinstance(value, dict):
+        children, step = value.items(), ".{}"
+    elif isinstance(value, (list, tuple)):
+        children, step = enumerate(value), "[{}]"
+    elif dataclasses.is_dataclass(value) and not isinstance(value, PlainData):
+        children, step = vars(value).items(), ".{}"
+    else:
+        return
+    for key, item in children:
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                raise ValueError(f"{path}{step.format(key)} must be finite (got {item!r})")
+        elif not isinstance(item, (str, int)) and item is not None:
+            _require_finite(path + step.format(key), item)
 
 
 def require_positive_finite(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is a positive, finite number.
 
-    Written as ``not (valid)`` so NaN, which JSON decoding accepts, fails too.
+    For arguments that are not spec fields, which the finiteness rule does not
+    see; written as ``not (valid)`` so NaN fails too.
     """
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite (got {value!r})")
 
 
 class PlainData:
-    """Mixin giving a dataclass its field-driven ``to_dict`` / ``from_dict``."""
+    """Mixin giving a dataclass its field-driven ``to_dict`` / ``from_dict``
+    and the finiteness rule, checked before the class's own ``__post_init__``."""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__post_init__")
+        if own is not None:
+            @functools.wraps(own)
+            def __post_init__(self) -> None:
+                PlainData.__post_init__(self)
+                own(self)
+            cls.__post_init__ = __post_init__
+
+    def __post_init__(self) -> None:
+        # Only the dataclass fields are set this early, so vars() is exactly them.
+        _require_finite(type(self).__name__, vars(self))
 
     def to_dict(self) -> dict:
         """Plain-data form (JSON-safe); ``type(self).from_dict(self.to_dict()) == self``."""

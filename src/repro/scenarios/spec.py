@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster.topology import ClusterSpec, NodeClass
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.system import SystemSpec
-from repro.plain import PlainData, require_positive_finite
+from repro.plain import PlainData
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.distributions import make_distribution
 from repro.workloads.generator import WorkloadGenerator, make_arrival, make_lifetime
@@ -172,8 +172,9 @@ class ScenarioSpec(PlainData):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        require_positive_finite("duration", self.duration)
-        require_positive_finite("record_interval", self.record_interval)
+        for name in ("duration", "record_interval"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive (got {getattr(self, name)!r})")
         if self.node_classes:
             self.local_controllers = sum(nc.count for nc in self.node_classes)
         if self.local_controllers <= 0:

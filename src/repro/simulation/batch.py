@@ -521,9 +521,5 @@ class DeadlineTable:
         """Earliest armed deadline (``inf`` when nothing is armed)."""
         return float(self._deadlines[self._active].min()) if self._active.any() else math.inf
 
-    def armed_entries(self) -> Sequence[int]:
-        """Indices of armed entries (diagnostics)."""
-        return np.flatnonzero(self._active).tolist()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DeadlineTable {self.name} armed={len(self)}>"

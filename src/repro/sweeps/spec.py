@@ -27,7 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.plain import PlainData, require_positive_finite
+from repro.plain import PlainData
 from repro.policies.registry import merge_policy_selections, validate_policy_selection
 from repro.policies.thresholds import UtilizationThresholds
 from repro.scenarios.catalog import get_scenario
@@ -149,9 +149,11 @@ class SweepSpec(PlainData):
             raise ValueError("replicates must be positive")
         if self.replicates is None and not self.seeds:
             raise ValueError("sweep needs at least one seed (or set replicates)")
+        if self.base_seed < 0 or any(seed < 0 for seed in self.seeds):
+            raise ValueError("seeds and base_seed must be non-negative")
         for name in ("duration", "record_interval"):
-            if getattr(self, name) is not None:
-                require_positive_finite(f"{name} override", getattr(self, name))
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} override must be positive (got {getattr(self, name)!r})")
         for cell in self.policies:
             for kind, entry in cell.items():
                 validate_policy_selection(kind, entry)

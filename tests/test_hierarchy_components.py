@@ -199,13 +199,12 @@ class TestGroupManagerProtocol:
         )
         assert total_lcs == 6
 
-    def test_describe_operations(self, small_system):
+    def test_hierarchy_snapshot(self, small_system):
         leader = small_system.leader()
-        info = leader._op_describe()
-        assert info["is_leader"] is True
+        snapshot = small_system.hierarchy_snapshot()
+        assert snapshot["group_managers"][leader.name]["is_leader"] is True
         lc = next(iter(small_system.local_controllers.values()))
-        lc_info = lc._op_describe()
-        assert lc_info["assigned_gm"] in small_system.group_managers
+        assert lc.assigned_gm in small_system.group_managers
 
     def test_non_leader_rejects_submission(self, small_system):
         non_leader = next(

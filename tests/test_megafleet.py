@@ -107,14 +107,23 @@ class TestCatalog:
             ({"arrivals_per_epoch": -1.0}, "arrivals_per_epoch must be >= 0"),
             ({"vm_lifetime_mean": 0.0}, r"vm_lifetime_mean must be positive .* \(got 0.0\)"),
             ({"node_capacity": (1.0, 0.0, 1.0)}, r"node_capacity must be positive .* \(got 0.0\)"),
-            ({"epoch": float("nan")}, r"positive epoch \(epoch=nan, duration=60.0\)"),
-            ({"duration": float("nan")}, r"positive epoch \(epoch=10.0, duration=nan\)"),
-            ({"duration": float("inf")}, r"finite .* \(epoch=10.0, duration=inf\)"),
+            ({"epoch": float("nan")}, r"MegafleetSpec\.epoch must be finite \(got nan\)"),
+            ({"duration": float("nan")}, r"MegafleetSpec\.duration must be finite \(got nan\)"),
+            ({"duration": float("inf")}, r"MegafleetSpec\.duration must be finite \(got inf\)"),
             ({"epoch": float("inf"), "duration": float("inf")}, "duration must be finite"),
-            ({"arrivals_per_epoch": float("inf")}, "arrivals_per_epoch must be >= 0 and finite"),
-            ({"vm_demand_high": float("inf")}, "vm_demand_high < inf"),
+            (
+                {"arrivals_per_epoch": float("inf")},
+                r"MegafleetSpec\.arrivals_per_epoch must be finite \(got inf\)",
+            ),
+            (
+                {"vm_demand_high": float("inf")},
+                r"MegafleetSpec\.vm_demand_high must be finite \(got inf\)",
+            ),
             ({"vm_lifetime_mean": float("inf")}, r"vm_lifetime_mean .* \(got inf\)"),
-            ({"node_capacity": (float("inf"), 1.0, 1.0)}, r"node_capacity .* \(got inf\)"),
+            (
+                {"node_capacity": (float("inf"), 1.0, 1.0)},
+                r"MegafleetSpec\.node_capacity\[0\] must be finite \(got inf\)",
+            ),
         ],
     )
     def test_spec_rejects_fields_that_crash_or_mislead_a_run(self, overrides, message):
