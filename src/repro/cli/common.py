@@ -59,6 +59,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` for values that must be >= 0 (seeds)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def parse_policy_overrides(overrides: List[str]) -> dict:
     """Parse repeated ``--policy kind=name`` flags into a spec ``policies`` block."""
     policies = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli.common import JSON_FLAG, add_action, load_spec, user_error
+from repro.cli.common import JSON_FLAG, add_action, load_spec, non_negative_int, user_error
 from repro.megafleet import MEGAFLEETS, run_megafleet
 from repro.metrics.report import ComparisonTable
 
@@ -24,7 +24,7 @@ def register(subparsers) -> None:
     add_action(actions, "list", run_list, "print the catalog", [JSON_FLAG])
     run = add_action(actions, "run", run_run, "run one fleet", [JSON_FLAG])
     run.add_argument("name", help="fleet name or spec file")
-    run.add_argument("--seed", type=int, default=0, help="random seed")
+    run.add_argument("--seed", type=non_negative_int, default=0, help="random seed")
     run.add_argument(
         "--shards",
         type=int,

@@ -17,6 +17,7 @@ from repro.cli.common import (
     POLICY_FLAG,
     add_action,
     load_spec,
+    non_negative_int,
     parse_policy_overrides,
     user_error,
     write_outputs,
@@ -39,7 +40,7 @@ def register(subparsers) -> None:
         actions, "describe", run_describe, "print one scenario's spec, overrides applied", [named]
     )
     run = add_action(actions, "run", run_run, "run one scenario", [named])
-    run.add_argument("--seed", type=int, default=0, help="random seed")
+    run.add_argument("--seed", type=non_negative_int, default=0, help="random seed")
     run.add_argument(
         "--duration", type=float, help="override the simulated duration (seconds)"
     )
@@ -131,9 +132,9 @@ def _dump(data) -> str:
 
 def run_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    # Bad overrides (non-positive duration, negative seed, ...) are user
-    # errors, not crashes.
-    with user_error(ValueError):
+    # Bad overrides (non-positive duration, ...) and a missing C compiler for
+    # the ACO step are user errors, not crashes.
+    with user_error(ValueError, OSError):
         spec = _force_observability(spec, tracing=bool(args.trace), metrics=bool(args.metrics_out))
         runner = ScenarioRunner(spec, seed=args.seed, duration=args.duration)
         result = runner.run()

@@ -19,16 +19,17 @@ in clouds").  The reproduction follows the description in the reproduced text:
   prematurely (stagnation), which is what lets the stochastic search "explore
   a large number of potential solutions".
 
-The construction is organised so the Python overhead is paid once per *step*,
-not once per *ant and step*, which is what makes periodic consolidation
-affordable at warehouse scale:
+The construction is organised so the Python overhead is paid once per
+*batch*, not once per *ant and step*, which is what makes periodic
+consolidation affordable at warehouse scale:
 
-* **Batched ants** -- all ants of a cycle advance in lockstep.  Each step
-  computes the feasibility mask, heuristic values and decision-rule scores as
-  one ``(n_ants, candidates)`` numpy expression over every ant's unplaced VMs,
-  its host's pheromone row and its residual capacity, then samples one VM per
-  ant (greedy and roulette choices in the same batch).  A cycle costs
-  ``~n_vms`` array steps instead of ``n_ants * n_vms`` interpreter round-trips.
+* **Batched ants** -- all ants of a cycle advance in lockstep through one call
+  into a small C function (``aco_step.c`` beside this module, compiled with
+  the system's ``cc`` at the first construction and cached per source hash).
+  Each step narrows every ant's feasible candidates, scores them by the
+  decision rule and picks one VM per ant (greedy and roulette choices in the
+  same batch), with the arithmetic and the draw order of the numpy step it
+  replaced.
 * **Parallel colonies** -- independent colonies (each a full cycle loop over
   its own pheromone matrix) run across cores on
   :meth:`repro.workers.Workers.map` with per-colony seeds derived via the
@@ -42,15 +43,23 @@ affordable at warehouse scale:
   per-cycle re-optimization converges in a fraction of the cycles.
 
 The straightforward one-``_choose_vm``-call-per-ant-and-VM loop lives in
-``tests/scalar_aco.py`` as the packing-quality oracle, and the lockstep
+``tests/scalar_aco.py`` as the packing-quality oracle, and the numpy lockstep
 construction that scores all ``n_vms`` columns on every step in
 ``tests/fullwidth_aco.py`` as the draw-for-draw oracle.
 """
 
 from __future__ import annotations
 
+import copy
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +71,7 @@ from repro.core.base import (
 )
 from repro.core.placement import FIT_TOLERANCE, Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
-from repro.workers import Workers
+from repro.workers import Workers, run_tool
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,37 @@ class ACOParameters:
             raise ValueError("stagnation_cycles must be positive or None")
 
 
-#: Candidate columns are compacted once one in this many belongs to a placed VM.
-_COMPACTION_SHARE = 8
+#: The construction step and how it is compiled; no flag may change its
+#: arithmetic (``-ffp-contract=off`` keeps multiply-adds unfused).
+_STEP_SOURCE = Path(__file__).with_name("aco_step.c")
+_STEP_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: Smallest positive normal double; row score totals at or below it are underflow.
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+@functools.cache
+def _step_library() -> Callable[..., int]:
+    """``aco_construct`` from ``aco_step.c``, compiled on first use.
+
+    The shared object is cached under ``$XDG_CACHE_HOME/repro-snooze`` (or
+    ``~/.cache``), named by the sha256 of the source and flags, and renamed
+    into place once built, so concurrent cold builds are safe.
+    """
+    source = _STEP_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_STEP_FLAGS).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro-snooze"
+    library = cache / f"aco_step-{digest}.so"
+    if not library.exists():
+        if shutil.which("cc") is None:
+            raise FileNotFoundError("the ACO step needs a C compiler, and 'cc' is not on PATH")
+        cache.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=cache) as scratch:
+            built = os.path.join(scratch, library.name)
+            run_tool(["cc", *_STEP_FLAGS, "-o", built, str(_STEP_SOURCE), "-lm"])
+            os.replace(built, library)
+    step = ctypes.CDLL(str(library)).aco_construct
+    step.restype = ctypes.c_long
+    pointers, doubles = [ctypes.c_void_p] * 4, [ctypes.c_double] * 4
+    step.argtypes = [ctypes.c_long] * 4 + pointers + doubles + pointers[:3]
+    return step
 
 
 @dataclass
@@ -236,8 +271,8 @@ class _Colony:
         #: ``(n_vms, n_hosts)``, stored host-major: a construction reads whole
         #: per-host rows, and its transpose is then a view instead of a copy.
         self.pheromone = np.asfortranarray(pheromone)
-        #: Per VM and per host: every dimension, then their sum, so one gather
-        #: and one subtraction move an ant's residual and its sum together.
+        #: Per VM and per host: every dimension, then their sum, so the step
+        #: moves an ant's residual and its sum with one subtraction per row.
         self.demand_rows = np.column_stack((demands, demands.sum(axis=1)))
         self.capacity_rows = np.column_stack((capacities, capacities.sum(axis=1)))
         #: Per-host heuristic normalizer (sum of that host's capacity vector).
@@ -311,138 +346,33 @@ class _Colony:
     def _construct(self, n_ants: int, greedy: bool) -> np.ndarray:
         """Build ``n_ants`` complete assignments in lockstep; ``(n_ants, n_vms)``.
 
-        Every ant places exactly one VM per iteration, so after ``n_vms``
-        iterations every ant's solution is complete -- the Python overhead of
-        a step is paid once for the whole batch instead of once per ant.  The
-        feasibility masks, heuristic values and decision-rule scores for all
-        ants are single 2-D numpy expressions, and both the greedy and the
-        roulette choices are drawn in one batch.  Ants whose current host fits
-        no remaining VM advance to their next host inside the same iteration;
-        an ant that runs out of hosts with VMs left is dropped from the batch,
-        so fewer than ``n_ants`` rows (possibly none) may come back.
-
-        Three identities keep the per-step expressions small:
-
-        * feasibility is checked per dimension with 2-D comparisons (no
-          ``(ants, vms, dims)`` temporary, no axis-2 reduction), and only
-          narrows while an ant stays on its host, so the mask persists;
-        * on every *feasible* pair the L1 fill gap collapses to
-          ``sum(residual) - sum(demand)`` (no per-dimension ``abs``), and
-          infeasible pairs are masked out of the scores anyway;
-        * a placed VM scores 0 from then on, and dropping a 0 column moves
-          neither the first maximum nor any later prefix sum (``x + 0.0 ==
-          x``), so each ant carries only its candidates -- unplaced VM ids in
-          ascending order with their demands and its host's pheromone.  Ants
-          being in lockstep, every row has lost as many columns, and one mask
-          gather shrinks all rows together.  The row total is the last prefix
-          sum, which a draw in ``[0, 1)`` scales to strictly less, so the
-          roulette pick is always a column with a positive score.
+        One call into ``aco_step.c`` (see its header for the step and the
+        identities that keep it small).  An ant that runs out of hosts with
+        VMs left is dropped from the batch, so fewer than ``n_ants`` rows
+        (possibly none) may come back.  The roulette batch reads its uniforms
+        from a copy of the generator, which then draws exactly as many as the
+        step used: per step, one ``q0`` test and then one roulette draw per
+        remaining ant.
         """
-        params = self.params
-        demand_rows, capacity_rows = self.demand_rows, self.capacity_rows
-        n_vms, n_hosts = demand_rows.shape[0], capacity_rows.shape[0]
-        n_dims = demand_rows.shape[1] - 1
-        ants = np.arange(n_ants)
+        n_vms, n_hosts = self.demands.shape[0], self.capacities.shape[0]
         assignment = np.full((n_ants, n_vms), -1, dtype=np.int64)
-        host = np.zeros(n_ants, dtype=np.int64)
-        residual = np.repeat(capacity_rows[[0]], n_ants, axis=0)
-        normalizer = np.repeat(self.normalizers[0], n_ants)
-        tau_by_host = self.pheromone.T  # contiguous per-host rows for the gathers below
-        alpha, beta, q0 = params.alpha, params.beta, params.q0
-
-        # Candidate columns, all ``(n_ants, width)``: the VM id, whether the
-        # ant has yet to place it, and stacked in ``columns`` its demand per
-        # dimension, its demand sum and its pheromone on the ant's current host.
-        cand = np.tile(np.arange(n_vms), (n_ants, 1))
-        live = np.ones((n_ants, n_vms), dtype=bool)
-        columns = np.empty((n_dims + 2, n_ants, n_vms))
-        columns[:-1] = demand_rows.T[:, np.newaxis, :]
-        columns[-1] = tau_by_host[0]
-        fits = live.copy()
-        placed_since_compaction = 0
-
-        for _ in range(n_vms):
-            # VM is unplaced and fits the ant's current host; the residual of
-            # an unchanged host only shrinks, so the mask only narrows.
-            limits = residual + FIT_TOLERANCE
-            for dim in range(n_dims):
-                fits &= columns[dim] <= limits[:, dim, np.newaxis]
-            # Ants stuck on a full host open their next host (repeat until
-            # every ant has a candidate; every VM fits an *empty* host by
-            # instance validation, so only running out of hosts ends an ant).
-            stuck = (~fits.any(axis=1)).nonzero()[0].tolist()
-            while stuck:
-                host[stuck] += 1
-                if host.max() >= n_hosts:
-                    # Out of hosts with VMs left: those ants packed too
-                    # loosely to finish and leave this cycle; the rest go on.
-                    alive = host < n_hosts
-                    assignment, host, residual, normalizer, cand, live, fits = (
-                        state[alive]
-                        for state in (assignment, host, residual, normalizer, cand, live, fits)
-                    )
-                    columns = columns[:, alive]
-                    ants = ants[: host.shape[0]]
-                    if not ants.size:
-                        return assignment
-                    stuck = (~fits.any(axis=1)).nonzero()[0].tolist()
-                for ant in stuck:
-                    opened = host[ant]
-                    residual[ant] = capacity_rows[opened]
-                    normalizer[ant] = self.normalizers[opened]
-                    tau_by_host[opened].take(cand[ant], out=columns[-1, ant])
-                    limit = residual[ant] + FIT_TOLERANCE
-                    refit = fits[ant]
-                    refit[:] = live[ant]
-                    for dim in range(n_dims):
-                        refit &= columns[dim, ant] <= limit[dim]
-                stuck = [ant for ant in stuck if not fits[ant].any()]
-
-            # Decision rule over the batch: tau^alpha * eta^beta, masked to
-            # the feasible candidates of each ant.
-            tau = columns[-1]
-            gaps = residual[:, -1:] - columns[-2]
-            np.maximum(gaps, 0.0, out=gaps)
-            gaps /= normalizer[:, np.newaxis]
-            gaps += 1.0
-            eta = np.reciprocal(gaps, out=gaps)
-            if beta == 2.0:
-                eta *= eta
-            elif beta != 1.0:
-                np.power(eta, beta, out=eta)
-            scores = tau * eta if alpha == 1.0 else np.power(tau, alpha) * eta
-            scores *= fits
-            cdf = scores.cumsum(axis=1)
-            # Numerical-underflow guard: fall back to uniform over feasible.
-            # A subnormal total counts as underflow -- a draw can scale only
-            # a normal total to strictly less than itself.
-            if cdf[:, -1].min() <= _SMALLEST_NORMAL:
-                degenerate = cdf[:, -1] <= _SMALLEST_NORMAL
-                scores[degenerate] = fits[degenerate]
-                cdf = scores.cumsum(axis=1)
-
-            chosen = scores.argmax(axis=1)
-            if not greedy:
-                exploit = self.rng.random(ants.size) < q0
-                draws = (self.rng.random(ants.size) * cdf[:, -1]).tolist()
-                for ant in (~exploit).nonzero()[0].tolist():
-                    chosen[ant] = cdf[ant].searchsorted(draws[ant], side="right")
-
-            vms = cand[ants, chosen]
-            assignment[ants, vms] = host
-            live[ants, chosen] = False
-            fits[ants, chosen] = False
-            residual -= demand_rows[vms]
-
-            placed_since_compaction += 1
-            if placed_since_compaction * _COMPACTION_SHARE >= cand.shape[1]:
-                # Same count of placed columns in every row: one gather each.
-                cand = cand[live].reshape(ants.size, -1)
-                fits = fits[live].reshape(ants.size, -1)
-                columns = columns[:, live].reshape(n_dims + 2, ants.size, -1)
-                live = np.ones(cand.shape, dtype=bool)
-                placed_since_compaction = 0
-        return assignment
+        uniforms = None if greedy else copy.deepcopy(self.rng).random(2 * n_ants * n_vms)
+        used = np.zeros(1, dtype=np.int64)
+        tau_by_host = np.ascontiguousarray(self.pheromone.T)  # a view: stored host-major
+        params = self.params
+        done = _step_library()(
+            n_ants, n_vms, n_hosts, self.demands.shape[1],
+            self.demand_rows.ctypes.data, self.capacity_rows.ctypes.data,
+            self.normalizers.ctypes.data, tau_by_host.ctypes.data,
+            params.alpha, params.beta, params.q0, FIT_TOLERANCE,
+            None if uniforms is None else uniforms.ctypes.data,
+            assignment.ctypes.data, used.ctypes.data,
+        )
+        if done < 0:
+            raise MemoryError("no workspace for the ACO construction step")
+        if used[0]:
+            self.rng.random(int(used[0]))
+        return assignment[:done]
 
     # -------------------------------------------------------------- evaluation
     def _evaluate(self, assignment: np.ndarray) -> tuple:

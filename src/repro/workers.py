@@ -8,7 +8,8 @@ through the same :func:`_serve` function, so results cannot depend on ``jobs``.
 A worker that dies closes its pipe, which the caller reads as end-of-file and
 raises as a ``RuntimeError`` -- nothing here can block on a dead process.
 Every process in ``src`` -- these workers and the sweep fleet's loopback
-runners -- is started by :func:`start_process`.
+runners -- is started by :func:`start_process`; the C compiler that builds the
+ACO construction step is run by :func:`run_tool`.
 
 Stdlib imports only: this module sits below every ``repro`` package, so the
 packing kernels and the megafleet engine fan out without importing the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import subprocess
 import sys
 import time
 import traceback
@@ -63,6 +65,13 @@ def start_process(target: Callable, *args) -> multiprocessing.Process:
     )
     process.start()
     return process
+
+
+def run_tool(argv: Sequence[str]) -> None:
+    """Run a command-line tool to completion; a non-zero exit raises ``OSError``."""
+    done = subprocess.run(list(argv), capture_output=True, text=True)
+    if done.returncode:
+        raise OSError(f"{' '.join(argv)} exited with {done.returncode}: {done.stderr.strip()}")
 
 
 def _serve(shards: dict, factory: Optional[Callable], method, batch) -> tuple:

@@ -1,22 +1,37 @@
 """Full-width lockstep construction: the draw-for-draw oracle of the ACO kernel.
 
-``FullWidthColony._construct`` is the construction ``repro.core.aco._Colony``
-ran before its candidate columns were compacted: every step scores all
-``n_vms`` columns of every ant, placed VMs included (they are masked to 0),
-and rebuilds the feasibility mask from ``unassigned``.  It is kept verbatim
-except that ``totals`` is read from the last ``cdf`` column, the one
-arithmetic choice the kernel made when it dropped ``scores.sum(axis=1)``; the
-pinned solves in ``tests/golden/aco_solves.json`` cover that choice.  The
-kernel must return identical assignments and leave the generator in an
-identical state (``tests/test_core_aco_vectorized.py``); nothing in ``src``
-uses this class.
+``FullWidthColony._construct`` is the numpy construction ``repro.core.aco``
+ran before its candidate columns were compacted (and, later, before the step
+moved to C): every step scores all ``n_vms`` columns of every ant, placed VMs
+included (they are masked to 0), and rebuilds the feasibility mask from
+``unassigned``.  It is kept verbatim except for two arithmetic choices: the
+``totals`` are read from the last ``cdf`` column, as the kernel does since it
+dropped ``scores.sum(axis=1)`` (the pinned solves in
+``tests/golden/aco_solves.json`` cover that choice), and non-default
+exponents are raised by libm ``pow`` (:func:`libm_power`), as the C step does,
+because numpy's SIMD ``power`` can differ from it in the last ulp depending
+on the CPU.  The kernel must return identical assignments and leave the
+generator in an identical state (``tests/test_core_aco_vectorized.py``);
+nothing in ``src`` uses this class.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.aco import FIT_TOLERANCE, _Colony
+
+
+def libm_power(values: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
+    """``values ** exponent`` by ``math.pow`` (libm) where ``where`` holds, 0 elsewhere.
+
+    Masked-out entries score 0 either way, so they are not computed.
+    """
+    powers = np.zeros_like(values)
+    powers[where] = [math.pow(value, exponent) for value in values[where].tolist()]
+    return powers
 
 
 class FullWidthColony(_Colony):
@@ -88,8 +103,8 @@ class FullWidthColony(_Colony):
             if beta == 2.0:
                 eta *= eta
             elif beta != 1.0:
-                np.power(eta, beta, out=eta)
-            scores = tau * eta if alpha == 1.0 else np.power(tau, alpha) * eta
+                eta = libm_power(eta, beta, fits)
+            scores = tau * eta if alpha == 1.0 else libm_power(tau, alpha, fits) * eta
             scores *= fits
             totals = np.cumsum(scores, axis=1)[:, -1]
             # Numerical-underflow guard: fall back to uniform over feasible.

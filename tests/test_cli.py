@@ -122,6 +122,37 @@ class TestEntryPoint:
         assert "Traceback" not in err
 
 
+class TestCompiledACOStep:
+    def test_only_a_run_that_builds_ants_needs_a_compiler(self, tmp_path):
+        """The ACO step compiles at the first construction, never at import;
+        without a compiler that run is one error line naming ``cc``."""
+        (tmp_path / "bin").mkdir()
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(SRC),
+            "PATH": str(tmp_path / "bin"),
+            "XDG_CACHE_HOME": str(tmp_path / "cache"),
+        }
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli.main", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        megafleet = run("megafleet", "run", "megafleet-1k", "--duration", "60")
+        assert megafleet.returncode == 0, megafleet.stderr
+        # The scenario's first reconfiguration round is at 900 s.
+        before = run("scenario", "run", "aco-consolidation-cycle", "--duration", "600")
+        assert before.returncode == 0, before.stderr
+        aco = run("scenario", "run", "aco-consolidation-cycle", "--duration", "1000")
+        assert aco.returncode == 1
+        lines = aco.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), aco.stderr
+        assert "C compiler" in lines[0] and "'cc'" in lines[0]
+        assert not (tmp_path / "cache").exists()
+
+
 class TestScenarioRunHierarchy:
     def test_text_output_ends_with_the_hierarchy_table(self, capsys):
         assert main(["scenario", "run", "leader-crash-under-load"]) == 0
@@ -476,6 +507,16 @@ class TestFlagsLiveOnTheirAction:
             main(argv)
         assert excinfo.value.code == 2
         assert "usage: repro-sim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["scenario", "run", "steady-churn"], ["megafleet", "run", "megafleet-1k"]],
+        ids=" ".join,
+    )
+    def test_negative_seed_names_the_flag_and_the_value(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_every_meaningful_sweep_pair_parses(self):
         from repro.cli.main import build_parser

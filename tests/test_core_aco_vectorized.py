@@ -1,13 +1,18 @@
 """Tests for the ACO colony kernel: batched ants, colonies, warm start, bounds.
 
 Packing quality is asserted against the scalar per-ant loop kept as the oracle
-in ``tests/scalar_aco.py``; the construction itself, draw for draw, against the
-full-width lockstep construction in ``tests/fullwidth_aco.py``.
+in ``tests/scalar_aco.py``; the compiled construction step, draw for draw,
+against the numpy full-width lockstep construction in
+``tests/fullwidth_aco.py``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,9 @@ from repro.workloads import UniformDemandDistribution, consolidation_instance
 from tests.fullwidth_aco import FullWidthColony
 from tests.golden import regenerate as golden
 from tests.scalar_aco import ScalarACOConsolidation
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_instance(n_vms=60, seed=0):
@@ -142,19 +150,24 @@ class TestVectorizedACO:
 
 
 @st.composite
-def construction_cases(draw):
+def construction_cases(draw, min_vms=1, max_vms=40):
     """``(demands, capacities, parameters, initial_pheromone, seed)`` for one colony.
 
     Drawn through a seeded numpy generator (hypothesis shrinks the shape knobs
-    and the seed): 1-3 dimensions, sizes on both sides of the first candidate
-    compaction, heterogeneous hosts, host counts so tight that ants run out
-    and leave the batch, warm-start matrices outside the Max-Min band.
+    and the seed): 1-3 dimensions, ``min_vms`` to ``max_vms`` VMs, continuous
+    or coarse demands, heterogeneous hosts, host counts so tight that ants run out and leave the
+    batch, warm-start matrices outside the Max-Min band, default and
+    non-default exponents.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_dims = draw(st.integers(1, 3))
-    n_vms = draw(st.integers(1, 40))
-    demands = rng.uniform(0.05, 0.6, (n_vms, n_dims))
-    host_capacity = rng.uniform(0.8, 1.5, n_dims)
+    n_vms = draw(st.integers(min_vms, max_vms))
+    if draw(st.booleans()):
+        demands = rng.uniform(0.05, 0.6, (n_vms, n_dims))
+        host_capacity = rng.uniform(0.8, 1.5, n_dims)
+    else:  # coarse: tied scores, and hosts filled to within FIT_TOLERANCE
+        demands = rng.choice([0.1, 0.2, 0.25, 0.3, 0.5], (n_vms, n_dims))
+        host_capacity = np.ones(n_dims)
     # Hosts per unit of the lower bound; near 1 some or all ants run out.
     slack = draw(st.sampled_from([1.05, 1.1, 1.15, 1.2, 3.0]))
     n_hosts = max(1, int(np.ceil((demands.sum(axis=0) / host_capacity).max() * slack)))
@@ -183,23 +196,34 @@ def anchor_and_two_cycles(colony_class, demands, capacities, parameters, initial
     return batches, colony.rng.bit_generator.state
 
 
-class TestConstructionOracle:
-    """The compacted-candidate construction against the full-width one.
+def assert_same_construction(case):
+    expected, expected_state = anchor_and_two_cycles(FullWidthColony, *case)
+    actual, actual_state = anchor_and_two_cycles(_Colony, *case)
+    for want, got in zip(expected, actual):
+        assert got.shape == want.shape  # (alive ants, n_vms)
+        assert np.array_equal(got, want)
+    assert actual_state == expected_state
 
-    Both mutations the compaction invites fail this class: dropping one live
-    column at a compaction, and keeping the previous host's pheromone row when
-    an ant opens a host.
+
+class TestConstructionOracle:
+    """The compiled construction step against the numpy full-width one.
+
+    Mutations of the step fail this class, among them: keeping the previous
+    host's pheromone row when an ant opens a host, taking the last maximum
+    instead of the first, dropping ``FIT_TOLERANCE`` from the fit test, and
+    reading the roulette draws in ant-major order.
     """
 
     @settings(max_examples=250, deadline=None)
     @given(construction_cases())
     def test_identical_assignments_and_generator_state(self, case):
-        expected, expected_state = anchor_and_two_cycles(FullWidthColony, *case)
-        actual, actual_state = anchor_and_two_cycles(_Colony, *case)
-        for want, got in zip(expected, actual):
-            assert got.shape == want.shape  # (alive ants, n_vms)
-            assert np.array_equal(got, want)
-        assert actual_state == expected_state
+        assert_same_construction(case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(construction_cases(min_vms=41, max_vms=300))
+    def test_identical_at_hundreds_of_vms(self, case):
+        """Long steps and many host openings per ant, with few examples."""
+        assert_same_construction(case)
 
     def test_pinned_solves_of_the_yardstick_instances(self):
         """500 / 1000 / 2000-VM solves, fixture generated at the full-width commit.
@@ -253,6 +277,53 @@ class TestRouletteNeverPicksPlacedOrInfeasible:
         trail = np.full((demands.shape[0], capacities.shape[0]), parameters.tau_min)
         assert 0.0 < parameters.tau_min**parameters.alpha < np.finfo(float).tiny
         self.assert_complete_and_feasible(demands, capacities, parameters, trail)
+
+    def test_subnormal_score_totals_pick_uniformly_over_the_feasible(self):
+        """Two trails whose every total underflows build the same ants: the
+        guard weighs each feasible VM 1, whatever its subnormal score."""
+        demands, capacities = make_instance(30, seed=6)
+        parameters = ACOParameters(n_ants=3, alpha=240.0)
+        shape = (demands.shape[0], capacities.shape[0])
+        batches = [
+            _Colony(demands, capacities, parameters, np.random.default_rng(8), trail)
+            ._construct(parameters.n_ants, greedy=False)
+            for trail in (
+                np.full(shape, parameters.tau_min),
+                np.random.default_rng(9).uniform(0.05, 0.0505, shape),
+            )
+        ]
+        assert batches[0].shape == (3, 30)
+        assert np.array_equal(batches[0], batches[1])
+
+
+SOLVE_ONE_INSTANCE = """
+import json
+import numpy as np
+from repro.core import ACOConsolidation
+from repro.core.aco import ACOParameters
+demands = np.random.default_rng(3).uniform(0.1, 0.5, (30, 2))
+solver = ACOConsolidation(ACOParameters(n_ants=4, n_cycles=3), rng=np.random.default_rng(1))
+print(json.dumps(solver.solve(demands, np.ones((30, 2))).placement.assignment.tolist()))
+"""
+
+
+class TestStepBuild:
+    def test_concurrent_cold_builds_leave_one_library(self, tmp_path):
+        """Each build writes a temporary file and renames it into place."""
+        env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path)}
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", SOLVE_ONE_INSTANCE],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for _ in range(2)
+        ]
+        outputs = [process.communicate(timeout=120) for process in processes]
+        assert [process.returncode for process in processes] == [0, 0], outputs
+        assert outputs[0][0] == outputs[1][0]
+        assert len(json.loads(outputs[0][0])) == 30
+        built = [path.name for path in (tmp_path / "repro-snooze").iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so"), built
 
 
 class TestPheromoneBounds:
