@@ -12,7 +12,6 @@ first-fit policy and the megafleet engine both place through it.
 
 from __future__ import annotations
 
-from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,10 @@ import numpy as np
 #: Feasibility tolerance of every fit test: a demand fits when
 #: ``reserved + demand <= capacity + FIT_TOLERANCE`` in every dimension.
 FIT_TOLERANCE = 1e-9
+
+#: Rows a first-fit step tests at the start of each window; a demand that fits
+#: none of them tests the next rows, twice as many each time.
+FIT_BLOCK = 32
 
 
 class PlacementError(ValueError):
@@ -231,58 +234,113 @@ def first_fit(
     reserved: np.ndarray,
     capacities: np.ndarray,
     placeable: Optional[np.ndarray] = None,
+    bounds: Optional[np.ndarray] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Place ``(k, d)`` demand rows first-fit, in order, on ``(n, d)`` rows.
+    """Place ``(k, d)`` demand rows first-fit, in order, each in its group's rows.
 
-    Demand ``i`` goes to the lowest row that is ``placeable`` (every row when
-    ``None``) and fits it on top of ``reserved`` plus the demands ``0 .. i-1``
-    placed there.  Returns the ``(k,)`` row per demand, ``-1`` when none
-    fits; ``reserved`` is not modified (``np.add.at(reserved, hits[ok],
-    demands[ok])`` applies the placements in the same order).
+    Group ``i`` owns rows ``bounds[i]:bounds[i + 1]`` of the ``(n, d)`` arrays
+    ``reserved`` and ``capacities`` and the next ``counts[i]`` rows of
+    ``demands``, groups in order; with both omitted, one group owns every row
+    and every demand.  A group's demand ``j`` goes to the lowest row of its
+    window that is ``placeable`` (every row when ``None``) and fits it on top
+    of ``reserved`` plus the group's demands ``0 .. j-1`` placed there.
+    Returns the ``(k,)`` row per demand (absolute, not window-local), ``-1``
+    when none fits.  ``reserved`` is as it was on return (``np.add.at(reserved,
+    hits[ok], demands[ok])`` applies the placements in the same order).
 
-    Demands must be non-negative, so a row's reservations only grow within a
-    batch and a row that did not fit demand ``i`` at the start cannot fit it
-    later.  The start fit mask is built once for the whole batch; each demand
-    then walks its fitting rows in order, taking the first row the batch has
-    not placed on and rechecking, in Python floats, the rows it has.  The
-    result is bit-for-bit the one-demand-at-a-time loop's.
+    Groups own disjoint rows, so their demands are independent: the kernel
+    places in **rank rounds**, round ``r`` placing every group's ``r``-th
+    demand in one array step, then adding the placed demands to ``reserved``
+    (each touched row saved at its first touch and restored before return)
+    for the next round.  A step tests the first :data:`FIT_BLOCK` rows of each
+    window, then, for the demands that fit none of them, the next rows, twice
+    as many each time.  The fit test is ``reserved + demand <= capacity +
+    FIT_TOLERANCE`` in float64, and a row's reservations grow in dispatch
+    order, so the result is bit-for-bit the one-demand-at-a-time loop's.
     """
     demands = np.asarray(demands, dtype=float)
     k, n = demands.shape[0], reserved.shape[0]
+    hits = np.full(k, -1, dtype=np.int64)
     if k == 0 or n == 0:
-        return np.full(k, -1, dtype=np.int64)
-    # The (k, n) start fit mask, one dimension at a time: reducing a short
-    # last axis with ``all`` costs more than the arithmetic.
-    limit = capacities + FIT_TOLERANCE
-    load_by_dim = np.ascontiguousarray(reserved.T)
-    limit_by_dim = np.ascontiguousarray(limit.T)
-    need_by_dim = demands.T[:, :, np.newaxis]
-    total = load_by_dim[0] + need_by_dim[0]
-    fits = total <= limit_by_dim[0]
-    for dim in range(1, load_by_dim.shape[0]):
-        np.add(load_by_dim[dim], need_by_dim[dim], out=total)
-        fits &= total <= limit_by_dim[dim]
-    if placeable is not None:
-        fits &= placeable
-    mask = fits.tobytes()  # one byte per (demand, row), demand-major
-    hits = []
-    held: dict = {}  # row -> (its reservations after this batch, its limits)
-    for i, demand in enumerate(demands.tolist()):
-        base = i * n
-        at = mask.find(1, base, base + n)
-        while at >= 0:
-            row = at - base
-            if row not in held:
-                held[row] = (reserved[row].tolist(), limit[row].tolist())
-                break
-            now, limits = held[row]
-            if all(map(le, map(add, now, demand), limits)):
-                break
-            at = mask.find(1, at + 1, base + n)
-        if at < 0:
-            hits.append(-1)
-            continue
-        now = held[row][0]
-        now[:] = map(add, now, demand)
-        hits.append(row)
-    return np.asarray(hits, dtype=np.int64)
+        return hits
+    if bounds is None:
+        if k == 1:  # the hierarchy's call: one demand, one window
+            hits[0] = _first_row(demands[0], reserved, capacities, placeable)
+            return hits
+        bounds, counts = [0, n], [k]
+    bounds, counts = np.asarray(bounds, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    # Groups by falling batch size, so the groups of every round are a prefix.
+    order = np.argsort(-counts, kind="stable")
+    batch = counts[order]
+    first = (np.cumsum(counts) - counts)[order]
+    lo, hi = bounds[:-1][order], bounds[1:][order]
+    touched, before = [], []
+    try:
+        for rank in range(int(batch[0])):
+            m = int(np.count_nonzero(batch > rank))
+            at = first[:m] + rank
+            need = demands[at]
+            rows = _first_rows(need, lo[:m], hi[:m], reserved, capacities, placeable)
+            hits[at] = rows
+            # One demand per window, so no row is added to twice in a round.
+            more = (rows >= 0) & (batch[:m] > rank + 1)
+            if more.any():
+                placed = rows[more]
+                touched.append(placed)
+                before.append(reserved[placed])
+                reserved[placed] += need[more]
+    finally:
+        if touched:
+            rows = np.concatenate(touched)
+            _, first_touch = np.unique(rows, return_index=True)
+            reserved[rows[first_touch]] = np.concatenate(before)[first_touch]
+    return hits
+
+
+def _first_rows(need, lo, hi, reserved, capacities, placeable) -> np.ndarray:
+    """The lowest fitting row of ``[lo[i], hi[i])`` for each demand ``need[i]``, or -1."""
+    found = np.full(need.shape[0], -1, dtype=np.int64)
+    todo = np.arange(need.shape[0])
+    start, width, last = 0, FIT_BLOCK, reserved.shape[0] - 1
+    while todo.size:
+        rows = lo[todo, np.newaxis] + np.arange(start, start + width)
+        fits = rows < hi[todo, np.newaxis]
+        np.minimum(rows, last, out=rows)  # rows past a window are read, never taken
+        want = need[todo]
+        # One dimension at a time, gathering rows only: a ``(rows, dim)``
+        # gather beats a whole-row one, and ``capacities`` may be a broadcast
+        # view.
+        for dim in range(need.shape[1]):
+            fits &= (
+                reserved[rows, dim] + want[:, dim, np.newaxis]
+                <= capacities[rows, dim] + FIT_TOLERANCE
+            )
+        if placeable is not None:
+            fits &= placeable[rows]
+        col = fits.argmax(axis=1)
+        ok = fits[np.arange(todo.size), col]
+        found[todo[ok]] = rows[ok, col[ok]]
+        start += width
+        width = start
+        todo = todo[~ok & (lo[todo] + start < hi[todo])]
+    return found
+
+
+def _first_row(need, reserved, capacities, placeable) -> int:
+    """:func:`_first_rows` for one demand over every row: its blocks are
+    slices, not gathers (a hierarchy decision costs about half as much)."""
+    start, width, n = 0, FIT_BLOCK, reserved.shape[0]
+    while start < n:
+        stop = min(start + width, n)
+        fit_by_dim = reserved[start:stop] + need <= capacities[start:stop] + FIT_TOLERANCE
+        fits = fit_by_dim[:, 0]
+        for dim in range(1, need.shape[0]):
+            fits &= fit_by_dim[:, dim]
+        if placeable is not None:
+            fits &= placeable[start:stop]
+        col = int(fits.argmax())
+        if fits[col]:
+            return start + col
+        start, width = stop, stop
+    return -1

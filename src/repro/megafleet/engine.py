@@ -16,11 +16,11 @@ fleet in **lockstep epochs**:
 2. Every *shard* (a contiguous slice of groups, one :class:`ShardHost`)
    advances its groups through the epoch independently.  A shard holds its
    groups as **stacked rows** -- one block of LC rows and one VM table for
-   all of them -- so departures, placement writes, counters and summaries
-   are each one array step per shard and epoch;
-   only placement runs per group, first-fit in **one kernel call per group
-   and epoch** (:func:`repro.core.placement.first_fit`, the kernel the
-   hierarchy's first-fit policy uses).
+   all of them -- so departures, placement, counters and summaries are each
+   one array step per shard and epoch.  Placement is first-fit in **one
+   kernel call per shard and epoch** (:func:`repro.core.placement.first_fit`,
+   the kernel the hierarchy's first-fit policy uses), which places every
+   group's ``r``-th arrival at once, in rank rounds.
    Shard state is **resident**: a host builds its groups
    from ``(spec, group ids)`` in the process that advances them and
    keeps them there for the whole run
@@ -66,7 +66,8 @@ class ShardHost:
 
     The groups are **stacked rows**: the shard's LCs are one block of rows,
     group ``i`` owning rows ``offsets[i]:offsets[i + 1]`` of the ``(rows, d)``
-    arrays ``capacities`` and ``reserved``.  Its running VMs are one
+    arrays ``capacities`` (a read-only broadcast of the spec's node capacity)
+    and ``reserved``.  Its running VMs are one
     table -- ``vm_req`` ``(vms, d)``, ``vm_row`` (shard row), ``vm_group``
     (shard-local group index) and ``vm_depart`` -- sorted by group and, inside
     a group, by placement order, so every ``np.add.at`` over it adds to a row
@@ -78,7 +79,8 @@ class ShardHost:
         self.gids = [int(gid) for gid in gids]
         self.offsets = np.concatenate(([0], np.cumsum([sizes[gid] for gid in self.gids])))
         rows, d = int(self.offsets[-1]), len(spec.dimensions)
-        self.capacities = np.tile(np.asarray(spec.node_capacity, dtype=float), (rows, 1))
+        # Every LC has the spec's capacity: one read-only row, broadcast.
+        self.capacities = np.broadcast_to(np.asarray(spec.node_capacity, dtype=float), (rows, d))
         self.reserved = np.zeros((rows, d), dtype=float)
         self.vm_req = np.empty((0, d), dtype=float)
         self.vm_row = np.empty(0, dtype=np.int64)
@@ -113,9 +115,9 @@ class ShardHost:
         ``lifetimes`` belong to the shard's ``i``-th group.
 
         Event order inside the epoch is fixed: departures due this epoch free
-        capacity first, then arrivals place first-fit in dispatch order.  Each
-        phase is one whole-shard array step except placement, one
-        :func:`first_fit` call per group with arrivals.
+        capacity first, then arrivals place first-fit in dispatch order, each
+        inside its group's rows.  Each phase is one whole-shard array step;
+        placement is one :func:`first_fit` call over the shard's groups.
         """
         n = len(self.gids)
         epoch_end = epoch["epoch_end"]
@@ -134,20 +136,13 @@ class ShardHost:
             self.vm_req, self.vm_row = self.vm_req[keep], self.vm_row[keep]
             self.vm_group, self.vm_depart = self.vm_group[keep], self.vm_depart[keep]
 
-        # 2. Arrivals place first-fit (lowest LC row with room) in dispatch
-        #    order, one kernel call per group shared with the hierarchy's
-        #    FirstFitPlacement; the rows it returns are group-local.
-        hits = np.full(demands.shape[0], -1, dtype=np.int64)
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        bounds = offsets.tolist()
-        for i in np.flatnonzero(counts).tolist():
-            lo, hi = bounds[i], bounds[i + 1]
-            batch = slice(starts[i], stops[i])
-            hits[batch] = first_fit(demands[batch], reserved[lo:hi], self.capacities[lo:hi])
+        # 2. Arrivals place first-fit (lowest LC row of their group with room)
+        #    in dispatch order: one kernel call for the whole shard, shared
+        #    with the hierarchy's FirstFitPlacement.
+        hits = first_fit(demands, reserved, self.capacities, bounds=offsets, counts=counts)
         placed = hits >= 0
         new_group = np.repeat(np.arange(n), counts)[placed]
-        new_row = hits[placed] + offsets[new_group]
+        new_row = hits[placed]
         new_req = demands[placed]
         np.add.at(reserved, new_row, new_req)
         placed_count = np.bincount(new_group, minlength=n)

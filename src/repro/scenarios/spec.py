@@ -50,10 +50,18 @@ TIMELINE_ACTIONS = frozenset(
 
 
 def _compile_kind(table_name: str, factory, params: Dict[str, object]):
-    """Split a ``{"kind": ..., **params}`` dict and run it through ``factory``."""
+    """Split a ``{"kind": ..., **params}`` dict and run it through ``factory``.
+
+    Every parameter but the kind is a number, a flag or a list, so a string
+    (``"12"``, ``"nan"``) is refused here, by name, before a factory compares
+    it with a number or converts it.
+    """
     if "kind" not in params:
         raise ValueError(f"{table_name} spec needs a 'kind' key, got {params!r}")
     kwargs = {key: value for key, value in params.items() if key != "kind"}
+    for key, value in kwargs.items():
+        if isinstance(value, str):
+            raise ValueError(f"{table_name}.{key} must be a number (got the string {value!r})")
     return factory(str(params["kind"]), **kwargs)
 
 

@@ -1,16 +1,16 @@
 """One-at-a-time megafleet loops: the oracles the batched code is tested against.
 
 ``first_fit_per_arrival`` is the group's placement loop as the engine ran it
-before placement became one :func:`repro.core.placement.first_fit` call per
-group and epoch (six numpy calls per arrival); ``dispatch_per_arrival`` is the
-coordinator's least-loaded loop before it became a heap
+before placement went through :func:`repro.core.placement.first_fit` (six
+numpy calls per arrival); ``dispatch_per_arrival`` is the coordinator's
+least-loaded loop before it became a heap
 (:func:`repro.megafleet.engine.least_loaded`, one ``np.argmax`` over every
 group per arrival).  ``tests/test_first_fit_kernel.py`` requires the batched
 forms to give bit-for-bit the same answers.
 
 ``new_group`` / ``advance_group`` / ``group_summary`` and :class:`PerGroupShard`
 are a shard as the engine ran it before its groups became stacked rows: one
-dict of small arrays per group, advanced one group at a time.
+dict of small arrays per group, advanced one group and one arrival at a time.
 ``tests/test_megafleet.py`` requires :class:`repro.megafleet.engine.ShardHost`
 to hold bit-for-bit the same state after every epoch.  Nothing in ``src`` uses
 this module.
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import FIT_TOLERANCE, first_fit
+from repro.core.placement import FIT_TOLERANCE
 from repro.megafleet.spec import MegafleetSpec
 
 
@@ -105,9 +105,8 @@ def advance_group(
         keep = ~departing
         vm_req, vm_host, vm_depart = vm_req[keep], vm_host[keep], vm_depart[keep]
 
-    # 2. Arrivals place first-fit (lowest LC row with room) in dispatch order,
-    #    one kernel call shared with the hierarchy's FirstFitPlacement.
-    hits = first_fit(arrivals_req, reserved, capacities)
+    # 2. Arrivals place first-fit (lowest LC row with room) in dispatch order.
+    hits = np.array(first_fit_per_arrival(arrivals_req, reserved, capacities)[0], dtype=np.int64)
     placed = hits >= 0
     n_placed = int(np.count_nonzero(placed))
     rejections = hits.shape[0] - n_placed

@@ -129,6 +129,33 @@ def test_non_finite_number_is_one_error_naming_its_path(name, path, value, tmp_p
     assert f"{field} must be finite (got {value!r})" in message
 
 
+#: The free-form parameters of ``steady-churn``'s phases (``arrival``,
+#: ``demand``, ``trace``, ``lifetime``), which no field type hint coerces.
+PHASE_PARAMS = [
+    (name, path)
+    for name, path in LEAVES
+    if name == "steady-churn" and path[0] == "phases" and len(path) == 4
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "12"])
+@pytest.mark.parametrize("name, path", PHASE_PARAMS, ids=_ids(PHASE_PARAMS))
+def test_string_phase_parameter_is_one_error_naming_it(name, path, value, tmp_path):
+    catalog = _command(name)[1]
+    with pytest.raises(CliError) as caught:
+        load_spec(_spec_file(tmp_path, name, path, value), catalog)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert f"{path[2]}.{path[3]} must be a number (got the string {value!r})" in message
+
+
+def test_string_phase_parameter_through_the_cli(tmp_path, capsys):
+    path = ("phases", 0, "arrival", "rate_per_hour")
+    status, err = _run("steady-churn", _spec_file(tmp_path, "steady-churn", path, "nan"), capsys)
+    _assert_one_error_line(status, err)
+    assert "arrival.rate_per_hour must be a number (got the string 'nan')" in err
+
+
 #: A few through the whole CLI, one per command: each of these ran to exit 0
 #: or crashed with a traceback before the rule.
 THROUGH_MAIN = [
