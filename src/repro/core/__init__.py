@@ -12,10 +12,9 @@ an exact branch-and-bound solver here).  This package implements:
 * :mod:`repro.core.aco` -- the ACO consolidation algorithm (pheromone matrix,
   probabilistic decision rule, cycles of batched ants, evaporation/
   reinforcement, parallel colonies, warm start).
-* :mod:`repro.core.distributed_aco` -- the partitioned variant: one colony per
-  Group Manager plus a cross-partition exchange round.
 * :mod:`repro.core.ffd` -- greedy baselines: First-Fit, Best-Fit and the FFD
-  variants (single-dimension, L1, L2, product presorting).
+  variants (single-dimension, L1, L2, product presorting), the offline
+  comparators of the ACO colony; the live hierarchy consolidates with ACO.
 * :mod:`repro.core.optimal` -- exact branch-and-bound vector bin packing with
   lower bounds, the stand-in for CPLEX on small instances.
 * :mod:`repro.core.migration_plan` -- derive the minimal set of live
@@ -30,13 +29,11 @@ from repro.core.base import (
     validate_instance,
 )
 from repro.core.aco import ACOConsolidation, ACOParameters, PheromoneSummary
-from repro.core.distributed_aco import DistributedACOConsolidation
 from repro.core.ffd import (
     BestFitDecreasing,
     FirstFit,
     FirstFitDecreasing,
     SortKey,
-    WorstFitDecreasing,
 )
 from repro.core.optimal import BranchAndBoundOptimal, OptimalResult
 from repro.core.migration_plan import Migration, MigrationPlan, plan_migrations
@@ -55,11 +52,9 @@ __all__ = [
     "ACOConsolidation",
     "ACOParameters",
     "PheromoneSummary",
-    "DistributedACOConsolidation",
     "FirstFit",
     "FirstFitDecreasing",
     "BestFitDecreasing",
-    "WorstFitDecreasing",
     "SortKey",
     "BranchAndBoundOptimal",
     "OptimalResult",

@@ -5,9 +5,9 @@ algorithms such as variants of the First-Fit Decreasing (FFD) heuristic, which
 tend to waste a lot of resources by presorting the VMs according to a single
 dimension (e.g. CPU)".  To reproduce the comparison faithfully we implement
 the single-dimension FFD the criticism targets *and* the stronger multi-
-dimensional presorting variants (L1, L2, product), plus Best-Fit and
-Worst-Fit decreasing for completeness.  E1/E2 report the single-dimension CPU
-variant as "FFD" (the paper's baseline) and the others as sensitivity rows.
+dimensional presorting variants (L1, L2, product), plus Best-Fit decreasing.
+E1/E2 report the single-dimension CPU variant as "FFD" (the paper's baseline)
+and the others as sensitivity rows.
 """
 
 from __future__ import annotations
@@ -178,43 +178,6 @@ class BestFitDecreasing(ConsolidationAlgorithm):
                 placement.assign(int(vm_index), host, check=False)
                 residual[host] -= demand
                 used[host] = True
-            return ConsolidationResult(
-                placement=placement, algorithm=self.name, iterations=demands.shape[0]
-            )
-
-        return self._timed_solve(build, demands, capacities)
-
-
-class WorstFitDecreasing(ConsolidationAlgorithm):
-    """WFD: place each VM on the *emptiest* used host (load balancing, not packing).
-
-    Included because Snooze's overload-relocation policy wants exactly this
-    behaviour (move VMs to lightly loaded hosts); in consolidation comparisons
-    it is the anti-baseline that maximizes hosts used.
-    """
-
-    name = "wfd"
-
-    def __init__(self, sort_key: SortKey = SortKey.L1) -> None:
-        self.sort_key = sort_key
-
-    def solve(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
-        demands, capacities = validate_instance(demands, capacities)
-
-        def build() -> ConsolidationResult:
-            placement = Placement(demands, capacities)
-            residual = capacities.copy()
-            order = _sort_order(demands, self.sort_key, 0)
-            for vm_index in order:
-                demand = demands[vm_index]
-                fits = np.all(residual >= demand - 1e-9, axis=1)
-                if not np.any(fits):
-                    raise PlacementError(f"worst-fit could not place VM {int(vm_index)}")
-                slack = (residual / capacities).sum(axis=1)
-                slack = np.where(fits, slack, -np.inf)
-                host = int(np.argmax(slack))
-                placement.assign(int(vm_index), host, check=False)
-                residual[host] -= demand
             return ConsolidationResult(
                 placement=placement, algorithm=self.name, iterations=demands.shape[0]
             )

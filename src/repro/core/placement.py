@@ -104,14 +104,6 @@ class Placement:
         """True when every VM has a host."""
         return bool(np.all(self.assignment >= 0))
 
-    def unassigned_vms(self) -> np.ndarray:
-        """Indices of VMs without a host."""
-        return np.flatnonzero(self.assignment < 0)
-
-    def vms_on_host(self, host_index: int) -> np.ndarray:
-        """Indices of VMs placed on ``host_index``."""
-        return np.flatnonzero(self.assignment == host_index)
-
     def host_loads(self) -> np.ndarray:
         """``(n_hosts, d)`` matrix of summed demands per host (vectorized)."""
         loads = np.zeros_like(self.capacities)
@@ -138,11 +130,6 @@ class Placement:
         """True if no host exceeds its capacity in any dimension."""
         return bool(np.all(self.host_loads() <= self.capacities + tolerance))
 
-    def violations(self, tolerance: float = 1e-9) -> np.ndarray:
-        """Indices of hosts whose load exceeds capacity in some dimension."""
-        over = np.any(self.host_loads() > self.capacities + tolerance, axis=1)
-        return np.flatnonzero(over)
-
     # ------------------------------------------------------------- mutation
     def assign(self, vm_index: int, host_index: int, check: bool = True) -> None:
         """Assign a VM to a host, optionally verifying capacity."""
@@ -155,10 +142,6 @@ class Placement:
                     f"assigning VM {vm_index} to host {host_index} exceeds capacity"
                 )
         self.assignment[vm_index] = host_index
-
-    def unassign(self, vm_index: int) -> None:
-        """Remove a VM's host assignment."""
-        self.assignment[vm_index] = -1
 
     # -------------------------------------------------------------- metrics
     def average_utilization(self, per_dimension: bool = False):
@@ -174,17 +157,6 @@ class Placement:
         if per_dimension:
             return ratios.mean(axis=0)
         return float(ratios.mean())
-
-    def describe(self) -> dict:
-        """Summary dictionary used by reports and the CLI."""
-        return {
-            "n_vms": self.n_vms,
-            "n_hosts": self.n_hosts,
-            "hosts_used": self.hosts_used(),
-            "fully_assigned": self.fully_assigned,
-            "feasible": self.is_feasible(),
-            "average_utilization": self.average_utilization(),
-        }
 
     def __repr__(self) -> str:
         return (

@@ -19,6 +19,10 @@ lists and tuples included, with ``ValueError("<Class>.<path> must be finite
 ``int(inf)`` never runs), and construction before the class's own
 ``__post_init__``, so per-class checks are plain range checks.
 
+:func:`require_numeric_params` refuses a string, or a flag inside a number
+list, where a free-form parameter block (a phase's ``trace``, a traffic
+profile) holds a number.
+
 :class:`Catalog` is the named registry every spec kind keeps its ready-made
 entries in (scenarios, sweeps, megafleets), and
 :func:`require_positive_finite` the check of the few timings that are
@@ -107,6 +111,31 @@ def _require_finite(path: str, value: Any) -> None:
                 raise ValueError(f"{path}{step.format(key)} must be finite (got {item!r})")
         elif not isinstance(item, (str, int)) and item is not None:
             _require_finite(path + step.format(key), item)
+
+
+#: Free-form parameters that list names; every other list parameter lists numbers.
+NAME_LIST_PARAMS = frozenset({"dimensions"})
+
+
+def require_numeric_params(path: str, params: Mapping[str, Any]) -> None:
+    """The number rule of a free-form ``{"kind": ..., **params}`` block.
+
+    No type hint coerces these values, so ``"12"`` or ``"nan"`` would reach a
+    factory that compares or converts it.  Every parameter but ``kind`` is a
+    number, a flag or a list of numbers (:data:`NAME_LIST_PARAMS` list
+    names): a string, or a string or flag inside a number list, is a
+    ``ValueError`` naming ``<path>.<key>`` and the list index.
+    """
+    for key, value in params.items():
+        if key == "kind":
+            continue
+        if isinstance(value, str):
+            raise ValueError(f"{path}.{key} must be a number (got the string {value!r})")
+        if isinstance(value, (list, tuple)) and key not in NAME_LIST_PARAMS:
+            for index, item in enumerate(value):
+                if isinstance(item, bool) or not isinstance(item, (int, float)):
+                    got = f"the string {item!r}" if isinstance(item, str) else repr(item)
+                    raise ValueError(f"{path}.{key}[{index}] must be a number (got {got})")
 
 
 def require_positive_finite(name: str, value: float) -> None:

@@ -16,10 +16,12 @@ a pluggable policy.  This package makes that claim structural:
   :class:`MigrationPlan`) so the hierarchy calls every policy the same way.
 * the policy kinds themselves: ``placement``, ``dispatching``,
   ``assignment``, ``overload-relocation``, ``underload-relocation``,
-  ``reconfiguration`` (which bridges every :mod:`repro.core` consolidation
-  algorithm -- ACO, distributed ACO, FFD, BFD, WFD -- into the live
-  hierarchy) and ``autoscaling`` (sizing the VM replica group of a
-  :mod:`repro.traffic` service from its request traffic).
+  ``reconfiguration`` (which bridges the paper's ACO colony from
+  :mod:`repro.core` into the live hierarchy) and ``autoscaling`` (sizing
+  the VM replica group of a :mod:`repro.traffic` service from its request
+  traffic).  A policy stays registered only while something selects it;
+  ``tests/test_policies.py::TestEveryPolicyIsSelected`` holds the rule and
+  its named exceptions.
 
 Selection is declarative end-to-end: ``HierarchyConfig.policies`` holds
 ``{kind: {"name": ..., **params}}`` entries, ``ScenarioSpec.policies`` carries
@@ -40,7 +42,7 @@ from repro.policies.registry import (
 from repro.policies.view import ClusterView
 from repro.policies.plane import DecisionPlane
 from repro.policies.decisions import DispatchDecision, MigrationPlan, PlacementDecision
-from repro.policies.thresholds import LoadBand, UtilizationThresholds
+from repro.policies.thresholds import UtilizationThresholds
 from repro.policies.placement import (
     BestFitPlacement,
     FirstFitPlacement,
@@ -52,13 +54,8 @@ from repro.policies.dispatching import (
     DispatchingPolicy,
     FirstFitDispatching,
     LeastLoadedDispatching,
-    RoundRobinDispatching,
 )
-from repro.policies.assignment import (
-    AssignmentPolicy,
-    LeastLoadedAssignment,
-    RoundRobinAssignment,
-)
+from repro.policies.assignment import AssignmentPolicy, RoundRobinAssignment
 from repro.policies.relocation import (
     OverloadRelocationPolicy,
     UnderloadRelocationPolicy,
@@ -85,19 +82,16 @@ __all__ = [
     "DispatchDecision",
     "MigrationPlan",
     "UtilizationThresholds",
-    "LoadBand",
     "PlacementPolicy",
     "FirstFitPlacement",
     "BestFitPlacement",
     "WorstFitPlacement",
     "RoundRobinPlacement",
     "DispatchingPolicy",
-    "RoundRobinDispatching",
     "LeastLoadedDispatching",
     "FirstFitDispatching",
     "AssignmentPolicy",
     "RoundRobinAssignment",
-    "LeastLoadedAssignment",
     "OverloadRelocationPolicy",
     "UnderloadRelocationPolicy",
     "ReconfigurationPolicy",

@@ -49,16 +49,3 @@ class RoundRobinAssignment(AssignmentPolicy):
         self._next += 1
         return chosen
 
-
-@register_policy("assignment")
-class LeastLoadedAssignment(AssignmentPolicy):
-    """Assign the LC to the GM currently managing the fewest Local Controllers."""
-
-    name = "least-loaded"
-
-    def choose(
-        self, gm_ids: Sequence[str], lc_counts: Mapping[str, int]
-    ) -> Optional[str]:
-        if not gm_ids:
-            return None
-        return min(gm_ids, key=lambda gm_id: (lc_counts.get(gm_id, 0), gm_id))

@@ -65,26 +65,6 @@ class DispatchingPolicy(abc.ABC):
 
 
 @register_policy("dispatching")
-class RoundRobinDispatching(DispatchingPolicy):
-    """Rotate through Group Managers independent of load (the paper's example policy)."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def decide(
-        self, demand: ResourceVector, summaries: Dict[str, GroupManagerSummary]
-    ) -> DispatchDecision:
-        plausible = sorted(self._plausible(demand, summaries))
-        if not plausible:
-            return DispatchDecision(reason="no group managers known")
-        start = self._next % len(plausible)
-        self._next += 1
-        return DispatchDecision(candidates=plausible[start:] + plausible[:start])
-
-
-@register_policy("dispatching")
 class LeastLoadedDispatching(DispatchingPolicy):
     """Prefer the GM with the lowest reserved/total ratio (load balancing)."""
 

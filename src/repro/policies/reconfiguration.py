@@ -17,10 +17,12 @@ The :class:`ReconfigurationPolicy` glues three pieces together:
    :class:`~repro.policies.decisions.MigrationPlan` and report which hosts the
    plan frees entirely (candidates for suspension).
 
-The **bridge** at the bottom registers every :mod:`repro.core` consolidation
-algorithm (ACO, distributed ACO, FFD, BFD, WFD) as a ``reconfiguration``
-policy, so scenarios can run e.g. ACO-driven periodic consolidation inside the
-live hierarchy by name -- not only offline through the benchmark harness.
+The **bridge** at the bottom registers the paper's consolidation algorithm,
+the ACO colony of :mod:`repro.core.aco`, as the ``aco`` reconfiguration
+policy, so scenarios run ACO-driven periodic consolidation inside the live
+hierarchy by name.  Any other :class:`~repro.core.base.ConsolidationAlgorithm`
+plugs in through ``ReconfigurationPolicy(algorithm=...)``; the greedy FFD and
+BFD baselines of :mod:`repro.core.ffd` stay offline comparators.
 
 Two warehouse-scale modes:
 
@@ -45,8 +47,6 @@ from repro.cluster.node import PhysicalNode
 from repro.cluster.vm import VirtualMachine
 from repro.core.aco import ACOConsolidation, ACOParameters, PheromoneSummary
 from repro.core.base import ConsolidationAlgorithm
-from repro.core.distributed_aco import DistributedACOConsolidation
-from repro.core.ffd import BestFitDecreasing, FirstFitDecreasing, WorstFitDecreasing
 from repro.core.migration_plan import plan_migrations
 from repro.core.placement import PlacementError, placement_from_view
 from repro.policies.decisions import MigrationPlan
@@ -212,26 +212,6 @@ class ReconfigurationPolicy:
 
 
 # --------------------------------------------------------------------- bridge
-# Every repro.core consolidation algorithm doubles as a reconfiguration policy.
-
-def _policy(
-    algorithm: ConsolidationAlgorithm,
-    thresholds: Optional[UtilizationThresholds],
-    max_migrations: Optional[int],
-    include_overloaded: bool,
-    warm_start: bool = False,
-    incremental: bool = False,
-) -> ReconfigurationPolicy:
-    return ReconfigurationPolicy(
-        algorithm=algorithm,
-        thresholds=thresholds,
-        max_migrations=max_migrations,
-        include_overloaded=include_overloaded,
-        warm_start=warm_start,
-        incremental=incremental,
-    )
-
-
 @register_policy("reconfiguration", name="aco")
 def aco_reconfiguration(
     n_ants: int = 8,
@@ -252,67 +232,11 @@ def aco_reconfiguration(
         n_colonies=int(n_colonies),
         jobs=int(jobs),
     )
-    return _policy(
-        algorithm,
-        thresholds,
-        max_migrations,
-        include_overloaded,
+    return ReconfigurationPolicy(
+        algorithm=algorithm,
+        thresholds=thresholds,
+        max_migrations=max_migrations,
+        include_overloaded=include_overloaded,
         warm_start=bool(warm_start),
         incremental=bool(incremental),
     )
-
-
-@register_policy("reconfiguration", name="distributed-aco")
-def distributed_aco_reconfiguration(
-    n_partitions: int = 2,
-    n_ants: int = 8,
-    n_cycles: int = 30,
-    exchange_round: bool = True,
-    jobs: int = 1,
-    thresholds: Optional[UtilizationThresholds] = None,
-    max_migrations: Optional[int] = None,
-    include_overloaded: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> ReconfigurationPolicy:
-    """Partitioned ACO: one independent colony per Group Manager partition."""
-    algorithm = DistributedACOConsolidation(
-        n_partitions=int(n_partitions),
-        parameters=ACOParameters(n_ants=int(n_ants), n_cycles=int(n_cycles)),
-        exchange_round=bool(exchange_round),
-        rng=rng,
-        jobs=int(jobs),
-    )
-    return _policy(algorithm, thresholds, max_migrations, include_overloaded)
-
-
-@register_policy("reconfiguration", name="ffd")
-def ffd_reconfiguration(
-    thresholds: Optional[UtilizationThresholds] = None,
-    max_migrations: Optional[int] = None,
-    include_overloaded: bool = False,
-    rng: Optional[np.random.Generator] = None,  # noqa: ARG001 - deterministic algorithm
-) -> ReconfigurationPolicy:
-    """First-Fit Decreasing consolidation (the paper's greedy baseline)."""
-    return _policy(FirstFitDecreasing(), thresholds, max_migrations, include_overloaded)
-
-
-@register_policy("reconfiguration", name="bfd")
-def bfd_reconfiguration(
-    thresholds: Optional[UtilizationThresholds] = None,
-    max_migrations: Optional[int] = None,
-    include_overloaded: bool = False,
-    rng: Optional[np.random.Generator] = None,  # noqa: ARG001 - deterministic algorithm
-) -> ReconfigurationPolicy:
-    """Best-Fit Decreasing consolidation (tighter greedy packing)."""
-    return _policy(BestFitDecreasing(), thresholds, max_migrations, include_overloaded)
-
-
-@register_policy("reconfiguration", name="wfd")
-def wfd_reconfiguration(
-    thresholds: Optional[UtilizationThresholds] = None,
-    max_migrations: Optional[int] = None,
-    include_overloaded: bool = False,
-    rng: Optional[np.random.Generator] = None,  # noqa: ARG001 - deterministic algorithm
-) -> ReconfigurationPolicy:
-    """Worst-Fit Decreasing: the load-balancing anti-baseline (spreads, not packs)."""
-    return _policy(WorstFitDecreasing(), thresholds, max_migrations, include_overloaded)

@@ -10,16 +10,7 @@ Beloglazov & Buyya): 85-90 % overload, ~20 % underload.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class LoadBand(enum.Enum):
-    """Classification of a host's utilization."""
-
-    UNDERLOADED = "underloaded"
-    MODERATE = "moderate"
-    OVERLOADED = "overloaded"
 
 
 @dataclass(frozen=True)
@@ -38,14 +29,6 @@ class UtilizationThresholds:
                 f"got underload={self.underload}, overload={self.overload}"
             )
 
-    def classify(self, utilization: float) -> LoadBand:
-        """Map a utilization fraction to its band."""
-        if utilization > self.overload:
-            return LoadBand.OVERLOADED
-        if utilization < self.underload:
-            return LoadBand.UNDERLOADED
-        return LoadBand.MODERATE
-
     def is_overloaded(self, utilization: float) -> bool:
         """True if the utilization exceeds the overload threshold."""
         return utilization > self.overload
@@ -53,7 +36,3 @@ class UtilizationThresholds:
     def is_underloaded(self, utilization: float) -> bool:
         """True if the utilization is below the underload threshold (but the host is in use)."""
         return utilization < self.underload
-
-    def headroom(self, utilization: float) -> float:
-        """Distance to the overload threshold (how much more load fits safely)."""
-        return max(0.0, self.overload - utilization)

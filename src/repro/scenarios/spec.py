@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster.topology import ClusterSpec, NodeClass
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.system import SystemSpec
-from repro.plain import PlainData
+from repro.plain import PlainData, require_numeric_params
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.distributions import make_distribution
 from repro.workloads.generator import WorkloadGenerator, make_arrival, make_lifetime
@@ -52,16 +52,14 @@ TIMELINE_ACTIONS = frozenset(
 def _compile_kind(table_name: str, factory, params: Dict[str, object]):
     """Split a ``{"kind": ..., **params}`` dict and run it through ``factory``.
 
-    Every parameter but the kind is a number, a flag or a list, so a string
-    (``"12"``, ``"nan"``) is refused here, by name, before a factory compares
-    it with a number or converts it.
+    A string where a number belongs (``"12"``, ``"nan"``, also inside a list
+    such as a replay trace's ``times``) is refused here, by name, before a
+    factory compares it with a number or converts it.
     """
     if "kind" not in params:
         raise ValueError(f"{table_name} spec needs a 'kind' key, got {params!r}")
+    require_numeric_params(table_name, params)
     kwargs = {key: value for key, value in params.items() if key != "kind"}
-    for key, value in kwargs.items():
-        if isinstance(value, str):
-            raise ValueError(f"{table_name}.{key} must be a number (got the string {value!r})")
     return factory(str(params["kind"]), **kwargs)
 
 

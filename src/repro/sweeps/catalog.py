@@ -69,15 +69,12 @@ def _paper_e5_grid() -> SweepSpec:
 @register_sweep
 def _policy_matrix() -> SweepSpec:
     """Every placement policy crossed with every reconfiguration policy."""
-    # The matrix is built from the live registry, so newly registered policies
-    # join the sweep automatically.  ACO-family cells get small colony sizes to
-    # keep each cell a sub-second run.  (One reconfiguration column fewer than
-    # before `aco-vectorized` folded into `aco`: reports are not comparable
-    # cell-for-cell across that change.)
-    tuned_params: Dict[str, Dict[str, object]] = {
-        "aco": {"n_ants": 4, "n_cycles": 8},
-        "distributed-aco": {"n_partitions": 2, "n_ants": 4, "n_cycles": 8},
-    }
+    # The matrix is built from the live registry, so every registered
+    # placement and reconfiguration policy runs end to end (CI runs this sweep
+    # on every push).  ACO cells get small colony sizes to keep each cell a
+    # sub-second run.  Reports are not comparable run for run across registry
+    # changes.
+    tuned_params: Dict[str, Dict[str, object]] = {"aco": {"n_ants": 4, "n_cycles": 8}}
     cells = []
     for placement in policy_names("placement"):
         for reconfiguration in policy_names("reconfiguration"):

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.plain import PlainData
+from repro.plain import PlainData, require_numeric_params
 from repro.policies.registry import validate_policy_selection
 from repro.traffic.profiles import compile_profile
 
@@ -69,6 +69,7 @@ class ServiceSpec(PlainData):
         # Compile once so a bad profile fails at spec construction, not
         # mid-run; the result is discarded (profiles are rebuilt per run from
         # the run's own named stream).
+        require_numeric_params("profile", self.profile)
         compile_profile(self.profile, np.random.default_rng(0))
         if self.autoscaling is not None:
             validate_policy_selection("autoscaling", self.autoscaling)

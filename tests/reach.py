@@ -7,10 +7,11 @@ Runs the product paths in this process under ``sys.setprofile`` (and
 in ``src`` that none of them entered, with its line count:
 
 * ``cli`` -- every list / describe action, text and ``--json``, every catalog
-  scenario described and run, and a scenario spec file run;
+  scenario described and run, and a scenario spec file run as written and
+  with ``loss_probability`` 0.05 on its network;
 * ``sweeps`` -- ``smoke-2x2`` through ``--jobs 1``, through ``--runners 2``
   and through ``sweep serve`` / ``sweep work`` in two threads, then
-  ``sweep analyze`` of the report;
+  ``sweep analyze`` of the report; ``policy-matrix`` through ``--jobs 1``;
 * ``megafleet`` -- ``megafleet-1k`` serial and as two shards;
 * ``obs`` -- trace and metrics export, then ``obs summarize``;
 * ``examples`` -- the scripts under ``examples/`` (``--quick`` where taken);
@@ -187,6 +188,11 @@ def cli_paths(work: Path) -> None:
     spec_file = work / "scenario.json"
     spec_file.write_text(spec)
     _cli("scenario", "run", str(spec_file), "--json", "--policy", "placement=best-fit")
+    lossy = json.loads(spec)
+    lossy["config"]["network"] = {"loss_probability": 0.05}
+    lossy_file = work / "lossy.json"
+    lossy_file.write_text(json.dumps(lossy))
+    _cli("scenario", "run", str(lossy_file), "--json")
 
 
 def _serve_and_work(work: Path) -> None:
@@ -238,6 +244,7 @@ def sweep_paths(work: Path) -> None:
     _cli("sweep", "run", "smoke-2x2", "--jobs", "1", "--output", str(report),
          "--csv", str(work / "smoke.csv"))
     _cli("sweep", "run", "smoke-2x2", "--runners", "2", "--json")
+    _cli("sweep", "run", "policy-matrix", "--jobs", "1", "--json")
     _serve_and_work(work)
     _both("sweep", "analyze", str(report))
     _cli("sweep", "analyze", str(report), "--output", str(work / "pareto.json"),

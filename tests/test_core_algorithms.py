@@ -7,13 +7,7 @@ import pytest
 
 from repro.core.aco import ACOConsolidation, ACOParameters
 from repro.core.base import lower_bound_hosts
-from repro.core.ffd import (
-    BestFitDecreasing,
-    FirstFit,
-    FirstFitDecreasing,
-    SortKey,
-    WorstFitDecreasing,
-)
+from repro.core.ffd import BestFitDecreasing, FirstFit, FirstFitDecreasing, SortKey
 from repro.core.optimal import BranchAndBoundOptimal
 from repro.simulation.randomness import spawn_generator
 from repro.core.placement import PlacementError
@@ -70,13 +64,6 @@ class TestFirstFitFamily:
         result = BestFitDecreasing().solve(demands, capacities)
         assert result.feasible
         assert result.hosts_used >= lower_bound_hosts(demands, capacities)
-
-    def test_wfd_spreads_load(self, small_instance):
-        demands, capacities = small_instance
-        wfd = WorstFitDecreasing().solve(demands, capacities)
-        ffd = FirstFitDecreasing(sort_key=SortKey.L1).solve(demands, capacities)
-        assert wfd.feasible
-        assert wfd.hosts_used >= ffd.hosts_used
 
     def test_insufficient_hosts_raises(self):
         demands = np.tile([0.6, 0.6], (4, 1))

@@ -22,7 +22,7 @@ import pytest
 from repro.hierarchy import SnoozeSystem
 from repro.monitoring.summary import GroupManagerSummary
 from repro.network.message import Message, MessageType
-from repro.policies.assignment import LeastLoadedAssignment
+from repro.policies.assignment import AssignmentPolicy
 from repro.workloads import BatchArrival, UniformDemandDistribution, WorkloadGenerator
 
 
@@ -100,6 +100,15 @@ class TestSubmissionSummaryReuse:
         small_system.run(0.5 * small_system.config.summary_interval)
         assert small_system.client.placed_count() == 12
         assert leader.summary_rebuilds - before <= 2
+
+
+class LeastLoadedAssignment(AssignmentPolicy):
+    """The GM managing the fewest LCs: a load-aware policy reads ``lc_counts``."""
+
+    name = "least-loaded"
+
+    def choose(self, gm_ids, lc_counts):
+        return min(gm_ids, key=lambda gm_id: (lc_counts.get(gm_id, 0), gm_id), default=None)
 
 
 class TestAssignmentPendingTracking:

@@ -179,7 +179,7 @@ class TestReconfiguration:
             relocation_enabled=False,
             reconfiguration_interval=200.0,
             policies={
-                "reconfiguration": {"name": "ffd"},
+                "reconfiguration": {"name": "aco", "n_ants": 4, "n_cycles": 8},
                 # spread VMs so consolidation has work to do
                 "placement": {"name": "round-robin"},
             },

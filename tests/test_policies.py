@@ -17,7 +17,7 @@ from repro.policies import (
     ClusterView,
     DispatchingPolicy,
     FirstFitPlacement,
-    LeastLoadedAssignment,
+    LeastLoadedDispatching,
     MigrationPlan,
     OverloadRelocationPolicy,
     PlacementPolicy,
@@ -33,7 +33,14 @@ from repro.policies import (
     register_policy,
 )
 from repro.policies.registry import validate_policy_selection
-from repro.scenarios import ScenarioSpec, WorkloadPhase, get_scenario, run_scenario
+from repro.scenarios import (
+    ScenarioSpec,
+    WorkloadPhase,
+    get_scenario,
+    iter_scenarios,
+    run_scenario,
+)
+from repro.sweeps import iter_sweeps
 
 from tests.conftest import join_view, make_node, make_vm
 
@@ -45,6 +52,62 @@ EXPECTED_KINDS = {
     "reconfiguration",
     "underload-relocation",
 }
+
+#: Registered policies that no catalog path selects, each with the reason it
+#: stays in ``src``.  Every other policy must be selected by the deployment
+#: defaults, a catalog scenario or a catalog sweep, or leave the registry.
+KEPT_WITHOUT_CATALOG = {
+    ("placement", "round-robin"): (
+        'the paper names it (Section II.C: "placement ... e.g. round robin or first-fit")'
+    ),
+    ("placement", "worst-fit"): "the sweep-fleet bench workload selects it",
+    ("dispatching", "least-loaded"): "the policies.dispatch_us-least-loaded bench probe selects it",
+}
+
+
+def catalog_selections() -> set:
+    """``(kind, name)`` of every policy the defaults, the scenarios or the sweeps select.
+
+    ``policy-matrix`` does not count: it crosses the whole registry, so it
+    selects every policy by construction.  A scenario selects its autoscaling
+    policy in its traffic section.
+    """
+    selected = set(DEFAULT_POLICIES.items())
+    blocks = []
+    for scenario in iter_scenarios():
+        blocks.append(scenario.policies)
+        if scenario.traffic is not None:
+            selected |= {
+                ("autoscaling", service.autoscaling["name"])
+                for service in scenario.traffic.services
+                if service.autoscaling is not None
+            }
+    for sweep in iter_sweeps():
+        if sweep.name != "policy-matrix":
+            blocks.extend(sweep.policies)
+    for block in blocks:
+        selected |= {(kind, entry["name"]) for kind, entry in block.items()}
+    return selected
+
+
+class TestEveryPolicyIsSelected:
+    def test_every_registered_policy_has_a_selector(self):
+        selected = catalog_selections() | set(KEPT_WITHOUT_CATALOG)
+        unselected = [
+            f"{spec.kind} {spec.name}"
+            for spec in iter_policy_specs()
+            if (spec.kind, spec.name) not in selected
+        ]
+        assert not unselected, (
+            f"registered but selected by no default, catalog scenario or sweep: {unselected}"
+        )
+
+    def test_every_named_exception_is_registered_and_needed(self):
+        registered = {(spec.kind, spec.name) for spec in iter_policy_specs()}
+        catalog = catalog_selections()
+        for key in KEPT_WITHOUT_CATALOG:
+            assert key in registered, f"{key} left the registry; drop its entry"
+            assert key not in catalog, f"{key} is selected by the catalog; drop its entry"
 
 
 class TestRegistry:
@@ -66,22 +129,17 @@ class TestRegistry:
             "worst-fit",
             "round-robin",
         }
-        assert set(policy_names("reconfiguration")) == {
-            "aco",
-            "distributed-aco",
-            "ffd",
-            "bfd",
-            "wfd",
-        }
+        assert policy_names("reconfiguration") == ["aco"]
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ValueError, match=r"best-fit.*first-fit"):
             make_policy("placement", "nope")
         # Removed spellings fail like any other unknown name / parameter.
-        with pytest.raises(ValueError, match=r"aco.*distributed-aco"):
-            make_policy("reconfiguration", "aco-vectorized")
-        with pytest.raises(ValueError, match="n_partitions"):
-            make_policy("reconfiguration", "distributed-aco", vectorized=True)
+        for removed in ("aco-vectorized", "distributed-aco", "ffd", "bfd", "wfd"):
+            with pytest.raises(ValueError, match=r"choose from \['aco'\]"):
+                make_policy("reconfiguration", removed)
+        with pytest.raises(ValueError, match="n_ants"):
+            make_policy("reconfiguration", "aco", vectorized=True)
 
     def test_unknown_kind_lists_kinds(self):
         with pytest.raises(ValueError, match="placement"):
@@ -227,7 +285,7 @@ class TestDecisionVocabulary:
         nodes[0].place_vm(make_vm(0.2, 0.2, 0.2))
         assert isinstance(OverloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
         assert isinstance(UnderloadRelocationPolicy().decide(nodes[0], nodes), MigrationPlan)
-        reconfiguration = make_policy("reconfiguration", "ffd")
+        reconfiguration = make_policy("reconfiguration", "aco", n_ants=2, n_cycles=2)
         assert isinstance(reconfiguration.plan(join_view(nodes)), MigrationPlan)
 
     def test_migration_plan_defaults(self):
@@ -244,26 +302,20 @@ class TestAssignmentPolicies:
         chosen = [policy.choose(gm_ids, {}) for _ in range(3)]
         assert chosen == gm_ids
 
-    def test_least_loaded_picks_fewest_lcs(self):
-        policy = LeastLoadedAssignment()
-        counts = {"gm-00": 5, "gm-01": 1, "gm-02": 3}
-        assert policy.choose(sorted(counts), counts) == "gm-01"
-
     def test_empty_gm_list(self):
         assert RoundRobinAssignment().choose([], {}) is None
-        assert LeastLoadedAssignment().choose([], {}) is None
 
 
 class TestHierarchyConfigPolicies:
     def test_policy_block_drives_resolved_selection(self):
         authored = {
             "placement": {"name": "best-fit"},
-            "assignment": {"name": "least-loaded"},
+            "dispatching": {"name": "least-loaded"},
         }
         config = HierarchyConfig(policies=authored)
         resolved = config.resolved_policies()
         assert resolved["placement"] == {"name": "best-fit"}
-        assert resolved["assignment"] == {"name": "least-loaded"}
+        assert resolved["dispatching"] == {"name": "least-loaded"}
         assert resolved["reconfiguration"] == {"name": "aco"}
         # The authored block stays as written (no defaults folded in), so
         # replace() and serialization carry intent, not derived state.
@@ -292,13 +344,13 @@ class TestHierarchyConfigPolicies:
         config = HierarchyConfig(
             policies={
                 "placement": {"name": "worst-fit"},
-                "reconfiguration": {"name": "ffd"},
+                "reconfiguration": {"name": "aco", "n_ants": 3},
             }
         )
         assert isinstance(config.build_policy("placement"), WorstFitPlacement)
         reconfiguration = config.build_policy("reconfiguration")
         assert isinstance(reconfiguration, ReconfigurationPolicy)
-        assert reconfiguration.algorithm.name == "ffd"
+        assert reconfiguration.algorithm.parameters.n_ants == 3
 
     def test_build_policy_entry_params_override_runtime_extras(self):
         config = HierarchyConfig(
@@ -526,8 +578,9 @@ class TestPolicyCli:
         spec = get_scenario("aco-consolidation-cycle")
         same = _apply_policy_overrides(spec, {"reconfiguration": {"name": "aco"}})
         assert same.policies["reconfiguration"]["n_cycles"] == 12
-        different = _apply_policy_overrides(spec, {"reconfiguration": {"name": "ffd"}})
-        assert different.policies["reconfiguration"] == {"name": "ffd"}
+        retuned = {"name": "aco", "n_cycles": 3}
+        different = _apply_policy_overrides(spec, {"reconfiguration": retuned})
+        assert different.policies["reconfiguration"] == retuned
         assert different.policies["placement"] == {"name": "best-fit"}
 
     def test_scenario_describe_previews_policy_overrides(self, capsys):
@@ -566,8 +619,9 @@ class TestNoStringComparisonOutsidePolicies:
 
         system = SnoozeSystem(
             SystemSpec(local_controllers=2, group_managers=1),
-            config=HierarchyConfig(policies={"assignment": {"name": "least-loaded"}}),
+            config=HierarchyConfig(policies={"dispatching": {"name": "least-loaded"}}),
         )
         gm = next(iter(system.group_managers.values()))
-        assert isinstance(gm.assignment_policy, LeastLoadedAssignment)
+        assert isinstance(gm.dispatching_policy, LeastLoadedDispatching)
+        assert isinstance(gm.assignment_policy, RoundRobinAssignment)
         assert isinstance(gm.placement_policy, FirstFitPlacement)

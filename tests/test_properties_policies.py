@@ -318,10 +318,7 @@ class TestNoRegisteredPolicyViolatesCapacity:
     def test_every_registered_reconfiguration_policy_plans_feasibly(self, nodes, data):
         name = data.draw(st.sampled_from(policy_names("reconfiguration")))
         small = {"n_ants": 2, "n_cycles": 3}
-        params = {
-            "aco": {**small, "rng": np.random.default_rng(0)},
-            "distributed-aco": {**small, "n_partitions": 2, "rng": np.random.default_rng(0)},
-        }.get(name, {})
+        params = {"aco": {**small, "rng": np.random.default_rng(0)}}.get(name, {})
         policy = make_policy("reconfiguration", name, thresholds=THRESHOLDS, **params)
         plan = policy.plan(join_view(nodes))
         # Consolidation packs by *used* vectors; execution re-checks the

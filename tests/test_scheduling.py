@@ -18,10 +18,8 @@ from repro.policies import (
     FirstFitDispatching,
     FirstFitPlacement,
     LeastLoadedDispatching,
-    LoadBand,
     OverloadRelocationPolicy,
     ReconfigurationPolicy,
-    RoundRobinDispatching,
     RoundRobinPlacement,
     UnderloadRelocationPolicy,
     UtilizationThresholds,
@@ -36,19 +34,14 @@ from tests.conftest import join_view, make_node, make_vm
 class TestThresholds:
     def test_classification(self):
         thresholds = UtilizationThresholds(underload=0.2, overload=0.8)
-        assert thresholds.classify(0.1) is LoadBand.UNDERLOADED
-        assert thresholds.classify(0.5) is LoadBand.MODERATE
-        assert thresholds.classify(0.9) is LoadBand.OVERLOADED
+        assert thresholds.is_underloaded(0.1) and not thresholds.is_overloaded(0.1)
+        assert not thresholds.is_underloaded(0.5) and not thresholds.is_overloaded(0.5)
+        assert thresholds.is_overloaded(0.9) and not thresholds.is_underloaded(0.9)
 
     def test_boundaries_are_moderate(self):
         thresholds = UtilizationThresholds(underload=0.2, overload=0.8)
-        assert thresholds.classify(0.2) is LoadBand.MODERATE
-        assert thresholds.classify(0.8) is LoadBand.MODERATE
-
-    def test_headroom(self):
-        thresholds = UtilizationThresholds(overload=0.8)
-        assert thresholds.headroom(0.5) == pytest.approx(0.3)
-        assert thresholds.headroom(0.9) == 0.0
+        assert not thresholds.is_underloaded(0.2)
+        assert not thresholds.is_overloaded(0.8)
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
@@ -74,14 +67,6 @@ def summary_for(gm_id, reserved_fraction, lc_count=4):
 
 class TestDispatching:
     DEMAND = ResourceVector([0.3, 0.3, 0.3])
-
-    def test_round_robin_rotates(self):
-        policy = RoundRobinDispatching()
-        summaries = {f"gm-{i}": summary_for(f"gm-{i}", 0.2) for i in range(3)}
-        first = policy.decide(self.DEMAND, summaries).candidates
-        second = policy.decide(self.DEMAND, summaries).candidates
-        assert first[0] != second[0]
-        assert sorted(first) == sorted(second) == ["gm-0", "gm-1", "gm-2"]
 
     def test_least_loaded_prefers_emptiest_gm(self):
         policy = LeastLoadedDispatching()
@@ -112,13 +97,13 @@ class TestDispatching:
         assert sorted(policy.decide(big_demand, summaries).candidates) == ["gm-0", "gm-1"]
 
     def test_factory(self):
-        assert isinstance(make_policy("dispatching", "round-robin"), RoundRobinDispatching)
+        assert isinstance(make_policy("dispatching", "first-fit"), FirstFitDispatching)
         assert isinstance(make_policy("dispatching", "least-loaded"), LeastLoadedDispatching)
-        with pytest.raises(ValueError, match=r"first-fit.*least-loaded.*round-robin"):
+        with pytest.raises(ValueError, match=r"choose from \['first-fit', 'least-loaded'\]"):
             make_policy("dispatching", "nope")
 
     def test_empty_summaries(self):
-        decision = RoundRobinDispatching().decide(self.DEMAND, {})
+        decision = FirstFitDispatching().decide(self.DEMAND, {})
         assert decision.empty
         assert decision.candidates == []
 

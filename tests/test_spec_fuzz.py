@@ -156,6 +156,64 @@ def test_string_phase_parameter_through_the_cli(tmp_path, capsys):
     assert "arrival.rate_per_hour must be a number (got the string 'nan')" in err
 
 
+def _replay_spec_file(tmp_path, times, values=(0.5, 0.5)) -> str:
+    """``steady-churn`` with its first phase replaying ``times`` / ``values``."""
+    trace = {"kind": "replay", "times": list(times), "values": list(values)}
+    return _spec_file(tmp_path, "steady-churn", ("phases", 0, "trace"), trace)
+
+
+#: A string or a flag inside a number list: each was accepted, and ``"nan"``
+#: became a NaN the finiteness rule never saw.
+LIST_ITEMS = [
+    (("0", "nan"), (0.5, 0.5), "trace.times[0] must be a number (got the string '0')"),
+    ((0, "nan"), (0.5, 0.5), "trace.times[1] must be a number (got the string 'nan')"),
+    ((0, True), (0.5, 0.5), "trace.times[1] must be a number (got True)"),
+    ((0, 300), (0.5, "0.5"), "trace.values[1] must be a number (got the string '0.5')"),
+    ((0, 300), (False, 0.5), "trace.values[0] must be a number (got False)"),
+]
+
+
+@pytest.mark.parametrize(
+    "times, values, expected",
+    LIST_ITEMS,
+    ids=["times-string", "times-nan-string", "times-flag", "values-string", "values-flag"],
+)
+def test_non_number_in_a_number_list_is_one_error_naming_its_index(
+    times, values, expected, tmp_path
+):
+    with pytest.raises(CliError) as caught:
+        load_spec(_replay_spec_file(tmp_path, times, values), SCENARIOS)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert expected in message
+
+
+def test_non_number_in_a_traffic_profile_list_is_one_error():
+    from repro.traffic.spec import ServiceSpec
+
+    profile = {"kind": "replay", "peak_rps": 100.0, "times": [0, "nan"], "values": [0.5, 0.5]}
+    with pytest.raises(ValueError, match=r"profile\.times\[1\] must be a number"):
+        ServiceSpec(name="web", profile=profile)
+
+
+def test_number_lists_and_name_lists_are_still_accepted(tmp_path):
+    spec = load_spec(_replay_spec_file(tmp_path, (0, 300.0), (0.5, 1)), SCENARIOS)
+    assert spec.phases[0].build_generator().trace_factory(None).times.tolist() == [0.0, 300.0]
+    document = _document("steady-churn")
+    document["phases"][0]["demand"]["dimensions"] = ["cpu", "memory", "network"]
+    spec_file = tmp_path / "dimensions.json"
+    spec_file.write_text(json.dumps(document))
+    assert load_spec(str(spec_file), SCENARIOS).phases[0].demand["dimensions"] == [
+        "cpu", "memory", "network"
+    ]
+
+
+def test_non_number_in_a_number_list_through_the_cli(tmp_path, capsys):
+    status, err = _run("steady-churn", _replay_spec_file(tmp_path, (0, "nan")), capsys)
+    _assert_one_error_line(status, err)
+    assert "trace.times[1] must be a number (got the string 'nan')" in err
+
+
 #: A few through the whole CLI, one per command: each of these ran to exit 0
 #: or crashed with a traceback before the rule.
 THROUGH_MAIN = [
