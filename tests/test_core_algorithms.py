@@ -65,6 +65,25 @@ class TestFirstFitFamily:
         assert result.feasible
         assert result.hosts_used >= lower_bound_hosts(demands, capacities)
 
+    def test_bfd_picks_the_host_left_tightest(self):
+        """FFD takes the first host that fits; BFD the one with least slack after."""
+        demands = np.array([[0.6, 0.6]])
+        capacities = np.array([[2.0, 2.0], [1.0, 1.0]])
+        assert FirstFitDecreasing().solve(demands, capacities).placement.assignment.tolist() == [0]
+        assert BestFitDecreasing().solve(demands, capacities).placement.assignment.tolist() == [1]
+
+    def test_bfd_empty_instance(self):
+        capacities = np.tile([1.0, 1.0], (3, 1))
+        result = BestFitDecreasing().solve(np.empty((0, 2)), capacities)
+        assert result.hosts_used == 0
+        assert result.feasible
+
+    def test_bfd_insufficient_hosts_raises(self):
+        demands = np.tile([0.6, 0.6], (3, 1))
+        capacities = np.tile([1.0, 1.0], (2, 1))
+        with pytest.raises(PlacementError, match="best-fit could not place VM"):
+            BestFitDecreasing().solve(demands, capacities)
+
     def test_insufficient_hosts_raises(self):
         demands = np.tile([0.6, 0.6], (4, 1))
         capacities = np.tile([1.0, 1.0], (2, 1))  # needs 4 hosts, only 2 available

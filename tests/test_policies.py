@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli.main import main
 from repro.cluster.node import NodeState
+from repro.core.aco import ACOConsolidation
 from repro.hierarchy.config import DEFAULT_POLICIES, HierarchyConfig
 from repro.policies import (
     AssignmentPolicy,
@@ -24,6 +25,7 @@ from repro.policies import (
     ReconfigurationPolicy,
     RoundRobinAssignment,
     UnderloadRelocationPolicy,
+    UtilizationThresholds,
     WorstFitPlacement,
     get_policy_spec,
     iter_policy_specs,
@@ -306,6 +308,60 @@ class TestAssignmentPolicies:
         assert RoundRobinAssignment().choose([], {}) is None
 
 
+class TestAcoReconfigurationFactory:
+    """``aco``, the one registered reconfiguration policy, built by name."""
+
+    def busy_nodes(self):
+        nodes = [make_node(f"node-{i}") for i in range(5)]
+        for node in nodes[:4]:
+            vm = make_vm(0.3, 0.3, 0.1)
+            node.place_vm(vm)
+            vm.update_usage(0.0)
+        return nodes
+
+    def test_colony_parameters_reach_the_algorithm(self):
+        policy = make_policy(
+            "reconfiguration", "aco", n_ants=3, n_cycles=5, n_colonies=2, jobs=1
+        )
+        assert isinstance(policy, ReconfigurationPolicy)
+        assert isinstance(policy.algorithm, ACOConsolidation)
+        assert (policy.algorithm.parameters.n_ants, policy.algorithm.parameters.n_cycles) == (3, 5)
+        assert (policy.algorithm.n_colonies, policy.algorithm.jobs) == (2, 1)
+
+    def test_defaults_warm_start_over_every_eligible_node(self):
+        policy = make_policy("reconfiguration", "aco")
+        assert policy.warm_start and not policy.incremental
+        assert policy.max_migrations is None and not policy.include_overloaded
+        assert policy.thresholds == UtilizationThresholds()
+
+    def test_switches_caps_and_thresholds_are_forwarded(self):
+        thresholds = UtilizationThresholds(underload=0.1, overload=0.7)
+        policy = make_policy(
+            "reconfiguration",
+            "aco",
+            warm_start=False,
+            incremental=True,
+            max_migrations=2,
+            include_overloaded=True,
+            thresholds=thresholds,
+        )
+        assert not policy.warm_start and policy.incremental
+        assert policy.max_migrations == 2 and policy.include_overloaded
+        assert policy.thresholds is thresholds
+
+    def test_same_rng_seed_plans_the_same_moves(self):
+        def moves(seed):
+            nodes = self.busy_nodes()
+            policy = make_policy(
+                "reconfiguration", "aco", n_ants=4, n_cycles=8, rng=np.random.default_rng(seed)
+            )
+            plan = policy.plan(join_view(nodes))
+            assert plan.hosts_after < plan.hosts_before
+            return [(source.node_id, target.node_id) for _vm, source, target in plan.moves]
+
+        assert moves(11) == moves(11)
+
+
 class TestHierarchyConfigPolicies:
     def test_policy_block_drives_resolved_selection(self):
         authored = {
@@ -516,6 +572,17 @@ class TestPolicyCli:
         for spec in iter_policy_specs():
             assert spec.name in output
             assert spec.kind in output
+
+    def test_policy_list_shows_what_the_catalog_selects(self, capsys):
+        assert main(["policy", "list", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        names = {}
+        for entry in entries:
+            names.setdefault(entry["kind"], set()).add(entry["name"])
+        assert names["placement"] == {"best-fit", "first-fit", "round-robin", "worst-fit"}
+        assert names["dispatching"] == {"first-fit", "least-loaded"}
+        assert names["assignment"] == {"round-robin"}
+        assert names["reconfiguration"] == {"aco"}
 
     def test_policy_list_kind_filter(self, capsys):
         assert main(["policy", "list", "placement", "--json"]) == 0

@@ -339,6 +339,33 @@ class TestReconfiguration:
         eligible = policy._eligible_nodes(join_view(nodes))
         assert nodes[0] not in eligible
 
+    def test_include_overloaded_lets_hot_hosts_participate(self):
+        nodes = [make_node(f"node-{i}") for i in range(3)]
+        hot_vm = make_vm(cpu=0.95, trace=ConstantTrace(1.0))
+        nodes[0].place_vm(hot_vm)
+        hot_vm.update_usage(0.0)
+        policy = ReconfigurationPolicy(algorithm=FirstFitDecreasing(), include_overloaded=True)
+        assert nodes[0] in policy._eligible_nodes(join_view(nodes))
+
+    def test_suspended_hosts_do_not_participate(self):
+        from repro.cluster.node import NodeState
+
+        nodes = self.spread_out_cluster()
+        nodes[5].state = NodeState.SUSPENDED
+        eligible = ReconfigurationPolicy(algorithm=FirstFitDecreasing())._eligible_nodes(
+            join_view(nodes)
+        )
+        assert [node.node_id for node in eligible] == [f"node-{i}" for i in range(5)]
+
+    def test_released_nodes_are_sources_never_destinations(self):
+        nodes = self.spread_out_cluster()
+        plan = ReconfigurationPolicy(algorithm=FirstFitDecreasing()).plan(join_view(nodes))
+        sources = {source.node_id for _vm, source, _target in plan.moves}
+        destinations = {target.node_id for _vm, _source, target in plan.moves}
+        released = {node.node_id for node in plan.released_nodes}
+        assert released and released <= sources
+        assert not released & destinations
+
     def test_no_plan_for_fewer_than_two_nodes(self):
         node = make_node()
         vm = make_vm()

@@ -208,6 +208,32 @@ def test_number_lists_and_name_lists_are_still_accepted(tmp_path):
     ]
 
 
+def test_null_in_a_number_list_is_one_error_naming_its_index(tmp_path):
+    with pytest.raises(CliError) as caught:
+        load_spec(_replay_spec_file(tmp_path, (0, None)), SCENARIOS)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert "trace.times[1] must be a number (got None)" in message
+
+
+def test_nested_list_in_a_number_list_is_refused():
+    from repro.plain import require_numeric_params
+
+    with pytest.raises(ValueError, match=r"^trace\.times\[0\] must be a number \(got \[0, 1\]\)$"):
+        require_numeric_params("trace", {"kind": "replay", "times": [[0, 1]]})
+
+
+def test_only_name_lists_may_hold_strings():
+    from repro.plain import NAME_LIST_PARAMS, require_numeric_params
+
+    assert NAME_LIST_PARAMS == {"dimensions"}
+    require_numeric_params(
+        "demand", {"kind": "uniform", "low": (0.1, 0.2), "dimensions": ["cpu", "memory"]}
+    )
+    with pytest.raises(ValueError, match=r"^demand\.levels\[1\] must be a number \(got the string 'b'\)$"):
+        require_numeric_params("demand", {"kind": "uniform", "levels": [0.5, "b"]})
+
+
 def test_non_number_in_a_number_list_through_the_cli(tmp_path, capsys):
     status, err = _run("steady-churn", _replay_spec_file(tmp_path, (0, "nan")), capsys)
     _assert_one_error_line(status, err)

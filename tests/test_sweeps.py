@@ -460,6 +460,15 @@ class TestSweepCatalog:
         assert placements == set(policy_names("placement"))
         assert reconfigurations == set(policy_names("reconfiguration"))
 
+    def test_policy_matrix_runs_every_placement_with_a_small_aco_colony(self):
+        from repro.policies import policy_names
+
+        spec = get_sweep("policy-matrix")
+        assert spec.scenarios == ["steady-churn", "flash-crowd"]
+        assert spec.total_runs() == len(policy_names("placement")) * 2 == 8
+        for cell in spec.policies:
+            assert cell["reconfiguration"] == {"name": "aco", "n_ants": 4, "n_cycles": 8}
+
     def test_unknown_sweep_lists_alternatives(self):
         with pytest.raises(KeyError, match="available"):
             get_sweep("missing")
