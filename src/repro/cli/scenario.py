@@ -148,7 +148,7 @@ def run_run(args: argparse.Namespace) -> int:
     def metrics() -> str:
         if args.metrics_out.endswith(".prom"):
             return obs.metrics_text()
-        return _dump(obs.metrics_dict())
+        return _dump(obs.registry.to_dict())
 
     return write_outputs(
         [

@@ -44,7 +44,16 @@ from repro.sweeps import (
     pareto_json,
     run_sweep,
 )
-from repro.sweeps.runner import work
+from repro.sweeps.runner import check_port, work
+
+
+def port_number(text: str) -> int:
+    """argparse ``type=`` for ``--port``: a TCP port number, 0-65535."""
+    value = int(text)
+    try:
+        return check_port(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def register(subparsers) -> None:
@@ -103,7 +112,7 @@ def register(subparsers) -> None:
     )
     serve.add_argument("--host", default="0.0.0.0", help="bind address (default 0.0.0.0)")
     serve.add_argument(
-        "--port", type=int, default=0, help="bind port (default 0 = pick a free port)"
+        "--port", type=port_number, default=0, help="bind port (default 0 = pick a free port)"
     )
     serve.add_argument(
         "--port-file", metavar="PATH", help="write the bound port to PATH once listening"

@@ -11,7 +11,7 @@ layer reasons about:
   (:class:`~repro.cluster.vm.VirtualMachine`),
 * physical nodes ("Local Controller hosts") with capacity, hosted VMs and a
   power state (:class:`~repro.cluster.node.PhysicalNode`),
-* power models mapping utilization to Watts
+* the linear power model mapping utilization to Watts
   (:mod:`repro.cluster.power`), and
 * cluster topology construction helpers (:mod:`repro.cluster.topology`).
 """
@@ -24,10 +24,7 @@ from repro.cluster.resources import (
 from repro.cluster.vm import VirtualMachine, VMState
 from repro.cluster.node import NodeState, PhysicalNode
 from repro.cluster.power import (
-    ConstantPowerModel,
-    CubicPowerModel,
     LinearPowerModel,
-    PowerModel,
     PowerStateSpec,
     DEFAULT_POWER_STATES,
 )
@@ -46,10 +43,7 @@ __all__ = [
     "VMState",
     "NodeState",
     "PhysicalNode",
-    "PowerModel",
     "LinearPowerModel",
-    "CubicPowerModel",
-    "ConstantPowerModel",
     "PowerStateSpec",
     "DEFAULT_POWER_STATES",
     "ClusterSpec",

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.power import LinearPowerModel, PowerModel
+from repro.cluster.power import LinearPowerModel
 from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceError, ResourceVector
 from repro.cluster.vm import VirtualMachine
 
@@ -40,7 +40,7 @@ class PhysicalNode:
         self,
         node_id: str,
         capacity: Optional[ResourceVector] = None,
-        power_model: Optional[PowerModel] = None,
+        power_model: Optional[LinearPowerModel] = None,
         power_state_name: str = "suspend",
     ) -> None:
         self.node_id = str(node_id)
@@ -52,7 +52,7 @@ class PhysicalNode:
         #: power model read) and its capacity.
         self.cpu_index = dims.index("cpu") if "cpu" in dims else 0
         self._cpu_capacity = float(self.capacity.values[self.cpu_index])
-        self.power_model: PowerModel = power_model or LinearPowerModel()
+        self.power_model: LinearPowerModel = power_model or LinearPowerModel()
         #: Name of the administrator-selected low power state (paper Section III).
         self.power_state_name = power_state_name
         #: Hardware class of a heterogeneous fleet (None in homogeneous clusters).
@@ -131,10 +131,6 @@ class PhysicalNode:
             self._reserved_cache = total
         return self._reserved_cache
 
-    def reserved(self) -> ResourceVector:
-        """Sum of the *requested* vectors of hosted VMs (admission-control view)."""
-        return ResourceVector(self.reserved_values().copy(), self.capacity.dimensions)
-
     def used_values(self) -> np.ndarray:
         """Used capacity as a raw array (cached; callers must not mutate it)."""
         if self._used_cache is None:
@@ -147,13 +143,6 @@ class PhysicalNode:
     def used(self) -> ResourceVector:
         """Sum of the *used* vectors of hosted VMs (monitoring view)."""
         return ResourceVector(self.used_values().copy(), self.capacity.dimensions)
-
-    def available(self) -> ResourceVector:
-        """Remaining reservable capacity."""
-        return ResourceVector(
-            np.maximum(self.capacity.values - self.reserved_values(), 0.0),
-            self.capacity.dimensions,
-        )
 
     def utilization(self) -> float:
         """Scalar CPU utilization in [0, 1] based on current usage."""
@@ -185,8 +174,8 @@ class PhysicalNode:
             raise ResourceError(f"VM {vm.name} already placed on node {self.node_id}")
         if not self.fits(vm):
             raise ResourceError(
-                f"VM {vm.name} ({vm.requested.as_dict()}) does not fit on node "
-                f"{self.node_id} (available {self.available().as_dict()})"
+                f"VM {vm.name} ({vm.requested!r}) does not fit on node "
+                f"{self.node_id} (available {self.capacity - self.reserved_values()!r})"
             )
         self._vms[vm.vm_id] = vm
         self._reserved_cache = None

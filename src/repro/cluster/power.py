@@ -1,4 +1,4 @@
-"""Power models and power-state specifications.
+"""The power model and power-state specifications.
 
 Snooze's energy story (paper Sections I and III) rests on two mechanisms:
 
@@ -7,8 +7,8 @@ Snooze's energy story (paper Sections I and III) rests on two mechanisms:
    woken up on demand, both of which take time and energy.
 
 This module provides the standard linear model used throughout the
-consolidation literature the paper builds on (Beloglazov & Buyya), a cubic
-variant for sensitivity studies, plus a :class:`PowerStateSpec` describing the
+consolidation literature the paper builds on (Beloglazov & Buyya), the only
+model a topology builds, plus a :class:`PowerStateSpec` describing the
 sleep-state power and the transition latencies/energies used by
 :mod:`repro.energy`.
 """
@@ -16,23 +16,6 @@ sleep-state power and the transition latencies/energies used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
-
-
-class PowerModel(Protocol):
-    """Anything mapping a utilization fraction in [0, 1] to Watts."""
-
-    def power(self, utilization: float) -> float:
-        """Instantaneous power draw in Watts at the given CPU utilization."""
-        ...
-
-    def idle_power(self) -> float:
-        """Power draw at zero utilization (host ON but idle)."""
-        ...
-
-    def max_power(self) -> float:
-        """Power draw at full utilization."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -59,53 +42,6 @@ class LinearPowerModel:
 
     def max_power(self) -> float:
         return self.p_max
-
-
-@dataclass(frozen=True)
-class CubicPowerModel:
-    """``P(u) = P_idle + (P_max - P_idle) * u^3`` -- convex alternative.
-
-    Used only in ablations; real servers are closer to linear but a convex
-    model stresses the consolidation trade-off (packing raises utilization on
-    the remaining hosts).
-    """
-
-    p_idle: float = 170.0
-    p_max: float = 250.0
-
-    def __post_init__(self) -> None:
-        if self.p_idle < 0 or self.p_max < self.p_idle:
-            raise ValueError("require 0 <= p_idle <= p_max")
-
-    def power(self, utilization: float) -> float:
-        u = min(max(float(utilization), 0.0), 1.0)
-        return self.p_idle + (self.p_max - self.p_idle) * u**3
-
-    def idle_power(self) -> float:
-        return self.p_idle
-
-    def max_power(self) -> float:
-        return self.p_max
-
-
-@dataclass(frozen=True)
-class ConstantPowerModel:
-    """A flat draw regardless of utilization -- models non-proportional hardware."""
-
-    watts: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.watts < 0:
-            raise ValueError("power must be non-negative")
-
-    def power(self, utilization: float) -> float:  # noqa: ARG002 - interface
-        return self.watts
-
-    def idle_power(self) -> float:
-        return self.watts
-
-    def max_power(self) -> float:
-        return self.watts
 
 
 @dataclass(frozen=True)
@@ -143,7 +79,7 @@ class PowerStateSpec:
         """Energy cost of one suspend + wake-up cycle (used for break-even analysis)."""
         return self.suspend_energy + self.wakeup_energy
 
-    def break_even_seconds(self, power_model: PowerModel) -> float:
+    def break_even_seconds(self, power_model: LinearPowerModel) -> float:
         """Minimum sleep duration for which suspending saves energy.
 
         Solves ``idle_power * t = sleep_power * t + round_trip_energy`` so the

@@ -11,7 +11,7 @@ into dense numpy matrices for the vectorized algorithm kernels
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,8 +45,6 @@ class ResourceVector:
         if isinstance(values, ResourceVector):
             array = values._values.copy()
             dimensions = values._dimensions
-        elif isinstance(values, Mapping):
-            array = np.asarray([float(values.get(dim, 0.0)) for dim in dimensions], dtype=float)
         else:
             array = np.asarray(values, dtype=float).reshape(-1)
         if array.ndim != 1:
@@ -61,19 +59,6 @@ class ResourceVector:
         self._values = array
         self._dimensions = tuple(dimensions)
 
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def zeros(cls, dimensions: Sequence[str] = DEFAULT_DIMENSIONS) -> "ResourceVector":
-        """All-zero vector with the given dimension names."""
-        return cls(np.zeros(len(dimensions)), dimensions)
-
-    @classmethod
-    def from_mapping(
-        cls, mapping: Mapping[str, float], dimensions: Sequence[str] = DEFAULT_DIMENSIONS
-    ) -> "ResourceVector":
-        """Build from a ``{"cpu": ..., "memory": ...}`` mapping (missing keys -> 0)."""
-        return cls(mapping, dimensions)
-
     # ------------------------------------------------------------------ access
     @property
     def values(self) -> np.ndarray:
@@ -85,10 +70,6 @@ class ResourceVector:
         """Dimension names in column order."""
         return self._dimensions
 
-    def as_dict(self) -> dict[str, float]:
-        """Mapping from dimension name to value."""
-        return {dim: float(v) for dim, v in zip(self._dimensions, self._values)}
-
     def __getitem__(self, key: Union[int, str]) -> float:
         if isinstance(key, str):
             try:
@@ -99,9 +80,6 @@ class ResourceVector:
 
     def __len__(self) -> int:
         return self._values.shape[0]
-
-    def __iter__(self):
-        return iter(float(v) for v in self._values)
 
     # -------------------------------------------------------------- arithmetic
     def _coerce(self, other: ArrayLike) -> np.ndarray:
@@ -116,9 +94,6 @@ class ResourceVector:
             raise ResourceError(f"shape mismatch: {self._values.shape} vs {array.shape}")
         return array
 
-    def __add__(self, other: ArrayLike) -> "ResourceVector":
-        return ResourceVector(self._values + self._coerce(other), self._dimensions)
-
     def __sub__(self, other: ArrayLike) -> "ResourceVector":
         return ResourceVector(self._values - self._coerce(other), self._dimensions)
 
@@ -126,14 +101,6 @@ class ResourceVector:
         return ResourceVector(self._values * float(scalar), self._dimensions)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Union[float, ArrayLike]) -> "ResourceVector":
-        if np.isscalar(other):
-            return ResourceVector(self._values / float(other), self._dimensions)
-        divisor = self._coerce(other)
-        if np.any(divisor == 0):
-            raise ResourceError("division by a zero resource component")
-        return ResourceVector(self._values / divisor, self._dimensions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
@@ -146,14 +113,6 @@ class ResourceVector:
         return hash((self._dimensions, self._values.tobytes()))
 
     # -------------------------------------------------------------- predicates
-    def fits_within(self, capacity: ArrayLike, tolerance: float = 1e-9) -> bool:
-        """True if every component is <= the corresponding capacity component."""
-        return bool(np.all(self._values <= self._coerce(capacity) + tolerance))
-
-    def dominates(self, other: ArrayLike, tolerance: float = 1e-9) -> bool:
-        """True if every component is >= the corresponding component of ``other``."""
-        return bool(np.all(self._values + tolerance >= self._coerce(other)))
-
     def is_nonnegative(self, tolerance: float = 1e-9) -> bool:
         """True if no component is (meaningfully) negative."""
         return bool(np.all(self._values >= -tolerance))
@@ -162,21 +121,6 @@ class ResourceVector:
     def l1(self) -> float:
         """Sum of components (the L1 size used by one FFD variant)."""
         return float(np.sum(np.abs(self._values)))
-
-    def l2(self) -> float:
-        """Euclidean norm (used by the L2-FFD variant)."""
-        return float(np.linalg.norm(self._values))
-
-    def linf(self) -> float:
-        """Largest component (the bottleneck dimension)."""
-        return float(np.max(np.abs(self._values))) if len(self) else 0.0
-
-    def max_ratio_to(self, capacity: ArrayLike) -> float:
-        """Largest utilization ratio ``demand_i / capacity_i`` -- the binding dimension."""
-        cap = self._coerce(capacity)
-        if np.any(cap <= 0):
-            raise ResourceError("capacity components must be positive for ratio computation")
-        return float(np.max(self._values / cap))
 
     def clamp_nonnegative(self) -> "ResourceVector":
         """Return a copy with negative components snapped to zero."""

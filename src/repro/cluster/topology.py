@@ -107,21 +107,12 @@ class ClusterTopology:
     def __init__(self, spec: ClusterSpec, nodes: List[PhysicalNode]) -> None:
         self.spec = spec
         self.nodes = nodes
-        self._by_id: Dict[str, PhysicalNode] = {node.node_id: node for node in nodes}
         # Racks fill in creation order, ``nodes_per_rack`` hosts each.
         self._rack: Dict[str, int] = {
             node.node_id: index // spec.nodes_per_rack for index, node in enumerate(nodes)
         }
 
     # ----------------------------------------------------------------- access
-    def node(self, node_id: str) -> PhysicalNode:
-        """Look a node up by id; raises ``KeyError`` if unknown."""
-        return self._by_id[node_id]
-
-    def node_ids(self) -> List[str]:
-        """All node ids in creation order."""
-        return [node.node_id for node in self.nodes]
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -141,13 +132,6 @@ class ClusterTopology:
         return self.spec.inter_rack_bandwidth_mbps
 
     # ------------------------------------------------------------- aggregates
-    def total_capacity(self) -> ResourceVector:
-        """Sum of all node capacities."""
-        total = np.zeros(len(self.spec.dimensions))
-        for node in self.nodes:
-            total += node.capacity.values
-        return ResourceVector(total, tuple(self.spec.dimensions))
-
     def active_node_count(self) -> int:
         """Number of nodes hosting at least one VM."""
         return sum(1 for node in self.nodes if node.vm_count > 0)

@@ -14,7 +14,7 @@ import enum
 import itertools
 from typing import Optional
 
-from repro.cluster.resources import DEFAULT_DIMENSIONS, ResourceVector
+from repro.cluster.resources import ResourceVector
 
 
 class VMState(enum.Enum):
@@ -170,17 +170,5 @@ class VirtualMachine:
     def __repr__(self) -> str:
         return (
             f"<VM {self.name} state={self.state.value} host={self.host_id} "
-            f"req={self.requested.as_dict()}>"
+            f"req={self.requested!r}>"
         )
-
-
-def make_vm(
-    cpu: float = 0.25,
-    memory: float = 0.25,
-    network: float = 0.1,
-    **kwargs,
-) -> VirtualMachine:
-    """Convenience constructor used heavily by tests and examples."""
-    return VirtualMachine(
-        ResourceVector([cpu, memory, network], DEFAULT_DIMENSIONS), **kwargs
-    )

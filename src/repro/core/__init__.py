@@ -17,8 +17,9 @@ an exact branch-and-bound solver here).  This package implements:
   comparators of the ACO colony; the live hierarchy consolidates with ACO.
 * :mod:`repro.core.optimal` -- exact branch-and-bound vector bin packing with
   lower bounds, the stand-in for CPLEX on small instances.
-* :mod:`repro.core.migration_plan` -- derive the minimal set of live
-  migrations turning a current placement into a target placement.
+* :mod:`repro.core.migration_plan` -- derive the ordered live migrations,
+  as ``(vm_index, source_host, target_host)`` triples, turning a current
+  placement into a target placement.
 """
 
 from repro.core.placement import Placement, PlacementError
@@ -36,7 +37,7 @@ from repro.core.ffd import (
     SortKey,
 )
 from repro.core.optimal import BranchAndBoundOptimal, OptimalResult
-from repro.core.migration_plan import Migration, MigrationPlan, plan_migrations
+from repro.core.migration_plan import plan_migrations
 
 #: Old name of :class:`ACOConsolidation`, kept only because ``bench/workloads.py``
 #: imports it; goes with the next ``benchmark`` PR (ROADMAP item 2).
@@ -58,7 +59,5 @@ __all__ = [
     "SortKey",
     "BranchAndBoundOptimal",
     "OptimalResult",
-    "Migration",
-    "MigrationPlan",
     "plan_migrations",
 ]

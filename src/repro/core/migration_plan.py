@@ -10,54 +10,23 @@ estimates its cost with the :mod:`repro.migration` model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.placement import Placement, PlacementError
 
 
-@dataclass(frozen=True)
-class Migration:
-    """One VM move from ``source_host`` to ``target_host`` (matrix row indices)."""
-
-    vm_index: int
-    source_host: int
-    target_host: int
-
-    def __post_init__(self) -> None:
-        if self.source_host == self.target_host:
-            raise PlacementError("migration source and target must differ")
-
-
-@dataclass
-class MigrationPlan:
-    """An ordered, feasibility-checked sequence of migrations."""
-
-    migrations: List[Migration] = field(default_factory=list)
-    #: VMs that should move according to the target placement but for which no
-    #: feasible ordering was found (left in place; a later round retries).
-    deferred: List[int] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        """Number of migrations in the plan."""
-        return len(self.migrations)
-
-    def __iter__(self):
-        return iter(self.migrations)
-
-    def __len__(self) -> int:
-        return len(self.migrations)
-
-
 def plan_migrations(
     current: Placement,
     target: Placement,
     max_migrations: Optional[int] = None,
-) -> MigrationPlan:
+) -> List[Tuple[int, int, int]]:
     """Compute an executable migration order from ``current`` to ``target``.
+
+    Returns ``(vm_index, source_host, target_host)`` triples (matrix row
+    indices) in execution order.  A VM whose move could not be ordered is
+    absent: it stays where it is, and a later round retries it.
 
     The planner repeatedly picks a pending move whose destination currently
     has room, applies it to a working copy and continues -- a topological-ish
@@ -93,7 +62,7 @@ def plan_migrations(
 
     working = current.copy()
     residual = working.residual_capacities()
-    plan = MigrationPlan()
+    moves: List[Tuple[int, int, int]] = []
     remaining = list(pending)
 
     progress = True
@@ -101,14 +70,14 @@ def plan_migrations(
         progress = False
         still_remaining: List[int] = []
         for vm in remaining:
-            if max_migrations is not None and plan.count >= max_migrations:
+            if max_migrations is not None and len(moves) >= max_migrations:
                 still_remaining.append(vm)
                 continue
             source = int(working.assignment[vm])
             destination = int(target.assignment[vm])
             demand = working.demands[vm]
             if np.all(demand <= residual[destination] + 1e-9):
-                plan.migrations.append(Migration(vm, source, destination))
+                moves.append((vm, source, destination))
                 working.assignment[vm] = destination
                 residual[source] += demand
                 residual[destination] -= demand
@@ -116,6 +85,4 @@ def plan_migrations(
             else:
                 still_remaining.append(vm)
         remaining = still_remaining
-
-    plan.deferred = remaining
-    return plan
+    return moves

@@ -85,20 +85,11 @@ class Placement:
         """Number of hosts in the instance."""
         return self.capacities.shape[0]
 
-    @property
-    def n_dimensions(self) -> int:
-        """Number of resource dimensions."""
-        return self.capacities.shape[1]
-
     def copy(self) -> "Placement":
         """Deep copy sharing the (read-only treated) instance matrices."""
         return Placement(self.demands, self.capacities, self.assignment.copy())
 
     # ------------------------------------------------------------------ state
-    def is_assigned(self, vm_index: int) -> bool:
-        """True if VM ``vm_index`` has a host."""
-        return bool(self.assignment[vm_index] >= 0)
-
     @property
     def fully_assigned(self) -> bool:
         """True when every VM has a host."""

@@ -5,12 +5,10 @@ implemented by a predefined number of replicated Entry Points (EPs) and
 queried by the clients to discover the current GL."
 
 An Entry Point subscribes to the Group Leader heartbeat group, remembers the
-most recent leader and offers two RPC operations to clients:
-
-* ``get_leader`` -- return the current Group Leader's name;
-* ``submit_vm`` -- forward a VM submission to the current leader and relay the
-  (deferred) outcome back to the client, so clients never need to know which
-  GM currently leads.
+most recent leader and offers one RPC operation to clients, ``submit_vm``: it
+forwards a VM submission to the current leader and relays the (deferred)
+outcome back to the client, so clients never need to know which GM currently
+leads.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class EntryPoint(Component):
         self.config = config or HierarchyConfig()
         self.current_gl: Optional[str] = None
         self.forwarded_submissions = 0
-        self.rpc.register_operation("get_leader", self._op_get_leader)
         self.rpc.register_operation("submit_vm", self._op_submit_vm)
 
     def on_start(self) -> None:
@@ -60,10 +57,6 @@ class EntryPoint(Component):
             self.current_gl = leader
 
     # ------------------------------------------------------------------- RPC
-    def _op_get_leader(self) -> dict:
-        """Tell a client who currently leads (None if no heartbeat seen yet)."""
-        return {"leader": self.current_gl}
-
     def _op_submit_vm(self, vm: VirtualMachine) -> Event:
         """Forward a VM submission to the current Group Leader."""
         reply = self.sim.event()

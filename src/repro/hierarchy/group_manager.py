@@ -113,12 +113,6 @@ class GroupManager(Component):
         self.gm_summaries: Dict[str, GroupManagerSummary] = {}
         #: GMs known to the leader (from their heartbeats), used for LC assignment.
         self.known_gms: set = set()
-        #: Assignments handed to GMs that have not yet sent their first
-        #: summary -- without this a freshly joined GM reads as "0 LCs" and
-        #: captures every concurrently joining LC until its first summary
-        #: arrives (thundering-herd imbalance).  Cleared per GM when the
-        #: summary lands (the summary then carries the real count).
-        self._pending_assignments: Dict[str, int] = {}
         self._gm_timeouts: Dict[str, DeadlineHandle] = {}
         self.dispatching_policy = self.config.build_policy("dispatching")
         self.assignment_policy = self.config.build_policy("assignment")
@@ -200,7 +194,6 @@ class GroupManager(Component):
         self._gm_timeouts.clear()
         self.gm_summaries.clear()
         self.known_gms.clear()
-        self._pending_assignments.clear()
         self.multicast.group(GL_HEARTBEAT_GROUP).unsubscribe(self.name)
 
     # --------------------------------------------------------------- election
@@ -321,7 +314,6 @@ class GroupManager(Component):
         self._gm_timeouts.clear()
         self.gm_summaries.clear()
         self.known_gms.clear()
-        self._pending_assignments.clear()
         self.log_event("stepped_down_as_leader")
 
     # ----------------------------------------------------- GL: GM supervision
@@ -343,7 +335,6 @@ class GroupManager(Component):
             return
         self.gm_summaries.pop(gm_name, None)
         self.known_gms.discard(gm_name)
-        self._pending_assignments.pop(gm_name, None)
         timeout = self._gm_timeouts.pop(gm_name, None)
         if timeout is not None:
             self.discard_timeout(timeout)
@@ -357,9 +348,6 @@ class GroupManager(Component):
         summary = GroupManagerSummary.from_payload(message.payload)
         self.gm_summaries[summary.gm_id] = summary
         self.known_gms.add(summary.gm_id)
-        # The summary carries the authoritative LC count; assignments made
-        # while this GM was summary-less are now folded in.
-        self._pending_assignments.pop(summary.gm_id, None)
 
     # --------------------------------------------------------- LC supervision
     def _op_join_lc(self, lc_name: str, node_id: str) -> dict:
@@ -463,23 +451,7 @@ class GroupManager(Component):
         if not self.is_leader:
             return {"gm": None, "reason": "not the group leader"}
         known_gms = sorted(self.known_gms | set(self.gm_summaries) | {self.name})
-
-        def lc_count(gm: str) -> int:
-            if gm == self.name:
-                return len(self.local_controllers)
-            if gm in self.gm_summaries:
-                return self.gm_summaries[gm].local_controller_count
-            # A GM that heart-beated but has not yet sent its first summary:
-            # count the assignments already handed to it instead of 0, so K
-            # simultaneous joins spread instead of all piling onto it.
-            return self._pending_assignments.get(gm, 0)
-
-        chosen = self.assignment_policy.choose(
-            known_gms, {gm: lc_count(gm) for gm in known_gms}
-        )
-        if chosen is not None and chosen != self.name and chosen not in self.gm_summaries:
-            self._pending_assignments[chosen] = self._pending_assignments.get(chosen, 0) + 1
-        return {"gm": chosen}
+        return {"gm": self.assignment_policy.choose(known_gms)}
 
     # -------------------------------------------------- GL: VM dispatching
     def _op_submit_vm(self, vm: VirtualMachine) -> Event:

@@ -104,11 +104,6 @@ class TimeSeries:
         self._values.append(float(value))
 
     @property
-    def times(self) -> np.ndarray:
-        """Sample times as an array."""
-        return np.asarray(self._times)
-
-    @property
     def values(self) -> np.ndarray:
         """Sample values as an array."""
         return np.asarray(self._values)
@@ -116,17 +111,9 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self._times)
 
-    def latest(self) -> Optional[float]:
-        """Most recent value, or None if empty."""
-        return self._values[-1] if self._values else None
-
     def mean(self) -> float:
         """Arithmetic mean of the values (0 if empty)."""
         return float(np.mean(self._values)) if self._values else 0.0
-
-    def min(self) -> float:
-        """Minimum value (0 if empty)."""
-        return float(np.min(self._values)) if self._values else 0.0
 
     def max(self) -> float:
         """Maximum value (0 if empty)."""

@@ -7,7 +7,7 @@ with aligned columns so they stay readable in a terminal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def _format_value(value) -> str:
@@ -59,15 +59,6 @@ class ComparisonTable:
     def add_row(self, **values) -> None:
         """Append one row of named values."""
         self.rows.append(values)
-
-    def extend(self, rows: Iterable[Dict[str, object]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.rows.append(dict(row))
-
-    def column(self, name: str) -> List[object]:
-        """All values of a column, in row order (missing entries skipped)."""
-        return [row[name] for row in self.rows if name in row]
 
     def render(self) -> str:
         """The table as a titled plain-text block."""

@@ -230,10 +230,6 @@ class TelemetryPlane:
         self._counts[slots] = np.minimum(self._counts[slots] + 1, self.window)
         self._stale[slots] = True
 
-    def count(self, slot: int) -> int:
-        """Number of samples currently held for ``slot``."""
-        return int(self._counts[slot])
-
     # --------------------------------------------------------------- estimates
     def estimates(self, slots: Sequence[int]) -> np.ndarray:
         """Demand estimate rows for ``slots`` (``(len(slots), d)``).
@@ -248,10 +244,6 @@ class TelemetryPlane:
             return np.zeros((0, 0), dtype=float)
         self._refresh_stale()
         return self._estimates[np.asarray(list(slots), dtype=np.int64).reshape(-1)]
-
-    def estimate_row(self, slot: int) -> np.ndarray:
-        """The cached estimate row of one slot (refreshing if stale)."""
-        return self.estimates([slot])[0]
 
     def _refresh_stale(self) -> None:
         stale = np.flatnonzero(self._stale)

@@ -58,12 +58,6 @@ class GroupManagerSummary:
             ratios = np.where(total > 0, self.reserved.values / total, 0.0)
         return float(ratios.mean()) if ratios.size else 0.0
 
-    def could_host(self, demand: ResourceVector) -> bool:
-        """Optimistic admission test used by GL dispatching (may still fail at the GM)."""
-        return demand.fits_within(self.free_capacity()) and demand.fits_within(
-            self.largest_free_slot
-        )
-
     def to_payload(self) -> dict:
         """Serialize for transmission over the simulated network."""
         return {
@@ -265,4 +259,3 @@ class GroupReports:
         return GroupManagerSummary.from_rows(
             gm_id, timestamp, capacity, reserved, used, int(vm_counts.sum())
         )
-

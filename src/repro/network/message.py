@@ -109,13 +109,6 @@ class Message:
             correlation_id=self.correlation_id,
         )
 
-    @property
-    def latency(self) -> Optional[float]:
-        """Observed delivery latency (None until delivered)."""
-        if self.sent_at is None or self.delivered_at is None:
-            return None
-        return self.delivered_at - self.sent_at
-
     def __repr__(self) -> str:
         return (
             f"<Message #{self.msg_id} {self.msg_type.value} {self.sender} -> {self.recipient}>"

@@ -153,11 +153,6 @@ class MulticastGroup:
                         arrived[member] = (arrival, sender, payload)
             self._folded_to = max(self._folded_to, record.last)
 
-    @property
-    def subscribers(self) -> List[str]:
-        """Snapshot of current subscriber endpoint names."""
-        return list(self._subscribers)
-
     def __contains__(self, endpoint_name: str) -> bool:
         return endpoint_name in self._subscriber_set
 
@@ -314,7 +309,3 @@ class MulticastRegistry:
         if name not in self._groups:
             self._groups[name] = MulticastGroup(self.network, name)
         return self._groups[name]
-
-    def groups(self) -> Dict[str, MulticastGroup]:
-        """All groups created so far."""
-        return dict(self._groups)

@@ -176,11 +176,6 @@ class RpcChannel:
                 record["on_error"](payload.get("error", "unknown error"))
 
     # ------------------------------------------------------------------ misc
-    @property
-    def pending_calls(self) -> int:
-        """Number of calls still waiting for a reply."""
-        return len(self._pending)
-
     def cancel_all(self) -> None:
         """Drop all outstanding calls without firing callbacks (owner crashed)."""
         for record in self._pending.values():

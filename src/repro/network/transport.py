@@ -159,20 +159,9 @@ class Network:
         self.connectivity_epoch += 1
         return endpoint
 
-    def unregister(self, name: str) -> None:
-        """Remove an endpoint entirely (component decommissioned)."""
-        self._endpoints.pop(name, None)
-        self.connectivity_epoch += 1
-        self._release_absorbed(name)
-
     def endpoint(self, name: str) -> Optional[Endpoint]:
         """Look up an endpoint by name."""
         return self._endpoints.get(name)
-
-    def is_connected(self, name: str) -> bool:
-        """True if the endpoint exists and is not disconnected."""
-        endpoint = self._endpoints.get(name)
-        return endpoint is not None and endpoint.connected
 
     # -------------------------------------------------------- failure control
     def disconnect(self, name: str) -> None:

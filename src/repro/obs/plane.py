@@ -211,12 +211,6 @@ class ObservabilityPlane:
         """Prometheus text exposition ('' when metrics are disabled)."""
         return self.registry.to_text() if self.registry is not None else ""
 
-    def metrics_dict(self) -> dict:
-        """Canonical metrics dump (empty families when metrics are disabled)."""
-        if self.registry is None:
-            return {"counters": {}, "gauges": {}, "histograms": {}}
-        return self.registry.to_dict()
-
     def chrome_trace(self) -> dict:
         """Chrome trace-event JSON (empty trace when tracing is disabled)."""
         if self.tracer is None:

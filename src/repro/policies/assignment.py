@@ -8,7 +8,7 @@ point.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.policies.registry import register_policy
 
@@ -20,14 +20,10 @@ class AssignmentPolicy(abc.ABC):
     name: str = "base"
 
     @abc.abstractmethod
-    def choose(
-        self, gm_ids: Sequence[str], lc_counts: Mapping[str, int]
-    ) -> Optional[str]:
+    def choose(self, gm_ids: Sequence[str]) -> Optional[str]:
         """Return the chosen GM id (``None`` when ``gm_ids`` is empty).
 
-        ``gm_ids`` is the sorted list of currently known Group Managers;
-        ``lc_counts`` maps each of them to the number of Local Controllers it
-        already manages (from its latest summary).
+        ``gm_ids`` is the sorted list of currently known Group Managers.
         """
 
 
@@ -40,12 +36,9 @@ class RoundRobinAssignment(AssignmentPolicy):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(
-        self, gm_ids: Sequence[str], lc_counts: Mapping[str, int]
-    ) -> Optional[str]:
+    def choose(self, gm_ids: Sequence[str]) -> Optional[str]:
         if not gm_ids:
             return None
         chosen = gm_ids[self._next % len(gm_ids)]
         self._next += 1
         return chosen
-

@@ -73,10 +73,5 @@ class MigrationPlan:
         """True if the policy decided not to move anything."""
         return not self.moves
 
-    @property
-    def hosts_saved(self) -> int:
-        """Net reduction in active hosts if the plan executes fully."""
-        return max(0, self.hosts_before - self.hosts_after)
-
     def __len__(self) -> int:
         return len(self.moves)

@@ -45,11 +45,10 @@ class DispatchingPolicy(abc.ABC):
     ) -> List[str]:
         """GM ids whose summary does not rule out hosting the VM.
 
-        One batched feasibility test over all summaries instead of two
-        ``fits_within`` calls per GM: the Group Leader runs this once per
-        submission, so the per-GM scalar path made dispatch latency grow
-        linearly with the GM count.  Same tolerance, same result as
-        ``summary.could_host(demand)`` per id.
+        One batched feasibility test over all summaries: the demand must fit
+        both a GM's free capacity and its largest free slot.  The Group
+        Leader runs this once per submission, so a per-GM scalar path would
+        make dispatch latency grow linearly with the GM count.
         """
         if not summaries:
             return []

@@ -120,14 +120,10 @@ class ReconfigurationPolicy:
             return plan
 
         plan.hosts_after = target.hosts_used()
-        for migration in plan_migrations(current, target, max_migrations=self.max_migrations):
-            plan.moves.append(
-                (
-                    vm_list[migration.vm_index],
-                    node_list[migration.source_host],
-                    node_list[migration.target_host],
-                )
-            )
+        for vm, source, destination in plan_migrations(
+            current, target, max_migrations=self.max_migrations
+        ):
+            plan.moves.append((vm_list[vm], node_list[source], node_list[destination]))
 
         if self.warm_start:
             # Persist the *target* pairs: the plan the search converged to is

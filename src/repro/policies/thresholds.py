@@ -28,11 +28,3 @@ class UtilizationThresholds:
                 f"thresholds must satisfy 0 <= underload < overload <= 1, "
                 f"got underload={self.underload}, overload={self.overload}"
             )
-
-    def is_overloaded(self, utilization: float) -> bool:
-        """True if the utilization exceeds the overload threshold."""
-        return utilization > self.overload
-
-    def is_underloaded(self, utilization: float) -> bool:
-        """True if the utilization is below the underload threshold (but the host is in use)."""
-        return utilization < self.underload

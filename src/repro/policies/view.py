@@ -1,11 +1,10 @@
 """A shared, numpy-backed snapshot of a set of physical nodes.
 
-Every policy kind used to re-scan ``PhysicalNode`` lists with per-node Python
-arithmetic (``node.reserved()`` sums VM vectors, ``node.available()`` builds
-fresh ``ResourceVector`` objects, ...).  :class:`ClusterView` gathers that
-state **once** into flat arrays so the actual decision math -- feasibility
-masks, residual-capacity scores, utilization rankings, victim selection -- is
-a handful of vectorized numpy expressions over all nodes at once.
+Rather than have every policy kind re-scan ``PhysicalNode`` lists with
+per-node Python arithmetic, :class:`ClusterView` gathers node state **once**
+into flat arrays so the actual decision math -- feasibility masks,
+residual-capacity scores, utilization rankings, victim selection -- is a
+handful of vectorized numpy expressions over all nodes at once.
 
 The view is a *snapshot*: it does not track later mutations of the nodes.
 Policies receive a fresh view per decision (or build one per relocation /

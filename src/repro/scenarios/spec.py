@@ -97,9 +97,7 @@ class WorkloadPhase(PlainData):
         # Probe the trace factory so bad trace parameters surface immediately.
         trace_factory(np.random.default_rng(0))
         return WorkloadGenerator(
-            demand_distribution=_compile_kind(
-                "demand", lambda kind, **kw: make_distribution(kind, **kw), self.demand
-            ),
+            demand_distribution=_compile_kind("demand", make_distribution, self.demand),
             arrival_process=_compile_kind("arrival", make_arrival, self.arrival),
             trace_factory=trace_factory,
             lifetime_distribution=_compile_kind("lifetime", make_lifetime, self.lifetime),

@@ -27,7 +27,7 @@ import itertools
 import math
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 
 class SimulationError(RuntimeError):
@@ -313,10 +313,12 @@ class Simulator:
 
     def step(self) -> Optional[Event]:
         """Execute the single next pending event; return it (or None if queue empty)."""
-        self.peek()  # drops cancelled heads
-        if not self._queue:
+        queue = self._queue
+        while queue and queue[0][3] is _FIRE and queue[0][4].cancelled:
+            heappop(queue)
+        if not queue:
             return None
-        event = _handle(heappop(self._queue))
+        event = _handle(heappop(queue))
         self.now = event.time
         begin = perf_counter()
         event._fire()
@@ -325,19 +327,8 @@ class Simulator:
         self._processed += 1
         return event
 
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none are scheduled."""
-        queue = self._queue
-        while queue and queue[0][3] is _FIRE and queue[0][4].cancelled:
-            heappop(queue)
-        return queue[0][0] if queue else math.inf
-
-    def pending_events(self) -> Iterator[Event]:
-        """Iterate over not-yet-cancelled queued events (diagnostics only)."""
-        return (event for event in map(_handle, self._queue) if not event.cancelled)
-
     def __len__(self) -> int:
-        return sum(1 for _ in self.pending_events())
+        return sum(1 for event in map(_handle, self._queue) if not event.cancelled)
 
     # --------------------------------------------------------------- services
     def register_service(self, name: str, service: Any) -> None:

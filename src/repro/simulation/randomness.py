@@ -12,7 +12,7 @@ draws from its own named stream derived from a single experiment seed via
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class RandomRouter:
             )
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
-
-    def streams(self, names: Iterable[str]) -> Dict[str, np.random.Generator]:
-        """Materialize several streams at once."""
-        return {name: self.stream(name) for name in names}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RandomRouter seed={self.seed} streams={sorted(self._streams)}>"

@@ -187,12 +187,19 @@ class SweepRunner:
         return self.posted
 
 
+def check_port(port: int) -> int:
+    """``port`` if it is a TCP port number; ``ValueError`` naming it otherwise."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be 0-65535, got {port}")
+    return port
+
+
 def parse_address(value: str) -> Tuple[str, int]:
     """``HOST:PORT`` -> ``(host, port)`` with a helpful error."""
     host, _, port = value.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
+    return host, check_port(int(port))
 
 
 def work(connect: str, runner_id: Optional[str] = None) -> int:

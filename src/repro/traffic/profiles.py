@@ -3,7 +3,7 @@
 A service's offered traffic is a rate function ``rate(t) -> requests/second``.
 Rather than invent a second shape vocabulary, a profile *reuses* the
 utilization-trace kinds of :mod:`repro.workloads.traces` (``constant``,
-``diurnal``, ``randomwalk``, ``bursty``, ``spike``, ``replay``) as a
+``diurnal``, ``bursty``, ``spike``, ``replay``) as a
 normalized shape in [0, 1] and scales it by ``peak_rps``:
 
 * ``{"kind": "diurnal", "peak_rps": 400, "base": 0.2, "peak": 1.0, ...}`` --

@@ -7,25 +7,22 @@ running a benchmark application.  This package reproduces both workload styles
 and adds the time-varying CPU traces needed for the overload/underload and
 energy experiments:
 
-* :mod:`repro.workloads.distributions` -- static demand vectors.
+* :mod:`repro.workloads.distributions` -- static demand vectors (uniform,
+  correlated).
 * :mod:`repro.workloads.traces` -- CPU-utilization time series (constant,
-  random walk, periodic/diurnal, bursty, spike).
+  diurnal, bursty, spike, replay).
 * :mod:`repro.workloads.generator` -- VM batches and arrival processes.
 """
 
 from repro.workloads.distributions import (
     CorrelatedDemandDistribution,
     DemandDistribution,
-    HeavyTailDemandDistribution,
-    NormalDemandDistribution,
     UniformDemandDistribution,
 )
 from repro.workloads.traces import (
     BurstyTrace,
-    CompositeTrace,
     ConstantTrace,
     DiurnalTrace,
-    RandomWalkTrace,
     SpikeTrace,
     TraceReplay,
     UtilizationTrace,
@@ -51,17 +48,13 @@ from repro.workloads.generator import (
 __all__ = [
     "DemandDistribution",
     "UniformDemandDistribution",
-    "NormalDemandDistribution",
     "CorrelatedDemandDistribution",
-    "HeavyTailDemandDistribution",
     "UtilizationTrace",
     "ConstantTrace",
-    "RandomWalkTrace",
     "DiurnalTrace",
     "BurstyTrace",
     "SpikeTrace",
     "TraceReplay",
-    "CompositeTrace",
     "make_trace_factory",
     "VMRequest",
     "ArrivalProcess",

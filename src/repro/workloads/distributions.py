@@ -3,9 +3,8 @@
 Each distribution produces ``(n, d)`` matrices of per-VM resource demands
 expressed as fractions of a reference host capacity.  The GRID'11 evaluation
 the paper summarizes draws CPU and memory demands uniformly at random from a
-bounded interval; the other distributions exist for sensitivity studies and
-for the scale experiments (heavy-tailed demands make packing harder and are
-closer to production traces such as Google's cluster data).
+bounded interval; the correlated distribution ties a VM's dimensions together,
+the harder case for single-dimension FFD.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ class DemandDistribution(abc.ABC):
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Return an ``(count, d)`` matrix of demands in (0, 1]."""
 
-    def _clip(self, demands: np.ndarray, lower: float = 0.01, upper: float = 1.0) -> np.ndarray:
+    def _clip(self, demands: np.ndarray) -> np.ndarray:
         """Keep demands strictly positive and no larger than a full host."""
-        return np.clip(demands, lower, upper)
+        return np.clip(demands, 0.01, 1.0)
 
 
 class UniformDemandDistribution(DemandDistribution):
@@ -60,28 +59,6 @@ class UniformDemandDistribution(DemandDistribution):
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         demands = rng.uniform(self.low, self.high, size=(count, self.n_dimensions))
-        return self._clip(demands)
-
-
-class NormalDemandDistribution(DemandDistribution):
-    """Truncated-normal demands centred on ``mean`` with spread ``std``."""
-
-    def __init__(
-        self,
-        mean: float = 0.3,
-        std: float = 0.1,
-        dimensions: Sequence[str] = DEFAULT_DIMENSIONS,
-    ) -> None:
-        super().__init__(dimensions)
-        if not (0.0 < mean <= 1.0):
-            raise ValueError("mean must be in (0, 1]")
-        if std <= 0:
-            raise ValueError("std must be positive")
-        self.mean = float(mean)
-        self.std = float(std)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        demands = rng.normal(self.mean, self.std, size=(count, self.n_dimensions))
         return self._clip(demands)
 
 
@@ -118,44 +95,18 @@ class CorrelatedDemandDistribution(DemandDistribution):
         return self._clip(demands)
 
 
-class HeavyTailDemandDistribution(DemandDistribution):
-    """Pareto-like demands: many small VMs, a few very large ones.
-
-    Production clusters (e.g. the Google trace) show heavy-tailed task sizes;
-    this distribution stresses consolidation because large VMs dominate bins.
-    """
-
-    def __init__(
-        self,
-        shape: float = 2.5,
-        scale: float = 0.08,
-        cap: float = 0.9,
-        dimensions: Sequence[str] = DEFAULT_DIMENSIONS,
-    ) -> None:
-        super().__init__(dimensions)
-        if shape <= 1.0:
-            raise ValueError("shape must exceed 1 for a finite mean")
-        if not (0.0 < scale < cap <= 1.0):
-            raise ValueError("require 0 < scale < cap <= 1")
-        self.shape = float(shape)
-        self.scale = float(scale)
-        self.cap = float(cap)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        demands = self.scale * (1.0 + rng.pareto(self.shape, size=(count, self.n_dimensions)))
-        return self._clip(demands, upper=self.cap)
+_DEMAND_KINDS: dict = {
+    "correlated": CorrelatedDemandDistribution,
+    "uniform": UniformDemandDistribution,
+}
 
 
 def make_distribution(name: str, **kwargs) -> DemandDistribution:
-    """Factory used by the CLI and benchmark harness (``uniform``, ``normal``...)."""
-    registry = {
-        "uniform": UniformDemandDistribution,
-        "normal": NormalDemandDistribution,
-        "correlated": CorrelatedDemandDistribution,
-        "heavytail": HeavyTailDemandDistribution,
-    }
+    """Factory used by the scenario engine (``correlated``, ``uniform``)."""
     try:
-        cls = registry[name.lower()]
+        cls = _DEMAND_KINDS[name.lower()]
     except KeyError as exc:
-        raise ValueError(f"unknown demand distribution {name!r}; choose from {sorted(registry)}") from exc
+        raise ValueError(
+            f"unknown demand distribution {name!r}; available: {', '.join(sorted(_DEMAND_KINDS))}"
+        ) from exc
     return cls(**kwargs)

@@ -28,11 +28,6 @@ class UtilizationTrace(abc.ABC):
     def __call__(self, t: float) -> float:
         """Utilization fraction in [0, 1] at simulated time ``t`` (seconds)."""
 
-    def mean_over(self, horizon: float, samples: int = 512) -> float:
-        """Average utilization over ``[0, horizon]`` (used by tests and reports)."""
-        times = np.linspace(0.0, horizon, samples)
-        return float(np.mean([self(t) for t in times]))
-
 
 class ConstantTrace(UtilizationTrace):
     """Flat utilization -- the static-demand setting of the consolidation study."""
@@ -44,36 +39,6 @@ class ConstantTrace(UtilizationTrace):
 
     def __call__(self, t: float) -> float:  # noqa: ARG002 - time-invariant
         return self.level
-
-
-class RandomWalkTrace(UtilizationTrace):
-    """A bounded random walk sampled on a fixed grid and held between samples."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        start: float = 0.5,
-        step_std: float = 0.05,
-        interval: float = 60.0,
-        horizon: float = 86_400.0,
-        low: float = 0.05,
-        high: float = 0.95,
-    ) -> None:
-        if not (0.0 <= low < high <= 1.0):
-            raise ValueError("require 0 <= low < high <= 1")
-        if interval <= 0 or horizon <= 0:
-            raise ValueError("interval and horizon must be positive")
-        self.interval = float(interval)
-        steps = int(np.ceil(horizon / interval)) + 1
-        increments = rng.normal(0.0, step_std, size=steps)
-        walk = np.clip(start + np.cumsum(increments), low, high)
-        walk[0] = np.clip(start, low, high)
-        self._samples = walk
-
-    def __call__(self, t: float) -> float:
-        index = int(max(t, 0.0) // self.interval)
-        index = min(index, len(self._samples) - 1)
-        return float(self._samples[index])
 
 
 class DiurnalTrace(UtilizationTrace):
@@ -144,11 +109,6 @@ class BurstyTrace(UtilizationTrace):
                 return self.burst_level
         return self.baseline
 
-    @property
-    def burst_count(self) -> int:
-        """Number of bursts drawn for the horizon."""
-        return int(self._burst_starts.size)
-
 
 class SpikeTrace(UtilizationTrace):
     """A single step from ``before`` to ``after`` at time ``at`` -- for targeted tests."""
@@ -195,49 +155,28 @@ class TraceReplay(UtilizationTrace):
         return float(self.values[index])
 
 
+#: Trace kind -> ``build(rng, **params)``; stochastic kinds (``bursty``, noisy
+#: ``diurnal``) draw from the per-VM rng, deterministic ones ignore it.
+_TRACE_KINDS: dict = {
+    "bursty": BurstyTrace,
+    "constant": lambda rng, **params: ConstantTrace(**params),
+    "diurnal": lambda rng, **params: DiurnalTrace(rng=rng, **params),
+    "replay": lambda rng, **params: TraceReplay(**params),
+    "spike": lambda rng, **params: SpikeTrace(**params),
+}
+
+
 def make_trace_factory(kind: str, **params):
     """Build a ``factory(rng) -> UtilizationTrace`` from a trace kind and parameters.
 
-    This is the declarative entry point the scenario engine uses: stochastic
-    traces (``randomwalk``, ``bursty``, noisy ``diurnal``) receive the per-VM
-    rng at construction, deterministic ones ignore it.  Supported kinds:
-    ``constant``, ``diurnal``, ``randomwalk``, ``bursty``, ``spike``,
-    ``replay``.
+    This is the declarative entry point the scenario engine uses; the kinds are
+    the keys of ``_TRACE_KINDS`` (``bursty``, ``constant``, ``diurnal``,
+    ``replay``, ``spike``).
     """
-    key = kind.lower()
-    if key == "constant":
-        return lambda rng: ConstantTrace(**params)
-    if key == "diurnal":
-        if params.get("noise_std", 0.0) > 0:
-            return lambda rng: DiurnalTrace(rng=rng, **params)
-        return lambda rng: DiurnalTrace(**params)
-    if key == "randomwalk":
-        return lambda rng: RandomWalkTrace(rng, **params)
-    if key == "bursty":
-        return lambda rng: BurstyTrace(rng, **params)
-    if key == "spike":
-        return lambda rng: SpikeTrace(**params)
-    if key == "replay":
-        return lambda rng: TraceReplay(**params)
-    raise ValueError(
-        f"unknown trace kind {kind!r}; choose from "
-        "['bursty', 'constant', 'diurnal', 'randomwalk', 'replay', 'spike']"
-    )
-
-
-class CompositeTrace(UtilizationTrace):
-    """Sum of traces clipped to [0, 1] (e.g. diurnal base + bursts)."""
-
-    def __init__(self, traces: Sequence[UtilizationTrace], weights: Optional[Sequence[float]] = None) -> None:
-        if not traces:
-            raise ValueError("need at least one trace")
-        self.traces = list(traces)
-        if weights is None:
-            weights = [1.0] * len(self.traces)
-        if len(weights) != len(self.traces):
-            raise ValueError("weights length must match traces length")
-        self.weights = [float(w) for w in weights]
-
-    def __call__(self, t: float) -> float:
-        total = sum(w * trace(t) for w, trace in zip(self.weights, self.traces))
-        return float(np.clip(total, 0.0, 1.0))
+    try:
+        build = _TRACE_KINDS[kind.lower()]
+    except KeyError as exc:
+        raise ValueError(
+            f"unknown trace kind {kind!r}; available: {', '.join(sorted(_TRACE_KINDS))}"
+        ) from exc
+    return lambda rng: build(rng, **params)

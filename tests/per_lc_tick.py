@@ -189,7 +189,7 @@ class PerLcTickController(LocalController):
         utilization = report["utilization"]
         thresholds = self.config.thresholds
         now = self.sim.now
-        if thresholds.is_overloaded(utilization) and now - self._last_overload_report >= self.anomaly_cooldown:
+        if utilization > thresholds.overload and now - self._last_overload_report >= self.anomaly_cooldown:
             self._last_overload_report = now
             self.network.send(
                 Message(
@@ -202,7 +202,7 @@ class PerLcTickController(LocalController):
             self.log_event("overload_detected", utilization=utilization)
         elif (
             self.node.vm_count > 0
-            and thresholds.is_underloaded(utilization)
+            and utilization < thresholds.underload
             and now - self._last_underload_report >= self.anomaly_cooldown
         ):
             self._last_underload_report = now

@@ -167,7 +167,7 @@ class HostMonitor:
             "timestamp": now,
             "capacity": self.node.capacity.values.tolist(),
             "used": self.estimated_used().values.tolist(),
-            "reserved": self.node.reserved().values.tolist(),
+            "reserved": self.node.reserved_values().tolist(),
             "vm_count": self.node.vm_count,
             "utilization": self.utilization(),
             "vm_usage": {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import lower_bound_hosts, validate_instance
-from repro.core.migration_plan import Migration, plan_migrations
+from repro.core.migration_plan import plan_migrations
 from repro.core.placement import Placement, PlacementError, placement_from_view
 from repro.policies.view import ClusterView
 
@@ -67,7 +67,7 @@ class TestPlacement:
         placement.assign(0, 0)
         clone = placement.copy()
         clone.assign(1, 1)
-        assert not placement.is_assigned(1)
+        assert placement.assignment[1] == -1
 
     def test_invalid_construction(self):
         demands, capacities = simple_instance()
@@ -138,11 +138,7 @@ class TestMigrationPlanning:
         capacities = np.tile([1.0, 1.0], (3, 1))
         current = Placement(demands, capacities, assignment=[0, 1, 2])
         target = Placement(demands, capacities, assignment=[0, 0, 2])
-        plan = plan_migrations(current, target)
-        assert plan.count == 1
-        move = plan.migrations[0]
-        assert (move.vm_index, move.source_host, move.target_host) == (1, 1, 0)
-        assert plan.deferred == []
+        assert plan_migrations(current, target) == [(1, 1, 0)]
 
     def test_plan_orders_chained_moves(self):
         # VM1 must leave host1 before VM0 can move in (capacity 1.0 each dimension).
@@ -150,27 +146,28 @@ class TestMigrationPlanning:
         capacities = np.tile([1.0, 1.0], (3, 1))
         current = Placement(demands, capacities, assignment=[0, 1])
         target = Placement(demands, capacities, assignment=[1, 2])
-        plan = plan_migrations(current, target)
-        assert [m.vm_index for m in plan.migrations] == [1, 0]
-        assert plan.deferred == []
+        assert plan_migrations(current, target) == [(1, 1, 2), (0, 0, 1)]
 
     def test_cyclic_swap_is_deferred_not_violated(self):
         demands = np.array([[0.9, 0.1], [0.9, 0.1]])
         capacities = np.tile([1.0, 1.0], (2, 1))
         current = Placement(demands, capacities, assignment=[0, 1])
         target = Placement(demands, capacities, assignment=[1, 0])
-        plan = plan_migrations(current, target)
-        assert plan.count == 0
-        assert sorted(plan.deferred) == [0, 1]
+        # Both VMs are deferred: neither appears among the moves.
+        assert plan_migrations(current, target) == []
 
     def test_max_migrations_cap(self):
         demands = np.tile([0.2, 0.2], (6, 1))
         capacities = np.tile([1.0, 1.0], (6, 1))
         current = Placement(demands, capacities, assignment=[0, 1, 2, 3, 4, 5])
         target = Placement(demands, capacities, assignment=[0, 0, 0, 0, 0, 0])
-        plan = plan_migrations(current, target, max_migrations=2)
-        assert plan.count == 2
-        assert len(plan.deferred) == 3
+        moves = plan_migrations(current, target, max_migrations=2)
+        assert len(moves) == 2
+        # VM 0 already sits on host 0; of the five that should move, the
+        # three over the cap are deferred and absent from the moves.
+        moved = [vm for vm, _, _ in moves]
+        assert all(target_host == 0 for _, _, target_host in moves)
+        assert len(set(range(1, 6)) - set(moved)) == 3
 
     def test_mismatched_instances_rejected(self):
         demands = np.array([[0.4, 0.4]])
@@ -180,15 +177,10 @@ class TestMigrationPlanning:
         with pytest.raises(PlacementError):
             plan_migrations(current, other)
 
-    def test_migration_validation(self):
-        with pytest.raises(PlacementError):
-            Migration(vm_index=0, source_host=1, target_host=1)
-
     def test_moves_that_empty_hosts_go_first(self):
         # Host 2 is emptied by the target; its VM's move should be planned first.
         demands = np.array([[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]])
         capacities = np.tile([1.0, 1.0], (3, 1))
         current = Placement(demands, capacities, assignment=[0, 1, 2])
         target = Placement(demands, capacities, assignment=[1, 1, 0])
-        plan = plan_migrations(current, target)
-        assert plan.migrations[0].vm_index in (0, 2)
+        assert plan_migrations(current, target)[0][0] in (0, 2)

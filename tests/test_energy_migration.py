@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import NodeState, PhysicalNode
-from repro.cluster.power import CubicPowerModel, LinearPowerModel, PowerStateSpec
+from repro.cluster.power import LinearPowerModel, PowerStateSpec
 from repro.cluster.resources import ResourceVector
 from repro.energy.accounting import EnergyMeter, static_placement_energy
 from repro.energy.power_manager import PowerManagerConfig, PowerStateManager
@@ -65,10 +65,10 @@ class TestEnergyMeterAgainstScalarIntegrator:
 
         Random place / remove / usage-write / suspend / wake / fail sequences
         with ``update()`` and ``report()`` at arbitrary points between the
-        periodic samples, linear and cubic power models mixed.
+        periodic samples, linear power models with different constants mixed.
         """
         sim = Simulator()
-        models = [LinearPowerModel(), CubicPowerModel(), LinearPowerModel(90.0, 310.0)]
+        models = [LinearPowerModel(), LinearPowerModel(120.0, 180.0), LinearPowerModel(90.0, 310.0)]
         nodes = [
             PhysicalNode(f"node-{index}", power_model=models[index % len(models)])
             for index in range(5)

@@ -36,14 +36,22 @@ NETWORKS = {
     "lossy": {"loss_probability": 0.02},
 }
 
+DURATION = 320.0
+
 TRACES = [
     # Hot enough that packed hosts cross the overload threshold.
     {"kind": "constant", "level": 0.95},
     {"kind": "diurnal", "base": 0.05, "peak": 1.0, "period": 240.0, "peak_time": 120.0},
-    {"kind": "randomwalk", "start": 0.6, "step_std": 0.2},
+    # Per-VM stochastic: each VM draws its own bursts from its own stream.
+    {
+        "kind": "bursty",
+        "baseline": 0.3,
+        "burst_level": 1.0,
+        "burst_rate_per_hour": 30.0,
+        "burst_duration": 60.0,
+        "horizon": DURATION,
+    },
 ]
-
-DURATION = 320.0
 
 
 @st.composite

@@ -77,10 +77,10 @@ class TestComponentBase:
         assert component.is_running
         component.fail()
         assert component.state is ComponentState.FAILED
-        assert not network.is_connected("comp-0")
+        assert not network.endpoint("comp-0").connected
         component.recover()
         assert component.is_running
-        assert network.is_connected("comp-0")
+        assert network.endpoint("comp-0").connected
 
     def test_fail_stops_timers(self, sim):
         component, _ = self.make_component(sim)
@@ -127,15 +127,6 @@ class TestComponentBase:
 
 
 class TestEntryPoint:
-    def test_get_leader_operation(self, small_system):
-        # Exercised through the client RPC channel.
-        results = []
-        small_system.client.rpc.call(
-            "ep-00", "get_leader", on_reply=results.append, timeout=5.0
-        )
-        small_system.run(5.0)
-        assert results and results[0]["leader"] == small_system.current_leader()
-
     def test_submission_without_leader_is_rejected(self, sim):
         from repro.hierarchy.entry_point import EntryPoint
         from repro.network.rpc import RpcChannel

@@ -123,7 +123,7 @@ class TestSubmissionPath:
         small_system.submit_requests(generator.generate(15, np.random.default_rng(5)))
         small_system.run(120.0)
         for node in small_system.topology:
-            assert node.reserved().fits_within(node.capacity)
+            assert np.all(node.reserved_values() <= node.capacity.values + 1e-9)
 
 
 class TestRelocationBehaviour:
@@ -313,4 +313,4 @@ class TestRecording:
         small_system.run(120.0)
         series = recorder.series("powered_on_hosts")
         assert len(series) >= 4
-        assert series.latest() == 6.0
+        assert series.values[-1] == 6.0

@@ -41,24 +41,21 @@ class TestTimeSeries:
         for t, v in [(0.0, 4.0), (10.0, 6.0), (20.0, 2.0)]:
             series.append(t, v)
         assert len(series) == 3
-        assert series.latest() == 2.0
+        assert series.values.tolist() == [4.0, 6.0, 2.0]
         assert series.mean() == pytest.approx(4.0)
-        assert series.min() == 2.0
         assert series.max() == 6.0
 
-    def test_empty_history_statistics_are_zero_or_none(self):
+    def test_empty_history_statistics_are_zero(self):
         series = TimeSeries("empty")
         assert len(series) == 0
-        assert series.latest() is None
+        assert series.values.size == 0
         assert series.mean() == 0.0
-        assert series.min() == 0.0
         assert series.max() == 0.0
         assert series.time_weighted_mean() == 0.0
 
     def test_single_sample_statistics(self):
         series = TimeSeries("one")
         series.append(5.0, 42.0)
-        assert series.latest() == 42.0
         assert series.mean() == 42.0
         assert series.time_weighted_mean() == 42.0  # no duration: plain mean
 
@@ -86,11 +83,6 @@ class TestTimeSeries:
         series.append(10.0, 200.0)  # 100 W held for 10 s
         series.append(40.0, 0.0)  # 200 W held for 30 s
         assert series.time_weighted_mean() == pytest.approx((100 * 10 + 200 * 30) / 40)
-
-    def test_empty_series_statistics(self):
-        series = TimeSeries("empty")
-        assert series.latest() is None
-        assert series.mean() == 0.0
 
 
 class TestTimeSeriesRecorder:
@@ -158,9 +150,9 @@ class TestReportTables:
     def test_comparison_table_rows_and_render(self):
         table = ComparisonTable("My experiment", columns=["name", "value"])
         table.add_row(name="x", value=1)
-        table.extend([{"name": "y", "value": 2}])
+        table.add_row(name="y", value=2)
         assert len(table) == 2
-        assert table.column("value") == [1, 2]
+        assert table.rows == [{"name": "x", "value": 1}, {"name": "y", "value": 2}]
         rendered = table.render()
         assert rendered.startswith("My experiment")
         assert "=" * len("My experiment") in rendered

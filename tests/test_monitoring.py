@@ -19,6 +19,7 @@ from repro.monitoring.summary import (
     GroupReports,
     ReportRoute,
 )
+from repro.policies.dispatching import FirstFitDispatching
 from repro.simulation.engine import Simulator
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
@@ -206,17 +207,23 @@ class TestGroupManagerSummary:
         assert summary.free_capacity()["cpu"] == pytest.approx(0.75)
         assert summary.utilization() == pytest.approx(0.25)
 
-    def test_could_host_respects_fragmentation(self):
+    def test_dispatching_respects_fragmentation(self):
         # Two LCs each with 0.5 free: total free 1.0 but largest slot only 0.5.
         reports = [
             self._report([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]),
             self._report([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]),
         ]
-        summary = GroupManagerSummary.from_reports("gm-0", 0.0, reports)
+        summaries = {
+            "gm-0": GroupManagerSummary.from_reports("gm-0", 0.0, reports),
+            "gm-1": GroupManagerSummary.from_reports(
+                "gm-1", 0.0, [self._report([1.0, 1.0, 1.0], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1])]
+            ),
+        }
         small = ResourceVector([0.4, 0.4, 0.4])
         large = ResourceVector([0.8, 0.8, 0.8])
-        assert summary.could_host(small)
-        assert not summary.could_host(large)
+        policy = FirstFitDispatching()
+        assert policy.decide(small, summaries).candidates == ["gm-0", "gm-1"]
+        assert policy.decide(large, summaries).candidates == ["gm-1"]
 
     def test_payload_round_trip(self):
         summary = GroupManagerSummary.from_reports(

@@ -38,7 +38,7 @@ class TestTransport:
         sim.run()
         assert len(received) == 1
         assert received[0].payload == 42
-        assert received[0].latency == pytest.approx(0.001)
+        assert received[0].delivered_at - received[0].sent_at == pytest.approx(0.001)
 
     def test_message_to_unknown_recipient_is_dropped(self, sim, network):
         network.register("alice", lambda m: None)
@@ -90,7 +90,7 @@ class TestTransport:
             sim, NetworkConfig(base_latency=0.001, jitter=0.01), rng=np.random.default_rng(2)
         )
         latencies = []
-        jittery.register("bob", lambda m: latencies.append(m.latency))
+        jittery.register("bob", lambda m: latencies.append(m.delivered_at - m.sent_at))
         for _ in range(20):
             jittery.send(Message(MessageType.VM_SUBMIT, sender="x", recipient="bob"))
         sim.run()
@@ -172,7 +172,6 @@ class TestTransport:
             lambda: network.register("a", lambda m: None),
             lambda: network.disconnect("a"),
             lambda: network.reconnect("a"),
-            lambda: network.unregister("a"),
         ):
             change()
             seen.append(network.connectivity_epoch)
@@ -341,7 +340,6 @@ class TestMulticast:
     def test_registry_caches_groups(self, sim, network):
         registry = MulticastRegistry(network)
         assert registry.group("x") is registry.group("x")
-        assert "x" in registry.groups()
 
     def test_contains(self, network):
         group = MulticastGroup(network, "g")
@@ -396,7 +394,6 @@ class TestRpc:
         client.call("ghost", "op", on_timeout=lambda: timeouts.append(True), timeout=2.0)
         sim.run()
         assert timeouts == [True]
-        assert client.pending_calls == 0
 
     def test_deferred_reply_via_event(self, sim, network):
         server = RpcChannel(network, "server")
@@ -429,7 +426,6 @@ class TestRpc:
         client.cancel_all()
         sim.run()
         assert outcomes == []
-        assert client.pending_calls == 0
 
     def test_exactly_one_callback_per_call(self, sim, network):
         server = RpcChannel(network, "server")

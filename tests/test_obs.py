@@ -430,5 +430,4 @@ class TestPlane:
             sim, ObservabilityConfig(metrics=False, tracing=False, profiling=True)
         )
         assert plane.metrics_text() == ""
-        assert plane.metrics_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert plane.chrome_trace() == {"traceEvents": [], "displayTimeUnit": "ms"}

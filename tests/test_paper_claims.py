@@ -302,7 +302,7 @@ def _relocation_run(relocation_enabled: bool) -> dict:
             sum(
                 1
                 for node in system.topology
-                if node.vm_count > 0 and E6_THRESHOLDS.is_overloaded(node.utilization())
+                if node.vm_count > 0 and node.utilization() > E6_THRESHOLDS.overload
             )
         ),
     )

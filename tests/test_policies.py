@@ -197,7 +197,7 @@ class TestClusterView:
         view = ClusterView.from_nodes(nodes)
         for node in nodes:
             index = view.index_of(node.node_id)
-            assert np.allclose(view.reserved[index], node.reserved().values)
+            assert np.allclose(view.reserved[index], node.reserved_values())
             assert np.allclose(view.capacities[index], node.capacity.values)
 
     def test_node_lookup(self):
@@ -238,12 +238,14 @@ def _reference_select(policy_name, vm, nodes):
         return min(feasible, key=lambda n: n.node_id)
     if policy_name == "best-fit":
         def residual_after(n):
-            return float(np.sum((n.available().values - vm.requested.values) / n.capacity.values))
+            available = np.maximum(n.capacity.values - n.reserved_values(), 0.0)
+            return float(np.sum((available - vm.requested.values) / n.capacity.values))
 
         return min(feasible, key=lambda n: (residual_after(n), n.node_id))
     if policy_name == "worst-fit":
         def residual(n):
-            return float(np.sum(n.available().values / n.capacity.values))
+            available = np.maximum(n.capacity.values - n.reserved_values(), 0.0)
+            return float(np.sum(available / n.capacity.values))
 
         return max(feasible, key=lambda n: (residual(n), n.node_id))
     raise AssertionError(policy_name)
@@ -293,7 +295,7 @@ class TestDecisionVocabulary:
     def test_migration_plan_defaults(self):
         plan = MigrationPlan()
         assert plan.empty
-        assert plan.hosts_saved == 0
+        assert plan.hosts_before == plan.hosts_after == 0
         assert len(plan) == 0
 
 
@@ -301,11 +303,11 @@ class TestAssignmentPolicies:
     def test_round_robin_rotates(self):
         policy = RoundRobinAssignment()
         gm_ids = ["gm-00", "gm-01", "gm-02"]
-        chosen = [policy.choose(gm_ids, {}) for _ in range(3)]
-        assert chosen == gm_ids
+        chosen = [policy.choose(gm_ids) for _ in range(4)]
+        assert chosen == gm_ids + ["gm-00"]
 
     def test_empty_gm_list(self):
-        assert RoundRobinAssignment().choose([], {}) is None
+        assert RoundRobinAssignment().choose([]) is None
 
 
 class TestAcoReconfigurationFactory:

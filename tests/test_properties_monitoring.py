@@ -121,16 +121,16 @@ class TestPlaneVsVMMonitor:
                     MonitoringSample(timestamp=float(timestamp), usage=vm.used)
                 )
             expected = reference.estimate_demand()
-            actual = plane.estimate_row(slot)
+            # Equal estimates over the bounded window: the ring buffer holds
+            # exactly the samples the deque holds.
+            actual = plane.estimates([slot])[0]
             assert (actual == expected.values).all()
-            # Window bookkeeping matches the bounded deque.
-            assert plane.count(slot) == len(reference.samples)
 
     def test_empty_window_falls_back_to_reservation(self):
         plane = TelemetryPlane(4, MeanEstimator())
         vm = make_vm(cpu=0.6)
         slot = plane.allocate(vm)
-        assert (plane.estimate_row(slot) == vm.requested.values).all()
+        assert (plane.estimates([slot])[0] == vm.requested.values).all()
 
     def test_slot_reuse_resets_the_window(self):
         plane = TelemetryPlane(4, MeanEstimator())
@@ -141,8 +141,8 @@ class TestPlaneVsVMMonitor:
         second = make_vm(cpu=0.25)
         reused = plane.allocate(second)
         assert reused == slot
-        assert plane.count(reused) == 0
-        assert (plane.estimate_row(reused) == second.requested.values).all()
+        # An empty window: the estimate falls back to the new VM's reservation.
+        assert (plane.estimates([reused])[0] == second.requested.values).all()
 
     def test_plane_grows_past_initial_capacity(self):
         plane = TelemetryPlane(2, MaxEstimator())

@@ -99,7 +99,7 @@ def demands(draw):
 
 # ----------------------------------------------------------- scalar references
 def _fits_scalar(node: PhysicalNode, vm: VirtualMachine, extra=None) -> bool:
-    reserved = node.reserved().values.copy()
+    reserved = node.reserved_values().copy()
     if extra is not None:
         reserved = reserved + extra
     return node.is_available_for_placement and bool(
@@ -108,12 +108,12 @@ def _fits_scalar(node: PhysicalNode, vm: VirtualMachine, extra=None) -> bool:
 
 
 def _residual_scalar(node: PhysicalNode, vm: VirtualMachine) -> float:
-    remaining = node.capacity.values - node.reserved().values - vm.requested.values
+    remaining = node.capacity.values - node.reserved_values() - vm.requested.values
     return float(sum(remaining[d] / node.capacity.values[d] for d in range(DIMS)))
 
 
 def _headroom_scalar(node: PhysicalNode) -> float:
-    free = np.clip(node.capacity.values - node.reserved().values, 0.0, None)
+    free = np.clip(node.capacity.values - node.reserved_values(), 0.0, None)
     return float(sum(free[d] / node.capacity.values[d] for d in range(DIMS)))
 
 
@@ -279,7 +279,7 @@ class TestNoRegisteredPolicyViolatesCapacity:
         chosen = next(node for node in nodes if node.node_id == decision.node_id)
         assert chosen.is_available_for_placement
         chosen.place_vm(vm)  # raises ResourceError on a capacity violation
-        reserved = chosen.reserved().values
+        reserved = chosen.reserved_values()
         assert np.all(reserved <= chosen.capacity.values + FIT_TOLERANCE)
 
     @given(nodes=clusters())
@@ -292,7 +292,7 @@ class TestNoRegisteredPolicyViolatesCapacity:
             src.remove_vm(vm)
             dst.place_vm(vm)  # raises on violation
         for node in nodes:
-            assert np.all(node.reserved().values <= node.capacity.values + FIT_TOLERANCE)
+            assert np.all(node.reserved_values() <= node.capacity.values + FIT_TOLERANCE)
 
     @given(nodes=clusters())
     @settings(max_examples=30, deadline=None)
@@ -311,7 +311,7 @@ class TestNoRegisteredPolicyViolatesCapacity:
         if not plan.empty:
             assert source.vm_count == 0
         for node in nodes:
-            assert np.all(node.reserved().values <= node.capacity.values + FIT_TOLERANCE)
+            assert np.all(node.reserved_values() <= node.capacity.values + FIT_TOLERANCE)
 
     @given(nodes=clusters(max_nodes=5, max_vms=10), data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -331,4 +331,4 @@ class TestNoRegisteredPolicyViolatesCapacity:
             src.remove_vm(vm)
             dst.place_vm(vm)  # raises on a capacity violation
         for node in nodes:
-            assert np.all(node.reserved().values <= node.capacity.values + FIT_TOLERANCE)
+            assert np.all(node.reserved_values() <= node.capacity.values + FIT_TOLERANCE)

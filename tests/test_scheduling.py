@@ -32,17 +32,6 @@ from tests.conftest import join_view, make_node, make_vm
 
 
 class TestThresholds:
-    def test_classification(self):
-        thresholds = UtilizationThresholds(underload=0.2, overload=0.8)
-        assert thresholds.is_underloaded(0.1) and not thresholds.is_overloaded(0.1)
-        assert not thresholds.is_underloaded(0.5) and not thresholds.is_overloaded(0.5)
-        assert thresholds.is_overloaded(0.9) and not thresholds.is_underloaded(0.9)
-
-    def test_boundaries_are_moderate(self):
-        thresholds = UtilizationThresholds(underload=0.2, overload=0.8)
-        assert not thresholds.is_underloaded(0.2)
-        assert not thresholds.is_overloaded(0.8)
-
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
             UtilizationThresholds(underload=0.9, overload=0.8)
@@ -290,7 +279,6 @@ class TestReconfiguration:
         plan = policy.plan(join_view(nodes))
         assert plan.hosts_before == 4
         assert plan.hosts_after < plan.hosts_before
-        assert plan.hosts_saved >= 1
         assert not plan.empty
 
     def test_released_nodes_are_reported(self):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -87,11 +86,13 @@ class TestSimulatorScheduling:
         assert seen == [1]
         assert sim.now == 1.0
 
-    def test_peek_returns_next_event_time(self, sim):
-        assert sim.peek() == math.inf
-        sim.schedule(4.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.peek() == 2.0
+    def test_step_skips_cancelled_events(self, sim):
+        seen = []
+        sim.schedule(4.0, seen.append, 4)
+        sim.schedule(2.0, seen.append, 2).cancel()
+        assert sim.step().time == 4.0
+        assert seen == [4]
+        assert sim.step() is None
 
     def test_max_events_limits_processing(self, sim):
         seen = []
@@ -135,7 +136,6 @@ class TestSimulatorScheduling:
         sim.post(2.0, seen.append, "posted", Simulator.PRIORITY_HIGH)
         sim.schedule(2.0, seen.append, "scheduled")
         assert len(sim) == 2
-        assert [event.priority for event in sim.pending_events()] == [Simulator.PRIORITY_HIGH, 0]
         stepped = sim.step()
         assert seen == ["posted"] and stepped.fired and stepped.time == sim.now == 2.0
         assert sim.processed_events == 1 and len(sim) == 1
@@ -435,9 +435,3 @@ class TestRandomRouter:
         second = RandomRouter(3)
         beta_only = second.stream("beta").random(4)
         assert np.allclose(alpha_then_beta, beta_only)
-
-    def test_contains(self):
-        router = RandomRouter(0)
-        assert "x" not in router
-        router.stream("x")
-        assert "x" in router

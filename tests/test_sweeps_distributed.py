@@ -136,8 +136,11 @@ class TestWireFraming:
 
     def test_parse_address(self):
         assert parse_address("10.0.0.1:9999") == ("10.0.0.1", 9999)
+        assert parse_address("h:0") == ("h", 0) and parse_address("h:65535") == ("h", 65535)
         with pytest.raises(ValueError, match="HOST:PORT"):
             parse_address("nonsense")
+        with pytest.raises(ValueError, match="port must be 0-65535, got 65536"):
+            parse_address("h:65536")
 
 
 # ---------------------------------------------------------------- coordinator
@@ -481,6 +484,26 @@ class TestSweepDistributedCLI:
 
         assert main(["sweep", "work", "--connect", "127.0.0.1:1"]) == 1
         assert "cannot reach coordinator" in capsys.readouterr().err
+
+    def test_serve_port_out_of_range_is_one_error_line(self, capsys):
+        from repro.cli.main import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "serve", "smoke-2x2", "--host", "127.0.0.1", "--port", "70000"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --port: port must be 0-65535, got 70000\n")
+        assert "Traceback" not in err
+
+    def test_work_port_out_of_range_opens_no_connection(self, capsys, monkeypatch):
+        from repro.cli.main import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"sweep work connected to {args}")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        assert main(["sweep", "work", "--connect", "127.0.0.1:70000"]) == 1
+        assert capsys.readouterr().err == "error: port must be 0-65535, got 70000\n"
 
     def test_flag_action_mismatches_rejected(self):
         from repro.cli.main import main
