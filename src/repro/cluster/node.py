@@ -152,7 +152,7 @@ class PhysicalNode:
         return float(min(self.used_values()[self.cpu_index] / cap, 1.0))
 
     def fits(self, vm: VirtualMachine) -> bool:
-        """Reservation-based admission check (``ResourceVector.fits_within`` tolerance)."""
+        """Reservation-based admission check, with a 1e-9 tolerance per dimension."""
         requested = vm.requested
         if requested.dimensions != self.capacity.dimensions:
             raise ResourceError(

@@ -15,7 +15,7 @@ from repro.cluster.resources import (
     ResourceError,
     ResourceVector,
 )
-from repro.cluster.topology import ClusterSpec, build_cluster
+from repro.cluster.topology import ClusterSpec, NodeClass, build_cluster
 from repro.cluster.vm import VMState
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
@@ -72,6 +72,30 @@ class TestResourceVector:
         vector = ResourceVector([1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             vector.values[0] = 5.0
+
+    def test_construction_from_vector_keeps_dimensions(self):
+        source = ResourceVector([2.0, 3.0], dimensions=("cpu", "disk"))
+        copy = ResourceVector(source)
+        assert copy == source
+        assert copy.dimensions == ("cpu", "disk")
+        assert copy.values is not source.values
+
+    def test_unknown_dimension_name_raises_key_error(self):
+        with pytest.raises(KeyError):
+            _ = ResourceVector([0.1, 0.2, 0.3])["disk"]
+
+    def test_subtracting_wrong_length_array_rejected(self):
+        with pytest.raises(ResourceError):
+            _ = ResourceVector([1.0, 1.0, 1.0]) - [1.0, 1.0]
+
+    def test_is_nonnegative_tolerance(self):
+        assert ResourceVector([0.0, -1e-12, 0.5]).is_nonnegative()
+        assert not ResourceVector([0.0, -1e-3, 0.5]).is_nonnegative()
+
+    def test_repr_names_each_dimension(self):
+        assert repr(ResourceVector([0.5, 0.25, 0.1])) == (
+            "ResourceVector(cpu=0.5, memory=0.25, network=0.1)"
+        )
 
 
 class TestVirtualMachine:
@@ -204,6 +228,14 @@ class TestPhysicalNode:
         vm.update_usage(0.0)
         assert node.utilization() == pytest.approx(0.3)
 
+    def test_available_capacity(self):
+        node = make_node()
+        vm = make_vm(0.25, 0.5, 0.25)
+        node.place_vm(vm)
+        assert (node.capacity.values - node.reserved_values()).tolist() == pytest.approx([0.75, 0.5, 0.75])
+        node.remove_vm(vm)
+        assert (node.capacity.values - node.reserved_values()).tolist() == pytest.approx([1.0, 1.0, 1.0])
+
     def test_reserved_values_sum_requests(self):
         node = make_node()
         node.place_vm(make_vm(0.25, 0.25, 0.25))
@@ -242,10 +274,31 @@ class TestPhysicalNode:
 
 
 class TestClusterTopology:
-    def test_build_cluster_counts(self):
+    def test_build_cluster_counts_and_lookup(self):
         topology = build_cluster(ClusterSpec(node_count=10, nodes_per_rack=4))
         assert len(topology) == 10
         assert len({node.node_id for node in topology}) == 10
+        node = topology.nodes[3]
+        assert topology.rack_of(node.node_id) == 0
+        with pytest.raises(KeyError):
+            topology.rack_of("no-such-node")
+
+    def test_node_classes_set_capacity_and_power(self):
+        spec = ClusterSpec(
+            node_count=1,
+            node_classes=[
+                NodeClass(name="big", count=2, capacity=(2.0, 2.0, 1.0), p_idle=200.0, p_max=400.0),
+                NodeClass(name="small", count=1, capacity=(0.5, 0.5, 1.0)),
+            ],
+        )
+        topology = build_cluster(spec)
+        assert len(topology) == 3
+        assert [node.node_class for node in topology] == ["big", "big", "small"]
+        big, _, small = topology.nodes
+        assert big.capacity.values.tolist() == [2.0, 2.0, 1.0]
+        assert small.capacity.values.tolist() == [0.5, 0.5, 1.0]
+        assert big.power_model.power(1.0) == pytest.approx(400.0)
+        assert small.power_model.power(0.0) == pytest.approx(170.0)
 
     def test_rack_assignment_and_bandwidth(self):
         topology = build_cluster(ClusterSpec(node_count=10, nodes_per_rack=4))

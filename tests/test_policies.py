@@ -309,6 +309,12 @@ class TestAssignmentPolicies:
     def test_empty_gm_list(self):
         assert RoundRobinAssignment().choose([]) is None
 
+    def test_round_robin_keeps_rotating_when_a_gm_leaves(self):
+        policy = RoundRobinAssignment()
+        assert [policy.choose(["gm-00", "gm-01", "gm-02"]) for _ in range(2)] == ["gm-00", "gm-01"]
+        # gm-01 failed: the rotation continues over the two that remain.
+        assert [policy.choose(["gm-00", "gm-02"]) for _ in range(3)] == ["gm-00", "gm-02", "gm-00"]
+
 
 class TestAcoReconfigurationFactory:
     """``aco``, the one registered reconfiguration policy, built by name."""

@@ -65,6 +65,22 @@ class TestResourceVectorProperties:
         scaled = a * factor
         assert scaled.l1() == pytest.approx(a.l1() * factor, rel=1e-9, abs=1e-9)
 
+    @given(resource_vectors(), resource_vectors(), st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
+    def test_scaling_distributes_over_subtraction(self, a, b, factor):
+        assert np.allclose(((a - b) * factor).values, (a * factor - b * factor).values)
+
+    @given(resource_vectors(), resource_vectors())
+    def test_equal_vectors_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+        assert ResourceVector(a) == a and hash(ResourceVector(a)) == hash(a)
+
+    @given(resource_vectors(), resource_vectors())
+    def test_clamp_nonnegative_is_idempotent(self, a, b):
+        clamped = (a - b).clamp_nonnegative()
+        assert clamped.is_nonnegative(tolerance=0.0)
+        assert clamped.clamp_nonnegative() == clamped
+
     @given(resource_vectors())
     def test_subtract_self_is_zero(self, a):
         assert np.allclose((a - a).values, 0.0)

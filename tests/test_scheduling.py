@@ -38,6 +38,17 @@ class TestThresholds:
         with pytest.raises(ValueError):
             UtilizationThresholds(underload=-0.1, overload=0.8)
 
+    def test_equal_cut_points_rejected(self):
+        with pytest.raises(ValueError):
+            UtilizationThresholds(underload=0.5, overload=0.5)
+        with pytest.raises(ValueError):
+            UtilizationThresholds(underload=0.2, overload=1.01)
+
+    def test_boundary_cut_points_accepted(self):
+        thresholds = UtilizationThresholds(underload=0.0, overload=1.0)
+        assert (thresholds.underload, thresholds.overload) == (0.0, 1.0)
+        assert UtilizationThresholds() == UtilizationThresholds(underload=0.2, overload=0.85)
+
 
 def summary_for(gm_id, reserved_fraction, lc_count=4):
     capacity = ResourceVector([float(lc_count)] * 3)

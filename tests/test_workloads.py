@@ -39,12 +39,24 @@ from repro.workloads.traces import (
 )
 
 
+#: Parameters that exercise each trace kind's variation over a day.
+TRACE_PARAMS = {
+    "bursty": {"burst_rate_per_hour": 20.0},
+    "constant": {"level": 0.6},
+    "diurnal": {"base": 0.1, "peak": 0.9, "noise_std": 0.2},
+    "replay": {"times": [0.0, 3600.0, 7200.0], "values": [0.1, 1.0, 0.0], "loop": True},
+    "spike": {"before": 0.2, "after": 1.0, "at": 600.0},
+}
+
+
 class TestDemandDistributions:
     @pytest.mark.parametrize(
         "distribution",
         [
             UniformDemandDistribution(),
             CorrelatedDemandDistribution(),
+            UniformDemandDistribution(low=0.05, high=1.0),
+            CorrelatedDemandDistribution(low=0.3, high=1.0, rho=1.0),
         ],
     )
     def test_samples_shape_and_bounds(self, distribution, rng):
@@ -133,6 +145,22 @@ class TestTraces:
             TraceReplay([0.0, 0.0], [0.1, 0.2])
         with pytest.raises(ValueError):
             TraceReplay([0.0, 1.0], [0.1, 1.5])
+
+    @pytest.mark.parametrize("kind", sorted(_TRACE_KINDS))
+    def test_every_trace_kind_stays_in_unit_interval(self, kind):
+        trace = make_trace_factory(kind, **TRACE_PARAMS[kind])(np.random.default_rng(5))
+        values = np.array([trace(t) for t in np.linspace(0.0, 86_400.0, 500)])
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @pytest.mark.parametrize("kind", sorted(_TRACE_KINDS))
+    def test_every_trace_kind_is_pure(self, kind):
+        trace = make_trace_factory(kind, **TRACE_PARAMS[kind])(np.random.default_rng(5))
+        samples = np.linspace(0.0, 86_400.0, 200)
+        first = [trace(t) for t in samples]
+        assert [trace(t) for t in reversed(samples)] == first[::-1]
+
+    def test_trace_params_cover_every_kind(self):
+        assert set(TRACE_PARAMS) == set(_TRACE_KINDS)
 
     def test_trace_factory_by_kind(self):
         assert make_trace_factory("Constant", level=0.3)(None)(5.0) == 0.3
