@@ -4,8 +4,8 @@ Periodic reconfiguration (paper Section II.C) recomputes a consolidated
 placement for the moderately loaded hosts; what the Group Manager actually
 *executes* is the set of live migrations turning the current placement into
 the new one.  This module computes that set, orders it so that every migration
-is feasible when executed (destination has room at execution time), and
-estimates its cost with the :mod:`repro.migration` model.
+is feasible when executed (destination has room at execution time).  The
+migration executor prices the moves with its ``MigrationCostModel``.
 """
 
 from __future__ import annotations

@@ -394,6 +394,8 @@ class TestRpc:
         client.call("ghost", "op", on_timeout=lambda: timeouts.append(True), timeout=2.0)
         sim.run()
         assert timeouts == [True]
+        # The timeout drops the call record.
+        assert not client._pending
 
     def test_deferred_reply_via_event(self, sim, network):
         server = RpcChannel(network, "server")
@@ -426,6 +428,7 @@ class TestRpc:
         client.cancel_all()
         sim.run()
         assert outcomes == []
+        assert not client._pending
 
     def test_exactly_one_callback_per_call(self, sim, network):
         server = RpcChannel(network, "server")

@@ -121,10 +121,10 @@ class TestPlaneVsVMMonitor:
                     MonitoringSample(timestamp=float(timestamp), usage=vm.used)
                 )
             expected = reference.estimate_demand()
-            # Equal estimates over the bounded window: the ring buffer holds
-            # exactly the samples the deque holds.
             actual = plane.estimates([slot])[0]
             assert (actual == expected.values).all()
+            # Window bookkeeping matches the bounded deque.
+            assert plane._counts[slot] == len(reference.samples)
 
     def test_empty_window_falls_back_to_reservation(self):
         plane = TelemetryPlane(4, MeanEstimator())
@@ -141,6 +141,7 @@ class TestPlaneVsVMMonitor:
         second = make_vm(cpu=0.25)
         reused = plane.allocate(second)
         assert reused == slot
+        assert plane._counts[reused] == 0
         # An empty window: the estimate falls back to the new VM's reservation.
         assert (plane.estimates([reused])[0] == second.requested.values).all()
 
