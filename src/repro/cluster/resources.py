@@ -11,6 +11,7 @@ into dense numpy matrices for the vectorized algorithm kernels
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -53,7 +54,9 @@ class ResourceVector:
             raise ResourceError(
                 f"dimension names {tuple(dimensions)} do not match vector of length {array.shape[0]}"
             )
-        if np.any(~np.isfinite(array)):
+        # ``math.isfinite`` per element: a fraction of a numpy ufunc's call cost
+        # on vectors of a few entries.
+        if not all(map(math.isfinite, array.tolist())):
             raise ResourceError("resource vector contains non-finite values")
         array.setflags(write=False)
         self._values = array

@@ -53,16 +53,13 @@ from __future__ import annotations
 import copy
 import ctypes
 import functools
-import hashlib
-import os
-import shutil
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.base import (
     ConsolidationAlgorithm,
     ConsolidationResult,
@@ -71,7 +68,7 @@ from repro.core.base import (
 )
 from repro.core.placement import FIT_TOLERANCE, Placement, PlacementError
 from repro.simulation.randomness import spawn_seed_sequences
-from repro.workers import Workers, run_tool
+from repro.workers import Workers
 
 
 @dataclass(frozen=True)
@@ -124,33 +121,10 @@ class ACOParameters:
             raise ValueError("stagnation_cycles must be positive or None")
 
 
-#: The construction step and how it is compiled; no flag may change its
-#: arithmetic (``-ffp-contract=off`` keeps multiply-adds unfused).
-_STEP_SOURCE = Path(__file__).with_name("aco_step.c")
-_STEP_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
 @functools.cache
 def _step_library() -> Callable[..., int]:
-    """``aco_construct`` from ``aco_step.c``, compiled on first use.
-
-    The shared object is cached under ``$XDG_CACHE_HOME/repro-snooze`` (or
-    ``~/.cache``), named by the sha256 of the source and flags, and renamed
-    into place once built, so concurrent cold builds are safe.
-    """
-    source = _STEP_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_STEP_FLAGS).encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro-snooze"
-    library = cache / f"aco_step-{digest}.so"
-    if not library.exists():
-        if shutil.which("cc") is None:
-            raise FileNotFoundError("the ACO step needs a C compiler, and 'cc' is not on PATH")
-        cache.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as scratch:
-            built = os.path.join(scratch, library.name)
-            run_tool(["cc", *_STEP_FLAGS, "-o", built, str(_STEP_SOURCE), "-lm"])
-            os.replace(built, library)
-    step = ctypes.CDLL(str(library)).aco_construct
+    """``aco_construct`` from ``aco_step.c``, compiled on first use by :func:`repro.native.load`."""
+    step = native.load(Path(__file__).with_name("aco_step.c")).aco_construct
     step.restype = ctypes.c_long
     pointers, doubles = [ctypes.c_void_p] * 4, [ctypes.c_double] * 4
     step.argtypes = [ctypes.c_long] * 4 + pointers + doubles + pointers[:3]

@@ -38,7 +38,9 @@ def validate_instance(demands: np.ndarray, capacities: np.ndarray) -> tuple[np.n
     if np.any(capacities <= 0):
         raise PlacementError("capacities must be strictly positive")
     if demands.shape[0]:
-        fits_somewhere = (demands[:, None, :] <= capacities[None, :, :] + 1e-9).all(axis=2).any(axis=1)
+        # Hosts of one capacity row fit the same VMs: test each distinct row once.
+        shapes = np.unique(capacities, axis=0)
+        fits_somewhere = (demands[:, None, :] <= shapes[None, :, :] + 1e-9).all(axis=2).any(axis=1)
         if not np.all(fits_somewhere):
             bad = np.flatnonzero(~fits_somewhere)
             raise PlacementError(f"VMs {bad.tolist()} do not fit on any host")

@@ -12,13 +12,17 @@ and the others as sensitivity rows.
 
 from __future__ import annotations
 
+import ctypes
 import enum
-from typing import Optional
+import functools
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from repro import native
 from repro.core.base import ConsolidationAlgorithm, ConsolidationResult, validate_instance
-from repro.core.placement import Placement, PlacementError
+from repro.core.placement import FIT_TOLERANCE, Placement, PlacementError
 
 
 class SortKey(enum.Enum):
@@ -56,62 +60,71 @@ def _sort_order(demands: np.ndarray, key: SortKey, dimension: int) -> np.ndarray
     return np.argsort(-sizes, kind="stable")
 
 
+@functools.cache
+def _first_fit_step() -> Callable[..., int]:
+    """``first_fit`` from ``ffd_step.c``, compiled on first use by :func:`repro.native.load`."""
+    step = native.load(Path(__file__).with_name("ffd_step.c")).first_fit
+    step.restype = ctypes.c_long
+    pointers = [ctypes.c_void_p] * 3
+    step.argtypes = [ctypes.c_long] * 3 + pointers + [ctypes.c_double] + pointers
+    return step
+
+
+def _first_fit(demands: np.ndarray, capacities: np.ndarray, order: np.ndarray) -> Placement:
+    """First fit in open order: each VM of ``order`` on the first open host (in
+    the order hosts were opened) with ``residual >= demand - FIT_TOLERANCE``
+    in every dimension, else on the lowest never-opened host that fits.
+
+    One call into ``ffd_step.c``; ``tests/scalar_ffd.py`` holds the numpy loop
+    it replaced as the oracle.
+    """
+    n_vms, n_hosts = demands.shape[0], capacities.shape[0]
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    rows = np.ascontiguousarray(demands)
+    residual = np.array(capacities, order="C")
+    opened = np.empty(n_hosts, dtype=np.int64)
+    is_open = np.zeros(n_hosts, dtype=np.int8)
+    assignment = np.full(n_vms, -1, dtype=np.int64)
+    done = _first_fit_step()(
+        n_vms, n_hosts, demands.shape[1], order.ctypes.data, rows.ctypes.data,
+        residual.ctypes.data, FIT_TOLERANCE, opened.ctypes.data, is_open.ctypes.data,
+        assignment.ctypes.data,
+    )
+    if done < 0:
+        raise PlacementError(f"first-fit could not place VM {-1 - done}: not enough hosts")
+    return Placement(demands, capacities, assignment)
+
+
 class FirstFit(ConsolidationAlgorithm):
     """Plain First-Fit: place each VM (input order) on the first host that fits.
 
     This is the event-based placement policy Snooze ships for Group Managers
     (Section II.C "placement ... e.g. round robin or first-fit"); it is also
-    the building block of FFD.
+    the building block of FFD.  Hosts are tried in the order they were opened
+    (the first VM placed on them), then the never-opened ones by index.
     """
 
     name = "first-fit"
 
-    def __init__(self, order: Optional[np.ndarray] = None) -> None:
-        #: Optional explicit VM visiting order (used by the FFD subclasses).
-        self._order = order
+    #: The packing step; the oracle in ``tests/scalar_ffd.py`` swaps it.
+    _place = staticmethod(_first_fit)
 
     def solve(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
         demands, capacities = validate_instance(demands, capacities)
+        order = self._order(demands)
 
         def build() -> ConsolidationResult:
-            placement = Placement(demands, capacities)
-            residual = capacities.copy()
-            order = (
-                self._order
-                if self._order is not None
-                else np.arange(demands.shape[0], dtype=np.int64)
-            )
-            # Hosts already holding at least one VM, in open order, and as a mask.
-            opened = np.empty(capacities.shape[0], dtype=np.int64)
-            is_open = np.zeros(capacities.shape[0], dtype=bool)
-            n_open = 0
-            for vm_index in order:
-                demand = demands[vm_index]
-                # First try hosts already in use (vectorized feasibility test).
-                open_idx = opened[:n_open]
-                hits = np.flatnonzero(np.all(residual[open_idx] >= demand - 1e-9, axis=1))
-                if hits.size:
-                    host = int(open_idx[hits[0]])
-                else:
-                    # Open the first still-empty host that fits.
-                    hits = np.flatnonzero(~is_open & np.all(residual >= demand - 1e-9, axis=1))
-                    if not hits.size:
-                        raise PlacementError(
-                            f"first-fit could not place VM {int(vm_index)}: not enough hosts"
-                        )
-                    host = int(hits[0])
-                    opened[n_open] = host
-                    is_open[host] = True
-                    n_open += 1
-                placement.assign(int(vm_index), host, check=False)
-                residual[host] -= demand
             return ConsolidationResult(
-                placement=placement,
+                placement=self._place(demands, capacities, order),
                 algorithm=self.name,
                 iterations=demands.shape[0],
             )
 
         return self._timed_solve(build, demands, capacities)
+
+    def _order(self, demands: np.ndarray) -> np.ndarray:
+        """The VM visiting order: input order."""
+        return np.arange(demands.shape[0], dtype=np.int64)
 
 
 class FirstFitDecreasing(FirstFit):
@@ -124,23 +137,17 @@ class FirstFitDecreasing(FirstFit):
     name = "ffd"
 
     def __init__(self, sort_key: SortKey = SortKey.SINGLE_DIMENSION, dimension: int = 0) -> None:
-        super().__init__(order=None)
         self.sort_key = sort_key
         self.dimension = int(dimension)
         if sort_key is not SortKey.SINGLE_DIMENSION:
             self.name = f"ffd-{sort_key.value}"
 
-    def solve(self, demands: np.ndarray, capacities: np.ndarray) -> ConsolidationResult:
-        demands_checked, capacities_checked = validate_instance(demands, capacities)
-        if self.dimension >= demands_checked.shape[1] and demands_checked.shape[0] > 0:
+    def _order(self, demands: np.ndarray) -> np.ndarray:
+        if self.dimension >= demands.shape[1] and demands.shape[0] > 0:
             raise PlacementError(
-                f"sort dimension {self.dimension} out of range for d={demands_checked.shape[1]}"
+                f"sort dimension {self.dimension} out of range for d={demands.shape[1]}"
             )
-        self._order = _sort_order(demands_checked, self.sort_key, self.dimension)
-        try:
-            return super().solve(demands_checked, capacities_checked)
-        finally:
-            self._order = None
+        return _sort_order(demands, self.sort_key, self.dimension)
 
 
 class BestFitDecreasing(ConsolidationAlgorithm):

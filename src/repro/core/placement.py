@@ -143,7 +143,7 @@ class Placement:
         """
         used = self.used_host_indices()
         if used.size == 0:
-            return np.zeros(self.n_dimensions) if per_dimension else 0.0
+            return np.zeros(self.capacities.shape[1]) if per_dimension else 0.0
         ratios = self.host_loads()[used] / self.capacities[used]
         if per_dimension:
             return ratios.mean(axis=0)

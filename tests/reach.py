@@ -13,7 +13,8 @@ in ``src`` that none of them entered, with its line count:
   and through ``sweep serve`` / ``sweep work`` in two threads, then
   ``sweep analyze`` of the report; ``policy-matrix`` through ``--jobs 1``;
 * ``megafleet`` -- ``megafleet-1k`` serial and as two shards;
-* ``obs`` -- trace and metrics export, then ``obs summarize``;
+* ``obs`` -- trace and metrics export (Prometheus text and JSON), then
+  ``obs summarize``;
 * ``examples`` -- the scripts under ``examples/`` (``--quick`` where taken);
 * ``bench`` -- every ``bench/run.py`` workload at ``--smoke``, trace 0 and 1.
 
@@ -260,6 +261,8 @@ def obs_paths(work: Path) -> None:
     trace = work / "run.trace.json"
     _cli("scenario", "run", "steady-churn", "--duration", "600", "--trace", str(trace),
          "--metrics-out", str(work / "run.prom"))
+    _cli("scenario", "run", "steady-churn", "--duration", "600",
+         "--metrics-out", str(work / "run.metrics.json"))
     _both("obs", "summarize", str(trace))
 
 

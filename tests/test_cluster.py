@@ -37,6 +37,14 @@ class TestResourceVector:
         with pytest.raises(ResourceError):
             ResourceVector([np.nan, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_in_an_array_rejected(self, bad, at):
+        values = np.array([0.5, 0.25, 0.1])
+        values[at] = bad
+        with pytest.raises(ResourceError, match="non-finite"):
+            ResourceVector(values)
+
     def test_subtraction(self):
         a = ResourceVector([0.5, 0.5, 0.5])
         b = ResourceVector([0.25, 0.1, 0.0])

@@ -61,6 +61,13 @@ class TestPlacement:
         per_dim = placement.average_utilization(per_dimension=True)
         assert per_dim.shape == (2,)
 
+    def test_average_utilization_with_no_used_host_is_zero(self):
+        demands, capacities = simple_instance()
+        placement = Placement(demands, capacities)
+        assert placement.average_utilization() == 0.0
+        per_dim = placement.average_utilization(per_dimension=True)
+        assert per_dim.tolist() == [0.0, 0.0]
+
     def test_copy_is_independent(self):
         demands, capacities = simple_instance()
         placement = Placement(demands, capacities)

@@ -1,11 +1,14 @@
-"""The reach tool (``tests/reach.py``) on a toy module: spans, profiling and the report."""
+"""The reach tool (``tests/reach.py``): spans, profiling and the report on a toy
+module, and the product paths it runs."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import textwrap
+from pathlib import Path
 
+import tests.reach as reach
 from tests.reach import format_text, functions, profiled, summary
 
 TOY = textwrap.dedent(
@@ -110,3 +113,13 @@ def test_unreached_functions_and_line_totals(tmp_path):
         f"entered {report['reached_lines']} of {report['function_lines']} function lines; "
         "13 lines in 4 functions unreached"
     )
+
+
+def test_obs_paths_export_metrics_as_prometheus_text_and_json(tmp_path, monkeypatch):
+    """Both ``--metrics-out`` formats run, so the JSON export counts as reached."""
+    calls = []
+    monkeypatch.setattr(reach, "_cli", lambda *argv: calls.append(argv) or "")
+    monkeypatch.setattr(reach, "_both", lambda *argv: calls.append(argv) or "")
+    reach.obs_paths(tmp_path)
+    exports = [argv[argv.index("--metrics-out") + 1] for argv in calls if "--metrics-out" in argv]
+    assert sorted(Path(path).suffix for path in exports) == [".json", ".prom"]
