@@ -23,11 +23,7 @@ from repro.cluster.resources import (
 )
 from repro.cluster.vm import VirtualMachine, VMState
 from repro.cluster.node import NodeState, PhysicalNode
-from repro.cluster.power import (
-    LinearPowerModel,
-    PowerStateSpec,
-    DEFAULT_POWER_STATES,
-)
+from repro.cluster.power import LinearPowerModel, PowerStateSpec
 from repro.cluster.topology import (
     ClusterSpec,
     ClusterTopology,
@@ -45,7 +41,6 @@ __all__ = [
     "PhysicalNode",
     "LinearPowerModel",
     "PowerStateSpec",
-    "DEFAULT_POWER_STATES",
     "ClusterSpec",
     "NodeClass",
     "ClusterTopology",

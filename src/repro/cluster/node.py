@@ -41,7 +41,6 @@ class PhysicalNode:
         node_id: str,
         capacity: Optional[ResourceVector] = None,
         power_model: Optional[LinearPowerModel] = None,
-        power_state_name: str = "suspend",
     ) -> None:
         self.node_id = str(node_id)
         self.capacity = capacity or ResourceVector([1.0, 1.0, 1.0], DEFAULT_DIMENSIONS)
@@ -53,8 +52,6 @@ class PhysicalNode:
         self.cpu_index = dims.index("cpu") if "cpu" in dims else 0
         self._cpu_capacity = float(self.capacity.values[self.cpu_index])
         self.power_model: LinearPowerModel = power_model or LinearPowerModel()
-        #: Name of the administrator-selected low power state (paper Section III).
-        self.power_state_name = power_state_name
         #: Hardware class of a heterogeneous fleet (None in homogeneous clusters).
         self.node_class: Optional[str] = None
         #: Change watchers (resident decision-plane rows): callables invoked

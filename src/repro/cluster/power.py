@@ -3,7 +3,7 @@
 Snooze's energy story (paper Sections I and III) rests on two mechanisms:
 
 1. hosts draw power as a function of their utilization while ON, and
-2. idle hosts can be transitioned to a low-power state (suspend/off) and
+2. idle hosts can be transitioned to a low-power state (suspend) and
    woken up on demand, both of which take time and energy.
 
 This module provides the standard linear model used throughout the
@@ -46,7 +46,7 @@ class LinearPowerModel:
 
 @dataclass(frozen=True)
 class PowerStateSpec:
-    """Sleep-state characteristics of a host.
+    """Sleep-state characteristics of a host; the defaults are the paper's suspend.
 
     Attributes
     ----------
@@ -91,23 +91,3 @@ class PowerStateSpec:
             return float("inf")
         return self.round_trip_energy() / saving_rate
 
-
-#: Power states offered to the system administrator in the paper ("e.g. suspend").
-DEFAULT_POWER_STATES: dict[str, PowerStateSpec] = {
-    "suspend": PowerStateSpec(
-        name="suspend",
-        sleep_power=10.0,
-        suspend_latency=10.0,
-        wakeup_latency=30.0,
-        suspend_energy=500.0,
-        wakeup_energy=2000.0,
-    ),
-    "shutdown": PowerStateSpec(
-        name="shutdown",
-        sleep_power=2.0,
-        suspend_latency=60.0,
-        wakeup_latency=180.0,
-        suspend_energy=3000.0,
-        wakeup_energy=15000.0,
-    ),
-}

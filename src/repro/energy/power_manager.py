@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.cluster.node import NodeState, PhysicalNode
-from repro.cluster.power import DEFAULT_POWER_STATES, PowerStateSpec
+from repro.cluster.power import PowerStateSpec
 from repro.energy.accounting import EnergyMeter
 from repro.simulation.engine import Simulator
 from repro.simulation.timers import PeriodicTimer
@@ -33,16 +33,11 @@ class PowerManagerConfig:
     #: Seconds a host must stay idle before it is suspended (the paper's
     #: "system administrator pre-defined idle-time threshold").
     idle_time_threshold: float = 120.0
-    #: Which low-power state to use (key into DEFAULT_POWER_STATES or a custom spec).
-    power_state: str = "suspend"
     #: How often the manager scans for idle hosts.
     check_interval: float = 30.0
     #: Keep at least this many hosts powered on as a placement reserve, so a
     #: burst of submissions does not stall on wake-up latency.
     min_powered_on_hosts: int = 1
-    #: If True, refuse to suspend when the expected saving cannot repay the
-    #: transition energy within the idle-time threshold (break-even guard).
-    respect_break_even: bool = True
     #: Enable/disable the whole mechanism (the paper's "when energy savings are enabled").
     enabled: bool = True
 
@@ -56,14 +51,19 @@ class PowerManagerConfig:
 
 
 class PowerStateManager:
-    """Suspend idle hosts after a threshold; wake hosts on demand."""
+    """Suspend idle hosts after a threshold; wake hosts on demand.
+
+    The low-power state is the paper's suspend (:class:`PowerStateSpec`'s
+    defaults).  A host whose idle draw does not exceed the suspended draw is
+    never suspended: the transition energy could not be repaid (break-even
+    guard).
+    """
 
     def __init__(
         self,
         sim: Simulator,
         nodes: List[PhysicalNode],
         config: Optional[PowerManagerConfig] = None,
-        spec: Optional[PowerStateSpec] = None,
         energy_meter: Optional[EnergyMeter] = None,
         on_suspend: Optional[Callable[[PhysicalNode], None]] = None,
         on_wakeup: Optional[Callable[[PhysicalNode], None]] = None,
@@ -71,7 +71,7 @@ class PowerStateManager:
         self.sim = sim
         self.nodes = list(nodes)
         self.config = config or PowerManagerConfig()
-        self.spec = spec or DEFAULT_POWER_STATES.get(self.config.power_state, DEFAULT_POWER_STATES["suspend"])
+        self.spec = PowerStateSpec()
         self.energy_meter = energy_meter
         self.on_suspend = on_suspend
         self.on_wakeup = on_wakeup
@@ -98,10 +98,8 @@ class PowerStateManager:
                 continue
             if node.idle_duration(self.sim.now) < self.config.idle_time_threshold:
                 continue
-            if self.config.respect_break_even:
-                break_even = self.spec.break_even_seconds(node.power_model)
-                if break_even == float("inf"):
-                    continue
+            if self.spec.break_even_seconds(node.power_model) == float("inf"):
+                continue
             self.suspend(node)
             suspended.append(node)
         return suspended

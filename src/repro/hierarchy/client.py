@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.vm import VirtualMachine, VMState
+from repro.hierarchy.common import PLACEMENT_TIMEOUT
 from repro.hierarchy.config import HierarchyConfig
 from repro.metrics.recorder import EventLog
-from repro.network.rpc import RpcChannel
+from repro.network.rpc import RPC_TIMEOUT, RpcChannel
 from repro.network.transport import Network
 from repro.obs import OBSERVABILITY_SERVICE
 from repro.simulation.engine import Simulator
@@ -128,7 +129,7 @@ class SnoozeClient:
             on_timeout=lambda: self._try_entry_point(
                 vm, record, attempts_left - 1, on_complete, tried | {entry_point}
             ),
-            timeout=self.config.placement_timeout + 4 * self.config.rpc_timeout,
+            timeout=PLACEMENT_TIMEOUT + 4 * RPC_TIMEOUT,
         )
 
     def _finish(

@@ -32,6 +32,11 @@ from repro.simulation.batch import DeadlineHandle
 from repro.simulation.engine import Simulator
 from repro.simulation.timers import PeriodicTimer
 
+#: End-to-end timeout of a placement probe (GL -> GM).  Generous enough to
+#: cover a host wake-up when energy management is enabled (Section III: hosts
+#: are woken on demand for incoming placements).
+PLACEMENT_TIMEOUT = 90.0
+
 
 class Lease:
     """A sender's lease on one watcher's failure detector."""

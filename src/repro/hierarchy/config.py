@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.energy.power_manager import PowerManagerConfig
-from repro.monitoring.estimators import make_estimator
 from repro.network.transport import NetworkConfig
 from repro.obs import ObservabilityConfig
 from repro.plain import PlainData
@@ -52,10 +51,6 @@ class HierarchyConfig(PlainData):
     monitoring_interval: float = 10.0
     #: GM summary interval (aggregated capacity report to the GL).
     summary_interval: float = 10.0
-    #: Sliding window length (number of samples) for demand estimation.
-    estimation_window: int = 12
-    #: Demand estimator name: mean, max, ewma, percentile.
-    estimator: str = "ewma"
 
     # ------------------------------------------------------------ scheduling
     #: Utilization thresholds for overload/underload detection.
@@ -64,7 +59,7 @@ class HierarchyConfig(PlainData):
     relocation_enabled: bool = True
     #: Periodic reconfiguration (consolidation) interval in seconds; None disables it.
     reconfiguration_interval: Optional[float] = None
-    #: Cap on migrations per reconfiguration round (None = unlimited).
+    #: Cap on migrations per reconfiguration round (None = unlimited, 0 = none).
     max_migrations_per_round: Optional[int] = None
     #: Structured policy selection: ``{kind: {"name": ..., **params}}`` entries
     #: for the registered policy kinds (``placement``, ``dispatching``,
@@ -74,7 +69,7 @@ class HierarchyConfig(PlainData):
     policies: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     # ---------------------------------------------------------------- energy
-    #: Energy management settings (idle threshold, power state, reserve hosts).
+    #: Energy management settings (idle threshold, scan interval, reserve hosts).
     power_manager: PowerManagerConfig = field(default_factory=lambda: PowerManagerConfig(enabled=False))
     #: Interval of the cluster-wide energy meter sampling.
     energy_sample_interval: float = 60.0
@@ -90,12 +85,6 @@ class HierarchyConfig(PlainData):
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
 
     # ------------------------------------------------------------------ misc
-    #: RPC timeout for commands (LC start/migrate, join, assignment).
-    rpc_timeout: float = 5.0
-    #: End-to-end timeout for a placement probe (GL -> GM).  Must be generous
-    #: enough to cover a host wake-up when energy management is enabled
-    #: (Section III: hosts are woken on demand for incoming placements).
-    placement_timeout: float = 90.0
     #: Base seed for all random streams of the deployment.
     seed: int = 0
 
@@ -109,8 +98,6 @@ class HierarchyConfig(PlainData):
             "monitoring_interval",
             "summary_interval",
             "energy_sample_interval",
-            "rpc_timeout",
-            "placement_timeout",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive (got {getattr(self, name)!r})")
@@ -122,11 +109,13 @@ class HierarchyConfig(PlainData):
         # that expires first empties the election and no GM is ever promoted.
         if self.session_timeout <= self.gm_heartbeat_interval:
             raise ValueError("session_timeout must exceed gm_heartbeat_interval")
-        if self.estimation_window <= 0:
-            raise ValueError("estimation_window must be positive")
-        make_estimator(self.estimator)  # an unknown name raises, listing the known ones
         if self.reconfiguration_interval is not None and self.reconfiguration_interval <= 0:
             raise ValueError("reconfiguration_interval must be positive or None")
+        if self.max_migrations_per_round is not None and self.max_migrations_per_round < 0:
+            raise ValueError(
+                f"max_migrations_per_round must be non-negative or None "
+                f"(got {self.max_migrations_per_round!r})"
+            )
         self._resolve_policies()
 
     # -------------------------------------------------------------- policies
@@ -182,10 +171,6 @@ class HierarchyConfig(PlainData):
         spec = validate_policy_selection(kind, entry)
         params = {key: value for key, value in entry.items() if key != "name"}
         accepted = set(spec.param_names())
-        merged = {
-            key: value
-            for key, value in extra.items()
-            if spec.accepts_extra or key in accepted
-        }
+        merged = {key: value for key, value in extra.items() if key in accepted}
         merged.update(params)
         return spec.build(**merged)

@@ -16,11 +16,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.vm import VirtualMachine
-from repro.hierarchy.common import Component
+from repro.hierarchy.common import PLACEMENT_TIMEOUT, Component
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.local_controller import GL_HEARTBEAT_GROUP
 from repro.metrics.recorder import EventLog
 from repro.network.message import Message, MessageType
+from repro.network.rpc import RPC_TIMEOUT
 from repro.network.transport import Network
 from repro.simulation.engine import Event, Simulator
 
@@ -79,6 +80,6 @@ class EntryPoint(Component):
             on_timeout=lambda: self.sim.trigger(
                 reply, {"placed": False, "reason": "group leader timeout"}
             ),
-            timeout=self.config.placement_timeout + 2 * self.config.rpc_timeout,
+            timeout=PLACEMENT_TIMEOUT + 2 * RPC_TIMEOUT,
         )
         return reply

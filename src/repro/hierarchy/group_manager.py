@@ -31,7 +31,7 @@ from repro.coordination.election import LeaderElection
 from repro.coordination.znodes import CoordinationService
 from repro.energy.accounting import EnergyMeter
 from repro.energy.power_manager import PowerStateManager
-from repro.hierarchy.common import Component
+from repro.hierarchy.common import PLACEMENT_TIMEOUT, Component
 from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.local_controller import (
     GL_HEARTBEAT_GROUP,
@@ -494,7 +494,7 @@ class GroupManager(Component):
             on_reply=lambda result: self._on_probe_reply(vm, candidates, index, reply, result, ctx),
             on_error=lambda _err: self._probe_candidates(vm, candidates, index + 1, reply, ctx),
             on_timeout=lambda: self._probe_candidates(vm, candidates, index + 1, reply, ctx),
-            timeout=self.config.placement_timeout,
+            timeout=PLACEMENT_TIMEOUT,
             trace_ctx=ctx,
         )
 
@@ -559,7 +559,6 @@ class GroupManager(Component):
             on_reply=lambda result: self._on_start_reply(vm, lc_name, reply, result, exclude, ctx),
             on_error=lambda _err: self._retry_placement(vm, reply, exclude, lc_name, ctx),
             on_timeout=lambda: self._retry_placement(vm, reply, exclude, lc_name, ctx),
-            timeout=self.config.rpc_timeout,
             trace_ctx=ctx,
         )
 
@@ -622,7 +621,6 @@ class GroupManager(Component):
                 source_lc,
                 "migrate_vm",
                 kwargs={"vm_id": vm.vm_id, "destination_node_id": destination.node_id},
-                timeout=self.config.rpc_timeout,
             )
             executed += 1
         if executed:

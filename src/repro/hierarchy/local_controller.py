@@ -38,7 +38,6 @@ from repro.hierarchy.fleet import LocalControllerFleet
 from repro.metrics.recorder import EventLog
 from repro.migration.model import MigrationExecutor
 from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane
-from repro.monitoring.estimators import make_estimator
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
 from repro.simulation.batch import DeadlineTable
@@ -76,14 +75,7 @@ class LocalController(Component):
         self._fleet = LocalControllerFleet.shared(sim, network)
         # Sample windows and demand estimates live in the deployment-wide
         # TelemetryPlane, computed in fleet-sized numpy batches.
-        self.monitor = ArrayHostMonitor(
-            node,
-            TelemetryPlane.shared(
-                sim,
-                self.config.estimation_window,
-                make_estimator(self.config.estimator),
-            ),
-        )
+        self.monitor = ArrayHostMonitor(node, TelemetryPlane.shared(sim))
         self.assigned_gm: Optional[str] = None
         self.current_gl: Optional[str] = None
         #: GM heartbeat failure detector (a DeadlineTable handle).
@@ -171,7 +163,6 @@ class LocalController(Component):
             on_reply=self._on_assignment,
             on_error=lambda _err: self._join_failed(),
             on_timeout=self._join_failed,
-            timeout=self.config.rpc_timeout,
         )
 
     def _on_assignment(self, result) -> None:
@@ -186,7 +177,6 @@ class LocalController(Component):
             on_reply=lambda _ack, gm=gm_name: self._joined(gm),
             on_error=lambda _err: self._join_failed(),
             on_timeout=self._join_failed,
-            timeout=self.config.rpc_timeout,
         )
 
     def _joined(self, gm_name: str) -> None:

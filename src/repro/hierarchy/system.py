@@ -102,9 +102,7 @@ class SnoozeSystem:
         cluster_spec = self.spec.cluster or ClusterSpec(node_count=self.spec.local_controllers)
         if cluster_spec.node_count != self.spec.local_controllers:
             raise ValueError("cluster spec node_count must match local_controllers")
-        self.topology: ClusterTopology = build_cluster(
-            cluster_spec, rng=self.random.stream("cluster")
-        )
+        self.topology: ClusterTopology = build_cluster(cluster_spec)
         self.node_registry: Dict[str, PhysicalNode] = {
             node.node_id: node for node in self.topology
         }

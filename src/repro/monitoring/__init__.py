@@ -9,9 +9,9 @@ decisions and is performed at all layers of the system."  Concretely:
   :class:`~repro.monitoring.arrays.HostRows` step per monitoring tick for the
   whole fleet, whose report rows the Group Manager keeps in a
   :class:`~repro.monitoring.summary.GroupReports`.
-* Resource-demand **estimators** reduce the sample history to one demand
-  vector (:mod:`repro.monitoring.estimators`: mean, max, exponential moving
-  average, percentile); the estimates drive scheduling.
+* The demand **estimator** reduces the sample history to one demand vector
+  (:mod:`repro.monitoring.estimators`: an exponential moving average); the
+  estimates drive scheduling.
 * Group Managers periodically push an aggregated **summary** (used and total
   capacity) to the Group Leader
   (:class:`~repro.monitoring.summary.GroupManagerSummary`), which is all the
@@ -19,24 +19,13 @@ decisions and is performed at all layers of the system."  Concretely:
 """
 
 from repro.monitoring.arrays import ArrayHostMonitor, TelemetryPlane
-from repro.monitoring.estimators import (
-    DemandEstimator,
-    EwmaEstimator,
-    MaxEstimator,
-    MeanEstimator,
-    PercentileEstimator,
-    make_estimator,
-)
+from repro.monitoring.estimators import EwmaEstimator, make_estimator
 from repro.monitoring.summary import GroupManagerSummary
 
 __all__ = [
     "TelemetryPlane",
     "ArrayHostMonitor",
-    "DemandEstimator",
-    "MeanEstimator",
-    "MaxEstimator",
     "EwmaEstimator",
-    "PercentileEstimator",
     "make_estimator",
     "GroupManagerSummary",
 ]

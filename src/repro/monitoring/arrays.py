@@ -1,14 +1,14 @@
 """Array-backed telemetry plane: the fleet's monitoring step as array rows.
 
 One :class:`TelemetryPlane` is shared by every Local Controller of a
-deployment that uses the same ``(window, estimator)`` settings:
+deployment:
 
 * one ``(slots, window, dims)`` float64 ring buffer holds the sample windows
   of every VM in the fleet (a slot per VM, allocated on placement and
   recycled on departure), next to per-slot columns for the hosting row, the
   tracking order and the VM's start time and runtime;
 * demand estimates are computed **vectorized across all stale slots at
-  once** -- one numpy kernel per estimator per distinct window fill level --
+  once** -- one estimator kernel call per distinct window fill level --
   and cached per slot until its next sample write;
 * :class:`HostRows` is the monitoring kernel over the hosts of one tick
   group: which rows host a VM whose lifetime ran out (one comparison over
@@ -49,10 +49,12 @@ import numpy as np
 from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import ResourceVector
 from repro.cluster.vm import VirtualMachine
-from repro.monitoring.estimators import DemandEstimator
+from repro.monitoring.estimators import EwmaEstimator
 
 #: Initial slot capacity of a plane (grown geometrically on demand).
 _INITIAL_CAPACITY = 64
+#: Samples per VM window that a deployment's demand estimates read.
+ESTIMATION_WINDOW = 12
 
 
 def report_columns(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -68,9 +70,9 @@ def report_columns(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
 class TelemetryPlane:
     """Fleet-wide ring buffers of VM utilization samples plus cached estimates."""
 
-    SERVICE_NAME = "telemetry-planes"
+    SERVICE_NAME = "telemetry-plane"
 
-    def __init__(self, window: int, estimator: DemandEstimator) -> None:
+    def __init__(self, window: int, estimator: EwmaEstimator) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = int(window)
@@ -102,23 +104,12 @@ class TelemetryPlane:
 
     # ------------------------------------------------------------------ service
     @classmethod
-    def shared(cls, sim, window: int, estimator: DemandEstimator) -> "TelemetryPlane":
-        """The per-simulation plane for these settings (created on first use).
-
-        Components that agree on ``window`` and on the estimator's type and
-        parameters share one plane, so a fleet is sampled and estimated as
-        one batch whatever its settings are.
-        """
-        if sim.has_service(cls.SERVICE_NAME):
-            planes = sim.get_service(cls.SERVICE_NAME)
-        else:
-            planes = {}
-            sim.register_service(cls.SERVICE_NAME, planes)
-        key = (int(window), type(estimator), tuple(sorted(vars(estimator).items())))
-        plane = planes.get(key)
-        if plane is None:
-            plane = planes[key] = cls(window, estimator)
-        return plane
+    def shared(cls, sim) -> "TelemetryPlane":
+        """The simulation's one plane (created on first use), so a fleet is
+        sampled and estimated as one batch."""
+        if not sim.has_service(cls.SERVICE_NAME):
+            sim.register_service(cls.SERVICE_NAME, cls(ESTIMATION_WINDOW, EwmaEstimator()))
+        return sim.get_service(cls.SERVICE_NAME)
 
     def attach(self) -> int:
         """Claim the next host id (the row a host's slots are folded into)."""

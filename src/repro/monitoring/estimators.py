@@ -1,58 +1,24 @@
-"""Resource-demand estimators.
+"""Resource-demand estimation.
 
 A Group Manager receives a history of utilization samples per VM and must
 produce a single demand vector to schedule on ("Resource (i.e. CPU, memory and
-network utilization) demand estimation", paper Section II.A).  The estimator
-choice trades packing density against overload risk:
+network utilization) demand estimation", paper Section II.A).  Every
+deployment uses :class:`EwmaEstimator`, an exponentially weighted moving
+average that tracks recent behaviour over the sliding estimation window of the
+Snooze implementation.
 
-* :class:`MaxEstimator` is conservative (no overload from estimation error,
-  poorest packing),
-* :class:`MeanEstimator` is aggressive,
-* :class:`EwmaEstimator` tracks recent behaviour (the default, matching the
-  sliding estimation window of the Snooze implementation),
-* :class:`PercentileEstimator` gives an explicit knob (e.g. p95).
-
-Each estimator is one array kernel, :meth:`DemandEstimator.estimate_windows`:
-it reduces a ``(m, n, d)`` block of ``m`` equal-length sample windows to ``m``
-demand rows at once.  The scalar per-window forms live in
-``tests/scalar_monitor.py``, the oracle the kernels are tested against.
+The estimator is one array kernel, :meth:`EwmaEstimator.estimate_windows`: it
+reduces a ``(m, n, d)`` block of ``m`` equal-length sample windows to ``m``
+demand rows at once.  The scalar per-window form lives in
+``tests/scalar_monitor.py``, the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
-import abc
 import numpy as np
 
 
-class DemandEstimator(abc.ABC):
-    """Base class mapping sample windows to demand estimates."""
-
-    name: str = "base"
-
-    @abc.abstractmethod
-    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Reduce a ``(m, n, d)`` block of equal-length windows (``n >= 1``) to ``(m, d)``."""
-
-
-class MeanEstimator(DemandEstimator):
-    """Arithmetic mean of the sample window."""
-
-    name = "mean"
-
-    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
-        return windows.mean(axis=1)
-
-
-class MaxEstimator(DemandEstimator):
-    """Per-dimension maximum -- the most conservative estimate."""
-
-    name = "max"
-
-    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
-        return windows.max(axis=1)
-
-
-class EwmaEstimator(DemandEstimator):
+class EwmaEstimator:
     """Exponentially weighted moving average over the window (newest weighs most)."""
 
     name = "ewma"
@@ -63,6 +29,7 @@ class EwmaEstimator(DemandEstimator):
         self.alpha = float(alpha)
 
     def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Reduce a ``(m, n, d)`` block of equal-length windows (``n >= 1``) to ``(m, d)``."""
         alpha = self.alpha
         estimate = windows[:, 0].copy()
         for position in range(1, windows.shape[1]):
@@ -70,30 +37,8 @@ class EwmaEstimator(DemandEstimator):
         return estimate
 
 
-class PercentileEstimator(DemandEstimator):
-    """Per-dimension percentile of the window (p95 by default)."""
-
-    name = "percentile"
-
-    def __init__(self, percentile: float = 95.0) -> None:
-        if not (0.0 < percentile <= 100.0):
-            raise ValueError("percentile must be in (0, 100]")
-        self.percentile = float(percentile)
-
-    def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
-        return np.percentile(windows, self.percentile, axis=1)
-
-
-def make_estimator(name: str, **kwargs) -> DemandEstimator:
-    """Factory keyed by estimator name (used by configuration and the CLI)."""
-    registry = {
-        "mean": MeanEstimator,
-        "max": MaxEstimator,
-        "ewma": EwmaEstimator,
-        "percentile": PercentileEstimator,
-    }
-    try:
-        cls = registry[name.lower()]
-    except KeyError as exc:
-        raise ValueError(f"unknown estimator {name!r}; choose from {sorted(registry)}") from exc
-    return cls(**kwargs)
+def make_estimator(name: str) -> EwmaEstimator:
+    """The estimator called ``name``; ``"ewma"`` is the only one."""
+    if name.lower() != "ewma":
+        raise ValueError(f"unknown estimator {name!r}; choose from ['ewma']")
+    return EwmaEstimator()

@@ -23,6 +23,10 @@ from repro.simulation.batch import DeadlineTable
 from repro.simulation.engine import Event
 
 
+#: Seconds a call waits for its reply unless the caller passes another timeout.
+RPC_TIMEOUT = 5.0
+
+
 class RpcError(RuntimeError):
     """Raised locally for invalid RPC usage (unknown operation, double completion)."""
 
@@ -105,7 +109,7 @@ class RpcChannel:
         on_reply: Optional[Callable[[Any], None]] = None,
         on_error: Optional[Callable[[str], None]] = None,
         on_timeout: Optional[Callable[[], None]] = None,
-        timeout: float = 5.0,
+        timeout: float = RPC_TIMEOUT,
         trace_ctx: Optional[tuple] = None,
     ) -> int:
         """Invoke ``operation`` on ``recipient``; returns the correlation id.

@@ -52,16 +52,9 @@ class DecisionPlane:
         self._lc_by_node_id: Dict[str, str] = {}
         #: Join-ordered node list, resident (callers must not mutate).
         self._join_order: List[PhysicalNode] = []
-        # Resident sorted-by-node-id arrays (rebuilt on structural changes).
-        self._sorted_nodes: tuple = ()
-        self._node_ids = np.empty(0, dtype=object)
-        self._capacities = np.empty((0, 0), dtype=float)
-        self._reserved = np.empty((0, 0), dtype=float)
-        self._used = np.empty((0, 0), dtype=float)
-        self._placeable = np.empty(0, dtype=bool)
-        self._vm_counts = np.empty(0, dtype=np.int64)
-        self._cpu_index = 0
-        self._row_by_id: Dict[str, int] = {}
+        #: The resident sorted-by-node-id view (rebuilt on structural changes,
+        #: its rows refreshed in place).
+        self._view = ClusterView.from_nodes(())
         self._row_by_lc: Dict[str, int] = {}
         #: node_ids whose row needs a refresh before the next view.
         self._dirty: Set[str] = set()
@@ -122,35 +115,9 @@ class DecisionPlane:
         self._dirty.add(node.node_id)
 
     def _rebuild(self) -> None:
-        node_list = sorted(self._nodes_by_lc.values(), key=lambda node: node.node_id)
-        n = len(node_list)
-        self._sorted_nodes = tuple(node_list)
-        self._node_ids = np.array([node.node_id for node in node_list], dtype=object)
-        if n == 0:
-            self._capacities = np.empty((0, 0), dtype=float)
-            self._reserved = np.empty((0, 0), dtype=float)
-            self._used = np.empty((0, 0), dtype=float)
-            self._placeable = np.empty(0, dtype=bool)
-            self._vm_counts = np.empty(0, dtype=np.int64)
-            self._cpu_index = 0
-        else:
-            dims = node_list[0].capacity.dimensions
-            d = len(dims)
-            self._cpu_index = dims.index("cpu") if "cpu" in dims else 0
-            self._capacities = np.empty((n, d), dtype=float)
-            self._reserved = np.empty((n, d), dtype=float)
-            self._used = np.empty((n, d), dtype=float)
-            self._placeable = np.empty(n, dtype=bool)
-            self._vm_counts = np.empty(n, dtype=np.int64)
-            for row, node in enumerate(node_list):
-                self._capacities[row] = node.capacity.values
-                self._reserved[row] = node.reserved_values()
-                self._used[row] = node.used_values()
-                self._placeable[row] = node.is_available_for_placement
-                self._vm_counts[row] = node.vm_count
-        self._row_by_id = {node_id: row for row, node_id in enumerate(self._node_ids.tolist())}
+        self._view = ClusterView.from_nodes(self._nodes_by_lc.values())
         self._row_by_lc = {
-            lc_name: self._row_by_id[node.node_id]
+            lc_name: self._view._index_by_id[node.node_id]
             for lc_name, node in self._nodes_by_lc.items()
         }
         self._dirty.clear()
@@ -163,44 +130,47 @@ class DecisionPlane:
             return
         if not self._dirty:
             return
+        view = self._view
         for node_id in self._dirty:
-            row = self._row_by_id.get(node_id)
+            row = view._index_by_id.get(node_id)
             if row is None:  # marked dirty, then removed before the refresh
                 continue
-            node = self._sorted_nodes[row]
-            self._reserved[row] = node.reserved_values()
-            self._used[row] = node.used_values()
-            self._placeable[row] = node.is_available_for_placement
-            self._vm_counts[row] = node.vm_count
+            node = view.nodes[row]
+            view.reserved[row] = node.reserved_values()
+            view.used[row] = node.used_values()
+            view.placeable[row] = node.is_available_for_placement
+            view.vm_counts[row] = node.vm_count
         self._dirty.clear()
 
     # ----------------------------------------------------------------- views
     def view(self, exclude_lcs: Optional[Set[str]] = None) -> ClusterView:
         """A :class:`ClusterView` over the resident arrays, sorted by node id.
 
-        ``exclude_lcs`` masks those LCs' rows unplaceable (a copy of the one
-        boolean column; all other arrays are shared).  Policies must treat the
-        view as read-only, which every registered policy already does.
+        Without ``exclude_lcs`` this is the resident view itself.  With it,
+        those LCs' rows are masked unplaceable in a copy of the one boolean
+        column; all other arrays are shared.  Policies must treat the view as
+        read-only, which every registered policy already does.
         """
         self.refresh()
-        placeable = self._placeable
-        if exclude_lcs:
-            placeable = placeable.copy()
-            for lc_name in exclude_lcs:
-                row = self._row_by_lc.get(lc_name)
-                if row is not None:
-                    placeable[row] = False
-        view = ClusterView.__new__(ClusterView)
-        view.nodes = self._sorted_nodes
-        view.node_ids = self._node_ids
-        view.capacities = self._capacities
-        view.reserved = self._reserved
-        view.used = self._used
-        view.placeable = placeable
-        view.vm_counts = self._vm_counts
-        view.cpu_index = self._cpu_index
-        view._index_by_id = self._row_by_id
-        return view
+        view = self._view
+        if not exclude_lcs:
+            return view
+        placeable = view.placeable.copy()
+        for lc_name in exclude_lcs:
+            row = self._row_by_lc.get(lc_name)
+            if row is not None:
+                placeable[row] = False
+        return ClusterView._assemble(
+            view.nodes,
+            view.node_ids,
+            view.capacities,
+            view.reserved,
+            view.used,
+            placeable,
+            view.vm_counts,
+            view.cpu_index,
+            view._index_by_id,
+        )
 
     def join_order_view(self) -> ClusterView:
         """A :class:`ClusterView` in LC *join* order (what relocation and
@@ -208,19 +178,18 @@ class DecisionPlane:
         sort_by_id=False)``): a numpy row gather of the resident arrays, no
         per-node attribute reads."""
         self.refresh()
+        view = self._view
         rows = np.asarray(
-            [self._row_by_id[node.node_id] for node in self._join_order], dtype=np.intp
+            [view._index_by_id[node.node_id] for node in self._join_order], dtype=np.intp
         )
-        view = ClusterView.__new__(ClusterView)
-        view.nodes = tuple(self._join_order)
-        view.node_ids = self._node_ids[rows]
-        view.capacities = self._capacities[rows]
-        view.reserved = self._reserved[rows]
-        view.used = self._used[rows]
-        view.placeable = self._placeable[rows]
-        view.vm_counts = self._vm_counts[rows]
-        view.cpu_index = self._cpu_index
-        view._index_by_id = {
-            node.node_id: row for row, node in enumerate(self._join_order)
-        }
-        return view
+        return ClusterView._assemble(
+            tuple(self._join_order),
+            view.node_ids[rows],
+            view.capacities[rows],
+            view.reserved[rows],
+            view.used[rows],
+            view.placeable[rows],
+            view.vm_counts[rows],
+            view.cpu_index,
+            {node.node_id: row for row, node in enumerate(self._join_order)},
+        )

@@ -79,8 +79,6 @@ class PolicySpec:
     factory: Callable[..., object]
     description: str
     params: Tuple[ParamSpec, ...]
-    #: True when the factory accepts **kwargs (no parameter-name validation).
-    accepts_extra: bool = False
 
     def param_names(self) -> List[str]:
         """Names of the declared constructor parameters."""
@@ -92,13 +90,12 @@ class PolicySpec:
 
     def build(self, **params) -> object:
         """Construct the policy, validating parameter names against the schema."""
-        if not self.accepts_extra:
-            unknown = set(params) - set(self.param_names())
-            if unknown:
-                raise ValueError(
-                    f"unknown parameter(s) {sorted(unknown)} for {self.kind} policy "
-                    f"{self.name!r}; valid parameters: {self.param_names()}"
-                )
+        unknown = set(params) - set(self.param_names())
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {sorted(unknown)} for {self.kind} policy "
+                f"{self.name!r}; valid parameters: {self.param_names()}"
+            )
         missing = [
             param.name for param in self.params if param.required and param.name not in params
         ]
@@ -118,28 +115,32 @@ class PolicySpec:
         }
 
 
-def _signature_params(factory: Callable) -> Tuple[Tuple[ParamSpec, ...], bool]:
-    """Derive the parameter schema from a class ``__init__`` or plain factory."""
+def _signature_params(factory: Callable) -> Tuple[ParamSpec, ...]:
+    """Derive the parameter schema from a class ``__init__`` or plain factory.
+
+    Every parameter must be named: a factory taking ``**kwargs`` could not
+    have its parameter names validated, so registering one is an error.
+    """
     if inspect.isclass(factory):
         if factory.__init__ is object.__init__:  # no constructor parameters at all
-            return (), False
+            return ()
         target = factory.__init__  # type: ignore[misc]
     else:
         target = factory
     try:
         signature = inspect.signature(target)
     except (TypeError, ValueError):  # e.g. object.__init__ on a no-arg class
-        return (), False
+        return ()
     params: List[ParamSpec] = []
-    accepts_extra = False
     for parameter in signature.parameters.values():
         if parameter.name == "self":
             continue
         if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
             continue
         if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            accepts_extra = True
-            continue
+            raise ValueError(
+                f"policy factory {factory!r} takes **{parameter.name}; name its parameters"
+            )
         default = _REQUIRED if parameter.default is inspect.Parameter.empty else parameter.default
         params.append(
             ParamSpec(
@@ -148,7 +149,7 @@ def _signature_params(factory: Callable) -> Tuple[Tuple[ParamSpec, ...], bool]:
                 runtime=parameter.name in RUNTIME_PARAMS,
             )
         )
-    return tuple(params), accepts_extra
+    return tuple(params)
 
 
 def _first_doc_line(factory: Callable) -> str:
@@ -175,14 +176,12 @@ def register_policy(
         # Lookups lower-case the requested name (historical factory behaviour),
         # so registered names must be lower-case to stay reachable.
         policy_name = policy_name.lower()
-        params, accepts_extra = _signature_params(factory)
         spec = PolicySpec(
             kind=str(kind),
             name=policy_name,
             factory=factory,
             description=description or _first_doc_line(factory),
-            params=params,
-            accepts_extra=accepts_extra,
+            params=_signature_params(factory),
         )
         bucket = _REGISTRY.setdefault(spec.kind, {})
         if spec.name in bucket:
@@ -248,7 +247,7 @@ def validate_policy_selection(kind: str, entry: object) -> PolicySpec:
     spec = get_policy_spec(kind, str(entry["name"]))
     params = set(entry) - {"name"}
     unknown = params - set(spec.param_names())
-    if unknown and not spec.accepts_extra:
+    if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for {kind} policy "
             f"{spec.name!r}; valid parameters: {spec.param_names()}"

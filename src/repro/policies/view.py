@@ -37,8 +37,9 @@ class ClusterView:
         "_index_by_id",
     )
 
-    def __init__(
-        self,
+    @classmethod
+    def _assemble(
+        cls,
         nodes: Tuple[PhysicalNode, ...],
         node_ids: np.ndarray,
         capacities: np.ndarray,
@@ -47,25 +48,28 @@ class ClusterView:
         placeable: np.ndarray,
         vm_counts: np.ndarray,
         cpu_index: int,
-    ) -> None:
-        self.nodes = nodes
+        index_by_id: Dict[str, int],
+    ) -> "ClusterView":
+        """The one constructor: plain attribute stores over arrays the caller owns."""
+        view = cls.__new__(cls)
+        view.nodes = nodes
         #: Node ids aligned with every array row.
-        self.node_ids = node_ids
+        view.node_ids = node_ids
         #: ``(n, d)`` total capacity per node.
-        self.capacities = capacities
+        view.capacities = capacities
         #: ``(n, d)`` reserved (admission-control) load per node.
-        self.reserved = reserved
+        view.reserved = reserved
         #: ``(n, d)`` used (monitoring) load per node.
-        self.used = used
+        view.used = used
         #: ``(n,)`` bool: node is ON and accepts placements right now.
-        self.placeable = placeable
+        view.placeable = placeable
         #: ``(n,)`` number of VMs currently hosted per node.
-        self.vm_counts = vm_counts
+        view.vm_counts = vm_counts
         #: Index of the CPU dimension (utilization/threshold math).
-        self.cpu_index = cpu_index
-        self._index_by_id: Dict[str, int] = {
-            node_id: index for index, node_id in enumerate(node_ids.tolist())
-        }
+        view.cpu_index = cpu_index
+        #: ``node_id -> row``.
+        view._index_by_id = index_by_id
+        return view
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -77,24 +81,11 @@ class ClusterView:
         if sort_by_id:
             node_list.sort(key=lambda node: node.node_id)
         n = len(node_list)
-        if n == 0:
-            empty2 = np.empty((0, 0), dtype=float)
-            return cls(
-                nodes=(),
-                node_ids=np.empty(0, dtype=object),
-                capacities=empty2,
-                reserved=empty2,
-                used=empty2,
-                placeable=np.empty(0, dtype=bool),
-                vm_counts=np.empty(0, dtype=np.int64),
-                cpu_index=0,
-            )
-        dims = node_list[0].capacity.dimensions
+        dims = node_list[0].capacity.dimensions if node_list else ()
         d = len(dims)
-        cpu_index = dims.index("cpu") if "cpu" in dims else 0
         capacities = np.empty((n, d), dtype=float)
-        reserved = np.zeros((n, d), dtype=float)
-        used = np.zeros((n, d), dtype=float)
+        reserved = np.empty((n, d), dtype=float)
+        used = np.empty((n, d), dtype=float)
         placeable = np.empty(n, dtype=bool)
         vm_counts = np.empty(n, dtype=np.int64)
         for index, node in enumerate(node_list):
@@ -107,15 +98,17 @@ class ClusterView:
             used[index] = node.used_values()
             placeable[index] = node.is_available_for_placement
             vm_counts[index] = node.vm_count
-        return cls(
-            nodes=tuple(node_list),
-            node_ids=np.array([node.node_id for node in node_list], dtype=object),
-            capacities=capacities,
-            reserved=reserved,
-            used=used,
-            placeable=placeable,
-            vm_counts=vm_counts,
-            cpu_index=cpu_index,
+        node_ids = [node.node_id for node in node_list]
+        return cls._assemble(
+            tuple(node_list),
+            np.array(node_ids, dtype=object),
+            capacities,
+            reserved,
+            used,
+            placeable,
+            vm_counts,
+            dims.index("cpu") if "cpu" in dims else 0,
+            {node_id: index for index, node_id in enumerate(node_ids)},
         )
 
     # -------------------------------------------------------------- inspection

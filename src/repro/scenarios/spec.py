@@ -151,8 +151,6 @@ class ScenarioSpec(PlainData):
     #: When given, ``local_controllers`` is forced to the sum of class counts.
     node_classes: List[NodeClass] = field(default_factory=list)
     nodes_per_rack: int = 24
-    #: Random +-fraction jitter applied to node capacities (0 = exact).
-    heterogeneity: float = 0.0
     #: Flat :class:`HierarchyConfig` overrides; the nested keys ``thresholds``,
     #: ``power_manager``, ``network`` and ``observability`` take parameter
     #: dictionaries.
@@ -183,6 +181,7 @@ class ScenarioSpec(PlainData):
             self.local_controllers = sum(nc.count for nc in self.node_classes)
         if self.local_controllers <= 0:
             raise ValueError("need at least one local controller")
+        self.system_spec()  # no GM, no Entry Point or empty racks raise here, at load
         for event in self.timeline:
             if event.at > self.duration:
                 raise ValueError(
@@ -212,7 +211,6 @@ class ScenarioSpec(PlainData):
             node_count=self.local_controllers,
             node_classes=list(self.node_classes) or None,
             nodes_per_rack=self.nodes_per_rack,
-            heterogeneity=self.heterogeneity,
             name=self.name,
         )
 

@@ -282,7 +282,6 @@ class TrafficPlane:
                 lc_name,
                 "terminate_vm",
                 kwargs={"vm_id": record.vm.vm_id},
-                timeout=self.client.config.rpc_timeout,
             )
             terminated += 1
         if terminated:

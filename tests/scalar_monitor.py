@@ -1,11 +1,11 @@
 """Scalar per-VM monitoring: the oracle the array telemetry plane is tested against.
 
-:func:`scalar_estimate` reduces one ``(n, d)`` sample window the way each
-built-in estimator is defined, a row or a column at a time and without calling
-any estimator kernel.  One :class:`VMMonitor` per hosted VM (bounded sample
+:func:`scalar_estimate` reduces one ``(n, d)`` sample window the way the EWMA
+estimator is defined, a row at a time and without calling the estimator
+kernel.  One :class:`VMMonitor` per hosted VM (bounded sample
 history) and one :class:`HostMonitor` summarizing the host are the
 straightforward object implementation of LC-side monitoring.  The estimator
-kernels and ``repro.monitoring.arrays`` must stay bit-identical to them
+kernel and ``repro.monitoring.arrays`` must stay bit-identical to them
 (``tests/test_properties_monitoring.py``); nothing in ``src`` uses them.
 """
 
@@ -20,31 +20,19 @@ import numpy as np
 from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import ResourceVector
 from repro.cluster.vm import VirtualMachine
-from repro.monitoring.estimators import DemandEstimator, EwmaEstimator
+from repro.monitoring.estimators import EwmaEstimator
 
 
-def scalar_estimate(estimator: DemandEstimator, samples: np.ndarray) -> np.ndarray:
-    """Reduce one non-empty ``(n, d)`` window to the ``(d,)`` estimate ``estimator`` defines.
-
-    Reads only the estimator's name and parameters: mean and max reduce the
-    window's rows, EWMA folds the rows oldest first, and the percentile is
-    taken per dimension.
-    """
+def scalar_estimate(estimator: EwmaEstimator, samples: np.ndarray) -> np.ndarray:
+    """Reduce one non-empty ``(n, d)`` window to the ``(d,)`` EWMA estimate,
+    folding the rows oldest first with ``estimator.alpha``."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("samples must be a non-empty (n, d) array")
-    if estimator.name == "mean":
-        return samples.mean(axis=0)
-    if estimator.name == "max":
-        return samples.max(axis=0)
-    if estimator.name == "ewma":
-        estimate = samples[0].copy()
-        for row in samples[1:]:
-            estimate = estimator.alpha * row + (1.0 - estimator.alpha) * estimate
-        return estimate
-    if estimator.name == "percentile":
-        return np.percentile(samples, estimator.percentile, axis=0)
-    raise ValueError(f"no scalar form for estimator {estimator.name!r}")
+    estimate = samples[0].copy()
+    for row in samples[1:]:
+        estimate = estimator.alpha * row + (1.0 - estimator.alpha) * estimate
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class VMMonitor:
         self,
         vm: VirtualMachine,
         window: int = 20,
-        estimator: Optional[DemandEstimator] = None,
+        estimator: Optional[EwmaEstimator] = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -106,7 +94,7 @@ class HostMonitor:
         self,
         node: PhysicalNode,
         window: int = 20,
-        estimator: Optional[DemandEstimator] = None,
+        estimator: Optional[EwmaEstimator] = None,
     ) -> None:
         self.node = node
         self.window = int(window)

@@ -284,13 +284,45 @@ class TestSpecFiles:
     def test_unknown_estimator_in_a_file_fails_describe(self, tmp_path, capsys):
         assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
         spec = json.loads(capsys.readouterr().out)
-        spec["config"]["estimator"] = "median"
+        spec["config"]["estimator"] = "ewma"
         path = _write(tmp_path, "bad.json", json.dumps(spec))
         assert main(["scenario", "describe", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid scenario spec {path!r}: unknown HierarchyConfig overrides: ['estimator']\n"
+        )
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("heterogeneity",), 0.0, "unknown ScenarioSpec key(s) ['heterogeneity']; valid keys: "),
+            (
+                ("config", "power_manager", "power_state"),
+                "suspend",
+                "unknown PowerManagerConfig key(s) ['power_state']; valid keys: ",
+            ),
+            (
+                ("config", "max_migrations_per_round"),
+                -1,
+                "max_migrations_per_round must be non-negative or None (got -1)",
+            ),
+            (("group_managers",), 0, "need at least one group manager"),
+            (("entry_points",), 0, "need at least one entry point"),
+            (("nodes_per_rack",), 0, "nodes_per_rack must be positive"),
+        ],
+        ids=["heterogeneity", "power_state", "migration_cap", "no_gm", "no_ep", "empty_racks"],
+    )
+    def test_bad_spec_file_is_one_error_at_describe(self, tmp_path, capsys, path, value, message):
+        assert main(["scenario", "describe", "steady-churn", "--json"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        parent = spec
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        file = _write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["scenario", "describe", file]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "unknown estimator 'median'; choose from" in err
-        assert "Traceback" not in err
+        prefix = f"error: invalid scenario spec {file!r}: "
+        assert err.startswith(prefix + message) and err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import NodeState, PhysicalNode
-from repro.cluster.power import (
-    DEFAULT_POWER_STATES,
-    LinearPowerModel,
-    PowerStateSpec,
-)
+from repro.cluster.power import LinearPowerModel, PowerStateSpec
 from repro.cluster.resources import (
     ResourceError,
     ResourceVector,
 )
-from repro.cluster.topology import ClusterSpec, NodeClass, build_cluster
+from repro.cluster.topology import (
+    INTER_RACK_MBPS,
+    INTRA_RACK_MBPS,
+    ClusterSpec,
+    NodeClass,
+    build_cluster,
+)
 from repro.cluster.vm import VMState
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
@@ -183,10 +185,15 @@ class TestPowerModels:
         model = LinearPowerModel(p_idle=100.0, p_max=200.0)
         assert spec.break_even_seconds(model) == float("inf")
 
-    def test_default_power_states_exist(self):
-        assert "suspend" in DEFAULT_POWER_STATES
-        assert "shutdown" in DEFAULT_POWER_STATES
-        assert DEFAULT_POWER_STATES["shutdown"].sleep_power < DEFAULT_POWER_STATES["suspend"].sleep_power
+    def test_default_power_state_is_suspend(self):
+        assert PowerStateSpec() == PowerStateSpec(
+            name="suspend",
+            sleep_power=10.0,
+            suspend_latency=10.0,
+            wakeup_latency=30.0,
+            suspend_energy=500.0,
+            wakeup_energy=2000.0,
+        )
 
 
 class TestPhysicalNode:
@@ -315,18 +322,16 @@ class TestClusterTopology:
         assert topology.rack_of(ids[5]) == 1
         intra = topology.bandwidth_mbps(ids[0], ids[1])
         inter = topology.bandwidth_mbps(ids[0], ids[5])
-        assert intra == topology.spec.intra_rack_bandwidth_mbps
-        assert inter == topology.spec.inter_rack_bandwidth_mbps
+        assert (intra, inter) == (INTRA_RACK_MBPS, INTER_RACK_MBPS) == (1000.0, 500.0)
         assert topology.bandwidth_mbps(ids[0], ids[0]) == float("inf")
 
-    def test_heterogeneous_cluster_requires_rng(self):
-        with pytest.raises(ValueError):
-            build_cluster(ClusterSpec(node_count=4, heterogeneity=0.2))
-
-    def test_heterogeneous_cluster_varies_capacity(self, rng):
-        topology = build_cluster(ClusterSpec(node_count=8, heterogeneity=0.3), rng=rng)
-        cpus = {round(node.capacity["cpu"], 6) for node in topology}
-        assert len(cpus) > 1
+    def test_homogeneous_cluster_is_unit_hosts_on_one_power_model(self):
+        topology = build_cluster(ClusterSpec(node_count=3))
+        assert [node.capacity.values.tolist() for node in topology] == [[1.0, 1.0, 1.0]] * 3
+        assert {node.node_class for node in topology} == {None}
+        assert len({id(node.power_model) for node in topology}) == 1
+        assert topology.nodes[0].power_model.power(0.0) == pytest.approx(170.0)
+        assert topology.nodes[0].power_model.power(1.0) == pytest.approx(250.0)
 
     def test_active_node_count(self):
         topology = build_cluster(ClusterSpec(node_count=3))
@@ -337,5 +342,5 @@ class TestClusterTopology:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             ClusterSpec(node_count=0)
-        with pytest.raises(ValueError):
-            ClusterSpec(node_count=4, heterogeneity=1.5)
+        with pytest.raises(ValueError, match="nodes_per_rack must be positive"):
+            ClusterSpec(node_count=4, nodes_per_rack=0)

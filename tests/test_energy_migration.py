@@ -222,10 +222,9 @@ class TestPowerStateManager:
         nodes = [make_node(f"node-{i}") for i in range(2)]
         meter = EnergyMeter(sim, nodes, sample_interval=10.0)
         config = PowerManagerConfig(enabled=True, idle_time_threshold=10.0, check_interval=10.0, min_powered_on_hosts=0)
-        spec = PowerStateSpec(suspend_energy=123.0, wakeup_energy=0.0)
-        PowerStateManager(sim, nodes, config=config, spec=spec, energy_meter=meter)
+        PowerStateManager(sim, nodes, config=config, energy_meter=meter)
         sim.run(until=100.0)
-        assert meter.report().transition_energy_joules == pytest.approx(2 * 123.0)
+        assert meter.report().transition_energy_joules == pytest.approx(2 * PowerStateSpec().suspend_energy)
 
     def test_disabled_manager_does_nothing(self, sim):
         nodes = [make_node()]

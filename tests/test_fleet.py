@@ -12,6 +12,7 @@ import pytest
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
 from repro.hierarchy.fleet import HeartbeatRows, LocalControllerFleet, MonitoringRows
 from repro.hierarchy.group_manager import GroupManager
+from repro.monitoring.arrays import TelemetryPlane
 from repro.network.transport import NetworkConfig
 from repro.simulation.batch import CoalescedTicker
 
@@ -63,10 +64,10 @@ class TestTickGroups:
         fleet = LocalControllerFleet.shared(det_system.sim, det_system.network)
         assert sorted(len(group.lcs) for group in fleet._groups.values()) == [11, 11]
 
-    def test_lcs_with_the_same_non_default_settings_share_one_plane(self):
-        system = build(NetworkConfig(), lcs=4, gms=2, estimation_window=5, estimator="max")
-        planes = {id(lc.monitor.plane) for lc in system.local_controllers.values()}
-        assert len(planes) == 1
+    def test_every_lc_samples_into_the_simulations_one_plane(self):
+        system = build(NetworkConfig(), lcs=4, gms=2)
+        plane = TelemetryPlane.shared(system.sim)
+        assert all(lc.monitor.plane is plane for lc in system.local_controllers.values())
 
 
 class TestDeliveryContract:

@@ -42,9 +42,15 @@ class TestHierarchyConfig:
                 config={"session_timeout": 1.5},
             ).hierarchy_config(seed=1)
 
-    def test_unknown_estimator_rejected_at_construction(self):
-        with pytest.raises(ValueError, match=r"unknown estimator 'median'; choose from"):
-            HierarchyConfig(estimator="median")
+    @pytest.mark.parametrize("key", ["estimator", "estimation_window", "rpc_timeout", "placement_timeout"])
+    def test_constants_are_not_settings(self, key):
+        with pytest.raises(ValueError, match=rf"unknown HierarchyConfig key\(s\) \['{key}'\]"):
+            HierarchyConfig.from_dict({key: 1})
+
+    def test_negative_migration_cap_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match=r"^max_migrations_per_round must be non-negative or None \(got -1\)$"):
+            HierarchyConfig(max_migrations_per_round=-1)
+        assert HierarchyConfig(max_migrations_per_round=0).max_migrations_per_round == 0
 
     def test_negative_intervals_rejected(self):
         with pytest.raises(ValueError):

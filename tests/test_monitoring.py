@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.monitoring.estimators import (
-    EwmaEstimator,
-    MaxEstimator,
-    MeanEstimator,
-    PercentileEstimator,
-    make_estimator,
-)
+from repro.monitoring.estimators import EwmaEstimator, make_estimator
 from repro.monitoring.arrays import ArrayHostMonitor, HostRows, TelemetryPlane
 from repro.monitoring.summary import (
     GroupManagerSummary,
@@ -35,76 +29,61 @@ def estimate_one(estimator, samples) -> np.ndarray:
 class TestEstimators:
     SAMPLES = np.array([[0.2, 0.3, 0.1], [0.4, 0.3, 0.1], [0.6, 0.3, 0.1]])
 
-    def test_mean(self):
-        estimate = estimate_one(MeanEstimator(), self.SAMPLES)
-        assert estimate[0] == pytest.approx(0.4)
-        assert estimate[1] == pytest.approx(0.3)
-
-    def test_max(self):
-        estimate = estimate_one(MaxEstimator(), self.SAMPLES)
-        assert estimate[0] == pytest.approx(0.6)
-
     def test_ewma_weighs_recent_samples_more(self):
         estimate = estimate_one(EwmaEstimator(alpha=0.5), self.SAMPLES)
-        assert estimate[0] > estimate_one(MeanEstimator(), self.SAMPLES)[0]
+        assert estimate[0] > self.SAMPLES[:, 0].mean()
 
     def test_ewma_alpha_one_returns_latest(self):
         estimate = estimate_one(EwmaEstimator(alpha=1.0), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.6)
 
-    def test_percentile(self):
-        estimate = estimate_one(PercentileEstimator(percentile=50.0), self.SAMPLES)
-        assert estimate[0] == pytest.approx(0.4)
-
     def test_estimates_bounded_by_sample_range(self):
-        for estimator in (MeanEstimator(), MaxEstimator(), EwmaEstimator(), PercentileEstimator()):
+        for estimator in (EwmaEstimator(), EwmaEstimator(alpha=1.0)):
             estimate = estimate_one(estimator, self.SAMPLES)
             assert np.all(estimate >= self.SAMPLES.min(axis=0) - 1e-12)
             assert np.all(estimate <= self.SAMPLES.max(axis=0) + 1e-12)
 
     def test_factory(self):
-        assert isinstance(make_estimator("mean"), MeanEstimator)
-        assert isinstance(make_estimator("ewma", alpha=0.5), EwmaEstimator)
-        with pytest.raises(ValueError):
-            make_estimator("nope")
+        estimator = make_estimator("ewma")
+        assert isinstance(estimator, EwmaEstimator) and estimator.alpha == 0.3
+        with pytest.raises(ValueError, match=r"unknown estimator 'mean'; choose from \['ewma'\]"):
+            make_estimator("mean")
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             EwmaEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            PercentileEstimator(percentile=0.0)
 
 
 class TestEstimatorEdgeCases:
-    ALL = [MeanEstimator(), MaxEstimator(), EwmaEstimator(), PercentileEstimator()]
+    ALL = [EwmaEstimator(), EwmaEstimator(alpha=1.0)]
 
     def test_single_sample_is_returned_verbatim(self):
         sample = np.array([[0.37, 0.21, 0.09]])
         for estimator in self.ALL:
-            assert (estimate_one(estimator, sample) == sample[0]).all(), estimator.name
+            assert (estimate_one(estimator, sample) == sample[0]).all(), estimator.alpha
 
     def test_constant_window_estimates_the_constant(self):
         window = np.full((12, 3), 0.42)
         for estimator in self.ALL:
-            assert estimate_one(estimator, window) == pytest.approx([0.42] * 3), estimator.name
+            assert estimate_one(estimator, window) == pytest.approx([0.42] * 3), estimator.alpha
 
     def test_zero_utilization_window(self):
         window = np.zeros((5, 3))
         for estimator in self.ALL:
-            assert (estimate_one(estimator, window) == 0.0).all(), estimator.name
+            assert (estimate_one(estimator, window) == 0.0).all(), estimator.alpha
 
     def test_out_of_order_sampling_keeps_append_order(self):
         """Monitors index the window by arrival, not timestamp: sampling at a
         past simulated time (e.g. around a clock rewind in tests) must not
         corrupt the window."""
         vm = make_vm(cpu=0.8, trace=SpikeTrace(before=0.25, after=0.75, at=50.0))
-        monitor = VMMonitor(vm, window=4, estimator=MaxEstimator())
+        monitor = VMMonitor(vm, window=4, estimator=EwmaEstimator(alpha=1.0))
         for now in (100.0, 0.0, 60.0, 10.0):  # deliberately unsorted
             monitor.sample(now)
         timestamps = [sample.timestamp for sample in monitor.samples]
         assert timestamps == [100.0, 0.0, 60.0, 10.0]
-        # Max over the window: the spike level times the reservation.
-        assert monitor.estimate_demand()["cpu"] == pytest.approx(0.8 * 0.75)
+        # The last sample appended (t=10, before the spike), not the latest in time.
+        assert monitor.estimate_demand()["cpu"] == pytest.approx(0.8 * 0.25)
 
 
 class TestVMMonitor:
@@ -132,7 +111,7 @@ class TestVMMonitor:
 
     def test_estimate_capped_at_reservation(self):
         vm = make_vm(cpu=0.5, trace=ConstantTrace(1.0))
-        monitor = VMMonitor(vm, estimator=MaxEstimator())
+        monitor = VMMonitor(vm)
         monitor.sample(0.0)
         estimate = monitor.estimate_demand()
         assert estimate["cpu"] <= vm.requested["cpu"] + 1e-9
@@ -241,30 +220,19 @@ class TestGroupManagerSummary:
 
 
 class TestSharedTelemetryPlane:
-    def test_one_plane_per_window_and_estimator_settings(self):
+    def test_one_plane_per_simulation(self):
         sim = Simulator()
-        default = TelemetryPlane.shared(sim, 12, make_estimator("ewma"))
-        p90 = TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=90.0))
-        assert TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=90.0)) is p90
-        assert TelemetryPlane.shared(sim, 12, make_estimator("ewma")) is default
-        distinct = {
-            id(plane)
-            for plane in (
-                default,
-                p90,
-                TelemetryPlane.shared(sim, 5, make_estimator("percentile", percentile=95.0)),
-                TelemetryPlane.shared(sim, 6, make_estimator("percentile", percentile=90.0)),
-                TelemetryPlane.shared(sim, 12, make_estimator("ewma", alpha=0.5)),
-                TelemetryPlane.shared(Simulator(), 12, make_estimator("ewma")),
-            )
-        }
-        assert len(distinct) == 6
+        plane = TelemetryPlane.shared(sim)
+        assert TelemetryPlane.shared(sim) is plane
+        assert TelemetryPlane.shared(Simulator()) is not plane
+        assert plane.window == 12
+        assert isinstance(plane.estimator, EwmaEstimator) and plane.estimator.alpha == 0.3
 
 
 class TestGroupReports:
     def _rows(self, nodes):
         """A report table over ``nodes`` as the fleet kernel lays it out."""
-        plane = TelemetryPlane(4, MeanEstimator())
+        plane = TelemetryPlane(4, EwmaEstimator())
         hosts = HostRows(plane, [ArrayHostMonitor(node, plane) for node in nodes])
         for monitor in hosts.monitors:
             monitor.reconcile()

@@ -165,6 +165,26 @@ class TestRegistry:
             class Impostor:
                 name = "first-fit"
 
+    def test_kwargs_factory_refused_at_registration_in_one_line(self):
+        class Loose:
+            name = "loose"
+
+            def __init__(self, threshold: float = 0.5, **params) -> None:
+                self.params = params
+
+        with pytest.raises(ValueError) as excinfo:
+            register_policy("placement")(Loose)
+        message = str(excinfo.value)
+        assert "takes **params; name its parameters" in message and "\n" not in message
+        assert "loose" not in policy_names("placement")
+
+    def test_runtime_wiring_reaches_only_declared_parameters(self):
+        """``build_policy`` hands a policy the runtime extras its constructor
+        names and drops the rest (no factory takes ``**kwargs``)."""
+        config = HierarchyConfig(policies={"placement": {"name": "best-fit"}})
+        policy = config.build_policy("placement", thresholds=None, rng=object())
+        assert isinstance(policy, BestFitPlacement)
+
     def test_validate_selection(self):
         spec = validate_policy_selection("placement", {"name": "best-fit"})
         assert spec.name == "best-fit"
@@ -442,7 +462,7 @@ class TestHierarchyConfigPolicies:
             HierarchyConfig(), policies={"placement": {"name": "best-fit"}}
         )
         assert replaced.policy_name("placement") == "best-fit"
-        again = dataclasses.replace(replaced, estimator="max")
+        again = dataclasses.replace(replaced, monitoring_interval=5.0)
         assert again.policies == {"placement": {"name": "best-fit"}}
 
     def test_policy_block_mutation_after_construction_is_honored(self):

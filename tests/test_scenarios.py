@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import re
 
 import pytest
 
-from repro.cluster.topology import NodeClass
+from repro.cli.scenario import _force_observability
+from repro.cluster.topology import ClusterSpec, NodeClass
+from repro.energy import PowerManagerConfig
+from repro.hierarchy import HierarchyConfig, SystemSpec
+from repro.network import NetworkConfig
+from repro.obs import ObservabilityConfig
+from repro.policies import UtilizationThresholds
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
@@ -18,6 +27,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.cli.main import main
+from repro.sweeps import iter_sweeps
 from tests.golden import regenerate as golden
 
 
@@ -296,3 +306,99 @@ class TestScenarioCli:
     def test_run_without_name_errors(self):
         with pytest.raises(SystemExit):
             main(["scenario", "run"])
+
+
+# ------------------------------------------------------------- config census
+#: Every type a deployment is configured through.
+CONFIG_TYPES = (
+    HierarchyConfig,
+    NetworkConfig,
+    PowerManagerConfig,
+    UtilizationThresholds,
+    ObservabilityConfig,
+    SystemSpec,
+    ClusterSpec,
+    ScenarioSpec,
+)
+CONFIG_FIELDS = [
+    f"{config_type.__name__}.{field.name}"
+    for config_type in CONFIG_TYPES
+    for field in dataclasses.fields(config_type)
+]
+
+#: The CLI flags that write a config field, each applied as ``scenario run``
+#: applies it; the result is the deployment's configuration.
+CLI_FLAG_WRITES = {
+    "--seed": lambda spec: spec.hierarchy_config(seed=1),
+    "--trace": lambda spec: _force_observability(spec, True, False).hierarchy_config(seed=0),
+    "--metrics-out": lambda spec: _force_observability(spec, False, True).hierarchy_config(seed=0),
+}
+
+#: Fields no catalog scenario, sweep cell or CLI flag varies, each with the
+#: caller outside those paths that sets another value.
+REASONS = {
+    "HierarchyConfig.gl_heartbeat_interval": "E8 sweeps the heartbeat interval",
+    "HierarchyConfig.gm_heartbeat_interval": "E8 sweeps the heartbeat interval",
+    "HierarchyConfig.lc_heartbeat_interval": "E8 sweeps the heartbeat interval",
+    "HierarchyConfig.heartbeat_timeout": "E8 scales it with the heartbeat interval",
+    "HierarchyConfig.session_timeout": "E8 scales it with the heartbeat interval",
+    "HierarchyConfig.relocation_enabled": "E6 runs with relocation off and on",
+    "SystemSpec.entry_points": "E4 runs two Entry Points",
+    "ScenarioSpec.entry_points": "a spec file's Entry Points; E4 runs two",
+    "NetworkConfig.base_latency": "the benchmark's fleet_spec sets it",
+    "ScenarioSpec.record_interval": "the benchmark's fleet_spec sets it",
+    "NetworkConfig.loss_probability": "the reach tool's lossy spec-file run sets 0.05",
+    "ObservabilityConfig.metrics": "the benchmark's fleet-steady observability-off run",
+    "ObservabilityConfig.profiling": "the benchmark's traced runs switch the profiler on",
+}
+
+
+def _census_instances():
+    """Every config object the product paths build: the catalog scenarios,
+    every cell of every catalog sweep, and the CLI flag writes."""
+    specs = list(iter_scenarios())
+    cells = [run for sweep in iter_sweeps() for run in sweep.expand()]
+    for spec in specs:
+        yield from (spec, spec.hierarchy_config(seed=0), spec.system_spec(), spec.cluster_spec())
+        yield from (write(spec) for write in CLI_FLAG_WRITES.values())
+    for run in cells:
+        spec = run.build_scenario_spec()
+        yield from (spec, spec.hierarchy_config(seed=run.seed), spec.system_spec())
+
+
+@functools.lru_cache(maxsize=None)
+def config_census():
+    """``Type.field`` -> the distinct values the product paths give it."""
+    values = {name: set() for name in CONFIG_FIELDS}
+    pending = list(_census_instances())
+    while pending:
+        instance = pending.pop()
+        for field in dataclasses.fields(instance):
+            value = getattr(instance, field.name)
+            if isinstance(value, CONFIG_TYPES):
+                pending.append(value)
+            plain = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+            name = f"{type(instance).__name__}.{field.name}"
+            values[name].add(json.dumps(plain, sort_keys=True, default=repr))
+    return values
+
+
+class TestEveryConfigFieldIsVaried:
+    """A config field earns its place by taking two values on a product path,
+    or by a named caller that needs another value; otherwise it is a constant
+    in the module that reads it."""
+
+    @pytest.mark.parametrize("name", CONFIG_FIELDS)
+    def test_field_is_varied_or_has_a_reason(self, name):
+        values = config_census()[name]
+        assert len(values) >= 2 or name in REASONS, (
+            f"{name} is {sorted(values)} on every product path; make it a constant "
+            "in the module that reads it, or name the caller that varies it in REASONS"
+        )
+
+    @pytest.mark.parametrize("name", sorted(REASONS))
+    def test_every_reason_is_needed_and_names_its_caller(self, name):
+        assert name in CONFIG_FIELDS, f"{name} is no config field; drop its REASONS entry"
+        assert len(config_census()[name]) == 1, f"a product path varies {name}; drop its entry"
+        assert re.search(r"\bE[1-8]\b|benchmark|reach tool", REASONS[name])
+
