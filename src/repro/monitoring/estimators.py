@@ -18,22 +18,19 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Weight of the newest sample in each EWMA step.
+EWMA_WEIGHT = 0.3
+
+
 class EwmaEstimator:
     """Exponentially weighted moving average over the window (newest weighs most)."""
 
-    name = "ewma"
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = float(alpha)
-
     def estimate_windows(self, windows: np.ndarray) -> np.ndarray:
         """Reduce a ``(m, n, d)`` block of equal-length windows (``n >= 1``) to ``(m, d)``."""
-        alpha = self.alpha
+        weight = EWMA_WEIGHT
         estimate = windows[:, 0].copy()
         for position in range(1, windows.shape[1]):
-            estimate = alpha * windows[:, position] + (1.0 - alpha) * estimate
+            estimate = weight * windows[:, position] + (1.0 - weight) * estimate
         return estimate
 
 

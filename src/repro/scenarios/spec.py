@@ -28,7 +28,6 @@ makes the catalog listable, diffable and replayable from the CLI.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -146,7 +145,6 @@ class ScenarioSpec(PlainData):
     duration: float = 3600.0
     local_controllers: int = 16
     group_managers: int = 2
-    entry_points: int = 1
     #: Heterogeneous fleet; empty means a homogeneous cluster of unit hosts.
     #: When given, ``local_controllers`` is forced to the sum of class counts.
     node_classes: List[NodeClass] = field(default_factory=list)
@@ -181,15 +179,12 @@ class ScenarioSpec(PlainData):
             self.local_controllers = sum(nc.count for nc in self.node_classes)
         if self.local_controllers <= 0:
             raise ValueError("need at least one local controller")
-        self.system_spec()  # no GM, no Entry Point or empty racks raise here, at load
+        self.system_spec()  # no GM or empty racks raise here, at load
         for event in self.timeline:
             if event.at > self.duration:
                 raise ValueError(
                     f"timeline event at t={event.at} lies beyond duration {self.duration}"
                 )
-        unknown = set(self.config) - {f.name for f in dataclasses.fields(HierarchyConfig)}
-        if unknown:
-            raise ValueError(f"unknown HierarchyConfig overrides: {sorted(unknown)}")
         if "seed" in self.config:
             raise ValueError(
                 "'seed' cannot be a config override: the run seed is supplied to "
@@ -200,7 +195,7 @@ class ScenarioSpec(PlainData):
                 "'policies' cannot be a config override: use the scenario's own "
                 "top-level 'policies' section instead"
             )
-        self.hierarchy_config(seed=0)  # bad override values and policies raise here
+        self.hierarchy_config(seed=0)  # unknown keys, bad values and policies raise here
         if isinstance(self.traffic, dict):
             self.traffic = TrafficSpec.from_dict(self.traffic)
 
@@ -219,7 +214,6 @@ class ScenarioSpec(PlainData):
         return SystemSpec(
             local_controllers=self.local_controllers,
             group_managers=self.group_managers,
-            entry_points=self.entry_points,
             cluster=self.cluster_spec(),
         )
 

@@ -11,27 +11,38 @@ kernel and ``repro.monitoring.arrays`` must stay bit-identical to them
 
 from __future__ import annotations
 
+import contextlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional
+from unittest import mock
 
 import numpy as np
 
 from repro.cluster.node import PhysicalNode
 from repro.cluster.resources import ResourceVector
 from repro.cluster.vm import VirtualMachine
-from repro.monitoring.estimators import EwmaEstimator
+from repro.monitoring import estimators
 
 
-def scalar_estimate(estimator: EwmaEstimator, samples: np.ndarray) -> np.ndarray:
+@contextlib.contextmanager
+def ewma_weight(weight: float) -> Iterator[None]:
+    """Run the block with ``estimators.EWMA_WEIGHT`` set to ``weight``; 1.0
+    makes the estimate the newest sample."""
+    with mock.patch.object(estimators, "EWMA_WEIGHT", weight):
+        yield
+
+
+def scalar_estimate(samples: np.ndarray) -> np.ndarray:
     """Reduce one non-empty ``(n, d)`` window to the ``(d,)`` EWMA estimate,
-    folding the rows oldest first with ``estimator.alpha``."""
+    folding the rows oldest first with ``estimators.EWMA_WEIGHT``."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("samples must be a non-empty (n, d) array")
+    weight = estimators.EWMA_WEIGHT
     estimate = samples[0].copy()
     for row in samples[1:]:
-        estimate = estimator.alpha * row + (1.0 - estimator.alpha) * estimate
+        estimate = weight * row + (1.0 - weight) * estimate
     return estimate
 
 
@@ -50,17 +61,11 @@ class MonitoringSample:
 class VMMonitor:
     """Bounded history of utilization samples for one VM plus demand estimation."""
 
-    def __init__(
-        self,
-        vm: VirtualMachine,
-        window: int = 20,
-        estimator: Optional[EwmaEstimator] = None,
-    ) -> None:
+    def __init__(self, vm: VirtualMachine, window: int = 20) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.vm = vm
         self.window = int(window)
-        self.estimator = estimator or EwmaEstimator()
         self._samples: Deque[MonitoringSample] = deque(maxlen=self.window)
 
     def sample(self, now: float) -> MonitoringSample:
@@ -80,7 +85,7 @@ class VMMonitor:
         if not self._samples:
             return self.vm.requested
         matrix = np.vstack([sample.as_array() for sample in self._samples])
-        estimate = scalar_estimate(self.estimator, matrix)
+        estimate = scalar_estimate(matrix)
         # Never estimate above the reservation: the reservation caps what the
         # hypervisor will give the VM.
         capped = np.minimum(estimate, self.vm.requested.values)
@@ -90,22 +95,16 @@ class VMMonitor:
 class HostMonitor:
     """Aggregated view of one physical node and its VM monitors."""
 
-    def __init__(
-        self,
-        node: PhysicalNode,
-        window: int = 20,
-        estimator: Optional[EwmaEstimator] = None,
-    ) -> None:
+    def __init__(self, node: PhysicalNode, window: int = 20) -> None:
         self.node = node
         self.window = int(window)
-        self.estimator = estimator or EwmaEstimator()
         self._vm_monitors: Dict[int, VMMonitor] = {}
 
     # ----------------------------------------------------------------- per VM
     def track_vm(self, vm: VirtualMachine) -> VMMonitor:
         """Start (or continue) monitoring a VM placed on this host."""
         if vm.vm_id not in self._vm_monitors:
-            self._vm_monitors[vm.vm_id] = VMMonitor(vm, self.window, self.estimator)
+            self._vm_monitors[vm.vm_id] = VMMonitor(vm, self.window)
         return self._vm_monitors[vm.vm_id]
 
     def untrack_vm(self, vm: VirtualMachine) -> None:

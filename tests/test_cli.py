@@ -287,9 +287,10 @@ class TestSpecFiles:
         spec["config"]["estimator"] = "ewma"
         path = _write(tmp_path, "bad.json", json.dumps(spec))
         assert main(["scenario", "describe", path]) == 1
-        assert capsys.readouterr().err == (
-            f"error: invalid scenario spec {path!r}: unknown HierarchyConfig overrides: ['estimator']\n"
-        )
+        err = capsys.readouterr().err
+        prefix = f"error: invalid scenario spec {path!r}: "
+        assert err.startswith(prefix + "unknown HierarchyConfig key(s) ['estimator']; valid keys: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "path,value,message",
@@ -306,7 +307,7 @@ class TestSpecFiles:
                 "max_migrations_per_round must be non-negative or None (got -1)",
             ),
             (("group_managers",), 0, "need at least one group manager"),
-            (("entry_points",), 0, "need at least one entry point"),
+            (("entry_points",), 0, "unknown ScenarioSpec key(s) ['entry_points']; valid keys: "),
             (("nodes_per_rack",), 0, "nodes_per_rack must be positive"),
         ],
         ids=["heterogeneity", "power_state", "migration_cap", "no_gm", "no_ep", "empty_racks"],

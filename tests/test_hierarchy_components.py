@@ -59,7 +59,7 @@ class TestHierarchyConfig:
             HierarchyConfig(reconfiguration_interval=-1.0)
 
     def test_entry_points_is_not_a_config_override(self):
-        # Entry Points are deployment sizing (ScenarioSpec.entry_points); a
+        # Entry Points are deployment sizing (SystemSpec.entry_points); a
         # config override used to be accepted and silently build one EP.
         with pytest.raises(ValueError, match="entry_points"):
             ScenarioSpec(name="eps", config={"entry_points": 3})

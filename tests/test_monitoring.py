@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.resources import ResourceVector
+from repro.monitoring import estimators
 from repro.monitoring.estimators import EwmaEstimator, make_estimator
 from repro.monitoring.arrays import ArrayHostMonitor, HostRows, TelemetryPlane
 from repro.monitoring.summary import (
@@ -18,7 +19,7 @@ from repro.simulation.engine import Simulator
 from repro.workloads.traces import ConstantTrace, SpikeTrace
 
 from tests.conftest import make_node, make_vm
-from tests.scalar_monitor import HostMonitor, VMMonitor
+from tests.scalar_monitor import HostMonitor, VMMonitor, ewma_weight
 
 
 def estimate_one(estimator, samples) -> np.ndarray:
@@ -30,60 +31,69 @@ class TestEstimators:
     SAMPLES = np.array([[0.2, 0.3, 0.1], [0.4, 0.3, 0.1], [0.6, 0.3, 0.1]])
 
     def test_ewma_weighs_recent_samples_more(self):
-        estimate = estimate_one(EwmaEstimator(alpha=0.5), self.SAMPLES)
+        with ewma_weight(0.5):
+            estimate = estimate_one(EwmaEstimator(), self.SAMPLES)
         assert estimate[0] > self.SAMPLES[:, 0].mean()
 
-    def test_ewma_alpha_one_returns_latest(self):
-        estimate = estimate_one(EwmaEstimator(alpha=1.0), self.SAMPLES)
+    def test_ewma_weight_one_returns_latest(self):
+        with ewma_weight(1.0):
+            estimate = estimate_one(EwmaEstimator(), self.SAMPLES)
         assert estimate[0] == pytest.approx(0.6)
 
     def test_estimates_bounded_by_sample_range(self):
-        for estimator in (EwmaEstimator(), EwmaEstimator(alpha=1.0)):
-            estimate = estimate_one(estimator, self.SAMPLES)
+        for weight in WEIGHTS:
+            with ewma_weight(weight):
+                estimate = estimate_one(EwmaEstimator(), self.SAMPLES)
             assert np.all(estimate >= self.SAMPLES.min(axis=0) - 1e-12)
             assert np.all(estimate <= self.SAMPLES.max(axis=0) + 1e-12)
 
     def test_factory(self):
-        estimator = make_estimator("ewma")
-        assert isinstance(estimator, EwmaEstimator) and estimator.alpha == 0.3
+        assert isinstance(make_estimator("ewma"), EwmaEstimator)
         with pytest.raises(ValueError, match=r"unknown estimator 'mean'; choose from \['ewma'\]"):
             make_estimator("mean")
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            EwmaEstimator(alpha=0.0)
+    def test_weight_is_a_constant(self):
+        assert estimators.EWMA_WEIGHT == 0.3
+        with pytest.raises(TypeError):
+            EwmaEstimator(alpha=0.5)
+
+
+#: The deployed EWMA weight and 1.0 (the estimate is the newest sample).
+WEIGHTS = (0.3, 1.0)
 
 
 class TestEstimatorEdgeCases:
-    ALL = [EwmaEstimator(), EwmaEstimator(alpha=1.0)]
-
     def test_single_sample_is_returned_verbatim(self):
         sample = np.array([[0.37, 0.21, 0.09]])
-        for estimator in self.ALL:
-            assert (estimate_one(estimator, sample) == sample[0]).all(), estimator.alpha
+        for weight in WEIGHTS:
+            with ewma_weight(weight):
+                assert (estimate_one(EwmaEstimator(), sample) == sample[0]).all(), weight
 
     def test_constant_window_estimates_the_constant(self):
         window = np.full((12, 3), 0.42)
-        for estimator in self.ALL:
-            assert estimate_one(estimator, window) == pytest.approx([0.42] * 3), estimator.alpha
+        for weight in WEIGHTS:
+            with ewma_weight(weight):
+                assert estimate_one(EwmaEstimator(), window) == pytest.approx([0.42] * 3), weight
 
     def test_zero_utilization_window(self):
         window = np.zeros((5, 3))
-        for estimator in self.ALL:
-            assert (estimate_one(estimator, window) == 0.0).all(), estimator.alpha
+        for weight in WEIGHTS:
+            with ewma_weight(weight):
+                assert (estimate_one(EwmaEstimator(), window) == 0.0).all(), weight
 
     def test_out_of_order_sampling_keeps_append_order(self):
         """Monitors index the window by arrival, not timestamp: sampling at a
         past simulated time (e.g. around a clock rewind in tests) must not
         corrupt the window."""
         vm = make_vm(cpu=0.8, trace=SpikeTrace(before=0.25, after=0.75, at=50.0))
-        monitor = VMMonitor(vm, window=4, estimator=EwmaEstimator(alpha=1.0))
+        monitor = VMMonitor(vm, window=4)
         for now in (100.0, 0.0, 60.0, 10.0):  # deliberately unsorted
             monitor.sample(now)
         timestamps = [sample.timestamp for sample in monitor.samples]
         assert timestamps == [100.0, 0.0, 60.0, 10.0]
         # The last sample appended (t=10, before the spike), not the latest in time.
-        assert monitor.estimate_demand()["cpu"] == pytest.approx(0.8 * 0.25)
+        with ewma_weight(1.0):
+            assert monitor.estimate_demand()["cpu"] == pytest.approx(0.8 * 0.25)
 
 
 class TestVMMonitor:
@@ -226,7 +236,7 @@ class TestSharedTelemetryPlane:
         assert TelemetryPlane.shared(sim) is plane
         assert TelemetryPlane.shared(Simulator()) is not plane
         assert plane.window == 12
-        assert isinstance(plane.estimator, EwmaEstimator) and plane.estimator.alpha == 0.3
+        assert isinstance(plane.estimator, EwmaEstimator)
 
 
 class TestGroupReports:

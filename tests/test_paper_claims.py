@@ -41,18 +41,12 @@ def _packing_instance(n_vms: int, seed: int):
 
 def _deploy(
     config: HierarchyConfig,
-    lcs: int,
-    gms: int,
+    sizing: SystemSpec,
     generator: WorkloadGenerator,
     vm_count: int,
-    entry_points: int = 1,
 ) -> SnoozeSystem:
     """Start a deployment and submit ``vm_count`` VMs drawn from ``config.seed``."""
-    system = SnoozeSystem(
-        SystemSpec(local_controllers=lcs, group_managers=gms, entry_points=entry_points),
-        config=config,
-        seed=config.seed,
-    )
+    system = SnoozeSystem(sizing, config=config, seed=config.seed)
     system.start()
     system.submit_requests(generator.generate(vm_count, np.random.default_rng(config.seed)))
     return system
@@ -124,7 +118,8 @@ E3_VMS = 120
 def _submission_burst(lcs: int, gms: int) -> dict:
     """Client-observed latency of a 120-VM burst on ``lcs`` LCs under ``gms`` GMs."""
     generator = WorkloadGenerator(UniformDemandDistribution(0.02, 0.1), BatchArrival(0.0))
-    system = _deploy(HierarchyConfig(seed=3), lcs, gms, generator, E3_VMS)
+    sizing = SystemSpec(local_controllers=lcs, group_managers=gms)
+    system = _deploy(HierarchyConfig(seed=3), sizing, generator, E3_VMS)
     system.run_until(
         lambda: len(system.client.records) >= E3_VMS and system.client.pending_count() == 0,
         timeout=900.0,
@@ -158,12 +153,13 @@ def test_e3_submission_scales_with_hosts_and_gms():
 #: E4: deployment shape.
 E4_LCS = 48
 E4_VMS = 96
+E4_SIZING = SystemSpec(local_controllers=E4_LCS, group_managers=4, entry_points=2)
 
 
 def _loaded_deployment() -> SnoozeSystem:
     """48 LCs under 4 GMs running 96 VMs, one simulated minute after submission."""
     generator = WorkloadGenerator(UniformDemandDistribution(0.1, 0.25), BatchArrival(0.0))
-    system = _deploy(HierarchyConfig(seed=41), E4_LCS, 4, generator, E4_VMS, entry_points=2)
+    system = _deploy(HierarchyConfig(seed=41), E4_SIZING, generator, E4_VMS)
     system.run(60.0)
     return system
 
@@ -241,7 +237,8 @@ def _energy_run(energy: bool, consolidation: bool) -> dict:
         BatchArrival(0.0),
         trace_factory=lambda stream: DiurnalTrace(base=0.15, peak=0.85, noise_std=0.05, rng=stream),
     )
-    system = _deploy(config, E5_LCS, 2, generator, E5_VMS)
+    sizing = SystemSpec(local_controllers=E5_LCS, group_managers=2)
+    system = _deploy(config, sizing, generator, E5_VMS)
     system.enable_recording(interval=300.0)
     system.run(E5_HOURS * 3600.0)
     return {
@@ -274,14 +271,19 @@ E6_HOURS = 2.0
 E6_THRESHOLDS = UtilizationThresholds(underload=0.2, overload=0.85)
 
 
-def _relocation_run(relocation_enabled: bool) -> dict:
-    """A bursty workload; overload exposure sampled every simulated minute."""
-    config = HierarchyConfig(
+def _relocation_config(relocation_enabled: bool) -> HierarchyConfig:
+    """E6's configuration, relocation off or on."""
+    return HierarchyConfig(
         seed=55,
         monitoring_interval=30.0,
         relocation_enabled=relocation_enabled,
         thresholds=E6_THRESHOLDS,
     )
+
+
+def _relocation_run(relocation_enabled: bool) -> dict:
+    """A bursty workload; overload exposure sampled every simulated minute."""
+    config = _relocation_config(relocation_enabled)
     generator = WorkloadGenerator(
         UniformDemandDistribution(0.2, 0.35),
         BatchArrival(0.0),
@@ -294,7 +296,8 @@ def _relocation_run(relocation_enabled: bool) -> dict:
             horizon=E6_HOURS * 3600.0,
         ),
     )
-    system = _deploy(config, 16, 2, generator, E6_VMS)
+    sizing = SystemSpec(local_controllers=16, group_managers=2)
+    system = _deploy(config, sizing, generator, E6_VMS)
     recorder = system.enable_recording(interval=60.0)
     recorder.add_probe(
         "overloaded_hosts",
@@ -355,9 +358,13 @@ E8_VMS = 48
 E8_WINDOW_S = 300.0
 
 
-def _hierarchy_run(gms: int, heartbeat_interval: float) -> dict:
-    """Management-message rate and Group Leader failover under one setting."""
-    config = HierarchyConfig(
+#: E8's ``(group managers, heartbeat interval)`` settings.
+E8_SETTINGS = [(gms, 2.0) for gms in (1, 2, 4, 8)] + [(4, 1.0), (4, 5.0)]
+
+
+def _heartbeat_config(heartbeat_interval: float) -> HierarchyConfig:
+    """E8's configuration: every heartbeat at ``heartbeat_interval``, timeouts scaled with it."""
+    return HierarchyConfig(
         seed=66,
         gl_heartbeat_interval=heartbeat_interval,
         gm_heartbeat_interval=heartbeat_interval,
@@ -365,8 +372,14 @@ def _hierarchy_run(gms: int, heartbeat_interval: float) -> dict:
         heartbeat_timeout=4 * heartbeat_interval,
         session_timeout=5 * heartbeat_interval,
     )
+
+
+def _hierarchy_run(gms: int, heartbeat_interval: float) -> dict:
+    """Management-message rate and Group Leader failover under one setting."""
+    config = _heartbeat_config(heartbeat_interval)
     generator = WorkloadGenerator(UniformDemandDistribution(0.1, 0.2), BatchArrival(0.0))
-    system = _deploy(config, 48, gms, generator, E8_VMS)
+    sizing = SystemSpec(local_controllers=48, group_managers=gms)
+    system = _deploy(config, sizing, generator, E8_VMS)
     system.run(30.0)
     messages_before = system.network.messages_sent
     system.run(E8_WINDOW_S)
@@ -392,8 +405,7 @@ def test_e8_hierarchy_fanout_and_heartbeat_tradeoffs():
     protocols"): message overhead grows mildly with the GM count and inversely
     with the heartbeat interval; Group Leader failover time follows the
     session / heartbeat timeout, not the cluster size."""
-    configs = [(gms, 2.0) for gms in (1, 2, 4, 8)] + [(4, 1.0), (4, 5.0)]
-    rows = {config: _hierarchy_run(*config) for config in configs}
+    rows = {setting: _hierarchy_run(*setting) for setting in E8_SETTINGS}
     assert all(row["placed"] == E8_VMS for row in rows.values())
     assert all(np.isfinite(row["failover_s"]) for (gms, _), row in rows.items() if gms > 1)
     assert rows[(4, 1.0)]["messages_per_s"] > rows[(4, 5.0)]["messages_per_s"]

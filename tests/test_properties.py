@@ -24,6 +24,8 @@ from repro.core.ffd import BestFitDecreasing, FirstFit, FirstFitDecreasing, Sort
 from repro.core.migration_plan import plan_migrations
 from repro.monitoring.estimators import EwmaEstimator
 
+from tests.scalar_monitor import ewma_weight
+
 
 # --------------------------------------------------------------------- helpers
 @st.composite
@@ -168,8 +170,9 @@ class TestEstimatorProperties:
     )
     def test_estimates_within_sample_envelope(self, samples):
         matrix = np.asarray(samples)
-        for estimator in (EwmaEstimator(), EwmaEstimator(alpha=1.0)):
-            estimate = estimator.estimate_windows(matrix[None])[0]
+        for weight in (0.3, 1.0):
+            with ewma_weight(weight):
+                estimate = EwmaEstimator().estimate_windows(matrix[None])[0]
             assert np.all(estimate >= matrix.min(axis=0) - 1e-9)
             assert np.all(estimate <= matrix.max(axis=0) + 1e-9)
 

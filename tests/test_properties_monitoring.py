@@ -22,10 +22,17 @@ from repro.monitoring.estimators import EwmaEstimator
 from repro.workloads.traces import ConstantTrace
 
 from tests.conftest import make_node, make_vm
-from tests.scalar_monitor import HostMonitor, MonitoringSample, VMMonitor, scalar_estimate
+from tests.scalar_monitor import (
+    HostMonitor,
+    MonitoringSample,
+    VMMonitor,
+    ewma_weight,
+    scalar_estimate,
+)
 
-ESTIMATORS = [EwmaEstimator(alpha=0.3), EwmaEstimator(alpha=1.0)]
-ESTIMATOR_IDS = ["ewma-0.3", "ewma-1"]
+#: The deployed EWMA weight and 1.0 (the estimate is the newest sample).
+WEIGHTS = [0.3, 1.0]
+WEIGHT_IDS = ["ewma-0.3", "ewma-1"]
 
 #: Utilization-ish floats plus wide magnitude spread to stress summation order.
 sample_values = st.floats(
@@ -42,34 +49,34 @@ def _stream_strategy():
 
 class TestEstimatorKernels:
     @settings(max_examples=60, deadline=None)
-    @given(streams=_stream_strategy(), estimator_index=st.integers(0, len(ESTIMATORS) - 1))
-    def test_estimate_windows_bitwise_equals_scalar(self, streams, estimator_index):
-        estimator = ESTIMATORS[estimator_index]
+    @given(streams=_stream_strategy(), weight_index=st.integers(0, len(WEIGHTS) - 1))
+    def test_estimate_windows_bitwise_equals_scalar(self, streams, weight_index):
         # Group equal-length windows (the kernel's input contract).
         lengths = {len(stream) for stream in streams if stream}
         for n in lengths:
             block = np.asarray(
                 [stream for stream in streams if len(stream) == n], dtype=float
             )
-            batched = estimator.estimate_windows(block)
-            for row_index in range(block.shape[0]):
-                scalar = scalar_estimate(estimator, block[row_index])
-                assert (batched[row_index] == scalar).all()
+            with ewma_weight(WEIGHTS[weight_index]):
+                batched = EwmaEstimator().estimate_windows(block)
+                for row_index in range(block.shape[0]):
+                    scalar = scalar_estimate(block[row_index])
+                    assert (batched[row_index] == scalar).all()
 
     @pytest.mark.parametrize("window", [1, 2, 5])
-    @pytest.mark.parametrize("estimator", ESTIMATORS, ids=ESTIMATOR_IDS)
-    def test_every_fill_level_in_one_refresh(self, estimator, window):
+    @pytest.mark.parametrize("weight", WEIGHTS, ids=WEIGHT_IDS)
+    def test_every_fill_level_in_one_refresh(self, weight, window):
         """VM ``k`` holds ``k`` samples, for ``k`` from none to twice the window.
 
         One refresh estimates every fill level (one kernel call per level,
         full rings wrapped), and each row equals the scalar monitor's estimate.
         """
         rng = np.random.default_rng(window)
-        plane = TelemetryPlane(window, estimator)
+        plane = TelemetryPlane(window, EwmaEstimator())
         slots, references = [], []
         for k in range(2 * window + 1):
             vm = make_vm(cpu=0.9, memory=0.9, network=0.9)
-            reference = VMMonitor(vm, window=window, estimator=estimator)
+            reference = VMMonitor(vm, window=window)
             slot = plane.allocate(vm)
             for timestamp in range(k):
                 values = rng.uniform(0.0, 1.0, 3)
@@ -79,9 +86,10 @@ class TestEstimatorKernels:
                 )
             slots.append(slot)
             references.append(reference)
-        rows = plane.estimates(slots)
-        for row, reference in zip(rows, references):
-            assert (row == reference.estimate_demand().values).all()
+        with ewma_weight(weight):
+            rows = plane.estimates(slots)
+            for row, reference in zip(rows, references):
+                assert (row == reference.estimate_demand().values).all()
 
 
 class TestPlaneVsVMMonitor:
@@ -89,16 +97,15 @@ class TestPlaneVsVMMonitor:
     @given(
         streams=_stream_strategy(),
         window=st.integers(min_value=1, max_value=8),
-        estimator_index=st.integers(0, len(ESTIMATORS) - 1),
+        weight_index=st.integers(0, len(WEIGHTS) - 1),
     )
     def test_ring_buffer_estimates_bitwise_equal_scalar_reference(
-        self, streams, window, estimator_index
+        self, streams, window, weight_index
     ):
-        estimator = ESTIMATORS[estimator_index]
-        plane = TelemetryPlane(window, estimator)
+        plane = TelemetryPlane(window, EwmaEstimator())
         for stream in streams:
             vm = make_vm(cpu=0.5, memory=0.5, network=0.5)
-            reference = VMMonitor(vm, window=window, estimator=estimator)
+            reference = VMMonitor(vm, window=window)
             slot = plane.allocate(vm)
             for timestamp, values in enumerate(stream):
                 array = np.asarray(values, dtype=float)
@@ -108,8 +115,9 @@ class TestPlaneVsVMMonitor:
                 reference._samples.append(
                     MonitoringSample(timestamp=float(timestamp), usage=vm.used)
                 )
-            expected = reference.estimate_demand()
-            actual = plane.estimates([slot])[0]
+            with ewma_weight(WEIGHTS[weight_index]):
+                expected = reference.estimate_demand()
+                actual = plane.estimates([slot])[0]
             assert (actual == expected.values).all()
             # Window bookkeeping matches the bounded deque.
             assert plane._counts[slot] == len(reference.samples)
@@ -159,10 +167,10 @@ def host_rows_report(monitor: ArrayHostMonitor, now: float) -> dict:
 
 
 class TestHostMonitorEquivalence:
-    def _twin_hosts(self, estimator, window=5, vms=3, level=0.8):
+    def _twin_hosts(self, window=5, vms=3, level=0.8):
         scalar_node, array_node = make_node("scalar-0"), make_node("array-0")
-        plane = TelemetryPlane(window, estimator)
-        scalar_monitor = HostMonitor(scalar_node, window=window, estimator=estimator)
+        plane = TelemetryPlane(window, EwmaEstimator())
+        scalar_monitor = HostMonitor(scalar_node, window=window)
         array_monitor = ArrayHostMonitor(array_node, plane)
         for index in range(vms):
             trace = ConstantTrace(level - 0.1 * index)
@@ -170,21 +178,20 @@ class TestHostMonitorEquivalence:
             array_node.place_vm(make_vm(cpu=0.3, trace=trace))
         return scalar_monitor, array_monitor
 
-    @pytest.mark.parametrize("estimator_index", range(len(ESTIMATORS)))
-    def test_reports_identical_for_identical_nodes(self, estimator_index):
-        estimator = ESTIMATORS[estimator_index]
-        scalar_monitor, array_monitor = self._twin_hosts(estimator)
+    @pytest.mark.parametrize("weight_index", range(len(WEIGHTS)))
+    def test_reports_identical_for_identical_nodes(self, weight_index):
+        scalar_monitor, array_monitor = self._twin_hosts()
         for tick in range(8):
             now = 10.0 * tick
-            scalar_report = scalar_monitor.report(now)
-            array_report = host_rows_report(array_monitor, now)
+            with ewma_weight(WEIGHTS[weight_index]):
+                scalar_report = scalar_monitor.report(now)
+                array_report = host_rows_report(array_monitor, now)
             for key in ("capacity", "used", "reserved", "vm_count", "utilization"):
                 assert scalar_report[key] == array_report[key], key
             assert list(scalar_report["vm_usage"].values()) == array_report["vm_usage"]
 
     def test_untracks_departed_vms_like_scalar(self):
-        estimator = EwmaEstimator()
-        scalar_monitor, array_monitor = self._twin_hosts(estimator, vms=2)
+        scalar_monitor, array_monitor = self._twin_hosts(vms=2)
         scalar_monitor.report(0.0)
         host_rows_report(array_monitor, 0.0)
         for node in (scalar_monitor.node, array_monitor.node):

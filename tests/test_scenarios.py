@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import json
-import re
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.scenarios import (
 )
 from repro.cli.main import main
 from repro.sweeps import iter_sweeps
+from tests import test_paper_claims as paper_claims
 from tests.golden import regenerate as golden
 
 
@@ -87,7 +89,7 @@ class TestScenarioSpec:
             {"coalesce_events": False},
             {"placement_policy": "best-fit"},
         ):
-            with pytest.raises(ValueError, match="unknown HierarchyConfig overrides"):
+            with pytest.raises(ValueError, match=r"unknown HierarchyConfig key\(s\)"):
                 _small_churn_spec(config=override)
 
     def test_seed_config_override_rejected(self):
@@ -334,22 +336,82 @@ CLI_FLAG_WRITES = {
     "--metrics-out": lambda spec: _force_observability(spec, False, True).hierarchy_config(seed=0),
 }
 
+#: The files of the two product callers outside ``src`` that write config
+#: fields: the benchmark's workloads and the reach tool.
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_WORKLOADS = ROOT / "bench" / "workloads.py"
+REACH_TOOL = ROOT / "tests" / "reach.py"
+
+
+def literal_settings(path: Path, key: str) -> list:
+    """Every literal value ``path`` gives ``key``, as a keyword argument or a
+    dict entry (the form both callers write config in)."""
+    values = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword) and node.arg == key:
+            nodes = [node.value]
+        elif isinstance(node, ast.Dict):
+            nodes = [
+                v
+                for k, v in zip(node.keys, node.values)
+                if isinstance(k, ast.Constant) and k.value == key
+            ]
+        else:
+            continue
+        values.extend(node.value for node in nodes if isinstance(node, ast.Constant))
+    return values
+
+
+def _e8_configs():
+    """E8's configurations, one per heartbeat setting."""
+    return [paper_claims._heartbeat_config(i) for _, i in paper_claims.E8_SETTINGS]
+
+
 #: Fields no catalog scenario, sweep cell or CLI flag varies, each with the
-#: caller outside those paths that sets another value.
+#: caller outside those paths that sets another value: ``Type.field ->
+#: (caller, the configs that caller builds)``.
 REASONS = {
-    "HierarchyConfig.gl_heartbeat_interval": "E8 sweeps the heartbeat interval",
-    "HierarchyConfig.gm_heartbeat_interval": "E8 sweeps the heartbeat interval",
-    "HierarchyConfig.lc_heartbeat_interval": "E8 sweeps the heartbeat interval",
-    "HierarchyConfig.heartbeat_timeout": "E8 scales it with the heartbeat interval",
-    "HierarchyConfig.session_timeout": "E8 scales it with the heartbeat interval",
-    "HierarchyConfig.relocation_enabled": "E6 runs with relocation off and on",
-    "SystemSpec.entry_points": "E4 runs two Entry Points",
-    "ScenarioSpec.entry_points": "a spec file's Entry Points; E4 runs two",
-    "NetworkConfig.base_latency": "the benchmark's fleet_spec sets it",
-    "ScenarioSpec.record_interval": "the benchmark's fleet_spec sets it",
-    "NetworkConfig.loss_probability": "the reach tool's lossy spec-file run sets 0.05",
-    "ObservabilityConfig.metrics": "the benchmark's fleet-steady observability-off run",
-    "ObservabilityConfig.profiling": "the benchmark's traced runs switch the profiler on",
+    "HierarchyConfig.gl_heartbeat_interval": ("E8 sweeps the heartbeat interval", _e8_configs),
+    "HierarchyConfig.gm_heartbeat_interval": ("E8 sweeps the heartbeat interval", _e8_configs),
+    "HierarchyConfig.lc_heartbeat_interval": ("E8 sweeps the heartbeat interval", _e8_configs),
+    "HierarchyConfig.heartbeat_timeout": ("E8 scales it with the heartbeat interval", _e8_configs),
+    "HierarchyConfig.session_timeout": ("E8 scales it with the heartbeat interval", _e8_configs),
+    "HierarchyConfig.relocation_enabled": (
+        "E6 runs with relocation off and on",
+        lambda: [paper_claims._relocation_config(on) for on in (False, True)],
+    ),
+    "SystemSpec.entry_points": ("E4 runs two Entry Points", lambda: [paper_claims.E4_SIZING]),
+    "NetworkConfig.loss_probability": (
+        "the reach tool's lossy spec-file run",
+        lambda: [
+            NetworkConfig(loss_probability=value)
+            for value in literal_settings(REACH_TOOL, "loss_probability")
+        ],
+    ),
+    "ObservabilityConfig.metrics": (
+        "the benchmark's fleet-steady observability-off run",
+        lambda: [
+            ObservabilityConfig(metrics=value)
+            for value in literal_settings(BENCH_WORKLOADS, "metrics")
+        ],
+    ),
+    "ObservabilityConfig.profiling": (
+        "the benchmark's traced runs switch the profiler on",
+        lambda: [
+            ObservabilityConfig(profiling=value)
+            for value in literal_settings(BENCH_WORKLOADS, "profiling")
+        ],
+    ),
+}
+
+#: Fields no path varies that the benchmark's churn fleet
+#: (``bench/workloads.py::fleet_spec``) names at the value every product path
+#: gives them. The benchmark's files change only together with the benchmark;
+#: until its fleet stops naming them, removing either field would make every
+#: ``fleet-steady`` run fail. Then both become constants.
+NAMED_BY_THE_BENCHMARK = {
+    "NetworkConfig.base_latency": "base_latency",
+    "ScenarioSpec.record_interval": "record_interval",
 }
 
 
@@ -377,10 +439,15 @@ def config_census():
             value = getattr(instance, field.name)
             if isinstance(value, CONFIG_TYPES):
                 pending.append(value)
-            plain = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
             name = f"{type(instance).__name__}.{field.name}"
-            values[name].add(json.dumps(plain, sort_keys=True, default=repr))
+            values[name].add(_census_key(value))
     return values
+
+
+def _census_key(value) -> str:
+    """``value`` as the census compares it."""
+    plain = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    return json.dumps(plain, sort_keys=True, default=repr)
 
 
 class TestEveryConfigFieldIsVaried:
@@ -391,7 +458,7 @@ class TestEveryConfigFieldIsVaried:
     @pytest.mark.parametrize("name", CONFIG_FIELDS)
     def test_field_is_varied_or_has_a_reason(self, name):
         values = config_census()[name]
-        assert len(values) >= 2 or name in REASONS, (
+        assert len(values) >= 2 or name in REASONS or name in NAMED_BY_THE_BENCHMARK, (
             f"{name} is {sorted(values)} on every product path; make it a constant "
             "in the module that reads it, or name the caller that varies it in REASONS"
         )
@@ -399,6 +466,19 @@ class TestEveryConfigFieldIsVaried:
     @pytest.mark.parametrize("name", sorted(REASONS))
     def test_every_reason_is_needed_and_names_its_caller(self, name):
         assert name in CONFIG_FIELDS, f"{name} is no config field; drop its REASONS entry"
-        assert len(config_census()[name]) == 1, f"a product path varies {name}; drop its entry"
-        assert re.search(r"\bE[1-8]\b|benchmark|reach tool", REASONS[name])
+        census = config_census()[name]
+        assert len(census) == 1, f"a product path varies {name}; drop its entry"
+        caller, build = REASONS[name]
+        field_name = name.split(".")[1]
+        values = {_census_key(getattr(config, field_name)) for config in build()}
+        assert values - census, (
+            f"{caller} gives {name} only {sorted(values)}, which every product path "
+            f"gives it already; make it a constant"
+        )
 
+    @pytest.mark.parametrize("name", sorted(NAMED_BY_THE_BENCHMARK))
+    def test_benchmark_names_the_fields_it_keeps(self, name):
+        assert name in CONFIG_FIELDS and len(config_census()[name]) == 1, name
+        settings = literal_settings(BENCH_WORKLOADS, NAMED_BY_THE_BENCHMARK[name])
+        assert settings, f"the benchmark no longer names {name}; make it a constant"
+        assert {_census_key(value) for value in settings} == config_census()[name]
