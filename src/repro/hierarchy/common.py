@@ -12,17 +12,18 @@ failure-injection hooks used by the fault-tolerance experiments:
   :meth:`Component.on_start` logic (components re-join the hierarchy through
   the normal self-organization protocol, nothing is restored magically).
 
-:class:`LeaseSet` is the one way a heartbeat skips its delivery: the watcher
-leases its failure detector to the sender, whose heartbeat -- still drawn and
-counted like any message -- then re-arms it to the arrival time instead.
+A crash releases the component's failure detectors before its endpoint
+disconnects, so the heartbeat leases on them
+(:class:`~repro.network.fanout.LeaseSet`) have nothing to restore.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.metrics.recorder import EventLog
+from repro.network.fanout import LeaseSet
 from repro.network.message import Message, MessageType
 from repro.network.multicast import MulticastRegistry
 from repro.network.rpc import RpcChannel
@@ -36,91 +37,6 @@ from repro.simulation.timers import PeriodicTimer
 #: cover a host wake-up when energy management is enabled (Section III: hosts
 #: are woken on demand for incoming placements).
 PLACEMENT_TIMEOUT = 90.0
-
-
-class Lease:
-    """A sender's lease on one watcher's failure detector."""
-
-    __slots__ = ("handle", "watcher", "table", "index", "generation")
-
-    def __init__(self, handle: DeadlineHandle, watcher) -> None:
-        self.handle = handle
-        #: The watcher's :class:`~repro.network.transport.Endpoint`.
-        self.watcher = watcher
-        self.table, self.index, self.generation = handle.table, handle.index, handle.generation
-
-    def apply(self, arrival: float) -> bool:
-        """A leased heartbeat arriving at ``arrival``: re-arm, or False to deliver it instead."""
-        return self.watcher.connected and self.table.rearm_at(self.index, self.generation, arrival)
-
-
-class LeaseSet:
-    """Heartbeat leases: ``(watcher, sender) ->`` the watcher's detector handle.
-
-    A GM <-> LC heartbeat's whole effect is restarting its watcher's failure
-    detector at delivery time.  The watcher grants the sender a lease on that
-    detector.  The sender's heartbeat is still counted and still makes its
-    loss and jitter draws, in the order its message would have; then, if it
-    is not lost, it re-arms the detector to arrival + timeout
-    (:meth:`~repro.simulation.batch.DeadlineTable.rearm_at`) and the
-    transport absorbs the message instead of delivering it: the GM's tick
-    through its heartbeat group
-    (:meth:`~repro.network.multicast.MulticastGroup.publish`), the LC fleet's
-    heartbeat tick over its rows.  A lease that cannot apply -- the detector
-    falls due before the arrival (earlier heartbeats were lost), was released,
-    or its watcher is disconnected -- sends the message it already drew.
-
-    A lease is granted only when ``timeout > interval + base latency +
-    jitter``: a heartbeat then always arrives before the detector it follows
-    could expire.  An LC leaving its GM revokes both of the pair's leases; a
-    watcher forgetting a peer releases the detector, which leaves its lease
-    inert (generation-checked).  A crashed watcher's detectors are released
-    with it; only a watcher partitioned (disconnected, still running) while a
-    leased heartbeat to it is in flight keeps that heartbeat's re-arm, which
-    its dropped message would not have made.
-    """
-
-    SERVICE_NAME = "heartbeat-leases"
-
-    def __init__(self, sim: Simulator, network: Network) -> None:
-        self.sim = sim
-        self.network = network
-        #: Moves on every grant and revoke: callers caching leases rebuild.
-        self.epoch = 0
-        #: ``sender -> {watcher: lease}``, in grant order.
-        self._by_sender: Dict[str, Dict[str, Lease]] = {}
-
-    @classmethod
-    def shared(cls, sim: Simulator, network: Network) -> "LeaseSet":
-        """The per-simulation lease set (created on first use)."""
-        if not sim.has_service(cls.SERVICE_NAME):
-            sim.register_service(cls.SERVICE_NAME, cls(sim, network))
-        return sim.get_service(cls.SERVICE_NAME)
-
-    def grant(
-        self, watcher: str, sender: str, handle: DeadlineHandle, timeout: float, interval: float
-    ) -> bool:
-        """Lease ``handle`` to ``sender`` if every heartbeat arrives before the detector expires."""
-        config = self.network.config
-        if timeout <= interval + config.base_latency + config.jitter:
-            return False
-        lease = Lease(handle, self.network.endpoint(watcher))
-        self._by_sender.setdefault(sender, {})[watcher] = lease
-        self.epoch += 1
-        return True
-
-    def revoke(self, watcher: str, sender: str) -> None:
-        """End the lease (idempotent)."""
-        if self._by_sender.get(sender, {}).pop(watcher, None) is not None:
-            self.epoch += 1
-
-    def get(self, watcher: str, sender: str) -> Optional[Lease]:
-        """The lease ``sender`` holds on ``watcher``'s detector, if any."""
-        return self._by_sender.get(sender, {}).get(watcher)
-
-    def held_by(self, sender: str) -> Dict[str, Lease]:
-        """``watcher -> lease`` of every lease ``sender`` holds, in grant order."""
-        return self._by_sender.get(sender, {})
 
 
 class ComponentState(enum.Enum):
@@ -173,8 +89,8 @@ class Component:
         if self.state is not ComponentState.RUNNING:
             return
         self.state = ComponentState.FAILED
-        self.network.disconnect(self.name)
         self._stop_all_timers()
+        self.network.disconnect(self.name)
         self.rpc.cancel_all()
         self.on_fail()
         self.event_log.record(self.sim.now, "component_failed", component=self.name)

@@ -9,14 +9,13 @@ owns those two periodic duties for every running LC: it registers **one**
 tick together and runs each tick as array steps over the group's rows.
 
 Heartbeat tick (:class:`HeartbeatRows`)
-    every assigned LC's heartbeat is counted and makes its loss and jitter
-    draws, in row order; one whose LC holds a lease on its GM's failure
-    detector (:class:`~repro.hierarchy.common.LeaseSet`) re-arms it to the
-    arrival instead of being delivered, unless the lease cannot apply.  On a
-    deterministic network every heartbeat of a tick arrives together and
-    draws nothing, so when all the leases with both ends connected can apply
-    they re-arm with one indexed write per GM table
-    (:func:`~repro.simulation.batch.rearm_all_at`).
+    one row per assigned LC -- its endpoint, its GM, its heartbeat payload and
+    the lease it holds on its GM's failure detector
+    (:class:`~repro.network.fanout.LeaseSet`) -- sent through the heartbeat
+    fan-out the multicast groups use (:class:`~repro.network.fanout.FanOut`):
+    each heartbeat is counted and drawn in row order, then re-arms its lease
+    or goes out as a message, with one indexed write per GM table on a
+    deterministic network.
 
 Monitoring tick (:class:`MonitoringRows`)
     lifetime check -> bulk sample write -> estimate kernel -> per-host fold ->
@@ -34,9 +33,10 @@ re-armed detectors) happens in row order.  The network decides only
 *delivery*: on a deterministic network a tick's reports travel as one frame
 per Group Manager (:meth:`~repro.network.transport.Network.send_frame`);
 otherwise each LC's report is its own send, followed by that LC's anomaly
-message.  Cached index arrays are rebuilt only when
+message.  Cached plans are rebuilt only when
 :attr:`LocalControllerFleet.epoch` (an LC started, stopped, joined or lost its
-GM), the lease set's ``epoch`` or the network's ``connectivity_epoch`` moved.
+GM) or the network's ``connectivity_epoch`` moved, and the heartbeat plan also
+when the lease set's ``epoch`` did.
 
 LCs built with different :class:`~repro.hierarchy.config.HierarchyConfig`
 objects tick in separate groups (thresholds, telemetry plane and timeouts are
@@ -49,12 +49,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hierarchy.common import LeaseSet
 from repro.monitoring.arrays import HostRows, report_columns
 from repro.monitoring.summary import ReportRoute
+from repro.network.fanout import FanOut, LeaseSet
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import CoalescedTicker, rearm_all_at, rearm_arrays
+from repro.simulation.batch import CoalescedTicker
 from repro.simulation.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,8 +70,6 @@ class _TickRows:
         self.network = fleet.network
         self.lcs: List["LocalController"] = []
         self.handle = CoalescedTicker.shared(self.sim).register(interval, self.step, name=name)
-        #: ``(fleet, lease, connectivity)`` epochs the cached plan was built under.
-        self._planned: Tuple[int, int, int] = (-1, -1, -1)
 
     def add(self, lc: "LocalController") -> None:
         self.lcs.append(lc)
@@ -79,103 +77,26 @@ class _TickRows:
     def remove(self, lc: "LocalController") -> None:
         self.lcs.remove(lc)
 
-    def _stale(self) -> bool:
-        """True (once) when the cached plan must be rebuilt."""
-        epochs = (self.fleet.epoch, self.fleet.leases.epoch, self.network.connectivity_epoch)
-        if epochs == self._planned:
-            return False
-        self._planned = epochs
-        return True
-
-    def step(self) -> None:
-        raise NotImplementedError
-
 
 class HeartbeatRows(_TickRows):
-    """One heartbeat tick for a group of LCs."""
+    """One heartbeat tick for a group of LCs: every assigned LC's heartbeat to its GM."""
 
     def __init__(self, fleet: "LocalControllerFleet", interval: float, name: str) -> None:
         super().__init__(fleet, interval, name)
-        #: ``(lc, lease or None)`` of every assigned LC, in row order.
-        self._rows: List[tuple] = []
-        #: For a deterministic network: the re-arm plan of the leases with
-        #: both ends connected, their heartbeats' ``(gms, lcs, payloads)``,
-        #: and every other assigned LC, in row order.
-        self._plan_arrays: list = []
-        self._leased: Tuple[list, list, list] = ([], [], [])
-        self._senders: List["LocalController"] = []
+        self.fan_out = FanOut(self.network)
 
-    def _plan(self) -> None:
+    def _rows(self) -> List[tuple]:
         leases = self.fleet.leases
-        self._rows = [
-            (lc, leases.get(lc.assigned_gm, lc.name))
+        return [
+            (lc.endpoint, lc.assigned_gm, lc._heartbeat_payload,
+             leases.get(lc.assigned_gm, lc.name), False)
             for lc in self.lcs
             if lc.assigned_gm is not None
         ]
-        leased = [
-            (lc, lease)
-            for lc, lease in self._rows
-            if lease is not None and lease.watcher.connected and lc.endpoint.connected
-        ]
-        self._plan_arrays = rearm_arrays(lease.handle for _, lease in leased)
-        self._leased = (
-            [lc.assigned_gm for lc, _ in leased],
-            [lc.name for lc, _ in leased],
-            [lc._heartbeat_payload for lc, _ in leased],
-        )
-        planned = {id(lc) for lc, _ in leased}
-        self._senders = [lc for lc, _ in self._rows if id(lc) not in planned]
 
     def step(self) -> None:
-        if self._stale():
-            self._plan()
-        network = self.network
-        if network.deterministic:
-            arrival = self.sim.now + network.config.base_latency
-            if rearm_all_at(self._plan_arrays, arrival):
-                gms, lcs, payloads = self._leased
-                if gms:
-                    network.messages_sent += len(gms)
-                    network.bytes_sent += 128 * len(gms)
-                    network.absorb(list(gms), [arrival] * len(gms), MessageType.LC_HEARTBEAT,
-                                   list(lcs), list(payloads))
-                for lc in self._senders:
-                    network.send(self._heartbeat(lc), size_bytes=128, sender=lc.endpoint)
-                return
-        # Row order: each heartbeat is counted and drawn like the message it
-        # stands for, then re-arms its lease or goes out as that message.
-        rows = self._rows
-        network.messages_sent += len(rows)
-        network.bytes_sent += 128 * len(rows)
-        now = self.sim.now
-        draw_latency = network.draw_latency
-        gms, arrivals, lcs, payloads = [], [], [], []
-        for lc, lease in rows:
-            if not lc.endpoint.connected:
-                network.messages_dropped += 1
-                continue
-            latency = draw_latency()
-            if latency < 0:
-                continue
-            arrival = now + latency
-            if lease is not None and lease.apply(arrival):
-                gms.append(lc.assigned_gm)
-                arrivals.append(arrival)
-                lcs.append(lc.name)
-                payloads.append(lc._heartbeat_payload)
-            else:
-                network.dispatch(self._heartbeat(lc), latency)
-        if gms:
-            network.absorb(gms, arrivals, MessageType.LC_HEARTBEAT, lcs, payloads)
-
-    @staticmethod
-    def _heartbeat(lc: "LocalController") -> Message:
-        return Message(
-            msg_type=MessageType.LC_HEARTBEAT,
-            sender=lc.name,
-            recipient=lc.assigned_gm,
-            payload=lc._heartbeat_payload,
-        )
+        self.fan_out.plan((self.fleet.epoch, self.fleet.leases.epoch), self._rows)
+        self.fan_out.send(MessageType.LC_HEARTBEAT, 128)
 
 
 class MonitoringRows(_TickRows):
@@ -183,6 +104,8 @@ class MonitoringRows(_TickRows):
 
     def __init__(self, fleet: "LocalControllerFleet", interval: float, name: str) -> None:
         super().__init__(fleet, interval, name)
+        #: ``(fleet, connectivity)`` epochs the cached plan was built under.
+        self._planned: Tuple[int, int] = (-1, -1)
         #: Nodes touched since the last tick (VM placed / removed / tracked /
         #: untracked, usage written, power state changed): their rows take
         #: the scalar path.
@@ -232,7 +155,9 @@ class MonitoringRows(_TickRows):
             self._frames.append((gm, route, [lcs[row].endpoint for row in rows]))
 
     def step(self) -> None:
-        if self._stale():
+        epochs = (self.fleet.epoch, self.network.connectivity_epoch)
+        if epochs != self._planned:
+            self._planned = epochs
             self._plan()
         lcs, hosts, now = self.lcs, self._hosts, self.sim.now
         # Rows whose VM set moved since the last tick, or that track a VM

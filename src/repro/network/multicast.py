@@ -18,12 +18,10 @@ its loss and jitter draws in subscriber order and is still counted:
   for a Group Manager again (:meth:`MulticastGroup.last_delivered`), and
   resuming delivers those still in flight;
 * a member whose failure detector the publisher holds a heartbeat lease on
-  (:class:`~repro.hierarchy.common.LeaseSet`) has it re-armed to the arrival
-  instead.
+  (:class:`~repro.network.fanout.LeaseSet`) has it re-armed instead.
 
-Either way the transport absorbs the message
-(:meth:`~repro.network.transport.Network.absorb`); a lease that cannot apply
-(the detector falls due first) delivers the message it already drew.
+A publish is one send of the heartbeat fan-out the Local Controller fleet
+also uses (:class:`~repro.network.fanout.FanOut`); the group keeps the latch.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.network.message import Message, MessageType
+from repro.network.fanout import FanOut
+from repro.network.message import MessageType
 from repro.network.transport import Absorbed, Endpoint, Network
-from repro.simulation.batch import rearm_all_at, rearm_arrays
 
 
 class MulticastGroup:
@@ -47,16 +45,13 @@ class MulticastGroup:
         #: purely for O(1) membership at fleet scale.
         self._subscribers: List[str] = []
         self._subscriber_set: set = set()
-        #: Number of publish calls (for overhead accounting).
-        self.publish_count = 0
         self._publish_metric = None
         #: Paused member -> its endpoint.
         self._paused: Dict[str, Endpoint] = {}
-        #: Moves on every (un)subscribe, pause and resume; with the sender,
-        #: the network's connectivity and the lease epoch it keys
-        #: :attr:`_fan_out`, the cached ``(recipients, latched, others)`` split.
+        #: Moves on every (un)subscribe, pause and resume; with the sender
+        #: and the lease epoch it keys the plan of :attr:`_fan_out`.
         self._version = 0
-        self._fan_out: Tuple[tuple, tuple] = ((), ())
+        self._fan_out = FanOut(network)
         #: The latch: absorbed records of paused members' publishes with a
         #: message still in flight, in publish order, and per paused member
         #: ``(arrival, sender, payload)`` of its latest arrival among the rest.
@@ -160,39 +155,16 @@ class MulticastGroup:
         return len(self._subscribers)
 
     # ---------------------------------------------------------------- publish
-    def _split(self, sender: str, leases) -> tuple:
-        """``(recipients, latched, leased, others, plan)`` of a publish by ``sender``, cached.
-
-        ``recipients`` is every subscriber but ``sender``, in order.  The rest
-        serve a deterministic network's publish: ``latched`` holds the paused,
-        connected members, ``leased`` the connected ones whose detector
-        ``sender`` holds a lease on, ``plan`` their
-        :func:`~repro.simulation.batch.rearm_arrays`, and ``others`` the rest.
-        """
-        network = self.network
-        key = (
-            sender,
-            self._version,
-            network.connectivity_epoch,
-            None if leases is None else leases.epoch,
-        )
-        if self._fan_out[0] != key:
-            recipients = [member for member in self._subscribers if member != sender]
-            held = leases.held_by(sender) if leases is not None else {}
-            paused = self._paused
-            latched, leased, others = [], [], []
-            for member in recipients:
-                endpoint = paused.get(member)
-                lease = held.get(member)
-                if endpoint is not None and endpoint.connected:
-                    latched.append(member)
-                elif lease is not None and lease.watcher.connected:
-                    leased.append(member)
-                else:
-                    others.append(member)
-            plan = rearm_arrays(held[member].handle for member in leased)
-            self._fan_out = (key, (recipients, latched, leased, others, plan))
-        return self._fan_out[1]
+    def _rows(self, sender: str, leases) -> List[tuple]:
+        """The :class:`~repro.network.fanout.FanOut` rows of a publish: every other subscriber."""
+        endpoint = self.network.endpoint(sender) or Endpoint(sender, None)
+        paused = self._paused
+        return [
+            (endpoint, member, None, leases and leases.get(member, sender),
+             member in paused and paused[member].connected)
+            for member in self._subscribers
+            if member != sender
+        ]
 
     def publish(
         self,
@@ -204,16 +176,10 @@ class MulticastGroup:
     ) -> int:
         """Send ``payload`` to every subscriber except the sender; returns the fan-out size.
 
-        Each member's message is counted, then makes its loss and jitter
-        draws, in subscriber order; then a paused member latches it, a member
-        ``leases`` lets ``sender`` re-arm (a
-        :class:`~repro.hierarchy.common.LeaseSet`) has its detector re-armed
-        to the arrival, and every other member gets the message.  On a
-        deterministic network every message arrives one base latency from
-        now and draws nothing, so when all of the leases can apply they
-        re-arm in one array write per table (:func:`rearm_all_at`).
+        Members are the fan-out's rows in subscriber order; ``leases`` (a
+        :class:`~repro.network.fanout.LeaseSet`) holds those whose detector
+        ``sender`` may re-arm instead of delivering.
         """
-        self.publish_count += 1
         network = self.network
         if self._publish_metric is None:
             obs = network.obs
@@ -224,69 +190,14 @@ class MulticastGroup:
                 ).labels(group=self.group_name)
         if self._publish_metric is not None:
             self._publish_metric.inc()
-        recipients, latched, leased, others, plan = self._split(sender, leases)
-        n = len(recipients)
-        if n == 0:
-            return 0
-        network.messages_sent += n
-        network.bytes_sent += int(size_bytes) * n
-        endpoint = network.endpoint(sender)
-        if endpoint is not None and not endpoint.connected:
-            network.messages_dropped += n
-            return n
-        now = network.sim.now
-        self._fold(now)
-        if network.deterministic:
-            latency = network.config.base_latency
-            arrival = now + latency
-            if rearm_all_at(plan, arrival):
-                self._absorb(list(leased), [arrival] * len(leased), msg_type, sender, payload)
-                self._absorb(list(latched), [arrival] * len(latched), msg_type, sender, payload,
-                             latch=True)
-                for member in others:
-                    message = Message(
-                        msg_type=msg_type, sender=sender, recipient=member, payload=payload
-                    )
-                    network.dispatch(message, latency)
-                return n
-        paused = self._paused
-        held = leases.held_by(sender) if leases is not None else {}
-        latched, latched_at, leased, leased_at = [], [], [], []
-        draw_latency, dispatch = network.draw_latency, network.dispatch
-        for member in recipients:
-            latency = draw_latency()
-            if latency < 0:
-                continue
-            arrival = now + latency
-            endpoint = paused.get(member)
-            if endpoint is not None and endpoint.connected:
-                latched.append(member)
-                latched_at.append(arrival)
-                continue
-            lease = held.get(member)
-            if lease is not None and lease.apply(arrival):
-                leased.append(member)
-                leased_at.append(arrival)
-                continue
-            dispatch(
-                Message(msg_type=msg_type, sender=sender, recipient=member, payload=payload),
-                latency,
-            )
-        self._absorb(leased, leased_at, msg_type, sender, payload)
-        self._absorb(latched, latched_at, msg_type, sender, payload, latch=True)
-        return n
-
-    def _absorb(
-        self, members: List[str], arrivals: List[float], msg_type, sender, payload, latch=False
-    ) -> None:
-        """Absorb one publish's messages to ``members``, into the latch if they are paused."""
-        if members:
-            k = len(members)
-            record = self.network.absorb(
-                members, arrivals, msg_type, [sender] * k, [payload] * k
-            )
-            if latch:
-                self._latched.append(record)
+        fan_out = self._fan_out
+        key = (sender, self._version, None if leases is None else leases.epoch)
+        fan_out.plan(key, self._rows, sender, leases)
+        self._fold(network.sim.now)
+        latched = fan_out.send(msg_type, size_bytes, payload)
+        if latched is not None:
+            self._latched.append(latched)
+        return len(fan_out.rows)
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"

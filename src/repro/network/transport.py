@@ -20,7 +20,8 @@ heartbeat re-arming a leased failure detector, a paused multicast member's
 latch) may then *absorb* it (:meth:`Network.absorb`) instead of delivering
 it: the message is counted sent, and delivered or dropped, exactly as its
 delivery would have been -- an absorbed message still in flight when its
-recipient disconnects is turned back into a real delivery.
+recipient disconnects is turned back into a real delivery, and the failure
+detector it re-armed gets its previous deadline back.
 """
 
 from __future__ import annotations
@@ -346,15 +347,19 @@ class Network:
 
     # -------------------------------------------------------------- absorbed
     def absorb(
-        self, recipients: List[str], arrivals: List[float], msg_type, senders: list, payloads: list
+        self, recipients: Sequence[str], arrivals: Sequence[float], msg_type, senders: Sequence,
+        payloads: Sequence, rearms: Optional[Sequence] = None,
     ) -> "Absorbed":
         """Account counted, drawn messages whose effect their publisher applied itself.
 
-        One message per entry of the parallel lists.  A message counts as
-        delivered once its arrival has passed; if its recipient disconnects
-        before then, it becomes a real delivery at that arrival (dropped
-        unless the recipient is back by then).  Returns the record
-        :meth:`redeliver` takes, which owns the lists from here on.
+        One message per entry of the parallel columns; ``rearms`` are the
+        columns ``(leases, deadlines, stamps)`` of leased heartbeats
+        (:meth:`~repro.network.fanout.Lease.apply`).  A message
+        counts as delivered once its arrival has passed; if its recipient
+        disconnects before then, it becomes a real delivery at that arrival
+        (dropped unless the recipient is back by then) and its re-arm is
+        undone.  Returns the record :meth:`redeliver` takes; the columns are
+        never changed in place.
         """
         self._settle()
         tracer = self._tracer
@@ -364,6 +369,7 @@ class Network:
             msg_type,
             senders,
             payloads,
+            rearms,
             self.sim.now,
             None if tracer is None else tracer.current,
         )
@@ -371,14 +377,18 @@ class Network:
         self._delivered += len(recipients)
         return record
 
-    def redeliver(self, record: "Absorbed", recipient: str) -> None:
-        """Deliver ``recipient``'s absorbed messages of ``record`` after all, if still in flight."""
+    def redeliver(self, record: "Absorbed", recipient: str) -> list:
+        """Deliver ``recipient``'s absorbed messages of ``record`` after all, if still in flight.
+
+        Returns the ``(lease, deadline, stamp, arrival)`` of every re-arm
+        those messages made.
+        """
         now = self.sim.now
-        if record.last <= now:
-            return
-        for message, arrival in record.release(recipient, now):
+        released = record.release(recipient, now) if record.last > now else []
+        for message, arrival, _ in released:
             self._delivered -= 1
             self.sim.schedule_at(arrival, self._deliver, message, priority=Simulator.PRIORITY_HIGH)
+        return [(*rearm, arrival) for _, arrival, rearm in released if rearm is not None]
 
     def _settle(self) -> None:
         """Forget the absorbed records whose messages have all arrived (counted delivered)."""
@@ -393,10 +403,15 @@ class Network:
         return sum(record.in_flight(now) for record in self._absorbed)
 
     def _release_absorbed(self, name: str) -> None:
-        """``name`` went away: its absorbed messages in flight become real deliveries."""
+        """``name`` went away: its absorbed messages in flight become real deliveries.
+
+        The detectors their leases re-armed get their previous deadlines
+        back, latest re-arm first: the dropped messages never restarted them.
+        """
         self._settle()
-        for record in self._absorbed:
-            self.redeliver(record, name)
+        rearms = [rearm for record in self._absorbed for rearm in self.redeliver(record, name)]
+        for lease, deadline, stamp, arrival in reversed(rearms):
+            lease.restore(deadline, stamp, arrival)
 
     # ---------------------------------------------------------------- metrics
     def stats(self) -> dict:
@@ -413,21 +428,24 @@ class Network:
 class Absorbed:
     """The absorbed messages of one publish (:meth:`Network.absorb`), one per recipient.
 
-    Parallel lists -- ``recipients``, ``arrivals``, ``senders``,
-    ``payloads`` -- plus what every message of the publish shares: its type,
-    send time and causal context.  A recipient may appear more than once
-    (the LC fleet's tick absorbs many heartbeats to one Group Manager).
+    Parallel columns -- ``recipients``, ``arrivals``, ``senders``,
+    ``payloads`` and, for leased heartbeats, the ``rearms`` columns -- plus
+    what every message of the publish shares: its type, send time and causal
+    context.  A recipient may appear more than once (the LC fleet's tick
+    absorbs many heartbeats to one Group Manager).
     """
 
-    __slots__ = ("recipients", "arrivals", "msg_type", "senders", "payloads", "sent_at",
-                 "trace_ctx", "last")
+    __slots__ = ("recipients", "arrivals", "msg_type", "senders", "payloads", "rearms",
+                 "sent_at", "trace_ctx", "last")
 
-    def __init__(self, recipients, arrivals, msg_type, senders, payloads, sent_at, trace_ctx):
-        self.recipients: List[str] = recipients
-        self.arrivals: List[float] = arrivals
+    def __init__(self, recipients, arrivals, msg_type, senders, payloads, rearms, sent_at,
+                 trace_ctx):
+        self.recipients: Sequence[str] = recipients
+        self.arrivals: Sequence[float] = arrivals
         self.msg_type = msg_type
-        self.senders: list = senders
-        self.payloads: list = payloads
+        self.senders: Sequence = senders
+        self.payloads: Sequence = payloads
+        self.rearms: Optional[Sequence] = rearms
         self.sent_at: float = sent_at
         self.trace_ctx = trace_ctx
         #: The latest arrival: every message has arrived once it has passed.
@@ -446,28 +464,31 @@ class Absorbed:
     def release(self, name: str, now: float) -> List[tuple]:
         """Take ``name``'s messages arriving after ``now`` out of the record.
 
-        Returns each as ``(message, arrival)``: the message it stands for,
-        with its send time and causal context.
+        Returns each as ``(message, arrival, rearm)``: the message it stands
+        for, with its send time and causal context, and the ``(lease,
+        deadline, stamp)`` of its re-arm (None if it made none).
         """
         if name not in self.recipients:
             return []
-        indices = [
+        columns = (self.recipients, self.arrivals, self.senders, self.payloads,
+                   *(self.rearms or ()))
+        taken = {
             index
             for index, (recipient, arrival) in enumerate(zip(self.recipients, self.arrivals))
             if recipient == name and arrival > now
-        ]
-        released = []
-        for index in indices:
-            message = Message(
-                msg_type=self.msg_type,
-                sender=self.senders[index],
-                recipient=name,
-                payload=self.payloads[index],
-                sent_at=self.sent_at,
-                trace_ctx=self.trace_ctx,
+        }
+        released = [
+            (
+                Message(self.msg_type, self.senders[index], name, self.payloads[index],
+                        sent_at=self.sent_at, trace_ctx=self.trace_ctx),
+                self.arrivals[index],
+                tuple(column[index] for column in self.rearms) if self.rearms else None,
             )
-            released.append((message, self.arrivals[index]))
-        for index in reversed(indices):
-            for column in (self.recipients, self.arrivals, self.senders, self.payloads):
-                del column[index]
+            for index in sorted(taken)
+        ]
+        kept = [index for index in range(len(self.recipients)) if index not in taken]
+        self.recipients, self.arrivals, self.senders, self.payloads, *rearms = (
+            [column[index] for index in kept] for column in columns
+        )
+        self.rearms = rearms or None
         return released

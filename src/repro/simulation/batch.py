@@ -33,8 +33,10 @@ This module replaces both patterns without changing observable behaviour:
     A restart may be taken ahead of time, for a future base
     (:meth:`DeadlineTable.rearm_at`: a heartbeat re-arming its detector to
     its arrival when it is sent), for one entry or -- all or nothing, when
-    every entry shares the base -- for a batch (:func:`rearm_all_at`); a
-    plain restart before that base does not move the deadline earlier.
+    every entry shares the base -- for a heartbeat fan-out's leases
+    (:meth:`DeadlineTable.rearm_all_at`, :mod:`repro.network.fanout`); a
+    plain restart before that base does not move the deadline earlier, and
+    :meth:`DeadlineTable.restore` takes one back if its heartbeat is dropped.
     Deadline *extensions* are lazy: the pending event fires, finds nothing
     due, and re-arms at the new minimum.
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,49 +239,6 @@ class DeadlineHandle:
         self.table.release(self)
 
 
-def rearm_arrays(
-    handles: Iterable[DeadlineHandle],
-) -> List[Tuple["DeadlineTable", np.ndarray, np.ndarray]]:
-    """Per table, the ``(table, indices, generations)`` :meth:`DeadlineTable.rearm` takes.
-
-    Handles keep their iteration order within each table (it becomes the
-    restart-stamp order).  Callers re-arming the same members every interval
-    build this once and keep it while membership holds.
-    """
-    tables: Dict[int, Tuple[DeadlineTable, List[DeadlineHandle]]] = {}
-    for handle in handles:
-        tables.setdefault(id(handle.table), (handle.table, []))[1].append(handle)
-    return [
-        (
-            table,
-            np.array([h.index for h in members], dtype=np.int64),
-            np.array([h.generation for h in members], dtype=np.int64),
-        )
-        for table, members in tables.values()
-    ]
-
-
-def rearm_all_at(
-    plan: List[Tuple["DeadlineTable", np.ndarray, np.ndarray]], base: float
-) -> bool:
-    """:meth:`DeadlineTable.rearm_at` at one ``base`` for every entry of a :func:`rearm_arrays` plan.
-
-    All or nothing: when every entry would be re-armed to ``base +
-    duration``, one indexed write per table does it (same deadlines, same
-    stamp order) and True is returned; otherwise nothing changes and the
-    caller re-arms entry by entry.
-    """
-    deadlines = []
-    for table, indices, generations in plan:
-        later = table.rearm_deadlines(indices, generations, base)
-        if later is None:
-            return False
-        deadlines.append(later)
-    for (table, indices, _), later in zip(plan, deadlines):
-        table._write_rearmed(indices, later)
-    return True
-
-
 class DeadlineTable:
     """Vectorized pool of failure-detection deadlines with one pending event.
 
@@ -414,32 +373,38 @@ class DeadlineTable:
         if earliest < self._pending_time:
             self._schedule(earliest)
 
-    def rearm_deadlines(
-        self, indices: np.ndarray, generations: np.ndarray, base: float
-    ) -> Optional[np.ndarray]:
-        """``base + duration`` per entry if :meth:`rearm_at` would move every entry there.
+    @staticmethod
+    def rearm_all_at(blocks: List[tuple], base: float, count: int) -> Optional[tuple]:
+        """:meth:`rearm_at` at one ``base`` for every entry of ``blocks``, all or nothing.
 
-        That is: each is valid, armed, not due before ``base`` and not
-        re-armed for a later one.  None otherwise.
+        ``blocks`` holds ``(table, indices, generations, positions)`` per
+        table, ``positions`` placing its entries among ``count``.  When every
+        entry would move to ``base + duration`` (valid, armed, not due before
+        ``base``, not re-armed for a later one), one indexed write per table
+        does it, stamping in array order, and what :meth:`rearm_at` returns
+        per entry comes back as two arrays by position; otherwise nothing
+        changes and None is returned.
         """
-        deadlines = self._deadlines[indices]
-        later = base + self._durations[indices]
-        valid = self._generations[indices] == generations
-        valid &= deadlines >= base
-        valid &= deadlines <= later
-        return later if valid.all() else None
+        before = np.empty(count)
+        stamps = np.empty(count, dtype=np.int64)
+        moves = []
+        for table, indices, generations, positions in blocks:
+            deadlines = table._deadlines[indices]
+            moved = base + table._durations[indices]
+            valid = table._generations[indices] == generations
+            if not (valid & (deadlines >= base) & (deadlines <= moved)).all():
+                return None
+            before[positions] = deadlines
+            moves.append(moved)
+        for (table, indices, _, positions), moved in zip(blocks, moves):
+            stamps[positions] = table._order[indices]
+            table._deadlines[indices] = moved
+            n = indices.size
+            table._order[indices] = np.arange(table._stamp + 1, table._stamp + n + 1)
+            table._stamp += n
+        return before, stamps
 
-    def _write_rearmed(self, indices: np.ndarray, deadlines: np.ndarray) -> None:
-        """Store :meth:`rearm_deadlines` and stamp the entries in array order.
-
-        The entries are armed and only move later, so nothing is scheduled.
-        """
-        n = indices.size
-        self._deadlines[indices] = deadlines
-        self._order[indices] = np.arange(self._stamp + 1, self._stamp + n + 1, dtype=np.int64)
-        self._stamp += n
-
-    def rearm_at(self, index: int, generation: int, base: float) -> bool:
+    def rearm_at(self, index: int, generation: int, base: float) -> Optional[tuple]:
         """Re-arm one entry now as a :meth:`~DeadlineHandle.restart` at ``base`` would.
 
         ``base`` may lie in the future: a heartbeat publisher restarts its
@@ -447,22 +412,40 @@ class DeadlineTable:
         posting the delivery.  The deadline becomes ``base + duration`` and
         the restart stamp is taken now; an entry already re-armed for a later
         ``base`` keeps that one (arrivals may reorder), and a plain restart
-        before ``base`` does not move it earlier.  Returns False -- the
-        caller must deliver the message instead -- when the entry was
-        released, is not armed, or falls due before ``base`` (its expiry
-        would precede the arrival).
+        before ``base`` does not move it earlier.  Returns the entry's
+        previous deadline and restart stamp, which :meth:`restore` takes; or
+        None -- the caller must deliver the message instead -- when
+        the entry was released, is not armed, or falls due before ``base``
+        (its expiry would precede the arrival).
         """
         if self._generations[index] != generation:
-            return False
+            return None
         deadline = self._deadlines[index]  # inf when not armed
         if deadline < base or deadline == math.inf:
-            return False
+            return None
+        stamp = self._order[index]
         later = base + self._durations[index]
         if later >= deadline:
             self._deadlines[index] = later
             self._stamp += 1
             self._order[index] = self._stamp
-        return True
+        return deadline, stamp
+
+    def restore(
+        self, index: int, generation: int, deadline: float, stamp: int, base: float
+    ) -> None:
+        """Undo a :meth:`rearm_at` at ``base`` whose heartbeat was dropped after all.
+
+        The entry gets its previous ``deadline`` and restart ``stamp`` back
+        unless it was released, cancelled or moved since (it is no longer due
+        at ``base + duration``); the pending sweep moves earlier with it.
+        """
+        valid = self._generations[index] == generation and self._active[index]
+        if valid and self._deadlines[index] == base + self._durations[index]:
+            self._deadlines[index] = deadline
+            self._order[index] = stamp
+            if deadline < self._pending_time:
+                self._schedule(deadline)
 
     def _restart(self, index: int, duration: Optional[float]) -> None:
         if duration is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.hierarchy.common import LeaseSet
+from repro.network.fanout import LeaseSet
 from repro.network.multicast import MulticastGroup
 
 

@@ -7,14 +7,19 @@ are rebuilt.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
 from repro.hierarchy.fleet import HeartbeatRows, LocalControllerFleet, MonitoringRows
 from repro.hierarchy.group_manager import GroupManager
 from repro.monitoring.arrays import TelemetryPlane
+from repro.network.fanout import FanOut
 from repro.network.transport import NetworkConfig
 from repro.simulation.batch import CoalescedTicker
+
+from tests.lease_off import leases_off
 
 
 def build(network: NetworkConfig, lcs: int = 12, gms: int = 3, **config) -> SnoozeSystem:
@@ -122,19 +127,24 @@ class TestDeliveryContract:
 class TestCachedPlans:
     def test_steady_state_rebuilds_nothing(self, det_system, monkeypatch):
         plans = []
-        for kind in (HeartbeatRows, MonitoringRows):
+        for kind in (FanOut, MonitoringRows):
             original = kind._plan
             monkeypatch.setattr(
-                kind, "_plan", lambda self, o=original: (plans.append(type(self)), o(self))
+                kind, "_plan", lambda self, *rows, o=original: (plans.append(self), o(self, *rows))
             )
         det_system.run(20.0)
         plans.clear()
-        det_system.run(120.0)  # 60 heartbeat and 12 monitoring ticks
+        det_system.run(120.0)  # 60 heartbeat and 12 monitoring ticks, GM publishes included
         assert plans == []
         det_system.network.disconnect("lc-003")
         det_system.run(4.0)
-        assert set(plans) == {HeartbeatRows}  # two heartbeat ticks, one rebuild
-        assert len(plans) == 1
+        fleet = LocalControllerFleet.shared(det_system.sim, det_system.network)
+        heartbeats = [g.fan_out for g in fleet._groups.values() if isinstance(g, HeartbeatRows)]
+        assert len(heartbeats) == 1
+        # Two heartbeat ticks, one rebuild; the multicast groups' plans are
+        # rebuilt too, as their connectivity moved.
+        assert [plan for plan in plans if not isinstance(plan, FanOut)] == []
+        assert [plan for plan in plans if plan in heartbeats] == heartbeats
 
     def test_partitioned_lc_stops_re_arming_its_lease(self, det_system):
         lc = det_system.local_controllers["lc-003"]
@@ -143,6 +153,38 @@ class TestCachedPlans:
         det_system.network.disconnect("lc-003")
         det_system.run(3 * det_system.config.heartbeat_timeout)
         assert "lc-003" not in gm.local_controllers
+
+    @pytest.mark.parametrize("network", [NetworkConfig(jitter=0.0), NetworkConfig()],
+                             ids=["deterministic", "jittery"])
+    def test_a_gm_partitioned_during_the_heartbeat_tick_keeps_its_deadlines(
+        self, network, monkeypatch
+    ):
+        ticks = []
+        step = HeartbeatRows.step
+        monkeypatch.setattr(HeartbeatRows, "step", lambda self: (ticks.append(self.sim.now),
+                                                                 step(self)))
+        removed = {}
+        for leased in (True, False):
+            with nullcontext() if leased else leases_off():
+                system = build(network)
+                system.run(20.0)
+                victim = next(
+                    name
+                    for name, gm in system.group_managers.items()
+                    if not gm.is_leader and gm.local_controllers
+                )
+                # The next tick's heartbeats to the victim are in flight.
+                system.sim.run(until=ticks[-1] + system.config.lc_heartbeat_interval + 0.0002)
+                system.network.disconnect(victim)
+                system.run(20.0)
+            removed[leased] = [
+                (record.timestamp, record.details["lc"])
+                for record in system.event_log.events("lc_removed")
+                if record.details["component"] == victim
+            ]
+        # Each detector expires one timeout after the last heartbeat that
+        # reached the GM, not after the ones the partition dropped.
+        assert removed[True] and removed[True] == removed[False]
 
     def test_partitioned_gm_starves_both_lease_directions(self, det_system):
         det_system.run(10.0)

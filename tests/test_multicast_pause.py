@@ -4,7 +4,7 @@ An assigned Local Controller only consults the Group Leader channel while
 rejoining, so it *pauses* its subscription (keeping its fan-out slot): each
 heartbeat's arrival goes to the member's own latch, read when its GM fails.
 GM <-> LC heartbeats, whose only effect is restarting a failure detector, are
-heartbeat leases (:class:`~repro.hierarchy.common.LeaseSet`): the heartbeat
+heartbeat leases (:class:`~repro.network.fanout.LeaseSet`): the heartbeat
 re-arms the detector to its arrival instead of being delivered.  These tests
 pin both contracts:
 
@@ -32,7 +32,7 @@ import pytest
 
 from repro.hierarchy import SnoozeSystem
 from repro.hierarchy.config import HierarchyConfig
-from repro.hierarchy.common import LeaseSet
+from repro.network.fanout import LeaseSet
 from repro.hierarchy.group_manager import GroupManager
 from repro.hierarchy.local_controller import (
     GL_HEARTBEAT_GROUP,
@@ -40,6 +40,7 @@ from repro.hierarchy.local_controller import (
     gm_heartbeat_group,
 )
 from repro.hierarchy.system import SystemSpec
+from repro.network.fanout import LeaseSet
 from repro.network.message import MessageType
 from repro.network.multicast import MulticastRegistry
 from repro.network.transport import Network, NetworkConfig
@@ -458,6 +459,26 @@ class TestLeaseEdges:
         assert (stats["messages_delivered"], stats["messages_dropped"]) == (2, 1)
         assert [name for name, _, _ in on.arrivals] == ["lc-1"]  # the others were absorbed
         assert [name for name, _ in on.fired] == ["lc-2"]  # crashed detectors are released
+
+    @pytest.mark.parametrize("back", [False, True], ids=["partitioned", "back-in-time"])
+    @pytest.mark.parametrize("network", ["jittery", "deterministic"])
+    def test_a_watcher_partitioned_before_the_arrival_keeps_its_deadline(self, network, back):
+        def drive(h):
+            h.publish_at(2.0)
+            h.sim.run(until=2.0002)
+            h.network.disconnect("lc-0")  # partitioned, still running: the detector stays
+            if back:
+                h.sim.run(until=2.0004)
+                h.network.reconnect("lc-0")  # back before the arrival: delivered
+
+        on, off = self.both(NETWORKS[network], drive)
+        if back:
+            assert on.fired == [("lc-0", off.arrivals[0][2] + 8.0)]
+        else:
+            # The dropped heartbeat never restarted the detector armed at 0.0.
+            assert on.fired == [("lc-0", 8.0)]
+            stats = on.network.stats()
+            assert (stats["messages_delivered"], stats["messages_dropped"]) == (0, 1)
 
     def test_reordered_arrivals_leave_the_latest_arrival_plus_timeout(self):
         config = NetworkConfig(base_latency=0.001, jitter=5.0)
